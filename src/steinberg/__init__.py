@@ -61,6 +61,7 @@ from .weyl import (
     dot_dominant,
     generate,
     make_dominant,
+    weyl_group_order,
     weyl_orbit,
 )
 

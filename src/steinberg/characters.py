@@ -125,6 +125,8 @@ class Character:
     def from_dict(cls, data: dict, rank=None) -> "Character":
         try:
             entries = data["weights"]
+            if not isinstance(entries, list):
+                raise ValueError(f"'weights' must be a list, got {type(entries).__name__}")
             items = []
             for e in entries:
                 w = tuple(_strict_int(x) for x in e["w"])
@@ -213,12 +215,13 @@ def _dominant_multiplicities(rs: RootSystem, highest) -> dict:
                 k += 1
         gap = gaps[mu]
         denom = sum(gap[j] * t[j] * (highest[j] + mu[j] + 2) for j in range(rank))
-        assert denom > 0
         val = 2 * num
-        assert val % denom == 0, "Freudenthal division must be exact"
-        m = val // denom
-        assert m > 0
-        mults[mu] = m
+        if denom <= 0 or val % denom != 0 or val <= 0:
+            raise ArithmeticError(
+                f"Freudenthal recursion at {list(mu)} below {list(highest)} gave "
+                f"{val}/{denom}, not a positive integer"
+            )
+        mults[mu] = val // denom
     return mults
 
 

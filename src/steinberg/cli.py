@@ -18,6 +18,7 @@ from . import grothendieck as gk
 from . import linkage as lk
 from .characters import (
     Character,
+    _strict_int,
     contract_weights,
     euler_characteristic,
     frobenius_twist,
@@ -26,9 +27,14 @@ from .characters import (
     weyl_character,
 )
 from .errors import ConfigurationError, DomainError
-from .rootdata import Lattice, build_root_system, require_steinberg_configuration
+from .rootdata import (
+    Lattice,
+    build_root_system,
+    require_in_lattice,
+    require_steinberg_configuration,
+)
 from .simple_a1 import decompose_in_simple_basis_a1, simple_character_a1
-from .weyl import generate
+from .weyl import weyl_group_order
 
 PROG = "steinberg"
 
@@ -39,7 +45,7 @@ def _parse_weight(text: str):
             data = json.loads(text)
             if not isinstance(data, list):
                 raise ValueError("expected a JSON array")
-            return tuple(int(x) for x in data)
+            return tuple(_strict_int(x) for x in data)
         return tuple(int(part) for part in text.split(","))
     except (ValueError, json.JSONDecodeError) as exc:
         raise argparse.ArgumentTypeError(f"malformed weight {text!r}: {exc}") from exc
@@ -182,8 +188,6 @@ def _context(parser, args, need_p: bool) -> Context:
 def _check_weight(ctx: Context, weight):
     if len(weight) != ctx.rs.rank:
         raise DomainError(f"weight {list(weight)} has wrong rank for {ctx.rs!r}")
-    from .rootdata import require_in_lattice
-
     require_in_lattice(ctx.rs, weight, ctx.lattice)
     return weight
 
@@ -238,14 +242,13 @@ def _fmt(weight) -> str:
 
 def _cmd_rs_info(parser, ctx, args):
     rs = ctx.rs
-    group = generate(rs)
     payload = {
         "series": rs.series,
         "rank": rs.rank,
         "cartan": [list(row) for row in rs.cartan],
         "num_positive_roots": rs.num_positive_roots,
-        "weyl_order": group.order,
-        "longest_length": group.longest.length,
+        "weyl_order": weyl_group_order(rs),
+        "longest_length": rs.num_positive_roots,
         "rho": list(rs.rho),
     }
     text = [f"{k}: {json.dumps(v, separators=(',', ':'))}" for k, v in payload.items()]
@@ -416,7 +419,7 @@ class Subcommand:
 
 
 REGISTRY = (
-    Subcommand("rs", "info", _cmd_rs_info, False, ("build_root_system", "generate")),
+    Subcommand("rs", "info", _cmd_rs_info, False, ("build_root_system", "weyl_group_order")),
     Subcommand("char", "weyl", _cmd_char_weyl, False, ("weyl_character", "steinberg_character")),
     Subcommand("char", "tensor", _cmd_char_tensor, False, ("tensor", "class_to_char")),
     Subcommand("char", "twist", _cmd_char_twist, True, ("frobenius_twist",)),

@@ -2,19 +2,26 @@
 
 A :class:`KElement` is a finitely supported integer combination of classes
 of Weyl modules, indexed by their dominant highest weights.  Characters
-convert to classes through the alternating Weyl-orbit sum (with an
-independent highest-weight peeling route), and back by summing Weyl
-characters.  On top of the change of basis sit the Steinberg-block
-operations: the dot-scaling equivalence and its inverse, Steinberg
-multiplicities of a tensor product, Frobenius contraction, and projection
-onto a linkage block.
+convert to classes by Brauer straightening, one dot normalization per
+support weight (with an independent highest-weight peeling route), and back
+by summing Weyl characters.  On top of the change of basis sit the
+Steinberg-block operations: the dot-scaling equivalence and its inverse,
+Steinberg multiplicities of a tensor product and Frobenius contraction (both
+straightenings of the contracted weights), and projection onto a linkage
+block by closed-alcove normal forms.  No operation enumerates the Weyl group.
 """
 
 from __future__ import annotations
 
-from .characters import Character, _strict_int, require_w_invariant, weyl_character
+from .characters import (
+    Character,
+    _strict_int,
+    contract_weights,
+    require_w_invariant,
+    weyl_character,
+)
 from .errors import DomainError
-from .linkage import fundamental_alcove_rep, linked_unchecked
+from .linkage import fundamental_alcove_rep
 from .rootdata import (
     Lattice,
     RootSystem,
@@ -25,7 +32,7 @@ from .rootdata import (
     require_steinberg_configuration,
     root_coordinates,
 )
-from .weyl import dot_dominant, generate
+from .weyl import dot_dominant
 
 
 class KElement:
@@ -122,6 +129,8 @@ class KElement:
             raise ValueError(f"unsupported class basis {basis!r}")
         try:
             entries = data["terms"]
+            if not isinstance(entries, list):
+                raise ValueError(f"'terms' must be a list, got {type(entries).__name__}")
             items = []
             for e in entries:
                 w = tuple(_strict_int(x) for x in e["w"])
@@ -133,34 +142,37 @@ class KElement:
         return cls(items)
 
 
-def _dot_candidates(rs: RootSystem, weights):
-    """Dominant dot-representatives of an iterable of weights, walls dropped."""
-    out = set()
-    for w in weights:
-        dom, _ = dot_dominant(rs, w)
-        if dom is not None:
-            out.add(dom)
-    return out
+def _straighten(rs: RootSystem, items) -> KElement:
+    """Brauer straightening: sum m * sgn * [Delta(dot-dominant nu)] over (nu, m).
+
+    A weight nu with nu + rho regular is carried to its dominant dot
+    representative, picking up the sign of the Weyl element that does it;
+    a weight with nu + rho on a reflection wall contributes nothing.
+    """
+    out = {}
+    for nu, m in items:
+        dom, sign = dot_dominant(rs, nu)
+        if dom is None:
+            continue
+        new = out.get(dom, 0) + sign * m
+        if new:
+            out[dom] = new
+        else:
+            del out[dom]
+    return KElement._raw(out)
 
 
 def char_to_class(rs: RootSystem, chi: Character) -> KElement:
     """Expand a Weyl-invariant character in the Weyl-module basis.
 
-    The coefficient at a dominant weight lam is the alternating orbit sum
-    sum_w (-1)^len(w) * chi(w . lam) over the whole Weyl group (dot action).
+    Brauer's formula with the trivial module: chi equals the sum over its
+    weights nu of chi(nu) * [Delta(nu)], where a non-dominant [Delta(nu)] is
+    straightened to sgn(w) * [Delta(w . nu)] with w . nu dominant, or to 0 when
+    nu + rho is singular.  The coefficient at lam is therefore the
+    alternating orbit sum sum_w (-1)^len(w) * chi(w . lam).
     """
     require_w_invariant(rs, chi)
-    group = generate(rs)
-    out = {}
-    for lam in _dot_candidates(rs, chi.support()):
-        total = 0
-        for w in group.elements:
-            m = chi.mult(w.dot(lam))
-            if m:
-                total += w.sign * m
-        if total:
-            out[lam] = total
-    return KElement._raw(out)
+    return _straighten(rs, chi.items())
 
 
 def _height_key(rs: RootSystem, weight):
@@ -208,6 +220,7 @@ def class_to_char(rs: RootSystem, element: KElement) -> Character:
 def tensor_delta_expansion(rs: RootSystem, mu, chi: Character) -> KElement:
     """Weyl-basis expansion of (Weyl module at mu) tensor (module with character chi).
 
+    Brauer-Klimyk: straighten the weights mu + nu with coefficients chi(nu).
     The coefficient at lam is sum_w (-1)^len(w) * chi(w . lam - mu), which
     agrees with expanding the convolution product directly.
     """
@@ -215,19 +228,9 @@ def tensor_delta_expansion(rs: RootSystem, mu, chi: Character) -> KElement:
     if not is_dominant(mu):
         raise DomainError(f"weight {list(mu)} is not dominant")
     require_w_invariant(rs, chi)
-    group = generate(rs)
-    shifted = (tuple(x + y for x, y in zip(w, mu)) for w in chi.support())
-    out = {}
-    for lam in _dot_candidates(rs, shifted):
-        total = 0
-        for w in group.elements:
-            v = w.dot(lam)
-            m = chi.mult(tuple(x - y for x, y in zip(v, mu)))
-            if m:
-                total += w.sign * m
-        if total:
-            out[lam] = total
-    return KElement._raw(out)
+    return _straighten(
+        rs, ((tuple(x + y for x, y in zip(w, mu)), m) for w, m in chi.items())
+    )
 
 
 def _require_support_in_lattice(rs, element: KElement, lattice: Lattice) -> None:
@@ -275,21 +278,11 @@ def steinberg_inverse(rs: RootSystem, element: KElement, p: int,
     return KElement._raw(out)
 
 
-def _sdm_term(rs: RootSystem, group, chi: Character, lam, p: int) -> int:
-    total = 0
-    for w in group.elements:
-        v = w.dot(lam)
-        m = chi.mult(tuple(p * x for x in v))
-        if m:
-            total += w.sign * m
-    return total
-
-
 def steinberg_delta_multiplicity(rs: RootSystem, chi: Character, lam, p: int) -> int:
     """Multiplicity of the Weyl class at p . lam inside St tensor (chi-module).
 
-    Computed as sum_w (-1)^len(w) * chi(p * (w . lam)) without forming the
-    product character.
+    Equals sum_w (-1)^len(w) * chi(p * (w . lam)), the coefficient at lam of
+    :func:`frobenius_contract_class`; the product character is never formed.
     """
     lam = tuple(lam)
     if not is_dominant(lam):
@@ -297,42 +290,34 @@ def steinberg_delta_multiplicity(rs: RootSystem, chi: Character, lam, p: int) ->
     if p < 2:
         raise DomainError(f"multiplicity needs p >= 2, got {p}")
     require_w_invariant(rs, chi)
-    return _sdm_term(rs, generate(rs), chi, lam, p)
+    return _straighten(rs, contract_weights(chi, p).items()).coeff(lam)
 
 
 def frobenius_contract_class(rs: RootSystem, chi: Character, p: int) -> KElement:
     """Class of the Frobenius contraction of a module with character chi.
 
     The coefficient at lam is the Steinberg multiplicity of the Weyl class
-    at p . lam in St tensor the module; at the character level the result
-    contracts the weights of chi by p.
+    at p . lam in St tensor the module, sum_w (-1)^len(w) * chi(p * (w . lam)):
+    the straightening of the weights of chi contracted by p.  At the
+    character level the result contracts the weights of chi by p.
     """
     if p < 2:
         raise DomainError(f"contraction needs p >= 2, got {p}")
     require_w_invariant(rs, chi)
-    group = generate(rs)
-    candidates = set()
-    for w in chi.support():
-        if all(x % p == 0 for x in w):
-            dom, _ = dot_dominant(rs, tuple(x // p for x in w))
-            if dom is not None:
-                candidates.add(dom)
-    out = {}
-    for lam in candidates:
-        total = _sdm_term(rs, group, chi, lam, p)
-        if total:
-            out[lam] = total
-    return KElement._raw(out)
+    return _straighten(rs, contract_weights(chi, p).items())
 
 
 def pr_block(rs: RootSystem, element: KElement, nu, p: int,
              lattice: Lattice = Lattice.SIMPLY_CONNECTED) -> KElement:
-    """Projection of a class onto the linkage block through nu."""
+    """Projection of a class onto the linkage block through nu.
+
+    Keeps the terms whose closed-alcove normal form equals that of nu.
+    """
     nu = tuple(nu)
     require_in_lattice(rs, nu, lattice)
     _require_support_in_lattice(rs, element, lattice)
-    group = generate(rs)
-    out = {w: c for w, c in element.items() if linked_unchecked(rs, group, w, nu, p)}
+    rep = fundamental_alcove_rep(rs, nu, p)
+    out = {w: c for w, c in element.items() if fundamental_alcove_rep(rs, w, p) == rep}
     return KElement._raw(out)
 
 

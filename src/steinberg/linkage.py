@@ -2,11 +2,11 @@
 
 The affine group at level p is the finite Weyl group extended by
 translations by p times the root lattice, acting through the rho-shifted
-dot action.  Orbit membership is decided exactly: two weights are linked
-when some finite Weyl element carries one shifted weight onto the other
-modulo p times the root lattice.  The closed bottom alcove is a fundamental
-domain for the dot action, and every weight normalizes into it by
+dot action.  The closed bottom alcove is a fundamental domain for the dot
+action (Jantzen, RAG II.6), and every weight normalizes into it by
 alternating dominant reflections with reflections in the level-p walls.
+Orbit membership is decided exactly by comparing these normal forms, so no
+operation enumerates the Weyl group.
 """
 
 from __future__ import annotations
@@ -22,39 +22,22 @@ from .rootdata import (
     pairing,
     require_in_lattice,
 )
-from .weyl import generate, make_dominant
-
-
-def _in_p_root_lattice(rs: RootSystem, delta, p: int) -> bool:
-    # delta lies in p * ZR iff its exact simple-root coordinates are
-    # integers divisible by p.
-    den = rs.inv_den
-    for row in rs.inv_num:
-        if sum(row[j] * delta[j] for j in range(rs.rank)) % (den * p) != 0:
-            return False
-    return True
-
-
-def linked_unchecked(rs: RootSystem, group, lam, mu, p: int) -> bool:
-    shifted_mu = tuple(x + 1 for x in mu)
-    shifted_lam = tuple(x + 1 for x in lam)
-    for w in group.elements:
-        img = w.act(shifted_lam)
-        delta = tuple(a - b for a, b in zip(shifted_mu, img))
-        if _in_p_root_lattice(rs, delta, p):
-            return True
-    return False
+from .weyl import make_dominant
 
 
 def linked(rs: RootSystem, lam, mu, p: int,
            lattice: Lattice = Lattice.SIMPLY_CONNECTED) -> bool:
-    """Whether two weights lie in one dot orbit of the level-p affine group."""
+    """Whether two weights lie in one dot orbit of the level-p affine group.
+
+    The closed bottom alcove is a fundamental domain for the dot action, so
+    the weights are linked exactly when their normal forms agree.
+    """
     if p < 2:
         raise DomainError(f"linkage needs p >= 2, got {p}")
     lam, mu = tuple(lam), tuple(mu)
     require_in_lattice(rs, lam, lattice)
     require_in_lattice(rs, mu, lattice)
-    return linked_unchecked(rs, generate(rs), lam, mu, p)
+    return fundamental_alcove_rep(rs, lam, p) == fundamental_alcove_rep(rs, mu, p)
 
 
 @dataclass(frozen=True)

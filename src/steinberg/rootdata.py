@@ -115,7 +115,8 @@ def _symmetrizer(cartan, rank) -> tuple:
             if j != i and cartan[i][j] != 0 and t[j] is None:
                 t[j] = t[i] * Fraction(cartan[i][j], cartan[j][i])
                 stack.append(j)
-    assert all(v is not None for v in t), "Dynkin diagram must be connected"
+    if any(v is None for v in t):
+        raise ConfigurationError("Dynkin diagram must be connected")
     den = 1
     for v in t:
         den = den * v.denominator // gcd(den, v.denominator)
@@ -194,7 +195,8 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         d = []
         for j in range(rank):
             dj = Fraction(2 * c[j] * t[j], norm)
-            assert dj.denominator == 1, "coroot expansion must be integral"
+            if dj.denominator != 1:
+                raise ConfigurationError(f"coroot of root {list(c)} is not integral")
             d.append(int(dj))
         coroots.append(tuple(d))
     inv_num, inv_den = _invert(cartan, rank)

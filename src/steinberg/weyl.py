@@ -1,11 +1,13 @@
-"""Finite Weyl groups: full enumeration, linear and dot actions, lengths.
+"""Finite Weyl groups: orbit normal forms, the group order, and enumeration.
 
-Group elements act on fundamental-weight coordinates through integer
-matrices.  The whole group is enumerated once per root system by
-breadth-first closure under the simple reflections, which makes lengths and
-the longest element immediate.  Weight-level normalizations that do not need
-the enumerated group (``make_dominant``, ``dot_dominant``) are plain
-functions so the character code can stay fast.
+The library works with weights one at a time: ``make_dominant`` and
+``dot_dominant`` reach the dominant representative of a linear or dot orbit
+by simple reflections, ``weyl_orbit`` lists a linear orbit, and
+``weyl_group_order`` reads |W| off the root heights.  None of them
+enumerates the group.  ``generate`` still enumerates the whole group by
+breadth-first closure under the simple reflections, acting on
+fundamental-weight coordinates through integer matrices; no library
+operation calls it, and it serves as an independent check.
 """
 
 from __future__ import annotations
@@ -111,6 +113,23 @@ def dot_dominant(rs: RootSystem, weight):
     return tuple(x - 1 for x in dom), sign
 
 
+def weyl_group_order(rs: RootSystem) -> int:
+    """|W| as the product of (m_i + 1) over the exponents m_i.
+
+    The exponents are the partition dual to the numbers of positive roots at
+    each height (Kostant), so m_j counts the heights holding at least j
+    positive roots.
+    """
+    counts = {}
+    for c in rs.positive_roots:
+        h = sum(c)
+        counts[h] = counts.get(h, 0) + 1
+    order = 1
+    for j in range(1, rs.rank + 1):
+        order *= 1 + sum(1 for n in counts.values() if n >= j)
+    return order
+
+
 def weyl_orbit(rs: RootSystem, weight) -> list:
     """Full linear Weyl orbit of a weight."""
     start = tuple(weight)
@@ -164,8 +183,12 @@ def generate(rs: RootSystem) -> WeylGroup:
         frontier = nxt
     top_length = max(el.length for el in elements)
     longest = [el for el in elements if el.length == top_length]
-    assert len(longest) == 1, "the longest element must be unique"
-    assert top_length == rs.num_positive_roots
+    if len(longest) != 1:
+        raise ConfigurationError(f"{len(longest)} elements of maximal length; it must be unique")
+    if top_length != rs.num_positive_roots:
+        raise ConfigurationError(
+            f"longest length {top_length} differs from {rs.num_positive_roots} positive roots"
+        )
     elements.sort(key=lambda el: (el.length, el.word))
     return WeylGroup(
         root_system=rs,

@@ -3,7 +3,8 @@
 Everything here is deliberately separate from the library's algorithms:
 hard-coded root tables for the rank-one and rank-two types, the Weyl group
 order formulas, the dimension formula evaluated over the tables, a partition
-function based character formula, brute-force affine orbit enumeration in a
+function based character formula, alternating sums and a linkage test over
+the fully enumerated Weyl group, brute-force affine orbit enumeration in a
 box, and closed-form rank-one facts.
 """
 
@@ -11,6 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
+
+from steinberg import dot_dominant
 
 # Positive roots as (simple-root coordinates, coroot coordinates in the
 # simple coroots), Bourbaki numbering.
@@ -195,3 +199,65 @@ def affine_orbit_in_box(rs, lam, p, bound, margin=None) -> set:
                 seen.add(img)
                 queue.append(img)
     return {w for w in seen if max(abs(x) for x in w) <= bound}
+
+
+def alternating_coefficient(group, chi, lam, mu=None, p=1) -> int:
+    """sum over the Weyl group of sign(w) * chi(p * (w . lam) - mu).
+
+    With mu = 0 and p = 1 this is the coefficient of the Weyl class at lam
+    in chi; a shift by mu expands Delta(mu) tensor chi, and a scale p gives
+    the Steinberg multiplicity of Delta(p . lam) in St tensor chi.
+    """
+    shifted = [x + 1 for x in lam]
+    # p * (w . lam) - mu = p * w(lam + rho) - (p * rho + mu)
+    offsets = [p + y for y in ((0,) * len(lam) if mu is None else mu)]
+    total = 0
+    for w in group.elements:
+        v = tuple(p * sum(map(mul, row, shifted)) - o for row, o in zip(w.matrix, offsets))
+        m = chi.mult(v)
+        if m:
+            total += w.sign * m
+    return total
+
+
+def alternating_expansion(rs, group, chi, mu=None, p=1) -> dict:
+    """Weyl-basis expansion by alternating sums, as a dict of nonzero terms.
+
+    Candidates are the dominant dot representatives of the support weights,
+    shifted by mu, or of those divisible by p, divided by p.  Only this
+    candidate set comes from the library (``dot_dominant``); every
+    coefficient is summed over the whole group.
+    """
+    mu = (0,) * rs.rank if mu is None else tuple(mu)
+    candidates = set()
+    for w in chi.support():
+        v = tuple(x + y for x, y in zip(w, mu))
+        if all(x % p == 0 for x in v):
+            dom, _ = dot_dominant(rs, tuple(x // p for x in v))
+            if dom is not None:
+                candidates.add(dom)
+    out = {}
+    for lam in candidates:
+        c = alternating_coefficient(group, chi, lam, mu, p)
+        if c:
+            out[lam] = c
+    return out
+
+
+def _in_p_root_lattice(rs, delta, p) -> bool:
+    # delta lies in p * ZR iff its exact simple-root coordinates are
+    # integers divisible by p.
+    modulus = rs.inv_den * p
+    return all(sum(map(mul, row, delta)) % modulus == 0 for row in rs.inv_num)
+
+
+def linked_unchecked(rs, group, lam, mu, p) -> bool:
+    """Linkage by search: some w carries lam + rho onto mu + rho modulo p * ZR."""
+    shifted_mu = tuple(x + 1 for x in mu)
+    shifted_lam = tuple(x + 1 for x in lam)
+    for w in group.elements:
+        img = w.act(shifted_lam)
+        delta = tuple(a - b for a, b in zip(shifted_mu, img))
+        if _in_p_root_lattice(rs, delta, p):
+            return True
+    return False

@@ -198,6 +198,8 @@ def test_character_equality_is_pointwise_and_serialization_roundtrips():
         {"weights": [{"w": [1], "mult": 1.5}]},
         {"weights": [{"w": [1], "mult": True}]},
         {"weights": [{"w": [1]}]},
+        {"weights": ""},
+        {"weights": {}},
     ):
         with pytest.raises(ValueError):
             Character.from_dict(bad)

@@ -221,6 +221,18 @@ def test_usage_errors_exit_2():
         assert code == 2, argv
 
 
+def test_json_weight_entries_must_be_integers(capsys):
+    # argparse reports usage errors on sys.stderr itself.
+    for rank, text in ((2, "[1.5,0]"), (1, "[1e0]"), (1, "[true]")):
+        code, out, _ = invoke(["char", "weyl", "--type", "A", "--rank", str(rank), "--weight", text])
+        err = capsys.readouterr().err
+        assert code == 2 and not out, text
+        assert "Traceback" not in err, text
+        assert err.strip().splitlines()[-1].startswith(
+            f"steinberg char weyl: error: argument --weight: malformed weight '{text}'"
+        ), err
+
+
 def test_domain_errors_exit_1():
     for argv in (
         ["char", "weyl", "--type", "A", "--rank", "1", "--weight=-1"],
@@ -235,10 +247,14 @@ def test_domain_errors_exit_1():
         ["class", "decompose", "--type", "A", "--rank", "2",
          "--char", '{"weights":[{"w":[1],"mult":1}]}'],  # wrong rank inside payload
         ["simple", "a1", "--type", "B", "--rank", "2", "--p", "3", "--weight", "1,0"],
+        ["class", "st-forward", "--type", "A", "--rank", "1", "--p", "3",
+         "--class", '{"terms":{}}'],  # terms must be a list
+        ["class", "decompose", "--type", "A", "--rank", "1",
+         "--char", '{"weights":""}'],  # weights must be a list
     ):
         code, out, err = invoke(argv)
         assert code == 1, argv
-        assert err.strip(), argv
+        assert err.strip() and "Traceback" not in err, argv
 
 
 def test_registry_bijection_and_coverage():
@@ -259,7 +275,7 @@ def test_registry_bijection_and_coverage():
     ops = [op for s in REGISTRY for op in s.operations]
     assert len(ops) == len(set(ops))
     universe = {
-        "build_root_system", "generate",
+        "build_root_system", "weyl_group_order",
         "weyl_character", "steinberg_character", "tensor", "class_to_char",
         "frobenius_twist", "euler_characteristic", "contract_weights",
         "char_to_class", "char_to_class_by_peeling", "tensor_delta_expansion",

@@ -129,8 +129,9 @@ def test_kelement_serialization_round_trip():
     assert [t["w"] for t in data["terms"]] == sorted(t["w"] for t in data["terms"])
     assert KElement.from_dict(data) == el
     assert KElement.from_dict({"terms": [{"w": [1], "coeff": 1}]}) == KElement({(1,): 1})
-    with pytest.raises(ValueError):
-        KElement.from_dict({"basis": "tilting", "terms": []})
+    for bad in ({"basis": "tilting", "terms": []}, {"terms": {}}, {"terms": ""}):
+        with pytest.raises(ValueError):
+            KElement.from_dict(bad)
 
 
 def test_class_char_round_trips():

@@ -1,0 +1,120 @@
+"""Library routes that never enumerate W, against sums and searches over all of W.
+
+The library expands characters by Brauer straightening and decides linkage
+by closed-alcove normal forms.  The oracles sum over, or search, the fully
+enumerated Weyl group instead.  The last test rebinds ``generate`` so that
+any library call of it fails.
+"""
+
+import io
+import json
+import random
+import sys
+
+import pytest
+
+import oracles
+from steinberg import (
+    KElement,
+    block_decompose,
+    build_root_system,
+    char_to_class,
+    frobenius_contract_class,
+    generate,
+    linked,
+    pr_block,
+    steinberg_delta_multiplicity,
+    tensor,
+    tensor_delta_expansion,
+    weyl_character,
+)
+from steinberg.cli import run
+
+TYPES = sorted(oracles.POSITIVE_ROOT_COUNTS)
+# Above this group order one alternating sum takes a noticeable fraction of
+# a second, so those types expand a single fundamental character only.
+LARGE_ORDER = 6000
+
+
+def _fundamental(rs, i):
+    return tuple(1 if j == i else 0 for j in range(rs.rank))
+
+
+def _linked_image(rng, rs, group, lam, p):
+    """w . lam + p * beta for a random w in W and beta in the root lattice."""
+    w = rng.choice(group.elements)
+    beta = [rng.randint(-1, 1) for _ in range(rs.rank)]
+    return tuple(
+        x + p * sum(rs.cartan[k][j] * beta[j] for j in range(rs.rank))
+        for k, x in enumerate(w.dot(lam))
+    )
+
+
+@pytest.mark.parametrize("series,rank", TYPES)
+def test_class_routes_match_alternating_sums(series, rank):
+    rs = build_root_system(series, rank)
+    group = generate(rs)
+    first, last = _fundamental(rs, 0), _fundamental(rs, rank - 1)
+    small = weyl_character(rs, first)
+    chi = small if group.order > LARGE_ORDER else tensor(small, weyl_character(rs, last))
+
+    assert char_to_class(rs, chi) == KElement(oracles.alternating_expansion(rs, group, chi))
+    assert tensor_delta_expansion(rs, last, small) == KElement(
+        oracles.alternating_expansion(rs, group, small, mu=last)
+    )
+    for p in (2, 3):
+        expected = oracles.alternating_expansion(rs, group, chi, p=p)
+        assert frobenius_contract_class(rs, chi, p) == KElement(expected)
+        for lam, c in expected.items():
+            assert steinberg_delta_multiplicity(rs, chi, lam, p) == c
+    rho = (1,) * rank
+    assert steinberg_delta_multiplicity(rs, chi, rho, 2) == oracles.alternating_coefficient(
+        group, chi, rho, p=2
+    )
+
+
+@pytest.mark.parametrize("series,rank", TYPES)
+def test_linked_matches_search_over_w(series, rank):
+    rs = build_root_system(series, rank)
+    group = generate(rs)
+    rng = random.Random(f"linked/{series}{rank}")
+    # E6 and F4 run every prime, with pairs linked by construction, because
+    # random pairs there are almost never linked.
+    primes = (2, 3, 5) if (series, rank) in (("E", 6), ("F", 4)) else (rng.choice((2, 3, 5)),)
+    for p in primes:
+        lam = tuple(rng.randint(-2, 2) for _ in range(rank))
+        mu = _linked_image(rng, rs, group, lam, p)
+        assert oracles.linked_unchecked(rs, group, lam, mu, p), (lam, mu, p)
+        assert linked(rs, lam, mu, p), (lam, mu, p)
+        nu = tuple(rng.randint(-3, 3) for _ in range(rank))
+        assert linked(rs, lam, nu, p) == oracles.linked_unchecked(rs, group, lam, nu, p)
+
+
+@pytest.mark.parametrize("series,rank", [("E", 6), ("G", 2)])
+def test_library_never_enumerates_the_group(monkeypatch, series, rank):
+    def refuse(rs):
+        raise AssertionError(f"the library enumerated the Weyl group of {rs!r}")
+
+    for name, module in list(sys.modules.items()):
+        if name == "steinberg" or name.startswith("steinberg."):
+            for attr, value in list(vars(module).items()):
+                if value is generate:
+                    monkeypatch.setattr(module, attr, refuse)
+
+    rs = build_root_system(series, rank)
+    first, last = _fundamental(rs, 0), _fundamental(rs, rank - 1)
+    chi = tensor(weyl_character(rs, first), weyl_character(rs, last))
+    expansion = char_to_class(rs, chi)
+    assert expansion.coeff(tuple(x + y for x, y in zip(first, last))) == 1
+    assert tensor_delta_expansion(rs, first, weyl_character(rs, last)) == expansion
+    contracted = frobenius_contract_class(rs, chi, 2)
+    assert steinberg_delta_multiplicity(rs, chi, (0,) * rank, 2) == contracted.coeff((0,) * rank)
+    assert linked(rs, first, first, 2)
+    blocks = block_decompose(rs, expansion, 2)
+    assert sum((comp for _, comp in blocks), KElement()) == expansion
+    for rep, comp in blocks:
+        assert pr_block(rs, expansion, rep, 2) == comp
+
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["rs", "info", "--type", series, "--rank", str(rank)], out=out, err=err) == 0
+    assert json.loads(out.getvalue())["weyl_order"] == oracles.weyl_order_formula(series, rank)

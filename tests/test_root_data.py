@@ -20,7 +20,7 @@ from steinberg import (
     steinberg_split,
     steinberg_weight,
 )
-from steinberg.rootdata import in_lattice, require_steinberg_configuration
+from steinberg.rootdata import _symmetrizer, in_lattice, require_steinberg_configuration
 
 
 def test_a1_forced_data():
@@ -70,6 +70,12 @@ def test_simple_roots_come_first():
 def test_invalid_types_rejected(series, rank):
     with pytest.raises(ConfigurationError):
         build_root_system(series, rank)
+
+
+def test_disconnected_diagram_raises_even_without_asserts():
+    # A1 x A1: the symmetrizer walk never reaches the second node.
+    with pytest.raises(ConfigurationError, match="connected"):
+        _symmetrizer([[2, 0], [0, 2]], 2)
 
 
 def test_pairing_examples():

@@ -13,6 +13,7 @@ from steinberg import (
     generate,
     is_dominant,
     make_dominant,
+    weyl_group_order,
     weyl_orbit,
 )
 
@@ -25,8 +26,16 @@ ENUMERABLE = [
 
 @pytest.mark.parametrize("series,rank", ENUMERABLE)
 def test_group_order_matches_formula(series, rank):
-    group = generate(build_root_system(series, rank))
+    rs = build_root_system(series, rank)
+    group = generate(rs)
     assert group.order == oracles.weyl_order_formula(series, rank)
+    assert weyl_group_order(rs) == group.order
+
+
+@pytest.mark.parametrize("series,rank", sorted(oracles.POSITIVE_ROOT_COUNTS))
+def test_weyl_group_order_from_root_heights(series, rank):
+    rs = build_root_system(series, rank)
+    assert weyl_group_order(rs) == oracles.weyl_order_formula(series, rank)
 
 
 @pytest.mark.parametrize("series,rank", ENUMERABLE)
