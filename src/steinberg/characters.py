@@ -1,7 +1,9 @@
 """Formal characters: sparse integer functions on the weight lattice.
 
 A :class:`Character` is a finitely supported map weight -> multiplicity, the
-computational form of an element of the group ring Z[X].  Weyl-module
+computational form of an element of the group ring Z[X]; it shares the
+sparse base ``_Sparse`` with the Weyl-basis classes of the Grothendieck
+group.  Weyl-module
 characters are produced by Freudenthal's multiplicity recursion on the
 dominant cone and then spread over Weyl orbits; products are exact sparse
 convolutions.  Signed characters (Euler characteristics, virtual
@@ -20,10 +22,120 @@ from .rootdata import (
     require_steinberg_configuration,
     steinberg_weight,
 )
-from .weyl import make_dominant, dot_dominant, weyl_orbit
+from .weyl import apply_simple_reflection, dot_dominant, weyl_orbit
 
 
-class Character:
+class _Sparse:
+    """Finitely supported integer combination indexed by weights.
+
+    A dict from weight tuples to nonzero integers, so equality is structural
+    (and never holds between different subclasses).  A subclass names its
+    JSON fields in ``_FIELDS`` (entry list, value key) and its payload in
+    ``_NOUN``, and may reject support weights in ``_check_support``.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, items=()):
+        terms = {}
+        if isinstance(items, dict):
+            items = items.items()
+        check = self._check_support
+        for w, m in items:
+            if not m:
+                continue
+            w = tuple(w)
+            check(w)
+            new = terms.get(w, 0) + m
+            if new:
+                terms[w] = new
+            else:
+                del terms[w]
+        self._terms = terms
+
+    @staticmethod
+    def _check_support(weight) -> None:
+        pass
+
+    @classmethod
+    def _raw(cls, terms: dict):
+        # Internal constructor for maps already free of zeros.
+        self = cls.__new__(cls)
+        self._terms = terms
+        return self
+
+    def items(self):
+        return self._terms.items()
+
+    def support(self):
+        return self._terms.keys()
+
+    def sorted_items(self):
+        return sorted(self._terms.items())
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._terms == other._terms
+
+    def _combine(self, other, sign):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self._terms)
+        for w, m in other._terms.items():
+            new = out.get(w, 0) + sign * m
+            if new:
+                out[w] = new
+            else:
+                del out[w]
+        return self._raw(out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._raw({w: -m for w, m in self._terms.items()})
+
+    def __rmul__(self, scalar: int):
+        if scalar == 0:
+            return self._raw({})
+        return self._raw({w: scalar * m for w, m in self._terms.items()})
+
+    def __repr__(self):
+        items = ", ".join(f"{list(w)}:{m}" for w, m in self.sorted_items()[:8])
+        tail = ", ..." if len(self._terms) > 8 else ""
+        return f"{type(self).__name__}({{{items}{tail}}})"
+
+    def _entries(self) -> list:
+        key = self._FIELDS[1]
+        return [{"w": list(w), key: m} for w, m in self.sorted_items()]
+
+    @classmethod
+    def from_dict(cls, data: dict, rank=None):
+        list_key, key = cls._FIELDS
+        try:
+            entries = data[list_key]
+            if not isinstance(entries, list):
+                raise ValueError(f"'{list_key}' must be a list, got {type(entries).__name__}")
+            items = []
+            for e in entries:
+                w = tuple(_strict_int(x) for x in e["w"])
+                if rank is not None and len(w) != rank:
+                    raise ValueError(f"weight {list(w)} has wrong rank (expected {rank})")
+                items.append((w, _strict_int(e[key])))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed {cls._NOUN} payload: {exc}") from exc
+        return cls(items)
+
+
+class Character(_Sparse):
     """Finitely supported integer-valued function on weights.
 
     Zero multiplicities are never stored, so equality is structural.
@@ -31,111 +143,24 @@ class Character:
     characters is the convolution product (the ring product of Z[X]).
     """
 
-    __slots__ = ("_mult",)
-
-    def __init__(self, items=()):
-        mult = {}
-        if isinstance(items, dict):
-            items = items.items()
-        for w, m in items:
-            if not m:
-                continue
-            w = tuple(w)
-            new = mult.get(w, 0) + m
-            if new:
-                mult[w] = new
-            else:
-                del mult[w]
-        self._mult = mult
-
-    @classmethod
-    def _raw(cls, mult: dict) -> "Character":
-        # Internal constructor for maps already free of zeros.
-        self = cls.__new__(cls)
-        self._mult = mult
-        return self
+    __slots__ = ()
+    _FIELDS = ("weights", "mult")
+    _NOUN = "character"
 
     def mult(self, weight) -> int:
-        return self._mult.get(tuple(weight), 0)
-
-    def items(self):
-        return self._mult.items()
-
-    def support(self):
-        return self._mult.keys()
-
-    def sorted_items(self):
-        return sorted(self._mult.items())
+        return self._terms.get(tuple(weight), 0)
 
     def dim(self) -> int:
         """Sum of multiplicities (the virtual dimension for signed inputs)."""
-        return sum(self._mult.values())
-
-    def __len__(self):
-        return len(self._mult)
-
-    def __bool__(self):
-        return bool(self._mult)
-
-    def __eq__(self, other):
-        return isinstance(other, Character) and self._mult == other._mult
-
-    def __add__(self, other):
-        out = dict(self._mult)
-        for w, m in other._mult.items():
-            new = out.get(w, 0) + m
-            if new:
-                out[w] = new
-            else:
-                del out[w]
-        return Character._raw(out)
-
-    def __sub__(self, other):
-        out = dict(self._mult)
-        for w, m in other._mult.items():
-            new = out.get(w, 0) - m
-            if new:
-                out[w] = new
-            else:
-                del out[w]
-        return Character._raw(out)
-
-    def __neg__(self):
-        return Character._raw({w: -m for w, m in self._mult.items()})
-
-    def __rmul__(self, scalar: int):
-        if scalar == 0:
-            return Character()
-        return Character._raw({w: scalar * m for w, m in self._mult.items()})
+        return sum(self._terms.values())
 
     def __mul__(self, other):
         if isinstance(other, int):
             return other * self
         return tensor(self, other)
 
-    def __repr__(self):
-        items = ", ".join(f"{list(w)}:{m}" for w, m in self.sorted_items()[:8])
-        tail = ", ..." if len(self._mult) > 8 else ""
-        return f"Character({{{items}{tail}}})"
-
     def to_dict(self) -> dict:
-        return {"weights": [{"w": list(w), "mult": m} for w, m in self.sorted_items()]}
-
-    @classmethod
-    def from_dict(cls, data: dict, rank=None) -> "Character":
-        try:
-            entries = data["weights"]
-            if not isinstance(entries, list):
-                raise ValueError(f"'weights' must be a list, got {type(entries).__name__}")
-            items = []
-            for e in entries:
-                w = tuple(_strict_int(x) for x in e["w"])
-                if rank is not None and len(w) != rank:
-                    raise ValueError(f"weight {list(w)} has wrong rank (expected {rank})")
-                items.append((w, _strict_int(e["mult"])))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed character payload: {exc}") from exc
-        return cls(items)
+        return {"weights": self._entries()}
 
 
 def _strict_int(value) -> int:
@@ -309,22 +334,21 @@ def contract_weights(chi: Character, p: int) -> Character:
 
 
 def require_w_invariant(rs: RootSystem, chi: Character) -> None:
-    """Reject characters that are not constant on full Weyl orbits."""
-    counted = {}
+    """Reject characters that are not constant on full Weyl orbits.
+
+    W is generated by the simple reflections, so chi is W-invariant exactly
+    when chi(s_i w) = chi(w) for every support weight w and every i with
+    w_i != 0 (s_i fixes w when w_i = 0).  A weight outside the support whose
+    reflection lies in it is caught from that reflection.
+    """
+    get = chi._terms.get
     for w, m in chi.items():
-        rep, _ = make_dominant(rs, w)
-        prev = counted.get(rep)
-        if prev is None:
-            counted[rep] = [m, 1]
-        else:
-            if prev[0] != m:
-                raise DomainError(
-                    f"character is not Weyl-invariant: orbit of {list(rep)} mixes "
-                    f"multiplicities {prev[0]} and {m}"
-                )
-            prev[1] += 1
-    for rep, (_, count) in counted.items():
-        if count != len(weyl_orbit(rs, rep)):
-            raise DomainError(
-                f"character is not Weyl-invariant: orbit of {list(rep)} is incomplete"
-            )
+        for i, x in enumerate(w):
+            if x:
+                img = apply_simple_reflection(rs, i, w)
+                other = get(img, 0)
+                if other != m:
+                    raise DomainError(
+                        f"character is not Weyl-invariant: multiplicity {m} at {list(w)} "
+                        f"but {other} at its simple reflection {list(img)}"
+                    )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -39,6 +40,16 @@ from .weyl import weyl_group_order
 PROG = "steinberg"
 
 
+_INTEGER = re.compile("-?[0-9]+")
+
+
+def _parse_int(text: str) -> int:
+    """An optional minus sign and ASCII digits: no blanks, underscores or other digits."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_weight(text: str):
     try:
         if text.lstrip().startswith("["):
@@ -46,15 +57,15 @@ def _parse_weight(text: str):
             if not isinstance(data, list):
                 raise ValueError("expected a JSON array")
             return tuple(_strict_int(x) for x in data)
-        return tuple(int(part) for part in text.split(","))
-    except (ValueError, json.JSONDecodeError) as exc:
+        return tuple(_parse_int(part) for part in text.split(","))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"malformed weight {text!r}: {exc}") from exc
 
 
 def _parse_prime(text: str) -> int:
     try:
-        p = int(text)
-    except ValueError as exc:
+        p = _parse_int(text)
+    except argparse.ArgumentTypeError as exc:
         raise argparse.ArgumentTypeError(f"p must be an integer, got {text!r}") from exc
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise argparse.ArgumentTypeError(f"p must be a prime >= 2, got {p}")
@@ -75,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=PROG, description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--type", dest="series", choices=list("ABCDEFG"), help="series A-G")
-    common.add_argument("--rank", type=int, help="rank of the root system")
+    common.add_argument("--rank", type=_parse_int, help="rank of the root system")
     common.add_argument("--lattice", choices=["sc", "adj"], default="sc",
                         help="weight lattice: simply connected (sc) or adjoint (adj)")
     common.add_argument("--output", choices=["json", "text"], default="json")
@@ -94,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub("char", "weyl", help="Weyl-module character")
     s.add_argument("--weight", type=_parse_weight, help="dominant highest weight")
-    s.add_argument("--r", type=int, default=1,
+    s.add_argument("--r", type=_parse_int, default=1,
                    help="with --p and no --weight: degree of the Steinberg character")
 
     s = sub("char", "tensor", help="product of characters")
@@ -108,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub("char", "twist", help="Frobenius twist of a character")
     s.add_argument("--weight", type=_parse_weight)
     s.add_argument("--char", type=_parse_json)
-    s.add_argument("--r", type=int, default=1, help="twist degree")
+    s.add_argument("--r", type=_parse_int, default=1, help="twist degree")
 
     s = sub("char", "euler", help="Euler characteristic of a line bundle weight")
     s.add_argument("--weight", type=_parse_weight, required=True)
@@ -128,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub("class", "st-forward", help="Steinberg equivalence on classes")
     s.add_argument("--class", dest="kclass", type=_parse_json, required=True)
-    s.add_argument("--r", type=int, default=1, help="iterate the equivalence r times")
+    s.add_argument("--r", type=_parse_int, default=1, help="iterate the equivalence r times")
 
     s = sub("class", "st-inverse", help="inverse Steinberg equivalence on classes")
     s.add_argument("--class", dest="kclass", type=_parse_json, required=True)

@@ -1,7 +1,8 @@
 """Grothendieck-group calculus in the Weyl-module basis.
 
 A :class:`KElement` is a finitely supported integer combination of classes
-of Weyl modules, indexed by their dominant highest weights.  Characters
+of Weyl modules, indexed by their dominant highest weights; it shares its
+representation and arithmetic with :class:`Character`.  Characters
 convert to classes by Brauer straightening, one dot normalization per
 support weight (with an independent highest-weight peeling route), and back
 by summing Weyl characters.  On top of the change of basis sit the
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from .characters import (
     Character,
-    _strict_int,
+    _Sparse,
     contract_weights,
     require_w_invariant,
     weyl_character,
@@ -35,111 +36,33 @@ from .rootdata import (
 from .weyl import dot_dominant
 
 
-class KElement:
+class KElement(_Sparse):
     """Finitely supported integer combination of Weyl-module classes.
 
     Keys are dominant weights; coefficients may be negative (virtual
     classes).  Zero coefficients are never stored.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    _FIELDS = ("terms", "coeff")
+    _NOUN = "class"
 
-    def __init__(self, items=()):
-        coeffs = {}
-        if isinstance(items, dict):
-            items = items.items()
-        for w, c in items:
-            if not c:
-                continue
-            w = tuple(w)
-            if not is_dominant(w):
-                raise DomainError(f"class support must be dominant, got {list(w)}")
-            new = coeffs.get(w, 0) + c
-            if new:
-                coeffs[w] = new
-            else:
-                del coeffs[w]
-        self._coeffs = coeffs
-
-    @classmethod
-    def _raw(cls, coeffs: dict) -> "KElement":
-        self = cls.__new__(cls)
-        self._coeffs = coeffs
-        return self
+    @staticmethod
+    def _check_support(weight) -> None:
+        if not is_dominant(weight):
+            raise DomainError(f"class support must be dominant, got {list(weight)}")
 
     def coeff(self, weight) -> int:
-        return self._coeffs.get(tuple(weight), 0)
-
-    def items(self):
-        return self._coeffs.items()
-
-    def support(self):
-        return self._coeffs.keys()
-
-    def sorted_items(self):
-        return sorted(self._coeffs.items())
-
-    def __len__(self):
-        return len(self._coeffs)
-
-    def __bool__(self):
-        return bool(self._coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, KElement) and self._coeffs == other._coeffs
-
-    def __add__(self, other):
-        out = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            new = out.get(w, 0) + c
-            if new:
-                out[w] = new
-            else:
-                del out[w]
-        return KElement._raw(out)
-
-    def __sub__(self, other):
-        out = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            new = out.get(w, 0) - c
-            if new:
-                out[w] = new
-            else:
-                del out[w]
-        return KElement._raw(out)
-
-    def __neg__(self):
-        return KElement._raw({w: -c for w, c in self._coeffs.items()})
-
-    def __repr__(self):
-        items = ", ".join(f"{list(w)}:{c}" for w, c in self.sorted_items()[:8])
-        tail = ", ..." if len(self._coeffs) > 8 else ""
-        return f"KElement({{{items}{tail}}})"
+        return self._terms.get(tuple(weight), 0)
 
     def to_dict(self, basis: str = "delta") -> dict:
-        return {
-            "basis": basis,
-            "terms": [{"w": list(w), "coeff": c} for w, c in self.sorted_items()],
-        }
+        return {"basis": basis, "terms": self._entries()}
 
     @classmethod
     def from_dict(cls, data: dict, rank=None) -> "KElement":
-        basis = data.get("basis", "delta")
-        if basis != "delta":
-            raise ValueError(f"unsupported class basis {basis!r}")
-        try:
-            entries = data["terms"]
-            if not isinstance(entries, list):
-                raise ValueError(f"'terms' must be a list, got {type(entries).__name__}")
-            items = []
-            for e in entries:
-                w = tuple(_strict_int(x) for x in e["w"])
-                if rank is not None and len(w) != rank:
-                    raise ValueError(f"weight {list(w)} has wrong rank (expected {rank})")
-                items.append((w, _strict_int(e["coeff"])))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed class payload: {exc}") from exc
-        return cls(items)
+        if isinstance(data, dict) and data.get("basis", "delta") != "delta":
+            raise ValueError(f"unsupported class basis {data['basis']!r}")
+        return super().from_dict(data, rank)
 
 
 def _straighten(rs: RootSystem, items) -> KElement:

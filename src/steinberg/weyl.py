@@ -85,20 +85,6 @@ def make_dominant(rs: RootSystem, weight):
             return w, sign
 
 
-def make_dominant_with_word(rs: RootSystem, weight):
-    """Like make_dominant but also returns the reflection word applied."""
-    w = tuple(weight)
-    word = []
-    while True:
-        for i, x in enumerate(w):
-            if x < 0:
-                w = apply_simple_reflection(rs, i, w)
-                word.append(i)
-                break
-        else:
-            return w, tuple(word)
-
-
 def dot_dominant(rs: RootSystem, weight):
     """Dot-orbit normalization.
 
@@ -201,17 +187,15 @@ def generate(rs: RootSystem) -> WeylGroup:
 def dominant_representative(group: WeylGroup, weight):
     """A Weyl element w with w(weight) dominant, plus that dominant weight."""
     rs = group.root_system
-    dom, word = make_dominant_with_word(rs, weight)
-    rank = rs.rank
-    matrix = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-    for i in word:
-        # The word was applied to the weight first-to-last, so the matrix is
-        # built by left-multiplying each reflection in turn.
-        row_i = matrix[i]
-        matrix = tuple(
-            tuple(matrix[k][j] - rs.cartan[k][i] * row_i[j] for j in range(rank))
-            if rs.cartan[k][i]
-            else matrix[k]
-            for k in range(rank)
-        )
-    return group.element_for_matrix(matrix), dom
+    # The columns of w's matrix are the images of the basis weights, so each
+    # reflection applied to the weight is applied to them as well.
+    columns = [tuple(int(i == j) for i in range(rs.rank)) for j in range(rs.rank)]
+    w = tuple(weight)
+    while True:
+        for i, x in enumerate(w):
+            if x < 0:
+                w = apply_simple_reflection(rs, i, w)
+                columns = [apply_simple_reflection(rs, i, c) for c in columns]
+                break
+        else:
+            return group.element_for_matrix(tuple(zip(*columns))), w

@@ -4,8 +4,9 @@ Everything here is deliberately separate from the library's algorithms:
 hard-coded root tables for the rank-one and rank-two types, the Weyl group
 order formulas, the dimension formula evaluated over the tables, a partition
 function based character formula, alternating sums and a linkage test over
-the fully enumerated Weyl group, brute-force affine orbit enumeration in a
-box, and closed-form rank-one facts.
+the fully enumerated Weyl group, a W-invariance test that counts whole
+orbits, brute-force affine orbit enumeration in a box, and closed-form
+rank-one facts.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from steinberg import dot_dominant
+from steinberg import dot_dominant, make_dominant, weyl_orbit
 
 # Positive roots as (simple-root coordinates, coroot coordinates in the
 # simple coroots), Bourbaki numbering.
@@ -261,3 +262,19 @@ def linked_unchecked(rs, group, lam, mu, p) -> bool:
         if _in_p_root_lattice(rs, delta, p):
             return True
     return False
+
+
+def w_invariant_by_orbits(rs, chi) -> bool:
+    """W-invariance by counting: every orbit met is constant and complete.
+
+    Groups the support by dominant representative, then compares each
+    group's size with the length of the whole orbit.
+    """
+    counted = {}
+    for w, m in chi.items():
+        rep, _ = make_dominant(rs, w)
+        prev = counted.setdefault(rep, [m, 0])
+        if prev[0] != m:
+            return False
+        prev[1] += 1
+    return all(count == len(weyl_orbit(rs, rep)) for rep, (_, count) in counted.items())

@@ -200,6 +200,7 @@ def test_character_equality_is_pointwise_and_serialization_roundtrips():
         {"weights": [{"w": [1]}]},
         {"weights": ""},
         {"weights": {}},
+        [],
     ):
         with pytest.raises(ValueError):
             Character.from_dict(bad)

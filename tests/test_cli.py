@@ -223,7 +223,7 @@ def test_usage_errors_exit_2():
 
 def test_json_weight_entries_must_be_integers(capsys):
     # argparse reports usage errors on sys.stderr itself.
-    for rank, text in ((2, "[1.5,0]"), (1, "[1e0]"), (1, "[true]")):
+    for rank, text in ((2, "[1.5,0]"), (1, "[1e0]"), (1, "[true]"), (2, "1_0,0"), (2, " 1,0")):
         code, out, _ = invoke(["char", "weyl", "--type", "A", "--rank", str(rank), "--weight", text])
         err = capsys.readouterr().err
         assert code == 2 and not out, text
@@ -231,6 +231,31 @@ def test_json_weight_entries_must_be_integers(capsys):
         assert err.strip().splitlines()[-1].startswith(
             f"steinberg char weyl: error: argument --weight: malformed weight '{text}'"
         ), err
+
+
+def test_integer_options_must_be_canonical(capsys):
+    # Only an optional minus sign and ASCII digits: no underscores, blanks,
+    # plus signs or non-ASCII digits.
+    base = ["char", "weyl", "--type", "A"]
+    for argv, option in (
+        (base + ["--rank", "2", "--weight", "1,0", "--p", "1_1"], "--p"),
+        (base + ["--rank", "2", "--weight", "1,0", "--p", " 3"], "--p"),
+        (base + ["--rank", "1_0", "--weight", "1,0"], "--rank"),
+        (base + ["--rank", "+2", "--weight", "1,0"], "--rank"),
+        (base + ["--rank", "1", "--p", "3", "--r", "\u0661"], "--r"),
+        (base + ["--rank", "2", "--weight", "\u0661,0"], "--weight"),
+        (base + ["--rank", "2", "--weight", "+1,0"], "--weight"),
+    ):
+        code, out, _ = invoke(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and not out, argv
+        assert "Traceback" not in err, argv
+        assert err.strip().splitlines()[-1].startswith(
+            f"steinberg char weyl: error: argument {option}: "
+        ), err
+    euler = ["char", "euler", "--type", "A", "--rank", "2"]
+    assert invoke_json(euler + ["--weight=-3,0"]) == invoke_json(euler + ["--weight", "[-3,0]"])
+    assert invoke_json(euler + ["--weight=-3,0"])["weights"]
 
 
 def test_domain_errors_exit_1():

@@ -120,6 +120,10 @@ def test_class_to_char_examples():
     assert class_to_char(A1, KElement()) == Character()
     chi = class_to_char(A1, KElement({(2,): 1, (0,): 1}))
     assert dict(chi.items()) == {(2,): 1, (0,): 2, (-2,): 1}
+    el = KElement({(1,): 1})
+    assert 3 * el == KElement({(1,): 3})
+    assert 0 * el == KElement()
+    assert el != Character({(1,): 1})
 
 
 def test_kelement_serialization_round_trip():
@@ -129,7 +133,7 @@ def test_kelement_serialization_round_trip():
     assert [t["w"] for t in data["terms"]] == sorted(t["w"] for t in data["terms"])
     assert KElement.from_dict(data) == el
     assert KElement.from_dict({"terms": [{"w": [1], "coeff": 1}]}) == KElement({(1,): 1})
-    for bad in ({"basis": "tilting", "terms": []}, {"terms": {}}, {"terms": ""}):
+    for bad in ({"basis": "tilting", "terms": []}, {"terms": {}}, {"terms": ""}, []):
         with pytest.raises(ValueError):
             KElement.from_dict(bad)
 

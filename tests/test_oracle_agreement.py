@@ -1,8 +1,9 @@
 """Library routes that never enumerate W, against sums and searches over all of W.
 
-The library expands characters by Brauer straightening and decides linkage
-by closed-alcove normal forms.  The oracles sum over, or search, the fully
-enumerated Weyl group instead.  The last test rebinds ``generate`` so that
+The library expands characters by Brauer straightening, decides linkage by
+closed-alcove normal forms, and checks W-invariance by simple reflections.
+The oracles sum over, or search, the fully enumerated Weyl group, or count
+whole orbits, instead.  The last test rebinds ``generate`` so that
 any library call of it fails.
 """
 
@@ -15,6 +16,8 @@ import pytest
 
 import oracles
 from steinberg import (
+    Character,
+    DomainError,
     KElement,
     block_decompose,
     build_root_system,
@@ -23,6 +26,7 @@ from steinberg import (
     generate,
     linked,
     pr_block,
+    require_w_invariant,
     steinberg_delta_multiplicity,
     tensor,
     tensor_delta_expansion,
@@ -88,6 +92,39 @@ def test_linked_matches_search_over_w(series, rank):
         assert linked(rs, lam, mu, p), (lam, mu, p)
         nu = tuple(rng.randint(-3, 3) for _ in range(rank))
         assert linked(rs, lam, nu, p) == oracles.linked_unchecked(rs, group, lam, nu, p)
+
+
+def _accepts(rs, chi) -> bool:
+    try:
+        require_w_invariant(rs, chi)
+    except DomainError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2), ("B", 3), ("D", 4)])
+def test_w_invariance_matches_orbit_count(series, rank):
+    rs = build_root_system(series, rank)
+    rng = random.Random(f"invariant/{series}{rank}")
+    top = 2 if rank == 2 else 1
+    rejected = 0
+    for _ in range(6):
+        chi = Character()
+        for _ in range(rng.randint(1, 3)):
+            lam = tuple(rng.randint(0, top) for _ in range(rank))
+            chi = chi + rng.choice((-2, -1, 1, 3)) * weyl_character(rs, lam)
+        assert oracles.w_invariant_by_orbits(rs, chi) and _accepts(rs, chi)
+        if not chi:
+            continue
+        terms = dict(chi.items())
+        w = rng.choice(sorted(terms))
+        changed = Character({**terms, w: terms[w] + rng.choice((-1, 1, 2))})
+        removed = Character({v: m for v, m in terms.items() if v != w})
+        for mutant in (changed, removed):
+            verdict = oracles.w_invariant_by_orbits(rs, mutant)
+            assert _accepts(rs, mutant) == verdict, (w, mutant)
+            rejected += not verdict
+    assert rejected >= 6
 
 
 @pytest.mark.parametrize("series,rank", [("E", 6), ("G", 2)])

@@ -1,5 +1,8 @@
 """Root datum construction and elementary weight arithmetic."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from fractions import Fraction
 
@@ -76,6 +79,17 @@ def test_disconnected_diagram_raises_even_without_asserts():
     # A1 x A1: the symmetrizer walk never reaches the second node.
     with pytest.raises(ConfigurationError, match="connected"):
         _symmetrizer([[2, 0], [0, 2]], 2)
+
+
+def test_library_has_no_assert_statements():
+    # Invariants must raise, so that they still hold under ``python -O``.
+    package = Path(__file__).resolve().parent.parent / "src" / "steinberg"
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) >= 9
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} asserts on lines {lines}"
 
 
 def test_pairing_examples():
