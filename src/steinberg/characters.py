@@ -3,16 +3,26 @@
 A :class:`Character` is a finitely supported map weight -> multiplicity, the
 computational form of an element of the group ring Z[X]; it shares the
 sparse base ``_Sparse`` with the Weyl-basis classes of the Grothendieck
-group.  Weyl-module
-characters are produced by Freudenthal's multiplicity recursion on the
-dominant cone and then spread over Weyl orbits; products are exact sparse
-convolutions.  Signed characters (Euler characteristics, virtual
-differences) are first-class values.
+group.  Weyl-module characters are produced by Freudenthal's multiplicity
+recursion on the dominant cone, each multiplicity spread over its Weyl orbit
+as soon as it is known; products are exact sparse convolutions.  Signed
+characters (Euler characteristics, virtual differences) are first-class
+values, and they scale by integers only.
+
+Both hot loops, the convolution in ``tensor`` and the recursion in
+``weyl_character``, key weights by one packed integer instead of a tuple:
+in a box lo <= w <= hi, coordinate j is shifted to w_j - lo_j, a digit in
+[0, hi_j - lo_j], and weighted by the mixed-radix place value stride_j.  The
+key is injective on the box and affine in w, so adding a root or a weight
+is one int add.  It is used only where every key that is formed comes from a
+weight inside the box (the no-alias condition each function states); public
+values keep tuple keys.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from .errors import DomainError
 from .rootdata import (
@@ -104,6 +114,10 @@ class _Sparse:
         return self._raw({w: -m for w, m in self._terms.items()})
 
     def __rmul__(self, scalar: int):
+        # Integer scaling only, as in ``_strict_int``: Python turns the
+        # NotImplemented for any other scalar into a TypeError.
+        if isinstance(scalar, bool) or not isinstance(scalar, int):
+            return NotImplemented
         if scalar == 0:
             return self._raw({})
         return self._raw({w: scalar * m for w, m in self._terms.items()})
@@ -155,9 +169,9 @@ class Character(_Sparse):
         return sum(self._terms.values())
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return other * self
-        return tensor(self, other)
+        if isinstance(other, Character):
+            return tensor(self, other)
+        return self.__rmul__(other)
 
     def to_dict(self) -> dict:
         return {"weights": self._entries()}
@@ -169,15 +183,13 @@ def _strict_int(value) -> int:
     return value
 
 
-def _freudenthal_data(rs: RootSystem):
-    # Per-positive-root data for the recursion: fundamental coordinates and
-    # the vector v with (x, alpha) = v . x in the scaled invariant form.
-    t = rs.symmetrizer
-    out = []
-    for c, f in zip(rs.positive_roots, rs.positive_fund):
-        v = tuple(c[j] * t[j] for j in range(rs.rank))
-        out.append((f, v))
-    return out
+def _strides(widths) -> list:
+    # Mixed-radix place values: coordinate j is a digit in [0, widths[j]).
+    strides, s = [], 1
+    for n in widths:
+        strides.append(s)
+        s *= n
+    return strides
 
 
 def _dominant_weights_below(rs: RootSystem, highest):
@@ -200,44 +212,63 @@ def _dominant_weights_below(rs: RootSystem, highest):
     return gaps
 
 
-def _dominant_multiplicities(rs: RootSystem, highest) -> dict:
-    """Weight multiplicities of the Weyl module at dominant weights.
+@lru_cache(maxsize=None)
+def weyl_character(rs: RootSystem, highest) -> Character:
+    """Character of the Weyl module with the given dominant highest weight.
 
-    Freudenthal's recursion, processed by increasing depth below the highest
-    weight; multiplicities at non-dominant weights are read off from their
-    dominant representatives.
+    Freudenthal's recursion runs over the dominant weights by increasing
+    depth below the highest weight, and each multiplicity is spread over its
+    Weyl orbit as soon as it is known.  The recursion probes the strings
+    mu + k*alpha (k >= 1) of every positive root alpha in a map keyed by one
+    packed integer per weight: coordinate j, shifted into [0, width_j), is a
+    digit of place value stride_j, so stepping by alpha adds one constant.
+
+    No-alias condition: the key is injective on its box.  The box is the
+    coordinate range of the highest weight's orbit, which holds every weight
+    of the module (they lie in its convex hull), padded on each side by the
+    largest |coordinate| of a positive root.  A string walk stops at its
+    first missing weight, one root step from a weight of the module, so
+    every probe lands in the padded box and never reads another weight's
+    multiplicity.
     """
+    highest = tuple(highest)
+    if len(highest) != rs.rank:
+        raise DomainError(f"weight {list(highest)} has wrong rank for {rs!r}")
+    if not is_dominant(highest):
+        raise DomainError(f"weight {list(highest)} is not dominant")
     rank = rs.rank
     t = rs.symmetrizer
-    cartan = rs.cartan
+    top = weyl_orbit(rs, highest)
+    pad = [max(abs(f[j]) for f in rs.positive_fund) for j in range(rank)]
+    cols = list(zip(*top))
+    lo = [min(col) - q for col, q in zip(cols, pad)]
+    strides = _strides([max(col) + q - l + 1 for col, q, l in zip(cols, pad, lo)])
+    base = sum(map(mul, lo, strides))
+    # Per positive root: key step, (alpha, alpha), and v with (x, alpha) = v . x.
+    roots = []
+    for c, f in zip(rs.positive_roots, rs.positive_fund):
+        v = [c[j] * t[j] for j in range(rank)]
+        roots.append((sum(map(mul, f, strides)), sum(map(mul, v, f)), v))
     gaps = _dominant_weights_below(rs, highest)
-    # Increasing depth: every lookup in the recursion lands at smaller depth.
+    # Increasing depth: every probe in the recursion lands at smaller depth.
     order = sorted(gaps, key=lambda mu: (sum(gaps[mu]), mu))
-    roots = _freudenthal_data(rs)
-    mults = {tuple(highest): 1}
-    get = mults.get
+    out = dict.fromkeys(top, 1)
+    packed = dict.fromkeys((sum(map(mul, w, strides)) - base for w in top), 1)
+    get = packed.get
     for mu in order[1:]:
         num = 0
-        for f, v in roots:
-            k = 1
-            while True:
-                x = tuple(mu[j] + k * f[j] for j in range(rank))
-                # Dominant representative of x, inline for speed.
-                y = list(x)
-                while True:
-                    for i in range(rank):
-                        yi = y[i]
-                        if yi < 0:
-                            for kk in range(rank):
-                                y[kk] -= yi * cartan[kk][i]
-                            break
-                    else:
-                        break
-                m = get(tuple(y))
-                if m is None:
-                    break
-                num += m * sum(v[j] * x[j] for j in range(rank))
-                k += 1
+        k0 = sum(map(mul, mu, strides)) - base
+        for step, aa, v in roots:
+            k = k0 + step
+            m = get(k)
+            if m is None:
+                continue
+            dot = sum(map(mul, v, mu)) + aa
+            while m is not None:
+                num += m * dot
+                k += step
+                dot += aa
+                m = get(k)
         gap = gaps[mu]
         denom = sum(gap[j] * t[j] * (highest[j] + mu[j] + 2) for j in range(rank))
         val = 2 * num
@@ -246,45 +277,58 @@ def _dominant_multiplicities(rs: RootSystem, highest) -> dict:
                 f"Freudenthal recursion at {list(mu)} below {list(highest)} gave "
                 f"{val}/{denom}, not a positive integer"
             )
-        mults[mu] = val // denom
-    return mults
-
-
-@lru_cache(maxsize=None)
-def weyl_character(rs: RootSystem, highest) -> Character:
-    """Character of the Weyl module with the given dominant highest weight."""
-    highest = tuple(highest)
-    if len(highest) != rs.rank:
-        raise DomainError(f"weight {list(highest)} has wrong rank for {rs!r}")
-    if not is_dominant(highest):
-        raise DomainError(f"weight {list(highest)} is not dominant")
-    out = {}
-    for mu, m in _dominant_multiplicities(rs, highest).items():
+        mult = val // denom
         for w in weyl_orbit(rs, mu):
-            out[w] = m
+            out[w] = mult
+            packed[sum(map(mul, w, strides)) - base] = mult
     return Character._raw(out)
 
 
 def tensor(a: Character, b: Character) -> Character:
-    """Convolution product: mult of nu is sum over lam of a(lam)*b(nu-lam)."""
-    if a and b:
-        ra = len(next(iter(a.support())))
-        rb = len(next(iter(b.support())))
-        if ra != rb:
-            raise DomainError(f"cannot convolve characters of ranks {ra} and {rb}")
+    """Convolution product: mult of nu is sum over lam of a(lam)*b(nu-lam).
+
+    Each factor's weights are packed once into integer keys, relative to
+    that factor's per-coordinate minimum, with place values taken from the
+    box of the sum: coordinate j of a sum spans width_j = (range of a) +
+    (range of b) + 1 values.  Both keys' digits stay inside their own
+    ranges, so k1 + k2 is the key of w1 + w2 with no carries (no-alias
+    condition), and the inner loop is one int add and one dict update.  Sums
+    that cancel to zero are dropped when the keys are decoded to weights.
+    """
+    if not a or not b:
+        return Character()
+    ra = len(next(iter(a.support())))
+    rb = len(next(iter(b.support())))
+    if ra != rb:
+        raise DomainError(f"cannot convolve characters of ranks {ra} and {rb}")
     if len(a) > len(b):
         a, b = b, a
+    cols_a = list(zip(*a.support()))
+    cols_b = list(zip(*b.support()))
+    lo_a = [min(col) for col in cols_a]
+    lo_b = [min(col) for col in cols_b]
+    widths = [max(x) - l + max(y) - k + 1 for x, l, y, k in zip(cols_a, lo_a, cols_b, lo_b)]
+    strides = _strides(widths)
+    base_a = sum(map(mul, lo_a, strides))
+    base_b = sum(map(mul, lo_b, strides))
+    aitems = [(sum(map(mul, w, strides)) - base_a, m) for w, m in a.items()]
+    bitems = [(sum(map(mul, w, strides)) - base_b, m) for w, m in b.items()]
     out = {}
-    bitems = list(b.items())
-    for w1, m1 in a.items():
-        for w2, m2 in bitems:
-            key = tuple(x + y for x, y in zip(w1, w2))
-            new = out.get(key, 0) + m1 * m2
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    return Character._raw(out)
+    get = out.get
+    for k1, m1 in aitems:
+        for k2, m2 in bitems:
+            k = k1 + k2
+            out[k] = get(k, 0) + m1 * m2
+    lo = [x + y for x, y in zip(lo_a, lo_b)]
+    terms = {}
+    for k, m in out.items():
+        if m:
+            w = []
+            for n, l in zip(widths, lo):
+                k, d = divmod(k, n)
+                w.append(d + l)
+            terms[tuple(w)] = m
+    return Character._raw(terms)
 
 
 def frobenius_twist(chi: Character, r: int, p: int) -> Character:

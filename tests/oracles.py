@@ -3,7 +3,7 @@
 Everything here is deliberately separate from the library's algorithms:
 hard-coded root tables for the rank-one and rank-two types, the Weyl group
 order formulas, the dimension formula evaluated over the tables, a partition
-function based character formula, alternating sums and a linkage test over
+function based character formula, a tuple-keyed convolution, alternating sums and a linkage test over
 the fully enumerated Weyl group, a W-invariance test that counts whole
 orbits, brute-force affine orbit enumeration in a box, and closed-form
 rank-one facts.
@@ -152,6 +152,27 @@ def character_by_weyl_sum(rs, group, lam) -> dict:
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
+    return out
+
+
+def convolve_naive(a, b) -> dict:
+    """Product of two characters, one tuple key per multiply-add.
+
+    mult(nu) = sum over lam of a(lam) * b(nu - lam); a sum that reaches zero
+    is deleted at once, so the result holds no zero multiplicity.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    bitems = list(b.items())
+    for w1, m1 in a.items():
+        for w2, m2 in bitems:
+            key = tuple(x + y for x, y in zip(w1, w2))
+            new = out.get(key, 0) + m1 * m2
+            if new:
+                out[key] = new
+            else:
+                del out[key]
     return out
 
 

@@ -1,6 +1,7 @@
 """Character arithmetic: Weyl characters, products, twists, contractions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -50,7 +51,8 @@ def test_a2_adjoint_character():
 
 @pytest.mark.parametrize("rs", RANK2, ids=lambda r: repr(r))
 def test_dimensions_match_weyl_formula(rs):
-    for lam in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (3, 2), (0, 3), (4, 0)]:
+    # G2 at p = 7 reaches (6, 27) and (27, 6) in the benchmark's sweep.
+    for lam in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (3, 2), (0, 3), (4, 0), (6, 27), (27, 6)]:
         expected = oracles.weyl_dimension(rs.series, rs.rank, lam)
         assert weyl_character(rs, lam).dim() == expected
 
@@ -58,7 +60,9 @@ def test_dimensions_match_weyl_formula(rs):
 @pytest.mark.parametrize("rs", RANK2, ids=lambda r: repr(r))
 def test_multiplicities_match_partition_function_formula(rs):
     group = generate(rs)
-    for lam in [(1, 1), (2, 0), (2, 2), (1, 3)]:
+    # G2 roots reach +-3 in fundamental coordinates: (3, 0), (0, 3) and
+    # (4, 1) probe the padded edge of the packed-key box.
+    for lam in [(1, 1), (2, 0), (2, 2), (1, 3), (3, 0), (0, 3), (4, 1)]:
         expected = oracles.character_by_weyl_sum(rs, group, lam)
         assert dict(weyl_character(rs, lam).items()) == expected
 
@@ -210,6 +214,13 @@ def test_character_equality_is_pointwise_and_serialization_roundtrips():
     assert Character(dict(chi.items())) == chi
     assert Character() == Character({(0, 0): 0})
     assert not Character()
+    # Scaling takes integers only.
+    for scalar in (0.5, Fraction(1, 3), True, 2.0, "2"):
+        with pytest.raises(TypeError):
+            scalar * chi
+        with pytest.raises(TypeError):
+            chi * scalar
+    assert 3 * chi == chi * 3 == chi + chi + chi
 
 
 def test_w_invariance_rejection():

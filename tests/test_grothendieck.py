@@ -124,6 +124,11 @@ def test_class_to_char_examples():
     assert 3 * el == KElement({(1,): 3})
     assert 0 * el == KElement()
     assert el != Character({(1,): 1})
+    for scalar in (0.5, True):
+        with pytest.raises(TypeError):
+            scalar * el
+    with pytest.raises(TypeError):
+        el * Character({(1,): 1})
 
 
 def test_kelement_serialization_round_trip():

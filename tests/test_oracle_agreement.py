@@ -1,9 +1,10 @@
 """Library routes that never enumerate W, against sums and searches over all of W.
 
 The library expands characters by Brauer straightening, decides linkage by
-closed-alcove normal forms, and checks W-invariance by simple reflections.
-The oracles sum over, or search, the fully enumerated Weyl group, or count
-whole orbits, instead.  The last test rebinds ``generate`` so that
+closed-alcove normal forms, checks W-invariance by simple reflections and
+convolves on packed integer keys.  The oracles sum over, or search, the
+fully enumerated Weyl group, count whole orbits, or convolve on tuple keys,
+instead.  The last test rebinds ``generate`` so that
 any library call of it fails.
 """
 
@@ -23,6 +24,7 @@ from steinberg import (
     build_root_system,
     char_to_class,
     frobenius_contract_class,
+    frobenius_twist,
     generate,
     linked,
     pr_block,
@@ -125,6 +127,56 @@ def test_w_invariance_matches_orbit_count(series, rank):
             assert _accepts(rs, mutant) == verdict, (w, mutant)
             rejected += not verdict
     assert rejected >= 6
+
+
+def _random_character(rng, rank) -> Character:
+    """A signed character with up to 12 weights, coordinates in [-4, 4]."""
+    terms = {}
+    for _ in range(rng.randint(2, 12)):
+        w = tuple(rng.randint(-4, 4) for _ in range(rank))
+        terms[w] = rng.choice((-5, -3, -2, -1, 1, 2, 4))
+    return Character(terms)
+
+
+def _convolution_agrees(a, b) -> Character:
+    prod = tensor(a, b)
+    assert dict(prod.items()) == oracles.convolve_naive(a, b)
+    assert 0 not in dict(prod.items()).values()
+    assert tensor(b, a) == prod
+    return prod
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_tensor_matches_tuple_convolution(rank):
+    rng = random.Random(f"convolve/{rank}")
+    for _ in range(6):
+        a, b = _random_character(rng, rank), _random_character(rng, rank)
+        # Twisted by 7^3: coordinates in the hundreds, of both signs.
+        ta, tb = frobenius_twist(a, 3, 7), frobenius_twist(b, 3, 7)
+        for x, y in ((a, b), (a, tb), (ta, b), (ta, tb), (a, a - 2 * b)):
+            _convolution_agrees(x, y)
+        # One-weight factors shift and scale.
+        w = tuple(rng.randint(-300, 300) for _ in range(rank))
+        shifted = _convolution_agrees(Character({w: -3}), a)
+        assert shifted == Character(
+            {tuple(x + y for x, y in zip(w, v)): -3 * m for v, m in a.items()}
+        )
+        _convolution_agrees(Character({w: 2}), Character({(0,) * rank: 5}))
+    # (1 - x)(1 + x + ... + x^n) = 1 - x^(n+1): every inner sum cancels.
+    step = tuple(rng.choice((-343, -2, -1, 1, 2, 343)) for _ in range(rank))
+    n = 9
+    telescope = Character({tuple(k * x for x in step): 1 for k in range(n + 1)})
+    first = Character({(0,) * rank: 1, step: -1})
+    assert _convolution_agrees(first, telescope) == Character(
+        {(0,) * rank: 1, tuple((n + 1) * x for x in step): -1}
+    )
+    # An empty factor, also one that cancelled to empty, gives the empty product.
+    for empty in (Character(), a - a):
+        assert _convolution_agrees(empty, a) == Character()
+        assert not tensor(empty, empty)
+    if rank < 6:
+        with pytest.raises(DomainError):
+            tensor(a, _random_character(rng, rank + 1))
 
 
 @pytest.mark.parametrize("series,rank", [("E", 6), ("G", 2)])
