@@ -1,8 +1,9 @@
 """Exact character and Grothendieck-group calculus for reductive groups in
 positive characteristic: root data, Weyl groups, Weyl characters, the
 Weyl-module basis, the Steinberg-block equivalence, Frobenius contraction,
-and affine linkage geometry.  All arithmetic is exact (integers and
-rationals); there is no floating point anywhere.
+and affine linkage geometry.  All arithmetic is exact integer arithmetic
+(only ``root_coordinates`` returns rationals); there is no floating point
+anywhere.
 """
 
 from .characters import (

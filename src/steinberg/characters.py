@@ -32,7 +32,7 @@ from .rootdata import (
     require_steinberg_configuration,
     steinberg_weight,
 )
-from .weyl import apply_simple_reflection, dot_dominant, weyl_orbit
+from .weyl import apply_simple_reflection, descend_orbit, dot_dominant, weyl_orbit
 
 
 class _Sparse:
@@ -222,6 +222,8 @@ def weyl_character(rs: RootSystem, highest) -> Character:
     mu + k*alpha (k >= 1) of every positive root alpha in a map keyed by one
     packed integer per weight: coordinate j, shifted into [0, width_j), is a
     digit of place value stride_j, so stepping by alpha adds one constant.
+    The orbit spread walks the orbit's descent tree (``descend_orbit``) and
+    carries the key along the same way, one step per simple reflection.
 
     No-alias condition: the key is injective on its box.  The box is the
     coordinate range of the highest weight's orbit, which holds every weight
@@ -249,6 +251,7 @@ def weyl_character(rs: RootSystem, highest) -> Character:
     for c, f in zip(rs.positive_roots, rs.positive_fund):
         v = [c[j] * t[j] for j in range(rank)]
         roots.append((sum(map(mul, f, strides)), sum(map(mul, v, f)), v))
+    simple_steps = [step for step, _, _ in roots[:rank]]
     gaps = _dominant_weights_below(rs, highest)
     # Increasing depth: every probe in the recursion lands at smaller depth.
     order = sorted(gaps, key=lambda mu: (sum(gaps[mu]), mu))
@@ -278,9 +281,9 @@ def weyl_character(rs: RootSystem, highest) -> Character:
                 f"{val}/{denom}, not a positive integer"
             )
         mult = val // denom
-        for w in weyl_orbit(rs, mu):
+        for w, k in descend_orbit(rs, mu, k0, simple_steps):
             out[w] = mult
-            packed[sum(map(mul, w, strides)) - base] = mult
+            packed[k] = mult
     return Character._raw(out)
 
 

@@ -13,7 +13,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import grothendieck as gk
 from . import linkage as lk
@@ -172,12 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@dataclass
-class Context:
-    rs: object
-    lattice: Lattice
-    p: int
-    output: str
+Context = namedtuple("Context", "rs lattice p output")
 
 
 def _context(parser, args, need_p: bool) -> Context:
@@ -420,13 +415,7 @@ def _cmd_simple_a1(parser, ctx, args):
     return payload, text
 
 
-@dataclass(frozen=True)
-class Subcommand:
-    group: str
-    verb: str
-    handler: object
-    needs_p: bool
-    operations: tuple
+Subcommand = namedtuple("Subcommand", "group verb handler needs_p operations")
 
 
 REGISTRY = (
@@ -459,26 +448,37 @@ _DISPATCH = {(s.group, s.verb): s for s in REGISTRY}
 
 
 def run(argv, out=None, err=None) -> int:
-    """Parse and execute one invocation; returns the exit status."""
+    """Parse and execute one invocation; returns the exit status.
+
+    Results go to ``out`` and error lines to ``err`` (by default the
+    process's streams).  argparse writes help to ``sys.stdout`` and usage
+    errors to ``sys.stderr``, so those two are bound to ``out`` and ``err``
+    for the duration of the call.
+    """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
     try:
-        args = parser.parse_args(argv)
-        sub = _DISPATCH[(args.group, args.verb)]
-        ctx = _context(parser, args, sub.needs_p)
-        payload, text = sub.handler(parser, ctx, args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    except (DomainError, ConfigurationError) as exc:
-        print(f"{PROG}: error: {exc}", file=err)
-        return 1
-    if getattr(args, "output", "json") == "text":
-        for line in text:
-            print(line, file=out)
-    else:
-        print(json.dumps(payload, separators=(",", ":")), file=out)
-    return 0
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+            sub = _DISPATCH[(args.group, args.verb)]
+            ctx = _context(parser, args, sub.needs_p)
+            payload, text = sub.handler(parser, ctx, args)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+        except (DomainError, ConfigurationError) as exc:
+            print(f"{PROG}: error: {exc}", file=err)
+            return 1
+        if getattr(args, "output", "json") == "text":
+            for line in text:
+                print(line, file=out)
+        else:
+            print(json.dumps(payload, separators=(",", ":")), file=out)
+        return 0
+    finally:
+        sys.stdout, sys.stderr = saved
 
 
 def main() -> None:

@@ -14,6 +14,8 @@ block by closed-alcove normal forms.  No operation enumerates the Weyl group.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .characters import (
     Character,
     _Sparse,
@@ -31,7 +33,6 @@ from .rootdata import (
     is_dominant,
     require_in_lattice,
     require_steinberg_configuration,
-    root_coordinates,
 )
 from .weyl import dot_dominant
 
@@ -99,7 +100,9 @@ def char_to_class(rs: RootSystem, chi: Character) -> KElement:
 
 
 def _height_key(rs: RootSystem, weight):
-    return sum(root_coordinates(rs, weight)), weight
+    # The height (sum of simple-root coordinates) times the positive
+    # constant rs.inv_den, so it orders weights as the height does.
+    return sum(sum(map(mul, row, weight)) for row in rs.inv_num), weight
 
 
 def char_to_class_by_peeling(rs: RootSystem, chi: Character) -> KElement:

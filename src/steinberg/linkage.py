@@ -11,7 +11,7 @@ operation enumerates the Weyl group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 from .rootdata import (
@@ -40,8 +40,7 @@ def linked(rs: RootSystem, lam, mu, p: int,
     return fundamental_alcove_rep(rs, lam, p) == fundamental_alcove_rep(rs, mu, p)
 
 
-@dataclass(frozen=True)
-class AlcovePosition:
+class AlcovePosition(namedtuple("AlcovePosition", "weight wall_pairings status")):
     """A weight's pairings against the alcove walls at level p.
 
     ``wall_pairings`` lists the shifted pairings over the positive roots in
@@ -49,9 +48,7 @@ class AlcovePosition:
     relative to the closed bottom alcove.
     """
 
-    weight: tuple
-    wall_pairings: tuple
-    status: str
+    __slots__ = ()
 
 
 def alcove_position(rs: RootSystem, weight, p: int) -> AlcovePosition:

@@ -3,8 +3,11 @@
 Weights are plain integer tuples holding fundamental-weight coordinates:
 coordinate i of a weight is its pairing with the i-th simple coroot.  Every
 other coordinate system (simple-root coordinates, coroot expansions) is
-derived from the Cartan matrix by exact rational arithmetic, so lattice
-membership tests are exact, never floating point.
+derived from the Cartan matrix in integer arithmetic: the inverse Cartan
+matrix is kept as an integer numerator matrix over one positive common
+denominator, so lattice membership tests are exact remainder tests, never
+floating point.  Only ``root_coordinates`` hands out rationals, and it
+imports ``fractions`` when called, so importing the package stays cheap.
 
 Conventions: Bourbaki numbering of simple roots; the Cartan matrix entry
 ``cartan[i][j]`` is the pairing of the j-th simple root with the i-th simple
@@ -15,10 +18,8 @@ roots in order, so indices below ``rank`` double as simple-coroot indices.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from functools import lru_cache, partial
+from math import gcd, lcm
 
 from .errors import ConfigurationError, DomainError
 
@@ -39,8 +40,33 @@ _RANK_RANGE = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class _Frozen:
+    """Immutable record built from keyword arguments, one per slot.
+
+    Equality and hashing are those of ``object`` (identity), so instances
+    are cheap ``lru_cache`` keys; assigning or deleting an attribute raises
+    ``AttributeError``.  Copies and pickles are rebuilt through ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, **fields):
+        if fields.keys() != set(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes exactly the fields {self.__slots__}")
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return partial(type(self), **{name: getattr(self, name) for name in self.__slots__}), ()
+
+
+class RootSystem(_Frozen):
     """Immutable root datum for one irreducible type.
 
     ``positive_roots`` lists simple-root coordinate vectors, simple roots
@@ -48,19 +74,13 @@ class RootSystem:
     and ``coroots`` their coroots expanded in the simple coroots (always
     integral).  ``symmetrizer`` is the minimal positive integer vector t with
     t[i]*cartan[i][j] == t[j]*cartan[j][i]; the bilinear form used everywhere
-    is (x, alpha_j) = t[j] * x_j up to one global positive scale.
+    is (x, alpha_j) = t[j] * x_j up to one global positive scale.  The
+    inverse Cartan matrix is ``inv_num`` / ``inv_den``: an integer matrix
+    over one positive denominator, in lowest terms.
     """
 
-    series: str
-    rank: int
-    cartan: tuple
-    positive_roots: tuple
-    positive_fund: tuple
-    coroots: tuple
-    symmetrizer: tuple
-    inv_num: tuple
-    inv_den: int
-    rho: tuple
+    __slots__ = ("series", "rank", "cartan", "positive_roots", "positive_fund", "coroots",
+                 "symmetrizer", "inv_num", "inv_den", "rho")
 
     @property
     def num_positive_roots(self) -> int:
@@ -71,6 +91,10 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.series}{self.rank})"
+
+    def __reduce__(self):
+        # Unpickling returns the one cached instance of the type.
+        return build_root_system, (self.series, self.rank)
 
 
 def _cartan_matrix(series: str, rank: int) -> list:
@@ -104,26 +128,24 @@ def _cartan_matrix(series: str, rank: int) -> list:
 
 
 def _symmetrizer(cartan, rank) -> tuple:
-    # Solve t[i]*a[i][j] == t[j]*a[j][i] along the Dynkin graph, then clear
-    # denominators and divide out the common factor.
+    # Solve t[i]*a[i][j] == t[j]*a[j][i] along the Dynkin graph with each
+    # t[j] an integer pair (numerator, denominator), then clear denominators
+    # and divide out the common factor.
     t = [None] * rank
-    t[0] = Fraction(1)
+    t[0] = (1, 1)
     stack = [0]
     while stack:
         i = stack.pop()
+        num, den = t[i]
         for j in range(rank):
             if j != i and cartan[i][j] != 0 and t[j] is None:
-                t[j] = t[i] * Fraction(cartan[i][j], cartan[j][i])
+                t[j] = (num * cartan[i][j], den * cartan[j][i])
                 stack.append(j)
     if any(v is None for v in t):
         raise ConfigurationError("Dynkin diagram must be connected")
-    den = 1
-    for v in t:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in t]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    den = lcm(*(d for _, d in t))
+    ints = [n * den // d for n, d in t]
+    g = gcd(*ints)
     return tuple(v // g for v in ints)
 
 
@@ -151,26 +173,26 @@ def _enumerate_roots(cartan, rank):
 
 
 def _invert(matrix, rank):
-    # Gauss-Jordan over the rationals; returns (numerator matrix, denominator).
-    aug = [[Fraction(matrix[i][j]) for j in range(rank)]
-           + [Fraction(1 if j == i else 0) for j in range(rank)]
-           for i in range(rank)]
+    # Fraction-free Gauss-Jordan: clearing a column scales each other row by
+    # the pivot, so every entry stays an integer.  The left half ends up
+    # diagonal, row i of the inverse is row i of the right half over the
+    # diagonal entry d_i; bring the rows to one denominator and reduce.
+    # Returns (numerator matrix, positive denominator) in lowest terms.
+    aug = [list(matrix[i]) + [int(j == i) for j in range(rank)] for i in range(rank)]
     for col in range(rank):
         pivot = next(r for r in range(col, rank) if aug[r][col] != 0)
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+        row = aug[col]
+        pv = row[col]
         for r in range(rank):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = [row[rank:] for row in aug]
-    den = 1
-    for row in inv:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    num = tuple(tuple(int(x * den) for x in row) for row in inv)
-    return num, den
+            f = aug[r][col]
+            if r != col and f != 0:
+                aug[r] = [pv * x - f * y for x, y in zip(aug[r], row)]
+    diag = [aug[i][i] for i in range(rank)]
+    den = lcm(*diag)
+    num = [[x * (den // d) for x in aug[i][rank:]] for i, d in enumerate(diag)]
+    g = gcd(den, *(x for row in num for x in row))
+    return tuple(tuple(x // g for x in row) for row in num), den // g
 
 
 @lru_cache(maxsize=None)
@@ -194,10 +216,10 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         norm = sum(c[j] * t[j] * m[j] for j in range(rank))  # (beta, beta), scaled
         d = []
         for j in range(rank):
-            dj = Fraction(2 * c[j] * t[j], norm)
-            if dj.denominator != 1:
+            dj, rem = divmod(2 * c[j] * t[j], norm)
+            if rem:
                 raise ConfigurationError(f"coroot of root {list(c)} is not integral")
-            d.append(int(dj))
+            d.append(dj)
         coroots.append(tuple(d))
     inv_num, inv_den = _invert(cartan, rank)
     return RootSystem(
@@ -245,6 +267,8 @@ def is_restricted(weight, p: int) -> bool:
 
 def root_coordinates(rs: RootSystem, weight):
     """Exact simple-root coordinates of a weight (tuple of Fractions)."""
+    from fractions import Fraction  # only here, to keep the package import light
+
     return tuple(
         Fraction(sum(rs.inv_num[i][j] * weight[j] for j in range(rs.rank)), rs.inv_den)
         for i in range(rs.rank)

@@ -2,30 +2,26 @@
 
 The library works with weights one at a time: ``make_dominant`` and
 ``dot_dominant`` reach the dominant representative of a linear or dot orbit
-by simple reflections, ``weyl_orbit`` lists a linear orbit, and
-``weyl_group_order`` reads |W| off the root heights.  None of them
-enumerates the group.  ``generate`` still enumerates the whole group by
-breadth-first closure under the simple reflections, acting on
-fundamental-weight coordinates through integer matrices; no library
-operation calls it, and it serves as an independent check.
+by simple reflections, ``weyl_orbit`` lists a linear orbit by walking down
+its dominant descent tree, and ``weyl_group_order`` reads |W| off the root
+heights.  None of them enumerates the group.  ``generate`` still enumerates
+the whole group by breadth-first closure under the simple reflections,
+acting on fundamental-weight coordinates through integer matrices; no
+library operation calls it, and it serves as an independent check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import ConfigurationError
-from .rootdata import RANK_CAP, RootSystem
+from .rootdata import RANK_CAP, RootSystem, _Frozen
 
 
-@dataclass(frozen=True, eq=False)
-class WeylElement:
+class WeylElement(_Frozen):
     """One group element: a reduced word, its action matrix, and its length."""
 
-    word: tuple
-    matrix: tuple
-    length: int
+    __slots__ = ("word", "matrix", "length")
 
     @property
     def sign(self) -> int:
@@ -44,12 +40,10 @@ class WeylElement:
         return f"WeylElement(word={''.join(str(i) for i in self.word) or 'e'}, length={self.length})"
 
 
-@dataclass(frozen=True, eq=False)
-class WeylGroup:
-    root_system: RootSystem
-    elements: tuple
-    longest: WeylElement
-    by_matrix: dict = field(repr=False)
+class WeylGroup(_Frozen):
+    """The enumerated group: elements sorted by (length, word), and a lookup by matrix."""
+
+    __slots__ = ("root_system", "elements", "longest", "by_matrix")
 
     @property
     def order(self) -> int:
@@ -117,19 +111,31 @@ def weyl_group_order(rs: RootSystem) -> int:
 
 
 def weyl_orbit(rs: RootSystem, weight) -> list:
-    """Full linear Weyl orbit of a weight."""
-    start = tuple(weight)
-    seen = {start}
-    queue = [start]
-    while queue:
-        w = queue.pop()
-        for i in range(rs.rank):
-            if w[i] != 0:
-                w2 = apply_simple_reflection(rs, i, w)
-                if w2 not in seen:
-                    seen.add(w2)
-                    queue.append(w2)
-    return list(seen)
+    """Full linear Weyl orbit of a weight, each element listed once."""
+    top, _ = make_dominant(rs, weight)
+    return [w for w, _ in descend_orbit(rs, top, 0, (0,) * rs.rank)]
+
+
+def descend_orbit(rs: RootSystem, top, key, steps) -> list:
+    """The orbit of a dominant weight as (weight, key) pairs, dominant first.
+
+    Walks the dominant descent tree (Snow, *Weyl group orbits*, ACM TOMS
+    1990): s_i w is a child of w when w_i > 0 and every coordinate of s_i w
+    before i is >= 0.  A non-dominant weight has exactly one parent, its
+    reflection at its first negative coordinate, so each element is reached
+    once and no seen-set is needed.  A key affine in the weight rides
+    along: key(s_i w) = key(w) - w_i * steps[i], where steps[i] is the key
+    step of alpha_i.
+    """
+    simple = rs.positive_fund[:rs.rank]  # alpha_i in fundamental coordinates
+    walk = [(top, key)]
+    for w, k in walk:
+        for i, x in enumerate(w):
+            if x > 0:
+                child = tuple(a - x * c for a, c in zip(w, simple[i]))
+                if min(child[:i], default=0) >= 0:
+                    walk.append((child, k - x * steps[i]))
+    return walk
 
 
 @lru_cache(maxsize=None)

@@ -5,17 +5,20 @@ hard-coded root tables for the rank-one and rank-two types, the Weyl group
 order formulas, the dimension formula evaluated over the tables, a partition
 function based character formula, a tuple-keyed convolution, alternating sums and a linkage test over
 the fully enumerated Weyl group, a W-invariance test that counts whole
-orbits, brute-force affine orbit enumeration in a box, and closed-form
-rank-one facts.
+orbits, linear orbits by breadth-first search, root-datum construction over
+the rationals, brute-force affine orbit enumeration in a box, and
+closed-form rank-one facts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import mul
 
-from steinberg import dot_dominant, make_dominant, weyl_orbit
+from steinberg import dot_dominant, make_dominant
+from steinberg.weyl import apply_simple_reflection
 
 # Positive roots as (simple-root coordinates, coroot coordinates in the
 # simple coroots), Bourbaki numbering.
@@ -298,4 +301,77 @@ def w_invariant_by_orbits(rs, chi) -> bool:
         if prev[0] != m:
             return False
         prev[1] += 1
-    return all(count == len(weyl_orbit(rs, rep)) for rep, (_, count) in counted.items())
+    return all(count == len(orbit_by_search(rs, rep)) for rep, (_, count) in counted.items())
+
+
+def orbit_by_search(rs, weight) -> set:
+    """Linear Weyl orbit by breadth-first closure under the simple reflections."""
+    start = tuple(weight)
+    seen = {start}
+    queue = [start]
+    while queue:
+        w = queue.pop()
+        for i in range(rs.rank):
+            if w[i] != 0:
+                w2 = apply_simple_reflection(rs, i, w)
+                if w2 not in seen:
+                    seen.add(w2)
+                    queue.append(w2)
+    return seen
+
+
+def symmetrizer_by_fractions(cartan, rank) -> tuple:
+    """Minimal positive integer t with t[i]*a[i][j] == t[j]*a[j][i], over the rationals."""
+    t = [None] * rank
+    t[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(rank):
+            if j != i and cartan[i][j] != 0 and t[j] is None:
+                t[j] = t[i] * Fraction(cartan[i][j], cartan[j][i])
+                stack.append(j)
+    assert all(v is not None for v in t), "Dynkin diagram must be connected"
+    den = 1
+    for v in t:
+        den = den * v.denominator // gcd(den, v.denominator)
+    ints = [int(v * den) for v in t]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    return tuple(v // g for v in ints)
+
+
+def invert_by_fractions(matrix, rank):
+    """Gauss-Jordan over the rationals: (numerator matrix, least positive denominator)."""
+    aug = [[Fraction(matrix[i][j]) for j in range(rank)]
+           + [Fraction(1 if j == i else 0) for j in range(rank)]
+           for i in range(rank)]
+    for col in range(rank):
+        pivot = next(r for r in range(col, rank) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(rank):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    inv = [row[rank:] for row in aug]
+    den = 1
+    for row in inv:
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+    num = tuple(tuple(int(x * den) for x in row) for row in inv)
+    return num, den
+
+
+def coroots_by_fractions(rs) -> tuple:
+    """Coroots in the simple coroots, 2 * c_j * t_j / (beta, beta), over the rationals."""
+    t = symmetrizer_by_fractions(rs.cartan, rs.rank)
+    out = []
+    for c, m in zip(rs.positive_roots, rs.positive_fund):
+        norm = sum(c[j] * t[j] * m[j] for j in range(rs.rank))
+        d = [Fraction(2 * c[j] * t[j], norm) for j in range(rs.rank)]
+        assert all(x.denominator == 1 for x in d), f"coroot of {c} is not integral"
+        out.append(tuple(int(x) for x in d))
+    return tuple(out)

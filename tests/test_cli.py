@@ -2,15 +2,28 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import steinberg
 from steinberg.cli import REGISTRY, run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def python(*args):
+    """Run a fresh interpreter on the checkout's library."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 def invoke_json(argv):
@@ -222,10 +235,10 @@ def test_usage_errors_exit_2():
 
 
 def test_json_weight_entries_must_be_integers(capsys):
-    # argparse reports usage errors on sys.stderr itself.
+    # Usage errors reach the caller's err stream, and nothing leaks to the process's.
     for rank, text in ((2, "[1.5,0]"), (1, "[1e0]"), (1, "[true]"), (2, "1_0,0"), (2, " 1,0")):
-        code, out, _ = invoke(["char", "weyl", "--type", "A", "--rank", str(rank), "--weight", text])
-        err = capsys.readouterr().err
+        code, out, err = invoke(["char", "weyl", "--type", "A", "--rank", str(rank), "--weight", text])
+        assert capsys.readouterr() == ("", "")
         assert code == 2 and not out, text
         assert "Traceback" not in err, text
         assert err.strip().splitlines()[-1].startswith(
@@ -246,8 +259,8 @@ def test_integer_options_must_be_canonical(capsys):
         (base + ["--rank", "2", "--weight", "\u0661,0"], "--weight"),
         (base + ["--rank", "2", "--weight", "+1,0"], "--weight"),
     ):
-        code, out, _ = invoke(argv)
-        err = capsys.readouterr().err
+        code, out, err = invoke(argv)
+        assert capsys.readouterr() == ("", "")
         assert code == 2 and not out, argv
         assert "Traceback" not in err, argv
         assert err.strip().splitlines()[-1].startswith(
@@ -313,3 +326,36 @@ def test_registry_bijection_and_coverage():
     assert set(ops) == universe
     for name in universe:
         assert callable(getattr(steinberg, name)), name
+
+
+def test_run_sends_argparse_output_to_its_streams(capsys):
+    streams = sys.stdout, sys.stderr
+    code, out, err = invoke(["char", "weyl", "--type", "A", "--rank", "2", "--weight=[1.5]"])
+    assert code == 2 and not out and err.startswith("usage: steinberg char weyl")
+    assert "malformed weight '[1.5]'" in err.splitlines()[-1]
+    code, out, err = invoke(["rs", "--help"])
+    assert code == 0 and out.startswith("usage: steinberg rs") and not err
+    code, out, err = invoke(["rs", "info", "--type", "A", "--rank", "0"])
+    assert code == 1 and not out and err.startswith("steinberg: error:")
+    assert (sys.stdout, sys.stderr) == streams
+    assert capsys.readouterr() == ("", "")
+
+
+def test_process_streams_keep_their_roles():
+    proc = python("-m", "steinberg.cli", "char", "weyl", "--type", "A", "--rank", "2",
+                  "--weight=[1.5]")
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr.startswith("usage: steinberg char weyl") and "Traceback" not in proc.stderr
+    proc = python("-m", "steinberg.cli", "rs", "--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: steinberg rs")
+    assert not proc.stderr
+
+
+def test_cli_import_leaves_heavy_stdlib_modules_unloaded():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and fractions
+    # pulls in decimal and numbers; one CLI call should pay for none of them.
+    proc = python("-S", "-c", "import steinberg.cli, sys; print(*sorted(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "steinberg.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "ast"}

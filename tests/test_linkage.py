@@ -199,3 +199,12 @@ def test_alcove_position_statuses():
     # leaves the closure already at p = 2.
     assert alcove_position(G2, (0, 0), 2).wall_pairings == (1, 1, 4, 5, 2, 3)
     assert alcove_position(G2, (0, 0), 2).status == "exterior-of-closure"
+
+
+def test_alcove_position_is_an_immutable_record():
+    pos = alcove_position(A1, (1,), 3)
+    assert repr(pos) == "AlcovePosition(weight=(1,), wall_pairings=(2,), status='interior')"
+    assert pos == alcove_position(A1, [1], 3) and hash(pos) == hash(alcove_position(A1, (1,), 3))
+    assert pos != alcove_position(A1, (1,), 2)
+    with pytest.raises(AttributeError):
+        pos.status = "wall"

@@ -1,6 +1,8 @@
 """Root datum construction and elementary weight arithmetic."""
 
 import ast
+import pickle
+import random
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from steinberg import (
     ConfigurationError,
     DomainError,
     Lattice,
+    RootSystem,
     build_root_system,
     dot_multiply,
     highest_root_index,
@@ -23,7 +26,7 @@ from steinberg import (
     steinberg_split,
     steinberg_weight,
 )
-from steinberg.rootdata import _symmetrizer, in_lattice, require_steinberg_configuration
+from steinberg.rootdata import _invert, _symmetrizer, in_lattice, require_steinberg_configuration
 
 
 def test_a1_forced_data():
@@ -79,6 +82,51 @@ def test_disconnected_diagram_raises_even_without_asserts():
     # A1 x A1: the symmetrizer walk never reaches the second node.
     with pytest.raises(ConfigurationError, match="connected"):
         _symmetrizer([[2, 0], [0, 2]], 2)
+
+
+@pytest.mark.parametrize("series,rank", sorted(oracles.POSITIVE_ROOT_COUNTS))
+def test_integer_construction_matches_rationals(series, rank):
+    rs = build_root_system(series, rank)
+    assert rs.symmetrizer == oracles.symmetrizer_by_fractions(rs.cartan, rank)
+    assert (rs.inv_num, rs.inv_den) == oracles.invert_by_fractions(rs.cartan, rank)
+    assert rs.coroots == oracles.coroots_by_fractions(rs)
+    # inv_num / inv_den really inverts the Cartan matrix.
+    for i in range(rank):
+        for j in range(rank):
+            entry = sum(rs.cartan[i][k] * rs.inv_num[k][j] for k in range(rank))
+            assert entry == (rs.inv_den if i == j else 0)
+
+
+def test_invert_needs_pivoting_and_reduces_to_lowest_terms():
+    rng = random.Random(5)
+    matrices = [[[0, 1], [1, 0]], [[0, 2, 1], [1, 0, 0], [3, 1, 1]], [[2, 4], [6, 8]]]
+    while len(matrices) < 40:
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        try:
+            oracles.invert_by_fractions(m, n)
+        except StopIteration:  # singular: no pivot in some column
+            continue
+        matrices.append(m)
+    for m in matrices:
+        assert _invert(m, len(m)) == oracles.invert_by_fractions(m, len(m)), m
+
+
+def test_root_system_is_immutable_and_compared_by_identity():
+    rs = build_root_system("A", 2)
+    with pytest.raises(AttributeError):
+        rs.rank = 3
+    with pytest.raises(AttributeError):
+        rs.extra = 1
+    with pytest.raises(AttributeError):
+        del rs.cartan
+    assert rs.rank == 2 and repr(rs) == "RootSystem(A2)"
+    fields = {name: getattr(rs, name) for name in RootSystem.__slots__}
+    twin = RootSystem(**fields)
+    assert twin.cartan == rs.cartan and twin != rs
+    with pytest.raises(TypeError):
+        RootSystem(**dict(fields, rank=None, extra=1))
+    assert pickle.loads(pickle.dumps(rs)) is rs
 
 
 def test_library_has_no_assert_statements():

@@ -1,5 +1,7 @@
 """Weyl group enumeration, actions, lengths, and orbit normal forms."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -179,3 +181,34 @@ def test_orbit_sizes_divide_group_order():
         order = generate(rs).order
         for lam in [(0, 0), (1, 0), (1, 1), (2, 1)]:
             assert order % len(weyl_orbit(rs, lam)) == 0
+
+
+@pytest.mark.parametrize("series,rank", sorted(oracles.POSITIVE_ROOT_COUNTS))
+def test_orbit_walk_matches_search(series, rank):
+    # Zero, the fundamental weights and other weights on walls, rho, and
+    # random weights of both signs (some of them on walls too).
+    rs = build_root_system(series, rank)
+    rng = random.Random(rank * 31 + ord(series))
+    weights = [(0,) * rank, (1,) * rank]
+    weights += [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    weights += [tuple(rng.choice((0, 0, 1, 2)) for _ in range(rank)) for _ in range(3)]
+    weights += [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(3)]
+    order = weyl_group_order(rs)
+    for lam in weights:
+        orbit = weyl_orbit(rs, lam)
+        assert len(orbit) == len(set(orbit)), lam
+        assert set(orbit) == oracles.orbit_by_search(rs, lam), lam
+        assert order % len(orbit) == 0
+        assert orbit[0] == make_dominant(rs, lam)[0]
+
+
+def test_group_records_are_immutable_and_copyable():
+    group = generate(build_root_system("A", 2))
+    with pytest.raises(AttributeError):
+        group.longest.length = 0
+    with pytest.raises(AttributeError):
+        group.elements = ()
+    assert repr(group.longest) == "WeylElement(word=010, length=3)"
+    for el in (copy.copy(group.longest), pickle.loads(pickle.dumps(group.longest))):
+        assert (el.word, el.matrix, el.length) == (group.longest.word, group.longest.matrix, 3)
+    assert pickle.loads(pickle.dumps(group)).order == 6
