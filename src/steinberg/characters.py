@@ -74,6 +74,10 @@ class _Sparse:
         self._terms = terms
         return self
 
+    def _result(self, terms: dict, other=None):
+        # The value that arithmetic on self (and other) produced.
+        return self._raw(terms)
+
     def items(self):
         return self._terms.items()
 
@@ -102,7 +106,7 @@ class _Sparse:
                 out[w] = new
             else:
                 del out[w]
-        return self._raw(out)
+        return self._result(out, other)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -111,7 +115,7 @@ class _Sparse:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return self._raw({w: -m for w, m in self._terms.items()})
+        return self._result({w: -m for w, m in self._terms.items()})
 
     def __rmul__(self, scalar: int):
         # Integer scaling only, as in ``_strict_int``: Python turns the
@@ -119,8 +123,8 @@ class _Sparse:
         if isinstance(scalar, bool) or not isinstance(scalar, int):
             return NotImplemented
         if scalar == 0:
-            return self._raw({})
-        return self._raw({w: scalar * m for w, m in self._terms.items()})
+            return self._result({})
+        return self._result({w: scalar * m for w, m in self._terms.items()})
 
     def __repr__(self):
         items = ", ".join(f"{list(w)}:{m}" for w, m in self.sorted_items()[:8])
@@ -155,11 +159,31 @@ class Character(_Sparse):
     Zero multiplicities are never stored, so equality is structural.
     Addition, negation, and integer scaling are pointwise; ``*`` between two
     characters is the convolution product (the ring product of Z[X]).
+
+    The private slot ``_invariant_for`` is a root system the value is known
+    to be W-invariant for, or None.  Weyl characters set it, and sums,
+    scalings, products, twists and contractions over one root system keep
+    it; the public constructor and ``from_dict`` never set it.  Equality,
+    repr and JSON ignore it; ``require_w_invariant`` trusts it.
     """
 
-    __slots__ = ()
+    __slots__ = ("_invariant_for",)
     _FIELDS = ("weights", "mult")
     _NOUN = "character"
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self._invariant_for = None
+
+    @classmethod
+    def _raw(cls, terms: dict, rs=None):
+        self = super()._raw(terms)
+        self._invariant_for = rs
+        return self
+
+    def _result(self, terms: dict, other=None):
+        tag = self._invariant_for if other is None else _shared_tag(self, other)
+        return self._raw(terms, tag)
 
     def mult(self, weight) -> int:
         return self._terms.get(tuple(weight), 0)
@@ -175,6 +199,16 @@ class Character(_Sparse):
 
     def to_dict(self) -> dict:
         return {"weights": self._entries()}
+
+
+def _shared_tag(a: Character, b: Character):
+    # The root system both values are invariant for; an empty value is
+    # invariant for any, so it takes the other's.
+    if not a:
+        return b._invariant_for
+    if not b or a._invariant_for is b._invariant_for:
+        return a._invariant_for
+    return None
 
 
 def _strict_int(value) -> int:
@@ -284,7 +318,7 @@ def weyl_character(rs: RootSystem, highest) -> Character:
         for w, k in descend_orbit(rs, mu, k0, simple_steps):
             out[w] = mult
             packed[k] = mult
-    return Character._raw(out)
+    return Character._raw(out, rs)
 
 
 def tensor(a: Character, b: Character) -> Character:
@@ -298,8 +332,9 @@ def tensor(a: Character, b: Character) -> Character:
     condition), and the inner loop is one int add and one dict update.  Sums
     that cancel to zero are dropped when the keys are decoded to weights.
     """
+    tag = _shared_tag(a, b)
     if not a or not b:
-        return Character()
+        return Character._raw({}, tag)
     ra = len(next(iter(a.support())))
     rb = len(next(iter(b.support())))
     if ra != rb:
@@ -331,7 +366,7 @@ def tensor(a: Character, b: Character) -> Character:
                 k, d = divmod(k, n)
                 w.append(d + l)
             terms[tuple(w)] = m
-    return Character._raw(terms)
+    return Character._raw(terms, tag)
 
 
 def frobenius_twist(chi: Character, r: int, p: int) -> Character:
@@ -343,7 +378,9 @@ def frobenius_twist(chi: Character, r: int, p: int) -> Character:
     if p < 2:
         raise DomainError(f"twist needs p >= 2, got {p}")
     scale = p**r
-    return Character._raw({tuple(scale * x for x in w): m for w, m in chi.items()})
+    return Character._raw(
+        {tuple(scale * x for x in w): m for w, m in chi.items()}, chi._invariant_for
+    )
 
 
 def steinberg_character(rs: RootSystem, p: int, r: int = 1,
@@ -364,7 +401,7 @@ def euler_characteristic(rs: RootSystem, weight) -> Character:
         raise DomainError(f"weight {list(weight)} has wrong rank for {rs!r}")
     dom, sign = dot_dominant(rs, tuple(weight))
     if dom is None:
-        return Character()
+        return Character._raw({}, rs)
     chi = weyl_character(rs, dom)
     return chi if sign == 1 else -chi
 
@@ -377,7 +414,7 @@ def contract_weights(chi: Character, p: int) -> Character:
     for w, m in chi.items():
         if all(x % p == 0 for x in w):
             out[tuple(x // p for x in w)] = m
-    return Character._raw(out)
+    return Character._raw(out, chi._invariant_for)
 
 
 def require_w_invariant(rs: RootSystem, chi: Character) -> None:
@@ -387,7 +424,13 @@ def require_w_invariant(rs: RootSystem, chi: Character) -> None:
     when chi(s_i w) = chi(w) for every support weight w and every i with
     w_i != 0 (s_i fixes w when w_i = 0).  A weight outside the support whose
     reflection lies in it is caught from that reflection.
+
+    A value the library built as W-invariant for rs carries rs in its
+    private tag and is accepted without the scan; every other value,
+    including all user input, is scanned.
     """
+    if getattr(chi, "_invariant_for", None) is rs:
+        return
     get = chi._terms.get
     for w, m in chi.items():
         for i, x in enumerate(w):

@@ -137,10 +137,12 @@ def char_to_class_by_peeling(rs: RootSystem, chi: Character) -> KElement:
 
 def class_to_char(rs: RootSystem, element: KElement) -> Character:
     """Character of a class: the coefficient-weighted sum of Weyl characters."""
-    total = Character()
+    out = {}
+    get = out.get
     for w, c in element.items():
-        total = total + c * weyl_character(rs, w)
-    return total
+        for nu, m in weyl_character(rs, w).items():
+            out[nu] = get(nu, 0) + c * m
+    return Character._raw({nu: m for nu, m in out.items() if m}, rs)
 
 
 def tensor_delta_expansion(rs: RootSystem, mu, chi: Character) -> KElement:

@@ -3,15 +3,18 @@
 The affine group at level p is the finite Weyl group extended by
 translations by p times the root lattice, acting through the rho-shifted
 dot action.  The closed bottom alcove is a fundamental domain for the dot
-action (Jantzen, RAG II.6), and every weight normalizes into it by
-alternating dominant reflections with reflections in the level-p walls.
-Orbit membership is decided exactly by comparing these normal forms, so no
-operation enumerates the Weyl group.
+action (Jantzen, RAG II.6).  It is cut out by the dominance walls and one
+wall at level p, that of the highest coroot, so every weight normalizes
+into it by alternating dominant reflections with reflections in that one
+wall.  Orbit membership is decided exactly by comparing these normal forms,
+so no operation enumerates the Weyl group.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
+from operator import mul
 
 from .errors import DomainError
 from .rootdata import (
@@ -64,29 +67,34 @@ def alcove_position(rs: RootSystem, weight, p: int) -> AlcovePosition:
     return AlcovePosition(weight=weight, wall_pairings=vals, status=status)
 
 
+@lru_cache(maxsize=None)
+def _highest_coroot(rs: RootSystem):
+    # The coroot of largest height, that of the highest short root (not
+    # highest_root_index, the long root on B, C, F and G), with its root in
+    # fundamental coordinates.
+    return max(zip(rs.coroots, rs.positive_fund), key=lambda pair: sum(pair[0]))
+
+
 def fundamental_alcove_rep(rs: RootSystem, weight, p: int):
     """The unique point of the closed bottom alcove in the dot orbit.
 
-    Alternates dominant normalization with reflections in the walls at
-    level p; each wall reflection strictly shrinks the invariant norm of the
-    shifted weight, so the walk terminates.
+    Alternates dominant normalization with reflections in one wall at level
+    p.  On a dominant shifted weight every positive coroot pairs to at most
+    the highest coroot's pairing (their difference is a sum of simple
+    coroots), so that wall is the only one it can lie beyond.  Each wall
+    reflection strictly shrinks the invariant norm of the shifted weight, so
+    the walk terminates.
     """
     if p < 2:
         raise DomainError(f"alcove normalization needs p >= 2, got {p}")
     x = tuple(x + 1 for x in weight)
-    nroots = rs.num_positive_roots
+    coroot, root = _highest_coroot(rs)
     while True:
         x, _ = make_dominant(rs, x)
-        worst = None
-        worst_val = p
-        for i in range(nroots):
-            v = pairing(rs, x, i)
-            if v > worst_val:
-                worst, worst_val = i, v
-        if worst is None:
+        excess = sum(map(mul, coroot, x)) - p
+        if excess <= 0:
             return tuple(c - 1 for c in x)
-        f = rs.positive_fund[worst]
-        x = tuple(c - (worst_val - p) * a for c, a in zip(x, f))
+        x = tuple(c - excess * a for c, a in zip(x, root))
 
 
 def is_special_point(rs: RootSystem, weight, p: int) -> bool:

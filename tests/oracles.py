@@ -6,8 +6,8 @@ order formulas, the dimension formula evaluated over the tables, a partition
 function based character formula, a tuple-keyed convolution, alternating sums and a linkage test over
 the fully enumerated Weyl group, a W-invariance test that counts whole
 orbits, linear orbits by breadth-first search, root-datum construction over
-the rationals, brute-force affine orbit enumeration in a box, and
-closed-form rank-one facts.
+the rationals, brute-force affine orbit enumeration in a box, an alcove
+walk that checks every wall, and closed-form rank-one facts.
 """
 
 from __future__ import annotations
@@ -224,6 +224,26 @@ def affine_orbit_in_box(rs, lam, p, bound, margin=None) -> set:
                 seen.add(img)
                 queue.append(img)
     return {w for w in seen if max(abs(x) for x in w) <= bound}
+
+
+def alcove_rep_by_all_walls(rs, weight, p) -> tuple:
+    """Closed-bottom-alcove normal form, checking every wall at level p.
+
+    Alternates dominant normalization with a reflection in the level-p wall
+    of the positive coroot with the largest pairing (the first such root in
+    root order), until no pairing of the shifted weight exceeds p.
+    """
+    x = tuple(c + 1 for c in weight)
+    while True:
+        x, _ = make_dominant(rs, x)
+        worst, worst_val = None, p
+        for i, d in enumerate(rs.coroots):
+            v = sum(map(mul, d, x))
+            if v > worst_val:
+                worst, worst_val = i, v
+        if worst is None:
+            return tuple(c - 1 for c in x)
+        x = tuple(c - (worst_val - p) * a for c, a in zip(x, rs.positive_fund[worst]))
 
 
 def alternating_coefficient(group, chi, lam, mu=None, p=1) -> int:

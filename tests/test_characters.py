@@ -10,8 +10,10 @@ from steinberg import (
     Character,
     ConfigurationError,
     DomainError,
+    KElement,
     Lattice,
     build_root_system,
+    class_to_char,
     contract_weights,
     dot_multiply,
     euler_characteristic,
@@ -230,5 +232,80 @@ def test_w_invariance_rejection():
     # Incomplete orbit.
     with pytest.raises(DomainError):
         require_w_invariant(A2, Character({(1, 0): 1}))
-    # Signed combinations of Weyl characters are fine.
-    require_w_invariant(A2, weyl_character(A2, (1, 1)) - 3 * weyl_character(A2, (1, 0)))
+    # Signed combinations of Weyl characters are fine, also when scanned.
+    chi = weyl_character(A2, (1, 1)) - 3 * weyl_character(A2, (1, 0))
+    require_w_invariant(A2, chi)
+    require_w_invariant(A2, Character(chi.items()))
+
+
+RANK_AT_MOST_3 = [(s, r) for s, r in sorted(oracles.POSITIVE_ROOT_COUNTS) if r <= 3]
+
+
+@pytest.mark.parametrize("series,rank", RANK_AT_MOST_3)
+def test_library_built_values_carry_invariance(series, rank):
+    # Every value the library tags as invariant for rs is invariant by the
+    # orbit count, whichever construction built it.
+    rs = build_root_system(series, rank)
+    rng = random.Random(f"tag/{series}{rank}")
+    small = [tuple(rng.randint(0, 2) for _ in range(rank)) for _ in range(3)]
+    chis = [weyl_character(rs, lam) for lam in small]
+    a, b, c = chis
+    values = chis + [
+        a + b, a - c, -b, 3 * a, a * -2, 0 * c, Character() + b, a + Character(), a - a,
+        tensor(a, b), a * c, tensor(Character(), a),
+        frobenius_twist(b, 1, 2), frobenius_twist(c, 2, 3),
+        steinberg_character(rs, 2),
+        contract_weights(tensor(a, b), 2), contract_weights(c, 3),
+    ]
+    for _ in range(4):
+        lam = tuple(rng.randint(-4, 3) for _ in range(rank))
+        values.append(euler_characteristic(rs, lam))
+    values.append(euler_characteristic(rs, (-1,) * rank))  # singular: empty
+    classes = [
+        KElement({lam: rng.choice((-2, -1, 1, 3)) for lam in small}),
+        KElement({lam: 1 for lam in small[:1]}),
+        KElement(),
+    ]
+    values += [class_to_char(rs, el) for el in classes]
+    for chi in values:
+        assert chi._invariant_for is rs, chi
+        assert oracles.w_invariant_by_orbits(rs, chi), chi
+        require_w_invariant(rs, Character(chi.items()))
+    # One pass through class_to_char gives the same sum as adding up.
+    el = classes[0]
+    total = Character()
+    for lam, coeff in el.items():
+        total = total + coeff * weyl_character(rs, lam)
+    assert class_to_char(rs, el) == total
+
+
+def test_invariance_tag_is_invisible():
+    chi = weyl_character(B2, (1, 1)) - weyl_character(B2, (0, 1))
+    plain = Character(chi.items())
+    assert chi._invariant_for is B2 and plain._invariant_for is None
+    assert chi == plain and plain == chi
+    assert repr(chi) == repr(plain)
+    assert chi.to_dict() == plain.to_dict()
+    assert Character.from_dict(chi.to_dict()) == chi
+    assert Character._raw({}, A2) == Character()
+
+
+def test_untagged_values_are_scanned():
+    bad = Character({(1, 0): 1})
+    a2 = weyl_character(A2, (1, 0))
+    b2 = weyl_character(B2, (1, 0))
+    # Neither constructor tags, even for invariant input.
+    assert Character(a2.items())._invariant_for is None
+    assert Character.from_dict(a2.to_dict())._invariant_for is None
+    # Mixing root systems, or an untagged operand, drops the tag.
+    for chi in (a2 + b2, a2 - b2, tensor(a2, b2), a2 + bad, tensor(a2, bad),
+                frobenius_twist(bad, 1, 2), contract_weights(bad, 2), -bad, 2 * bad):
+        assert chi._invariant_for is None, chi
+    for chi in (a2 + b2, tensor(a2, b2), a2 + bad, tensor(a2, bad), -bad, 2 * bad):
+        assert not oracles.w_invariant_by_orbits(A2, chi)
+        with pytest.raises(DomainError, match="not Weyl-invariant"):
+            require_w_invariant(A2, chi)
+    # A tag names one root system: an A2 value checked against B2 is scanned.
+    assert not oracles.w_invariant_by_orbits(B2, a2)
+    with pytest.raises(DomainError, match="not Weyl-invariant"):
+        require_w_invariant(B2, a2)

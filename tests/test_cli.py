@@ -295,6 +295,26 @@ def test_domain_errors_exit_1():
         assert err.strip() and "Traceback" not in err, argv
 
 
+def test_non_invariant_char_input_exits_1_on_every_checking_route():
+    # --char input is always scanned, however it is combined.
+    bad = '{"weights":[{"w":[1,0],"mult":1}]}'
+    message = ("steinberg: error: character is not Weyl-invariant: multiplicity 1 at [1, 0] "
+               "but 0 at its simple reflection [-1, 1]\n")
+    a2 = ["--type", "A", "--rank", "2"]
+    for argv in (
+        ["class", "decompose", *a2, "--char", bad],
+        ["class", "decompose", *a2, "--method", "peeling", "--char", bad],
+        ["class", "decompose", *a2, "--method", "peeling", "--char", bad, "--output", "text"],
+        ["class", "tensor-delta", *a2, "--weight", "1,1", "--char", bad],
+        ["class", "contract", *a2, "--p", "3", "--char", bad],
+    ):
+        assert invoke(argv) == (1, "", message), argv
+    a1_bad = '{"weights":[{"w":[1],"mult":1}]}'
+    assert invoke(["simple", "a1", "--type", "A", "--rank", "1", "--p", "3", "--char", a1_bad]) == (
+        1, "", "steinberg: error: character is not Weyl-invariant: multiplicity 1 at [1] "
+        "but 0 at its simple reflection [-1]\n")
+
+
 def test_registry_bijection_and_coverage():
     keys = [(s.group, s.verb) for s in REGISTRY]
     assert len(keys) == len(set(keys)) == 17

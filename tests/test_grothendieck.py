@@ -17,6 +17,7 @@ from steinberg import (
     char_to_class_by_peeling,
     class_to_char,
     contract_weights,
+    decompose_in_simple_basis_a1,
     dot_multiply,
     frobenius_contract_class,
     frobenius_twist,
@@ -89,6 +90,33 @@ def test_char_to_class_rejects_non_invariant():
     for fn in (char_to_class, char_to_class_by_peeling):
         with pytest.raises(DomainError):
             fn(A2, Character({(1, 0): 1}))
+
+
+def test_non_invariant_inputs_raise_on_every_route():
+    # User values carry no invariance tag, and neither does anything built
+    # from them or from another root system's values, so every route scans.
+    def bad_values(rs, weyl_other):
+        bad = Character({(1,) + (0,) * (rs.rank - 1): 1})
+        chi = weyl_character(rs, (1,) * rs.rank)
+        return [bad, chi + bad, chi - bad, tensor(chi, bad), 3 * bad,
+                frobenius_twist(bad, 1, 2), weyl_other, chi + weyl_other]
+
+    routes = [
+        lambda rs, chi: char_to_class(rs, chi),
+        lambda rs, chi: char_to_class_by_peeling(rs, chi),
+        lambda rs, chi: tensor_delta_expansion(rs, (1,) * rs.rank, chi),
+        lambda rs, chi: steinberg_delta_multiplicity(rs, chi, (0,) * rs.rank, 2),
+        lambda rs, chi: frobenius_contract_class(rs, chi, 3),
+    ]
+    for rs, other in ((A2, B2), (B2, G2), (G2, A2)):
+        for chi in bad_values(rs, weyl_character(other, (1, 0))):
+            assert not oracles.w_invariant_by_orbits(rs, chi)
+            for route in routes:
+                with pytest.raises(DomainError, match="not Weyl-invariant"):
+                    route(rs, chi)
+    for chi in bad_values(A1, Character({(2,): 1, (-2,): 2})):
+        with pytest.raises(DomainError, match="not Weyl-invariant"):
+            decompose_in_simple_basis_a1(A1, chi, 3)
 
 
 def test_dual_implementations_agree_on_random_products():

@@ -88,6 +88,29 @@ def test_fundamental_alcove_rep_properties(rs, p):
         assert linked(rs, lam, rep, p)
 
 
+@pytest.mark.parametrize("series,rank", sorted(oracles.POSITIVE_ROOT_COUNTS))
+def test_one_wall_walk_matches_all_walls(series, rank):
+    # Random weights of both signs, some moved onto a wall through -rho,
+    # plus the vertices of the closed alcove, which lie on its level-p wall.
+    rs = build_root_system(series, rank)
+    rng = random.Random(f"alcove/{series}{rank}")
+    top = max(rs.coroots, key=sum)
+    for p in (2, 3, 5, 7):
+        points = [(-1,) * rank, (p - 1,) * rank, (0,) * rank]
+        for i, d in enumerate(top):
+            if p % d == 0:
+                points.append(tuple(p // d - 1 if j == i else -1 for j in range(rank)))
+        for _ in range(40):
+            lam = [rng.randint(-3 * p, 3 * p) for _ in range(rank)]
+            if rng.random() < 0.3:
+                lam[rng.randrange(rank)] = -1
+            points.append(tuple(lam))
+        for lam in points:
+            assert fundamental_alcove_rep(rs, lam, p) == oracles.alcove_rep_by_all_walls(
+                rs, lam, p
+            ), (lam, p)
+
+
 @pytest.mark.parametrize("rs,p", [(A1, 3), (A2, 2), (A2, 3), (B2, 2)])
 def test_closure_points_are_pairwise_unlinked(rs, p):
     # The closed bottom alcove is a fundamental domain: distinct points in it

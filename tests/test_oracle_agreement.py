@@ -97,11 +97,18 @@ def test_linked_matches_search_over_w(series, rank):
 
 
 def _accepts(rs, chi) -> bool:
-    try:
-        require_w_invariant(rs, chi)
-    except DomainError:
-        return False
-    return True
+    # The verdict on chi, which may pass on its invariance tag alone, must
+    # match the scan of an untagged copy.
+    verdicts = []
+    for value in (chi, Character(chi.items())):
+        try:
+            require_w_invariant(rs, value)
+        except DomainError:
+            verdicts.append(False)
+        else:
+            verdicts.append(True)
+    assert verdicts[0] == verdicts[1], chi
+    return verdicts[0]
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2), ("B", 3), ("D", 4)])
