@@ -12,16 +12,22 @@ values, and they scale by integers only.
 Both hot loops, the convolution in ``tensor`` and the recursion in
 ``weyl_character``, key weights by one packed integer instead of a tuple:
 in a box lo <= w <= hi, coordinate j is shifted to w_j - lo_j, a digit in
-[0, hi_j - lo_j], and weighted by the mixed-radix place value stride_j.  The
-key is injective on the box and affine in w, so adding a root or a weight
-is one int add.  It is used only where every key that is formed comes from a
-weight inside the box (the no-alias condition each function states); public
-values keep tuple keys.
+[0, hi_j - lo_j], and weighted by the mixed-radix place value stride_j (the
+last coordinate varies fastest).  The key is injective on the box and affine
+in w, so adding a root or a weight is one int add.  It is used only where
+every key that is formed comes from a weight inside the box (the no-alias
+condition each function states); public values keep tuple keys.  When the
+product's box is dense, ``tensor`` goes one step further and uses the key as
+a slot index in one big integer per factor (Kronecker substitution), so a
+single int multiplication in C does the whole convolution.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from functools import lru_cache
+from itertools import compress, product
 from operator import mul
 
 from .errors import DomainError
@@ -218,12 +224,13 @@ def _strict_int(value) -> int:
 
 
 def _strides(widths) -> list:
-    # Mixed-radix place values: coordinate j is a digit in [0, widths[j]).
+    # Mixed-radix place values, the last coordinate fastest: coordinate j is
+    # a digit in [0, widths[j]).
     strides, s = [], 1
-    for n in widths:
+    for n in reversed(widths):
         strides.append(s)
         s *= n
-    return strides
+    return strides[::-1]
 
 
 def _dominant_weights_below(rs: RootSystem, highest):
@@ -321,16 +328,89 @@ def weyl_character(rs: RootSystem, highest) -> Character:
     return Character._raw(out, rs)
 
 
+# Slot widths of the Kronecker kernel, narrowest first: (bytes, memoryview format).
+_SLOT_WIDTHS = ((2, "h"), (4, "i"), (8, "q"))
+
+
+def _slot_width(bound: int):
+    """The narrowest (bytes, format) slot for coefficients |c| <= bound, or None.
+
+    A slot of b bits holds c + 2^(b-1) for every |c| <= bound exactly when
+    bound < 2^(b-1).
+    """
+    for nbytes, fmt in _SLOT_WIDTHS:
+        if bound < 1 << (8 * nbytes - 1):
+            return nbytes, fmt
+    return None
+
+
+def _slot_int(items, nbytes: int, fmt: str):
+    # (slot count, the int whose slot k holds m) for packed items (k, m).
+    n = max(items)[0] + 1
+    pos, neg = bytearray(n * nbytes), bytearray(n * nbytes)
+    with memoryview(pos).cast(fmt) as up, memoryview(neg).cast(fmt) as down:
+        for k, m in items:
+            if m > 0:
+                up[k] = m
+            else:
+                down[k] = -m
+    order = sys.byteorder
+    return n, int.from_bytes(pos, order) - int.from_bytes(neg, order)
+
+
+def _kronecker(aitems, bitems, ranges, bound: int) -> dict:
+    """Convolve two packed factors by one big-integer product.
+
+    ``aitems`` and ``bitems`` are (key, multiplicity) pairs, keyed in the box
+    of the product with the last coordinate varying fastest, each relative
+    to its own factor's minimum; ``ranges`` are the product's coordinate
+    ranges, and ``bound`` is at least every |coefficient| of the product.
+    Each factor becomes one int, slot k (a fixed-width field of 2, 4 or 8
+    bytes) holding its multiplicity at key k, so the product of the two ints
+    holds the convolution in its slots.  A bias of 2^(b-1) added to every
+    slot of b bits makes each slot hold c + 2^(b-1), in [0, 2^b) because
+    |c| <= bound < 2^(b-1): no slot carries into the next, so the slots read
+    back as the product's coefficients.
+
+    Slots use the machine's byte order, in the buffers and in the int
+    conversions alike.  Each factor's int has one slot per key up to its
+    largest, so the product has na + nb - 1 slots, and its slot k is key k
+    whether the int's low end is the buffer's first byte or its last.
+    """
+    width = _slot_width(bound)
+    if width is None:
+        raise ArithmeticError(f"convolution bound {bound} does not fit a 64-bit slot")
+    nbytes, fmt = width
+    na, x = _slot_int(aitems, nbytes, fmt)
+    nb, y = _slot_int(bitems, nbytes, fmt)
+    n = na + nb - 1
+    order = sys.byteorder
+    bias = int.from_bytes((1 << (8 * nbytes - 1)).to_bytes(nbytes, order) * n, order)
+    # Flipping each slot's top bit turns c + 2^(b-1) into c in two's complement.
+    raw = ((x * y + bias) ^ bias).to_bytes(n * nbytes, order)
+    vals = memoryview(raw).cast(fmt).tolist()
+    return dict(compress(zip(product(*ranges), vals), vals))
+
+
 def tensor(a: Character, b: Character) -> Character:
     """Convolution product: mult of nu is sum over lam of a(lam)*b(nu-lam).
 
     Each factor's weights are packed once into integer keys, relative to
     that factor's per-coordinate minimum, with place values taken from the
-    box of the sum: coordinate j of a sum spans width_j = (range of a) +
-    (range of b) + 1 values.  Both keys' digits stay inside their own
-    ranges, so k1 + k2 is the key of w1 + w2 with no carries (no-alias
-    condition), and the inner loop is one int add and one dict update.  Sums
-    that cancel to zero are dropped when the keys are decoded to weights.
+    box of the sum (last coordinate fastest): coordinate j of a sum spans
+    width_j = (range of a) + (range of b) + 1 values.  Both keys' digits stay
+    inside their own ranges, so k1 + k2 is the key of w1 + w2 with no carries
+    (no-alias condition).
+
+    Two kernels share those keys.  When the box is dense, ``_kronecker``
+    writes each factor into fixed-width slots of one int and multiplies the
+    two ints once (Kronecker substitution); the slot width is the narrowest
+    of 2, 4 or 8 bytes that holds the bound sum|a| * max|b| on |coefficient|.
+    It runs when the box's slots times that width are at most the |a|*|b|
+    pairs, so its memory is O(|a|*|b|) bytes, and the bound is below 2^63.
+    Otherwise the pair loop adds each of the |a|*|b| products into a dict,
+    one int add and one update each, and drops sums that cancel to zero when
+    it decodes the keys to weights.
     """
     tag = _shared_tag(a, b)
     if not a or not b:
@@ -351,21 +431,32 @@ def tensor(a: Character, b: Character) -> Character:
     base_b = sum(map(mul, lo_b, strides))
     aitems = [(sum(map(mul, w, strides)) - base_a, m) for w, m in a.items()]
     bitems = [(sum(map(mul, w, strides)) - base_b, m) for w, m in b.items()]
+    lo = [x + y for x, y in zip(lo_a, lo_b)]
+    pairs = len(aitems) * len(bitems)
+    slots = math.prod(widths)
+    # The narrowest slot has 2 bytes: a box too wide even for that skips the
+    # pass that sums the multiplicities for the bound.
+    if 2 * slots <= pairs:
+        bound = sum(map(abs, a._terms.values())) * max(map(abs, b._terms.values()))
+        width = _slot_width(bound)
+        if width is not None and slots * width[0] <= pairs:
+            ranges = [range(l, l + n) for l, n in zip(lo, widths)]
+            return Character._raw(_kronecker(aitems, bitems, ranges, bound), tag)
     out = {}
     get = out.get
     for k1, m1 in aitems:
         for k2, m2 in bitems:
             k = k1 + k2
             out[k] = get(k, 0) + m1 * m2
-    lo = [x + y for x, y in zip(lo_a, lo_b)]
+    digits = list(zip(reversed(widths), reversed(lo)))
     terms = {}
     for k, m in out.items():
         if m:
             w = []
-            for n, l in zip(widths, lo):
+            for n, l in digits:
                 k, d = divmod(k, n)
                 w.append(d + l)
-            terms[tuple(w)] = m
+            terms[tuple(w[::-1])] = m
     return Character._raw(terms, tag)
 
 

@@ -132,8 +132,8 @@ def descend_orbit(rs: RootSystem, top, key, steps) -> list:
     for w, k in walk:
         for i, x in enumerate(w):
             if x > 0:
-                child = tuple(a - x * c for a, c in zip(w, simple[i]))
-                if min(child[:i], default=0) >= 0:
+                child = tuple([a - x * c for a, c in zip(w, simple[i])])
+                if i == 0 or min(child[:i]) >= 0:
                     walk.append((child, k - x * steps[i]))
     return walk
 

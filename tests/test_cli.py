@@ -371,6 +371,24 @@ def test_process_streams_keep_their_roles():
     assert not proc.stderr
 
 
+def test_closed_stdout_pipe_exits_1_without_traceback():
+    # As in `steinberg char tensor ... | head -c 10`: the reader is gone
+    # before the result is written, so the write fails with EPIPE.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "steinberg.cli", "char", "tensor", "--type", "G", "--rank", "2",
+         "--weight", "3,0", "--weight", "0,3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.stderr.close()
+    assert code == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
 def test_cli_import_leaves_heavy_stdlib_modules_unloaded():
     # dataclasses pulls in inspect, ast, dis and tokenize, and fractions
     # pulls in decimal and numbers; one CLI call should pay for none of them.

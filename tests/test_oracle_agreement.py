@@ -10,6 +10,7 @@ any library call of it fails.
 
 import io
 import json
+import math
 import random
 import sys
 
@@ -23,17 +24,21 @@ from steinberg import (
     block_decompose,
     build_root_system,
     char_to_class,
+    dot_multiply,
     frobenius_contract_class,
     frobenius_twist,
     generate,
     linked,
     pr_block,
     require_w_invariant,
+    steinberg_character,
     steinberg_delta_multiplicity,
     tensor,
     tensor_delta_expansion,
     weyl_character,
 )
+from steinberg import characters
+from steinberg.characters import _kronecker, _slot_width
 from steinberg.cli import run
 
 TYPES = sorted(oracles.POSITIVE_ROOT_COUNTS)
@@ -184,6 +189,143 @@ def test_tensor_matches_tuple_convolution(rank):
     if rank < 6:
         with pytest.raises(DomainError):
             tensor(a, _random_character(rng, rank + 1))
+
+
+def _kernel_direct(a, b, bound=None) -> dict:
+    """``_kronecker`` on a and b, packed in the layout ``tensor`` uses.
+
+    Keys count the product's box with the last coordinate fastest, each
+    factor's key relative to its own minimum.  The bound defaults to
+    sum|a| * max|b|.
+    """
+    cols_a, cols_b = list(zip(*a.support())), list(zip(*b.support()))
+    lo_a, lo_b = [min(c) for c in cols_a], [min(c) for c in cols_b]
+    widths = [max(x) - l + max(y) - k + 1 for x, l, y, k in zip(cols_a, lo_a, cols_b, lo_b)]
+    strides = [math.prod(widths[j + 1:]) for j in range(len(widths))]
+
+    def packed(chi, lo):
+        return [(sum((x - l) * s for x, l, s in zip(w, lo, strides)), m) for w, m in chi.items()]
+
+    if bound is None:
+        bound = sum(abs(m) for _, m in a.items()) * max(abs(m) for _, m in b.items())
+    ranges = [range(l + k, l + k + n) for l, k, n in zip(lo_a, lo_b, widths)]
+    return _kronecker(packed(a, lo_a), packed(b, lo_b), ranges, bound)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The bound of every ``_kronecker`` call that ``tensor`` makes."""
+    calls = []
+    real = characters._kronecker
+
+    def spy(aitems, bitems, ranges, bound):
+        calls.append(bound)
+        return real(aitems, bitems, ranges, bound)
+
+    monkeypatch.setattr(characters, "_kronecker", spy)
+    return calls
+
+
+def _both_paths_agree(a, b, kernel_calls):
+    """The product, and whether tensor took the kernel for it.
+
+    tensor, and the kernel called directly on either order of the factors,
+    all equal the tuple convolution.
+    """
+    before = len(kernel_calls)
+    prod = _convolution_agrees(a, b)
+    assert _kernel_direct(a, b) == _kernel_direct(b, a) == dict(prod.items())
+    return prod, len(kernel_calls) > before
+
+
+@pytest.mark.parametrize("rs", [build_root_system(*key) for key in (("A", 2), ("B", 2), ("G", 2))],
+                         ids=repr)
+def test_kronecker_kernel_on_dense_products(rs, kernel_calls):
+    for lam, mu in (((3, 3), (3, 3)), ((4, 2), (2, 4)), ((3, 3), (4, 4))):
+        a, b = weyl_character(rs, lam), weyl_character(rs, mu)
+        prod, kernel = _both_paths_agree(a, b, kernel_calls)
+        assert kernel and prod._invariant_for is rs
+        # Signed, with cancellation: a - 2b against b.
+        prod, kernel = _both_paths_agree(a - 2 * b, b, kernel_calls)
+        assert kernel and prod._invariant_for is rs
+    # The twist identity's products: St (x) Delta(lam)^(1) = Delta(p . lam).
+    # On A2 and B2 the weights fill at most a third or a half of the box
+    # (one coset of the root lattice), so tensor keeps the pair loop here.
+    for p in (5, 7):
+        st = steinberg_character(rs, p)
+        for lam in ((2, 0), (3, 3)):
+            twisted = frobenius_twist(weyl_character(rs, lam), 1, p)
+            prod, kernel = _both_paths_agree(st, twisted, kernel_calls)
+            assert prod == weyl_character(rs, dot_multiply(p, lam))
+            assert prod._invariant_for is rs
+            assert kernel == (rs.series == "G")
+
+
+def test_kronecker_kernel_cancels_telescoping_products(kernel_calls):
+    # (1 - x)(1 + x + ... + x^n) = 1 - x^(n+1): every inner sum cancels.
+    n = 40
+    first = Character({(0,): 1, (1,): -1})
+    telescope = Character({(k,): 1 for k in range(n + 1)})
+    assert _kernel_direct(first, telescope) == {(0,): 1, (n + 1,): -1}
+    # In two variables the box is dense, so tensor takes the kernel.
+    square = Character({(i, j): 1 for i in range(n + 1) for j in range(n + 1)})
+    corners = Character({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
+    prod, kernel = _both_paths_agree(corners, square, kernel_calls)
+    assert kernel and prod == Character({(0, 0): 1, (n + 1, 0): -1, (0, n + 1): -1, (n + 1, n + 1): 1})
+
+
+@pytest.mark.parametrize("total,nbytes", [
+    (2**15 - 1, 2), (2**15, 4), (2**31 - 1, 4), (2**31, 8), (2**63 - 1, 8), (2**63, None),
+])
+def test_kronecker_slot_width_at_its_bounds(total, nbytes, kernel_calls):
+    # sum|a| * max|b| = total, and the product reaches +-total, so a slot one
+    # width too narrow would carry into its neighbour.
+    n = 16
+    a = Character({(0,): total - (n - 1), **{(i,): 1 for i in range(1, n)}})
+    b = Character({(i,): 1 for i in range(n + 1)})
+    width = _slot_width(total)
+    assert (width and width[0]) == nbytes
+    for sign in (1, -1):
+        prod = _convolution_agrees(sign * a, b)
+        assert prod.mult((n - 1,)) == prod.mult((n,)) == sign * total
+        if nbytes is None:
+            # Too wide for a 64-bit slot: tensor keeps the pair loop, and
+            # the kernel refuses rather than return wrapped slots.
+            assert not kernel_calls
+            with pytest.raises(ArithmeticError):
+                _kernel_direct(sign * a, b)
+        else:
+            assert kernel_calls[-1] == total
+            assert _kernel_direct(sign * a, b) == dict(prod.items())
+
+
+def test_kernel_cost_counts_slot_bytes(kernel_calls):
+    # 3 x 8 pairs against a box of 10 slots: 2-byte slots fit in 24 bytes,
+    # 4-byte slots do not, so the bound decides the path.
+    b = Character({(i,): 1 for i in range(8)})
+    for top, kernel in ((2**15 - 3, True), (2**15 - 2, False)):
+        a = Character({(0,): top, (1,): 1, (2,): 1})
+        prod, took = _both_paths_agree(a, b, kernel_calls)
+        assert took == kernel and prod.mult((2,)) == top + 2
+
+
+def test_sparse_boxes_take_the_pair_loop_and_keep_tags(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Kronecker kernel ran on a sparse box")
+
+    monkeypatch.setattr(characters, "_kronecker", refuse)
+    rs = build_root_system("A", 2)
+    # Two weights each, a million apart in six coordinates: the box has
+    # about 6e37 slots against 4 pairs, so only the pair loop can answer.
+    far = 10**6
+    a = Character({(0,) * 6: 1, (far,) * 6: -2})
+    b = Character({(0,) * 6: 3, (0, far, 0, far, 0, far): 1})
+    assert dict(tensor(a, b).items()) == oracles.convolve_naive(a, b)
+    # A sparse product of library-built values keeps their tag.
+    sparse = frobenius_twist(weyl_character(rs, (1, 0)), 3, 7)
+    prod = _convolution_agrees(sparse, weyl_character(rs, (0, 1)))
+    assert prod._invariant_for is rs
+    assert tensor(Character(sparse.items()), sparse)._invariant_for is None
 
 
 @pytest.mark.parametrize("series,rank", [("E", 6), ("G", 2)])
