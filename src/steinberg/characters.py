@@ -18,8 +18,9 @@ in w, so adding a root or a weight is one int add.  It is used only where
 every key that is formed comes from a weight inside the box (the no-alias
 condition each function states); public values keep tuple keys.  When the
 product's box is dense, ``tensor`` goes one step further and uses the key as
-a slot index in one big integer per factor (Kronecker substitution), so a
-single int multiplication in C does the whole convolution.
+a slot index in one big integer (Kronecker substitution): the larger factor
+becomes one int, and the convolution is one shifted C-speed add of it per
+term of the smaller factor.
 """
 
 from __future__ import annotations
@@ -253,7 +254,12 @@ def _dominant_weights_below(rs: RootSystem, highest):
     return gaps
 
 
-@lru_cache(maxsize=None)
+# Weyl characters kept for reuse, the least recently used dropped first.  A
+# round of the rank2-steinberg benchmark workload needs at most 150.
+_WEYL_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_WEYL_CACHE_SIZE)
 def weyl_character(rs: RootSystem, highest) -> Character:
     """Character of the Weyl module with the given dominant highest weight.
 
@@ -330,6 +336,11 @@ def weyl_character(rs: RootSystem, highest) -> Character:
 
 # Slot widths of the Kronecker kernel, narrowest first: (bytes, memoryview format).
 _SLOT_WIDTHS = ((2, "h"), (4, "i"), (8, "q"))
+# Measured costs of the convolution kernels (see ``tensor``), in units of
+# adding one byte of two ints: one dict update of the pair loop, and reading
+# back one byte of the Kronecker kernel's slots.
+_PAIR_COST = 512
+_DECODE_COST = 32
 
 
 def _slot_width(bound: int):
@@ -359,35 +370,44 @@ def _slot_int(items, nbytes: int, fmt: str):
 
 
 def _kronecker(aitems, bitems, ranges, bound: int) -> dict:
-    """Convolve two packed factors by one big-integer product.
+    """Convolve two packed factors by shifting and adding one big integer.
 
     ``aitems`` and ``bitems`` are (key, multiplicity) pairs, keyed in the box
     of the product with the last coordinate varying fastest, each relative
     to its own factor's minimum; ``ranges`` are the product's coordinate
     ranges, and ``bound`` is at least every |coefficient| of the product.
-    Each factor becomes one int, slot k (a fixed-width field of 2, 4 or 8
-    bytes) holding its multiplicity at key k, so the product of the two ints
-    holds the convolution in its slots.  A bias of 2^(b-1) added to every
-    slot of b bits makes each slot hold c + 2^(b-1), in [0, 2^b) because
-    |c| <= bound < 2^(b-1): no slot carries into the next, so the slots read
-    back as the product's coefficients.
+    The second factor becomes one int y, slot k (a fixed-width field of 2, 4
+    or 8 bytes) holding its multiplicity at key k.  For each term (k, m) of
+    the first factor, m * y shifted up by k slots is added in, so the sum
+    holds the convolution in its slots: one pass over y per term, where a
+    product of two full ints would cost a Karatsuba multiplication.  A bias
+    of 2^(b-1) added to every slot of b bits makes each slot hold
+    c + 2^(b-1), in [0, 2^b) because |c| <= bound < 2^(b-1): no slot carries
+    into the next, so the slots read back as the product's coefficients.
 
     Slots use the machine's byte order, in the buffers and in the int
-    conversions alike.  Each factor's int has one slot per key up to its
-    largest, so the product has na + nb - 1 slots, and its slot k is key k
-    whether the int's low end is the buffer's first byte or its last.
+    conversions alike.  With top the first factor's largest key and nb the
+    second's slot count, the sum has n = top + nb slots.  On a little-endian
+    machine slot k has place value 2^(b*k), so the shift for key k is k
+    slots; on a big-endian one slot k of n has place value 2^(b*(n-1-k)), so
+    the shift is top - k slots, and slot k of the sum is key k either way.
     """
     width = _slot_width(bound)
     if width is None:
         raise ArithmeticError(f"convolution bound {bound} does not fit a 64-bit slot")
     nbytes, fmt = width
-    na, x = _slot_int(aitems, nbytes, fmt)
     nb, y = _slot_int(bitems, nbytes, fmt)
-    n = na + nb - 1
+    top = max(aitems)[0]
+    n = top + nb
     order = sys.byteorder
-    bias = int.from_bytes((1 << (8 * nbytes - 1)).to_bytes(nbytes, order) * n, order)
+    bits = 8 * nbytes
+    flip = order == "big"
+    acc = 0
+    for k, m in aitems:
+        acc += m * y << bits * (top - k if flip else k)
+    bias = int.from_bytes((1 << (bits - 1)).to_bytes(nbytes, order) * n, order)
     # Flipping each slot's top bit turns c + 2^(b-1) into c in two's complement.
-    raw = ((x * y + bias) ^ bias).to_bytes(n * nbytes, order)
+    raw = ((acc + bias) ^ bias).to_bytes(n * nbytes, order)
     vals = memoryview(raw).cast(fmt).tolist()
     return dict(compress(zip(product(*ranges), vals), vals))
 
@@ -402,15 +422,22 @@ def tensor(a: Character, b: Character) -> Character:
     inside their own ranges, so k1 + k2 is the key of w1 + w2 with no carries
     (no-alias condition).
 
-    Two kernels share those keys.  When the box is dense, ``_kronecker``
-    writes each factor into fixed-width slots of one int and multiplies the
-    two ints once (Kronecker substitution); the slot width is the narrowest
-    of 2, 4 or 8 bytes that holds the bound sum|a| * max|b| on |coefficient|.
-    It runs when the box's slots times that width are at most the |a|*|b|
-    pairs, so its memory is O(|a|*|b|) bytes, and the bound is below 2^63.
+    Two kernels share those keys, with a the factor of fewer terms.  When
+    the box is dense, ``_kronecker`` writes b into fixed-width slots of one
+    int and adds a shifted multiple of it per term of a (Kronecker
+    substitution); the slot width is the narrowest of 2, 4 or 8 bytes that
+    holds the bound sum|a| * max|b| on |coefficient|.  The kernel costs one
+    add per slot byte per term of a plus a decode of every slot byte, the
+    pair loop one dict update per pair.  So it runs when the bound is below
+    2^63 and slots * width * (|a| + 32) <= 512 * |a| * |b|: at most
+    c * |b| slot bytes with c = 512 * |a| / (|a| + 32), so its memory is
+    O(|b|).  Both constants are measured.  On random products of rank 1 to
+    6 with 2-byte slots the two kernels tie at 10 to 29 slot bytes per term
+    of b for |a| = 1 (the rule allows 15.5), 71 to 174 for |a| = 4 (57),
+    140 to 790 for |a| = 16 (170), and above 430 for |a| = 64 (341).
     Otherwise the pair loop adds each of the |a|*|b| products into a dict,
-    one int add and one update each, and drops sums that cancel to zero when
-    it decodes the keys to weights.
+    one int add and one update each, and drops sums that cancel to zero
+    when it decodes the keys to weights.
     """
     tag = _shared_tag(a, b)
     if not a or not b:
@@ -432,14 +459,15 @@ def tensor(a: Character, b: Character) -> Character:
     aitems = [(sum(map(mul, w, strides)) - base_a, m) for w, m in a.items()]
     bitems = [(sum(map(mul, w, strides)) - base_b, m) for w, m in b.items()]
     lo = [x + y for x, y in zip(lo_a, lo_b)]
-    pairs = len(aitems) * len(bitems)
-    slots = math.prod(widths)
+    na = len(aitems)
+    budget = _PAIR_COST * na * len(bitems)
+    cost = math.prod(widths) * (na + _DECODE_COST)
     # The narrowest slot has 2 bytes: a box too wide even for that skips the
     # pass that sums the multiplicities for the bound.
-    if 2 * slots <= pairs:
+    if 2 * cost <= budget:
         bound = sum(map(abs, a._terms.values())) * max(map(abs, b._terms.values()))
         width = _slot_width(bound)
-        if width is not None and slots * width[0] <= pairs:
+        if width is not None and width[0] * cost <= budget:
             ranges = [range(l, l + n) for l, n in zip(lo, widths)]
             return Character._raw(_kronecker(aitems, bitems, ranges, bound), tag)
     out = {}

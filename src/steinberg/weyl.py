@@ -93,6 +93,7 @@ def dot_dominant(rs: RootSystem, weight):
     return tuple(x - 1 for x in dom), sign
 
 
+@lru_cache(maxsize=64)
 def weyl_group_order(rs: RootSystem) -> int:
     """|W| as the product of (m_i + 1) over the exponents m_i.
 

@@ -87,7 +87,8 @@ def weyl_dimension(series, rank, lam) -> int:
         num = coroot_pairing(series, rank, tuple(x + 1 for x in lam), coroot)
         den = coroot_pairing(series, rank, tuple(rho), coroot)
         value *= Fraction(num, den)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(f"dimension of {list(lam)} on {series}{rank} is {value}")
     return int(value)
 
 
@@ -351,7 +352,8 @@ def symmetrizer_by_fractions(cartan, rank) -> tuple:
             if j != i and cartan[i][j] != 0 and t[j] is None:
                 t[j] = t[i] * Fraction(cartan[i][j], cartan[j][i])
                 stack.append(j)
-    assert all(v is not None for v in t), "Dynkin diagram must be connected"
+    if any(v is None for v in t):
+        raise ValueError("Dynkin diagram must be connected")
     den = 1
     for v in t:
         den = den * v.denominator // gcd(den, v.denominator)
@@ -392,6 +394,7 @@ def coroots_by_fractions(rs) -> tuple:
     for c, m in zip(rs.positive_roots, rs.positive_fund):
         norm = sum(c[j] * t[j] * m[j] for j in range(rs.rank))
         d = [Fraction(2 * c[j] * t[j], norm) for j in range(rs.rank)]
-        assert all(x.denominator == 1 for x in d), f"coroot of {c} is not integral"
+        if any(x.denominator != 1 for x in d):
+            raise ArithmeticError(f"coroot of {c} is not integral")
         out.append(tuple(int(x) for x in d))
     return tuple(out)

@@ -4,8 +4,10 @@ The library expands characters by Brauer straightening, decides linkage by
 closed-alcove normal forms, checks W-invariance by simple reflections and
 convolves on packed integer keys.  The oracles sum over, or search, the
 fully enumerated Weyl group, count whole orbits, or convolve on tuple keys,
-instead.  The last test rebinds ``generate`` so that
-any library call of it fails.
+instead.  Class expansions read off one product with the Weyl denominator
+are checked against straightening and peeling, and the denominator against
+the product of 1 - e^-alpha over the positive roots.  The last test rebinds
+``generate`` so that any library call of it fails.
 """
 
 import io
@@ -24,10 +26,13 @@ from steinberg import (
     block_decompose,
     build_root_system,
     char_to_class,
+    char_to_class_by_peeling,
+    contract_weights,
     dot_multiply,
     frobenius_contract_class,
     frobenius_twist,
     generate,
+    highest_root_index,
     linked,
     pr_block,
     require_w_invariant,
@@ -37,7 +42,7 @@ from steinberg import (
     tensor_delta_expansion,
     weyl_character,
 )
-from steinberg import characters
+from steinberg import characters, grothendieck
 from steinberg.characters import _kronecker, _slot_width
 from steinberg.cli import run
 
@@ -250,15 +255,16 @@ def test_kronecker_kernel_on_dense_products(rs, kernel_calls):
         assert kernel and prod._invariant_for is rs
     # The twist identity's products: St (x) Delta(lam)^(1) = Delta(p . lam).
     # On A2 and B2 the weights fill at most a third or a half of the box
-    # (one coset of the root lattice), so tensor keeps the pair loop here.
+    # (one coset of the root lattice), and the twisted factor is spread over
+    # a box p times wider; the kernel still runs, as its cost grows with the
+    # box per term of the larger factor, not per pair.
     for p in (5, 7):
         st = steinberg_character(rs, p)
         for lam in ((2, 0), (3, 3)):
             twisted = frobenius_twist(weyl_character(rs, lam), 1, p)
             prod, kernel = _both_paths_agree(st, twisted, kernel_calls)
             assert prod == weyl_character(rs, dot_multiply(p, lam))
-            assert prod._invariant_for is rs
-            assert kernel == (rs.series == "G")
+            assert kernel and prod._invariant_for is rs
 
 
 def test_kronecker_kernel_cancels_telescoping_products(kernel_calls):
@@ -300,13 +306,21 @@ def test_kronecker_slot_width_at_its_bounds(total, nbytes, kernel_calls):
 
 
 def test_kernel_cost_counts_slot_bytes(kernel_calls):
-    # 3 x 8 pairs against a box of 10 slots: 2-byte slots fit in 24 bytes,
-    # 4-byte slots do not, so the bound decides the path.
-    b = Character({(i,): 1 for i in range(8)})
-    for top, kernel in ((2**15 - 3, True), (2**15 - 2, False)):
-        a = Character({(0,): top, (1,): 1, (2,): 1})
-        prod, took = _both_paths_agree(a, b, kernel_calls)
-        assert took == kernel and prod.mult((2,)) == top + 2
+    # The kernel runs when slots * width * (|a| + 32) <= 512 * |a| * |b|.
+    # b is |b| ones at 0..|b|-1; a has |a| terms spread to d, so the box has
+    # d + |b| slots.  At each boundary d, 2-byte slots fit and d + 1 does
+    # not; a bound of 2^15 needs 4-byte slots, which fit at d4 and not at
+    # d4 + 1.
+    for na, nb, d, d4 in ((2, 3, 42, 19), (10, 12, 719, 353), (40, 41, 5790, 2874)):
+        b = Character({(i,): 1 for i in range(nb)})
+        assert 2 * (d + nb) * (na + 32) <= 512 * na * nb < 2 * (d + 1 + nb) * (na + 32)
+        assert 4 * (d4 + nb) * (na + 32) <= 512 * na * nb < 4 * (d4 + 1 + nb) * (na + 32)
+        for top, reach, kernel in ((2**15 - na, d, True), (2**15 - na, d + 1, False),
+                                   (2**15 - na + 1, d4, True), (2**15 - na + 1, d4 + 1, False)):
+            a = Character({(0,): top, **{(i,): 1 for i in range(1, na - 1)}, (reach,): 1})
+            prod, took = _both_paths_agree(a, b, kernel_calls)
+            assert took == kernel and prod.mult((0,)) == top
+            assert prod.mult((reach + nb - 1,)) == 1
 
 
 def test_sparse_boxes_take_the_pair_loop_and_keep_tags(monkeypatch):
@@ -326,6 +340,154 @@ def test_sparse_boxes_take_the_pair_loop_and_keep_tags(monkeypatch):
     prod = _convolution_agrees(sparse, weyl_character(rs, (0, 1)))
     assert prod._invariant_for is rs
     assert tensor(Character(sparse.items()), sparse)._invariant_for is None
+
+
+SMALL_TYPES = [key for key in TYPES if key[1] <= 3]
+
+
+@pytest.fixture
+def denominator_products(monkeypatch):
+    """Every product that ``grothendieck`` forms, as (left factor, right factor)."""
+    calls = []
+    real = grothendieck.tensor
+
+    def spy(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(grothendieck, "tensor", spy)
+    return calls
+
+
+@pytest.mark.parametrize("series,rank", SMALL_TYPES)
+def test_weyl_denominator_is_the_product_over_positive_roots(series, rank):
+    rs = build_root_system(series, rank)
+    zero = (0,) * rank
+    expected = Character({zero: 1})
+    for f in rs.positive_fund:
+        factor = Character({zero: 1, tuple(-x for x in f): -1})
+        expected = Character(oracles.convolve_naive(expected, factor))
+    d = grothendieck._weyl_denominator(rs)
+    assert d == expected
+    assert len(d) == oracles.weyl_order_formula(series, rank)
+    assert d._invariant_for is None
+
+
+def _brauer_inputs(rs):
+    """W-invariant characters of every kind the class routes meet, by name."""
+    rank = rs.rank
+    zero, rho = (0,) * rank, (1,) * rank
+    first, last = _fundamental(rs, 0), _fundamental(rs, rank - 1)
+    st = steinberg_character(rs, 3)
+    product = tensor(weyl_character(rs, first), weyl_character(rs, last))
+    # The highest root theta has the zero weight in its module with
+    # multiplicity m > 0, so Delta(theta) - m * Delta(0) has a class
+    # coefficient -m at 0, a dominant weight outside its support.
+    theta = rs.positive_fund[highest_root_index(rs)]
+    adjoint = weyl_character(rs, theta)
+    signed = adjoint - adjoint.mult(zero) * weyl_character(rs, zero)
+    assert signed.mult(zero) == 0 and signed
+    inputs = {
+        "trivial": weyl_character(rs, zero),
+        "fundamental": weyl_character(rs, last),
+        "rho": weyl_character(rs, rho),
+        "steinberg": st,
+        "product": product,
+        "steinberg product": tensor(st, product),
+        "twist product": tensor(st, frobenius_twist(weyl_character(rs, last), 1, 3)),
+        "signed": signed,
+        "signed product": tensor(signed, product) - 2 * product,
+        "contraction": contract_weights(tensor(st, product), 3),
+        "empty": Character(),
+        "tagged empty": product - product,
+    }
+    if rank <= 2:
+        inputs["large"] = weyl_character(rs, (4,) * rank)
+    return inputs
+
+
+@pytest.mark.parametrize("series,rank", SMALL_TYPES)
+def test_denominator_route_matches_straightening_and_peeling(
+        series, rank, monkeypatch, denominator_products):
+    rs = build_root_system(series, rank)
+    zero = (0,) * rank
+    inputs = _brauer_inputs(rs)
+    expected = {}
+    for name, chi in inputs.items():
+        expected[name] = grothendieck._straighten(rs, chi.items())
+        assert char_to_class_by_peeling(rs, chi) == expected[name], name
+        assert char_to_class(rs, chi) == expected[name], name
+    assert expected["signed"].coeff(zero) < 0
+    # Every nonempty input now takes the product with the Weyl denominator.
+    monkeypatch.setattr(grothendieck, "_TERMS_PER_ELEMENT", 0)
+    monkeypatch.setattr(grothendieck, "_SLOTS_PER_TERM", 10**9)
+    d = grothendieck._weyl_denominator(rs)
+    for name, chi in inputs.items():
+        del denominator_products[:]
+        assert char_to_class(rs, chi) == expected[name], name
+        assert denominator_products == ([(chi, d)] if chi else []), name
+    chi = inputs["steinberg product"]
+    for p in (2, 3):
+        weights = contract_weights(chi, p)
+        contracted = grothendieck._straighten(rs, weights.items())
+        del denominator_products[:]
+        assert frobenius_contract_class(rs, chi, p) == contracted
+        assert denominator_products == ([(weights, d)] if weights else [])
+        lams = set(contracted.support()) | {zero, (1,) * rank, (5,) * rank}
+        for lam in lams:
+            assert steinberg_delta_multiplicity(rs, chi, lam, p) == contracted.coeff(lam), lam
+
+
+@pytest.mark.parametrize("series", ["A", "B", "G"])
+def test_rank_two_steinberg_products_take_the_denominator_route(
+        series, monkeypatch, denominator_products):
+    rs = build_root_system(series, 2)
+    d = grothendieck._weyl_denominator(rs)
+    chis = [tensor(steinberg_character(rs, p), weyl_character(rs, (1, 1))) for p in (5, 7)]
+    contracted = [grothendieck._straighten(rs, contract_weights(chi, p).items())
+                  for chi, p in zip(chis, (5, 7))]
+    # From here on no route may straighten term by term.
+    monkeypatch.setattr(grothendieck, "_straighten", None)
+    for chi, p, expected in zip(chis, (5, 7), contracted):
+        del denominator_products[:]
+        expansion = char_to_class(rs, chi)
+        assert denominator_products == [(chi, d)]
+        assert expansion == char_to_class_by_peeling(rs, chi)
+        for lam in set(expected.support()) | {(0, 0), (2, 2)}:
+            assert steinberg_delta_multiplicity(rs, chi, lam, p) == expected.coeff(lam)
+
+
+@pytest.mark.parametrize("series,rank,pairs", [
+    ("D", 5, [(0, 0), (0, 4), (1, 3)]),
+    ("F", 4, [(0, 2), (2, 3), (3, 3)]),
+    ("B", 5, [(0, 4), (4, 4)]),
+    ("E", 6, [(0, 5)]),
+])
+def test_large_groups_keep_straightening(series, rank, pairs, monkeypatch):
+    # Products of two small fundamental characters have far fewer than
+    # 4 * |W| weights, so no class route builds the Weyl denominator.
+    def refuse(rs):
+        raise AssertionError(f"the Weyl denominator of {rs!r} was used")
+
+    monkeypatch.setattr(grothendieck, "_weyl_denominator", refuse)
+    rs = build_root_system(series, rank)
+    for i, j in pairs:
+        chi = tensor(weyl_character(rs, _fundamental(rs, i)), weyl_character(rs, _fundamental(rs, j)))
+        assert char_to_class(rs, chi) == grothendieck._straighten(rs, chi.items())
+        for p in (2, 3):
+            frobenius_contract_class(rs, chi, p)
+            steinberg_delta_multiplicity(rs, chi, (0,) * rank, p)
+
+
+def test_thin_boxes_keep_straightening(denominator_products):
+    # Delta(2,2,2,2) on A4 has 3081 weights, over 4 per element of W, but
+    # they fill under 1% of the 390625 slots of its product with the Weyl
+    # denominator, so char_to_class straightens it term by term.
+    rs = build_root_system("A", 4)
+    chi = weyl_character(rs, (2, 2, 2, 2))
+    assert len(chi) >= 4 * 120
+    assert char_to_class(rs, chi) == grothendieck._straighten(rs, chi.items())
+    assert not denominator_products
 
 
 @pytest.mark.parametrize("series,rank", [("E", 6), ("G", 2)])
