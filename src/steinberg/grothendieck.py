@@ -21,10 +21,10 @@ from operator import mul
 
 from .characters import (
     Character,
+    _convolve,
     _Sparse,
     contract_weights,
     require_w_invariant,
-    tensor,
     weyl_character,
 )
 from .errors import DomainError
@@ -38,7 +38,7 @@ from .rootdata import (
     require_in_lattice,
     require_steinberg_configuration,
 )
-from .weyl import descend_orbit, dot_dominant, make_dominant, weyl_group_order
+from .weyl import descend_orbit, dot_dominant, weyl_group_order
 
 
 class KElement(_Sparse):
@@ -102,15 +102,12 @@ def _weyl_denominator(rs: RootSystem) -> Character:
     """Weyl's denominator prod over alpha > 0 of (1 - e^-alpha), as a character.
 
     By the denominator formula it equals sum_w sgn(w) * e^(w rho - rho): one
-    term per element of W, since rho is regular.  The sign is that of the
-    walk carrying w rho back to rho.  The value is not W-invariant, so it
+    term per element of W, since rho is regular, with the sign of the
+    orbit walk (``descend_orbit``).  The value is not W-invariant, so it
     carries no tag.
     """
-    out = {}
-    for w, _ in descend_orbit(rs, rs.rho, 0, (0,) * rs.rank):
-        _, sign = make_dominant(rs, w)
-        out[tuple(x - 1 for x in w)] = sign
-    return Character._raw(out)
+    walk = descend_orbit(rs, rs.rho, 0, (0,) * rs.rank)
+    return Character._raw({tuple(x - 1 for x in w): sign for w, _, sign in walk})
 
 
 def _few_elements(rs: RootSystem, terms: int) -> bool:
@@ -125,11 +122,12 @@ def _brauer(rs: RootSystem, chi: Character) -> KElement:
     and by W-invariance chi(w . lam) = chi(lam + rho - w^-1 rho): the
     coefficient at lam of chi * D, with D the Weyl denominator.  When |W|
     is small against |chi| and the product's box is dense, the class is the
-    dominant part of that one product (``tensor``, which then takes its
-    Kronecker kernel); otherwise each term of chi is straightened by itself
-    (``_straighten``).  Measured on A2, B2, G2, A3, B3, C3, A4, B4, C4 and
-    D4 (Weyl characters and products), the product wins below about 9 box
-    slots per term of chi on rank 2, and never at rank 4, where a
+    dominant part of that one product: ``tensor``'s convolution
+    (``_convolve``) takes its Kronecker kernel and reads back only the slots
+    of dominant weights.  Otherwise each term of chi is straightened by
+    itself (``_straighten``).  Measured on A2, B2, G2, A3, B3, C3, A4, B4,
+    C4 and D4 (Weyl characters and products), the product wins below about
+    9 box slots per term of chi on rank 2, and never at rank 4, where a
     W-invariant character fills its box too thinly.
     """
     if _few_elements(rs, len(chi)):
@@ -138,8 +136,7 @@ def _brauer(rs: RootSystem, chi: Character) -> KElement:
         for x, y in zip(zip(*chi.support()), zip(*d.support())):
             slots *= max(x) - min(x) + max(y) - min(y) + 1
         if slots <= _SLOTS_PER_TERM * len(chi):
-            prod = tensor(chi, d)
-            return KElement._raw({w: m for w, m in prod.items() if min(w) >= 0})
+            return KElement._raw(_convolve(chi, d, (0,) * rs.rank))
     return _straighten(rs, chi.items())
 
 

@@ -1,0 +1,147 @@
+"""Kronecker substitution: a character as one big integer of fixed-width slots.
+
+A finitely supported map from a box of weights to integers is written into
+one int: the box's weights are numbered by their packed key (``_strides``,
+the last coordinate fastest), and slot k, a field of 2, 4 or 8 bytes, holds
+the value at key k.  Adding shifted copies of such ints then convolves
+(``_kronecker``), and ``characters._weyl_formula`` divides by the Weyl
+denominator on one of them.  On every machine slot k is the field at bit
+b*k of the int, so shifting an int up by s slots adds s to every key.  The
+ints cross to byte buffers in little-endian order and are read and written
+slot by slot through native arrays; a big-endian machine swaps the bytes of
+each slot on the way (``_from_slots``, ``_to_slots``).
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from itertools import compress, product
+from operator import mul
+
+
+def _strides(widths) -> list:
+    # Mixed-radix place values, the last coordinate fastest: coordinate j is
+    # a digit in [0, widths[j]).
+    strides, s = [], 1
+    for n in reversed(widths):
+        strides.append(s)
+        s *= n
+    return strides[::-1]
+
+
+# Slot widths, narrowest first: (bytes, memoryview format).
+_SLOT_WIDTHS = ((2, "h"), (4, "i"), (8, "q"))
+
+
+def _slot_width(bound: int):
+    """The narrowest (bytes, format) slot for coefficients |c| <= bound, or None.
+
+    A slot of b bits holds c + 2^(b-1) for every |c| <= bound exactly when
+    bound < 2^(b-1).
+    """
+    for nbytes, fmt in _SLOT_WIDTHS:
+        if bound < 1 << (8 * nbytes - 1):
+            return nbytes, fmt
+    return None
+
+
+# Native arrays of slots need their bytes swapped to be read as little-endian.
+_SWAP = sys.byteorder == "big"
+if _SWAP:
+    from array import array
+
+
+def _from_slots(buf, fmt: str) -> int:
+    # The int whose slot k is slot k of a native buffer.
+    if _SWAP:
+        buf = array(fmt, buf)
+        buf.byteswap()
+    return int.from_bytes(buf, "little")
+
+
+def _to_slots(value: int, n: int, nbytes: int, fmt: str):
+    # The n slots of value, as a native sequence.
+    buf = value.to_bytes(n * nbytes, "little")
+    if _SWAP:
+        slots = array(fmt, buf)
+        slots.byteswap()
+        return slots
+    return memoryview(buf).cast(fmt)
+
+
+def _slot_int(items, nbytes: int, fmt: str):
+    # (slot count, the int whose slot k holds m) for packed items (k, m).
+    n = max(items)[0] + 1
+    pos, neg = bytearray(n * nbytes), bytearray(n * nbytes)
+    with memoryview(pos).cast(fmt) as up, memoryview(neg).cast(fmt) as down:
+        for k, m in items:
+            if m > 0:
+                up[k] = m
+            else:
+                down[k] = -m
+    return n, _from_slots(pos, fmt) - _from_slots(neg, fmt)
+
+
+def _read_slots(value: int, nbytes: int, fmt: str, ranges, floor=None) -> dict:
+    """The nonzero slots of value, as {weight: signed coefficient}.
+
+    Slot k, the field of nbytes at bit 8*nbytes*k of value, holds the
+    coefficient at the k-th weight of the box with coordinate ranges
+    ``ranges``, the last coordinate fastest.  With
+    ``floor``, only the sub-box of weights >= floor in every coordinate is
+    read: one contiguous row of slots per value of the leading coordinates.
+    """
+    n = math.prod(map(len, ranges))
+    slots = _to_slots(value, n, nbytes, fmt)
+    if floor is None:
+        vals = slots.tolist()
+    else:
+        keep = [r[max(f - r.start, 0):] for r, f in zip(ranges, floor)]
+        strides = _strides([len(r) for r in ranges])
+        first = sum((r.start - full.start) * s for r, full, s in zip(keep, ranges, strides))
+        row = len(keep[-1])
+        vals = []
+        for head in product(*(range(len(r)) for r in keep[:-1])):
+            k = first + sum(map(mul, head, strides))
+            vals += slots[k:k + row].tolist()
+        ranges = keep
+    return dict(compress(zip(product(*ranges), vals), vals))
+
+
+def _kronecker(aitems, bitems, ranges, bound: int, floor=None) -> dict:
+    """Convolve two packed factors by shifting and adding one big integer.
+
+    ``aitems`` and ``bitems`` are (key, multiplicity) pairs, keyed in the box
+    of the product with the last coordinate varying fastest, each relative
+    to its own factor's minimum; ``ranges`` are the product's coordinate
+    ranges, and ``bound`` is at least every |coefficient| of the product.
+    The second factor becomes one int y, slot k (a fixed-width field of 2, 4
+    or 8 bytes) holding its multiplicity at key k.  For each term (k, m) of
+    the first factor, m * y shifted up by k slots is added in, so the sum
+    holds the convolution in its slots: one pass over y per term, where a
+    product of two full ints would cost a Karatsuba multiplication.  A bias
+    of 2^(b-1) added to every slot of b bits makes each slot hold
+    c + 2^(b-1), in [0, 2^b) because |c| <= bound < 2^(b-1): no slot carries
+    into the next, so the slots read back as the product's coefficients.
+
+    Slot k has place value 2^(b*k), so the shift for key k is k slots.
+    With top the first factor's largest key and nb the second's slot count,
+    the sum fills n = top + nb slots, at most the box's; the slots above
+    them read back as zero.  With ``floor``, only the product's terms at
+    weights >= floor are read back (``_read_slots``).
+    """
+    width = _slot_width(bound)
+    if width is None:
+        raise ArithmeticError(f"convolution bound {bound} does not fit a 64-bit slot")
+    nbytes, fmt = width
+    nb, y = _slot_int(bitems, nbytes, fmt)
+    top = max(aitems)[0]
+    n = top + nb
+    bits = 8 * nbytes
+    acc = 0
+    for k, m in aitems:
+        acc += m * y << bits * k
+    bias = int.from_bytes((1 << (bits - 1)).to_bytes(nbytes, "little") * n, "little")
+    # Flipping each slot's top bit turns c + 2^(b-1) into c in two's complement.
+    return _read_slots((acc + bias) ^ bias, nbytes, fmt, ranges, floor)

@@ -114,11 +114,11 @@ def weyl_group_order(rs: RootSystem) -> int:
 def weyl_orbit(rs: RootSystem, weight) -> list:
     """Full linear Weyl orbit of a weight, each element listed once."""
     top, _ = make_dominant(rs, weight)
-    return [w for w, _ in descend_orbit(rs, top, 0, (0,) * rs.rank)]
+    return [w for w, _, _ in descend_orbit(rs, top, 0, (0,) * rs.rank)]
 
 
 def descend_orbit(rs: RootSystem, top, key, steps) -> list:
-    """The orbit of a dominant weight as (weight, key) pairs, dominant first.
+    """The orbit of a dominant weight as (weight, key, sign) triples, dominant first.
 
     Walks the dominant descent tree (Snow, *Weyl group orbits*, ACM TOMS
     1990): s_i w is a child of w when w_i > 0 and every coordinate of s_i w
@@ -126,16 +126,19 @@ def descend_orbit(rs: RootSystem, top, key, steps) -> list:
     reflection at its first negative coordinate, so each element is reached
     once and no seen-set is needed.  A key affine in the weight rides
     along: key(s_i w) = key(w) - w_i * steps[i], where steps[i] is the key
-    step of alpha_i.
+    step of alpha_i.  The sign is (-1)^depth in the tree.  Each step
+    reflects a weight in a wall it lies strictly on the positive side of,
+    so for a regular top the depth of w * top is the length of w, and the
+    sign is sgn(w).
     """
     simple = rs.positive_fund[:rs.rank]  # alpha_i in fundamental coordinates
-    walk = [(top, key)]
-    for w, k in walk:
+    walk = [(top, key, 1)]
+    for w, k, s in walk:
         for i, x in enumerate(w):
             if x > 0:
                 child = tuple([a - x * c for a, c in zip(w, simple[i])])
                 if i == 0 or min(child[:i]) >= 0:
-                    walk.append((child, k - x * steps[i]))
+                    walk.append((child, k - x * steps[i], -s))
     return walk
 
 

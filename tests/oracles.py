@@ -31,6 +31,12 @@ ROOT_TABLES = {
         ((1, 1), (2, 1)),
         ((1, 2), (1, 1)),
     ],
+    ("C", 2): [
+        ((1, 0), (1, 0)),
+        ((0, 1), (0, 1)),
+        ((1, 1), (1, 2)),
+        ((2, 1), (1, 1)),
+    ],
     ("G", 2): [
         ((1, 0), (1, 0)),
         ((0, 1), (0, 1)),
@@ -53,6 +59,7 @@ CARTAN_INVERSES = {
     ("A", 1): [[Fraction(1, 2)]],
     ("A", 2): [[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]],
     ("B", 2): [[Fraction(1), Fraction(1, 2)], [Fraction(1), Fraction(1)]],
+    ("C", 2): [[Fraction(1), Fraction(1)], [Fraction(1, 2), Fraction(1)]],
     ("G", 2): [[Fraction(2), Fraction(3)], [Fraction(1), Fraction(2)]],
 }
 

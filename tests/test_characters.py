@@ -13,6 +13,7 @@ from steinberg import (
     KElement,
     Lattice,
     build_root_system,
+    char_to_class,
     class_to_char,
     contract_weights,
     dot_multiply,
@@ -41,6 +42,34 @@ def test_a1_weyl_characters_match_rank_one_theory():
         assert dict(weyl_character(A1, (m,)).items()) == oracles.a1_weyl_character_weights(m)
     with pytest.raises(DomainError):
         weyl_character(A1, (-1,))
+
+
+def test_non_integer_highest_weights_never_reach_the_cache():
+    # A float or bool coordinate used to be cached under a key equal to the
+    # int weight's, so the int call that followed returned float weights.
+    weyl_character.cache_clear()
+    for bad in ((1.0, 0), (True, 0), (1, False), (1, 0.0), (Fraction(1), 0)):
+        with pytest.raises(DomainError):
+            weyl_character(G2, bad)
+    chi = weyl_character(G2, (1, 0))
+    assert all(type(x) is int for w in chi.support() for x in w)
+    assert type(chi.dim()) is int and chi.dim() == 7
+    assert chi.to_dict() == {"weights": [{"w": list(w), "mult": 1} for w in sorted(chi.support())]}
+    assert all(type(x) is int for e in chi.to_dict()["weights"] for x in e["w"])
+    assert repr(char_to_class(G2, chi)) == "KElement({[1, 0]:1})"
+
+
+def test_mixed_ranks_are_rejected():
+    with pytest.raises(DomainError):
+        Character({(1,): 1, (1, 2): 1})
+    with pytest.raises(DomainError):
+        Character([((1, 2), 1), ((1,), -1)])
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(DomainError):
+            op(Character({(1,): 1}), Character({(1, 2): 1}))
+        # An empty value has no rank, and a zero multiplicity is no weight.
+        assert op(Character(), Character({(1, 2): 1})).dim() in (1, -1)
+    assert Character({(1,): 0, (1, 2): 1}) == Character({(1, 2): 1})
 
 
 def test_a2_adjoint_character():

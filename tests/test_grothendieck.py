@@ -61,6 +61,15 @@ def test_kelement_rejects_non_dominant_support():
     assert not KElement({(2,): 0})
 
 
+def test_kelement_rejects_mixed_ranks():
+    with pytest.raises(DomainError):
+        KElement({(1,): 1, (1, 2): 1})
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(DomainError):
+            op(KElement({(1,): 1}), KElement({(1, 2): 1}))
+        assert op(KElement({(1, 2): 2}), KElement()) == KElement({(1, 2): 2})
+
+
 def test_char_to_class_on_basis_elements():
     for rs, lam in [(A1, (4,)), (A2, (2, 1)), (B2, (1, 2)), (G2, (1, 1))]:
         assert char_to_class(rs, weyl_character(rs, lam)) == KElement({lam: 1})

@@ -6,8 +6,10 @@ convolves on packed integer keys.  The oracles sum over, or search, the
 fully enumerated Weyl group, count whole orbits, or convolve on tuple keys,
 instead.  Class expansions read off one product with the Weyl denominator
 are checked against straightening and peeling, and the denominator against
-the product of 1 - e^-alpha over the positive roots.  The last test rebinds
-``generate`` so that any library call of it fails.
+the product of 1 - e^-alpha over the positive roots.  Weyl characters from
+Weyl's character formula are checked against the partition-function formula
+and Freudenthal's recursion, with the route each input takes.  The last
+test rebinds ``generate`` so that any library call of it fails.
 """
 
 import io
@@ -44,6 +46,7 @@ from steinberg import (
 )
 from steinberg import characters, grothendieck
 from steinberg.characters import _kronecker, _slot_width
+from steinberg.kronecker import _read_slots, _slot_int
 from steinberg.cli import run
 
 TYPES = sorted(oracles.POSITIVE_ROOT_COUNTS)
@@ -53,7 +56,11 @@ LARGE_ORDER = 6000
 
 
 def _fundamental(rs, i):
-    return tuple(1 if j == i else 0 for j in range(rs.rank))
+    return _fundamental_of(rs.rank, i)
+
+
+def _fundamental_of(rank, i):
+    return tuple(1 if j == i else 0 for j in range(rank))
 
 
 def _linked_image(rng, rs, group, lam, p):
@@ -196,12 +203,12 @@ def test_tensor_matches_tuple_convolution(rank):
             tensor(a, _random_character(rng, rank + 1))
 
 
-def _kernel_direct(a, b, bound=None) -> dict:
+def _kernel_direct(a, b, bound=None, floor=None) -> dict:
     """``_kronecker`` on a and b, packed in the layout ``tensor`` uses.
 
     Keys count the product's box with the last coordinate fastest, each
     factor's key relative to its own minimum.  The bound defaults to
-    sum|a| * max|b|.
+    sum|a| * max|b|; a floor keeps the weights >= floor only.
     """
     cols_a, cols_b = list(zip(*a.support())), list(zip(*b.support()))
     lo_a, lo_b = [min(c) for c in cols_a], [min(c) for c in cols_b]
@@ -214,7 +221,7 @@ def _kernel_direct(a, b, bound=None) -> dict:
     if bound is None:
         bound = sum(abs(m) for _, m in a.items()) * max(abs(m) for _, m in b.items())
     ranges = [range(l + k, l + k + n) for l, k, n in zip(lo_a, lo_b, widths)]
-    return _kronecker(packed(a, lo_a), packed(b, lo_b), ranges, bound)
+    return _kronecker(packed(a, lo_a), packed(b, lo_b), ranges, bound, floor)
 
 
 @pytest.fixture
@@ -223,9 +230,9 @@ def kernel_calls(monkeypatch):
     calls = []
     real = characters._kronecker
 
-    def spy(aitems, bitems, ranges, bound):
+    def spy(aitems, bitems, ranges, bound, floor=None):
         calls.append(bound)
-        return real(aitems, bitems, ranges, bound)
+        return real(aitems, bitems, ranges, bound, floor)
 
     monkeypatch.setattr(characters, "_kronecker", spy)
     return calls
@@ -265,6 +272,24 @@ def test_kronecker_kernel_on_dense_products(rs, kernel_calls):
             prod, kernel = _both_paths_agree(st, twisted, kernel_calls)
             assert prod == weyl_character(rs, dot_multiply(p, lam))
             assert kernel and prod._invariant_for is rs
+
+
+@pytest.mark.parametrize("nbytes,fmt", [(2, "h"), (4, "i"), (8, "q")])
+def test_slot_k_is_the_field_at_bit_b_times_k(nbytes, fmt):
+    # The layout both the kernel and Weyl's formula shift by, whatever the
+    # machine's byte order: slot k of an int has place value 2^(b*k).
+    rng = random.Random(f"slots/{nbytes}")
+    bits, top = 8 * nbytes, (1 << (8 * nbytes - 1)) - 1
+    for _ in range(20):
+        items = dict((rng.randrange(30), rng.randint(-top, top)) for _ in range(12))
+        n, value = _slot_int(list(items.items()), nbytes, fmt)
+        assert n == max(items) + 1
+        assert value == sum(m << bits * k for k, m in items.items())
+        # Nonnegative slots read back unchanged, in a box of 5 x 7 slots.
+        kept = {k: abs(m) for k, m in items.items() if m}
+        packed = sum(m << bits * k for k, m in kept.items())
+        assert _read_slots(packed, nbytes, fmt, [range(2, 7), range(-3, 4)]) == {
+            (2 + k // 7, -3 + k % 7): m for k, m in kept.items()}
 
 
 def test_kronecker_kernel_cancels_telescoping_products(kernel_calls):
@@ -347,15 +372,20 @@ SMALL_TYPES = [key for key in TYPES if key[1] <= 3]
 
 @pytest.fixture
 def denominator_products(monkeypatch):
-    """Every product that ``grothendieck`` forms, as (left factor, right factor)."""
+    """Every product that ``grothendieck`` forms, as (left factor, right factor).
+
+    The class routes form only the dominant part of a product, with
+    ``characters._convolve``; each such call must ask for weights >= 0.
+    """
     calls = []
-    real = grothendieck.tensor
+    real = grothendieck._convolve
 
-    def spy(a, b):
+    def spy(a, b, floor=None):
+        assert floor and not any(floor)
         calls.append((a, b))
-        return real(a, b)
+        return real(a, b, floor)
 
-    monkeypatch.setattr(grothendieck, "tensor", spy)
+    monkeypatch.setattr(grothendieck, "_convolve", spy)
     return calls
 
 
@@ -488,6 +518,126 @@ def test_thin_boxes_keep_straightening(denominator_products):
     assert len(chi) >= 4 * 120
     assert char_to_class(rs, chi) == grothendieck._straighten(rs, chi.items())
     assert not denominator_products
+
+
+def test_dominant_part_of_a_product_reads_only_its_sub_box(monkeypatch):
+    # The class routes ask _convolve for the weights >= floor only; on both
+    # kernels that must be the product restricted to them.
+    rng = random.Random("floor")
+    for rank in (1, 2, 3):
+        for i in range(8):
+            a, b = _random_character(rng, rank), _random_character(rng, rank)
+            if i % 2:
+                # Spread over a box 7 times wider: the pair loop's case.
+                a = frobenius_twist(a, 1, 7)
+            full = dict(tensor(a, b).items())
+            for floor in ((0,) * rank, (-2,) * rank, (-20,) * rank, (9,) * rank,
+                          tuple(rng.randint(-4, 4) for _ in range(rank))):
+                kept = {w: m for w, m in full.items() if all(x >= f for x, f in zip(w, floor))}
+                assert characters._convolve(a, b, floor) == kept, (a, b, floor)
+                if a and b:
+                    assert _kernel_direct(a, b, floor=floor) == kept, (a, b, floor)
+
+
+RANK_AT_MOST_TWO = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2)]
+
+
+def _route_weights(rs):
+    """0, the fundamentals, rho, the twist sweep's largest weights and random ones."""
+    rank = rs.rank
+    rng = random.Random(f"route/{rs.series}{rank}")
+    big = [(27,), (6,)] if rank == 1 else [(27, 6), (6, 27)]
+    weights = [(0,) * rank, (1,) * rank, *(_fundamental(rs, i) for i in range(rank)), *big]
+    weights += [tuple(rng.randint(0, 9) for _ in range(rank)) for _ in range(6)]
+    return weights
+
+
+@pytest.mark.parametrize("series,rank", RANK_AT_MOST_TWO)
+def test_weyl_formula_matches_partition_oracle_and_freudenthal(series, rank, monkeypatch):
+    rs = build_root_system(series, rank)
+    group = generate(rs)
+    monkeypatch.setattr(characters, "_SLOTS_PER_DIM", math.inf)
+    for lam in _route_weights(rs):
+        route = characters._weyl_formula(rs, lam)
+        assert route == characters._freudenthal(rs, lam), lam
+        assert dict(weyl_character(rs, lam).items()) == route, lam
+        assert sum(route.values()) == oracles.weyl_dimension(series, rank, lam)
+        # The partition-function oracle takes 5 to 10 s on G2's largest two.
+        if series != "G" or max(lam) < 20:
+            assert route == oracles.character_by_weyl_sum(rs, group, lam), lam
+
+
+def test_weyl_formula_on_a1_matches_rank_one_theory(monkeypatch):
+    rs = build_root_system("A", 1)
+    # A1's box has 2m + 3 slots for dim m + 1, so every weight takes the route.
+    for m in range(40):
+        assert characters._weyl_formula(rs, (m,)) == oracles.a1_weyl_character_weights(m)
+    monkeypatch.setattr(characters, "_freudenthal", None)
+    for m in range(40):
+        assert dict(weyl_character.__wrapped__(rs, (m,)).items()) == (
+            oracles.a1_weyl_character_weights(m))
+
+
+@pytest.fixture
+def slot_widths(monkeypatch):
+    """The slot width in bytes of every ``_read_slots`` call."""
+    widths = []
+    real = characters._read_slots
+
+    def spy(value, nbytes, *rest):
+        widths.append(nbytes)
+        return real(value, nbytes, *rest)
+
+    monkeypatch.setattr(characters, "_read_slots", spy)
+    return widths
+
+
+def test_weyl_formula_widens_its_slots_with_the_dimension(slot_widths):
+    # Multiplicities are at most dim, and dim < 2^(b-1) picks b: A2's (30, 30)
+    # has dim 29791 < 2^15, (31, 31) has 2^15 exactly, and (40, 40) has 68921,
+    # over 2^16.
+    rs = build_root_system("A", 2)
+    for lam, dim, nbytes in (((30, 30), 29791, 2), ((31, 31), 2**15, 4), ((40, 40), 68921, 4)):
+        assert oracles.weyl_dimension("A", 2, lam) == dim
+        del slot_widths[:]
+        route = weyl_character.__wrapped__(rs, lam)
+        assert slot_widths == [nbytes], lam
+        assert dict(route.items()) == characters._freudenthal(rs, lam)
+        assert route.dim() == dim
+    assert dim > 2**16
+
+
+@pytest.mark.parametrize("series", ["A", "B", "G"])
+def test_twist_sweep_weights_take_weyls_formula(series, monkeypatch):
+    # Every p . lam of the benchmark's twist sweep (|lam| <= 3, p <= 7).
+    rs = build_root_system(series, 2)
+    weights = {dot_multiply(p, (a, b)) for p in (2, 3, 5, 7) for a in range(4) for b in range(4 - a)}
+    expected = {lam: characters._freudenthal(rs, lam) for lam in weights}
+    monkeypatch.setattr(characters, "_freudenthal", None)
+    for lam in weights:
+        assert dict(weyl_character.__wrapped__(rs, lam).items()) == expected[lam], lam
+
+
+@pytest.mark.parametrize("series,rank,weights", [
+    ("D", 5, [_fundamental_of(5, i) for i in (0, 1, 3, 4)]),
+    ("F", 4, [_fundamental_of(4, i) for i in (0, 2, 3)]),
+    ("B", 5, [_fundamental_of(5, i) for i in (0, 4)]),
+    ("E", 6, [_fundamental_of(6, i) for i in (0, 5)]),
+    ("A", 3, [(0, 0, 0), (1, 1, 1), (3, 2, 3), (0, 4, 1)]),
+    ("B", 3, [(0, 0, 0), (1, 1, 1), (3, 2, 3), (2, 0, 4)]),
+    ("C", 3, [(0, 0, 0), (1, 1, 1), (3, 2, 3), (4, 1, 0)]),
+], ids=["D5", "F4", "B5", "E6", "A3", "B3", "C3"])
+def test_rank_three_and_up_keep_freudenthal(series, rank, weights, monkeypatch):
+    # Weyl's formula is many times slower there, so it must never run.
+    def refuse(rs, *args):
+        raise AssertionError(f"Weyl's character formula ran on {rs!r}")
+
+    monkeypatch.setattr(characters, "_weyl_formula", refuse)
+    rs = build_root_system(series, rank)
+    for lam in weights:
+        chi = weyl_character.__wrapped__(rs, lam)
+        assert chi.dim() == characters._weyl_dimension(rs, lam), lam
+        assert chi == weyl_character(rs, lam)
 
 
 @pytest.mark.parametrize("series,rank", [("E", 6), ("G", 2)])

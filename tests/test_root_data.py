@@ -36,7 +36,7 @@ def test_a1_forced_data():
     assert rs.rho == (1,)
 
 
-@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2)])
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("C", 2), ("G", 2)])
 def test_rank_two_root_tables(series, rank):
     rs = build_root_system(series, rank)
     table = oracles.ROOT_TABLES[(series, rank)]
