@@ -28,16 +28,31 @@ one shifted C-speed add of it per term of the smaller factor.  Weyl's
 character formula uses the same slot integers: it divides by each factor
 1 - e^-alpha of the denominator with a few shifted adds, exactly modulo
 2^(b*n) for n slots of b bits.
+
+The slot-integer layer pays for what the answer holds, not for its box:
+keys are packed a column of coordinates at a time; a product asked only for
+the weights >= a floor packs only the terms that can reach it; reading an
+int back builds a weight only for an occupied slot; and Weyl's formula
+starts from 2-byte slots, widening only when its multiplicities fail to sum
+to dim, which is how an overflowing slot shows.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import ge, mul
+from operator import ge, mul, sub
 
 from .errors import DomainError
-from .kronecker import _kronecker, _read_slots, _slot_width, _strides
+from .kronecker import (
+    _SLOT_WIDTHS,
+    _kronecker,
+    _packed,
+    _reaching,
+    _read_slots,
+    _slot_width,
+    _strides,
+)
 from .rootdata import (
     Lattice,
     RootSystem,
@@ -269,7 +284,6 @@ _WEYL_CACHE_SIZE = 512
 _SLOTS_PER_DIM = 12
 
 
-@lru_cache(maxsize=_WEYL_CACHE_SIZE)
 def weyl_character(rs: RootSystem, highest) -> Character:
     """Character of the Weyl module with the given dominant highest weight.
 
@@ -278,22 +292,31 @@ def weyl_character(rs: RootSystem, highest) -> Character:
     the module's dimension, the character is one exact division by the Weyl
     denominator on a slot integer: modulo 2^(b*n) for n slots of b bits,
     where each factor 1 - x^u of the denominator is odd, hence invertible,
-    and the character's multiplicities (at most dim < 2^(b-1)) are the
-    residue's slots.  Every other input runs Freudenthal's recursion
-    (``_freudenthal``).  Measured on A2, B2, C2 and G2 (best of 40 runs,
-    2-vCPU Xeon, Python 3.11), the division won on every weight with at
-    most 12 slots per unit of dim, by 1.2 to 2.4x near that bound and 3.1
-    to 6.2x on the weights (p - 1) rho + p lam (|lam| <= 3) of the
-    Steinberg twist at p = 5, 7; the two tie near 15, and above it
-    Freudenthal wins by up to 2.3x (under 0.05 ms), on modules of dim 7 or
-    less.  On A3, B3 and C3 the division was 1.1 to 3.4 times slower on
-    every weight of [0, 3]^3 sampled, and on rank 4 22 to 255 times, as the
-    box of W(lam + rho) - rho is then mostly empty.
+    and the character's multiplicities are the residue's slots when they
+    fit b bits, which the multiplicities summing to dim certifies.  Every
+    other input runs Freudenthal's recursion (``_freudenthal``).  Measured
+    on A2, B2, C2 and G2 (best of 40 runs, 2-vCPU Xeon, Python 3.11), the
+    division won on every weight with at most 12 slots per unit of dim, by
+    1.2 to 2.4x near that bound and 3.1 to 6.2x on the weights
+    (p - 1) rho + p lam (|lam| <= 3) of the Steinberg twist at p = 5, 7;
+    the two tie near 15, and above it Freudenthal wins by up to 2.3x (under
+    0.05 ms), on modules of dim 7 or less.  On A3, B3 and C3 the division
+    was 1.1 to 3.4 times slower on every weight of [0, 3]^3 sampled, and on
+    rank 4 22 to 255 times, as the box of W(lam + rho) - rho is then mostly
+    empty.
 
-    Coordinates must be ints (not bools), checked before either route runs
-    so that no other value is cached.  An equal key of another type can
-    still hit the cache entry of an int weight, whose value is all ints.
+    Characters are kept in a least-recently-used cache of 512 entries.
+    ``cache_info`` and ``cache_clear`` are the cache's, and ``__wrapped__``
+    is the uncached computation, as for ``functools.lru_cache``.  The
+    weight is checked on every call, before the cache is looked up:
+    coordinates must be ints (not bools), so a float or bool weight that
+    equals a cached int weight is rejected, not answered from the cache.
     """
+    return _cached_weyl_character(rs, _dominant_weight(rs, highest))
+
+
+def _dominant_weight(rs: RootSystem, highest) -> tuple:
+    # highest as a tuple of ints, or DomainError.
     highest = tuple(highest)
     if len(highest) != rs.rank:
         raise DomainError(f"weight {list(highest)} has wrong rank for {rs!r}")
@@ -301,11 +324,23 @@ def weyl_character(rs: RootSystem, highest) -> Character:
         _strict_int(x, DomainError)
     if not is_dominant(highest):
         raise DomainError(f"weight {list(highest)} is not dominant")
+    return highest
+
+
+def _weyl_character(rs: RootSystem, highest) -> Character:
+    # weyl_character without its cache.
+    highest = _dominant_weight(rs, highest)
     if rs.rank <= 2:
         terms = _weyl_formula(rs, highest)
         if terms is not None:
             return Character._raw(terms, rs)
     return Character._raw(_freudenthal(rs, highest), rs)
+
+
+_cached_weyl_character = lru_cache(maxsize=_WEYL_CACHE_SIZE)(_weyl_character)
+weyl_character.cache_info = _cached_weyl_character.cache_info
+weyl_character.cache_clear = _cached_weyl_character.cache_clear
+weyl_character.__wrapped__ = _weyl_character
 
 
 def _weyl_dimension(rs: RootSystem, highest) -> int:
@@ -331,7 +366,7 @@ def _weyl_formula(rs: RootSystem, highest):
     dominant mu; so the box holds W lam, and with it every weight of the
     module.  With the packed key of ``tensor`` as exponent, a weight becomes
     a power x^k with k in [0, n) for the box's n slots.  Returns None when
-    n > _SLOTS_PER_DIM * dim, or dim does not fit a 64-bit slot.
+    n > _SLOTS_PER_DIM * dim, or when even 64-bit slots overflow.
 
     Division by D is exact modulo 2^(b*n), where x = 2^b and slot k of an
     int (``kronecker``) holds the coefficient of x^k.  With t the key step
@@ -339,49 +374,59 @@ def _weyl_formula(rs: RootSystem, highest):
     -t slots and a sign.  Every 1 - x^u (u > 0) is odd, hence a unit modulo
     2^(b*n), and its inverse there is sum over k < K of x^(k*u) for any
     K*u >= n, which is (1 + x^u)(1 + x^2u)(1 + x^4u)... by doubling, masked
-    to n slots after each step.  The residue is therefore exactly chi evaluated at
-    x = 2^b, whose slots hold multiplicities in [0, dim], and dim fits b
-    bits (``_slot_width``): carries between slots in the intermediate
-    values cancel out.  The key steps of the roots are nonzero, as each
-    root coordinate is smaller in size than the box's width there.
+    to n slots after each step.  The residue is therefore exactly chi
+    evaluated at x = 2^b, modulo 2^(b*n), for every b: carries between
+    slots in the intermediate values cancel out.  The key steps of the
+    roots are nonzero, as each root coordinate is smaller in size than the
+    box's width there.
 
-    Multiplicities that do not sum to dim (Weyl's dimension formula) raise
-    ArithmeticError.
+    Width rule and sum certificate: b starts at 16 bits and doubles to 32
+    and 64 only while the decoded multiplicities do not sum to dim (Weyl's
+    dimension formula).  Multiplicities are >= 0, so writing chi(2^b) in
+    base 2^b, each carry from a slot into the next lowers the digit sum by
+    2^b - 1, a carry out of the top slot is cut off by the modulus, and a
+    slot of 2^(b-1) or more reads as negative, 2^b lower: the sum is dim
+    exactly when every multiplicity is below 2^(b-1), and then the slots are
+    the multiplicities.  The largest multiplicity is far below dim (17913,
+    at G2's (6, 27) of dim about 3.2 * 10^7), so 16 bits nearly always do.
+    A wrong sum at a width that holds dim itself, where no slot can
+    overflow, raises ArithmeticError.
     """
     dim = _weyl_dimension(rs, highest)
-    width = _slot_width(dim)
     walk = descend_orbit(rs, tuple(x + 1 for x in highest), 0, (0,) * rs.rank)
     cols = list(zip(*(w for w, _, _ in walk)))
     ranges = [range(min(col) - 1, max(col)) for col in cols]
     widths = [len(r) for r in ranges]
     n = math.prod(widths)
-    if width is None or n > _SLOTS_PER_DIM * dim:
+    if n > _SLOTS_PER_DIM * dim:
         return None
-    nbytes, fmt = width
-    bits = 8 * nbytes
     strides = _strides(widths)
-    base = sum(map(mul, (r.start + 1 for r in ranges), strides))
-    value = 0
-    for w, _, sign in walk:
-        k = sum(map(mul, w, strides)) - base
-        value += sign << bits * k
-    mask = (1 << bits * n) - 1
-    for f in rs.positive_fund:
-        t = -sum(map(mul, f, strides))
-        if t < 0:
-            t = -t
-            value = -value << bits * t
-        value &= mask
-        while t < n:
-            value = (value + (value << bits * t)) & mask
-            t *= 2
-    terms = _read_slots(value, nbytes, fmt, ranges)
-    if sum(terms.values()) != dim:
-        raise ArithmeticError(
-            f"Weyl's formula at {list(highest)} gave multiplicities summing to "
-            f"{sum(terms.values())}, not dim {dim}"
-        )
-    return terms
+    numerator = _packed(cols, [sign for _, _, sign in walk], [r.start + 1 for r in ranges], strides)
+    steps = [-sum(map(mul, f, strides)) for f in rs.positive_fund]
+    for nbytes, fmt in _SLOT_WIDTHS:
+        bits = 8 * nbytes
+        value = 0
+        for k, sign in numerator:
+            value += sign << bits * k
+        mask = (1 << bits * n) - 1
+        for t in steps:
+            if t < 0:
+                t = -t
+                value = -value << bits * t
+            value &= mask
+            while t < n:
+                value = (value + (value << bits * t)) & mask
+                t *= 2
+        terms = _read_slots(value, nbytes, fmt, ranges)
+        total = sum(terms.values())
+        if total == dim:
+            return terms
+        if dim < 1 << (bits - 1):
+            raise ArithmeticError(
+                f"Weyl's formula at {list(highest)} gave multiplicities summing to "
+                f"{total}, not dim {dim}"
+            )
+    return None
 
 
 def _freudenthal(rs: RootSystem, highest) -> dict:
@@ -491,25 +536,36 @@ def tensor(a: Character, b: Character) -> Character:
 
 
 def _convolve(a: Character, b: Character, floor=None) -> dict:
-    """The terms of ``tensor(a, b)``; with ``floor``, only those at weights >= floor."""
+    """The terms of ``tensor(a, b)``; with ``floor``, only those at weights >= floor.
+
+    A factor is held as its support's coordinate columns and its values, and
+    its keys are packed a column at a time (``_packed``).  With ``floor``,
+    only terms that can reach it are packed: a product term u + v >= floor
+    needs v >= floor - max(a) in every coordinate, where max(a) is taken
+    per coordinate over a's support, and likewise u >= floor - max(b); the
+    other terms of each factor are dropped first (``_reaching``), and the
+    factor of fewer terms is picked after that.
+    """
     if not a or not b:
         return {}
-    ra = len(next(iter(a.support())))
-    rb = len(next(iter(b.support())))
-    if ra != rb:
-        raise DomainError(f"cannot convolve characters of ranks {ra} and {rb}")
-    if len(a) > len(b):
-        a, b = b, a
-    cols_a = list(zip(*a.support()))
-    cols_b = list(zip(*b.support()))
+    cols_a, cols_b = list(zip(*a.support())), list(zip(*b.support()))
+    if len(cols_a) != len(cols_b):
+        raise DomainError(f"cannot convolve characters of ranks {len(cols_a)} and {len(cols_b)}")
+    vals_a, vals_b = list(a._terms.values()), list(b._terms.values())
+    if floor is not None:
+        top_a, top_b = [max(col) for col in cols_a], [max(col) for col in cols_b]
+        cols_a, vals_a = _reaching(cols_a, vals_a, map(sub, floor, top_b))
+        cols_b, vals_b = _reaching(cols_b, vals_b, map(sub, floor, top_a))
+        if not vals_a or not vals_b:
+            return {}
+    if len(vals_a) > len(vals_b):
+        cols_a, vals_a, cols_b, vals_b = cols_b, vals_b, cols_a, vals_a
     lo_a = [min(col) for col in cols_a]
     lo_b = [min(col) for col in cols_b]
     widths = [max(x) - l + max(y) - k + 1 for x, l, y, k in zip(cols_a, lo_a, cols_b, lo_b)]
     strides = _strides(widths)
-    base_a = sum(map(mul, lo_a, strides))
-    base_b = sum(map(mul, lo_b, strides))
-    aitems = [(sum(map(mul, w, strides)) - base_a, m) for w, m in a.items()]
-    bitems = [(sum(map(mul, w, strides)) - base_b, m) for w, m in b.items()]
+    aitems = _packed(cols_a, vals_a, lo_a, strides)
+    bitems = _packed(cols_b, vals_b, lo_b, strides)
     lo = [x + y for x, y in zip(lo_a, lo_b)]
     na = len(aitems)
     budget = _PAIR_COST * na * len(bitems)
@@ -517,7 +573,7 @@ def _convolve(a: Character, b: Character, floor=None) -> dict:
     # The narrowest slot has 2 bytes: a box too wide even for that skips the
     # pass that sums the multiplicities for the bound.
     if 2 * cost <= budget:
-        bound = sum(map(abs, a._terms.values())) * max(map(abs, b._terms.values()))
+        bound = sum(map(abs, vals_a)) * max(map(abs, vals_b))
         width = _slot_width(bound)
         if width is not None and width[0] * cost <= budget:
             ranges = [range(l, l + n) for l, n in zip(lo, widths)]

@@ -123,12 +123,17 @@ def _brauer(rs: RootSystem, chi: Character) -> KElement:
     coefficient at lam of chi * D, with D the Weyl denominator.  When |W|
     is small against |chi| and the product's box is dense, the class is the
     dominant part of that one product: ``tensor``'s convolution
-    (``_convolve``) takes its Kronecker kernel and reads back only the slots
-    of dominant weights.  Otherwise each term of chi is straightened by
-    itself (``_straighten``).  Measured on A2, B2, G2, A3, B3, C3, A4, B4,
-    C4 and D4 (Weyl characters and products), the product wins below about
-    9 box slots per term of chi on rank 2, and never at rank 4, where a
-    W-invariant character fills its box too thinly.
+    (``_convolve``) with floor 0 packs only the terms that can reach a
+    dominant weight, takes its Kronecker kernel and reads back only the
+    slots of dominant weights.  A term e^u of chi reaches one only if
+    u >= -max(D) in every coordinate, and the coordinates of D's weights
+    w rho - rho are at most 1 on A2 and 4 on G2, so chi's dominant chamber
+    and a thin shell around it are packed, against nearly all of D.
+    Otherwise each term of chi is straightened by itself (``_straighten``).
+    Measured on A2, B2, G2, A3, B3, C3, A4, B4, C4 and D4 (Weyl characters
+    and products), the product wins below about 9 box slots per term of chi
+    on rank 2, and never at rank 4, where a W-invariant character fills its
+    box too thinly.
     """
     if _few_elements(rs, len(chi)):
         d = _weyl_denominator(rs)

@@ -2,8 +2,9 @@
 
 A finitely supported map from a box of weights to integers is written into
 one int: the box's weights are numbered by their packed key (``_strides``,
-the last coordinate fastest), and slot k, a field of 2, 4 or 8 bytes, holds
-the value at key k.  Adding shifted copies of such ints then convolves
+the last coordinate fastest; ``_packed`` packs a factor's keys a column of
+coordinates at a time), and slot k, a field of 2, 4 or 8 bytes, holds the
+value at key k.  Adding shifted copies of such ints then convolves
 (``_kronecker``), and ``characters._weyl_formula`` divides by the Weyl
 denominator on one of them.  On every machine slot k is the field at bit
 b*k of the int, so shifting an int up by s slots adds s to every key.  The
@@ -16,8 +17,8 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import compress, product
-from operator import mul
+from itertools import compress, product, repeat
+from operator import add, ge, mul, sub
 
 
 def _strides(widths) -> list:
@@ -28,6 +29,24 @@ def _strides(widths) -> list:
         strides.append(s)
         s *= n
     return strides[::-1]
+
+
+def _reaching(cols, vals, need):
+    # The columns and values of the terms at weights >= need in every coordinate.
+    tests = [map(ge, col, repeat(n)) for col, n in zip(cols, need)]
+    keep = list(map(all, zip(*tests)))
+    if all(keep):
+        return cols, vals
+    return [tuple(compress(col, keep)) for col in cols], list(compress(vals, keep))
+
+
+def _packed(cols, vals, lo, strides) -> list:
+    # (key, value) per term: the key sum over j of (w_j - lo_j) * stride_j,
+    # summed a column at a time.
+    keys = map(mul, cols[0], repeat(strides[0]))
+    for col, s in zip(cols[1:], strides[1:]):
+        keys = map(add, keys, map(mul, col, repeat(s)))
+    return list(zip(map(sub, keys, repeat(sum(map(mul, lo, strides)))), vals))
 
 
 # Slot widths, narrowest first: (bytes, memoryview format).
@@ -91,6 +110,11 @@ def _read_slots(value: int, nbytes: int, fmt: str, ranges, floor=None) -> dict:
     ``ranges``, the last coordinate fastest.  With
     ``floor``, only the sub-box of weights >= floor in every coordinate is
     read: one contiguous row of slots per value of the leading coordinates.
+
+    Only occupied slots cost a weight: the box's weights stream out of
+    ``product`` in slot order, ``compress`` keeps those at nonzero slots,
+    and ``product`` reuses its tuple for every weight that is skipped, so
+    an empty slot costs one C-level step and no allocation.
     """
     n = math.prod(map(len, ranges))
     slots = _to_slots(value, n, nbytes, fmt)
@@ -106,7 +130,7 @@ def _read_slots(value: int, nbytes: int, fmt: str, ranges, floor=None) -> dict:
             k = first + sum(map(mul, head, strides))
             vals += slots[k:k + row].tolist()
         ranges = keep
-    return dict(compress(zip(product(*ranges), vals), vals))
+    return dict(zip(compress(product(*ranges), vals), filter(None, vals)))
 
 
 def _kronecker(aitems, bitems, ranges, bound: int, floor=None) -> dict:

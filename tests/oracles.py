@@ -3,7 +3,8 @@
 Everything here is deliberately separate from the library's algorithms:
 hard-coded root tables for the rank-one and rank-two types, the Weyl group
 order formulas, the dimension formula evaluated over the tables, a partition
-function based character formula, a tuple-keyed convolution, alternating sums and a linkage test over
+function based character formula, a tuple-keyed convolution, a slot integer
+read one shifted field at a time, alternating sums and a linkage test over
 the fully enumerated Weyl group, a W-invariance test that counts whole
 orbits, linear orbits by breadth-first search, root-datum construction over
 the rationals, brute-force affine orbit enumeration in a box, an alcove
@@ -184,6 +185,34 @@ def convolve_naive(a, b) -> dict:
                 out[key] = new
             else:
                 del out[key]
+    return out
+
+
+def read_slots(value: int, nbytes: int, ranges, floor=None) -> dict:
+    """The nonzero slots of a slot integer, one shifted field at a time.
+
+    Slot k is the field of 8 * nbytes bits at bit 8 * nbytes * k, read as a
+    two's-complement number, and belongs to the k-th weight of the box with
+    coordinate ranges ``ranges``, the last coordinate fastest: k's digits in
+    the mixed radix of the range lengths.  With ``floor``, only weights
+    >= floor in every coordinate are kept.
+    """
+    bits = 8 * nbytes
+    n = 1
+    for r in ranges:
+        n *= len(r)
+    out = {}
+    for k in range(n):
+        field = (value >> (bits * k)) & ((1 << bits) - 1)
+        if field >= 1 << (bits - 1):
+            field -= 1 << bits
+        digits, rest = [], k
+        for r in reversed(ranges):
+            rest, d = divmod(rest, len(r))
+            digits.append(r[d])
+        w = tuple(reversed(digits))
+        if field and (floor is None or all(x >= f for x, f in zip(w, floor))):
+            out[w] = field
     return out
 
 

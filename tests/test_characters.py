@@ -59,6 +59,39 @@ def test_non_integer_highest_weights_never_reach_the_cache():
     assert repr(char_to_class(G2, chi)) == "KElement({[1, 0]:1})"
 
 
+def test_non_integer_highest_weights_are_rejected_on_a_warm_cache():
+    # lru_cache keys (1.0, 0) and (True, 0) equal to (1, 0); the weight is
+    # checked before the lookup, so the order of the calls does not matter.
+    for bad in ((1.0, 0), (True, 0)):
+        for warm_first in (False, True):
+            weyl_character.cache_clear()
+            if warm_first:
+                weyl_character(G2, (1, 0))
+            with pytest.raises(DomainError):
+                weyl_character(G2, bad)
+            if not warm_first:
+                assert weyl_character(G2, (1, 0)).dim() == 7
+            with pytest.raises(DomainError):
+                weyl_character(G2, bad)
+
+
+def test_uncached_weyl_character_leaves_the_cache_alone():
+    weyl_character.cache_clear()
+    chi = weyl_character(A2, (2, 1))
+    before = weyl_character.cache_info()
+    assert before.misses == 1 and before.currsize == 1
+    assert weyl_character.__wrapped__(A2, (2, 1)) == chi
+    assert weyl_character.__wrapped__(A2, (3, 0)) == weyl_character(A2, (3, 0))
+    assert weyl_character.cache_info().misses == before.misses + 1
+    before = weyl_character.cache_info()
+    weyl_character.__wrapped__(B2, (1, 1))
+    assert weyl_character.cache_info() == before
+    with pytest.raises(DomainError):
+        weyl_character.__wrapped__(G2, (1.0, 0))
+    weyl_character.cache_clear()
+    assert weyl_character.cache_info().currsize == 0
+
+
 def test_mixed_ranks_are_rejected():
     with pytest.raises(DomainError):
         Character({(1,): 1, (1, 2): 1})

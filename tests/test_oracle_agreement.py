@@ -292,6 +292,81 @@ def test_slot_k_is_the_field_at_bit_b_times_k(nbytes, fmt):
             (2 + k // 7, -3 + k % 7): m for k, m in kept.items()}
 
 
+@pytest.mark.parametrize("nbytes,fmt", [(2, "h"), (4, "i"), (8, "q")])
+def test_read_slots_matches_the_per_slot_oracle(nbytes, fmt):
+    # Random slot integers with signed slots, dense and sparse, the all-zero
+    # one and one-slot boxes, read whole and above random floors.
+    rng = random.Random(f"read/{nbytes}")
+    bits, top = 8 * nbytes, 1 << (8 * nbytes - 1)
+    for rank in (1, 2, 3):
+        for _ in range(12):
+            ranges = [range(s, s + rng.randint(1, 6)) for s in
+                      (rng.randint(-5, 5) for _ in range(rank))]
+            n = math.prod(map(len, ranges))
+            occupied = rng.choice((0.0, 0.1, 0.5, 1.0))
+            fields = [rng.randrange(-top, top) if rng.random() < occupied else 0
+                      for _ in range(n)]
+            value = sum((m % (1 << bits)) << bits * k for k, m in enumerate(fields))
+            one = [range(r.start, r.start + 1) for r in ranges]
+            cases = [(value, ranges), (0, ranges), (fields[0] % (1 << bits), one)]
+            for v, box in cases:
+                floors = [None, tuple(r.start for r in box), tuple(r.stop for r in box),
+                          tuple(rng.randint(r.start - 1, r.stop) for r in box)]
+                for floor in floors:
+                    assert _read_slots(v, nbytes, fmt, box, floor) == (
+                        oracles.read_slots(v, nbytes, box, floor)), (v, box, floor)
+    # A slot at the bottom of the range and one at the top, next to zeros.
+    box = [range(-1, 2), range(0, 2)]
+    value = (top << bits * 5) | (top - 1) << bits * 1
+    assert _read_slots(value, nbytes, fmt, box) == {(-1, 1): top - 1, (1, 1): -top}
+
+
+def test_reach_filter_keeps_every_term_that_reaches_the_floor(monkeypatch):
+    # _convolve(a, b, floor) drops the terms of a factor that cannot reach
+    # floor with any term of the other; what it returns must still be the
+    # whole product restricted to weights >= floor.
+    sizes = []
+    real = characters._packed
+
+    def spy(cols, vals, *rest):
+        sizes.append(len(vals))
+        return real(cols, vals, *rest)
+
+    monkeypatch.setattr(characters, "_packed", spy)
+
+    def agrees(a, b, floor):
+        kept = {w: m for w, m in oracles.convolve_naive(a, b).items()
+                if all(x >= f for x, f in zip(w, floor))}
+        assert characters._convolve(a, b, floor) == kept, (a, b, floor)
+        return kept
+
+    # The filter empties a factor: b's terms all lie below floor - max(a).
+    a = Character({(0, 0): 1, (1, 2): -3})
+    b = Character({(-5, -5): 2, (-4, 6): 1, (3, -9): 1})
+    del sizes[:]
+    assert agrees(a, b, (2, 0)) == {} and not sizes
+    # The filter changes which factor is smaller: b has 5 terms to a's 2,
+    # but only one of b's reaches floor (6, 0), so b is packed first.
+    a = Character({(1, 0): 2, (1, 1): -1})
+    b = Character({(5, 0): 3, (-3, 0): 1, (-2, 1): 4, (0, -2): -1, (1, 5): 2})
+    del sizes[:]
+    assert agrees(a, b, (6, 0)) == {(6, 0): 6, (6, 1): -3}
+    assert sizes == [1, 2]
+    # Signed factors against the Weyl denominator, whose positive
+    # coordinates widen the shell of the other factor that is kept; random
+    # pairs are covered by test_dominant_part_of_a_product_reads_only_its_sub_box.
+    rng = random.Random("reach")
+    for series, rank in (("A", 1), ("A", 2), ("G", 2), ("B", 3)):
+        d = grothendieck._weyl_denominator(build_root_system(series, rank))
+        for _ in range(8):
+            a, b = _random_character(rng, rank), _random_character(rng, rank)
+            signed = a - 2 * frobenius_twist(b, 1, 2) + tensor(a, b)
+            for floor in ((0,) * rank, (-3,) * rank, (7,) * rank,
+                          tuple(rng.randint(-5, 5) for _ in range(rank))):
+                agrees(signed, d, floor)
+                agrees(d, signed, floor)
+
+
 def test_kronecker_kernel_cancels_telescoping_products(kernel_calls):
     # (1 - x)(1 + x + ... + x^n) = 1 - x^(n+1): every inner sum cancels.
     n = 40
@@ -592,19 +667,28 @@ def slot_widths(monkeypatch):
     return widths
 
 
-def test_weyl_formula_widens_its_slots_with_the_dimension(slot_widths):
-    # Multiplicities are at most dim, and dim < 2^(b-1) picks b: A2's (30, 30)
-    # has dim 29791 < 2^15, (31, 31) has 2^15 exactly, and (40, 40) has 68921,
-    # over 2^16.
+def test_weyl_formula_widens_its_slots_with_the_multiplicities(slot_widths):
+    # The route tries 2-byte slots first and widens only when the decoded
+    # multiplicities do not sum to dim.  A2's weights have multiplicities of
+    # at most min(a, b) + 1, so (30, 30), (31, 31) with dim 2^15 and
+    # (40, 40) with dim 68921 > 2^16 all decode at 2 bytes.
     rs = build_root_system("A", 2)
-    for lam, dim, nbytes in (((30, 30), 29791, 2), ((31, 31), 2**15, 4), ((40, 40), 68921, 4)):
+    for lam, dim in (((30, 30), 29791), ((31, 31), 2**15), ((40, 40), 68921)):
         assert oracles.weyl_dimension("A", 2, lam) == dim
         del slot_widths[:]
         route = weyl_character.__wrapped__(rs, lam)
-        assert slot_widths == [nbytes], lam
+        assert slot_widths == [2], lam
         assert dict(route.items()) == characters._freudenthal(rs, lam)
         assert route.dim() == dim
-    assert dim > 2**16
+    # G2's (23, 15) has a multiplicity of 32832 >= 2^15: at 2 bytes that slot
+    # reads negative, the sum falls short of dim, and 4 bytes are exact.
+    rs = build_root_system("G", 2)
+    del slot_widths[:]
+    route = weyl_character.__wrapped__(rs, (23, 15))
+    assert slot_widths == [2, 4]
+    assert dict(route.items()) == characters._freudenthal(rs, (23, 15))
+    assert max(m for _, m in route.items()) == 32832
+    assert route.dim() == oracles.weyl_dimension("G", 2, (23, 15))
 
 
 @pytest.mark.parametrize("series", ["A", "B", "G"])
