@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import ge, mul, sub
+from itertools import repeat
+from operator import ge, mod, mul, sub
 
 from .errors import DomainError
 from .kronecker import (
@@ -57,6 +58,7 @@ from .rootdata import (
     Lattice,
     RootSystem,
     is_dominant,
+    require_rank,
     require_steinberg_configuration,
     steinberg_weight,
 )
@@ -317,9 +319,7 @@ def weyl_character(rs: RootSystem, highest) -> Character:
 
 def _dominant_weight(rs: RootSystem, highest) -> tuple:
     # highest as a tuple of ints, or DomainError.
-    highest = tuple(highest)
-    if len(highest) != rs.rank:
-        raise DomainError(f"weight {list(highest)} has wrong rank for {rs!r}")
+    highest = require_rank(rs, highest)
     for x in highest:
         _strict_int(x, DomainError)
     if not is_dominant(highest):
@@ -626,9 +626,7 @@ def euler_characteristic(rs: RootSystem, weight) -> Character:
     sign of the normalizing Weyl element, and vanishes when weight + rho is
     fixed by a reflection.
     """
-    if len(weight) != rs.rank:
-        raise DomainError(f"weight {list(weight)} has wrong rank for {rs!r}")
-    dom, sign = dot_dominant(rs, tuple(weight))
+    dom, sign = dot_dominant(rs, weight)
     if dom is None:
         return Character._raw({}, rs)
     chi = weyl_character(rs, dom)
@@ -639,10 +637,8 @@ def contract_weights(chi: Character, p: int) -> Character:
     """Keep the weights divisible by p and divide them by p."""
     if p < 2:
         raise DomainError(f"contraction needs p >= 2, got {p}")
-    out = {}
-    for w, m in chi.items():
-        if all(x % p == 0 for x in w):
-            out[tuple(x // p for x in w)] = m
+    out = {tuple([x // p for x in w]): m for w, m in chi.items()
+           if not any(map(mod, w, repeat(p)))}
     return Character._raw(out, chi._invariant_for)
 
 
@@ -656,12 +652,14 @@ def require_w_invariant(rs: RootSystem, chi: Character) -> None:
 
     A value the library built as W-invariant for rs carries rs in its
     private tag and is accepted without the scan; every other value,
-    including all user input, is scanned.
+    including all user input, is scanned, and a weight of the wrong rank
+    raises ``DomainError``.
     """
     if getattr(chi, "_invariant_for", None) is rs:
         return
     get = chi._terms.get
     for w, m in chi.items():
+        require_rank(rs, w)
         for i, x in enumerate(w):
             if x:
                 img = apply_simple_reflection(rs, i, w)

@@ -33,6 +33,7 @@ from .rootdata import (
     Lattice,
     build_root_system,
     require_in_lattice,
+    require_rank,
     require_steinberg_configuration,
 )
 from .simple_a1 import decompose_in_simple_basis_a1, simple_character_a1
@@ -193,8 +194,7 @@ def _context(parser, args, need_p: bool) -> Context:
 
 
 def _check_weight(ctx: Context, weight):
-    if len(weight) != ctx.rs.rank:
-        raise DomainError(f"weight {list(weight)} has wrong rank for {ctx.rs!r}")
+    weight = require_rank(ctx.rs, weight)
     require_in_lattice(ctx.rs, weight, ctx.lattice)
     return weight
 

@@ -36,9 +36,10 @@ from .rootdata import (
     in_lattice,
     is_dominant,
     require_in_lattice,
+    require_rank,
     require_steinberg_configuration,
 )
-from .weyl import descend_orbit, dot_dominant, weyl_group_order
+from .weyl import _neighbours, _to_dominant, descend_orbit, weyl_group_order
 
 
 class KElement(_Sparse):
@@ -73,15 +74,18 @@ class KElement(_Sparse):
 def _straighten(rs: RootSystem, items) -> KElement:
     """Brauer straightening: sum m * sgn * [Delta(dot-dominant nu)] over (nu, m).
 
-    A weight nu with nu + rho regular is carried to its dominant dot
-    representative, picking up the sign of the Weyl element that does it;
-    a weight with nu + rho on a reflection wall contributes nothing.
+    Each nu + rho is walked in place to its dominant point (``_to_dominant``),
+    picking up the sign of the Weyl element that does it; a result with a 0
+    coordinate lies on a reflection wall and contributes nothing.
     """
+    nbrs = _neighbours(rs)
     out = {}
     for nu, m in items:
-        dom, sign = dot_dominant(rs, nu)
-        if dom is None:
+        x = [c + 1 for c in nu]
+        sign = _to_dominant(nbrs, x)
+        if 0 in x:
             continue
+        dom = tuple([c - 1 for c in x])
         new = out.get(dom, 0) + sign * m
         if new:
             out[dom] = new
@@ -213,7 +217,7 @@ def tensor_delta_expansion(rs: RootSystem, mu, chi: Character) -> KElement:
     The coefficient at lam is sum_w (-1)^len(w) * chi(w . lam - mu), which
     agrees with expanding the convolution product directly.
     """
-    mu = tuple(mu)
+    mu = require_rank(rs, mu)
     if not is_dominant(mu):
         raise DomainError(f"weight {list(mu)} is not dominant")
     require_w_invariant(rs, chi)
@@ -276,13 +280,13 @@ def steinberg_delta_multiplicity(rs: RootSystem, chi: Character, lam, p: int) ->
     of chi through the Weyl denominator; otherwise the contracted weights
     are straightened.
     """
-    lam = tuple(lam)
+    lam = require_rank(rs, lam)
     if not is_dominant(lam):
         raise DomainError(f"weight {list(lam)} is not dominant")
     if p < 2:
         raise DomainError(f"multiplicity needs p >= 2, got {p}")
     require_w_invariant(rs, chi)
-    if len(lam) == rs.rank and _few_elements(rs, len(chi)):
+    if _few_elements(rs, len(chi)):
         # The coefficient at lam of (contracted chi) * D: sum over the |W|
         # terms delta of D of D(delta) * chi(p * (lam - delta)).
         get = chi._terms.get
@@ -311,7 +315,7 @@ def pr_block(rs: RootSystem, element: KElement, nu, p: int,
 
     Keeps the terms whose closed-alcove normal form equals that of nu.
     """
-    nu = tuple(nu)
+    nu = require_rank(rs, nu)
     require_in_lattice(rs, nu, lattice)
     _require_support_in_lattice(rs, element, lattice)
     rep = fundamental_alcove_rep(rs, nu, p)

@@ -24,8 +24,9 @@ from .rootdata import (
     is_dominant,
     pairing,
     require_in_lattice,
+    require_rank,
 )
-from .weyl import make_dominant
+from .weyl import _neighbours, _to_dominant
 
 
 def linked(rs: RootSystem, lam, mu, p: int,
@@ -37,7 +38,7 @@ def linked(rs: RootSystem, lam, mu, p: int,
     """
     if p < 2:
         raise DomainError(f"linkage needs p >= 2, got {p}")
-    lam, mu = tuple(lam), tuple(mu)
+    lam, mu = require_rank(rs, lam), require_rank(rs, mu)
     require_in_lattice(rs, lam, lattice)
     require_in_lattice(rs, mu, lattice)
     return fundamental_alcove_rep(rs, lam, p) == fundamental_alcove_rep(rs, mu, p)
@@ -67,7 +68,7 @@ def alcove_position(rs: RootSystem, weight, p: int) -> AlcovePosition:
     return AlcovePosition(weight=weight, wall_pairings=vals, status=status)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _highest_coroot(rs: RootSystem):
     # The coroot of largest height, that of the highest short root (not
     # highest_root_index, the long root on B, C, F and G), with its root in
@@ -78,23 +79,24 @@ def _highest_coroot(rs: RootSystem):
 def fundamental_alcove_rep(rs: RootSystem, weight, p: int):
     """The unique point of the closed bottom alcove in the dot orbit.
 
-    Alternates dominant normalization with reflections in one wall at level
-    p.  On a dominant shifted weight every positive coroot pairs to at most
-    the highest coroot's pairing (their difference is a sum of simple
-    coroots), so that wall is the only one it can lie beyond.  Each wall
-    reflection strictly shrinks the invariant norm of the shifted weight, so
-    the walk terminates.
+    Alternates the dominance walk ``_to_dominant`` with reflections in one
+    wall at level p, on one list.  On a dominant shifted weight every
+    positive coroot pairs to at most the highest coroot's pairing (their
+    difference is a sum of simple coroots), so that wall is the only one it
+    can lie beyond.  Each wall reflection strictly shrinks the invariant
+    norm of the shifted weight, so the walk terminates.
     """
     if p < 2:
         raise DomainError(f"alcove normalization needs p >= 2, got {p}")
-    x = tuple(x + 1 for x in weight)
+    x = [c + 1 for c in require_rank(rs, weight)]
+    nbrs = _neighbours(rs)
     coroot, root = _highest_coroot(rs)
     while True:
-        x, _ = make_dominant(rs, x)
+        _to_dominant(nbrs, x)
         excess = sum(map(mul, coroot, x)) - p
         if excess <= 0:
-            return tuple(c - 1 for c in x)
-        x = tuple(c - excess * a for c, a in zip(x, root))
+            return tuple([c - 1 for c in x])
+        x = [c - excess * a for c, a in zip(x, root)]
 
 
 def is_special_point(rs: RootSystem, weight, p: int) -> bool:

@@ -257,6 +257,14 @@ def highest_root_index(rs: RootSystem) -> int:
     return heights.index(max(heights))
 
 
+def require_rank(rs: RootSystem, weight) -> tuple:
+    """The weight as a tuple, or DomainError when its rank is not rs.rank."""
+    weight = tuple(weight)
+    if len(weight) != rs.rank:
+        raise DomainError(f"weight {list(weight)} has wrong rank for {rs!r}")
+    return weight
+
+
 def is_dominant(weight) -> bool:
     return all(x >= 0 for x in weight)
 

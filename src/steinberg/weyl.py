@@ -1,13 +1,14 @@
 """Finite Weyl groups: orbit normal forms, the group order, and enumeration.
 
-The library works with weights one at a time: ``make_dominant`` and
-``dot_dominant`` reach the dominant representative of a linear or dot orbit
-by simple reflections, ``weyl_orbit`` lists a linear orbit by walking down
-its dominant descent tree, and ``weyl_group_order`` reads |W| off the root
-heights.  None of them enumerates the group.  ``generate`` still enumerates
-the whole group by breadth-first closure under the simple reflections,
-acting on fundamental-weight coordinates through integer matrices; no
-library operation calls it, and it serves as an independent check.
+The library works with weights one at a time: every walk to the dominant
+point of an orbit is the in-place kernel ``_to_dominant``, behind
+``make_dominant``, ``dot_dominant``, straightening and the alcove walk;
+``weyl_orbit`` lists a linear orbit by walking down its dominant descent
+tree, and ``weyl_group_order`` reads |W| off the root heights.  None of
+them enumerates the group.  ``generate`` still enumerates the whole group
+by breadth-first closure under the simple reflections, acting on
+fundamental-weight coordinates through integer matrices; no library
+operation calls it, and it serves as an independent check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ConfigurationError
-from .rootdata import RANK_CAP, RootSystem, _Frozen
+from .rootdata import RANK_CAP, RootSystem, _Frozen, require_rank
 
 
 class WeylElement(_Frozen):
@@ -61,22 +62,48 @@ def apply_simple_reflection(rs: RootSystem, i: int, weight):
     return tuple(weight[k] - mi * rs.cartan[k][i] for k in range(rs.rank))
 
 
+@lru_cache(maxsize=64)
+def _neighbours(rs: RootSystem) -> tuple:
+    # Per i, the (j, cartan[j][i]) with j != i and cartan[j][i] != 0.
+    c, r = rs.cartan, range(rs.rank)
+    return tuple(tuple((j, c[j][i]) for j in r if j != i and c[j][i]) for i in r)
+
+
+def _to_dominant(nbrs, w: list) -> int:
+    """Walk a full-rank weight list to its dominant orbit point in place; return the sign.
+
+    s_i at a negative coordinate i negates w_i and only lowers its
+    neighbours j (w_j -= w_i * cartan[j][i]); pushing those it takes below
+    0 keeps the stack equal to the negative coordinates.  s_i permutes the positive coroots other than
+    alpha_i^v, so each step lowers by one the number of positive coroots
+    pairing negatively with w: every order of steps takes that many, and
+    the sign (-1)^steps is exact, on walls too.
+    """
+    stack = [i for i, x in enumerate(w) if x < 0]
+    sign = 1
+    while stack:
+        i = stack.pop()
+        x = w[i]
+        w[i] = -x
+        sign = -sign
+        for j, c in nbrs[i]:
+            y = w[j]
+            w[j] = z = y - x * c
+            if z < 0 <= y:
+                stack.append(j)
+    return sign
+
+
 def make_dominant(rs: RootSystem, weight):
     """Dominant representative of a linear Weyl orbit, with the sign picked up.
 
-    Returns (dominant weight, (-1)^(number of reflections applied)); the sign
-    equals the sign of any Weyl element carrying the input to the output.
+    The sign is (-1) to the number of positive coroots pairing negatively
+    with the weight (``_to_dominant``), that of the shortest Weyl element
+    carrying the input to the output.
     """
-    w = tuple(weight)
-    sign = 1
-    while True:
-        for i, x in enumerate(w):
-            if x < 0:
-                w = apply_simple_reflection(rs, i, w)
-                sign = -sign
-                break
-        else:
-            return w, sign
+    w = list(require_rank(rs, weight))
+    sign = _to_dominant(_neighbours(rs), w)
+    return tuple(w), sign
 
 
 def dot_dominant(rs: RootSystem, weight):
@@ -86,11 +113,11 @@ def dot_dominant(rs: RootSystem, weight):
     orbit when weight + rho is regular, and (None, 0) when weight + rho lies
     on a reflection wall (so the orbit contains no regular dominant weight).
     """
-    shifted = tuple(x + 1 for x in weight)
-    dom, sign = make_dominant(rs, shifted)
-    if 0 in dom:
+    x = [c + 1 for c in require_rank(rs, weight)]
+    sign = _to_dominant(_neighbours(rs), x)
+    if 0 in x:
         return None, 0
-    return tuple(x - 1 for x in dom), sign
+    return tuple([c - 1 for c in x]), sign
 
 
 @lru_cache(maxsize=64)
@@ -195,17 +222,23 @@ def generate(rs: RootSystem) -> WeylGroup:
 
 
 def dominant_representative(group: WeylGroup, weight):
-    """A Weyl element w with w(weight) dominant, plus that dominant weight."""
+    """A Weyl element w with w(weight) dominant, plus that dominant weight.
+
+    w is the shortest such element, the one every walk takes.  With h the
+    largest coroot height, w carries mu = ((h+2)h+1) * weight + (h+1) * rho
+    and each mu + omega_j to regular dominant weights: w rho pairs
+    positively with the simple coroots fixing w(weight), and no pairing of
+    w rho or w omega_j exceeds h.  So its columns w(omega_j) are
+    differences of dominant representatives.
+    """
     rs = group.root_system
-    # The columns of w's matrix are the images of the basis weights, so each
-    # reflection applied to the weight is applied to them as well.
-    columns = [tuple(int(i == j) for i in range(rs.rank)) for j in range(rs.rank)]
-    w = tuple(weight)
-    while True:
-        for i, x in enumerate(w):
-            if x < 0:
-                w = apply_simple_reflection(rs, i, w)
-                columns = [apply_simple_reflection(rs, i, c) for c in columns]
-                break
-        else:
-            return group.element_for_matrix(tuple(zip(*columns))), w
+    h = max(map(sum, rs.coroots))
+    mu = [((h + 2) * h + 1) * x + h + 1 for x in require_rank(rs, weight)]
+    top, _ = make_dominant(rs, mu)
+    columns = []
+    for j in range(rs.rank):
+        mu[j] += 1
+        columns.append(tuple(a - b for a, b in zip(make_dominant(rs, mu)[0], top)))
+        mu[j] -= 1
+    w = group.element_for_matrix(tuple(zip(*columns)))
+    return w, w.act(weight)

@@ -5,10 +5,13 @@ hard-coded root tables for the rank-one and rank-two types, the Weyl group
 order formulas, the dimension formula evaluated over the tables, a partition
 function based character formula, a tuple-keyed convolution, a slot integer
 read one shifted field at a time, alternating sums and a linkage test over
-the fully enumerated Weyl group, a W-invariance test that counts whole
-orbits, linear orbits by breadth-first search, root-datum construction over
-the rationals, brute-force affine orbit enumeration in a box, an alcove
-walk that checks every wall, and closed-form rank-one facts.
+the fully enumerated Weyl group, a plain dominance walk (first negative
+coordinate, whole-weight reflections) behind the dominant and dot-dominant
+representatives, a W-invariance test that counts whole orbits, linear
+orbits by breadth-first search, root-datum construction over the
+rationals, brute-force affine orbit enumeration in a box, an alcove walk
+that checks every wall, and closed-form rank-one facts.  None of them
+calls the library's dominance kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from steinberg import dot_dominant, make_dominant
 from steinberg.weyl import apply_simple_reflection
 
 # Positive roots as (simple-root coordinates, coroot coordinates in the
@@ -263,6 +265,28 @@ def affine_orbit_in_box(rs, lam, p, bound, margin=None) -> set:
     return {w for w in seen if max(abs(x) for x in w) <= bound}
 
 
+def dominant_by_first_negative(rs, weight):
+    """Dominant orbit point and sign, reflecting at the first negative coordinate."""
+    w = tuple(weight)
+    sign = 1
+    while True:
+        for i, x in enumerate(w):
+            if x < 0:
+                w = apply_simple_reflection(rs, i, w)
+                sign = -sign
+                break
+        else:
+            return w, sign
+
+
+def dot_dominant_by_first_negative(rs, weight):
+    """Dominant dot representative and sign, or (None, 0) when weight + rho is singular."""
+    dom, sign = dominant_by_first_negative(rs, [x + 1 for x in weight])
+    if 0 in dom:
+        return None, 0
+    return tuple(x - 1 for x in dom), sign
+
+
 def alcove_rep_by_all_walls(rs, weight, p) -> tuple:
     """Closed-bottom-alcove normal form, checking every wall at level p.
 
@@ -272,7 +296,7 @@ def alcove_rep_by_all_walls(rs, weight, p) -> tuple:
     """
     x = tuple(c + 1 for c in weight)
     while True:
-        x, _ = make_dominant(rs, x)
+        x, _ = dominant_by_first_negative(rs, x)
         worst, worst_val = None, p
         for i, d in enumerate(rs.coroots):
             v = sum(map(mul, d, x))
@@ -307,15 +331,15 @@ def alternating_expansion(rs, group, chi, mu=None, p=1) -> dict:
 
     Candidates are the dominant dot representatives of the support weights,
     shifted by mu, or of those divisible by p, divided by p.  Only this
-    candidate set comes from the library (``dot_dominant``); every
-    coefficient is summed over the whole group.
+    candidate set comes from a walk (``dot_dominant_by_first_negative``);
+    every coefficient is summed over the whole group.
     """
     mu = (0,) * rs.rank if mu is None else tuple(mu)
     candidates = set()
     for w in chi.support():
         v = tuple(x + y for x, y in zip(w, mu))
         if all(x % p == 0 for x in v):
-            dom, _ = dot_dominant(rs, tuple(x // p for x in v))
+            dom, _ = dot_dominant_by_first_negative(rs, tuple(x // p for x in v))
             if dom is not None:
                 candidates.add(dom)
     out = {}
@@ -353,7 +377,7 @@ def w_invariant_by_orbits(rs, chi) -> bool:
     """
     counted = {}
     for w, m in chi.items():
-        rep, _ = make_dominant(rs, w)
+        rep, _ = dominant_by_first_negative(rs, w)
         prev = counted.setdefault(rep, [m, 0])
         if prev[0] != m:
             return False

@@ -402,3 +402,40 @@ def test_block_decompose_examples():
     assert block_decompose(A1, KElement(), 3) == []
     single = block_decompose(A2, KElement({(2, 2): 3}), 3)
     assert len(single) == 1 and single[0][1] == KElement({(2, 2): 3})
+
+
+def _a2_character_and_class():
+    chi = weyl_character(A2, (1, 1))
+    return chi, char_to_class(A2, chi)
+
+
+def test_steinberg_delta_multiplicity_rejects_wrong_rank():
+    chi, _ = _a2_character_and_class()
+    for lam in [(1,), (1, 0, 0)]:
+        with pytest.raises(DomainError, match="wrong rank"):
+            steinberg_delta_multiplicity(A2, chi, lam, 3)
+
+
+def test_tensor_delta_expansion_rejects_wrong_rank():
+    chi, _ = _a2_character_and_class()
+    for mu in [(1,), (1, 0, 0)]:
+        with pytest.raises(DomainError, match="wrong rank"):
+            tensor_delta_expansion(A2, mu, chi)
+
+
+def test_pr_block_rejects_wrong_rank():
+    _, element = _a2_character_and_class()
+    with pytest.raises(DomainError, match="wrong rank"):
+        pr_block(A2, element, (0, 0, 0), 3)
+    with pytest.raises(DomainError, match="wrong rank"):
+        block_decompose(A2, KElement({(1, 0, 0): 1}), 3)
+
+
+def test_user_characters_of_wrong_rank_are_rejected():
+    # The scan of an untagged character checks each weight's rank, so no
+    # class expansion walks a weight of another rank.
+    for chi in [Character({(1,): 1, (-1,): 1}), Character({(0, 0, 0): 1})]:
+        with pytest.raises(DomainError, match="wrong rank"):
+            char_to_class(A2, chi)
+        with pytest.raises(DomainError, match="wrong rank"):
+            frobenius_contract_class(A2, chi, 2)

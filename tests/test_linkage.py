@@ -231,3 +231,15 @@ def test_alcove_position_is_an_immutable_record():
     assert pos != alcove_position(A1, (1,), 2)
     with pytest.raises(AttributeError):
         pos.status = "wall"
+
+
+def test_linked_rejects_wrong_rank():
+    for lam, mu in [((1,), (0, 0)), ((0, 0), (1, 2, 3))]:
+        with pytest.raises(DomainError, match="wrong rank"):
+            linked(A2, lam, mu, 3)
+
+
+def test_fundamental_alcove_rep_rejects_wrong_rank():
+    for weight in [(1, 2, 3), (1,)]:
+        with pytest.raises(DomainError, match="wrong rank"):
+            fundamental_alcove_rep(A2, weight, 3)

@@ -8,10 +8,13 @@ import pytest
 
 import oracles
 from steinberg import (
+    DomainError,
+    alcove_position,
     build_root_system,
     dominant_representative,
     dot_dominant,
     dot_multiply,
+    fundamental_alcove_rep,
     generate,
     is_dominant,
     make_dominant,
@@ -212,3 +215,71 @@ def test_group_records_are_immutable_and_copyable():
     for el in (copy.copy(group.longest), pickle.loads(pickle.dumps(group.longest))):
         assert (el.word, el.matrix, el.length) == (group.longest.word, group.longest.matrix, 3)
     assert pickle.loads(pickle.dumps(group)).order == 6
+
+
+def _kernel_weights(series, rank):
+    # Zero, rho, the fundamental weights, and seeded random weights in
+    # [-6, 6]^rank; a third of the random coordinates are 0, so many of them
+    # lie on walls, linear and dotted.
+    rng = random.Random(rank * 131 + ord(series))
+    weights = [(0,) * rank, (1,) * rank]
+    weights += [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    weights += [tuple(rng.choice((0, rng.randint(-6, 6), rng.randint(-6, 6)))
+                      for _ in range(rank)) for _ in range(12)]
+    weights += [tuple(rng.choice((-1, 0)) for _ in range(rank)) for _ in range(3)]
+    return weights
+
+
+@pytest.mark.parametrize("series,rank", sorted(oracles.POSITIVE_ROOT_COUNTS))
+def test_dominance_kernel_matches_enumeration_and_coroot_count(series, rank):
+    # make_dominant against the enumerated group's element, its sign against
+    # (-1)^(positive coroots pairing negatively), and dot_dominant against
+    # the first-negative-coordinate walk of the oracles, walls included.
+    rs = build_root_system(series, rank)
+    group = generate(rs)
+    for lam in _kernel_weights(series, rank):
+        dom, sign = make_dominant(rs, lam)
+        w, expected = dominant_representative(group, lam)
+        assert dom == expected == oracles.dominant_by_first_negative(rs, lam)[0], lam
+        negative = sum(1 for d in rs.coroots if sum(a * b for a, b in zip(d, lam)) < 0)
+        assert sign == (-1) ** negative, lam
+        assert w.length == negative, lam  # the shortest element carrying lam there
+        assert dot_dominant(rs, lam) == oracles.dot_dominant_by_first_negative(rs, lam), lam
+
+
+@pytest.mark.parametrize("fn", [make_dominant, dot_dominant])
+@pytest.mark.parametrize("weight", [(1,), (1, 0, 5), ()])
+def test_dominance_walks_reject_wrong_rank(fn, weight):
+    a2 = build_root_system("A", 2)
+    with pytest.raises(DomainError, match="wrong rank"):
+        fn(a2, weight)
+    with pytest.raises(DomainError, match="wrong rank"):
+        dominant_representative(generate(a2), weight)
+
+
+def test_dominance_kernel_properties():
+    # Random type and weight: the result is dominant, lies in the orbit found
+    # by breadth-first search (rank <= 3), and the alcove walk built on the
+    # kernel is idempotent and lands in the closed bottom alcove.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        series, rank = draw(st.sampled_from(sorted(oracles.POSITIVE_ROOT_COUNTS)))
+        lam = tuple(draw(st.lists(st.integers(-8, 8), min_size=rank, max_size=rank)))
+        return build_root_system(series, rank), lam, draw(st.integers(2, 7))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        rs, lam, p = case
+        dom, sign = make_dominant(rs, lam)
+        assert is_dominant(dom) and sign in (-1, 1)
+        if rs.rank <= 3:
+            assert dom in oracles.orbit_by_search(rs, lam)
+        rep = fundamental_alcove_rep(rs, lam, p)
+        assert fundamental_alcove_rep(rs, rep, p) == rep
+        assert alcove_position(rs, rep, p).status != "exterior-of-closure"
+
+    check()
