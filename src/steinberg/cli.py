@@ -1,10 +1,11 @@
-"""Command-line surface.
+"""Command-line surface; ``DESCRIPTION`` is its help text.
 
-Every computation the library performs is reachable through exactly one
-subcommand; the registry at the bottom records which operations each
-subcommand exposes.  Output is canonical JSON by default (stable ordering,
-byte-identical across runs) or aligned text with --output text.  Exit codes:
-0 success, 1 domain or configuration error, 2 usage error.
+``REGISTRY`` is the one table of subcommands, read by parsing and dispatch
+alike.  Each call is a fresh process and pays only for the subcommand it
+runs: a group declares its verb parsers, and a verb its options, only when
+argparse selects it or prints its help.  ``main`` flushes both streams and
+ends the process with ``os._exit``, skipping interpreter teardown;
+in-process callers use ``run``, which returns the exit status instead.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import re
 import sys
 from collections import namedtuple
+from functools import partial
 
 from . import grothendieck as gk
 from . import linkage as lk
@@ -40,6 +42,11 @@ from .simple_a1 import decompose_in_simple_basis_a1, simple_character_a1
 from .weyl import weyl_group_order
 
 PROG = "steinberg"
+DESCRIPTION = """Command-line surface.  Every computation the library performs is
+reachable through exactly one subcommand; the registry at the bottom records which
+operations each subcommand exposes.  Output is canonical JSON by default (stable
+ordering, byte-identical across runs) or aligned text with --output text.  Exit
+codes: 0 success, 1 domain or configuration error, 2 usage error."""
 
 
 _INTEGER = re.compile("-?[0-9]+")
@@ -82,96 +89,6 @@ def _parse_json(text: str) -> dict:
     if not isinstance(data, dict):
         raise argparse.ArgumentTypeError("expected a JSON object")
     return data
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=PROG, description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--type", dest="series", choices=list("ABCDEFG"), help="series A-G")
-    common.add_argument("--rank", type=_parse_int, help="rank of the root system")
-    common.add_argument("--lattice", choices=["sc", "adj"], default="sc",
-                        help="weight lattice: simply connected (sc) or adjoint (adj)")
-    common.add_argument("--output", choices=["json", "text"], default="json")
-    common.add_argument("--p", type=_parse_prime, help="the characteristic, a prime")
-
-    groups = parser.add_subparsers(dest="group", required=True)
-    verb_actions = {}
-
-    def sub(group, name, **kwargs):
-        if group not in verb_actions:
-            g = groups.add_parser(group)
-            verb_actions[group] = g.add_subparsers(dest="verb", required=True)
-        return verb_actions[group].add_parser(name, parents=[common], **kwargs)
-
-    sub("rs", "info", help="root system and Weyl group summary")
-
-    s = sub("char", "weyl", help="Weyl-module character")
-    s.add_argument("--weight", type=_parse_weight, help="dominant highest weight")
-    s.add_argument("--r", type=_parse_int, default=1,
-                   help="with --p and no --weight: degree of the Steinberg character")
-
-    s = sub("char", "tensor", help="product of characters")
-    s.add_argument("--weight", type=_parse_weight, action="append", default=[],
-                   help="factor given as a Weyl-module highest weight (repeatable)")
-    s.add_argument("--char", type=_parse_json, action="append", default=[],
-                   help="factor given as character JSON (repeatable)")
-    s.add_argument("--class", dest="kclass", type=_parse_json, action="append", default=[],
-                   help="factor given as class JSON, converted to its character (repeatable)")
-
-    s = sub("char", "twist", help="Frobenius twist of a character")
-    s.add_argument("--weight", type=_parse_weight)
-    s.add_argument("--char", type=_parse_json)
-    s.add_argument("--r", type=_parse_int, default=1, help="twist degree")
-
-    s = sub("char", "euler", help="Euler characteristic of a line bundle weight")
-    s.add_argument("--weight", type=_parse_weight, required=True)
-
-    s = sub("char", "contract", help="weight contraction of a character by p")
-    s.add_argument("--weight", type=_parse_weight)
-    s.add_argument("--char", type=_parse_json)
-
-    s = sub("class", "decompose", help="expand a character in the Weyl-module basis")
-    s.add_argument("--weight", type=_parse_weight)
-    s.add_argument("--char", type=_parse_json)
-    s.add_argument("--method", choices=["alternating", "peeling"], default="alternating")
-
-    s = sub("class", "tensor-delta", help="Weyl-basis expansion of Delta(mu) tensor chi")
-    s.add_argument("--weight", type=_parse_weight, required=True, help="the weight mu")
-    s.add_argument("--char", type=_parse_json, required=True)
-
-    s = sub("class", "st-forward", help="Steinberg equivalence on classes")
-    s.add_argument("--class", dest="kclass", type=_parse_json, required=True)
-    s.add_argument("--r", type=_parse_int, default=1, help="iterate the equivalence r times")
-
-    s = sub("class", "st-inverse", help="inverse Steinberg equivalence on classes")
-    s.add_argument("--class", dest="kclass", type=_parse_json, required=True)
-
-    s = sub("class", "contract", help="class of the Frobenius contraction")
-    s.add_argument("--weight", type=_parse_weight)
-    s.add_argument("--char", type=_parse_json)
-
-    s = sub("class", "pr-block", help="project a class onto one linkage block")
-    s.add_argument("--class", dest="kclass", type=_parse_json, required=True)
-    s.add_argument("--weight", type=_parse_weight, required=True, help="block representative")
-
-    s = sub("linkage", "test", help="affine-orbit test for two weights")
-    s.add_argument("--weight", type=_parse_weight, action="append", default=[],
-                   help="give exactly twice")
-
-    s = sub("linkage", "rep", help="closed-alcove normal form of a weight")
-    s.add_argument("--weight", type=_parse_weight, required=True)
-
-    s = sub("linkage", "blocks", help="block decomposition of a class")
-    s.add_argument("--class", dest="kclass", type=_parse_json, required=True)
-
-    s = sub("linkage", "special", help="special-point test for a weight")
-    s.add_argument("--weight", type=_parse_weight, required=True)
-
-    s = sub("simple", "a1", help="rank-one simple characters and decompositions")
-    s.add_argument("--weight", type=_parse_weight, help="dominant weight: emit its simple character")
-    s.add_argument("--char", type=_parse_json, help="character JSON: decompose in the simple basis")
-
-    return parser
 
 
 Context = namedtuple("Context", "rs lattice p output")
@@ -416,34 +333,127 @@ def _cmd_simple_a1(parser, ctx, args):
     return payload, text
 
 
-Subcommand = namedtuple("Subcommand", "group verb handler needs_p operations")
+def _opt(*flags, **kwargs):
+    """One ``add_argument`` call, recorded as data: (flags, keyword arguments)."""
+    return flags, kwargs
 
+
+_weight = partial(_opt, "--weight", type=_parse_weight)
+_char = partial(_opt, "--char", type=_parse_json)
+_class = partial(_opt, "--class", dest="kclass", type=_parse_json)
+_r = partial(_opt, "--r", type=_parse_int, default=1)
+
+# Options of every subcommand, declared ahead of its own.
+COMMON_OPTIONS = (
+    _opt("--type", dest="series", choices=list("ABCDEFG"), help="series A-G"),
+    _opt("--rank", type=_parse_int, help="rank of the root system"),
+    _opt("--lattice", choices=["sc", "adj"], default="sc",
+         help="weight lattice: simply connected (sc) or adjoint (adj)"),
+    _opt("--output", choices=["json", "text"], default="json"),
+    _opt("--p", type=_parse_prime, help="the characteristic, a prime"),
+)
+
+Subcommand = namedtuple("Subcommand", "group verb help handler needs_p operations options")
 
 REGISTRY = (
-    Subcommand("rs", "info", _cmd_rs_info, False, ("build_root_system", "weyl_group_order")),
-    Subcommand("char", "weyl", _cmd_char_weyl, False, ("weyl_character", "steinberg_character")),
-    Subcommand("char", "tensor", _cmd_char_tensor, False, ("tensor", "class_to_char")),
-    Subcommand("char", "twist", _cmd_char_twist, True, ("frobenius_twist",)),
-    Subcommand("char", "euler", _cmd_char_euler, False, ("euler_characteristic",)),
-    Subcommand("char", "contract", _cmd_char_contract, True, ("contract_weights",)),
-    Subcommand("class", "decompose", _cmd_class_decompose, False,
-               ("char_to_class", "char_to_class_by_peeling")),
-    Subcommand("class", "tensor-delta", _cmd_class_tensor_delta, False,
-               ("tensor_delta_expansion",)),
-    Subcommand("class", "st-forward", _cmd_class_st_forward, True, ("steinberg_forward",)),
-    Subcommand("class", "st-inverse", _cmd_class_st_inverse, True, ("steinberg_inverse",)),
-    Subcommand("class", "contract", _cmd_class_contract, True,
-               ("frobenius_contract_class", "steinberg_delta_multiplicity")),
-    Subcommand("class", "pr-block", _cmd_class_pr_block, True, ("pr_block",)),
-    Subcommand("linkage", "test", _cmd_linkage_test, True, ("linked",)),
-    Subcommand("linkage", "rep", _cmd_linkage_rep, True,
-               ("fundamental_alcove_rep", "alcove_position")),
-    Subcommand("linkage", "blocks", _cmd_linkage_blocks, True, ("block_decompose",)),
-    Subcommand("linkage", "special", _cmd_linkage_special, True,
-               ("is_special_point", "st_level")),
-    Subcommand("simple", "a1", _cmd_simple_a1, True,
-               ("simple_character_a1", "decompose_in_simple_basis_a1")),
+    Subcommand("rs", "info", "root system and Weyl group summary", _cmd_rs_info, False,
+               ("build_root_system", "weyl_group_order"), ()),
+    Subcommand("char", "weyl", "Weyl-module character", _cmd_char_weyl, False,
+               ("weyl_character", "steinberg_character"),
+               (_weight(help="dominant highest weight"),
+                _r(help="with --p and no --weight: degree of the Steinberg character"))),
+    Subcommand("char", "tensor", "product of characters", _cmd_char_tensor, False,
+               ("tensor", "class_to_char"),
+               (_weight(action="append", default=[],
+                        help="factor given as a Weyl-module highest weight (repeatable)"),
+                _char(action="append", default=[],
+                      help="factor given as character JSON (repeatable)"),
+                _class(action="append", default=[],
+                       help="factor given as class JSON, converted to its character (repeatable)"))),
+    Subcommand("char", "twist", "Frobenius twist of a character", _cmd_char_twist, True,
+               ("frobenius_twist",), (_weight(), _char(), _r(help="twist degree"))),
+    Subcommand("char", "euler", "Euler characteristic of a line bundle weight", _cmd_char_euler,
+               False, ("euler_characteristic",), (_weight(required=True),)),
+    Subcommand("char", "contract", "weight contraction of a character by p", _cmd_char_contract,
+               True, ("contract_weights",), (_weight(), _char())),
+    Subcommand("class", "decompose", "expand a character in the Weyl-module basis",
+               _cmd_class_decompose, False, ("char_to_class", "char_to_class_by_peeling"),
+               (_weight(), _char(),
+                _opt("--method", choices=["alternating", "peeling"], default="alternating"))),
+    Subcommand("class", "tensor-delta", "Weyl-basis expansion of Delta(mu) tensor chi",
+               _cmd_class_tensor_delta, False, ("tensor_delta_expansion",),
+               (_weight(required=True, help="the weight mu"), _char(required=True))),
+    Subcommand("class", "st-forward", "Steinberg equivalence on classes", _cmd_class_st_forward,
+               True, ("steinberg_forward",),
+               (_class(required=True), _r(help="iterate the equivalence r times"))),
+    Subcommand("class", "st-inverse", "inverse Steinberg equivalence on classes",
+               _cmd_class_st_inverse, True, ("steinberg_inverse",), (_class(required=True),)),
+    Subcommand("class", "contract", "class of the Frobenius contraction", _cmd_class_contract,
+               True, ("frobenius_contract_class", "steinberg_delta_multiplicity"),
+               (_weight(), _char())),
+    Subcommand("class", "pr-block", "project a class onto one linkage block", _cmd_class_pr_block,
+               True, ("pr_block",),
+               (_class(required=True), _weight(required=True, help="block representative"))),
+    Subcommand("linkage", "test", "affine-orbit test for two weights", _cmd_linkage_test, True,
+               ("linked",), (_weight(action="append", default=[], help="give exactly twice"),)),
+    Subcommand("linkage", "rep", "closed-alcove normal form of a weight", _cmd_linkage_rep, True,
+               ("fundamental_alcove_rep", "alcove_position"), (_weight(required=True),)),
+    Subcommand("linkage", "blocks", "block decomposition of a class", _cmd_linkage_blocks, True,
+               ("block_decompose",), (_class(required=True),)),
+    Subcommand("linkage", "special", "special-point test for a weight", _cmd_linkage_special,
+               True, ("is_special_point", "st_level"), (_weight(required=True),)),
+    Subcommand("simple", "a1", "rank-one simple characters and decompositions", _cmd_simple_a1,
+               True, ("simple_character_a1", "decompose_in_simple_basis_a1"),
+               (_weight(help="dominant weight: emit its simple character"),
+                _char(help="character JSON: decompose in the simple basis"))),
 )
+
+
+class _LazyParser(argparse.ArgumentParser):
+    """Runs ``declare(parser)`` once, before it first parses or formats usage or help."""
+
+    def __init__(self, *args, declare=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._declare = declare
+
+    def _declared(self):
+        declare, self._declare = self._declare, None
+        if declare is not None:
+            declare(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._declared()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self):
+        self._declared()
+        return super().format_usage()
+
+    def format_help(self):
+        self._declared()
+        return super().format_help()
+
+
+def _declare_group(group, parser):
+    verbs = parser.add_subparsers(dest="verb", required=True, parser_class=_LazyParser)
+    for sub in REGISTRY:
+        if sub.group == group:
+            verbs.add_parser(sub.verb, help=sub.help, declare=partial(_declare_verb, sub))
+
+
+def _declare_verb(sub, parser):
+    for flags, kwargs in COMMON_OPTIONS + sub.options:
+        parser.add_argument(*flags, **kwargs)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top parser and one lazy parser per group of ``REGISTRY``."""
+    parser = argparse.ArgumentParser(prog=PROG, description=DESCRIPTION)
+    groups = parser.add_subparsers(dest="group", required=True, parser_class=_LazyParser)
+    for group in dict.fromkeys(sub.group for sub in REGISTRY):
+        groups.add_parser(group, declare=partial(_declare_group, group))
+    return parser
+
 
 _DISPATCH = {(s.group, s.verb): s for s in REGISTRY}
 
@@ -483,16 +493,18 @@ def run(argv, out=None, err=None) -> int:
 
 
 def main() -> None:
+    """Run ``sys.argv`` as one invocation and end the process with its status.
+
+    Both streams are flushed, then ``os._exit`` skips interpreter teardown.
+    A reader that went away (a closed stdout pipe) exits 1.
+    """
     try:
         code = run(sys.argv[1:])
-        sys.stdout.flush()  # a closed pipe must raise here, not at exit
+        sys.stdout.flush()
+        sys.stderr.flush()
     except BrokenPipeError:
-        # The reader went away: point stdout at devnull so the flush at
-        # interpreter exit has nothing left to fail on, and report failure.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        sys.exit(1)
-    sys.exit(code)
+        code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -227,9 +227,8 @@ def tensor_delta_expansion(rs: RootSystem, mu, chi: Character) -> KElement:
 
 
 def _require_support_in_lattice(rs, element: KElement, lattice: Lattice) -> None:
-    if lattice is Lattice.ADJOINT:
-        for w in element.support():
-            require_in_lattice(rs, w, lattice)
+    for w in element.support():
+        require_in_lattice(rs, w, lattice)
 
 
 def steinberg_forward(rs: RootSystem, element: KElement, p: int, r: int = 1,

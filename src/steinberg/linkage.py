@@ -56,7 +56,7 @@ class AlcovePosition(namedtuple("AlcovePosition", "weight wall_pairings status")
 
 
 def alcove_position(rs: RootSystem, weight, p: int) -> AlcovePosition:
-    weight = tuple(weight)
+    weight = require_rank(rs, weight)
     shifted = tuple(x + 1 for x in weight)
     vals = tuple(pairing(rs, shifted, i) for i in range(rs.num_positive_roots))
     if all(0 < v < p for v in vals):
@@ -103,7 +103,7 @@ def is_special_point(rs: RootSystem, weight, p: int) -> bool:
     """Whether every positive-root pairing of weight + rho is divisible by p."""
     if p < 2:
         raise DomainError(f"special-point test needs p >= 2, got {p}")
-    shifted = tuple(x + 1 for x in weight)
+    shifted = tuple(x + 1 for x in require_rank(rs, weight))
     return all(
         pairing(rs, shifted, i) % p == 0 for i in range(rs.num_positive_roots)
     )
@@ -112,7 +112,7 @@ def is_special_point(rs: RootSystem, weight, p: int) -> bool:
 def st_level(rs: RootSystem, weight, p: int,
              lattice: Lattice = Lattice.SIMPLY_CONNECTED) -> int:
     """Largest r with weight = p^r . mu for a dominant lattice weight mu."""
-    weight = tuple(weight)
+    weight = require_rank(rs, weight)
     if not is_dominant(weight):
         raise DomainError(f"weight {list(weight)} is not dominant")
     if p < 2:

@@ -284,6 +284,7 @@ def root_coordinates(rs: RootSystem, weight):
 
 
 def in_root_lattice(rs: RootSystem, weight) -> bool:
+    weight = require_rank(rs, weight)
     return all(
         sum(rs.inv_num[i][j] * weight[j] for j in range(rs.rank)) % rs.inv_den == 0
         for i in range(rs.rank)
@@ -300,6 +301,7 @@ class Lattice(enum.Enum):
 def in_lattice(rs: RootSystem, weight, lattice: Lattice) -> bool:
     if lattice is Lattice.ADJOINT:
         return in_root_lattice(rs, weight)
+    require_rank(rs, weight)
     return True
 
 

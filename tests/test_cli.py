@@ -1,5 +1,6 @@
 """Command-line surface: dispatch, schemas, determinism, exit codes."""
 
+import argparse
 import io
 import json
 import os
@@ -7,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import steinberg
+from steinberg import cli
 from steinberg.cli import REGISTRY, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -19,11 +23,21 @@ def invoke(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def child_env():
+    """The environment of a fresh interpreter on the checkout's library.
+
+    Without PYTHONUNBUFFERED its stdout is block-buffered, as in a user's
+    call, so an exit that skipped the flush would lose output.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def python(*args):
     """Run a fresh interpreter on the checkout's library."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=child_env(), timeout=120)
 
 
 def invoke_json(argv):
@@ -374,11 +388,10 @@ def test_process_streams_keep_their_roles():
 def test_closed_stdout_pipe_exits_1_without_traceback():
     # As in `steinberg char tensor ... | head -c 10`: the reader is gone
     # before the result is written, so the write fails with EPIPE.
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.Popen(
         [sys.executable, "-m", "steinberg.cli", "char", "tensor", "--type", "G", "--rank", "2",
          "--weight", "3,0", "--weight", "0,3"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
     proc.stdout.close()
     try:
         err = proc.stderr.read()
@@ -397,3 +410,220 @@ def test_cli_import_leaves_heavy_stdlib_modules_unloaded():
     loaded = set(proc.stdout.split())
     assert "steinberg.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "ast"}
+
+
+# A result larger than a pipe's buffer, so the process must keep writing
+# while its reader drains the pipe.
+LARGE_RESULT = ["char", "tensor", "--type", "G", "--rank", "2", "--weight", "20,0",
+                "--weight", "0,20"]
+
+
+def test_closed_stdout_reports_no_traceback_when_the_reader_leaves_mid_write():
+    # The write blocks once the pipe is full and fails when the reader has
+    # gone; main() must not try to write the rest again at exit.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "steinberg.cli", *LARGE_RESULT],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    try:
+        assert proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.stderr.close()
+    assert code == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def test_hard_exit_delivers_a_large_result_whole():
+    proc = python("-m", "steinberg.cli", *LARGE_RESULT)
+    assert proc.returncode == 0 and not proc.stderr
+    assert len(proc.stdout) > 1 << 17
+    assert proc.stdout == invoke(LARGE_RESULT)[1]
+    assert json.loads(proc.stdout)["weights"]
+
+
+def test_hard_exit_delivers_a_domain_error_line_whole():
+    argv = ["rs", "info", "--type", "A", "--rank", "7"]
+    proc = python("-m", "steinberg.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == invoke(argv)
+    assert proc.returncode == 1 and proc.stderr.startswith("steinberg: error: ")
+
+
+def test_run_builds_the_parser_once(monkeypatch):
+    calls = []
+    build = cli.build_parser
+
+    def counting():
+        calls.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    assert invoke(["linkage", "test", "--type", "A", "--rank", "2", "--p", "5",
+                   "--weight", "1,1", "--weight", "3,0"])[0] == 0
+    assert len(calls) == 1
+
+
+def test_main_flushes_and_exits_hard(monkeypatch, capsys):
+    class HardExit(Exception):
+        pass
+
+    def hard_exit(code):
+        raise HardExit(code)
+
+    monkeypatch.setattr(os, "_exit", hard_exit)
+    for argv, code in ((["rs", "info", "--type", "A", "--rank", "2"], 0),
+                       (["rs", "info", "--type", "A", "--rank", "7"], 1),
+                       (["rs", "bogus"], 2)):
+        monkeypatch.setattr(sys, "argv", ["steinberg", *argv])
+        with pytest.raises(HardExit) as exc:
+            cli.main()
+        assert exc.value.args == (code,)
+        assert tuple(capsys.readouterr()) == invoke(argv)[1:]
+
+
+def _subparsers(parser):
+    """A parser's subcommand parsers by name (argparse keeps them on a private action)."""
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def eager_parser():
+    """The CLI's parser tree from the same registry, every argument declared up front."""
+    top = argparse.ArgumentParser(prog=cli.PROG, description=cli.DESCRIPTION)
+    groups = top.add_subparsers(dest="group", required=True)
+    verbs = {}
+    for sub in REGISTRY:
+        if sub.group not in verbs:
+            verbs[sub.group] = groups.add_parser(sub.group).add_subparsers(
+                dest="verb", required=True)
+        verb = verbs[sub.group].add_parser(sub.verb, help=sub.help)
+        for flags, kwargs in cli.COMMON_OPTIONS + sub.options:
+            verb.add_argument(*flags, **kwargs)
+    return top
+
+
+# Usage errors at every level, and help after them.
+USAGE_ERRORS = [
+    [], ["bogus"], ["-x"], ["--"], ["--", "rs", "info"], ["--type", "A", "rs", "info"],
+    ["char"], ["char", "nope"], ["char", "--foo"], ["char", "--"], ["char", "--foo", "-h"],
+    ["char", "--foo", "weyl", "--type", "A", "--rank", "2", "--weight", "1,0"],
+    ["char", "weyl", "--foo", "--type", "A", "--rank", "2", "--weight", "1,0"],
+    ["char", "weyl", "--type", "A", "--rank", "2", "--weight", "1,0", "extra"],
+    ["char", "weyl", "--type", "A", "--rank", "2", "--", "--weight", "1,0"],
+    ["char", "weyl", "--type", "A", "--rank", "2", "--weight", "[1.5,0]"],
+    ["char", "weyl", "--type", "H", "--rank", "2"], ["char", "weyl", "--weight", "1"],
+    ["char", "tensor", "--type", "A", "--rank", "2", "--c", "{}"],
+    ["char", "twist", "--type", "A", "--rank", "1", "--p", "4", "--weight", "1"],
+    ["class", "decompose", "--type", "A", "--rank", "1", "--char", "not json"],
+    ["class", "st-forward", "--type", "A", "--rank", "1", "--p", "3"],
+    ["linkage", "test", "--type", "A", "--rank", "1", "--p", "3", "--weight", "0"],
+    ["linkage", "rep", "--he"], ["linkage", "rep", "-h", "--foo"],
+    ["simple", "a1", "--p", "3"], ["simple", "--help"], ["rs", "info", "--rank", "x"],
+]
+
+
+def test_lazy_parsers_match_an_eager_tree(monkeypatch):
+    lazy, eager = cli.build_parser(), eager_parser()
+    assert lazy.format_help() == eager.format_help()
+    lazy_groups, eager_groups = _subparsers(lazy), _subparsers(eager)
+    assert list(lazy_groups) == list(eager_groups) == list(
+        dict.fromkeys(sub.group for sub in REGISTRY))
+    helps = 1
+    for name, group in lazy_groups.items():
+        assert group.format_usage() == eager_groups[name].format_usage(), name
+        assert group.format_help() == eager_groups[name].format_help(), name
+        lazy_verbs, eager_verbs = _subparsers(group), _subparsers(eager_groups[name])
+        assert list(lazy_verbs) == list(eager_verbs)
+        for verb, parser in lazy_verbs.items():
+            assert parser.format_usage() == eager_verbs[verb].format_usage(), verb
+            assert parser.format_help() == eager_verbs[verb].format_help(), verb
+            helps += 1
+        helps += 1
+    assert helps == 1 + 5 + 17
+    lazy_results = [invoke(argv) for argv in USAGE_ERRORS]
+    monkeypatch.setattr(cli, "build_parser", eager_parser)
+    assert [invoke(argv) for argv in USAGE_ERRORS] == lazy_results
+    assert {code for code, _, _ in lazy_results} == {0, 2}
+
+
+def test_only_the_invoked_subcommand_is_declared():
+    parser = cli.build_parser()
+    parser.parse_args(["linkage", "test", "--type", "A", "--rank", "2", "--p", "5",
+                       "--weight", "1,1", "--weight", "3,0"])
+    groups = _subparsers(parser)
+    for name, group in groups.items():
+        if name != "linkage":
+            assert [a.dest for a in group._actions] == ["help"], name
+    declared = {verb for verb, parser in _subparsers(groups["linkage"]).items()
+                if len(parser._actions) > 1}
+    assert declared == {"test"}
+
+
+def test_cli_never_raises_and_keeps_stdout_clean_on_failure(monkeypatch):
+    # Random argv built from the registry's words, abbreviated and unknown
+    # options and assorted values, in any order: every call ends in 0, 1 or
+    # 2 without a traceback, prints nothing to stdout unless it succeeds or
+    # shows help, and never ends the process.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def no_exit(code):
+        raise AssertionError(f"run() called os._exit({code})")
+
+    monkeypatch.setattr(os, "_exit", no_exit)
+    # Integers stay in [-3, 3] and primes at most 3, so every call is cheap:
+    # the largest is G2's Steinberg character at p = 3, r = 3.
+    small = st.integers(-3, 3)
+    weights = st.one_of(st.lists(small, min_size=1, max_size=3),
+                        st.integers(1, 2).map(lambda rank: [0] * rank))
+    chars = st.builds(lambda w, m: json.dumps({"weights": [{"w": w, "mult": m}]}), weights, small)
+    classes = st.builds(lambda w, c: json.dumps({"terms": [{"w": w, "coeff": c}]}),
+                        weights, small)
+    junk = st.one_of(small.map(str), st.sampled_from([
+        "A", "G", "sc", "text", "1.5", "-0.5", "1e3", "nan", "", "x", "[1.5,0]", "[true]",
+        "{", "[", "null", "{}", '{"weights":[]}', '{"terms":[]}', '{"terms":{}}', "1,,0"]))
+    typed = {
+        "--type": st.sampled_from("AG"), "--rank": st.sampled_from("12"),
+        "--p": st.sampled_from("23"), "--r": small.map(str),
+        "--lattice": st.sampled_from(["sc", "adj"]),
+        "--output": st.sampled_from(["json", "text"]),
+        "--method": st.sampled_from(["alternating", "peeling"]),
+        "--weight": st.one_of(weights.map(lambda w: ",".join(map(str, w))),
+                              weights.map(json.dumps)),
+        "--char": chars, "--class": classes,
+    }
+    words = sorted({s.group for s in REGISTRY} | {s.verb for s in REGISTRY} | {"bogus"})
+    known = sorted(typed)
+    odd_options = ["-h", "--help", "--he", "--ty", "--ra", "--we", "--c", "--out", "--foo",
+                   "-x", "--"]
+    stray = st.one_of(
+        st.sampled_from(words + odd_options).map(lambda token: [token]),
+        junk.map(lambda value: [value]),
+        st.tuples(st.sampled_from(known + odd_options), junk).map(list),
+    )
+    context = st.sampled_from([["--type", "A", "--rank", "1"], ["--type", "A", "--rank", "2"],
+                               ["--type", "G", "--rank", "2"]])
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        # Mostly a subcommand with a root system and some of its options,
+        # each with a value of its type; then stray words, odd options and
+        # junk values, all in any order.
+        draw = data.draw
+        sub = draw(st.sampled_from(REGISTRY))
+        own = [flags[0] for flags, _ in cli.COMMON_OPTIONS + sub.options]
+        chunks = [draw(context)] + [[option, draw(typed[option])]
+                                    for option in own if draw(st.booleans())]
+        chunks = draw(st.permutations(chunks + draw(st.lists(stray, max_size=1))))
+        head = [sub.group, sub.verb]
+        if draw(st.booleans()):
+            head = draw(st.sampled_from([[sub.group], [], ["bogus", sub.verb], head[::-1]]))
+        argv = head + [token for chunk in chunks for token in chunk]
+        code, out, err = invoke(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        assert code == 0 or not out, argv
+
+    check()

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from steinberg import (
     DomainError,
+    KElement,
     Lattice,
     alcove_position,
     build_root_system,
@@ -17,7 +18,10 @@ from steinberg import (
     is_special_point,
     linked,
     st_level,
+    steinberg_forward,
+    steinberg_inverse,
 )
+from steinberg.rootdata import in_lattice
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -243,3 +247,21 @@ def test_fundamental_alcove_rep_rejects_wrong_rank():
     for weight in [(1, 2, 3), (1,)]:
         with pytest.raises(DomainError, match="wrong rank"):
             fundamental_alcove_rep(A2, weight, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda w: alcove_position(A2, w, 3),
+    lambda w: is_special_point(A2, w, 3),
+    lambda w: st_level(A2, w, 3),
+    lambda w: in_root_lattice(A2, w),
+    lambda w: in_lattice(A2, w, Lattice.SIMPLY_CONNECTED),
+    lambda w: in_lattice(A2, w, Lattice.ADJOINT),
+    lambda w: steinberg_forward(A2, KElement({w: 1}), 3),
+    lambda w: steinberg_inverse(A2, KElement({w: 1}), 3),
+], ids=["alcove_position", "is_special_point", "st_level", "in_root_lattice",
+        "in_lattice_sc", "in_lattice_adj", "steinberg_forward", "steinberg_inverse"])
+def test_weight_functions_reject_wrong_rank(call):
+    # Each of these answered for a rank-3 weight on A2, from its first two
+    # coordinates or by dropping the term.
+    with pytest.raises(DomainError, match="wrong rank"):
+        call((1, 2, 3))
