@@ -40,7 +40,9 @@ to dim, which is how an overflowing slot shows.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from _thread import allocate_lock
+from collections import OrderedDict
+from functools import _CacheInfo  # the record lru_cache's cache_info returns
 from itertools import repeat
 from operator import ge, mod, mul, sub
 
@@ -57,7 +59,10 @@ from .kronecker import (
 from .rootdata import (
     Lattice,
     RootSystem,
+    _int_coordinates,
+    _strict_int,
     is_dominant,
+    require_p,
     require_rank,
     require_steinberg_configuration,
     steinberg_weight,
@@ -68,12 +73,14 @@ from .weyl import apply_simple_reflection, descend_orbit, dot_dominant, weyl_orb
 class _Sparse:
     """Finitely supported integer combination indexed by weights.
 
-    A dict from weight tuples to nonzero integers, so equality is structural
-    (and never holds between different subclasses).  A subclass names its
-    JSON fields in ``_FIELDS`` (entry list, value key) and its payload in
-    ``_NOUN``, and may reject support weights in ``_check_support``.  All
-    weights of one value have the same rank: the constructor, ``+`` and
-    ``-`` raise DomainError on mixed ranks.
+    A dict from weight tuples of ints to nonzero ints, so equality is
+    structural (and never holds between different subclasses).  A subclass
+    names its JSON fields in ``_FIELDS`` (entry list, value key) and its
+    payload in ``_NOUN``, and may reject support weights in
+    ``_check_support``.  All weights of one value have the same rank: the
+    constructor, ``+`` and ``-`` raise DomainError on mixed ranks.  The
+    constructor also raises it on a coordinate or value that is not an int
+    (bools and floats included); ``_raw`` checks nothing.
     """
 
     __slots__ = ("_terms",)
@@ -85,9 +92,11 @@ class _Sparse:
         check = self._check_support
         rank = None
         for w, m in items:
+            w = _int_coordinates(w)
+            if type(m) is not int:
+                _strict_int(m, DomainError)
             if not m:
                 continue
-            w = tuple(w)
             if rank is None:
                 rank = len(w)
             elif len(w) != rank:
@@ -252,12 +261,6 @@ def _shared_tag(a: Character, b: Character):
     return None
 
 
-def _strict_int(value, error=ValueError) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise error(f"expected an integer, got {value!r}")
-    return value
-
-
 def _dominant_weights_below(rs: RootSystem, highest):
     """All dominant weights <= highest, with root coordinates of the gap.
 
@@ -278,12 +281,19 @@ def _dominant_weights_below(rs: RootSystem, highest):
     return gaps
 
 
-# Weyl characters kept for reuse, the least recently used dropped first.  A
-# round of the rank2-steinberg benchmark workload needs at most 150.
-_WEYL_CACHE_SIZE = 512
+# Weyl characters kept for reuse hold at most this many terms in total (about
+# 3 MB), the least recently used dropped first.  A round of the
+# rank2-steinberg benchmark workload reuses characters of about 2,600 terms,
+# next to Delta(p . lam) targets of up to 30,000 terms each that it asks for
+# once, so a bound on the entry count bounds no memory.
+_WEYL_CACHE_TERMS = 1 << 15
 # Weyl's character formula computes a character of rank <= 2 when its box
 # has at most this many slots per unit of dim (measured; see weyl_character).
 _SLOTS_PER_DIM = 12
+
+_weyl_cache = OrderedDict()  # (rs, highest) -> Character, least recently used first
+_weyl_cache_lock = allocate_lock()
+_weyl_hits = _weyl_misses = _weyl_terms = 0
 
 
 def weyl_character(rs: RootSystem, highest) -> Character:
@@ -307,21 +317,55 @@ def weyl_character(rs: RootSystem, highest) -> Character:
     rank 4 22 to 255 times, as the box of W(lam + rho) - rho is then mostly
     empty.
 
-    Characters are kept in a least-recently-used cache of 512 entries.
-    ``cache_info`` and ``cache_clear`` are the cache's, and ``__wrapped__``
-    is the uncached computation, as for ``functools.lru_cache``.  The
-    weight is checked on every call, before the cache is looked up:
-    coordinates must be ints (not bools), so a float or bool weight that
-    equals a cached int weight is rejected, not answered from the cache.
+    Characters are kept in a least-recently-used cache bounded by the
+    terms it holds, 2^15 in all: a miss stores its character and then drops
+    the least recently used ones until the total fits, and a character of
+    more than 2^15 terms is returned without being kept.  ``cache_info``
+    (``currsize`` counts characters, ``maxsize`` is the term budget) and
+    ``cache_clear`` are the cache's, and ``__wrapped__`` is the uncached
+    computation, as for ``functools.lru_cache``; lookups and updates hold
+    one lock, the computation does not.  The weight is checked on every
+    call, before the cache is looked up: coordinates must be ints (not
+    bools), so a float or bool weight that equals a cached int weight is
+    rejected, not answered from the cache.
     """
-    return _cached_weyl_character(rs, _dominant_weight(rs, highest))
+    global _weyl_hits, _weyl_misses, _weyl_terms
+    key = (rs, _dominant_weight(rs, highest))
+    with _weyl_cache_lock:
+        chi = _weyl_cache.get(key)
+        if chi is not None:
+            _weyl_cache.move_to_end(key)
+            _weyl_hits += 1
+            return chi
+        _weyl_misses += 1
+    chi = _weyl_character(*key)
+    size = len(chi)
+    if size <= _WEYL_CACHE_TERMS:
+        with _weyl_cache_lock:
+            # Another thread may have stored the same character meanwhile.
+            if key not in _weyl_cache:
+                _weyl_cache[key] = chi
+                _weyl_terms += size
+                while _weyl_terms > _WEYL_CACHE_TERMS:
+                    _weyl_terms -= len(_weyl_cache.popitem(last=False)[1])
+    return chi
+
+
+def _weyl_cache_info():
+    with _weyl_cache_lock:
+        return _CacheInfo(_weyl_hits, _weyl_misses, _WEYL_CACHE_TERMS, len(_weyl_cache))
+
+
+def _weyl_cache_clear():
+    global _weyl_hits, _weyl_misses, _weyl_terms
+    with _weyl_cache_lock:
+        _weyl_cache.clear()
+        _weyl_hits = _weyl_misses = _weyl_terms = 0
 
 
 def _dominant_weight(rs: RootSystem, highest) -> tuple:
     # highest as a tuple of ints, or DomainError.
     highest = require_rank(rs, highest)
-    for x in highest:
-        _strict_int(x, DomainError)
     if not is_dominant(highest):
         raise DomainError(f"weight {list(highest)} is not dominant")
     return highest
@@ -337,9 +381,8 @@ def _weyl_character(rs: RootSystem, highest) -> Character:
     return Character._raw(_freudenthal(rs, highest), rs)
 
 
-_cached_weyl_character = lru_cache(maxsize=_WEYL_CACHE_SIZE)(_weyl_character)
-weyl_character.cache_info = _cached_weyl_character.cache_info
-weyl_character.cache_clear = _cached_weyl_character.cache_clear
+weyl_character.cache_info = _weyl_cache_info
+weyl_character.cache_clear = _weyl_cache_clear
 weyl_character.__wrapped__ = _weyl_character
 
 
@@ -600,12 +643,13 @@ def _convolve(a: Character, b: Character, floor=None) -> dict:
 
 def frobenius_twist(chi: Character, r: int, p: int) -> Character:
     """Dilate every weight by p^r, keeping multiplicities."""
+    _strict_int(r, DomainError)
+    _strict_int(p, DomainError)
     if r < 0:
         raise DomainError(f"twist degree must be >= 0, got {r}")
     if r == 0:
         return chi
-    if p < 2:
-        raise DomainError(f"twist needs p >= 2, got {p}")
+    require_p(p, "twist")
     scale = p**r
     return Character._raw(
         {tuple(scale * x for x in w): m for w, m in chi.items()}, chi._invariant_for
@@ -635,8 +679,7 @@ def euler_characteristic(rs: RootSystem, weight) -> Character:
 
 def contract_weights(chi: Character, p: int) -> Character:
     """Keep the weights divisible by p and divide them by p."""
-    if p < 2:
-        raise DomainError(f"contraction needs p >= 2, got {p}")
+    require_p(p, "contraction")
     out = {tuple([x // p for x in w]): m for w, m in chi.items()
            if not any(map(mod, w, repeat(p)))}
     return Character._raw(out, chi._invariant_for)

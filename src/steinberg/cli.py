@@ -22,7 +22,6 @@ from . import grothendieck as gk
 from . import linkage as lk
 from .characters import (
     Character,
-    _strict_int,
     contract_weights,
     euler_characteristic,
     frobenius_twist,
@@ -33,6 +32,7 @@ from .characters import (
 from .errors import ConfigurationError, DomainError
 from .rootdata import (
     Lattice,
+    _strict_int,
     build_root_system,
     require_in_lattice,
     require_rank,

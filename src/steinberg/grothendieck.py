@@ -32,10 +32,12 @@ from .linkage import fundamental_alcove_rep
 from .rootdata import (
     Lattice,
     RootSystem,
+    _strict_int,
     dot_multiply,
     in_lattice,
     is_dominant,
     require_in_lattice,
+    require_p,
     require_rank,
     require_steinberg_configuration,
 )
@@ -239,11 +241,11 @@ def steinberg_forward(rs: RootSystem, element: KElement, p: int, r: int = 1,
     character level this is tensoring with the r-th Steinberg character
     after an r-fold Frobenius twist.  r = 0 is the identity.
     """
+    _strict_int(r, DomainError)
     if r < 0:
         raise DomainError(f"iteration count must be >= 0, got {r}")
     if r == 0:
-        if p < 2:
-            raise DomainError(f"equivalence needs p >= 2, got {p}")
+        require_p(p, "equivalence")
         _require_support_in_lattice(rs, element, lattice)
         return KElement._raw(dict(element.items()))
     require_steinberg_configuration(rs, p, r, lattice)
@@ -258,8 +260,7 @@ def steinberg_inverse(rs: RootSystem, element: KElement, p: int,
 
     Terms whose weight is not p . lam for a lattice weight lam are dropped.
     """
-    if p < 2:
-        raise DomainError(f"inverse needs p >= 2, got {p}")
+    require_p(p, "inverse")
     _require_support_in_lattice(rs, element, lattice)
     out = {}
     for w, c in element.items():
@@ -282,8 +283,7 @@ def steinberg_delta_multiplicity(rs: RootSystem, chi: Character, lam, p: int) ->
     lam = require_rank(rs, lam)
     if not is_dominant(lam):
         raise DomainError(f"weight {list(lam)} is not dominant")
-    if p < 2:
-        raise DomainError(f"multiplicity needs p >= 2, got {p}")
+    require_p(p, "multiplicity")
     require_w_invariant(rs, chi)
     if _few_elements(rs, len(chi)):
         # The coefficient at lam of (contracted chi) * D: sum over the |W|
@@ -302,8 +302,7 @@ def frobenius_contract_class(rs: RootSystem, chi: Character, p: int) -> KElement
     Brauer's formula (``_brauer``) on the weights of chi contracted by p.
     At the character level the result contracts the weights of chi by p.
     """
-    if p < 2:
-        raise DomainError(f"contraction needs p >= 2, got {p}")
+    require_p(p, "contraction")
     require_w_invariant(rs, chi)
     return _brauer(rs, contract_weights(chi, p))
 
@@ -330,8 +329,7 @@ def block_decompose(rs: RootSystem, element: KElement, p: int,
     representatives are the closed-alcove normal forms of the support.
     Components sum back to the input.
     """
-    if p < 2:
-        raise DomainError(f"decomposition needs p >= 2, got {p}")
+    require_p(p, "decomposition")
     _require_support_in_lattice(rs, element, lattice)
     buckets = {}
     for w, c in element.items():

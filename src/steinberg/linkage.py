@@ -20,10 +20,12 @@ from .errors import DomainError
 from .rootdata import (
     Lattice,
     RootSystem,
+    _strict_int,
     in_lattice,
     is_dominant,
     pairing,
     require_in_lattice,
+    require_p,
     require_rank,
 )
 from .weyl import _neighbours, _to_dominant
@@ -36,8 +38,7 @@ def linked(rs: RootSystem, lam, mu, p: int,
     The closed bottom alcove is a fundamental domain for the dot action, so
     the weights are linked exactly when their normal forms agree.
     """
-    if p < 2:
-        raise DomainError(f"linkage needs p >= 2, got {p}")
+    require_p(p, "linkage")
     lam, mu = require_rank(rs, lam), require_rank(rs, mu)
     require_in_lattice(rs, lam, lattice)
     require_in_lattice(rs, mu, lattice)
@@ -57,6 +58,7 @@ class AlcovePosition(namedtuple("AlcovePosition", "weight wall_pairings status")
 
 def alcove_position(rs: RootSystem, weight, p: int) -> AlcovePosition:
     weight = require_rank(rs, weight)
+    _strict_int(p, DomainError)
     shifted = tuple(x + 1 for x in weight)
     vals = tuple(pairing(rs, shifted, i) for i in range(rs.num_positive_roots))
     if all(0 < v < p for v in vals):
@@ -86,8 +88,7 @@ def fundamental_alcove_rep(rs: RootSystem, weight, p: int):
     can lie beyond.  Each wall reflection strictly shrinks the invariant
     norm of the shifted weight, so the walk terminates.
     """
-    if p < 2:
-        raise DomainError(f"alcove normalization needs p >= 2, got {p}")
+    require_p(p, "alcove normalization")
     x = [c + 1 for c in require_rank(rs, weight)]
     nbrs = _neighbours(rs)
     coroot, root = _highest_coroot(rs)
@@ -101,8 +102,7 @@ def fundamental_alcove_rep(rs: RootSystem, weight, p: int):
 
 def is_special_point(rs: RootSystem, weight, p: int) -> bool:
     """Whether every positive-root pairing of weight + rho is divisible by p."""
-    if p < 2:
-        raise DomainError(f"special-point test needs p >= 2, got {p}")
+    require_p(p, "special-point test")
     shifted = tuple(x + 1 for x in require_rank(rs, weight))
     return all(
         pairing(rs, shifted, i) % p == 0 for i in range(rs.num_positive_roots)
@@ -115,8 +115,7 @@ def st_level(rs: RootSystem, weight, p: int,
     weight = require_rank(rs, weight)
     if not is_dominant(weight):
         raise DomainError(f"weight {list(weight)} is not dominant")
-    if p < 2:
-        raise DomainError(f"level needs p >= 2, got {p}")
+    require_p(p, "level")
     level = 0
     cur = weight
     while True:

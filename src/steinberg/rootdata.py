@@ -195,16 +195,24 @@ def _invert(matrix, rank):
     return tuple(tuple(x // g for x in row) for row in num), den // g
 
 
-@lru_cache(maxsize=None)
 def build_root_system(series: str, rank: int) -> RootSystem:
-    """Construct the full root datum for an irreducible type of rank <= 6."""
+    """Construct the full root datum for an irreducible type of rank <= 6.
+
+    Each type is built once.  The arguments are checked before the cache is
+    looked up, so a bool rank, whose key equals an int's, is rejected.
+    """
     if series not in _RANK_RANGE:
         raise ConfigurationError(f"unknown series {series!r}; expected one of A-G")
     lo, hi = _RANK_RANGE[series]
-    if not isinstance(rank, int) or not lo <= rank <= hi:
+    if isinstance(rank, bool) or not isinstance(rank, int) or not lo <= rank <= hi:
         raise ConfigurationError(
             f"series {series} supports rank {lo}..{hi} here (rank cap {RANK_CAP}); got {rank}"
         )
+    return _build_root_system(series, rank)
+
+
+@lru_cache(maxsize=None)
+def _build_root_system(series: str, rank: int) -> RootSystem:
     cartan = _cartan_matrix(series, rank)
     roots = _enumerate_roots(cartan, rank)
     t = _symmetrizer(cartan, rank)
@@ -238,7 +246,7 @@ def build_root_system(series: str, rank: int) -> RootSystem:
 
 def root_system_from_dict(data: dict) -> RootSystem:
     try:
-        return build_root_system(str(data["series"]), int(data["rank"]))
+        return build_root_system(str(data["series"]), _strict_int(data["rank"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed root system payload: {exc}") from exc
 
@@ -248,6 +256,7 @@ def pairing(rs: RootSystem, weight, index: int) -> int:
 
     Indices below ``rs.rank`` are the simple coroots.
     """
+    weight = require_rank(rs, weight)
     d = rs.coroots[index]
     return sum(d[j] * weight[j] for j in range(rs.rank))
 
@@ -257,12 +266,40 @@ def highest_root_index(rs: RootSystem) -> int:
     return heights.index(max(heights))
 
 
+def _strict_int(value, error=ValueError) -> int:
+    """The value if it is an int and not a bool; otherwise raise ``error``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"expected an integer, got {value!r}")
+    return value
+
+
+def require_p(p, what: str) -> int:
+    """p if it is an int >= 2; otherwise DomainError saying what needs it."""
+    _strict_int(p, DomainError)
+    if p < 2:
+        raise DomainError(f"{what} needs p >= 2, got {p}")
+    return p
+
+
+def _int_coordinates(weight) -> tuple:
+    # The weight as a tuple, or DomainError when a coordinate is not an int.
+    weight = tuple(weight)
+    for x in weight:
+        if type(x) is not int:
+            _strict_int(x, DomainError)
+    return weight
+
+
 def require_rank(rs: RootSystem, weight) -> tuple:
-    """The weight as a tuple, or DomainError when its rank is not rs.rank."""
+    """The weight as a tuple of ints, or DomainError.
+
+    DomainError when its rank is not rs.rank or a coordinate is not an int
+    (a bool or a float that equals an int included).
+    """
     weight = tuple(weight)
     if len(weight) != rs.rank:
         raise DomainError(f"weight {list(weight)} has wrong rank for {rs!r}")
-    return weight
+    return _int_coordinates(weight)
 
 
 def is_dominant(weight) -> bool:
@@ -270,13 +307,15 @@ def is_dominant(weight) -> bool:
 
 
 def is_restricted(weight, p: int) -> bool:
-    return all(0 <= x < p for x in weight)
+    _strict_int(p, DomainError)
+    return all(0 <= x < p for x in _int_coordinates(weight))
 
 
 def root_coordinates(rs: RootSystem, weight):
     """Exact simple-root coordinates of a weight (tuple of Fractions)."""
     from fractions import Fraction  # only here, to keep the package import light
 
+    weight = require_rank(rs, weight)
     return tuple(
         Fraction(sum(rs.inv_num[i][j] * weight[j] for j in range(rs.rank)), rs.inv_den)
         for i in range(rs.rank)
@@ -312,11 +351,15 @@ def require_in_lattice(rs: RootSystem, weight, lattice: Lattice) -> None:
 
 def steinberg_weight(rs: RootSystem, p: int, r: int = 1):
     """The weight (p^r - 1) * rho."""
+    _strict_int(p, DomainError)
+    _strict_int(r, DomainError)
     return (p**r - 1,) * rs.rank
 
 
 def require_steinberg_configuration(rs, p: int, r: int, lattice: Lattice) -> None:
     """Reject configurations whose Steinberg weight leaves the lattice."""
+    _strict_int(p, DomainError)
+    _strict_int(r, DomainError)
     if p < 2:
         raise ConfigurationError(f"characteristic must be at least 2, got {p}")
     if r < 1:
@@ -331,13 +374,14 @@ def require_steinberg_configuration(rs, p: int, r: int, lattice: Lattice) -> Non
 
 def dot_multiply(n: int, weight):
     """Dot-multiplication n(w + rho) - rho, i.e. n*w + (n-1)*rho."""
-    return tuple(n * x + n - 1 for x in weight)
+    _strict_int(n, DomainError)
+    return tuple(n * x + n - 1 for x in _int_coordinates(weight))
 
 
 def steinberg_split(weight, p: int):
     """Split a dominant weight as w0 + p*mu with w0 restricted, mu dominant."""
-    if p < 2:
-        raise DomainError(f"split needs p >= 2, got {p}")
+    require_p(p, "split")
+    weight = _int_coordinates(weight)
     if not is_dominant(weight):
         raise DomainError(f"weight {list(weight)} is not dominant")
     return tuple(x % p for x in weight), tuple(x // p for x in weight)

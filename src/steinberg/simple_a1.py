@@ -17,7 +17,7 @@ from .characters import (
     weyl_character,
 )
 from .errors import DomainError
-from .rootdata import RootSystem, is_dominant, steinberg_digits
+from .rootdata import RootSystem, is_dominant, require_p, require_rank, steinberg_digits
 
 
 def _require_a1(rs: RootSystem) -> None:
@@ -28,9 +28,8 @@ def _require_a1(rs: RootSystem) -> None:
 def simple_character_a1(rs: RootSystem, weight, p: int) -> Character:
     """Character of the simple module: product of twisted digit characters."""
     _require_a1(rs)
-    if p < 2:
-        raise DomainError(f"simple character needs p >= 2, got {p}")
-    weight = tuple(weight)
+    require_p(p, "simple character")
+    weight = require_rank(rs, weight)
     if not is_dominant(weight):
         raise DomainError(f"weight {list(weight)} is not dominant")
     out = Character({(0,): 1})
@@ -48,8 +47,7 @@ def decompose_in_simple_basis_a1(rs: RootSystem, chi: Character, p: int) -> dict
     decomposition numbers.
     """
     _require_a1(rs)
-    if p < 2:
-        raise DomainError(f"decomposition needs p >= 2, got {p}")
+    require_p(p, "decomposition")
     require_w_invariant(rs, chi)
     rest = chi
     out = {}

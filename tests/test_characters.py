@@ -1,11 +1,14 @@
 """Character arithmetic: Weyl characters, products, twists, contractions."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from steinberg import characters
 from steinberg import (
     Character,
     ConfigurationError,
@@ -90,6 +93,142 @@ def test_uncached_weyl_character_leaves_the_cache_alone():
         weyl_character.__wrapped__(G2, (1.0, 0))
     weyl_character.cache_clear()
     assert weyl_character.cache_info().currsize == 0
+
+
+def _cached_terms() -> int:
+    # The terms the Weyl-character cache holds, counted afresh.
+    terms = sum(len(chi) for chi in characters._weyl_cache.values())
+    assert terms == characters._weyl_terms
+    return terms
+
+
+def _cached(rs, weight) -> bool:
+    return (rs, weight) in characters._weyl_cache
+
+
+def test_weyl_cache_holds_at_most_its_term_budget():
+    # The G2 targets Delta(p . lam) of the twist identity at p = 5 and 7
+    # hold 65,780 terms together, twice the budget.
+    weyl_character.cache_clear()
+    total = 0
+    for p in (5, 7):
+        for size in range(4):
+            for a in range(size + 1):
+                total += len(weyl_character(G2, dot_multiply(p, (a, size - a))))
+                assert _cached_terms() <= 2**15
+    assert total > 2**15
+    assert weyl_character.cache_info().maxsize == 2**15
+    # The most recent target is kept.
+    assert _cached(G2, dot_multiply(7, (3, 0)))
+
+
+def test_oversized_weyl_character_is_returned_but_not_kept():
+    weyl_character.cache_clear()
+    small = weyl_character(A2, (1, 1))
+    big = weyl_character(A2, (120, 120))
+    assert len(big) > 2**15
+    assert big == weyl_character.__wrapped__(A2, (120, 120))
+    assert big.dim() == oracles.weyl_dimension("A", 2, (120, 120))
+    assert not _cached(A2, (120, 120)) and _cached(A2, (1, 1))
+    assert _cached_terms() == len(small)
+    # Not kept, so asking again is another miss, and evicts nothing.
+    info = weyl_character.cache_info()
+    assert weyl_character(A2, (120, 120)) == big
+    assert weyl_character.cache_info().misses == info.misses + 1
+    assert weyl_character(A2, (1, 1)) is small
+    assert weyl_character.cache_info().hits == info.hits + 1
+
+
+def test_weyl_cache_hit_protects_an_entry_from_the_next_eviction(monkeypatch):
+    # A2's (1, 0) and (0, 1) have 3 terms each and (1, 1) has 7: with a
+    # budget of 10, storing (1, 1) evicts one of the first two.
+    monkeypatch.setattr(characters, "_WEYL_CACHE_TERMS", 10)
+    for touched, dropped in (((1, 0), (0, 1)), ((0, 1), (1, 0))):
+        weyl_character.cache_clear()
+        weyl_character(A2, (1, 0))
+        weyl_character(A2, (0, 1))
+        weyl_character(A2, touched)
+        weyl_character(A2, (1, 1))
+        assert _cached(A2, touched) and _cached(A2, (1, 1)) and not _cached(A2, dropped)
+        assert _cached_terms() == 10
+        assert weyl_character.cache_info() == (1, 3, 10, 2)
+    # Without the hit, the oldest entry goes first.
+    weyl_character.cache_clear()
+    for weight in ((1, 0), (0, 1), (1, 1)):
+        weyl_character(A2, weight)
+    assert list(characters._weyl_cache) == [(A2, (0, 1)), (A2, (1, 1))]
+
+
+def test_weyl_cache_clear_empties_the_cache_and_resets_its_counts():
+    weyl_character.cache_clear()
+    for weight in ((1, 0), (2, 1), (1, 0)):
+        weyl_character(B2, weight)
+    assert weyl_character.cache_info() == (1, 2, 2**15, 2)
+    assert _cached_terms() > 0
+    weyl_character.cache_clear()
+    assert weyl_character.cache_info() == (0, 0, 2**15, 0)
+    assert _cached_terms() == 0 and not characters._weyl_cache
+
+
+def test_weyl_cache_names_the_benchmark_reads():
+    # The benchmark's tracer counts a call's misses as the rise of
+    # cache_info().misses across it, and its worker finds the cached function
+    # by following __wrapped__ to the first value with cache_info, then binds
+    # that value's __wrapped__ to run uncached.
+    weyl_character.cache_clear()
+
+    def traced(*args):
+        return weyl_character(*args)
+
+    traced.__wrapped__ = weyl_character
+    found = traced
+    while not hasattr(found, "cache_info"):
+        found = found.__wrapped__
+    assert found is weyl_character
+    uncached = found.__wrapped__
+    assert not hasattr(uncached, "cache_info")
+    for weight, missed in (((2, 1), 1), ((2, 1), 0), ((1, 2), 1), ((2, 1), 0)):
+        before = weyl_character.cache_info().misses
+        traced(G2, weight)
+        assert weyl_character.cache_info().misses - before == missed
+    info = weyl_character.cache_info()
+    assert uncached(G2, (3, 3)) == weyl_character(G2, (3, 3))
+    assert uncached(G2, (2, 1)) == weyl_character(G2, (2, 1))
+    assert weyl_character.cache_info() == (info.hits + 1, info.misses + 1, 2**15, 3)
+
+
+def _twist_sweep():
+    # The twist identity ch St * (ch Delta(lam))^(1) = ch Delta(p . lam) as a
+    # rank2-steinberg benchmark round sweeps it, whatever its seed: A2, B2
+    # and G2 at p = 2, 3, 5, 7 and every lam with |lam| <= 3.
+    for rs in RANK2:
+        for p in (2, 3, 5, 7):
+            st = steinberg_character(rs, p)
+            for size in range(4):
+                for a in range(size + 1):
+                    lam = (a, size - a)
+                    lhs = tensor(st, frobenius_twist(weyl_character(rs, lam), 1, p))
+                    assert lhs == weyl_character(rs, dot_multiply(p, lam))
+
+
+def test_weyl_cache_retains_a_bounded_amount_of_memory():
+    # An entry-count bound kept all 147 characters of the sweep, 11 MB;
+    # the term budget keeps about 3 MB.
+    weyl_character.cache_clear()
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _twist_sweep()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert _cached_terms() <= 2**15
+    assert retained < 6_000_000, retained
 
 
 def test_mixed_ranks_are_rejected():

@@ -21,6 +21,7 @@ from steinberg import (
     dot_multiply,
     frobenius_contract_class,
     frobenius_twist,
+    fundamental_alcove_rep,
     linked,
     pr_block,
     steinberg_character,
@@ -439,3 +440,41 @@ def test_user_characters_of_wrong_rank_are_rejected():
             char_to_class(A2, chi)
         with pytest.raises(DomainError, match="wrong rank"):
             frobenius_contract_class(A2, chi, 2)
+
+
+def test_class_round_trips_and_block_sums_on_random_classes():
+    # Random classes on types of rank 1 to 3: the Steinberg relabeling
+    # undoes r times, the change of basis round-trips, and the linkage-block
+    # components sum back to the class.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    types = [build_root_system(*key) for key in
+             (("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("C", 3))]
+
+    @st.composite
+    def cases(draw):
+        rs = draw(st.sampled_from(types))
+        weight = st.tuples(*[st.integers(0, 4)] * rs.rank)
+        terms = draw(st.dictionaries(weight, st.integers(-3, 3).filter(bool),
+                                     min_size=1, max_size=4))
+        return rs, KElement(terms), draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(1, 2))
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        rs, element, p, r = case
+        image = steinberg_forward(rs, element, p, r)
+        for _ in range(r):
+            image = steinberg_inverse(rs, image, p)
+        assert image == element
+        assert char_to_class(rs, class_to_char(rs, element)) == element
+        blocks = block_decompose(rs, element, p)
+        total = KElement()
+        for rep, component in blocks:
+            assert component
+            assert all(fundamental_alcove_rep(rs, w, p) == rep for w in component.support())
+            total = total + component
+        assert total == element
+        assert [rep for rep, _ in blocks] == sorted({rep for rep, _ in blocks})
+
+    check()

@@ -7,19 +7,40 @@ import pytest
 
 import oracles
 from steinberg import (
+    Character,
     DomainError,
     KElement,
     Lattice,
     alcove_position,
+    block_decompose,
     build_root_system,
+    contract_weights,
+    decompose_in_simple_basis_a1,
+    dot_dominant,
     dot_multiply,
+    euler_characteristic,
+    frobenius_contract_class,
+    frobenius_twist,
     fundamental_alcove_rep,
     in_root_lattice,
+    is_restricted,
     is_special_point,
+    pairing,
+    root_coordinates,
     linked,
+    make_dominant,
+    pr_block,
+    simple_character_a1,
     st_level,
+    steinberg_character,
+    steinberg_delta_multiplicity,
     steinberg_forward,
     steinberg_inverse,
+    steinberg_split,
+    steinberg_weight,
+    tensor_delta_expansion,
+    weyl_character,
+    weyl_orbit,
 )
 from steinberg.rootdata import in_lattice
 
@@ -258,10 +279,77 @@ def test_fundamental_alcove_rep_rejects_wrong_rank():
     lambda w: in_lattice(A2, w, Lattice.ADJOINT),
     lambda w: steinberg_forward(A2, KElement({w: 1}), 3),
     lambda w: steinberg_inverse(A2, KElement({w: 1}), 3),
+    lambda w: pairing(A2, w, 0),
+    lambda w: root_coordinates(A2, w),
 ], ids=["alcove_position", "is_special_point", "st_level", "in_root_lattice",
-        "in_lattice_sc", "in_lattice_adj", "steinberg_forward", "steinberg_inverse"])
+        "in_lattice_sc", "in_lattice_adj", "steinberg_forward", "steinberg_inverse",
+        "pairing", "root_coordinates"])
 def test_weight_functions_reject_wrong_rank(call):
     # Each of these answered for a rank-3 weight on A2, from its first two
     # coordinates or by dropping the term.
     with pytest.raises(DomainError, match="wrong rank"):
         call((1, 2, 3))
+
+
+def _a2(weight):
+    return weyl_character(A2, weight)
+
+
+_CLASS = KElement({(1, 0): 1, (4, 4): -2})
+
+# Each call passes one float or bool where an int belongs; every one of them
+# used to answer, mostly with float weights.
+_NON_INTEGER_CALLS = {
+    "frobenius_twist_p": lambda: frobenius_twist(_a2((1, 0)), 1, 2.0),
+    "frobenius_twist_r": lambda: frobenius_twist(_a2((1, 0)), 1.0, 2),
+    "frobenius_twist_r0": lambda: frobenius_twist(_a2((1, 0)), 0, 2.0),
+    "fundamental_alcove_rep_p": lambda: fundamental_alcove_rep(A2, (1, 0), 2.5),
+    "fundamental_alcove_rep_weight": lambda: fundamental_alcove_rep(A2, (1.0, 0), 3),
+    "linked_weight": lambda: linked(A2, (1.0, 0), (0, 0), 3),
+    "linked_p": lambda: linked(A2, (1, 0), (0, 0), 3.0),
+    "make_dominant": lambda: make_dominant(A2, (-1.5, 0)),
+    "make_dominant_bool": lambda: make_dominant(A2, (True, 0)),
+    "dot_dominant": lambda: dot_dominant(A2, (0, 0.5)),
+    "weyl_orbit": lambda: weyl_orbit(A2, (1, 0.0)),
+    "euler_characteristic": lambda: euler_characteristic(A2, (1.0, 0)),
+    "steinberg_forward_p": lambda: steinberg_forward(A2, _CLASS, 3.0),
+    "steinberg_forward_r": lambda: steinberg_forward(A2, _CLASS, 3, 1.0),
+    "steinberg_forward_r0": lambda: steinberg_forward(A2, _CLASS, 3.0, 0),
+    "steinberg_inverse": lambda: steinberg_inverse(A2, _CLASS, 3.0),
+    "Character_weight": lambda: Character({(1.5, 0): 1}),
+    "Character_bool_weight": lambda: Character({(True, 0): 1}),
+    "Character_value": lambda: Character({(1, 0): 1.0}),
+    "Character_bool_value": lambda: Character([((1, 0), True)]),
+    "KElement_weight": lambda: KElement({(1.0, 0): 1}),
+    "KElement_value": lambda: KElement({(1, 0): 0.5}),
+    "contract_weights": lambda: contract_weights(_a2((3, 0)), 3.0),
+    "steinberg_character_p": lambda: steinberg_character(A2, 3.0),
+    "steinberg_character_r": lambda: steinberg_character(A2, 3, 1.0),
+    "steinberg_weight": lambda: steinberg_weight(A2, 3, 1.0),
+    "dot_multiply_n": lambda: dot_multiply(2.0, (1, 0)),
+    "dot_multiply_weight": lambda: dot_multiply(2, (0.5, 0)),
+    "steinberg_split_p": lambda: steinberg_split((4, 1), 3.0),
+    "steinberg_split_weight": lambda: steinberg_split((4.0, 1), 3),
+    "is_restricted_p": lambda: is_restricted((1, 0), 2.5),
+    "is_restricted_weight": lambda: is_restricted((0.5, 0), 2),
+    "pairing": lambda: pairing(A2, (1.5, 0), 0),
+    "root_coordinates": lambda: root_coordinates(A2, (1.5, 0)),
+    "alcove_position": lambda: alcove_position(A2, (1, 0), 3.0),
+    "is_special_point": lambda: is_special_point(A2, (2, 2), 3.0),
+    "st_level": lambda: st_level(A2, (2, 2), 3.0),
+    "pr_block": lambda: pr_block(A2, _CLASS, (1, 0), 3.0),
+    "block_decompose": lambda: block_decompose(A2, _CLASS, 3.0),
+    "steinberg_delta_multiplicity": lambda: steinberg_delta_multiplicity(A2, _a2((2, 2)), (0, 0), 3.0),
+    "frobenius_contract_class": lambda: frobenius_contract_class(A2, _a2((2, 2)), 3.0),
+    "tensor_delta_expansion": lambda: tensor_delta_expansion(A2, (1.0, 0), _a2((1, 0))),
+    "simple_character_a1_p": lambda: simple_character_a1(A1, (3,), 2.0),
+    "simple_character_a1_weight": lambda: simple_character_a1(A1, (3.0,), 2),
+    "decompose_in_simple_basis_a1": lambda: decompose_in_simple_basis_a1(
+        A1, weyl_character(A1, (3,)), 2.0),
+}
+
+
+@pytest.mark.parametrize("call", _NON_INTEGER_CALLS.values(), ids=_NON_INTEGER_CALLS.keys())
+def test_public_functions_reject_non_integers(call):
+    with pytest.raises(DomainError, match="expected an integer"):
+        call()

@@ -272,6 +272,22 @@ def test_root_system_serialization_round_trip():
         assert root_system_from_dict(rs.to_dict()) is rs
     with pytest.raises(ValueError):
         root_system_from_dict({"series": "A"})
+    # A payload's rank is an int, as a character payload's weights are.
+    for rank in (2.7, 2.0, "2", True):
+        with pytest.raises(ValueError, match="expected an integer"):
+            root_system_from_dict({"series": "A", "rank": rank})
+
+
+def test_bool_rank_never_reaches_the_root_system_cache():
+    # ("A", True) is an lru_cache key equal to ("A", 1): built first, it was
+    # cached as A1 with repr RootSystem(ATrue) and returned for ("A", 1).
+    for warm_first in (False, True):
+        if warm_first:
+            build_root_system("A", 1)
+        with pytest.raises(ConfigurationError, match="got True"):
+            build_root_system("A", True)
+    a1 = build_root_system("A", 1)
+    assert repr(a1) == "RootSystem(A1)" and type(a1.rank) is int
 
 
 def test_adjoint_configuration_rules():
