@@ -1,9 +1,8 @@
 """Exact character and Grothendieck-group calculus for reductive groups in
-positive characteristic: root data, Weyl groups, Weyl characters, the
-Weyl-module basis, the Steinberg-block equivalence, Frobenius contraction,
-and affine linkage geometry.  All arithmetic is exact integer arithmetic
-(only ``root_coordinates`` returns rationals); there is no floating point
-anywhere.
+positive characteristic: root data, Weyl-group orbits, Weyl characters,
+the Weyl-module basis, the Steinberg-block equivalence, Frobenius
+contraction, and affine linkage geometry.  All arithmetic is exact integer
+arithmetic; there is no floating point anywhere.
 """
 
 from .characters import (
@@ -42,28 +41,20 @@ from .rootdata import (
     Lattice,
     RootSystem,
     build_root_system,
+    dot_dominant,
     dot_multiply,
     highest_root_index,
     in_root_lattice,
     is_dominant,
     is_restricted,
+    make_dominant,
     pairing,
-    root_coordinates,
     root_system_from_dict,
     steinberg_digits,
     steinberg_split,
     steinberg_weight,
+    weyl_group_order,
 )
 from .simple_a1 import decompose_in_simple_basis_a1, simple_character_a1
-from .weyl import (
-    WeylElement,
-    WeylGroup,
-    dominant_representative,
-    dot_dominant,
-    generate,
-    make_dominant,
-    weyl_group_order,
-    weyl_orbit,
-)
 
 __version__ = "0.1.0"

@@ -61,13 +61,15 @@ from .rootdata import (
     RootSystem,
     _int_coordinates,
     _strict_int,
-    is_dominant,
+    apply_simple_reflection,
+    descend_orbit,
+    dot_dominant,
+    require_dominant,
     require_p,
     require_rank,
     require_steinberg_configuration,
     steinberg_weight,
 )
-from .weyl import apply_simple_reflection, descend_orbit, dot_dominant, weyl_orbit
 
 
 class _Sparse:
@@ -330,7 +332,7 @@ def weyl_character(rs: RootSystem, highest) -> Character:
     rejected, not answered from the cache.
     """
     global _weyl_hits, _weyl_misses, _weyl_terms
-    key = (rs, _dominant_weight(rs, highest))
+    key = (rs, require_dominant(rs, highest))
     with _weyl_cache_lock:
         chi = _weyl_cache.get(key)
         if chi is not None:
@@ -363,17 +365,9 @@ def _weyl_cache_clear():
         _weyl_hits = _weyl_misses = _weyl_terms = 0
 
 
-def _dominant_weight(rs: RootSystem, highest) -> tuple:
-    # highest as a tuple of ints, or DomainError.
-    highest = require_rank(rs, highest)
-    if not is_dominant(highest):
-        raise DomainError(f"weight {list(highest)} is not dominant")
-    return highest
-
-
 def _weyl_character(rs: RootSystem, highest) -> Character:
     # weyl_character without its cache.
-    highest = _dominant_weight(rs, highest)
+    highest = require_dominant(rs, highest)
     if rs.rank <= 2:
         terms = _weyl_formula(rs, highest)
         if terms is not None:
@@ -494,7 +488,7 @@ def _freudenthal(rs: RootSystem, highest) -> dict:
     """
     rank = rs.rank
     t = rs.symmetrizer
-    top = weyl_orbit(rs, highest)
+    top = [w for w, _, _ in descend_orbit(rs, highest, 0, (0,) * rank)]
     pad = [max(abs(f[j]) for f in rs.positive_fund) for j in range(rank)]
     cols = list(zip(*top))
     lo = [min(col) - q for col, q in zip(cols, pad)]

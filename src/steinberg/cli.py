@@ -37,9 +37,9 @@ from .rootdata import (
     require_in_lattice,
     require_rank,
     require_steinberg_configuration,
+    weyl_group_order,
 )
 from .simple_a1 import decompose_in_simple_basis_a1, simple_character_a1
-from .weyl import weyl_group_order
 
 PROG = "steinberg"
 DESCRIPTION = """Command-line surface.  Every computation the library performs is
@@ -116,24 +116,15 @@ def _check_weight(ctx: Context, weight):
     return weight
 
 
-def _load_char(ctx: Context, data: dict) -> Character:
+def _load(ctx: Context, cls, data: dict):
+    """A ``Character`` or ``KElement`` from its JSON payload, each weight checked."""
     try:
-        chi = Character.from_dict(data, rank=ctx.rs.rank)
+        value = cls.from_dict(data, rank=ctx.rs.rank)
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
-    for w in chi.support():
+    for w in value.support():
         _check_weight(ctx, w)
-    return chi
-
-
-def _load_class(ctx: Context, data: dict) -> gk.KElement:
-    try:
-        el = gk.KElement.from_dict(data, rank=ctx.rs.rank)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
-    for w in el.support():
-        _check_weight(ctx, w)
-    return el
+    return value
 
 
 def _one_char_input(parser, ctx, args) -> Character:
@@ -142,7 +133,7 @@ def _one_char_input(parser, ctx, args) -> Character:
         parser.error(f"{args.group} {args.verb} needs exactly one of --weight or --char")
     if args.weight is not None:
         return weyl_character(ctx.rs, _check_weight(ctx, args.weight))
-    return _load_char(ctx, args.char)
+    return _load(ctx, Character, args.char)
 
 
 # Handlers return a JSON-ready payload plus a text rendering.
@@ -191,8 +182,8 @@ def _cmd_char_weyl(parser, ctx, args):
 
 def _cmd_char_tensor(parser, ctx, args):
     factors = [weyl_character(ctx.rs, _check_weight(ctx, w)) for w in args.weight]
-    factors += [_load_char(ctx, d) for d in args.char]
-    factors += [gk.class_to_char(ctx.rs, _load_class(ctx, d)) for d in args.kclass]
+    factors += [_load(ctx, Character, d) for d in args.char]
+    factors += [gk.class_to_char(ctx.rs, _load(ctx, gk.KElement, d)) for d in args.kclass]
     if not factors:
         parser.error("char tensor needs at least one --weight, --char, or --class")
     out = Character({(0,) * ctx.rs.rank: 1})
@@ -226,18 +217,18 @@ def _cmd_class_decompose(parser, ctx, args):
 
 
 def _cmd_class_tensor_delta(parser, ctx, args):
-    chi = _load_char(ctx, args.char)
+    chi = _load(ctx, Character, args.char)
     mu = _check_weight(ctx, args.weight)
     return _render_class(gk.tensor_delta_expansion(ctx.rs, mu, chi))
 
 
 def _cmd_class_st_forward(parser, ctx, args):
-    el = _load_class(ctx, args.kclass)
+    el = _load(ctx, gk.KElement, args.kclass)
     return _render_class(gk.steinberg_forward(ctx.rs, el, ctx.p, args.r, ctx.lattice))
 
 
 def _cmd_class_st_inverse(parser, ctx, args):
-    el = _load_class(ctx, args.kclass)
+    el = _load(ctx, gk.KElement, args.kclass)
     return _render_class(gk.steinberg_inverse(ctx.rs, el, ctx.p, ctx.lattice))
 
 
@@ -247,7 +238,7 @@ def _cmd_class_contract(parser, ctx, args):
 
 
 def _cmd_class_pr_block(parser, ctx, args):
-    el = _load_class(ctx, args.kclass)
+    el = _load(ctx, gk.KElement, args.kclass)
     nu = _check_weight(ctx, args.weight)
     return _render_class(gk.pr_block(ctx.rs, el, nu, ctx.p, ctx.lattice))
 
@@ -282,7 +273,7 @@ def _cmd_linkage_rep(parser, ctx, args):
 
 
 def _cmd_linkage_blocks(parser, ctx, args):
-    el = _load_class(ctx, args.kclass)
+    el = _load(ctx, gk.KElement, args.kclass)
     blocks = gk.block_decompose(ctx.rs, el, ctx.p, ctx.lattice)
     payload = {
         "blocks": [
@@ -323,7 +314,7 @@ def _cmd_simple_a1(parser, ctx, args):
         parser.error("simple a1 needs exactly one of --weight or --char")
     if args.weight is not None:
         return _render_char(simple_character_a1(ctx.rs, args.weight, ctx.p))
-    chi = _load_char(ctx, args.char)
+    chi = _load(ctx, Character, args.char)
     coeffs = decompose_in_simple_basis_a1(ctx.rs, chi, ctx.p)
     payload = {
         "basis": "simple",

@@ -32,16 +32,20 @@ from .linkage import fundamental_alcove_rep
 from .rootdata import (
     Lattice,
     RootSystem,
+    _neighbours,
     _strict_int,
+    _to_dominant,
+    descend_orbit,
     dot_multiply,
     in_lattice,
     is_dominant,
+    require_dominant,
     require_in_lattice,
     require_p,
     require_rank,
     require_steinberg_configuration,
+    weyl_group_order,
 )
-from .weyl import _neighbours, _to_dominant, descend_orbit, weyl_group_order
 
 
 class KElement(_Sparse):
@@ -219,9 +223,7 @@ def tensor_delta_expansion(rs: RootSystem, mu, chi: Character) -> KElement:
     The coefficient at lam is sum_w (-1)^len(w) * chi(w . lam - mu), which
     agrees with expanding the convolution product directly.
     """
-    mu = require_rank(rs, mu)
-    if not is_dominant(mu):
-        raise DomainError(f"weight {list(mu)} is not dominant")
+    mu = require_dominant(rs, mu)
     require_w_invariant(rs, chi)
     return _straighten(
         rs, ((tuple(x + y for x, y in zip(w, mu)), m) for w, m in chi.items())
@@ -280,9 +282,7 @@ def steinberg_delta_multiplicity(rs: RootSystem, chi: Character, lam, p: int) ->
     of chi through the Weyl denominator; otherwise the contracted weights
     are straightened.
     """
-    lam = require_rank(rs, lam)
-    if not is_dominant(lam):
-        raise DomainError(f"weight {list(lam)} is not dominant")
+    lam = require_dominant(rs, lam)
     require_p(p, "multiplicity")
     require_w_invariant(rs, chi)
     if _few_elements(rs, len(chi)):

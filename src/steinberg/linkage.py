@@ -20,15 +20,17 @@ from .errors import DomainError
 from .rootdata import (
     Lattice,
     RootSystem,
+    _neighbours,
     _strict_int,
+    _to_dominant,
     in_lattice,
     is_dominant,
     pairing,
+    require_dominant,
     require_in_lattice,
     require_p,
     require_rank,
 )
-from .weyl import _neighbours, _to_dominant
 
 
 def linked(rs: RootSystem, lam, mu, p: int,
@@ -112,9 +114,7 @@ def is_special_point(rs: RootSystem, weight, p: int) -> bool:
 def st_level(rs: RootSystem, weight, p: int,
              lattice: Lattice = Lattice.SIMPLY_CONNECTED) -> int:
     """Largest r with weight = p^r . mu for a dominant lattice weight mu."""
-    weight = require_rank(rs, weight)
-    if not is_dominant(weight):
-        raise DomainError(f"weight {list(weight)} is not dominant")
+    weight = require_dominant(rs, weight)
     require_p(p, "level")
     level = 0
     cur = weight

@@ -6,8 +6,9 @@ other coordinate system (simple-root coordinates, coroot expansions) is
 derived from the Cartan matrix in integer arithmetic: the inverse Cartan
 matrix is kept as an integer numerator matrix over one positive common
 denominator, so lattice membership tests are exact remainder tests, never
-floating point.  Only ``root_coordinates`` hands out rationals, and it
-imports ``fractions`` when called, so importing the package stays cheap.
+floating point.  The Weyl group acts on weights one weight at a time, by
+simple reflections: the dominance walk ``_to_dominant`` and the descent
+tree of an orbit (``descend_orbit``) never list the group's elements.
 
 Conventions: Bourbaki numbering of simple roots; the Cartan matrix entry
 ``cartan[i][j]`` is the pairing of the j-th simple root with the i-th simple
@@ -25,10 +26,7 @@ from .errors import ConfigurationError, DomainError
 
 Weight = tuple  # integer tuple, fundamental-weight coordinates
 
-RANK_CAP = 6
-
-# Admissible ranks per series (irreducible types only, capped so the Weyl
-# group stays fully enumerable).
+# Admissible ranks per series: the 22 irreducible types of rank <= 6.
 _RANK_RANGE = {
     "A": (1, 6),
     "B": (2, 6),
@@ -173,7 +171,7 @@ def _enumerate_roots(cartan, rank):
 
 
 def _invert(matrix, rank):
-    # Fraction-free Gauss-Jordan: clearing a column scales each other row by
+    # Gauss-Jordan without division: clearing a column scales each other row by
     # the pivot, so every entry stays an integer.  The left half ends up
     # diagonal, row i of the inverse is row i of the right half over the
     # diagonal entry d_i; bring the rows to one denominator and reduce.
@@ -206,7 +204,7 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     lo, hi = _RANK_RANGE[series]
     if isinstance(rank, bool) or not isinstance(rank, int) or not lo <= rank <= hi:
         raise ConfigurationError(
-            f"series {series} supports rank {lo}..{hi} here (rank cap {RANK_CAP}); got {rank}"
+            f"series {series} supports rank {lo}..{hi} here; got {rank}"
         )
     return _build_root_system(series, rank)
 
@@ -257,6 +255,11 @@ def pairing(rs: RootSystem, weight, index: int) -> int:
     Indices below ``rs.rank`` are the simple coroots.
     """
     weight = require_rank(rs, weight)
+    if type(index) is not int or not 0 <= index < len(rs.coroots):
+        raise DomainError(
+            f"expected an integer in 0..{len(rs.coroots) - 1} (a positive-root index), "
+            f"got {index!r}"
+        )
     d = rs.coroots[index]
     return sum(d[j] * weight[j] for j in range(rs.rank))
 
@@ -303,23 +306,21 @@ def require_rank(rs: RootSystem, weight) -> tuple:
 
 
 def is_dominant(weight) -> bool:
-    return all(x >= 0 for x in weight)
+    """Whether no coordinate is negative; DomainError when one is not an int."""
+    return all(x >= 0 for x in _int_coordinates(weight))
+
+
+def require_dominant(rs: RootSystem, weight) -> tuple:
+    """The weight as a tuple of ints (``require_rank``), or DomainError when not dominant."""
+    weight = require_rank(rs, weight)
+    if min(weight) < 0:
+        raise DomainError(f"weight {list(weight)} is not dominant")
+    return weight
 
 
 def is_restricted(weight, p: int) -> bool:
     _strict_int(p, DomainError)
     return all(0 <= x < p for x in _int_coordinates(weight))
-
-
-def root_coordinates(rs: RootSystem, weight):
-    """Exact simple-root coordinates of a weight (tuple of Fractions)."""
-    from fractions import Fraction  # only here, to keep the package import light
-
-    weight = require_rank(rs, weight)
-    return tuple(
-        Fraction(sum(rs.inv_num[i][j] * weight[j] for j in range(rs.rank)), rs.inv_den)
-        for i in range(rs.rank)
-    )
 
 
 def in_root_lattice(rs: RootSystem, weight) -> bool:
@@ -397,3 +398,115 @@ def steinberg_digits(weight, p: int) -> list:
         if all(x == 0 for x in cur):
             break
     return digits
+
+
+# The Weyl group acting on weights, one weight at a time.
+
+
+def apply_simple_reflection(rs: RootSystem, i: int, weight):
+    """s_i sends a weight m to m - m_i * alpha_i (coordinates stay integral)."""
+    mi = weight[i]
+    if mi == 0:
+        return tuple(weight)
+    return tuple(weight[k] - mi * rs.cartan[k][i] for k in range(rs.rank))
+
+
+@lru_cache(maxsize=64)
+def _neighbours(rs: RootSystem) -> tuple:
+    # Per i, the (j, cartan[j][i]) with j != i and cartan[j][i] != 0.
+    c, r = rs.cartan, range(rs.rank)
+    return tuple(tuple((j, c[j][i]) for j in r if j != i and c[j][i]) for i in r)
+
+
+def _to_dominant(nbrs, w: list) -> int:
+    """Walk a full-rank weight list to its dominant orbit point in place; return the sign.
+
+    s_i at a negative coordinate i negates w_i and only lowers its
+    neighbours j (w_j -= w_i * cartan[j][i]); pushing those it takes below
+    0 keeps the stack equal to the negative coordinates.  s_i permutes the
+    positive coroots other than alpha_i^v, so each step lowers by one the
+    number of positive coroots pairing negatively with w: every order of
+    steps takes that many, and the sign (-1)^steps is exact, on walls too.
+    """
+    stack = [i for i, x in enumerate(w) if x < 0]
+    sign = 1
+    while stack:
+        i = stack.pop()
+        x = w[i]
+        w[i] = -x
+        sign = -sign
+        for j, c in nbrs[i]:
+            y = w[j]
+            w[j] = z = y - x * c
+            if z < 0 <= y:
+                stack.append(j)
+    return sign
+
+
+def make_dominant(rs: RootSystem, weight):
+    """Dominant representative of a linear Weyl orbit, with the sign picked up.
+
+    The sign is (-1) to the number of positive coroots pairing negatively
+    with the weight (``_to_dominant``), that of the shortest Weyl element
+    carrying the input to the output.
+    """
+    w = list(require_rank(rs, weight))
+    sign = _to_dominant(_neighbours(rs), w)
+    return tuple(w), sign
+
+
+def dot_dominant(rs: RootSystem, weight):
+    """Dot-orbit normalization.
+
+    Returns (mu, sign) where mu is the unique dominant weight in the dot
+    orbit when weight + rho is regular, and (None, 0) when weight + rho lies
+    on a reflection wall (so the orbit contains no regular dominant weight).
+    """
+    x = [c + 1 for c in require_rank(rs, weight)]
+    sign = _to_dominant(_neighbours(rs), x)
+    if 0 in x:
+        return None, 0
+    return tuple([c - 1 for c in x]), sign
+
+
+@lru_cache(maxsize=64)
+def weyl_group_order(rs: RootSystem) -> int:
+    """|W| as the product of (m_i + 1) over the exponents m_i.
+
+    The exponents are the partition dual to the numbers of positive roots at
+    each height (Kostant), so m_j counts the heights holding at least j
+    positive roots.
+    """
+    counts = {}
+    for c in rs.positive_roots:
+        h = sum(c)
+        counts[h] = counts.get(h, 0) + 1
+    order = 1
+    for j in range(1, rs.rank + 1):
+        order *= 1 + sum(1 for n in counts.values() if n >= j)
+    return order
+
+
+def descend_orbit(rs: RootSystem, top, key, steps) -> list:
+    """The orbit of a dominant weight as (weight, key, sign) triples, dominant first.
+
+    Walks the dominant descent tree (Snow, *Weyl group orbits*, ACM TOMS
+    1990): s_i w is a child of w when w_i > 0 and every coordinate of s_i w
+    before i is >= 0.  A non-dominant weight has exactly one parent, its
+    reflection at its first negative coordinate, so each element is reached
+    once and no seen-set is needed.  A key affine in the weight rides
+    along: key(s_i w) = key(w) - w_i * steps[i], where steps[i] is the key
+    step of alpha_i.  The sign is (-1)^depth in the tree.  Each step
+    reflects a weight in a wall it lies strictly on the positive side of,
+    so for a regular top the depth of w * top is the length of w, and the
+    sign is sgn(w).
+    """
+    simple = rs.positive_fund[:rs.rank]  # alpha_i in fundamental coordinates
+    walk = [(top, key, 1)]
+    for w, k, s in walk:
+        for i, x in enumerate(w):
+            if x > 0:
+                child = tuple([a - x * c for a, c in zip(w, simple[i])])
+                if i == 0 or min(child[:i]) >= 0:
+                    walk.append((child, k - x * steps[i], -s))
+    return walk

@@ -17,7 +17,7 @@ from .characters import (
     weyl_character,
 )
 from .errors import DomainError
-from .rootdata import RootSystem, is_dominant, require_p, require_rank, steinberg_digits
+from .rootdata import RootSystem, require_dominant, require_p, steinberg_digits
 
 
 def _require_a1(rs: RootSystem) -> None:
@@ -29,9 +29,7 @@ def simple_character_a1(rs: RootSystem, weight, p: int) -> Character:
     """Character of the simple module: product of twisted digit characters."""
     _require_a1(rs)
     require_p(p, "simple character")
-    weight = require_rank(rs, weight)
-    if not is_dominant(weight):
-        raise DomainError(f"weight {list(weight)} is not dominant")
+    weight = require_dominant(rs, weight)
     out = Character({(0,): 1})
     for j, digit in enumerate(steinberg_digits(weight, p)):
         out = tensor(out, frobenius_twist(weyl_character(rs, digit), j, p))

@@ -4,8 +4,9 @@ Everything here is deliberately separate from the library's algorithms:
 hard-coded root tables for the rank-one and rank-two types, the Weyl group
 order formulas, the dimension formula evaluated over the tables, a partition
 function based character formula, a tuple-keyed convolution, a slot integer
-read one shifted field at a time, alternating sums and a linkage test over
-the fully enumerated Weyl group, a plain dominance walk (first negative
+read one shifted field at a time, the whole Weyl group listed by
+breadth-first closure (the only place anything lists it), alternating sums
+and a linkage test over that list, a plain dominance walk (first negative
 coordinate, whole-weight reflections) behind the dominant and dot-dominant
 representatives, a W-invariance test that counts whole orbits, linear
 orbits by breadth-first search, root-datum construction over the
@@ -21,7 +22,7 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from steinberg.weyl import apply_simple_reflection
+from steinberg.rootdata import apply_simple_reflection
 
 # Positive roots as (simple-root coordinates, coroot coordinates in the
 # simple coroots), Bourbaki numbering.
@@ -130,6 +131,47 @@ def kostant_partition(series, rank, beta) -> int:
     return _kostant_partition(series, rank, tuple(beta), 0)
 
 
+@lru_cache(maxsize=None)
+def weyl_group(rs) -> tuple:
+    """Every element of W as a (matrix, sign) pair, in breadth-first order.
+
+    The matrix acts on fundamental-weight coordinates (``act``).  Starting
+    from the identity, each new matrix is s_i times a listed one, which
+    subtracts cartan[k][i] times row i from each row k; s_i has sign -1, so
+    the new sign is the negative of the old.  Breadth-first order lists the
+    elements by increasing length.
+    """
+    rank, cartan = rs.rank, rs.cartan
+    identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    signs = {identity: 1}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for i in range(rank):
+                row = m[i]
+                new = tuple(
+                    tuple(a - cartan[k][i] * b for a, b in zip(m[k], row)) if cartan[k][i]
+                    else m[k]
+                    for k in range(rank)
+                )
+                if new not in signs:
+                    signs[new] = -signs[m]
+                    nxt.append(new)
+        frontier = nxt
+    return tuple(signs.items())
+
+
+def act(matrix, weight) -> tuple:
+    """The linear action w(weight)."""
+    return tuple(sum(map(mul, row, weight)) for row in matrix)
+
+
+def dot(matrix, weight) -> tuple:
+    """The dot action w . weight = w(weight + rho) - rho."""
+    return tuple(x - 1 for x in act(matrix, [c + 1 for c in weight]))
+
+
 def character_by_weyl_sum(rs, group, lam) -> dict:
     """Weyl-module character through the partition-function formula.
 
@@ -139,7 +181,7 @@ def character_by_weyl_sum(rs, group, lam) -> dict:
     """
     series, rank = rs.series, rs.rank
     shifted = tuple(x + 1 for x in lam)
-    images = [(w.sign, w.act(shifted)) for w in group.elements]
+    images = [(sign, act(m, shifted)) for m, sign in group]
 
     # Candidate weights: everything of the form lam - (nonnegative root sum)
     # inside the convex hull; walk down from lam by simple roots, keeping
@@ -318,11 +360,11 @@ def alternating_coefficient(group, chi, lam, mu=None, p=1) -> int:
     # p * (w . lam) - mu = p * w(lam + rho) - (p * rho + mu)
     offsets = [p + y for y in ((0,) * len(lam) if mu is None else mu)]
     total = 0
-    for w in group.elements:
-        v = tuple(p * sum(map(mul, row, shifted)) - o for row, o in zip(w.matrix, offsets))
+    for matrix, sign in group:
+        v = tuple(p * sum(map(mul, row, shifted)) - o for row, o in zip(matrix, offsets))
         m = chi.mult(v)
         if m:
-            total += w.sign * m
+            total += sign * m
     return total
 
 
@@ -361,8 +403,8 @@ def linked_unchecked(rs, group, lam, mu, p) -> bool:
     """Linkage by search: some w carries lam + rho onto mu + rho modulo p * ZR."""
     shifted_mu = tuple(x + 1 for x in mu)
     shifted_lam = tuple(x + 1 for x in lam)
-    for w in group.elements:
-        img = w.act(shifted_lam)
+    for matrix, _ in group:
+        img = act(matrix, shifted_lam)
         delta = tuple(a - b for a, b in zip(shifted_mu, img))
         if _in_p_root_lattice(rs, delta, p):
             return True
@@ -445,6 +487,12 @@ def invert_by_fractions(matrix, rank):
             den = den * x.denominator // gcd(den, x.denominator)
     num = tuple(tuple(int(x * den) for x in row) for row in inv)
     return num, den
+
+
+def root_coordinates(rs, weight) -> tuple:
+    """Exact simple-root coordinates of a weight, as Fractions."""
+    num, den = invert_by_fractions(rs.cartan, rs.rank)
+    return tuple(Fraction(sum(map(mul, row, weight)), den) for row in num)
 
 
 def coroots_by_fractions(rs) -> tuple:

@@ -8,11 +8,11 @@ import itertools
 
 import pytest
 
+import oracles
 from steinberg import (
     KElement,
     build_root_system,
     char_to_class,
-    root_coordinates,
     tensor,
     weyl_character,
 )
@@ -109,7 +109,7 @@ def test_dominant_chain_walk_matches_box_enumeration(series, rank, lam):
     # the definition (nonnegative integral root-coordinate gap).
     rs = build_root_system(series, rank)
     walked = set(_dominant_weights_below(rs, lam))
-    gap_box = [int(c) for c in root_coordinates(rs, lam)]
+    gap_box = [int(c) for c in oracles.root_coordinates(rs, lam)]
     direct = set()
     for coeffs in itertools.product(*(range(b + 1) for b in gap_box)):
         mu = tuple(

@@ -23,10 +23,10 @@ from steinberg import (
     frobenius_twist,
     fundamental_alcove_rep,
     in_root_lattice,
+    is_dominant,
     is_restricted,
     is_special_point,
     pairing,
-    root_coordinates,
     linked,
     make_dominant,
     pr_block,
@@ -40,7 +40,6 @@ from steinberg import (
     steinberg_weight,
     tensor_delta_expansion,
     weyl_character,
-    weyl_orbit,
 )
 from steinberg.rootdata import in_lattice
 
@@ -280,10 +279,9 @@ def test_fundamental_alcove_rep_rejects_wrong_rank():
     lambda w: steinberg_forward(A2, KElement({w: 1}), 3),
     lambda w: steinberg_inverse(A2, KElement({w: 1}), 3),
     lambda w: pairing(A2, w, 0),
-    lambda w: root_coordinates(A2, w),
 ], ids=["alcove_position", "is_special_point", "st_level", "in_root_lattice",
         "in_lattice_sc", "in_lattice_adj", "steinberg_forward", "steinberg_inverse",
-        "pairing", "root_coordinates"])
+        "pairing"])
 def test_weight_functions_reject_wrong_rank(call):
     # Each of these answered for a rank-3 weight on A2, from its first two
     # coordinates or by dropping the term.
@@ -297,8 +295,9 @@ def _a2(weight):
 
 _CLASS = KElement({(1, 0): 1, (4, 4): -2})
 
-# Each call passes one float or bool where an int belongs; every one of them
-# used to answer, mostly with float weights.
+# Each call passes one float or bool where an int belongs, or an index out of
+# range; every one of them used to answer, mostly with float weights, or
+# raise TypeError or IndexError.
 _NON_INTEGER_CALLS = {
     "frobenius_twist_p": lambda: frobenius_twist(_a2((1, 0)), 1, 2.0),
     "frobenius_twist_r": lambda: frobenius_twist(_a2((1, 0)), 1.0, 2),
@@ -310,7 +309,6 @@ _NON_INTEGER_CALLS = {
     "make_dominant": lambda: make_dominant(A2, (-1.5, 0)),
     "make_dominant_bool": lambda: make_dominant(A2, (True, 0)),
     "dot_dominant": lambda: dot_dominant(A2, (0, 0.5)),
-    "weyl_orbit": lambda: weyl_orbit(A2, (1, 0.0)),
     "euler_characteristic": lambda: euler_characteristic(A2, (1.0, 0)),
     "steinberg_forward_p": lambda: steinberg_forward(A2, _CLASS, 3.0),
     "steinberg_forward_r": lambda: steinberg_forward(A2, _CLASS, 3, 1.0),
@@ -333,7 +331,9 @@ _NON_INTEGER_CALLS = {
     "is_restricted_p": lambda: is_restricted((1, 0), 2.5),
     "is_restricted_weight": lambda: is_restricted((0.5, 0), 2),
     "pairing": lambda: pairing(A2, (1.5, 0), 0),
-    "root_coordinates": lambda: root_coordinates(A2, (1.5, 0)),
+    "pairing_index": lambda: pairing(A2, (1, 0), 0.0),
+    "pairing_index_range": lambda: pairing(A2, (1, 0), 99),
+    "is_dominant": lambda: is_dominant((0.5, 1)),
     "alcove_position": lambda: alcove_position(A2, (1, 0), 3.0),
     "is_special_point": lambda: is_special_point(A2, (2, 2), 3.0),
     "st_level": lambda: st_level(A2, (2, 2), 3.0),

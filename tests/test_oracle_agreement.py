@@ -3,20 +3,24 @@
 The library expands characters by Brauer straightening, decides linkage by
 closed-alcove normal forms, checks W-invariance by simple reflections and
 convolves on packed integer keys.  The oracles sum over, or search, the
-fully enumerated Weyl group, count whole orbits, or convolve on tuple keys,
-instead.  Class expansions read off one product with the Weyl denominator
+whole Weyl group, which only ``oracles.weyl_group`` lists, count whole
+orbits, or convolve on tuple keys, instead.  Class expansions read off one product with the Weyl denominator
 are checked against straightening and peeling, and the denominator against
 the product of 1 - e^-alpha over the positive roots.  Weyl characters from
 Weyl's character formula are checked against the partition-function formula
 and Freudenthal's recursion, with the route each input takes.  The last
-test rebinds ``generate`` so that any library call of it fails.
+tests check that the package defines no enumeration API, and that every
+name the benchmark looks up in it resolves.
 """
 
+import ast
+import importlib
 import io
 import json
 import math
+import pkgutil
 import random
-import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +37,6 @@ from steinberg import (
     dot_multiply,
     frobenius_contract_class,
     frobenius_twist,
-    generate,
     highest_root_index,
     linked,
     pr_block,
@@ -44,6 +47,7 @@ from steinberg import (
     tensor_delta_expansion,
     weyl_character,
 )
+import steinberg
 from steinberg import characters, grothendieck
 from steinberg.characters import _kronecker, _slot_width
 from steinberg.kronecker import _read_slots, _slot_int
@@ -65,21 +69,21 @@ def _fundamental_of(rank, i):
 
 def _linked_image(rng, rs, group, lam, p):
     """w . lam + p * beta for a random w in W and beta in the root lattice."""
-    w = rng.choice(group.elements)
+    w, _ = rng.choice(group)
     beta = [rng.randint(-1, 1) for _ in range(rs.rank)]
     return tuple(
         x + p * sum(rs.cartan[k][j] * beta[j] for j in range(rs.rank))
-        for k, x in enumerate(w.dot(lam))
+        for k, x in enumerate(oracles.dot(w, lam))
     )
 
 
 @pytest.mark.parametrize("series,rank", TYPES)
 def test_class_routes_match_alternating_sums(series, rank):
     rs = build_root_system(series, rank)
-    group = generate(rs)
+    group = oracles.weyl_group(rs)
     first, last = _fundamental(rs, 0), _fundamental(rs, rank - 1)
     small = weyl_character(rs, first)
-    chi = small if group.order > LARGE_ORDER else tensor(small, weyl_character(rs, last))
+    chi = small if len(group) > LARGE_ORDER else tensor(small, weyl_character(rs, last))
 
     assert char_to_class(rs, chi) == KElement(oracles.alternating_expansion(rs, group, chi))
     assert tensor_delta_expansion(rs, last, small) == KElement(
@@ -99,7 +103,7 @@ def test_class_routes_match_alternating_sums(series, rank):
 @pytest.mark.parametrize("series,rank", TYPES)
 def test_linked_matches_search_over_w(series, rank):
     rs = build_root_system(series, rank)
-    group = generate(rs)
+    group = oracles.weyl_group(rs)
     rng = random.Random(f"linked/{series}{rank}")
     # E6 and F4 run every prime, with pairs linked by construction, because
     # random pairs there are almost never linked.
@@ -630,7 +634,7 @@ def _route_weights(rs):
 @pytest.mark.parametrize("series,rank", RANK_AT_MOST_TWO)
 def test_weyl_formula_matches_partition_oracle_and_freudenthal(series, rank, monkeypatch):
     rs = build_root_system(series, rank)
-    group = generate(rs)
+    group = oracles.weyl_group(rs)
     monkeypatch.setattr(characters, "_SLOTS_PER_DIM", math.inf)
     for lam in _route_weights(rs):
         route = characters._weyl_formula(rs, lam)
@@ -724,16 +728,19 @@ def test_rank_three_and_up_keep_freudenthal(series, rank, weights, monkeypatch):
         assert chi == weyl_character(rs, lam)
 
 
-@pytest.mark.parametrize("series,rank", [("E", 6), ("G", 2)])
-def test_library_never_enumerates_the_group(monkeypatch, series, rank):
-    def refuse(rs):
-        raise AssertionError(f"the library enumerated the Weyl group of {rs!r}")
+# The Weyl-group enumeration API the package once had; only the oracles list W.
+REMOVED_NAMES = {"generate", "WeylGroup", "WeylElement", "dominant_representative",
+                 "weyl_orbit", "root_coordinates", "RANK_CAP"}
 
-    for name, module in list(sys.modules.items()):
-        if name == "steinberg" or name.startswith("steinberg."):
-            for attr, value in list(vars(module).items()):
-                if value is generate:
-                    monkeypatch.setattr(module, attr, refuse)
+
+@pytest.mark.parametrize("series,rank", [("E", 6), ("G", 2)])
+def test_library_never_enumerates_the_group(series, rank):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("steinberg.weyl")
+    for info in pkgutil.iter_modules(steinberg.__path__):
+        module = importlib.import_module(f"steinberg.{info.name}")
+        assert not REMOVED_NAMES & set(vars(module)), info.name
+    assert not REMOVED_NAMES & set(vars(steinberg))
 
     rs = build_root_system(series, rank)
     first, last = _fundamental(rs, 0), _fundamental(rs, rank - 1)
@@ -752,3 +759,36 @@ def test_library_never_enumerates_the_group(monkeypatch, series, rank):
     out, err = io.StringIO(), io.StringIO()
     assert run(["rs", "info", "--type", series, "--rank", str(rank)], out=out, err=err) == 0
     assert json.loads(out.getvalue())["weyl_order"] == oracles.weyl_order_formula(series, rank)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_tree(name):
+    return ast.parse((BENCH / name).read_text(), filename=name)
+
+
+def test_benchmark_name_lookups_resolve():
+    # The benchmark reaches the library by name, so a rename breaks it
+    # without failing another test.  Its tracer wraps each function of
+    # TRACED with getattr on every layer module that is imported, and skips
+    # a layer that is not; its workloads call steinberg as S.<name>.
+    traced = next(ast.literal_eval(node.value) for node in _bench_tree("tracer.py").body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    assert "characters" in traced
+    for layer, names in traced.items():
+        try:
+            module = importlib.import_module(f"steinberg.{layer}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"steinberg.{layer}":
+                raise
+            continue
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+    for script in ("workloads.py", "cli_workload.py"):
+        used = {node.attr for node in ast.walk(_bench_tree(script))
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "S"}
+        assert used, script
+        assert sorted(name for name in used if not hasattr(steinberg, name)) == [], script

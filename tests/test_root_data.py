@@ -21,7 +21,6 @@ from steinberg import (
     is_dominant,
     is_restricted,
     pairing,
-    root_coordinates,
     steinberg_digits,
     steinberg_split,
     steinberg_weight,
@@ -153,8 +152,9 @@ def test_pairing_examples():
 
 def test_pairing_index_bounds():
     a2 = build_root_system("A", 2)
-    with pytest.raises(IndexError):
-        pairing(a2, (1, 0), 3)
+    for index in (3, -1):
+        with pytest.raises(DomainError, match="positive-root index"):
+            pairing(a2, (1, 0), index)
 
 
 def test_dominant_restricted():
@@ -171,7 +171,7 @@ def test_root_lattice_membership():
     a2 = build_root_system("A", 2)
     assert in_root_lattice(a2, (1, 1))  # alpha1 + alpha2
     assert not in_root_lattice(a2, (1, 0))
-    assert root_coordinates(a2, (1, 1)) == (Fraction(1), Fraction(1))
+    assert oracles.root_coordinates(a2, (1, 1)) == (Fraction(1), Fraction(1))
     # G2 weight lattice equals its root lattice.
     g2 = build_root_system("G", 2)
     assert all(in_root_lattice(g2, (a, b)) for a in range(-3, 4) for b in range(-3, 4))
@@ -222,7 +222,7 @@ def test_dot_multiple_lands_in_p_root_lattice():
                     x - (p - 1) for x in dot_multiply(p, lam)
                 )  # p . lam - (p-1) rho = p * lam
                 assert shifted == tuple(p * x for x in lam)
-                coords = root_coordinates(a2, shifted)
+                coords = oracles.root_coordinates(a2, shifted)
                 assert all(c.denominator == 1 and c % p == 0 for c in coords)
 
 

@@ -1,7 +1,5 @@
-"""Weyl group enumeration, actions, lengths, and orbit normal forms."""
+"""Weyl-group orbits, signs and normal forms, against the enumerated group of the oracles."""
 
-import copy
-import pickle
 import random
 
 import pytest
@@ -11,16 +9,14 @@ from steinberg import (
     DomainError,
     alcove_position,
     build_root_system,
-    dominant_representative,
     dot_dominant,
     dot_multiply,
     fundamental_alcove_rep,
-    generate,
     is_dominant,
     make_dominant,
     weyl_group_order,
-    weyl_orbit,
 )
+from steinberg.rootdata import descend_orbit
 
 ENUMERABLE = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 6),
@@ -32,9 +28,9 @@ ENUMERABLE = [
 @pytest.mark.parametrize("series,rank", ENUMERABLE)
 def test_group_order_matches_formula(series, rank):
     rs = build_root_system(series, rank)
-    group = generate(rs)
-    assert group.order == oracles.weyl_order_formula(series, rank)
-    assert weyl_group_order(rs) == group.order
+    order = len(oracles.weyl_group(rs))
+    assert order == oracles.weyl_order_formula(series, rank)
+    assert weyl_group_order(rs) == order
 
 
 @pytest.mark.parametrize("series,rank", sorted(oracles.POSITIVE_ROOT_COUNTS))
@@ -45,72 +41,58 @@ def test_weyl_group_order_from_root_heights(series, rank):
 
 @pytest.mark.parametrize("series,rank", ENUMERABLE)
 def test_longest_element(series, rank):
+    # -rho is regular, so exactly one element carries rho there: the
+    # longest, which inverts every positive root and comes last in the
+    # oracle's breadth-first order.
     rs = build_root_system(series, rank)
-    group = generate(rs)
-    top = [el for el in group.elements if el.length == rs.num_positive_roots]
-    assert len(top) == 1
-    assert group.longest is top[0]
+    group = oracles.weyl_group(rs)
+    rho = (1,) * rank
+    top = [m for m, _ in group if oracles.act(m, rho) == tuple(-x for x in rho)]
+    assert top == [group[-1][0]]
+    assert _inverted_roots(rs, top[0]) == rs.num_positive_roots
+    assert group[-1][1] == (-1) ** rs.num_positive_roots
+
+
+def _inverted_roots(rs, matrix):
+    # The length of w: the positive roots it sends to negative roots.  A root
+    # is negative iff its fundamental coordinates negate a positive root's.
+    inverted = 0
+    for f in rs.positive_fund:
+        image = oracles.act(matrix, f)
+        if tuple(-x for x in image) in rs.positive_fund:
+            inverted += 1
+        else:
+            assert image in rs.positive_fund
+    return inverted
 
 
 def test_length_counts_inverted_roots():
-    # Independent length oracle: positive roots sent to negative roots.
+    # The sign is (-1)^length, and breadth-first order lists lengths in
+    # increasing order.
     for series, rank in [("A", 2), ("B", 2), ("G", 2)]:
         rs = build_root_system(series, rank)
-        group = generate(rs)
-        for el in group.elements:
-            inverted = 0
-            for f in rs.positive_fund:
-                image = el.act(f)
-                # A root is negative iff its fundamental coordinates are the
-                # negative of a positive root's.
-                neg = tuple(-x for x in image)
-                if neg in rs.positive_fund:
-                    inverted += 1
-                else:
-                    assert image in rs.positive_fund
-            assert inverted == el.length
-
-
-def test_matrix_is_product_along_word():
-    rs = build_root_system("B", 2)
-    group = generate(rs)
-    simples = [
-        tuple(
-            tuple((1 if k == j else 0) - (rs.cartan[k][i] if j == i else 0) for j in range(2))
-            for k in range(2)
-        )
-        for i in range(2)
-    ]
-
-    def matmul(a, b):
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)) for i in range(2)
-        )
-
-    for el in group.elements:
-        m = ((1, 0), (0, 1))
-        for i in reversed(el.word):
-            m = matmul(simples[i], m)
-        assert m == el.matrix
-        assert len(el.word) == el.length
+        lengths = [_inverted_roots(rs, m) for m, _ in oracles.weyl_group(rs)]
+        assert [sign for _, sign in oracles.weyl_group(rs)] == [(-1) ** n for n in lengths]
+        assert lengths == sorted(lengths)
 
 
 def test_a1_actions():
     rs = build_root_system("A", 1)
-    s = generate(rs).longest
+    s, sign = oracles.weyl_group(rs)[-1]
+    assert sign == -1
     for m in range(-4, 5):
-        assert s.act((m,)) == (-m,)
-    assert s.dot((-1,)) == (-1,)  # -rho is the dot fixed point
-    assert s.dot((-2,)) == (0,)
-    assert s.dot((0,)) == (-2,)
+        assert oracles.act(s, (m,)) == (-m,)
+    assert oracles.dot(s, (-1,)) == (-1,)  # -rho is the dot fixed point
+    assert oracles.dot(s, (-2,)) == (0,)
+    assert oracles.dot(s, (0,)) == (-2,)
 
 
 def test_sign_multiplicativity():
     rng = random.Random(4)
     for series, rank in [("A", 2), ("B", 2), ("G", 2)]:
         rs = build_root_system(series, rank)
-        els = generate(rs).elements
-        by_matrix = generate(rs).by_matrix
+        els = oracles.weyl_group(rs)
+        by_matrix = dict(els)
 
         def matmul(a, b):
             n = rs.rank
@@ -120,59 +102,58 @@ def test_sign_multiplicativity():
             )
 
         for _ in range(60):
-            u, v = rng.choice(els), rng.choice(els)
-            uv = by_matrix[matmul(u.matrix, v.matrix)]
-            assert uv.sign == u.sign * v.sign
+            (u, su), (v, sv) = rng.choice(els), rng.choice(els)
+            assert by_matrix[matmul(u, v)] == su * sv
 
 
 def test_dot_action_commutes_with_dot_multiplication():
     rng = random.Random(11)
     for series, rank in [("A", 1), ("A", 2), ("B", 2), ("G", 2)]:
         rs = build_root_system(series, rank)
-        for w in generate(rs).elements:
+        for w, _ in oracles.weyl_group(rs):
             for _ in range(10):
                 lam = tuple(rng.randint(-6, 6) for _ in range(rank))
                 n = rng.randint(1, 5)
-                assert w.dot(dot_multiply(n, lam)) == dot_multiply(n, w.dot(lam))
+                assert oracles.dot(w, dot_multiply(n, lam)) == dot_multiply(n, oracles.dot(w, lam))
 
 
 def test_dominant_representative_examples():
     a1 = build_root_system("A", 1)
-    g1 = generate(a1)
-    w, dom = dominant_representative(g1, (-3,))
-    assert dom == (3,) and w.length == 1 and w.act((-3,)) == (3,)
-    w, dom = dominant_representative(g1, (5,))
-    assert dom == (5,) and w.length == 0
+    assert make_dominant(a1, (-3,)) == ((3,), -1)
+    assert make_dominant(a1, (5,)) == ((5,), 1)
+    assert dot_dominant(a1, (-3,)) == ((1,), -1)
+    assert dot_dominant(a1, (-1,)) == (None, 0)
 
 
 def test_dominant_representative_by_orbit_scan():
     a2 = build_root_system("A", 2)
-    group = generate(a2)
     for lam in [(-1, 2), (3, -2), (-2, -2), (0, 0)]:
-        w, dom = dominant_representative(group, lam)
-        assert w.act(lam) == dom
-        orbit = weyl_orbit(a2, lam)
+        orbit = {oracles.act(m, lam) for m, _ in oracles.weyl_group(a2)}
         dominants = [v for v in orbit if is_dominant(v)]
-        assert dominants == [dom]  # unique dominant point in the orbit
-        quick, _ = make_dominant(a2, lam)
-        assert quick == dom
+        assert dominants == [make_dominant(a2, lam)[0]]  # unique dominant point in the orbit
+
+
+def _orbit(rs, lam):
+    # The library's walk of the linear orbit of lam, as (weight, sign) pairs.
+    top, _ = make_dominant(rs, lam)
+    return [(w, s) for w, _, s in descend_orbit(rs, top, 0, (0,) * rs.rank)]
 
 
 def test_dot_orbit_size_and_regularity():
     rs = build_root_system("B", 2)
-    group = generate(rs)
+    group = oracles.weyl_group(rs)
     for lam in [(0, 0), (1, 2), (-1, 1), (0, -1), (-3, 1)]:
-        orbit = {w.dot(lam) for w in group.elements}
+        orbit = {oracles.dot(w, lam) for w, _ in group}
         shifted = tuple(x + 1 for x in lam)
         singular = any(
             sum(d * s for d, s in zip(coroot, shifted)) == 0
             for _, coroot in oracles.ROOT_TABLES[("B", 2)]
         )
         if singular:
-            assert len(orbit) < group.order
+            assert len(orbit) < len(group)
             assert dot_dominant(rs, lam) == (None, 0)
         else:
-            assert len(orbit) == group.order
+            assert len(orbit) == len(group)
             dom, sign = dot_dominant(rs, lam)
             assert dom in orbit and is_dominant(dom)
             assert sign in (-1, 1)
@@ -181,9 +162,11 @@ def test_dot_orbit_size_and_regularity():
 def test_orbit_sizes_divide_group_order():
     for series, rank in [("A", 2), ("G", 2)]:
         rs = build_root_system(series, rank)
-        order = generate(rs).order
+        group = oracles.weyl_group(rs)
         for lam in [(0, 0), (1, 0), (1, 1), (2, 1)]:
-            assert order % len(weyl_orbit(rs, lam)) == 0
+            orbit = [w for w, _ in _orbit(rs, lam)]
+            assert set(orbit) == {oracles.act(m, lam) for m, _ in group}
+            assert len(group) % len(orbit) == 0
 
 
 @pytest.mark.parametrize("series,rank", sorted(oracles.POSITIVE_ROOT_COUNTS))
@@ -198,23 +181,14 @@ def test_orbit_walk_matches_search(series, rank):
     weights += [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(3)]
     order = weyl_group_order(rs)
     for lam in weights:
-        orbit = weyl_orbit(rs, lam)
+        orbit = [w for w, _ in _orbit(rs, lam)]
         assert len(orbit) == len(set(orbit)), lam
         assert set(orbit) == oracles.orbit_by_search(rs, lam), lam
         assert order % len(orbit) == 0
         assert orbit[0] == make_dominant(rs, lam)[0]
-
-
-def test_group_records_are_immutable_and_copyable():
-    group = generate(build_root_system("A", 2))
-    with pytest.raises(AttributeError):
-        group.longest.length = 0
-    with pytest.raises(AttributeError):
-        group.elements = ()
-    assert repr(group.longest) == "WeylElement(word=010, length=3)"
-    for el in (copy.copy(group.longest), pickle.loads(pickle.dumps(group.longest))):
-        assert (el.word, el.matrix, el.length) == (group.longest.word, group.longest.matrix, 3)
-    assert pickle.loads(pickle.dumps(group)).order == 6
+    # rho is regular, so its orbit walk meets each w(rho) once, with sgn(w).
+    assert dict(_orbit(rs, (1,) * rank)) == {
+        oracles.act(m, (1,) * rank): sign for m, sign in oracles.weyl_group(rs)}
 
 
 def _kernel_weights(series, rank):
@@ -230,20 +204,41 @@ def _kernel_weights(series, rank):
     return weights
 
 
+def _shortest_element(rs, lam):
+    """The matrix of the shortest w with w(lam) dominant, read off the kernel.
+
+    With h the largest coroot height, w carries mu = ((h+2)h+1) * lam +
+    (h+1) * rho and each mu + omega_j to regular dominant weights: w rho
+    pairs positively with the simple coroots fixing w(lam), and no pairing
+    of w rho or w omega_j exceeds h.  So its columns w(omega_j) are
+    differences of dominant representatives.
+    """
+    h = max(map(sum, rs.coroots))
+    mu = [((h + 2) * h + 1) * x + h + 1 for x in lam]
+    top, _ = make_dominant(rs, mu)
+    columns = []
+    for j in range(rs.rank):
+        mu[j] += 1
+        columns.append(tuple(a - b for a, b in zip(make_dominant(rs, mu)[0], top)))
+        mu[j] -= 1
+    return tuple(zip(*columns))
+
+
 @pytest.mark.parametrize("series,rank", sorted(oracles.POSITIVE_ROOT_COUNTS))
 def test_dominance_kernel_matches_enumeration_and_coroot_count(series, rank):
-    # make_dominant against the enumerated group's element, its sign against
-    # (-1)^(positive coroots pairing negatively), and dot_dominant against
-    # the first-negative-coordinate walk of the oracles, walls included.
+    # make_dominant against an element of the enumerated group, its sign
+    # against (-1)^(positive coroots pairing negatively), and dot_dominant
+    # against the first-negative-coordinate walk of the oracles, walls
+    # included.
     rs = build_root_system(series, rank)
-    group = generate(rs)
+    signs = dict(oracles.weyl_group(rs))
     for lam in _kernel_weights(series, rank):
         dom, sign = make_dominant(rs, lam)
-        w, expected = dominant_representative(group, lam)
-        assert dom == expected == oracles.dominant_by_first_negative(rs, lam)[0], lam
+        w = _shortest_element(rs, lam)
+        assert dom == oracles.act(w, lam) == oracles.dominant_by_first_negative(rs, lam)[0], lam
         negative = sum(1 for d in rs.coroots if sum(a * b for a, b in zip(d, lam)) < 0)
-        assert sign == (-1) ** negative, lam
-        assert w.length == negative, lam  # the shortest element carrying lam there
+        assert sign == signs[w] == (-1) ** negative, lam
+        assert _inverted_roots(rs, w) == negative, lam  # the shortest element carrying lam there
         assert dot_dominant(rs, lam) == oracles.dot_dominant_by_first_negative(rs, lam), lam
 
 
@@ -253,8 +248,6 @@ def test_dominance_walks_reject_wrong_rank(fn, weight):
     a2 = build_root_system("A", 2)
     with pytest.raises(DomainError, match="wrong rank"):
         fn(a2, weight)
-    with pytest.raises(DomainError, match="wrong rank"):
-        dominant_representative(generate(a2), weight)
 
 
 def test_dominance_kernel_properties():
