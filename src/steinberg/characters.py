@@ -284,18 +284,23 @@ def _dominant_weights_below(rs: RootSystem, highest):
 
 
 # Weyl characters kept for reuse hold at most this many terms in total (about
-# 3 MB), the least recently used dropped first.  A round of the
-# rank2-steinberg benchmark workload reuses characters of about 2,600 terms,
-# next to Delta(p . lam) targets of up to 30,000 terms each that it asks for
-# once, so a bound on the entry count bounds no memory.
+# 3 MB), a ghost counting as one, the least recently used dropped first.  A
+# character of Weyl's formula is kept from its second request: a round of
+# the rank2-steinberg benchmark workload asks for 134 of them, 108 (104,551
+# terms, the Delta(p . lam) targets among them) only once, so keeping every
+# miss would fill the budget with characters never asked for again.  Its 13
+# characters of Freudenthal's recursion (70 terms) and all 10 of the
+# highrank-classes workload are asked for again, and are kept at once.
 _WEYL_CACHE_TERMS = 1 << 15
 # Weyl's character formula computes a character of rank <= 2 when its box
 # has at most this many slots per unit of dim (measured; see weyl_character).
 _SLOTS_PER_DIM = 12
 
-_weyl_cache = OrderedDict()  # (rs, highest) -> Character, least recently used first
+# (rs, highest) -> Character, or None for a ghost; least recently used first.
+_weyl_cache = OrderedDict()
 _weyl_cache_lock = allocate_lock()
-_weyl_hits = _weyl_misses = _weyl_terms = 0
+_weyl_hits = _weyl_misses = _weyl_terms = _weyl_ghosts = 0
+_ABSENT = object()
 
 
 def weyl_character(rs: RootSystem, highest) -> Character:
@@ -320,10 +325,18 @@ def weyl_character(rs: RootSystem, highest) -> Character:
     empty.
 
     Characters are kept in a least-recently-used cache bounded by the
-    terms it holds, 2^15 in all: a miss stores its character and then drops
-    the least recently used ones until the total fits, and a character of
-    more than 2^15 terms is returned without being kept.  ``cache_info``
-    (``currsize`` counts characters, ``maxsize`` is the term budget) and
+    terms it holds, 2^15 in all.  One that Weyl's formula computes is kept
+    only from its second request (an admission doorkeeper, as in Einziger,
+    Friedman and Manes's TinyLFU): its first miss stores a ghost, the key
+    with no character, charged one term, and a miss on a ghost stores the
+    character in its place.  One that Freudenthal's recursion computes is
+    kept from its first miss, as the recursion costs 5 to 13 us per term
+    against the formula's 0.5 (measured as above on D5, F4, E6 and on the
+    small rank-2 weights it takes).  Either is kept only if it has at most
+    2^15 terms, and each store drops the least recently used entries,
+    ghosts or characters, until the total fits.  Finding a ghost is a miss,
+    finding a character a hit.  ``cache_info`` (``currsize``
+    counts characters, not ghosts; ``maxsize`` is the term budget) and
     ``cache_clear`` are the cache's, and ``__wrapped__`` is the uncached
     computation, as for ``functools.lru_cache``; lookups and updates hold
     one lock, the computation does not.  The weight is checked on every
@@ -331,48 +344,79 @@ def weyl_character(rs: RootSystem, highest) -> Character:
     bools), so a float or bool weight that equals a cached int weight is
     rejected, not answered from the cache.
     """
-    global _weyl_hits, _weyl_misses, _weyl_terms
+    global _weyl_hits, _weyl_misses, _weyl_terms, _weyl_ghosts
     key = (rs, require_dominant(rs, highest))
     with _weyl_cache_lock:
-        chi = _weyl_cache.get(key)
-        if chi is not None:
+        found = _weyl_cache.get(key, _ABSENT)
+        if found is _ABSENT:
+            _weyl_cache[key] = None
+            _weyl_ghosts += 1
+            _weyl_terms += 1
+            _weyl_evict()
+        else:
             _weyl_cache.move_to_end(key)
-            _weyl_hits += 1
-            return chi
+            if found is not None:
+                _weyl_hits += 1
+                return found
         _weyl_misses += 1
-    chi = _weyl_character(*key)
-    size = len(chi)
-    if size <= _WEYL_CACHE_TERMS:
+    chi, recursed = _computed(*key)
+    if (found is None or recursed) and len(chi) <= _WEYL_CACHE_TERMS:
         with _weyl_cache_lock:
-            # Another thread may have stored the same character meanwhile.
-            if key not in _weyl_cache:
-                _weyl_cache[key] = chi
-                _weyl_terms += size
-                while _weyl_terms > _WEYL_CACHE_TERMS:
-                    _weyl_terms -= len(_weyl_cache.popitem(last=False)[1])
+            # Another thread may have stored the character or dropped the
+            # ghost meanwhile.
+            held = _weyl_cache.get(key, _ABSENT)
+            if held is None:
+                _weyl_ghosts -= 1
+                _weyl_terms -= 1
+            elif held is not _ABSENT:
+                return held
+            _weyl_cache[key] = chi
+            _weyl_cache.move_to_end(key)
+            _weyl_terms += len(chi)
+            _weyl_evict()
     return chi
+
+
+def _weyl_evict():
+    # Drops least recently used entries until the cache fits its budget;
+    # the caller holds the lock.
+    global _weyl_terms, _weyl_ghosts
+    while _weyl_terms > _WEYL_CACHE_TERMS:
+        chi = _weyl_cache.popitem(last=False)[1]
+        if chi is None:
+            _weyl_ghosts -= 1
+            _weyl_terms -= 1
+        else:
+            _weyl_terms -= len(chi)
 
 
 def _weyl_cache_info():
     with _weyl_cache_lock:
-        return _CacheInfo(_weyl_hits, _weyl_misses, _WEYL_CACHE_TERMS, len(_weyl_cache))
+        return _CacheInfo(
+            _weyl_hits, _weyl_misses, _WEYL_CACHE_TERMS, len(_weyl_cache) - _weyl_ghosts
+        )
 
 
 def _weyl_cache_clear():
-    global _weyl_hits, _weyl_misses, _weyl_terms
+    global _weyl_hits, _weyl_misses, _weyl_terms, _weyl_ghosts
     with _weyl_cache_lock:
         _weyl_cache.clear()
-        _weyl_hits = _weyl_misses = _weyl_terms = 0
+        _weyl_hits = _weyl_misses = _weyl_terms = _weyl_ghosts = 0
 
 
 def _weyl_character(rs: RootSystem, highest) -> Character:
     # weyl_character without its cache.
+    return _computed(rs, highest)[0]
+
+
+def _computed(rs: RootSystem, highest):
+    # The character, and whether Freudenthal's recursion computed it.
     highest = require_dominant(rs, highest)
     if rs.rank <= 2:
         terms = _weyl_formula(rs, highest)
         if terms is not None:
-            return Character._raw(terms, rs)
-    return Character._raw(_freudenthal(rs, highest), rs)
+            return Character._raw(terms, rs), False
+    return Character._raw(_freudenthal(rs, highest), rs), True
 
 
 weyl_character.cache_info = _weyl_cache_info

@@ -16,16 +16,13 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
-from .errors import DomainError
 from .rootdata import (
     Lattice,
     RootSystem,
     _neighbours,
-    _strict_int,
     _to_dominant,
     in_lattice,
     is_dominant,
-    pairing,
     require_dominant,
     require_in_lattice,
     require_p,
@@ -59,10 +56,10 @@ class AlcovePosition(namedtuple("AlcovePosition", "weight wall_pairings status")
 
 
 def alcove_position(rs: RootSystem, weight, p: int) -> AlcovePosition:
+    require_p(p, "alcove position")
     weight = require_rank(rs, weight)
-    _strict_int(p, DomainError)
-    shifted = tuple(x + 1 for x in weight)
-    vals = tuple(pairing(rs, shifted, i) for i in range(rs.num_positive_roots))
+    shifted = [x + 1 for x in weight]
+    vals = tuple([sum(map(mul, coroot, shifted)) for coroot in rs.coroots])
     if all(0 < v < p for v in vals):
         status = "interior"
     elif all(0 <= v <= p for v in vals):
@@ -105,10 +102,8 @@ def fundamental_alcove_rep(rs: RootSystem, weight, p: int):
 def is_special_point(rs: RootSystem, weight, p: int) -> bool:
     """Whether every positive-root pairing of weight + rho is divisible by p."""
     require_p(p, "special-point test")
-    shifted = tuple(x + 1 for x in require_rank(rs, weight))
-    return all(
-        pairing(rs, shifted, i) % p == 0 for i in range(rs.num_positive_roots)
-    )
+    shifted = [x + 1 for x in require_rank(rs, weight)]
+    return all(sum(map(mul, coroot, shifted)) % p == 0 for coroot in rs.coroots)
 
 
 def st_level(rs: RootSystem, weight, p: int,

@@ -319,7 +319,7 @@ def require_dominant(rs: RootSystem, weight) -> tuple:
 
 
 def is_restricted(weight, p: int) -> bool:
-    _strict_int(p, DomainError)
+    require_p(p, "restricted-weight test")
     return all(0 <= x < p for x in _int_coordinates(weight))
 
 
@@ -352,8 +352,9 @@ def require_in_lattice(rs: RootSystem, weight, lattice: Lattice) -> None:
 
 def steinberg_weight(rs: RootSystem, p: int, r: int = 1):
     """The weight (p^r - 1) * rho."""
-    _strict_int(p, DomainError)
-    _strict_int(r, DomainError)
+    require_p(p, "Steinberg weight")
+    if _strict_int(r, DomainError) < 0:
+        raise DomainError(f"Steinberg weight needs r >= 0, got {r}")
     return (p**r - 1,) * rs.rank
 
 

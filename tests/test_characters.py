@@ -3,6 +3,7 @@
 import gc
 import random
 import tracemalloc
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -79,8 +80,9 @@ def test_non_integer_highest_weights_are_rejected_on_a_warm_cache():
 def test_uncached_weyl_character_leaves_the_cache_alone():
     weyl_character.cache_clear()
     chi = weyl_character(A2, (2, 1))
+    assert weyl_character(A2, (2, 1)) == chi
     before = weyl_character.cache_info()
-    assert before.misses == 1 and before.currsize == 1
+    assert before.misses == 2 and before.currsize == 1
     assert weyl_character.__wrapped__(A2, (2, 1)) == chi
     assert weyl_character.__wrapped__(A2, (3, 0)) == weyl_character(A2, (3, 0))
     assert weyl_character.cache_info().misses == before.misses + 1
@@ -94,26 +96,31 @@ def test_uncached_weyl_character_leaves_the_cache_alone():
 
 
 def _cached_terms() -> int:
-    # The terms the Weyl-character cache holds, counted afresh.
-    terms = sum(len(chi) for chi in characters._weyl_cache.values())
+    # The terms the Weyl-character cache holds, counted afresh; a ghost (a
+    # key asked for once, held without its character) counts one.
+    terms = sum(1 if chi is None else len(chi) for chi in characters._weyl_cache.values())
     assert terms == characters._weyl_terms
     return terms
 
 
 def _cached(rs, weight) -> bool:
-    return (rs, weight) in characters._weyl_cache
+    # Whether the cache holds the character itself, not a ghost.
+    return characters._weyl_cache.get((rs, weight)) is not None
 
 
 def test_weyl_cache_holds_at_most_its_term_budget():
     # The G2 targets Delta(p . lam) of the twist identity at p = 5 and 7
-    # hold 65,780 terms together, twice the budget.
+    # hold 65,780 terms together, twice the budget.  Each is asked for
+    # twice, so that it is kept.
     weyl_character.cache_clear()
     total = 0
     for p in (5, 7):
         for size in range(4):
             for a in range(size + 1):
-                total += len(weyl_character(G2, dot_multiply(p, (a, size - a))))
-                assert _cached_terms() <= 2**15
+                target = dot_multiply(p, (a, size - a))
+                total += len(weyl_character(G2, target))
+                weyl_character(G2, target)
+                assert _cached(G2, target) and _cached_terms() <= 2**15
     assert total > 2**15
     assert weyl_character.cache_info().maxsize == 2**15
     # The most recent target is kept.
@@ -121,14 +128,17 @@ def test_weyl_cache_holds_at_most_its_term_budget():
 
 
 def test_oversized_weyl_character_is_returned_but_not_kept():
+    # Not even on its second request, which would keep a smaller one.
     weyl_character.cache_clear()
+    weyl_character(A2, (1, 1))
     small = weyl_character(A2, (1, 1))
     big = weyl_character(A2, (120, 120))
     assert len(big) > 2**15
     assert big == weyl_character.__wrapped__(A2, (120, 120))
     assert big.dim() == oracles.weyl_dimension("A", 2, (120, 120))
+    assert weyl_character(A2, (120, 120)) == big
     assert not _cached(A2, (120, 120)) and _cached(A2, (1, 1))
-    assert _cached_terms() == len(small)
+    assert _cached_terms() == len(small) + 1  # the big one's ghost
     # Not kept, so asking again is another miss, and evicts nothing.
     info = weyl_character.cache_info()
     assert weyl_character(A2, (120, 120)) == big
@@ -138,34 +148,47 @@ def test_oversized_weyl_character_is_returned_but_not_kept():
 
 
 def test_weyl_cache_hit_protects_an_entry_from_the_next_eviction(monkeypatch):
-    # A2's (1, 0) and (0, 1) have 3 terms each and (1, 1) has 7: with a
-    # budget of 10, storing (1, 1) evicts one of the first two.
+    # A2's (1, 0) and (0, 1) have 3 terms each, and Freudenthal's recursion
+    # computes them, so each is kept from its first request; (1, 1) has 7,
+    # and Weyl's formula computes it, so it is kept from its second.  With
+    # a budget of 10, keeping (1, 1) evicts one of the first two.
     monkeypatch.setattr(characters, "_WEYL_CACHE_TERMS", 10)
     for touched, dropped in (((1, 0), (0, 1)), ((0, 1), (1, 0))):
         weyl_character.cache_clear()
-        weyl_character(A2, (1, 0))
-        weyl_character(A2, (0, 1))
-        weyl_character(A2, touched)
+        for weight in ((1, 0), (0, 1), touched, (1, 1)):
+            weyl_character(A2, weight)
+        # The ghost of (1, 1) is charged one term.
+        assert _cached_terms() == 7 and not _cached(A2, (1, 1))
         weyl_character(A2, (1, 1))
         assert _cached(A2, touched) and _cached(A2, (1, 1)) and not _cached(A2, dropped)
         assert _cached_terms() == 10
-        assert weyl_character.cache_info() == (1, 3, 10, 2)
+        assert weyl_character.cache_info() == (1, 4, 10, 2)
     # Without the hit, the oldest entry goes first.
     weyl_character.cache_clear()
-    for weight in ((1, 0), (0, 1), (1, 1)):
+    for weight in ((1, 0), (0, 1), (1, 1), (1, 1)):
         weyl_character(A2, weight)
     assert list(characters._weyl_cache) == [(A2, (0, 1)), (A2, (1, 1))]
+    # A ghost evicts like a one-term character: at 10 terms, the ghost of
+    # (2, 1) drops the least recently used character.
+    weyl_character(A2, (2, 1))
+    assert list(characters._weyl_cache) == [(A2, (1, 1)), (A2, (2, 1))]
+    assert _cached_terms() == 8 and weyl_character.cache_info().currsize == 1
 
 
 def test_weyl_cache_clear_empties_the_cache_and_resets_its_counts():
+    # Two characters and the ghost of (0, 2), which currsize leaves out.
     weyl_character.cache_clear()
-    for weight in ((1, 0), (2, 1), (1, 0)):
+    for weight in ((1, 1), (1, 1), (2, 1), (2, 1), (1, 1), (0, 2)):
         weyl_character(B2, weight)
-    assert weyl_character.cache_info() == (1, 2, 2**15, 2)
+    assert weyl_character.cache_info() == (1, 5, 2**15, 2)
+    assert len(characters._weyl_cache) == 3
     assert _cached_terms() > 0
     weyl_character.cache_clear()
     assert weyl_character.cache_info() == (0, 0, 2**15, 0)
     assert _cached_terms() == 0 and not characters._weyl_cache
+    # The ghost went too: (0, 2) is a first request again.
+    weyl_character(B2, (0, 2))
+    assert weyl_character.cache_info() == (0, 1, 2**15, 0)
 
 
 def test_weyl_cache_names_the_benchmark_reads():
@@ -185,14 +208,16 @@ def test_weyl_cache_names_the_benchmark_reads():
     assert found is weyl_character
     uncached = found.__wrapped__
     assert not hasattr(uncached, "cache_info")
-    for weight, missed in (((2, 1), 1), ((2, 1), 0), ((1, 2), 1), ((2, 1), 0)):
+    # A first request leaves a ghost and misses; the second misses again
+    # and keeps the character; the third hits.
+    for weight, missed in (((2, 1), 1), ((2, 1), 1), ((1, 2), 1), ((2, 1), 0)):
         before = weyl_character.cache_info().misses
         traced(G2, weight)
         assert weyl_character.cache_info().misses - before == missed
     info = weyl_character.cache_info()
     assert uncached(G2, (3, 3)) == weyl_character(G2, (3, 3))
     assert uncached(G2, (2, 1)) == weyl_character(G2, (2, 1))
-    assert weyl_character.cache_info() == (info.hits + 1, info.misses + 1, 2**15, 3)
+    assert weyl_character.cache_info() == (info.hits + 1, info.misses + 1, 2**15, 1)
 
 
 def _twist_sweep():
@@ -210,8 +235,9 @@ def _twist_sweep():
 
 
 def test_weyl_cache_retains_a_bounded_amount_of_memory():
-    # An entry-count bound kept all 147 characters of the sweep, 11 MB;
-    # the term budget keeps about 3 MB.
+    # An entry-count bound kept all 147 characters of the sweep, 11 MB; the
+    # term budget alone kept about 3.5 MB, most of it characters asked for
+    # once; keeping a character only from its second request keeps 0.3 MB.
     weyl_character.cache_clear()
     gc.collect()
     started = not tracemalloc.is_tracing()
@@ -226,7 +252,91 @@ def test_weyl_cache_retains_a_bounded_amount_of_memory():
         if started:
             tracemalloc.stop()
     assert _cached_terms() <= 2**15
-    assert retained < 6_000_000, retained
+    assert retained < 1_000_000, retained
+
+
+def _by_recursion(rs, weight) -> bool:
+    # Whether Freudenthal's recursion computes the character, not Weyl's formula.
+    return rs.rank > 2 or characters._weyl_formula(rs, weight) is None
+
+
+def test_weyl_characters_asked_for_once_are_not_kept():
+    # Weyl's formula computes every rank-2 character with no zero
+    # coordinate among these.
+    weyl_character.cache_clear()
+    keys = [(rs, (a, b)) for rs in RANK2 for a in range(1, 6) for b in range(1, 6)]
+    for rs, weight in keys:
+        assert not _by_recursion(rs, weight)
+        weyl_character(rs, weight)
+    assert weyl_character.cache_info() == (0, len(keys), 2**15, 0)
+    assert list(characters._weyl_cache) == keys
+    assert _cached_terms() == len(keys)
+
+
+def test_characters_of_the_recursion_are_kept_from_their_first_request():
+    # Rank 3 and 4, and the rank-2 weights where Weyl's box is too sparse.
+    A3, B3, F4 = (build_root_system(*key) for key in (("A", 3), ("B", 3), ("F", 4)))
+    keys = [(A3, (1, 0, 0)), (A3, (0, 1, 1)), (B3, (0, 0, 1)), (F4, (0, 0, 0, 1)),
+            (A2, (0, 3)), (B2, (1, 0)), (G2, (0, 1))]
+    weyl_character.cache_clear()
+    for rs, weight in keys:
+        assert _by_recursion(rs, weight)
+        assert weyl_character(rs, weight) == weyl_character.__wrapped__(rs, weight)
+        assert _cached(rs, weight)
+    assert weyl_character.cache_info() == (0, len(keys), 2**15, len(keys))
+    for rs, weight in keys:
+        weyl_character(rs, weight)
+    assert weyl_character.cache_info() == (len(keys), len(keys), 2**15, len(keys))
+    assert _cached_terms() == sum(len(characters._weyl_cache[key]) for key in keys)
+    weyl_character.cache_clear()
+
+
+def _admit(model, key, size, recursion, budget):
+    # The cache's rule in brief, on a model mapping each key to the size of
+    # the character it keeps, or None for a ghost; least recently used first.
+    second = key in model
+    model.setdefault(key, None)
+    model.move_to_end(key)
+    if model[key] is None and (second or recursion) and size <= budget:
+        model[key] = size
+    while sum(1 if kept is None else kept for kept in model.values()) > budget:
+        model.popitem(last=False)
+
+
+def test_weyl_cache_follows_its_admission_rule_on_random_requests(monkeypatch):
+    # A2 and B2 characters of 1 to 37 terms against a budget of 20: some fit
+    # together, some evict all others, and (3, 3) on either never fits.
+    # Freudenthal's recursion computes 10 of the 32, A2's weights with a
+    # zero coordinate and B2's (0, 0), (0, 1) and (1, 0), of 1 to 10 terms;
+    # Weyl's formula computes the others.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    budget = 20
+    monkeypatch.setattr(characters, "_WEYL_CACHE_TERMS", budget)
+    keys = [(rs, (a, b)) for rs in (A2, B2) for a in range(4) for b in range(4)]
+    recursion = {key: _by_recursion(*key) for key in keys}
+    assert sum(recursion.values()) == 10
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.sampled_from(keys), max_size=40))
+    def check(requests):
+        weyl_character.cache_clear()
+        model, hits = OrderedDict(), 0
+        for calls, key in enumerate(requests, 1):
+            hits += model.get(key) is not None
+            chi = weyl_character(*key)
+            assert chi == weyl_character.__wrapped__(*key)
+            _admit(model, key, len(chi), recursion[key], budget)
+            assert _cached_terms() <= budget
+            assert list(characters._weyl_cache) == list(model)
+            kept = {k for k, v in model.items() if v is not None}
+            assert {k for k, v in characters._weyl_cache.items() if v is not None} == kept
+            assert weyl_character.cache_info() == (hits, calls - hits, budget, len(kept))
+
+    try:
+        check()
+    finally:
+        weyl_character.cache_clear()
 
 
 def test_mixed_ranks_are_rejected():

@@ -248,6 +248,47 @@ def test_alcove_position_statuses():
     assert alcove_position(G2, (0, 0), 2).status == "exterior-of-closure"
 
 
+@pytest.mark.parametrize("series,rank", sorted(oracles.POSITIVE_ROOT_COUNTS))
+def test_wall_pairings_are_the_coroot_pairings_in_root_order(series, rank):
+    # alcove_position and is_special_point pair with rs.coroots directly,
+    # checking the weight once rather than once per root.
+    rs = build_root_system(series, rank)
+    rng = random.Random(f"{series}{rank}")
+    for _ in range(5):
+        weight = tuple(rng.randint(-4, 6) for _ in range(rank))
+        shifted = tuple(x + 1 for x in weight)
+        expected = tuple(pairing(rs, shifted, i) for i in range(rs.num_positive_roots))
+        assert alcove_position(rs, weight, 5).wall_pairings == expected
+        for p in (2, 3):
+            assert is_special_point(rs, weight, p) == all(v % p == 0 for v in expected)
+
+
+_P_CALLS = {
+    "alcove_position": lambda p: alcove_position(A2, (0, 0), p),
+    "is_special_point": lambda p: is_special_point(A2, (2, 2), p),
+    "is_restricted": lambda p: is_restricted((0, 0), p),
+    "steinberg_weight": lambda p: steinberg_weight(A2, p),
+    "linked": lambda p: linked(A2, (0, 0), (1, 0), p),
+    "fundamental_alcove_rep": lambda p: fundamental_alcove_rep(A2, (0, 0), p),
+    "st_level": lambda p: st_level(A2, (2, 2), p),
+    "steinberg_split": lambda p: steinberg_split((4, 1), p),
+}
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+@pytest.mark.parametrize("call", _P_CALLS.values(), ids=_P_CALLS.keys())
+def test_p_below_two_is_rejected(call, p):
+    with pytest.raises(DomainError, match="needs p >= 2"):
+        call(p)
+
+
+def test_steinberg_weight_rejects_a_negative_twist_degree():
+    # p^r - 1 is not an integer for r < 0.
+    assert steinberg_weight(A2, 3, 0) == (0, 0)
+    with pytest.raises(DomainError, match="needs r >= 0"):
+        steinberg_weight(A2, 3, -1)
+
+
 def test_alcove_position_is_an_immutable_record():
     pos = alcove_position(A1, (1,), 3)
     assert repr(pos) == "AlcovePosition(weight=(1,), wall_pairings=(2,), status='interior')"
