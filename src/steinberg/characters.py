@@ -4,18 +4,18 @@ A :class:`Character` is a finitely supported map weight -> multiplicity, the
 computational form of an element of the group ring Z[X]; it shares the
 sparse base ``_Sparse`` with the Weyl-basis classes of the Grothendieck
 group.  Weyl-module characters come from Freudenthal's multiplicity
-recursion on the dominant cone, each multiplicity spread over its Weyl orbit
-as soon as it is known, or, on rank <= 2 when the weights fill their box
-densely enough (at most 12 box slots per unit of dim, where the measured
+recursion on the dominant weights, whose multiplicities are then spread over
+their Weyl orbits, or, on rank <= 2 when the weights fill their box densely
+enough (at most 12 box slots per unit of dim, where the measured
 crossover lies near 15), from Weyl's character formula: the alternating
 orbit sum of lam + rho divided by the Weyl denominator, exactly, modulo a
 power of two; products are exact sparse convolutions.  Signed characters
 (Euler characteristics, virtual differences) are first-class values, and
 they scale by integers only.
 
-The hot loops, the convolution in ``tensor`` and both routes of
-``weyl_character``, key weights by one packed integer instead of a tuple:
-in a box lo <= w <= hi, coordinate j is shifted to w_j - lo_j, a digit in
+The slot-integer code, the convolution in ``tensor`` and Weyl's character
+formula, keys weights by one packed integer instead of a tuple: in a box
+lo <= w <= hi, coordinate j is shifted to w_j - lo_j, a digit in
 [0, hi_j - lo_j], and weighted by the mixed-radix place value stride_j (the
 last coordinate varies fastest).  The key is injective on the box and affine
 in w, so adding a root or a weight is one int add.  It is used only where
@@ -44,7 +44,7 @@ from _thread import allocate_lock
 from collections import OrderedDict
 from functools import _CacheInfo  # the record lru_cache's cache_info returns
 from itertools import repeat
-from operator import ge, mod, mul, sub
+from operator import add, ge, mod, mul, sub
 
 from .errors import DomainError
 from .kronecker import (
@@ -60,7 +60,9 @@ from .rootdata import (
     Lattice,
     RootSystem,
     _int_coordinates,
+    _neighbours,
     _strict_int,
+    _to_dominant,
     apply_simple_reflection,
     descend_orbit,
     dot_dominant,
@@ -331,10 +333,12 @@ def weyl_character(rs: RootSystem, highest) -> Character:
     with no character, charged one term, and a miss on a ghost stores the
     character in its place.  One that Freudenthal's recursion computes is
     kept from its first miss, as the recursion costs 5 to 13 us per term
-    against the formula's 0.5 (measured as above on D5, F4, E6 and on the
-    small rank-2 weights it takes).  Either is kept only if it has at most
-    2^15 terms, and each store drops the least recently used entries,
-    ghosts or characters, until the total fits.  Finding a ghost is a miss,
+    against the formula's 0.4 to 0.7 (best of 5 runs of 5 calls, as above:
+    the recursion on the fundamental weights of D5, F4 and E6 and on the
+    rank-2 weights in [0, 4]^2 it takes, the formula on the A2, B2 and G2
+    weights p . lam of 855 to 5941 terms).  Either is kept only if it has
+    at most 2^15 terms, and each store drops the least recently used
+    entries, ghosts or characters, until the total fits.  Finding a ghost is a miss,
     finding a character a hit.  ``cache_info`` (``currsize``
     counts characters, not ghosts; ``maxsize`` is the term budget) and
     ``cache_clear`` are the cache's, and ``__wrapped__`` is the uncached
@@ -474,15 +478,15 @@ def _weyl_formula(rs: RootSystem, highest):
     overflow, raises ArithmeticError.
     """
     dim = _weyl_dimension(rs, highest)
-    walk = descend_orbit(rs, tuple(x + 1 for x in highest), 0, (0,) * rs.rank)
-    cols = list(zip(*(w for w, _, _ in walk)))
+    walk = descend_orbit(rs, tuple(x + 1 for x in highest))
+    cols = list(zip(*(w for w, _ in walk)))
     ranges = [range(min(col) - 1, max(col)) for col in cols]
     widths = [len(r) for r in ranges]
     n = math.prod(widths)
     if n > _SLOTS_PER_DIM * dim:
         return None
     strides = _strides(widths)
-    numerator = _packed(cols, [sign for _, _, sign in walk], [r.start + 1 for r in ranges], strides)
+    numerator = _packed(cols, [sign for _, sign in walk], [r.start + 1 for r in ranges], strides)
     steps = [-sum(map(mul, f, strides)) for f in rs.positive_fund]
     for nbytes, fmt in _SLOT_WIDTHS:
         bits = 8 * nbytes
@@ -514,56 +518,42 @@ def _freudenthal(rs: RootSystem, highest) -> dict:
     """The character's terms by Freudenthal's multiplicity recursion.
 
     The recursion runs over the dominant weights by increasing depth below
-    the highest weight, and each multiplicity is spread over its Weyl orbit
-    as soon as it is known.  The recursion probes the strings
-    mu + k*alpha (k >= 1) of every positive root alpha in a map keyed by one
-    packed integer per weight: coordinate j, shifted into [0, width_j), is a
-    digit of place value stride_j, so stepping by alpha adds one constant.
-    The orbit spread walks the orbit's descent tree (``descend_orbit``) and
-    carries the key along the same way, one step per simple reflection.
-
-    No-alias condition: the key is injective on its box.  The box is the
-    coordinate range of the highest weight's orbit, which holds every weight
-    of the module (they lie in its convex hull), padded on each side by the
-    largest |coordinate| of a positive root.  A string walk stops at its
-    first missing weight, one root step from a weight of the module, so
-    every probe lands in the padded box and never reads another weight's
-    multiplicity.
+    the highest weight (Jantzen, *Representations of Algebraic Groups*,
+    II.5; Moody and Patera, Bull. AMS 1982).  It probes the strings
+    mu + k*alpha (k >= 1) of every positive root alpha, each probe read at
+    its dominant orbit point (``_to_dominant``), which lies above the probe
+    and so is already known.  The weights on an alpha-string form an
+    unbroken segment, so the first probe that is not a weight ends the
+    string.  Each dominant multiplicity is then spread over its orbit
+    (``descend_orbit``).
     """
     rank = rs.rank
     t = rs.symmetrizer
-    top = [w for w, _, _ in descend_orbit(rs, highest, 0, (0,) * rank)]
-    pad = [max(abs(f[j]) for f in rs.positive_fund) for j in range(rank)]
-    cols = list(zip(*top))
-    lo = [min(col) - q for col, q in zip(cols, pad)]
-    strides = _strides([max(col) + q - l + 1 for col, q, l in zip(cols, pad, lo)])
-    base = sum(map(mul, lo, strides))
-    # Per positive root: key step, (alpha, alpha), and v with (x, alpha) = v . x.
+    nbrs = _neighbours(rs)
+    # Per positive root: alpha, (alpha, alpha), and v with (x, alpha) = v . x.
     roots = []
     for c, f in zip(rs.positive_roots, rs.positive_fund):
         v = [c[j] * t[j] for j in range(rank)]
-        roots.append((sum(map(mul, f, strides)), sum(map(mul, v, f)), v))
-    simple_steps = [step for step, _, _ in roots[:rank]]
+        roots.append((f, sum(map(mul, v, f)), v))
     gaps = _dominant_weights_below(rs, highest)
-    # Increasing depth: every probe in the recursion lands at smaller depth.
+    # Increasing depth: every probe's dominant point lies at smaller depth.
     order = sorted(gaps, key=lambda mu: (sum(gaps[mu]), mu))
-    out = dict.fromkeys(top, 1)
-    packed = dict.fromkeys((sum(map(mul, w, strides)) - base for w in top), 1)
-    get = packed.get
+    dominant = {highest: 1}
+    get = dominant.get
     for mu in order[1:]:
         num = 0
-        k0 = sum(map(mul, mu, strides)) - base
-        for step, aa, v in roots:
-            k = k0 + step
-            m = get(k)
-            if m is None:
-                continue
+        for f, aa, v in roots:
             dot = sum(map(mul, v, mu)) + aa
-            while m is not None:
+            probe = list(map(add, mu, f))
+            while True:
+                point = probe.copy()
+                _to_dominant(nbrs, point)
+                m = get(tuple(point))
+                if m is None:
+                    break
                 num += m * dot
-                k += step
                 dot += aa
-                m = get(k)
+                probe = list(map(add, probe, f))
         gap = gaps[mu]
         denom = sum(gap[j] * t[j] * (highest[j] + mu[j] + 2) for j in range(rank))
         val = 2 * num
@@ -572,11 +562,8 @@ def _freudenthal(rs: RootSystem, highest) -> dict:
                 f"Freudenthal recursion at {list(mu)} below {list(highest)} gave "
                 f"{val}/{denom}, not a positive integer"
             )
-        mult = val // denom
-        for w, k, _ in descend_orbit(rs, mu, k0, simple_steps):
-            out[w] = mult
-            packed[k] = mult
-    return out
+        dominant[mu] = val // denom
+    return {w: m for mu, m in dominant.items() for w, _ in descend_orbit(rs, mu)}
 
 
 # Measured costs of the convolution kernels (see ``tensor``), in units of
@@ -682,12 +669,11 @@ def _convolve(a: Character, b: Character, floor=None) -> dict:
 def frobenius_twist(chi: Character, r: int, p: int) -> Character:
     """Dilate every weight by p^r, keeping multiplicities."""
     _strict_int(r, DomainError)
-    _strict_int(p, DomainError)
+    require_p(p, "twist")
     if r < 0:
         raise DomainError(f"twist degree must be >= 0, got {r}")
     if r == 0:
         return chi
-    require_p(p, "twist")
     scale = p**r
     return Character._raw(
         {tuple(scale * x for x in w): m for w, m in chi.items()}, chi._invariant_for

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -71,12 +72,18 @@ def _parse_weight(text: str):
         raise argparse.ArgumentTypeError(f"malformed weight {text!r}: {exc}") from exc
 
 
+# Trial division up to the square root of p < 2^32 takes at most 2^16 steps.
+_MAX_P = 1 << 32
+
+
 def _parse_prime(text: str) -> int:
     try:
         p = _parse_int(text)
     except argparse.ArgumentTypeError as exc:
         raise argparse.ArgumentTypeError(f"p must be an integer, got {text!r}") from exc
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if p >= _MAX_P:
+        raise argparse.ArgumentTypeError(f"p must be below 2^32, got {p}")
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise argparse.ArgumentTypeError(f"p must be a prime >= 2, got {p}")
     return p
 

@@ -116,8 +116,8 @@ def _weyl_denominator(rs: RootSystem) -> Character:
     orbit walk (``descend_orbit``).  The value is not W-invariant, so it
     carries no tag.
     """
-    walk = descend_orbit(rs, rs.rho, 0, (0,) * rs.rank)
-    return Character._raw({tuple(x - 1 for x in w): sign for w, _, sign in walk})
+    walk = descend_orbit(rs, rs.rho)
+    return Character._raw({tuple(x - 1 for x in w): sign for w, sign in walk})
 
 
 def _few_elements(rs: RootSystem, terms: int) -> bool:

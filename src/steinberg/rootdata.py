@@ -19,7 +19,7 @@ roots in order, so indices below ``rank`` double as simple-coroot indices.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import ConfigurationError, DomainError
@@ -38,33 +38,7 @@ _RANK_RANGE = {
 }
 
 
-class _Frozen:
-    """Immutable record built from keyword arguments, one per slot.
-
-    Equality and hashing are those of ``object`` (identity), so instances
-    are cheap ``lru_cache`` keys; assigning or deleting an attribute raises
-    ``AttributeError``.  Copies and pickles are rebuilt through ``__init__``.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, **fields):
-        if fields.keys() != set(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes exactly the fields {self.__slots__}")
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
-
-    def __reduce__(self):
-        return partial(type(self), **{name: getattr(self, name) for name in self.__slots__}), ()
-
-
-class RootSystem(_Frozen):
+class RootSystem:
     """Immutable root datum for one irreducible type.
 
     ``positive_roots`` lists simple-root coordinate vectors, simple roots
@@ -75,10 +49,26 @@ class RootSystem(_Frozen):
     is (x, alpha_j) = t[j] * x_j up to one global positive scale.  The
     inverse Cartan matrix is ``inv_num`` / ``inv_den``: an integer matrix
     over one positive denominator, in lowest terms.
+
+    Built from keyword arguments, one per slot.  Equality and hashing are
+    those of ``object`` (identity), so instances are cheap ``lru_cache``
+    keys; assigning or deleting an attribute raises ``AttributeError``.
     """
 
     __slots__ = ("series", "rank", "cartan", "positive_roots", "positive_fund", "coroots",
                  "symmetrizer", "inv_num", "inv_den", "rho")
+
+    def __init__(self, **fields):
+        if fields.keys() != set(self.__slots__):
+            raise TypeError(f"RootSystem takes exactly the fields {self.__slots__}")
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RootSystem is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RootSystem is immutable; cannot delete {name!r}")
 
     @property
     def num_positive_roots(self) -> int:
@@ -488,26 +478,24 @@ def weyl_group_order(rs: RootSystem) -> int:
     return order
 
 
-def descend_orbit(rs: RootSystem, top, key, steps) -> list:
-    """The orbit of a dominant weight as (weight, key, sign) triples, dominant first.
+def descend_orbit(rs: RootSystem, top) -> list:
+    """The orbit of a dominant weight as (weight, sign) pairs, dominant first.
 
     Walks the dominant descent tree (Snow, *Weyl group orbits*, ACM TOMS
     1990): s_i w is a child of w when w_i > 0 and every coordinate of s_i w
     before i is >= 0.  A non-dominant weight has exactly one parent, its
     reflection at its first negative coordinate, so each element is reached
-    once and no seen-set is needed.  A key affine in the weight rides
-    along: key(s_i w) = key(w) - w_i * steps[i], where steps[i] is the key
-    step of alpha_i.  The sign is (-1)^depth in the tree.  Each step
-    reflects a weight in a wall it lies strictly on the positive side of,
-    so for a regular top the depth of w * top is the length of w, and the
-    sign is sgn(w).
+    once and no seen-set is needed.  The sign is (-1)^depth in the tree.
+    Each step reflects a weight in a wall it lies strictly on the positive
+    side of, so for a regular top the depth of w * top is the length of w,
+    and the sign is sgn(w).
     """
     simple = rs.positive_fund[:rs.rank]  # alpha_i in fundamental coordinates
-    walk = [(top, key, 1)]
-    for w, k, s in walk:
+    walk = [(top, 1)]
+    for w, s in walk:
         for i, x in enumerate(w):
             if x > 0:
                 child = tuple([a - x * c for a, c in zip(w, simple[i])])
                 if i == 0 or min(child[:i]) >= 0:
-                    walk.append((child, k - x * steps[i], -s))
+                    walk.append((child, -s))
     return walk

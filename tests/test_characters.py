@@ -371,8 +371,9 @@ def test_dimensions_match_weyl_formula(rs):
 @pytest.mark.parametrize("rs", RANK2, ids=lambda r: repr(r))
 def test_multiplicities_match_partition_function_formula(rs):
     group = oracles.weyl_group(rs)
-    # G2 roots reach +-3 in fundamental coordinates: (3, 0), (0, 3) and
-    # (4, 1) probe the padded edge of the packed-key box.
+    # G2 roots reach +-3 in fundamental coordinates, so the recursion's
+    # probes from (3, 0), (0, 3) and (4, 1) land far outside the dominant
+    # chamber before their dominance walks bring them back.
     for lam in [(1, 1), (2, 0), (2, 2), (1, 3), (3, 0), (0, 3), (4, 1)]:
         expected = oracles.character_by_weyl_sum(rs, group, lam)
         assert dict(weyl_character(rs, lam).items()) == expected
@@ -432,6 +433,10 @@ def test_frobenius_twist():
     assert frobenius_twist(big, 2, 2).dim() == big.dim()
     with pytest.raises(DomainError):
         frobenius_twist(chi, -1, 3)
+    for p in (1, 0, -3):
+        for r in (0, 1):
+            with pytest.raises(DomainError, match="p >= 2"):
+                frobenius_twist(chi, r, p)
 
 
 def test_steinberg_characters():

@@ -243,9 +243,15 @@ def test_usage_errors_exit_2():
         ["char", "twist", "--type", "A", "--rank", "1", "--p", "3"],  # no input
         ["simple", "a1", "--p", "3"],
         ["class", "decompose", "--type", "A", "--rank", "1", "--char", "not json"],
+        # p at or above 2^32: 402 digits overflowed a float square root, and
+        # 19 digits ran trial division for minutes.
+        ["char", "twist", "--type", "A", "--rank", "1", "--p", "9" * 402, "--weight", "1"],
+        ["char", "twist", "--type", "A", "--rank", "1", "--p", "1000000000000000003",
+         "--weight", "1"],
     ):
         code, out, err = invoke(argv)
         assert code == 2, argv
+        assert "Traceback" not in err, argv
 
 
 def test_json_weight_entries_must_be_integers(capsys):

@@ -728,6 +728,21 @@ def test_rank_three_and_up_keep_freudenthal(series, rank, weights, monkeypatch):
         assert chi == weyl_character(rs, lam)
 
 
+@pytest.mark.parametrize("series,rank", [
+    ("A", 3), ("A", 4), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("F", 4),
+])
+def test_freudenthal_multiplicities_expand_to_one_weyl_class(series, rank):
+    # A W-invariant character is the sum of its alternating-sum coefficients
+    # times Weyl characters, so an expansion of exactly {lam: 1} checks every
+    # multiplicity the recursion gives, not only their sum.
+    rs = build_root_system(series, rank)
+    group = oracles.weyl_group(rs)
+    for lam in [(1,) * rank, (2,) + (0,) * (rank - 2) + (1,)]:
+        chi = weyl_character.__wrapped__(rs, lam)
+        require_w_invariant(rs, Character(chi.items()))
+        assert oracles.alternating_expansion(rs, group, chi) == {lam: 1}, lam
+
+
 # The Weyl-group enumeration API the package once had; only the oracles list W.
 REMOVED_NAMES = {"generate", "WeylGroup", "WeylElement", "dominant_representative",
                  "weyl_orbit", "root_coordinates", "RANK_CAP"}

@@ -136,7 +136,7 @@ def test_dominant_representative_by_orbit_scan():
 def _orbit(rs, lam):
     # The library's walk of the linear orbit of lam, as (weight, sign) pairs.
     top, _ = make_dominant(rs, lam)
-    return [(w, s) for w, _, s in descend_orbit(rs, top, 0, (0,) * rs.rank)]
+    return descend_orbit(rs, top)
 
 
 def test_dot_orbit_size_and_regularity():
