@@ -3,15 +3,14 @@
 A :class:`Character` is a finitely supported map weight -> multiplicity, the
 computational form of an element of the group ring Z[X]; it shares the
 sparse base ``_Sparse`` with the Weyl-basis classes of the Grothendieck
-group.  Weyl-module characters come from Freudenthal's multiplicity
-recursion on the dominant weights, whose multiplicities are then spread over
-their Weyl orbits, or, on rank <= 2 when the weights fill their box densely
-enough (at most 12 box slots per unit of dim, where the measured
-crossover lies near 15), from Weyl's character formula: the alternating
-orbit sum of lam + rho divided by the Weyl denominator, exactly, modulo a
-power of two; products are exact sparse convolutions.  Signed characters
-(Euler characteristics, virtual differences) are first-class values, and
-they scale by integers only.
+group.  Weyl-module characters of rank <= 2 come from Weyl's character
+formula: the alternating orbit sum of lam + rho divided by the Weyl
+denominator, exactly, modulo a power of two.  From rank 3 on they come from
+Freudenthal's multiplicity recursion on the dominant weights, each
+multiplicity spread over its Weyl orbit as soon as it is known.  Products
+are exact sparse convolutions.  Signed characters (Euler characteristics,
+virtual differences) are first-class values, and they scale by integers
+only.
 
 The slot-integer code, the convolution in ``tensor`` and Weyl's character
 formula, keys weights by one packed integer instead of a tuple: in a box
@@ -60,9 +59,7 @@ from .rootdata import (
     Lattice,
     RootSystem,
     _int_coordinates,
-    _neighbours,
     _strict_int,
-    _to_dominant,
     apply_simple_reflection,
     descend_orbit,
     dot_dominant,
@@ -84,7 +81,9 @@ class _Sparse:
     ``_check_support``.  All weights of one value have the same rank: the
     constructor, ``+`` and ``-`` raise DomainError on mixed ranks.  The
     constructor also raises it on a coordinate or value that is not an int
-    (bools and floats included); ``_raw`` checks nothing.
+    (bools and floats included); ``_raw`` checks nothing.  ``from_dict``
+    raises ValueError on a payload that names one weight twice, which
+    ``to_dict`` never writes.
     """
 
     __slots__ = ("_terms",)
@@ -196,12 +195,14 @@ class _Sparse:
             entries = data[list_key]
             if not isinstance(entries, list):
                 raise ValueError(f"'{list_key}' must be a list, got {type(entries).__name__}")
-            items = []
+            items = {}
             for e in entries:
                 w = tuple(_strict_int(x) for x in e["w"])
                 if rank is not None and len(w) != rank:
                     raise ValueError(f"weight {list(w)} has wrong rank (expected {rank})")
-                items.append((w, _strict_int(e[key])))
+                if w in items:
+                    raise ValueError(f"weight {list(w)} appears twice in one {cls._NOUN} payload")
+                items[w] = _strict_int(e[key])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {cls._NOUN} payload: {exc}") from exc
         return cls(items)
@@ -285,18 +286,23 @@ def _dominant_weights_below(rs: RootSystem, highest):
     return gaps
 
 
+# The largest rank on which the slot-integer routes that pay for a box, not
+# for the terms in it, are taken: Weyl's character formula in
+# ``weyl_character`` and the product with the Weyl denominator in
+# ``grothendieck._brauer``.  On rank <= 2 a W-invariant character leaves
+# much of its box empty only when it is small, and then either route is
+# quick; from rank 3 on the box is mostly empty.
+_DENSE_RANK = 2
+
 # Weyl characters kept for reuse hold at most this many terms in total (about
 # 3 MB), a ghost counting as one, the least recently used dropped first.  A
 # character of Weyl's formula is kept from its second request: a round of
-# the rank2-steinberg benchmark workload asks for 134 of them, 108 (104,551
+# the rank2-steinberg benchmark workload asks for 147 of them, 108 (104,551
 # terms, the Delta(p . lam) targets among them) only once, so keeping every
-# miss would fill the budget with characters never asked for again.  Its 13
-# characters of Freudenthal's recursion (70 terms) and all 10 of the
-# highrank-classes workload are asked for again, and are kept at once.
+# miss would fill the budget with characters never asked for again.  All 10
+# characters of the highrank-classes workload, of Freudenthal's recursion,
+# are asked for again, and are kept at once.
 _WEYL_CACHE_TERMS = 1 << 15
-# Weyl's character formula computes a character of rank <= 2 when its box
-# has at most this many slots per unit of dim (measured; see weyl_character).
-_SLOTS_PER_DIM = 12
 
 # (rs, highest) -> Character, or None for a ghost; least recently used first.
 _weyl_cache = OrderedDict()
@@ -308,37 +314,31 @@ _ABSENT = object()
 def weyl_character(rs: RootSystem, highest) -> Character:
     """Character of the Weyl module with the given dominant highest weight.
 
-    Two routes give the same map.  On rank <= 2, when the box of Weyl's
-    character formula (``_weyl_formula``) has at most 12 slots per unit of
-    the module's dimension, the character is one exact division by the Weyl
-    denominator on a slot integer: modulo 2^(b*n) for n slots of b bits,
+    The rank picks one of two routes to the same map.  On rank <= 2 the
+    character is one exact division by the Weyl denominator on a slot
+    integer (``_weyl_formula``): modulo 2^(b*n) for n slots of b bits,
     where each factor 1 - x^u of the denominator is odd, hence invertible,
     and the character's multiplicities are the residue's slots when they
-    fit b bits, which the multiplicities summing to dim certifies.  Every
-    other input runs Freudenthal's recursion (``_freudenthal``).  Measured
-    on A2, B2, C2 and G2 (best of 40 runs, 2-vCPU Xeon, Python 3.11), the
-    division won on every weight with at most 12 slots per unit of dim, by
-    1.2 to 2.4x near that bound and 3.1 to 6.2x on the weights
-    (p - 1) rho + p lam (|lam| <= 3) of the Steinberg twist at p = 5, 7;
-    the two tie near 15, and above it Freudenthal wins by up to 2.3x (under
-    0.05 ms), on modules of dim 7 or less.  On A3, B3 and C3 the division
-    was 1.1 to 3.4 times slower on every weight of [0, 3]^3 sampled, and on
-    rank 4 22 to 255 times, as the box of W(lam + rho) - rho is then mostly
-    empty.
+    fit b bits, which the multiplicities summing to dim certifies.  The
+    slots cover the box of W(lam + rho) - rho.  On rank <= 2 that box is
+    sparse only for modules of small dimension, which the division still
+    computes in about 0.1 ms or less; from rank 3 on it is mostly empty, so
+    there the character comes from Freudenthal's recursion
+    (``_freudenthal``).
 
     Characters are kept in a least-recently-used cache bounded by the
-    terms it holds, 2^15 in all.  One that Weyl's formula computes is kept
-    only from its second request (an admission doorkeeper, as in Einziger,
-    Friedman and Manes's TinyLFU): its first miss stores a ghost, the key
-    with no character, charged one term, and a miss on a ghost stores the
-    character in its place.  One that Freudenthal's recursion computes is
-    kept from its first miss, as the recursion costs 5 to 13 us per term
-    against the formula's 0.4 to 0.7 (best of 5 runs of 5 calls, as above:
-    the recursion on the fundamental weights of D5, F4 and E6 and on the
-    rank-2 weights in [0, 4]^2 it takes, the formula on the A2, B2 and G2
-    weights p . lam of 855 to 5941 terms).  Either is kept only if it has
-    at most 2^15 terms, and each store drops the least recently used
-    entries, ghosts or characters, until the total fits.  Finding a ghost is a miss,
+    terms it holds, 2^15 in all.  One of rank <= 2 is kept only from its
+    second request (an admission doorkeeper, as in Einziger, Friedman and
+    Manes's TinyLFU): its first miss stores a ghost, the key with no
+    character, charged one term, and a miss on a ghost stores the
+    character in its place.  One of rank 3 or more is kept from its first
+    miss, as Freudenthal's recursion costs 4 to 15 times more per term to
+    compute again than Weyl's formula (best of 5 runs of 5 calls, 2-vCPU
+    Xeon, Python 3.11: the recursion on the fundamental weights of D5, F4
+    and E6, the formula on the A2, B2 and G2 weights p . lam of 855 to 5941
+    terms).  Either is kept only if it has at
+    most 2^15 terms, and each store drops the least recently used entries,
+    ghosts or characters, until the total fits.  Finding a ghost is a miss,
     finding a character a hit.  ``cache_info`` (``currsize``
     counts characters, not ghosts; ``maxsize`` is the term budget) and
     ``cache_clear`` are the cache's, and ``__wrapped__`` is the uncached
@@ -363,8 +363,8 @@ def weyl_character(rs: RootSystem, highest) -> Character:
                 _weyl_hits += 1
                 return found
         _weyl_misses += 1
-    chi, recursed = _computed(*key)
-    if (found is None or recursed) and len(chi) <= _WEYL_CACHE_TERMS:
+    chi = _weyl_character(*key)
+    if (found is None or rs.rank > _DENSE_RANK) and len(chi) <= _WEYL_CACHE_TERMS:
         with _weyl_cache_lock:
             # Another thread may have stored the character or dropped the
             # ghost meanwhile.
@@ -410,17 +410,9 @@ def _weyl_cache_clear():
 
 def _weyl_character(rs: RootSystem, highest) -> Character:
     # weyl_character without its cache.
-    return _computed(rs, highest)[0]
-
-
-def _computed(rs: RootSystem, highest):
-    # The character, and whether Freudenthal's recursion computed it.
     highest = require_dominant(rs, highest)
-    if rs.rank <= 2:
-        terms = _weyl_formula(rs, highest)
-        if terms is not None:
-            return Character._raw(terms, rs), False
-    return Character._raw(_freudenthal(rs, highest), rs), True
+    route = _weyl_formula if rs.rank <= _DENSE_RANK else _freudenthal
+    return Character._raw(route(rs, highest), rs)
 
 
 weyl_character.cache_info = _weyl_cache_info
@@ -438,8 +430,8 @@ def _weyl_dimension(rs: RootSystem, highest) -> int:
     return num // den
 
 
-def _weyl_formula(rs: RootSystem, highest):
-    """The character's terms by Weyl's character formula, or None.
+def _weyl_formula(rs: RootSystem, highest) -> dict:
+    """The character's terms by Weyl's character formula.
 
     chi * D = sum over w in W of sgn(w) * e^(w(lam + rho) - rho), with D
     the Weyl denominator prod over alpha > 0 of (1 - e^-alpha) (Jantzen,
@@ -450,8 +442,7 @@ def _weyl_formula(rs: RootSystem, highest):
     over [-M, M] with M = max over W of <w mu, alpha_j^v>, additive in
     dominant mu; so the box holds W lam, and with it every weight of the
     module.  With the packed key of ``tensor`` as exponent, a weight becomes
-    a power x^k with k in [0, n) for the box's n slots.  Returns None when
-    n > _SLOTS_PER_DIM * dim, or when even 64-bit slots overflow.
+    a power x^k with k in [0, n) for the box's n slots.
 
     Division by D is exact modulo 2^(b*n), where x = 2^b and slot k of an
     int (``kronecker``) holds the coefficient of x^k.  With t the key step
@@ -475,7 +466,7 @@ def _weyl_formula(rs: RootSystem, highest):
     the multiplicities.  The largest multiplicity is far below dim (17913,
     at G2's (6, 27) of dim about 3.2 * 10^7), so 16 bits nearly always do.
     A wrong sum at a width that holds dim itself, where no slot can
-    overflow, raises ArithmeticError.
+    overflow, or at the widest slots, raises ArithmeticError.
     """
     dim = _weyl_dimension(rs, highest)
     walk = descend_orbit(rs, tuple(x + 1 for x in highest))
@@ -483,8 +474,6 @@ def _weyl_formula(rs: RootSystem, highest):
     ranges = [range(min(col) - 1, max(col)) for col in cols]
     widths = [len(r) for r in ranges]
     n = math.prod(widths)
-    if n > _SLOTS_PER_DIM * dim:
-        return None
     strides = _strides(widths)
     numerator = _packed(cols, [sign for _, sign in walk], [r.start + 1 for r in ranges], strides)
     steps = [-sum(map(mul, f, strides)) for f in rs.positive_fund]
@@ -507,11 +496,11 @@ def _weyl_formula(rs: RootSystem, highest):
         if total == dim:
             return terms
         if dim < 1 << (bits - 1):
-            raise ArithmeticError(
-                f"Weyl's formula at {list(highest)} gave multiplicities summing to "
-                f"{total}, not dim {dim}"
-            )
-    return None
+            break  # no slot can overflow, so wider ones would not help
+    raise ArithmeticError(
+        f"Weyl's formula at {list(highest)} gave multiplicities summing to "
+        f"{total}, not dim {dim}, in {nbytes}-byte slots"
+    )
 
 
 def _freudenthal(rs: RootSystem, highest) -> dict:
@@ -519,17 +508,16 @@ def _freudenthal(rs: RootSystem, highest) -> dict:
 
     The recursion runs over the dominant weights by increasing depth below
     the highest weight (Jantzen, *Representations of Algebraic Groups*,
-    II.5; Moody and Patera, Bull. AMS 1982).  It probes the strings
-    mu + k*alpha (k >= 1) of every positive root alpha, each probe read at
-    its dominant orbit point (``_to_dominant``), which lies above the probe
-    and so is already known.  The weights on an alpha-string form an
-    unbroken segment, so the first probe that is not a weight ends the
-    string.  Each dominant multiplicity is then spread over its orbit
-    (``descend_orbit``).
+    II.5; Moody and Patera, Bull. AMS 1982), and spreads each multiplicity
+    over its orbit (``descend_orbit``) as soon as it is known.  It probes
+    the strings mu + k*alpha (k >= 1) of every positive root alpha in the
+    character built so far: a probe's dominant orbit point lies above the
+    probe, hence at smaller depth than mu, so a probe that is a weight is
+    already there.  The weights on an alpha-string form an unbroken
+    segment, so the first probe that is not a weight ends the string.
     """
     rank = rs.rank
     t = rs.symmetrizer
-    nbrs = _neighbours(rs)
     # Per positive root: alpha, (alpha, alpha), and v with (x, alpha) = v . x.
     roots = []
     for c, f in zip(rs.positive_roots, rs.positive_fund):
@@ -538,22 +526,19 @@ def _freudenthal(rs: RootSystem, highest) -> dict:
     gaps = _dominant_weights_below(rs, highest)
     # Increasing depth: every probe's dominant point lies at smaller depth.
     order = sorted(gaps, key=lambda mu: (sum(gaps[mu]), mu))
-    dominant = {highest: 1}
-    get = dominant.get
+    out = {w: 1 for w, _ in descend_orbit(rs, highest)}
+    get = out.get
     for mu in order[1:]:
         num = 0
         for f, aa, v in roots:
             dot = sum(map(mul, v, mu)) + aa
-            probe = list(map(add, mu, f))
-            while True:
-                point = probe.copy()
-                _to_dominant(nbrs, point)
-                m = get(tuple(point))
-                if m is None:
-                    break
+            probe = tuple(map(add, mu, f))
+            m = get(probe)
+            while m is not None:
                 num += m * dot
                 dot += aa
-                probe = list(map(add, probe, f))
+                probe = tuple(map(add, probe, f))
+                m = get(probe)
         gap = gaps[mu]
         denom = sum(gap[j] * t[j] * (highest[j] + mu[j] + 2) for j in range(rank))
         val = 2 * num
@@ -562,8 +547,10 @@ def _freudenthal(rs: RootSystem, highest) -> dict:
                 f"Freudenthal recursion at {list(mu)} below {list(highest)} gave "
                 f"{val}/{denom}, not a positive integer"
             )
-        dominant[mu] = val // denom
-    return {w: m for mu, m in dominant.items() for w, _ in descend_orbit(rs, mu)}
+        m = val // denom
+        for w, _ in descend_orbit(rs, mu):
+            out[w] = m
+    return out
 
 
 # Measured costs of the convolution kernels (see ``tensor``), in units of

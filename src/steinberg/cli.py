@@ -150,12 +150,8 @@ def _render_char(chi: Character):
     return chi.to_dict(), [f"{m} · e^{_fmt(w)}" for w, m in chi.sorted_items()] or ["0"]
 
 
-def _render_class(el: gk.KElement, basis: str = "delta"):
-    sym = "Δ" if basis == "delta" else "L"
-    return (
-        el.to_dict(basis=basis),
-        [f"{c} · {sym}{_fmt(w)}" for w, c in el.sorted_items()] or ["0"],
-    )
+def _render_class(el: gk.KElement):
+    return el.to_dict(), [f"{c} · Δ{_fmt(w)}" for w, c in el.sorted_items()] or ["0"]
 
 
 def _fmt(weight) -> str:

@@ -5,13 +5,14 @@ of Weyl modules, indexed by their dominant highest weights; it shares its
 representation and arithmetic with :class:`Character`.  Characters
 convert to classes by Brauer's formula (with an independent highest-weight
 peeling route), and back by summing Weyl characters.  Brauer's formula is
-read off one product with the Weyl denominator when W is small against the
-character, and is otherwise a straightening, one dot normalization per
-support weight.  On top of the change of basis sit the Steinberg-block
-operations: the dot-scaling equivalence and its inverse, Steinberg
-multiplicities of a tensor product and Frobenius contraction (both Brauer's
-formula on the contracted weights), and projection onto a linkage block by
-closed-alcove normal forms.  No operation enumerates the Weyl group.
+read off one product with the Weyl denominator on rank <= 2 when W is small
+against the character, and is otherwise a straightening, one dot
+normalization per support weight.  On top of the change of basis sit the
+Steinberg-block operations: the dot-scaling equivalence and its inverse,
+Steinberg multiplicities of a tensor product and Frobenius contraction (both
+Brauer's formula on the contracted weights), and projection onto a linkage
+block by closed-alcove normal forms.  No operation enumerates the Weyl
+group.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import lru_cache
 from operator import mul
 
 from .characters import (
+    _DENSE_RANK,
     Character,
     _convolve,
     _Sparse,
@@ -100,11 +102,11 @@ def _straighten(rs: RootSystem, items) -> KElement:
     return KElement._raw(out)
 
 
-# Brauer's formula is one product with the Weyl denominator D when the input
-# has at least _TERMS_PER_ELEMENT terms per element of W, and the box of the
-# product has at most _SLOTS_PER_TERM slots per term of the input.
+# Brauer's formula goes through the Weyl denominator D when the input has at
+# least _TERMS_PER_ELEMENT terms per element of W: as one product with D in
+# _brauer (on rank <= 2 only), and as |W| lookups in
+# steinberg_delta_multiplicity.
 _TERMS_PER_ELEMENT = 4
-_SLOTS_PER_TERM = 8
 
 
 @lru_cache(maxsize=64)
@@ -130,28 +132,23 @@ def _brauer(rs: RootSystem, chi: Character) -> KElement:
 
     Brauer's coefficient at a dominant lam is sum_w sgn(w) * chi(w . lam),
     and by W-invariance chi(w . lam) = chi(lam + rho - w^-1 rho): the
-    coefficient at lam of chi * D, with D the Weyl denominator.  When |W|
-    is small against |chi| and the product's box is dense, the class is the
-    dominant part of that one product: ``tensor``'s convolution
-    (``_convolve``) with floor 0 packs only the terms that can reach a
-    dominant weight, takes its Kronecker kernel and reads back only the
-    slots of dominant weights.  A term e^u of chi reaches one only if
-    u >= -max(D) in every coordinate, and the coordinates of D's weights
-    w rho - rho are at most 1 on A2 and 4 on G2, so chi's dominant chamber
-    and a thin shell around it are packed, against nearly all of D.
-    Otherwise each term of chi is straightened by itself (``_straighten``).
-    Measured on A2, B2, G2, A3, B3, C3, A4, B4, C4 and D4 (Weyl characters
-    and products), the product wins below about 9 box slots per term of chi
-    on rank 2, and never at rank 4, where a W-invariant character fills its
-    box too thinly.
+    coefficient at lam of chi * D, with D the Weyl denominator.  On rank
+    <= 2, when |W| is small against |chi|, the class is the dominant part
+    of that one product: ``tensor``'s convolution (``_convolve``) with
+    floor 0 packs only the terms that can reach a dominant weight, takes
+    its Kronecker kernel and reads back only the slots of dominant weights.
+    A term e^u of chi reaches one only if u >= -max(D) in every
+    coordinate, and the coordinates of D's weights w rho - rho are at most
+    1 on A2 and 4 on G2, so chi's dominant chamber and a thin shell around
+    it are packed, against nearly all of D.  Otherwise each term of chi is
+    straightened by itself (``_straighten``).  The product pays for its
+    box, not for the terms in it.  On rank <= 2 that costs at most some
+    tens of microseconds more than straightening, on the smallest inputs
+    it takes; from rank 3 on a W-invariant character fills the box too
+    thinly, and straightening wins.
     """
-    if _few_elements(rs, len(chi)):
-        d = _weyl_denominator(rs)
-        slots = 1
-        for x, y in zip(zip(*chi.support()), zip(*d.support())):
-            slots *= max(x) - min(x) + max(y) - min(y) + 1
-        if slots <= _SLOTS_PER_TERM * len(chi):
-            return KElement._raw(_convolve(chi, d, (0,) * rs.rank))
+    if rs.rank <= _DENSE_RANK and _few_elements(rs, len(chi)):
+        return KElement._raw(_convolve(chi, _weyl_denominator(rs), (0,) * rs.rank))
     return _straighten(rs, chi.items())
 
 
@@ -248,9 +245,8 @@ def steinberg_forward(rs: RootSystem, element: KElement, p: int, r: int = 1,
         raise DomainError(f"iteration count must be >= 0, got {r}")
     if r == 0:
         require_p(p, "equivalence")
-        _require_support_in_lattice(rs, element, lattice)
-        return KElement._raw(dict(element.items()))
-    require_steinberg_configuration(rs, p, r, lattice)
+    else:
+        require_steinberg_configuration(rs, p, r, lattice)
     _require_support_in_lattice(rs, element, lattice)
     scale = p**r
     return KElement._raw({dot_multiply(scale, w): c for w, c in element.items()})

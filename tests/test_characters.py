@@ -35,6 +35,8 @@ A2 = build_root_system("A", 2)
 B2 = build_root_system("B", 2)
 G2 = build_root_system("G", 2)
 RANK2 = [A2, B2, G2]
+A3 = build_root_system("A", 3)
+B3 = build_root_system("B", 3)
 
 
 def test_a1_weyl_characters_match_rank_one_theory():
@@ -148,27 +150,28 @@ def test_oversized_weyl_character_is_returned_but_not_kept():
 
 
 def test_weyl_cache_hit_protects_an_entry_from_the_next_eviction(monkeypatch):
-    # A2's (1, 0) and (0, 1) have 3 terms each, and Freudenthal's recursion
-    # computes them, so each is kept from its first request; (1, 1) has 7,
-    # and Weyl's formula computes it, so it is kept from its second.  With
-    # a budget of 10, keeping (1, 1) evicts one of the first two.
-    monkeypatch.setattr(characters, "_WEYL_CACHE_TERMS", 10)
-    for touched, dropped in (((1, 0), (0, 1)), ((0, 1), (1, 0))):
+    # A3's (1, 0, 0) and (0, 0, 1) have 4 terms each and rank 3, so each is
+    # kept from its first request; A2's (1, 1) has 7 and rank 2, so it is
+    # kept from its second.  With a budget of 11, keeping (1, 1) evicts one
+    # of the first two.
+    monkeypatch.setattr(characters, "_WEYL_CACHE_TERMS", 11)
+    first, last = (A3, (1, 0, 0)), (A3, (0, 0, 1))
+    for touched, dropped in ((first, last), (last, first)):
         weyl_character.cache_clear()
-        for weight in ((1, 0), (0, 1), touched, (1, 1)):
-            weyl_character(A2, weight)
+        for key in (first, last, touched, (A2, (1, 1))):
+            weyl_character(*key)
         # The ghost of (1, 1) is charged one term.
-        assert _cached_terms() == 7 and not _cached(A2, (1, 1))
+        assert _cached_terms() == 9 and not _cached(A2, (1, 1))
         weyl_character(A2, (1, 1))
-        assert _cached(A2, touched) and _cached(A2, (1, 1)) and not _cached(A2, dropped)
-        assert _cached_terms() == 10
-        assert weyl_character.cache_info() == (1, 4, 10, 2)
+        assert _cached(*touched) and _cached(A2, (1, 1)) and not _cached(*dropped)
+        assert _cached_terms() == 11
+        assert weyl_character.cache_info() == (1, 4, 11, 2)
     # Without the hit, the oldest entry goes first.
     weyl_character.cache_clear()
-    for weight in ((1, 0), (0, 1), (1, 1), (1, 1)):
-        weyl_character(A2, weight)
-    assert list(characters._weyl_cache) == [(A2, (0, 1)), (A2, (1, 1))]
-    # A ghost evicts like a one-term character: at 10 terms, the ghost of
+    for key in (first, last, (A2, (1, 1)), (A2, (1, 1))):
+        weyl_character(*key)
+    assert list(characters._weyl_cache) == [last, (A2, (1, 1))]
+    # A ghost evicts like a one-term character: at 11 terms, the ghost of
     # (2, 1) drops the least recently used character.
     weyl_character(A2, (2, 1))
     assert list(characters._weyl_cache) == [(A2, (1, 1)), (A2, (2, 1))]
@@ -255,18 +258,17 @@ def test_weyl_cache_retains_a_bounded_amount_of_memory():
     assert retained < 1_000_000, retained
 
 
-def _by_recursion(rs, weight) -> bool:
-    # Whether Freudenthal's recursion computes the character, not Weyl's formula.
-    return rs.rank > 2 or characters._weyl_formula(rs, weight) is None
+def _by_recursion(rs) -> bool:
+    # Whether Freudenthal's recursion computes the characters, not Weyl's formula.
+    return rs.rank > characters._DENSE_RANK
 
 
 def test_weyl_characters_asked_for_once_are_not_kept():
-    # Weyl's formula computes every rank-2 character with no zero
-    # coordinate among these.
+    # Weyl's formula computes every rank-2 character.
     weyl_character.cache_clear()
-    keys = [(rs, (a, b)) for rs in RANK2 for a in range(1, 6) for b in range(1, 6)]
+    keys = [(rs, (a, b)) for rs in RANK2 for a in range(6) for b in range(6)]
     for rs, weight in keys:
-        assert not _by_recursion(rs, weight)
+        assert not _by_recursion(rs)
         weyl_character(rs, weight)
     assert weyl_character.cache_info() == (0, len(keys), 2**15, 0)
     assert list(characters._weyl_cache) == keys
@@ -274,13 +276,14 @@ def test_weyl_characters_asked_for_once_are_not_kept():
 
 
 def test_characters_of_the_recursion_are_kept_from_their_first_request():
-    # Rank 3 and 4, and the rank-2 weights where Weyl's box is too sparse.
-    A3, B3, F4 = (build_root_system(*key) for key in (("A", 3), ("B", 3), ("F", 4)))
-    keys = [(A3, (1, 0, 0)), (A3, (0, 1, 1)), (B3, (0, 0, 1)), (F4, (0, 0, 0, 1)),
-            (A2, (0, 3)), (B2, (1, 0)), (G2, (0, 1))]
+    # Rank 3 to 6.
+    C3, D4, F4, E6 = (build_root_system(*key)
+                      for key in (("C", 3), ("D", 4), ("F", 4), ("E", 6)))
+    keys = [(A3, (1, 0, 0)), (A3, (0, 1, 1)), (B3, (0, 0, 1)), (C3, (0, 0, 0)),
+            (D4, (0, 1, 0, 0)), (F4, (0, 0, 0, 1)), (E6, (1, 0, 0, 0, 0, 0))]
     weyl_character.cache_clear()
     for rs, weight in keys:
-        assert _by_recursion(rs, weight)
+        assert _by_recursion(rs)
         assert weyl_character(rs, weight) == weyl_character.__wrapped__(rs, weight)
         assert _cached(rs, weight)
     assert weyl_character.cache_info() == (0, len(keys), 2**15, len(keys))
@@ -304,17 +307,19 @@ def _admit(model, key, size, recursion, budget):
 
 
 def test_weyl_cache_follows_its_admission_rule_on_random_requests(monkeypatch):
-    # A2 and B2 characters of 1 to 37 terms against a budget of 20: some fit
-    # together, some evict all others, and (3, 3) on either never fits.
-    # Freudenthal's recursion computes 10 of the 32, A2's weights with a
-    # zero coordinate and B2's (0, 0), (0, 1) and (1, 0), of 1 to 10 terms;
-    # Weyl's formula computes the others.
+    # Characters of 1 to 37 terms against a budget of 20: some fit together,
+    # some evict all others, and (3, 3) on A2 or B2 never fits.  Weyl's
+    # formula computes the 32 of A2 and B2; Freudenthal's recursion the 10
+    # of A3 and B3, of 1 to 19 terms.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     budget = 20
     monkeypatch.setattr(characters, "_WEYL_CACHE_TERMS", budget)
     keys = [(rs, (a, b)) for rs in (A2, B2) for a in range(4) for b in range(4)]
-    recursion = {key: _by_recursion(*key) for key in keys}
+    keys += [(A3, w) for w in ((0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 0, 1),
+                               (0, 1, 1), (1, 1, 0))]
+    keys += [(B3, w) for w in ((0, 0, 1), (1, 0, 0), (0, 1, 0))]
+    recursion = {key: _by_recursion(key[0]) for key in keys}
     assert sum(recursion.values()) == 10
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -371,9 +376,9 @@ def test_dimensions_match_weyl_formula(rs):
 @pytest.mark.parametrize("rs", RANK2, ids=lambda r: repr(r))
 def test_multiplicities_match_partition_function_formula(rs):
     group = oracles.weyl_group(rs)
-    # G2 roots reach +-3 in fundamental coordinates, so the recursion's
-    # probes from (3, 0), (0, 3) and (4, 1) land far outside the dominant
-    # chamber before their dominance walks bring them back.
+    # Weyl's formula computes every one of these; G2's roots reach +-3 in
+    # fundamental coordinates, so its box reaches far outside the dominant
+    # chamber at (3, 0), (0, 3) and (4, 1).
     for lam in [(1, 1), (2, 0), (2, 2), (1, 3), (3, 0), (0, 3), (4, 1)]:
         expected = oracles.character_by_weyl_sum(rs, group, lam)
         assert dict(weyl_character(rs, lam).items()) == expected
@@ -504,6 +509,27 @@ def test_steinberg_twist_identity_euler_level():
         for lam in [(-2,) * rs.rank, (-1, 3)[: rs.rank], (2, -4)[: rs.rank]]:
             lhs = tensor(st, frobenius_twist(euler_characteristic(rs, lam), 1, 3))
             assert lhs == euler_characteristic(rs, dot_multiply(3, lam))
+
+
+def test_payloads_naming_a_weight_twice_are_rejected():
+    # Summing the entries would hide the error: +1 and -1 at one weight
+    # would give the zero character, coefficients 2 and 3 a single 5.
+    for cls, payload in (
+        (Character, {"weights": [{"w": [1], "mult": 1}, {"w": [1], "mult": -1}]}),
+        (Character, {"weights": [{"w": [1, 0], "mult": 1}, {"w": [0, 1], "mult": 2},
+                                 {"w": [1, 0], "mult": 1}]}),
+        (Character, {"weights": [{"w": [0], "mult": 0}, {"w": [0], "mult": 3}]}),
+        (KElement, {"terms": [{"w": [1], "coeff": 2}, {"w": [1], "coeff": 3}]}),
+    ):
+        with pytest.raises(ValueError, match="twice"):
+            cls.from_dict(payload)
+    # to_dict writes each weight once, so its payloads load back.
+    for value in (weyl_character(G2, (2, 1)) - weyl_character(G2, (0, 1)),
+                  char_to_class(B2, tensor(weyl_character(B2, (1, 1)), weyl_character(B2, (0, 1))))):
+        data = value.to_dict()
+        entries = data.get("weights", data.get("terms"))
+        assert len({tuple(e["w"]) for e in entries}) == len(entries) == len(value)
+        assert type(value).from_dict(data) == value
 
 
 def test_character_equality_is_pointwise_and_serialization_roundtrips():

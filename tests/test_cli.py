@@ -254,6 +254,23 @@ def test_usage_errors_exit_2():
         assert "Traceback" not in err, argv
 
 
+def test_payloads_naming_a_weight_twice_exit_1():
+    # Summed, the first would print {"weights":[]} and the second one class
+    # with coefficient 5, both with exit 0.
+    for argv, weight in (
+        (["char", "tensor", "--type", "A", "--rank", "1",
+          "--char", '{"weights":[{"w":[1],"mult":1},{"w":[1],"mult":-1}]}'], [1]),
+        (["class", "st-forward", "--type", "A", "--rank", "2", "--p", "3",
+          "--class", '{"terms":[{"w":[1,0],"coeff":2},{"w":[1,0],"coeff":3}]}'], [1, 0]),
+        (["class", "decompose", "--type", "B", "--rank", "2",
+          "--char", '{"weights":[{"w":[0,0],"mult":1},{"w":[0,0],"mult":1}]}'], [0, 0]),
+    ):
+        code, out, err = invoke(argv)
+        assert (code, out) == (1, ""), argv
+        assert err == f"steinberg: error: weight {weight} appears twice in one " \
+            f"{'character' if '--char' in argv else 'class'} payload\n", err
+
+
 def test_json_weight_entries_must_be_integers(capsys):
     # Usage errors reach the caller's err stream, and nothing leaks to the process's.
     for rank, text in ((2, "[1.5,0]"), (1, "[1e0]"), (1, "[true]"), (2, "1_0,0"), (2, " 1,0")):

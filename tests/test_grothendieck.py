@@ -226,6 +226,18 @@ def test_steinberg_forward_examples():
     assert steinberg_forward(A1, KElement({(0,): 1}), 3, r=2) == KElement({(8,): 1})
     with pytest.raises(ConfigurationError):
         steinberg_forward(A1, KElement({(0,): 1}), 2, lattice=Lattice.ADJOINT)
+    # r = 0 is the identity: it checks p and the support's lattice, but
+    # asks no Steinberg weight to lie in it.
+    el = KElement({(2,): 1, (0,): -3})
+    assert steinberg_forward(A1, el, 2, r=0, lattice=Lattice.ADJOINT) == el
+    for p in (1, 0, -3):
+        with pytest.raises(DomainError, match="needs p >= 2"):
+            steinberg_forward(A1, el, p, r=0)
+    with pytest.raises(DomainError, match="root lattice"):
+        steinberg_forward(A1, KElement({(1,): 1}), 3, r=0, lattice=Lattice.ADJOINT)
+    for r in (-1, 1.0, True):
+        with pytest.raises(DomainError):
+            steinberg_forward(A1, el, 3, r=r)
 
 
 def test_steinberg_forward_iterates():

@@ -527,21 +527,25 @@ def test_denominator_route_matches_straightening_and_peeling(
         assert char_to_class_by_peeling(rs, chi) == expected[name], name
         assert char_to_class(rs, chi) == expected[name], name
     assert expected["signed"].coeff(zero) < 0
-    # Every nonempty input now takes the product with the Weyl denominator.
+    # On rank <= 2 every input now takes the product with the Weyl
+    # denominator; on rank 3 none does, and the product itself is checked.
     monkeypatch.setattr(grothendieck, "_TERMS_PER_ELEMENT", 0)
-    monkeypatch.setattr(grothendieck, "_SLOTS_PER_TERM", 10**9)
     d = grothendieck._weyl_denominator(rs)
+    product = rank <= 2
     for name, chi in inputs.items():
         del denominator_products[:]
         assert char_to_class(rs, chi) == expected[name], name
-        assert denominator_products == ([(chi, d)] if chi else []), name
+        assert denominator_products == ([(chi, d)] if product else []), name
+        dominant_part = characters._convolve(chi, d, zero)
+        assert dominant_part == dict(expected[name].items()), name
     chi = inputs["steinberg product"]
     for p in (2, 3):
         weights = contract_weights(chi, p)
         contracted = grothendieck._straighten(rs, weights.items())
         del denominator_products[:]
         assert frobenius_contract_class(rs, chi, p) == contracted
-        assert denominator_products == ([(weights, d)] if weights else [])
+        assert denominator_products == ([(weights, d)] if product else [])
+        assert characters._convolve(weights, d, zero) == dict(contracted.items())
         lams = set(contracted.support()) | {zero, (1,) * rank, (5,) * rank}
         for lam in lams:
             assert steinberg_delta_multiplicity(rs, chi, lam, p) == contracted.coeff(lam), lam
@@ -591,7 +595,8 @@ def test_large_groups_keep_straightening(series, rank, pairs, monkeypatch):
 def test_thin_boxes_keep_straightening(denominator_products):
     # Delta(2,2,2,2) on A4 has 3081 weights, over 4 per element of W, but
     # they fill under 1% of the 390625 slots of its product with the Weyl
-    # denominator, so char_to_class straightens it term by term.
+    # denominator.  Its rank is above 2, so char_to_class straightens it
+    # term by term.
     rs = build_root_system("A", 4)
     chi = weyl_character(rs, (2, 2, 2, 2))
     assert len(chi) >= 4 * 120
@@ -632,10 +637,9 @@ def _route_weights(rs):
 
 
 @pytest.mark.parametrize("series,rank", RANK_AT_MOST_TWO)
-def test_weyl_formula_matches_partition_oracle_and_freudenthal(series, rank, monkeypatch):
+def test_weyl_formula_matches_partition_oracle_and_freudenthal(series, rank):
     rs = build_root_system(series, rank)
     group = oracles.weyl_group(rs)
-    monkeypatch.setattr(characters, "_SLOTS_PER_DIM", math.inf)
     for lam in _route_weights(rs):
         route = characters._weyl_formula(rs, lam)
         assert route == characters._freudenthal(rs, lam), lam
@@ -648,7 +652,7 @@ def test_weyl_formula_matches_partition_oracle_and_freudenthal(series, rank, mon
 
 def test_weyl_formula_on_a1_matches_rank_one_theory(monkeypatch):
     rs = build_root_system("A", 1)
-    # A1's box has 2m + 3 slots for dim m + 1, so every weight takes the route.
+    # Every weight of rank <= 2 takes the route.
     for m in range(40):
         assert characters._weyl_formula(rs, (m,)) == oracles.a1_weyl_character_weights(m)
     monkeypatch.setattr(characters, "_freudenthal", None)
@@ -693,6 +697,32 @@ def test_weyl_formula_widens_its_slots_with_the_multiplicities(slot_widths):
     assert dict(route.items()) == characters._freudenthal(rs, (23, 15))
     assert max(m for _, m in route.items()) == 32832
     assert route.dim() == oracles.weyl_dimension("G", 2, (23, 15))
+
+
+@pytest.mark.parametrize("series", ["A", "B", "C", "G"])
+def test_every_rank_two_weight_takes_weyls_formula(series, monkeypatch):
+    # Small weights, whose boxes are sparse, included.
+    rs = build_root_system(series, 2)
+    weights = [(a, b) for a in range(7) for b in range(7)]
+    expected = {lam: characters._freudenthal(rs, lam) for lam in weights}
+    monkeypatch.setattr(characters, "_freudenthal", None)
+    for lam in weights:
+        chi = weyl_character.__wrapped__(rs, lam)
+        assert dict(chi.items()) == expected[lam], lam
+        assert chi._invariant_for is rs
+
+
+def test_weyl_formula_raises_when_its_widest_slots_overflow(monkeypatch, slot_widths):
+    # G2's (23, 15) has a multiplicity of 32832 >= 2^15, so with 2-byte
+    # slots as the widest the multiplicities cannot sum to dim.
+    rs = build_root_system("G", 2)
+    monkeypatch.setattr(characters, "_SLOT_WIDTHS", characters._SLOT_WIDTHS[:1])
+    assert characters._SLOT_WIDTHS[0][0] == 2
+    with pytest.raises(ArithmeticError, match=r"at \[23, 15\]"):
+        characters._weyl_formula(rs, (23, 15))
+    assert slot_widths == [2]
+    # A weight whose multiplicities fit still decodes.
+    assert characters._weyl_formula(rs, (3, 2)) == characters._freudenthal(rs, (3, 2))
 
 
 @pytest.mark.parametrize("series", ["A", "B", "G"])
