@@ -63,10 +63,7 @@ def _parse_int(text: str) -> int:
 def _parse_weight(text: str):
     try:
         if text.lstrip().startswith("["):
-            data = json.loads(text)
-            if not isinstance(data, list):
-                raise ValueError("expected a JSON array")
-            return tuple(_strict_int(x) for x in data)
+            return tuple(_strict_int(x) for x in json.loads(text))
         return tuple(_parse_int(part) for part in text.split(","))
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"malformed weight {text!r}: {exc}") from exc

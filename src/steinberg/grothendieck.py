@@ -34,7 +34,6 @@ from .linkage import fundamental_alcove_rep
 from .rootdata import (
     Lattice,
     RootSystem,
-    _neighbours,
     _strict_int,
     _to_dominant,
     descend_orbit,
@@ -46,7 +45,6 @@ from .rootdata import (
     require_p,
     require_rank,
     require_steinberg_configuration,
-    weyl_group_order,
 )
 
 
@@ -69,8 +67,8 @@ class KElement(_Sparse):
     def coeff(self, weight) -> int:
         return self._terms.get(tuple(weight), 0)
 
-    def to_dict(self, basis: str = "delta") -> dict:
-        return {"basis": basis, "terms": self._entries()}
+    def to_dict(self) -> dict:
+        return {"basis": "delta", "terms": self._entries()}
 
     @classmethod
     def from_dict(cls, data: dict, rank=None) -> "KElement":
@@ -86,7 +84,7 @@ def _straighten(rs: RootSystem, items) -> KElement:
     picking up the sign of the Weyl element that does it; a result with a 0
     coordinate lies on a reflection wall and contributes nothing.
     """
-    nbrs = _neighbours(rs)
+    nbrs = rs.neighbours
     out = {}
     for nu, m in items:
         x = [c + 1 for c in nu]
@@ -124,7 +122,7 @@ def _weyl_denominator(rs: RootSystem) -> Character:
 
 def _few_elements(rs: RootSystem, terms: int) -> bool:
     # Whether |W| is small against an input of this many terms.
-    return _TERMS_PER_ELEMENT * weyl_group_order(rs) <= terms
+    return _TERMS_PER_ELEMENT * rs.weyl_order <= terms
 
 
 def _brauer(rs: RootSystem, chi: Character) -> KElement:

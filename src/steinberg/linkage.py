@@ -13,16 +13,13 @@ so no operation enumerates the Weyl group.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from operator import mul
 
 from .rootdata import (
     Lattice,
     RootSystem,
-    _neighbours,
     _to_dominant,
     in_lattice,
-    is_dominant,
     require_dominant,
     require_in_lattice,
     require_p,
@@ -69,14 +66,6 @@ def alcove_position(rs: RootSystem, weight, p: int) -> AlcovePosition:
     return AlcovePosition(weight=weight, wall_pairings=vals, status=status)
 
 
-@lru_cache(maxsize=64)
-def _highest_coroot(rs: RootSystem):
-    # The coroot of largest height, that of the highest short root (not
-    # highest_root_index, the long root on B, C, F and G), with its root in
-    # fundamental coordinates.
-    return max(zip(rs.coroots, rs.positive_fund), key=lambda pair: sum(pair[0]))
-
-
 def fundamental_alcove_rep(rs: RootSystem, weight, p: int):
     """The unique point of the closed bottom alcove in the dot orbit.
 
@@ -89,10 +78,9 @@ def fundamental_alcove_rep(rs: RootSystem, weight, p: int):
     """
     require_p(p, "alcove normalization")
     x = [c + 1 for c in require_rank(rs, weight)]
-    nbrs = _neighbours(rs)
-    coroot, root = _highest_coroot(rs)
+    coroot, root = rs.highest_coroot
     while True:
-        _to_dominant(nbrs, x)
+        _to_dominant(rs.neighbours, x)
         excess = sum(map(mul, coroot, x)) - p
         if excess <= 0:
             return tuple([c - 1 for c in x])
@@ -117,7 +105,7 @@ def st_level(rs: RootSystem, weight, p: int,
         if any((x - p + 1) % p != 0 for x in cur):
             return level
         nxt = tuple((x - p + 1) // p for x in cur)
-        if not is_dominant(nxt) or not in_lattice(rs, nxt, lattice):
+        if not in_lattice(rs, nxt, lattice):
             return level
         cur = nxt
         level += 1

@@ -19,6 +19,7 @@ roots in order, so indices below ``rank`` double as simple-coroot indices.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -50,13 +51,21 @@ class RootSystem:
     inverse Cartan matrix is ``inv_num`` / ``inv_den``: an integer matrix
     over one positive denominator, in lowest terms.
 
+    Three tables that operations read on every call are built once, with
+    the type: ``neighbours`` holds, per node i, the pairs (j, cartan[j][i])
+    with j != i and cartan[j][i] != 0, the steps of the dominance walk
+    (``_to_dominant``); ``weyl_order`` is |W|; ``highest_coroot`` is the
+    coroot of largest height paired with its root in fundamental
+    coordinates, the level-p alcove wall.
+
     Built from keyword arguments, one per slot.  Equality and hashing are
     those of ``object`` (identity), so instances are cheap ``lru_cache``
     keys; assigning or deleting an attribute raises ``AttributeError``.
     """
 
     __slots__ = ("series", "rank", "cartan", "positive_roots", "positive_fund", "coroots",
-                 "symmetrizer", "inv_num", "inv_den", "rho")
+                 "symmetrizer", "inv_num", "inv_den", "rho", "neighbours", "weyl_order",
+                 "highest_coroot")
 
     def __init__(self, **fields):
         if fields.keys() != set(self.__slots__):
@@ -218,6 +227,14 @@ def _build_root_system(series: str, rank: int) -> RootSystem:
             d.append(dj)
         coroots.append(tuple(d))
     inv_num, inv_den = _invert(cartan, rank)
+    # |W| is the product of (m_j + 1) over the exponents m_j.  The exponents
+    # are the partition dual to the numbers of positive roots at each height
+    # (Kostant), so m_j counts the heights holding at least j positive roots.
+    per_height = Counter(sum(c) for c in roots).values()
+    weyl_order = 1
+    for j in range(1, rank + 1):
+        weyl_order *= 1 + sum(1 for n in per_height if n >= j)
+    r = range(rank)
     return RootSystem(
         series=series,
         rank=rank,
@@ -229,6 +246,12 @@ def _build_root_system(series: str, rank: int) -> RootSystem:
         inv_num=inv_num,
         inv_den=inv_den,
         rho=(1,) * rank,
+        neighbours=tuple(tuple((j, cartan[j][i]) for j in r if j != i and cartan[j][i])
+                         for i in r),
+        weyl_order=weyl_order,
+        # That of the highest short root, not highest_root_index (the long
+        # root on B, C, F and G).
+        highest_coroot=max(zip(coroots, fund), key=lambda pair: sum(pair[0])),
     )
 
 
@@ -402,13 +425,6 @@ def apply_simple_reflection(rs: RootSystem, i: int, weight):
     return tuple(weight[k] - mi * rs.cartan[k][i] for k in range(rs.rank))
 
 
-@lru_cache(maxsize=64)
-def _neighbours(rs: RootSystem) -> tuple:
-    # Per i, the (j, cartan[j][i]) with j != i and cartan[j][i] != 0.
-    c, r = rs.cartan, range(rs.rank)
-    return tuple(tuple((j, c[j][i]) for j in r if j != i and c[j][i]) for i in r)
-
-
 def _to_dominant(nbrs, w: list) -> int:
     """Walk a full-rank weight list to its dominant orbit point in place; return the sign.
 
@@ -442,7 +458,7 @@ def make_dominant(rs: RootSystem, weight):
     carrying the input to the output.
     """
     w = list(require_rank(rs, weight))
-    sign = _to_dominant(_neighbours(rs), w)
+    sign = _to_dominant(rs.neighbours, w)
     return tuple(w), sign
 
 
@@ -454,28 +470,15 @@ def dot_dominant(rs: RootSystem, weight):
     on a reflection wall (so the orbit contains no regular dominant weight).
     """
     x = [c + 1 for c in require_rank(rs, weight)]
-    sign = _to_dominant(_neighbours(rs), x)
+    sign = _to_dominant(rs.neighbours, x)
     if 0 in x:
         return None, 0
     return tuple([c - 1 for c in x]), sign
 
 
-@lru_cache(maxsize=64)
 def weyl_group_order(rs: RootSystem) -> int:
-    """|W| as the product of (m_i + 1) over the exponents m_i.
-
-    The exponents are the partition dual to the numbers of positive roots at
-    each height (Kostant), so m_j counts the heights holding at least j
-    positive roots.
-    """
-    counts = {}
-    for c in rs.positive_roots:
-        h = sum(c)
-        counts[h] = counts.get(h, 0) + 1
-    order = 1
-    for j in range(1, rs.rank + 1):
-        order *= 1 + sum(1 for n in counts.values() if n >= j)
-    return order
+    """|W|, built with the type (``RootSystem.weyl_order``)."""
+    return rs.weyl_order
 
 
 def descend_orbit(rs: RootSystem, top) -> list:

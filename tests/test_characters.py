@@ -357,6 +357,23 @@ def test_mixed_ranks_are_rejected():
     assert Character({(1,): 0, (1, 2): 1}) == Character({(1, 2): 1})
 
 
+def test_repeated_weights_that_cancel_leave_no_term():
+    # The constructor sums the entries of a weight and drops it when they cancel.
+    for cls in (Character, KElement):
+        value = cls([((1,), 2), ((1,), -2)])
+        assert not value and value == cls()
+    assert Character([((1,), 2), ((0,), 1), ((1,), -2)]) == Character({(0,): 1})
+
+
+def test_characters_and_classes_do_not_combine():
+    chi, el = Character({(1,): 1}), KElement({(1,): 1})
+    for a, b in ((chi, el), (el, chi)):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+
+
 def test_a2_adjoint_character():
     chi = weyl_character(A2, (1, 1))
     assert chi.dim() == 8
@@ -452,6 +469,10 @@ def test_steinberg_characters():
     assert st2.dim() == 9
     with pytest.raises(ConfigurationError):
         steinberg_character(A1, 2, lattice=Lattice.ADJOINT)
+    with pytest.raises(ConfigurationError, match="characteristic must be at least 2, got 1"):
+        steinberg_character(A1, 1)
+    with pytest.raises(ConfigurationError, match="twist degree must be at least 1, got 0"):
+        steinberg_character(A1, 3, r=0)
 
 
 @pytest.mark.parametrize("rs", [A1, A2, B2], ids=lambda r: repr(r))

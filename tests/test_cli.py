@@ -271,6 +271,18 @@ def test_payloads_naming_a_weight_twice_exit_1():
             f"{'character' if '--char' in argv else 'class'} payload\n", err
 
 
+def test_json_payloads_must_be_objects():
+    for argv, option in (
+        (["char", "tensor", "--type", "A", "--rank", "1", "--char", "[1]"], "char"),
+        (["class", "st-forward", "--type", "A", "--rank", "1", "--p", "3", "--class", "3"],
+         "class"),
+    ):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.splitlines()[-1] == \
+            f"steinberg {argv[0]} {argv[1]}: error: argument --{option}: expected a JSON object"
+
+
 def test_json_weight_entries_must_be_integers(capsys):
     # Usage errors reach the caller's err stream, and nothing leaks to the process's.
     for rank, text in ((2, "[1.5,0]"), (1, "[1e0]"), (1, "[true]"), (2, "1_0,0"), (2, " 1,0")):

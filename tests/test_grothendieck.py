@@ -233,6 +233,9 @@ def test_steinberg_forward_examples():
     for p in (1, 0, -3):
         with pytest.raises(DomainError, match="needs p >= 2"):
             steinberg_forward(A1, el, p, r=0)
+    # With r >= 1 the same p fails the Steinberg configuration instead.
+    with pytest.raises(ConfigurationError, match="characteristic must be at least 2, got 1"):
+        steinberg_forward(A1, el, 1, r=1)
     with pytest.raises(DomainError, match="root lattice"):
         steinberg_forward(A1, KElement({(1,): 1}), 3, r=0, lattice=Lattice.ADJOINT)
     for r in (-1, 1.0, True):

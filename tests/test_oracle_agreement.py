@@ -51,6 +51,7 @@ import steinberg
 from steinberg import characters, grothendieck
 from steinberg.characters import _kronecker, _slot_width
 from steinberg.kronecker import _read_slots, _slot_int
+from steinberg.rootdata import apply_simple_reflection
 from steinberg.cli import run
 
 TYPES = sorted(oracles.POSITIVE_ROOT_COUNTS)
@@ -775,7 +776,7 @@ def test_freudenthal_multiplicities_expand_to_one_weyl_class(series, rank):
 
 # The Weyl-group enumeration API the package once had; only the oracles list W.
 REMOVED_NAMES = {"generate", "WeylGroup", "WeylElement", "dominant_representative",
-                 "weyl_orbit", "root_coordinates", "RANK_CAP"}
+                 "weyl_orbit", "root_coordinates", "RANK_CAP", "_neighbours", "_highest_coroot"}
 
 
 @pytest.mark.parametrize("series,rank", [("E", 6), ("G", 2)])
@@ -804,6 +805,36 @@ def test_library_never_enumerates_the_group(series, rank):
     out, err = io.StringIO(), io.StringIO()
     assert run(["rs", "info", "--type", series, "--rank", str(rank)], out=out, err=err) == 0
     assert json.loads(out.getvalue())["weyl_order"] == oracles.weyl_order_formula(series, rank)
+
+
+COXETER_NUMBERS = {"A": lambda n: n + 1, "B": lambda n: 2 * n, "C": lambda n: 2 * n,
+                   "D": lambda n: 2 * n - 2, "E": lambda n: 12, "F": lambda n: 12,
+                   "G": lambda n: 6}
+
+
+def test_root_tables_are_built_once_with_the_type():
+    # The root datum's derived tables are fields of RootSystem, so the only
+    # caches in the package are the root-system builder, the Weyl
+    # denominator and the Weyl characters.
+    cached = {id(v): v for module in (steinberg, *(
+        importlib.import_module(f"steinberg.{info.name}")
+        for info in pkgutil.iter_modules(steinberg.__path__)))
+        for v in vars(module).values() if callable(v) and hasattr(v, "cache_info")}
+    assert sorted(v.__name__ for v in cached.values()) == [
+        "_build_root_system", "_weyl_denominator", "weyl_character"]
+
+    for series, rank in TYPES:
+        rs = build_root_system(series, rank)
+        # s_i moves omega_i by -alpha_i, whose coordinate k is cartan[k][i].
+        for i in range(rank):
+            omega = _fundamental(rs, i)
+            moved = [x - y for x, y in zip(omega, apply_simple_reflection(rs, i, omega))]
+            assert rs.neighbours[i] == tuple((k, c) for k, c in enumerate(moved) if k != i and c)
+        assert rs.weyl_order == oracles.weyl_order_formula(series, rank)
+        coroot, root = rs.highest_coroot
+        assert sum(coroot) == COXETER_NUMBERS[series](rank) - 1
+        assert rs.positive_fund[rs.coroots.index(coroot)] == root
+        assert sum(map(math.prod, zip(coroot, root))) == 2  # <alpha, alpha^v>
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
