@@ -42,8 +42,7 @@ import math
 from _thread import allocate_lock
 from collections import OrderedDict
 from functools import _CacheInfo  # the record lru_cache's cache_info returns
-from itertools import repeat
-from operator import add, ge, mod, mul, sub
+from operator import add, ge, mul, sub
 
 from .errors import DomainError
 from .kronecker import (
@@ -689,10 +688,16 @@ def euler_characteristic(rs: RootSystem, weight) -> Character:
 
 
 def contract_weights(chi: Character, p: int) -> Character:
-    """Keep the weights divisible by p and divide them by p."""
+    """Keep the weights divisible by p and divide them by p.
+
+    The support is filtered one coordinate at a time; each pass keeps about
+    1/p of the weights, so most weights are dropped after one remainder.
+    """
     require_p(p, "contraction")
-    out = {tuple([x // p for x in w]): m for w, m in chi.items()
-           if not any(map(mod, w, repeat(p)))}
+    terms = kept = chi._terms
+    for j in range(len(next(iter(terms), ()))):
+        kept = [w for w in kept if not w[j] % p]
+    out = {tuple([x // p for x in w]): terms[w] for w in kept}
     return Character._raw(out, chi._invariant_for)
 
 

@@ -82,11 +82,15 @@ def _straighten(rs: RootSystem, items) -> KElement:
 
     Each nu + rho is walked in place to its dominant point (``_to_dominant``),
     picking up the sign of the Weyl element that does it; a result with a 0
-    coordinate lies on a reflection wall and contributes nothing.
+    coordinate lies on a reflection wall and contributes nothing.  A nu with
+    a coordinate -1 is skipped before the walk: nu + rho pairs to 0 with
+    that simple coroot, so it already lies on a wall.
     """
     nbrs = rs.neighbours
     out = {}
     for nu, m in items:
+        if -1 in nu:
+            continue
         x = [c + 1 for c in nu]
         sign = _to_dominant(nbrs, x)
         if 0 in x:

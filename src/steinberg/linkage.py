@@ -5,9 +5,10 @@ translations by p times the root lattice, acting through the rho-shifted
 dot action.  The closed bottom alcove is a fundamental domain for the dot
 action (Jantzen, RAG II.6).  It is cut out by the dominance walls and one
 wall at level p, that of the highest coroot, so every weight normalizes
-into it by alternating dominant reflections with reflections in that one
-wall.  Orbit membership is decided exactly by comparing these normal forms,
-so no operation enumerates the Weyl group.
+into it by a translation by p times the root lattice, then alternating
+dominant reflections with reflections in that one wall.  Orbit membership
+is decided exactly by comparing these normal forms, so no operation
+enumerates the Weyl group.
 """
 
 from __future__ import annotations
@@ -69,15 +70,25 @@ def alcove_position(rs: RootSystem, weight, p: int) -> AlcovePosition:
 def fundamental_alcove_rep(rs: RootSystem, weight, p: int):
     """The unique point of the closed bottom alcove in the dot orbit.
 
-    Alternates the dominance walk ``_to_dominant`` with reflections in one
-    wall at level p, on one list.  On a dominant shifted weight every
-    positive coroot pairs to at most the highest coroot's pairing (their
-    difference is a sum of simple coroots), so that wall is the only one it
-    can lie beyond.  Each wall reflection strictly shrinks the invariant
-    norm of the shifted weight, so the walk terminates.
+    First translates the shifted weight x by p times the root lattice, an
+    element of the affine group, so that every root coordinate of x (read
+    with ``inv_num`` / ``inv_den``) lies in [0, p).  Then alternates the
+    dominance walk ``_to_dominant`` with reflections in one wall at level p,
+    on one list.  On a dominant shifted weight every positive coroot pairs
+    to at most the highest coroot's pairing (their difference is a sum of
+    simple coroots), so that wall is the only one it can lie beyond.  Each
+    reflection crosses a hyperplane (beta^vee, x) in pZ that separates x
+    from the alcove, and after the translation x / p lies in a box that
+    meets a number of such hyperplanes bounded by the type alone: the walk's
+    length does not grow with p or with the size of the weight.
     """
     require_p(p, "alcove normalization")
     x = [c + 1 for c in require_rank(rs, weight)]
+    step = rs.inv_den * p
+    for row, alpha in zip(rs.inv_num, rs.positive_fund):  # simple roots first
+        beta = sum(map(mul, row, x)) // step
+        if beta:
+            x = [c - p * beta * a for c, a in zip(x, alpha)]
     coroot, root = rs.highest_coroot
     while True:
         _to_dominant(rs.neighbours, x)

@@ -11,7 +11,8 @@ coordinate, whole-weight reflections) behind the dominant and dot-dominant
 representatives, a W-invariance test that counts whole orbits, linear
 orbits by breadth-first search, root-datum construction over the
 rationals, brute-force affine orbit enumeration in a box, an alcove walk
-that checks every wall, and closed-form rank-one facts.  None of them
+that checks every wall, one that checks only the highest coroot's wall and
+never translates, and closed-form rank-one facts.  None of them
 calls the library's dominance kernel.
 """
 
@@ -347,6 +348,24 @@ def alcove_rep_by_all_walls(rs, weight, p) -> tuple:
         if worst is None:
             return tuple(c - 1 for c in x)
         x = tuple(c - (worst_val - p) * a for c, a in zip(x, rs.positive_fund[worst]))
+
+
+def alcove_rep_by_highest_wall(rs, weight, p) -> tuple:
+    """Closed-bottom-alcove normal form by reflections alone, never translating.
+
+    Alternates dominant normalization with a reflection in the level-p wall
+    of the highest coroot, while the shifted weight pairs beyond it.  The
+    number of reflections grows linearly with the size of the weight.
+    """
+    coroot = max(rs.coroots, key=sum)
+    root = rs.positive_fund[rs.coroots.index(coroot)]
+    x = tuple(c + 1 for c in weight)
+    while True:
+        x, _ = dominant_by_first_negative(rs, x)
+        excess = sum(map(mul, coroot, x)) - p
+        if excess <= 0:
+            return tuple(c - 1 for c in x)
+        x = tuple(c - excess * a for c, a in zip(x, root))
 
 
 def alternating_coefficient(group, chi, lam, mu=None, p=1) -> int:

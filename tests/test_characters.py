@@ -513,6 +513,35 @@ def test_contract_weights():
                 assert contract_weights(frobenius_twist(chi, 1, p), p) == chi
 
 
+def test_contract_weights_matches_per_weight_oracle():
+    # Signed weights, most of whose coordinates are multiples of p, so that
+    # some weights fail on one coordinate only, the last included.
+    rng = random.Random(19)
+    d4 = build_root_system("D", 4)
+    for rs in (A1, G2, B3, d4):
+        for p in (2, 3, 7):
+            terms = {}
+            for _ in range(300):
+                w = [p * rng.randint(-5, 5) for _ in range(rs.rank)]
+                for j in range(rs.rank):
+                    if rng.random() < 0.2:
+                        w[j] += rng.randint(1, p - 1)
+                terms[tuple(w)] = rng.choice((-2, -1, 1, 4))
+            chi = Character(terms)
+            out = contract_weights(chi, p)
+            assert dict(out.items()) == {
+                tuple(x // p for x in w): m for w, m in terms.items() if all(x % p == 0 for x in w)
+            }
+            assert out and out._invariant_for is None
+            lam = tuple(rng.randint(0, 2) for _ in range(rs.rank))
+            assert contract_weights(weyl_character(rs, lam), p)._invariant_for is rs
+    for p in (2, 3, 7):
+        empty = contract_weights(Character({}), p)
+        assert not empty and empty._invariant_for is None
+        cancelled = weyl_character(A1, (0,)) - weyl_character(A1, (0,))
+        assert contract_weights(cancelled, p)._invariant_for is A1
+
+
 @pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=lambda r: repr(r))
 @pytest.mark.parametrize("p", [2, 3])
 def test_steinberg_twist_identity_small(rs, p):

@@ -18,6 +18,7 @@ from steinberg import (
     class_to_char,
     contract_weights,
     decompose_in_simple_basis_a1,
+    dot_dominant,
     dot_multiply,
     frobenius_contract_class,
     frobenius_twist,
@@ -32,6 +33,7 @@ from steinberg import (
     tensor_delta_expansion,
     weyl_character,
 )
+from steinberg import grothendieck
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -218,6 +220,37 @@ def test_tensor_delta_expansion_matches_convolution_route():
             direct = tensor_delta_expansion(rs, mu, chi)
             via_product = char_to_class(rs, tensor(weyl_character(rs, mu), chi))
             assert direct == via_product
+
+
+def _straighten_by_dot_dominant(rs, items) -> dict:
+    out = {}
+    for nu, m in items:
+        dom, sign = dot_dominant(rs, nu)
+        if dom is not None:
+            out[dom] = out.get(dom, 0) + sign * m
+    return {lam: m for lam, m in out.items() if m}
+
+
+@pytest.mark.parametrize("series,rank", sorted(oracles.POSITIVE_ROOT_COUNTS))
+def test_straightening_matches_dot_dominant(series, rank):
+    # Coordinates in [-3, 3], so that many weights have a coordinate -1 and
+    # lie on a wall; some weights come twice with opposite coefficients.
+    rs = build_root_system(series, rank)
+    rng = random.Random(f"straighten/{series}{rank}")
+    items = [(tuple(rng.randint(-3, 3) for _ in range(rank)), rng.choice((-2, -1, 1, 3)))
+             for _ in range(200)]
+    items += [(nu, -m) for nu, m in items[:20]]
+    assert dict(grothendieck._straighten(rs, items).items()) == _straighten_by_dot_dominant(
+        rs, items
+    )
+    # Brauer-Klimyk straightens mu + nu over the weights nu of chi.
+    omega1 = tuple(int(i == 0) for i in range(rank))
+    for chi in (weyl_character(rs, omega1), weyl_character(rs, omega1[::-1])):
+        mu = tuple(rng.randint(0, 2) for _ in range(rank))
+        shifted = [(tuple(x + y for x, y in zip(nu, mu)), m) for nu, m in chi.items()]
+        assert dict(tensor_delta_expansion(rs, mu, chi).items()) == (
+            _straighten_by_dot_dominant(rs, shifted)
+        )
 
 
 def test_steinberg_forward_examples():

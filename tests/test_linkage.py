@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from operator import mul
 
 import pytest
 
@@ -41,6 +42,7 @@ from steinberg import (
     tensor_delta_expansion,
     weyl_character,
 )
+from steinberg import linkage
 from steinberg.rootdata import in_lattice
 
 A1 = build_root_system("A", 1)
@@ -133,6 +135,45 @@ def test_one_wall_walk_matches_all_walls(series, rank):
             assert fundamental_alcove_rep(rs, lam, p) == oracles.alcove_rep_by_all_walls(
                 rs, lam, p
             ), (lam, p)
+
+
+@pytest.mark.parametrize("series,rank", sorted(oracles.POSITIVE_ROOT_COUNTS))
+def test_translated_walk_matches_reflecting_walk(series, rank, monkeypatch):
+    # The walk first translates by p times the root lattice, which changes
+    # neither the orbit nor its normal form: weights up to 300 get the normal
+    # form of the walk that only reflects, and moving a weight by
+    # p * sum(beta_i alpha_i) with |beta_i| up to 10^12 leaves it in place.
+    rs = build_root_system(series, rank)
+    rng = random.Random(f"translate/{series}{rank}")
+    simple = rs.positive_fund[:rank]
+    # After the translation x / p lies in the box of root coordinates in
+    # [0, 1).  Each reflection of the walk crosses one hyperplane
+    # (beta^vee, x / p) = k that separates x from the alcove, and at most
+    # sum_i |(beta^vee, alpha_i)| + 1 of them per positive root meet the box.
+    bound = sum(sum(abs(sum(map(mul, coroot, a))) for a in simple) + 1
+                for coroot in rs.coroots)
+    walks = []
+    real = linkage._to_dominant
+
+    def counted(nbrs, x):
+        walks.append(None)
+        if len(walks) > bound + 1:
+            raise AssertionError(f"more than {bound} wall reflections")
+        return real(nbrs, x)
+
+    monkeypatch.setattr(linkage, "_to_dominant", counted)
+    for p in (2, 3, 5, 7):
+        for _ in range(6):
+            lam = tuple(rng.randint(-300, 300) for _ in range(rank))
+            walks.clear()
+            rep = fundamental_alcove_rep(rs, lam, p)
+            assert rep == oracles.alcove_rep_by_highest_wall(rs, lam, p), (lam, p)
+            assert alcove_position(rs, rep, p).status != "exterior-of-closure"
+            beta = [rng.randint(-10**12, 10**12) for _ in range(rank)]
+            far = tuple(c + p * sum(b * a[j] for b, a in zip(beta, simple))
+                        for j, c in enumerate(lam))
+            walks.clear()
+            assert fundamental_alcove_rep(rs, far, p) == rep, (lam, beta, p)
 
 
 @pytest.mark.parametrize("rs,p", [(A1, 3), (A2, 2), (A2, 3), (B2, 2)])
