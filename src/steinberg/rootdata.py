@@ -19,9 +19,9 @@ roots in order, so indices below ``rank`` double as simple-coroot indices.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add, mul
 
 from .errors import ConfigurationError, DomainError
 
@@ -43,13 +43,16 @@ class RootSystem:
     """Immutable root datum for one irreducible type.
 
     ``positive_roots`` lists simple-root coordinate vectors, simple roots
-    first; ``positive_fund`` holds the same roots in fundamental coordinates
-    and ``coroots`` their coroots expanded in the simple coroots (always
-    integral).  ``symmetrizer`` is the minimal positive integer vector t with
-    t[i]*cartan[i][j] == t[j]*cartan[j][i]; the bilinear form used everywhere
-    is (x, alpha_j) = t[j] * x_j up to one global positive scale.  The
-    inverse Cartan matrix is ``inv_num`` / ``inv_den``: an integer matrix
-    over one positive denominator, in lowest terms.
+    first, then by (height, coordinates), as one walk of the positive roots
+    by height finds them (``_enumerate_roots``; Humphreys, *Introduction to
+    Lie Algebras and Representation Theory*, 9.4 and 10.2).  The walk also
+    carries ``positive_fund``, the same roots in fundamental coordinates;
+    ``coroots`` are their coroots expanded in the simple coroots (always
+    integral).  ``symmetrizer`` is the minimal positive integer vector t
+    with t[i]*cartan[i][j] == t[j]*cartan[j][i]; the bilinear form used
+    everywhere is (x, alpha_j) = t[j] * x_j up to one global positive scale.
+    The inverse Cartan matrix is ``inv_num`` / ``inv_den``: an integer
+    matrix over one positive denominator, in lowest terms.
 
     Three tables that operations read on every call are built once, with
     the type: ``neighbours`` holds, per node i, the pairs (j, cartan[j][i])
@@ -147,26 +150,49 @@ def _symmetrizer(cartan, rank) -> tuple:
 
 
 def _enumerate_roots(cartan, rank):
-    # Close the simple roots under all simple reflections; in simple-root
-    # coordinates s_i sends c to c - m_i * e_i with m = cartan @ c.
-    simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    seen = set(simples)
-    queue = list(simples)
-    while queue:
-        c = queue.pop()
-        m = [sum(cartan[i][j] * c[j] for j in range(rank)) for i in range(rank)]
-        for i in range(rank):
-            if m[i] == 0:
-                continue
-            c2 = list(c)
-            c2[i] -= m[i]
-            c2 = tuple(c2)
-            if c2 not in seen:
-                seen.add(c2)
-                queue.append(c2)
-    positives = [c for c in seen if min(c) >= 0]
-    others = sorted((c for c in positives if sum(c) > 1), key=lambda c: (sum(c), c))
-    return simples + others
+    # Walk the positive roots by height (Humphreys, *Introduction to Lie
+    # Algebras and Representation Theory*, 9.4 and 10.2).  The alpha_i-string
+    # through a root b is b - p*alpha_i, ..., b + q*alpha_i with no gaps and
+    # p - q = <b, alpha_i^v> = m_i, so b + alpha_i is a root exactly when
+    # p > m_i.  Going by height, every root below b is known when b is
+    # reached: its p along alpha_i is one more than that of b - alpha_i, and
+    # 0 when b - alpha_i is not a root.  Adding alpha_i adds column i of the
+    # Cartan matrix to the fundamental coordinates m.  Returns the roots in
+    # simple-root coordinates (simple roots first, then by (height,
+    # coordinates)), the same roots in fundamental coordinates, and the
+    # number of roots at each height.
+    r = range(rank)
+    cols = [tuple(row[i] for row in cartan) for i in r]
+    roots = [tuple(int(j == i) for j in r) for i in r]
+    fund = list(cols)
+    per_height = [rank]
+    level = [(c, m, [0] * rank) for c, m in zip(roots, fund)]
+    while True:
+        up = {}
+        for c, m, down in level:
+            for i in r:
+                if down[i] > m[i]:
+                    c2 = c[:i] + (c[i] + 1,) + c[i + 1:]
+                    entry = up.get(c2)
+                    if entry is None:
+                        up[c2] = entry = (tuple(map(add, m, cols[i])), [0] * rank)
+                    entry[1][i] = down[i] + 1
+        if not up:
+            return roots, fund, per_height
+        level = [(c, *up[c]) for c in sorted(up)]
+        roots += [c for c, _, _ in level]
+        fund += [m for _, m, _ in level]
+        per_height.append(len(level))
+
+
+def _weyl_order(per_height) -> int:
+    # |W| is the product of (m_j + 1) over the exponents m_j.  The exponents
+    # are the partition dual to the numbers of positive roots at each height
+    # (Kostant), so m_j counts the heights holding at least j positive roots.
+    order = 1
+    for j in range(1, per_height[0] + 1):
+        order *= 1 + sum(1 for n in per_height if n >= j)
+    return order
 
 
 def _invert(matrix, rank):
@@ -211,29 +237,20 @@ def build_root_system(series: str, rank: int) -> RootSystem:
 @lru_cache(maxsize=None)
 def _build_root_system(series: str, rank: int) -> RootSystem:
     cartan = _cartan_matrix(series, rank)
-    roots = _enumerate_roots(cartan, rank)
+    roots, fund, per_height = _enumerate_roots(cartan, rank)
     t = _symmetrizer(cartan, rank)
-    fund = []
     coroots = []
-    for c in roots:
-        m = tuple(sum(cartan[i][j] * c[j] for j in range(rank)) for i in range(rank))
-        fund.append(m)
-        norm = sum(c[j] * t[j] * m[j] for j in range(rank))  # (beta, beta), scaled
+    for c, m in zip(roots, fund):
+        ct = list(map(mul, c, t))
+        norm = sum(map(mul, ct, m))  # (beta, beta), scaled
         d = []
-        for j in range(rank):
-            dj, rem = divmod(2 * c[j] * t[j], norm)
+        for x in ct:
+            dj, rem = divmod(2 * x, norm)
             if rem:
                 raise ConfigurationError(f"coroot of root {list(c)} is not integral")
             d.append(dj)
         coroots.append(tuple(d))
     inv_num, inv_den = _invert(cartan, rank)
-    # |W| is the product of (m_j + 1) over the exponents m_j.  The exponents
-    # are the partition dual to the numbers of positive roots at each height
-    # (Kostant), so m_j counts the heights holding at least j positive roots.
-    per_height = Counter(sum(c) for c in roots).values()
-    weyl_order = 1
-    for j in range(1, rank + 1):
-        weyl_order *= 1 + sum(1 for n in per_height if n >= j)
     r = range(rank)
     return RootSystem(
         series=series,
@@ -248,7 +265,7 @@ def _build_root_system(series: str, rank: int) -> RootSystem:
         rho=(1,) * rank,
         neighbours=tuple(tuple((j, cartan[j][i]) for j in r if j != i and cartan[j][i])
                          for i in r),
-        weyl_order=weyl_order,
+        weyl_order=_weyl_order(per_height),
         # That of the highest short root, not highest_root_index (the long
         # root on B, C, F and G).
         highest_coroot=max(zip(coroots, fund), key=lambda pair: sum(pair[0])),

@@ -9,11 +9,12 @@ breadth-first closure (the only place anything lists it), alternating sums
 and a linkage test over that list, a plain dominance walk (first negative
 coordinate, whole-weight reflections) behind the dominant and dot-dominant
 representatives, a W-invariance test that counts whole orbits, linear
-orbits by breadth-first search, root-datum construction over the
-rationals, brute-force affine orbit enumeration in a box, an alcove walk
-that checks every wall, one that checks only the highest coroot's wall and
-never translates, and closed-form rank-one facts.  None of them
-calls the library's dominance kernel.
+orbits by breadth-first search, positive roots by closing the simple
+roots under reflections, root-datum construction over the rationals,
+brute-force affine orbit enumeration in a box, an alcove walk that checks
+every wall, one that checks only the highest coroot's wall and never
+translates, and closed-form rank-one facts.  None of them calls the
+library's dominance kernel.
 """
 
 from __future__ import annotations
@@ -483,6 +484,33 @@ def symmetrizer_by_fractions(cartan, rank) -> tuple:
     for v in ints:
         g = gcd(g, v)
     return tuple(v // g for v in ints)
+
+
+def roots_by_reflection_closure(cartan, rank) -> list:
+    """Positive roots in simple-root coordinates, closing the simple roots under s_i.
+
+    In simple-root coordinates s_i sends c to c - m_i * e_i with m = cartan @ c;
+    the closure holds every root, positive and negative.  Simple roots come
+    first, then the rest by (height, coordinates).
+    """
+    simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    seen = set(simples)
+    queue = list(simples)
+    while queue:
+        c = queue.pop()
+        m = [sum(cartan[i][j] * c[j] for j in range(rank)) for i in range(rank)]
+        for i in range(rank):
+            if m[i] == 0:
+                continue
+            c2 = list(c)
+            c2[i] -= m[i]
+            c2 = tuple(c2)
+            if c2 not in seen:
+                seen.add(c2)
+                queue.append(c2)
+    positives = [c for c in seen if min(c) >= 0]
+    others = sorted((c for c in positives if sum(c) > 1), key=lambda c: (sum(c), c))
+    return simples + others
 
 
 def invert_by_fractions(matrix, rank):

@@ -3,6 +3,8 @@
 import ast
 import pickle
 import random
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,14 @@ from steinberg import (
     steinberg_split,
     steinberg_weight,
 )
-from steinberg.rootdata import _invert, _symmetrizer, in_lattice, require_steinberg_configuration
+from steinberg.rootdata import (
+    _enumerate_roots,
+    _invert,
+    _symmetrizer,
+    _weyl_order,
+    in_lattice,
+    require_steinberg_configuration,
+)
 
 
 def test_a1_forced_data():
@@ -94,6 +103,59 @@ def test_integer_construction_matches_rationals(series, rank):
         for j in range(rank):
             entry = sum(rs.cartan[i][k] * rs.inv_num[k][j] for k in range(rank))
             assert entry == (rs.inv_den if i == j else 0)
+
+
+@contextmanager
+def _time_limit(seconds):
+    # A wrong string test can make the root walk run for ever; fail instead.
+    def stop(signum, frame):
+        raise TimeoutError(f"root walk still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("series,rank", sorted(oracles.POSITIVE_ROOT_COUNTS))
+def test_height_walk_matches_reflection_closure(series, rank):
+    # Same roots in the same order, since pairing takes a positive-root
+    # index; |W| from the walk's height counts is checked against the
+    # closed forms in test_weyl.py.
+    with _time_limit(5):
+        rs = build_root_system(series, rank)
+    assert list(rs.positive_roots) == oracles.roots_by_reflection_closure(rs.cartan, rank)
+    for c, m in zip(rs.positive_roots, rs.positive_fund):
+        assert m == tuple(sum(rs.cartan[i][j] * c[j] for j in range(rank)) for i in range(rank))
+
+
+def _e_cartan(rank):
+    # E_n, Bourbaki numbering: bonds (0, 2), (2, 3), (1, 3), then (i, i + 1) for i >= 3.
+    a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in ((0, 2), (2, 3), (1, 3), *((i, i + 1) for i in range(3, rank - 1))):
+        a[i][j] = a[j][i] = -1
+    return a
+
+
+@pytest.mark.parametrize("rank,count,height,order", [
+    (6, 36, 11, 51840), (7, 63, 17, 2903040), (8, 120, 29, 696729600)])
+def test_height_walk_reaches_e7_and_e8(rank, count, height, order):
+    # E7 and E8 are not buildable types yet; the walk and Kostant's product
+    # already handle them.
+    cartan = _e_cartan(rank)
+    if rank == 6:
+        assert build_root_system("E", 6).cartan == tuple(map(tuple, cartan))
+    with _time_limit(5):
+        roots, fund, per_height = _enumerate_roots(cartan, rank)
+    assert roots == oracles.roots_by_reflection_closure(cartan, rank)
+    assert len(roots) == sum(per_height) == count
+    assert sum(roots[-1]) == len(per_height) == height
+    for c, m in zip(roots, fund):
+        assert m == tuple(sum(cartan[i][j] * c[j] for j in range(rank)) for i in range(rank))
+    assert _weyl_order(per_height) == order
 
 
 def test_invert_needs_pivoting_and_reduces_to_lowest_terms():
