@@ -51,6 +51,7 @@ from .kronecker import (
     _packed,
     _reaching,
     _read_slots,
+    _slot_int,
     _slot_width,
     _strides,
 )
@@ -88,9 +89,12 @@ class _Sparse:
     __slots__ = ("_terms",)
 
     def __init__(self, items=()):
-        terms = {}
         if isinstance(items, dict):
             items = items.items()
+        self._terms = _add_into({}, self._checked(items), 1)
+
+    def _checked(self, items):
+        # The nonzero items, each weight a tuple, each checked.
         check = self._check_support
         rank = None
         for w, m in items:
@@ -104,12 +108,7 @@ class _Sparse:
             elif len(w) != rank:
                 raise DomainError(f"weights of ranks {rank} and {len(w)} in one {self._NOUN}")
             check(w)
-            new = terms.get(w, 0) + m
-            if new:
-                terms[w] = new
-            else:
-                del terms[w]
-        self._terms = terms
+            yield w, m
 
     @staticmethod
     def _check_support(weight) -> None:
@@ -151,14 +150,7 @@ class _Sparse:
             ra, rb = len(next(iter(self._terms))), len(next(iter(other._terms)))
             if ra != rb:
                 raise DomainError(f"cannot combine {self._NOUN} values of ranks {ra} and {rb}")
-        out = dict(self._terms)
-        for w, m in other._terms.items():
-            new = out.get(w, 0) + sign * m
-            if new:
-                out[w] = new
-            else:
-                del out[w]
-        return self._result(out, other)
+        return self._result(_add_into(dict(self._terms), other._terms.items(), sign), other)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -205,6 +197,18 @@ class _Sparse:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {cls._NOUN} payload: {exc}") from exc
         return cls(items)
+
+
+def _add_into(out: dict, items, scale: int) -> dict:
+    """Add scale * m at w into out for each (w, m) of items; sums that cancel leave no term."""
+    get = out.get
+    for w, m in items:
+        new = get(w, 0) + scale * m
+        if new:
+            out[w] = new
+        else:
+            del out[w]
+    return out
 
 
 class Character(_Sparse):
@@ -478,9 +482,7 @@ def _weyl_formula(rs: RootSystem, highest) -> dict:
     steps = [-sum(map(mul, f, strides)) for f in rs.positive_fund]
     for nbytes, fmt in _SLOT_WIDTHS:
         bits = 8 * nbytes
-        value = 0
-        for k, sign in numerator:
-            value += sign << bits * k
+        value = _slot_int(numerator, nbytes, fmt)[1]
         mask = (1 << bits * n) - 1
         for t in steps:
             if t < 0:

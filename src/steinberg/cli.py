@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -32,7 +31,9 @@ from .characters import (
 )
 from .errors import ConfigurationError, DomainError
 from .rootdata import (
+    _MAX_P,
     Lattice,
+    _is_prime,
     _strict_int,
     build_root_system,
     require_in_lattice,
@@ -69,10 +70,6 @@ def _parse_weight(text: str):
         raise argparse.ArgumentTypeError(f"malformed weight {text!r}: {exc}") from exc
 
 
-# Trial division up to the square root of p < 2^32 takes at most 2^16 steps.
-_MAX_P = 1 << 32
-
-
 def _parse_prime(text: str) -> int:
     try:
         p = _parse_int(text)
@@ -80,7 +77,7 @@ def _parse_prime(text: str) -> int:
         raise argparse.ArgumentTypeError(f"p must be an integer, got {text!r}") from exc
     if p >= _MAX_P:
         raise argparse.ArgumentTypeError(f"p must be below 2^32, got {p}")
-    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    if not _is_prime(p):
         raise argparse.ArgumentTypeError(f"p must be a prime >= 2, got {p}")
     return p
 
@@ -131,10 +128,13 @@ def _load(ctx: Context, cls, data: dict):
     return value
 
 
-def _one_char_input(parser, ctx, args) -> Character:
-    given = [x for x in (args.weight, args.char) if x is not None]
-    if len(given) != 1:
+def _require_one_input(parser, args) -> None:
+    if (args.weight is None) == (args.char is None):
         parser.error(f"{args.group} {args.verb} needs exactly one of --weight or --char")
+
+
+def _one_char_input(parser, ctx, args) -> Character:
+    _require_one_input(parser, args)
     if args.weight is not None:
         return weyl_character(ctx.rs, _check_weight(ctx, args.weight))
     return _load(ctx, Character, args.char)
@@ -309,9 +309,7 @@ def _cmd_linkage_special(parser, ctx, args):
 def _cmd_simple_a1(parser, ctx, args):
     if (ctx.rs.series, ctx.rs.rank) != ("A", 1):
         raise DomainError(f"simple a1 only supports type A rank 1, got {ctx.rs!r}")
-    given = [x for x in (args.weight, args.char) if x is not None]
-    if len(given) != 1:
-        parser.error("simple a1 needs exactly one of --weight or --char")
+    _require_one_input(parser, args)
     if args.weight is not None:
         return _render_char(simple_character_a1(ctx.rs, args.weight, ctx.p))
     chi = _load(ctx, Character, args.char)

@@ -23,6 +23,7 @@ from operator import mul
 from .characters import (
     _DENSE_RANK,
     Character,
+    _add_into,
     _convolve,
     _Sparse,
     contract_weights,
@@ -34,11 +35,11 @@ from .linkage import fundamental_alcove_rep
 from .rootdata import (
     Lattice,
     RootSystem,
+    _dot_quotient,
     _strict_int,
     _to_dominant,
     descend_orbit,
     dot_multiply,
-    in_lattice,
     is_dominant,
     require_dominant,
     require_in_lattice,
@@ -175,44 +176,42 @@ def _height_key(rs: RootSystem, weight):
     return sum(sum(map(mul, row, weight)) for row in rs.inv_num), weight
 
 
-def char_to_class_by_peeling(rs: RootSystem, chi: Character) -> KElement:
-    """Expand in the Weyl-module basis by repeated highest-weight peeling.
+def _peel(rs: RootSystem, chi: Character, basis) -> dict:
+    """Coefficients of chi in a basis whose element basis(rs, lam) is e^lam + lower terms.
 
-    Independent of :func:`char_to_class`: subtract the Weyl character at a
-    dominance-maximal support weight until nothing is left.
+    Subtracts the element at the highest remaining weight, by height, until
+    nothing is left.
     """
-    require_w_invariant(rs, chi)
-    rest = chi
-    out = {}
-    heights = {}
+    rest, out, heights = dict(chi.items()), {}, {}
     while rest:
-        top = None
-        top_key = None
-        for w in rest.support():
-            key = heights.get(w)
-            if key is None:
-                key = _height_key(rs, w)
-                heights[w] = key
-            if top_key is None or key > top_key:
-                top, top_key = w, key
+        for w in rest.keys() - heights.keys():
+            heights[w] = _height_key(rs, w)
+        top = max(rest, key=heights.__getitem__)
         if not is_dominant(top):
             raise DomainError(
                 f"character is not a Weyl-invariant integer combination: stuck at {list(top)}"
             )
-        c = rest.mult(top)
-        out[top] = c
-        rest = rest - c * weyl_character(rs, top)
-    return KElement._raw(out)
+        c = out[top] = rest[top]
+        _add_into(rest, basis(rs, top).items(), -c)
+    return out
+
+
+def char_to_class_by_peeling(rs: RootSystem, chi: Character) -> KElement:
+    """Expand in the Weyl-module basis by repeated highest-weight peeling.
+
+    Independent of :func:`char_to_class`: subtract the Weyl character at a
+    dominance-maximal support weight until nothing is left (``_peel``).
+    """
+    require_w_invariant(rs, chi)
+    return KElement._raw(_peel(rs, chi, weyl_character))
 
 
 def class_to_char(rs: RootSystem, element: KElement) -> Character:
     """Character of a class: the coefficient-weighted sum of Weyl characters."""
     out = {}
-    get = out.get
     for w, c in element.items():
-        for nu, m in weyl_character(rs, w).items():
-            out[nu] = get(nu, 0) + c * m
-    return Character._raw({nu: m for nu, m in out.items() if m}, rs)
+        _add_into(out, weyl_character(rs, w).items(), c)
+    return Character._raw(out, rs)
 
 
 def tensor_delta_expansion(rs: RootSystem, mu, chi: Character) -> KElement:
@@ -264,10 +263,9 @@ def steinberg_inverse(rs: RootSystem, element: KElement, p: int,
     _require_support_in_lattice(rs, element, lattice)
     out = {}
     for w, c in element.items():
-        if all((x - p + 1) % p == 0 for x in w):
-            lam = tuple((x - p + 1) // p for x in w)
-            if in_lattice(rs, lam, lattice):
-                out[lam] = c
+        lam = _dot_quotient(rs, w, p, lattice)
+        if lam is not None:
+            out[lam] = c
     return KElement._raw(out)
 
 

@@ -19,8 +19,8 @@ from operator import mul
 from .rootdata import (
     Lattice,
     RootSystem,
+    _dot_quotient,
     _to_dominant,
-    in_lattice,
     require_dominant,
     require_in_lattice,
     require_p,
@@ -53,11 +53,16 @@ class AlcovePosition(namedtuple("AlcovePosition", "weight wall_pairings status")
     __slots__ = ()
 
 
+def _shifted_pairings(rs: RootSystem, weight: tuple) -> tuple:
+    # <weight + rho, beta^v> over the positive roots beta, in root order.
+    shifted = [x + 1 for x in weight]
+    return tuple([sum(map(mul, coroot, shifted)) for coroot in rs.coroots])
+
+
 def alcove_position(rs: RootSystem, weight, p: int) -> AlcovePosition:
     require_p(p, "alcove position")
     weight = require_rank(rs, weight)
-    shifted = [x + 1 for x in weight]
-    vals = tuple([sum(map(mul, coroot, shifted)) for coroot in rs.coroots])
+    vals = _shifted_pairings(rs, weight)
     if all(0 < v < p for v in vals):
         status = "interior"
     elif all(0 <= v <= p for v in vals):
@@ -101,8 +106,7 @@ def fundamental_alcove_rep(rs: RootSystem, weight, p: int):
 def is_special_point(rs: RootSystem, weight, p: int) -> bool:
     """Whether every positive-root pairing of weight + rho is divisible by p."""
     require_p(p, "special-point test")
-    shifted = [x + 1 for x in require_rank(rs, weight)]
-    return all(sum(map(mul, coroot, shifted)) % p == 0 for coroot in rs.coroots)
+    return all(v % p == 0 for v in _shifted_pairings(rs, require_rank(rs, weight)))
 
 
 def st_level(rs: RootSystem, weight, p: int,
@@ -111,12 +115,6 @@ def st_level(rs: RootSystem, weight, p: int,
     weight = require_dominant(rs, weight)
     require_p(p, "level")
     level = 0
-    cur = weight
-    while True:
-        if any((x - p + 1) % p != 0 for x in cur):
-            return level
-        nxt = tuple((x - p + 1) // p for x in cur)
-        if not in_lattice(rs, nxt, lattice):
-            return level
-        cur = nxt
+    while (weight := _dot_quotient(rs, weight, p, lattice)) is not None:
         level += 1
+    return level

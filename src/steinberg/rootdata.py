@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, mul
 
 from .errors import ConfigurationError, DomainError
-
-Weight = tuple  # integer tuple, fundamental-weight coordinates
 
 # Admissible ranks per series: the 22 irreducible types of rank <= 6.
 _RANK_RANGE = {
@@ -306,11 +304,21 @@ def _strict_int(value, error=ValueError) -> int:
     return value
 
 
+# Trial division up to the square root of p < 2^32 takes at most 2^16 steps.
+_MAX_P = 1 << 32
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
 def require_p(p, what: str) -> int:
-    """p if it is an int >= 2; otherwise DomainError saying what needs it."""
+    """p if it is a prime below 2^32; otherwise DomainError saying what needs it."""
     _strict_int(p, DomainError)
     if p < 2:
         raise DomainError(f"{what} needs p >= 2, got {p}")
+    if p >= _MAX_P or not _is_prime(p):
+        raise DomainError(f"{what} needs a prime p below 2^32, got {p}")
     return p
 
 
@@ -408,6 +416,14 @@ def dot_multiply(n: int, weight):
     """Dot-multiplication n(w + rho) - rho, i.e. n*w + (n-1)*rho."""
     _strict_int(n, DomainError)
     return tuple(n * x + n - 1 for x in _int_coordinates(weight))
+
+
+def _dot_quotient(rs: RootSystem, weight, n: int, lattice: Lattice):
+    """The lattice weight lam with ``dot_multiply(n, lam) == weight``, or None."""
+    if any((x + 1) % n for x in weight):
+        return None
+    lam = tuple([(x + 1) // n - 1 for x in weight])
+    return lam if in_lattice(rs, lam, lattice) else None
 
 
 def steinberg_split(weight, p: int):

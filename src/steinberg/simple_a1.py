@@ -3,11 +3,13 @@
 For the rank-one group the restricted simple modules coincide with the Weyl
 modules, so the tensor-product factorization over base-p digits gives every
 simple character exactly.  The inverse direction decomposes a symmetric
-character in the simple basis by peeling from the top weight; applied to a
-Weyl character it yields decomposition numbers.
+character in the simple basis; applied to a Weyl character it yields
+decomposition numbers.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .characters import (
     Character,
@@ -17,6 +19,7 @@ from .characters import (
     weyl_character,
 )
 from .errors import DomainError
+from .grothendieck import _peel
 from .rootdata import RootSystem, require_dominant, require_p, steinberg_digits
 
 
@@ -37,21 +40,12 @@ def simple_character_a1(rs: RootSystem, weight, p: int) -> Character:
 
 
 def decompose_in_simple_basis_a1(rs: RootSystem, chi: Character, p: int) -> dict:
-    """Coefficients of a symmetric character in the simple basis.
+    """Coefficients of a symmetric character in the simple basis, by peeling.
 
-    Peels the lexicographically largest remaining support weight, which in
-    rank one is the top of the dominance order, so each weight is removed
-    exactly once.  Applied to a Weyl character the result is its column of
-    decomposition numbers.
+    Applied to a Weyl character the result is its column of decomposition
+    numbers.
     """
     _require_a1(rs)
     require_p(p, "decomposition")
     require_w_invariant(rs, chi)
-    rest = chi
-    out = {}
-    while rest:
-        top = max(rest.support())
-        c = rest.mult(top)
-        out[top] = c
-        rest = rest - c * simple_character_a1(rs, top, p)
-    return out
+    return _peel(rs, chi, partial(simple_character_a1, p=p))

@@ -16,6 +16,7 @@ from steinberg import (
     DomainError,
     KElement,
     Lattice,
+    RootSystem,
     build_root_system,
     char_to_class,
     class_to_char,
@@ -176,6 +177,27 @@ def test_weyl_cache_hit_protects_an_entry_from_the_next_eviction(monkeypatch):
     weyl_character(A2, (2, 1))
     assert list(characters._weyl_cache) == [(A2, (1, 1)), (A2, (2, 1))]
     assert _cached_terms() == 8 and weyl_character.cache_info().currsize == 1
+
+
+def test_a_character_stored_while_this_call_computed_is_returned(monkeypatch):
+    # Another caller stores A3's (1, 0, 0) while this call computes it (a
+    # rank-3 character is kept from its first miss).  This call returns the
+    # stored character, and its terms are counted once.
+    weyl_character.cache_clear()
+    real, stored = characters._weyl_character, []
+
+    def racing(rs, lam):
+        if not stored:
+            stored.append(None)
+            stored.append(weyl_character(rs, lam))  # the other caller, done first
+        return real(rs, lam)
+
+    monkeypatch.setattr(characters, "_weyl_character", racing)
+    chi = weyl_character(A3, (1, 0, 0))
+    assert chi is stored[1] and _cached(A3, (1, 0, 0))
+    assert _cached_terms() == len(chi) == 4
+    assert weyl_character.cache_info() == (0, 2, 2**15, 1)
+    weyl_character.cache_clear()
 
 
 def test_weyl_cache_clear_empties_the_cache_and_resets_its_counts():
@@ -380,6 +402,15 @@ def test_a2_adjoint_character():
     assert chi.mult((0, 0)) == 2
     assert chi.mult((1, 1)) == 1
     assert len(chi) == 7
+
+
+def test_freudenthal_recursion_raises_on_a_non_integer_multiplicity():
+    # B3 rebuilt with its symmetrizer reversed is no root datum: the
+    # recursion's quotient at (1, 0, 1) below (1, 1, 1) is 278/32.
+    b3 = {name: getattr(B3, name) for name in RootSystem.__slots__}
+    fake = RootSystem(**{**b3, "symmetrizer": B3.symmetrizer[::-1]})
+    with pytest.raises(ArithmeticError, match=r"at \[1, 0, 1\] below \[1, 1, 1\] gave 278/32"):
+        characters._freudenthal(fake, (1, 1, 1))
 
 
 @pytest.mark.parametrize("rs", RANK2, ids=lambda r: repr(r))

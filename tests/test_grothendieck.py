@@ -131,6 +131,15 @@ def test_non_invariant_inputs_raise_on_every_route():
             decompose_in_simple_basis_a1(A1, chi, 3)
 
 
+def test_peeling_stops_at_a_highest_weight_that_is_not_dominant():
+    # A forged invariance tag skips the W-invariance scan, so both peeling
+    # routes meet a highest remaining weight that is not dominant, and say so.
+    with pytest.raises(DomainError, match=r"stuck at \[-1, 0\]"):
+        char_to_class_by_peeling(A2, Character._raw({(-1, 0): 1}, A2))
+    with pytest.raises(DomainError, match=r"stuck at \[-1\]"):
+        decompose_in_simple_basis_a1(A1, Character._raw({(-1,): 1}, A1), 3)
+
+
 def test_dual_implementations_agree_on_random_products():
     rng = random.Random(101)
     for rs in [A1, A2, B2, G2]:

@@ -13,6 +13,7 @@ tests check that the package defines no enumeration API, and that every
 name the benchmark looks up in it resolves.
 """
 
+import array
 import ast
 import importlib
 import io
@@ -20,6 +21,7 @@ import json
 import math
 import pkgutil
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -48,7 +50,7 @@ from steinberg import (
     weyl_character,
 )
 import steinberg
-from steinberg import characters, grothendieck
+from steinberg import characters, grothendieck, kronecker
 from steinberg.characters import _kronecker, _slot_width
 from steinberg.kronecker import _read_slots, _slot_int
 from steinberg.rootdata import apply_simple_reflection
@@ -295,6 +297,23 @@ def test_slot_k_is_the_field_at_bit_b_times_k(nbytes, fmt):
         packed = sum(m << bits * k for k, m in kept.items())
         assert _read_slots(packed, nbytes, fmt, [range(2, 7), range(-3, 4)]) == {
             (2 + k // 7, -3 + k % 7): m for k, m in kept.items()}
+
+
+@pytest.mark.parametrize("nbytes,fmt", [(2, "h"), (4, "i"), (8, "q")])
+def test_slot_codec_swaps_bytes_on_a_big_endian_machine(nbytes, fmt, monkeypatch):
+    # A native slot buffer of a big-endian machine holds each slot's bytes
+    # most significant first, as struct's ">" formats pack them.  With the
+    # swap forced, such a buffer must read as the int whose slot k is slot
+    # k, and that int must write back to the same bytes.
+    rng = random.Random(f"big-endian/{nbytes}")
+    bits, top = 8 * nbytes, 1 << (8 * nbytes - 1)
+    vals = [rng.randrange(-top, top) for _ in range(9)] + [-1, 0, top - 1, -top]
+    value = sum((m % (1 << bits)) << bits * k for k, m in enumerate(vals))
+    native = struct.pack(f">{len(vals)}{fmt}", *vals)
+    monkeypatch.setattr(kronecker, "_SWAP", True)
+    monkeypatch.setattr(kronecker, "array", array.array, raising=False)
+    assert kronecker._from_slots(native, fmt) == value
+    assert bytes(kronecker._to_slots(value, len(vals), nbytes, fmt)) == native
 
 
 @pytest.mark.parametrize("nbytes,fmt", [(2, "h"), (4, "i"), (8, "q")])
@@ -724,6 +743,25 @@ def test_weyl_formula_raises_when_its_widest_slots_overflow(monkeypatch, slot_wi
     assert slot_widths == [2]
     # A weight whose multiplicities fit still decodes.
     assert characters._weyl_formula(rs, (3, 2)) == characters._freudenthal(rs, (3, 2))
+
+
+def test_weyl_formula_raises_at_the_first_width_that_holds_dim(monkeypatch):
+    # A2's (1, 1) has dim 8, far below 2^15, so no 2-byte slot can overflow:
+    # a decode whose multiplicities miss dim there is an error, and wider
+    # slots are not tried.  A fake decoder that drops one weight forces it.
+    real, widths = characters._read_slots, []
+
+    def lossy(value, nbytes, *rest):
+        widths.append(nbytes)
+        terms = real(value, nbytes, *rest)
+        del terms[max(terms)]
+        return terms
+
+    monkeypatch.setattr(characters, "_read_slots", lossy)
+    rs = build_root_system("A", 2)
+    with pytest.raises(ArithmeticError, match=r"at \[1, 1\] gave .* not dim 8, in 2-byte slots"):
+        characters._weyl_formula(rs, (1, 1))
+    assert widths == [2]
 
 
 @pytest.mark.parametrize("series", ["A", "B", "G"])

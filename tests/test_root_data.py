@@ -1,5 +1,6 @@
 """Root datum construction and elementary weight arithmetic."""
 
+import argparse
 import ast
 import pickle
 import random
@@ -11,6 +12,7 @@ import pytest
 from fractions import Fraction
 
 import oracles
+import steinberg
 from steinberg import (
     ConfigurationError,
     DomainError,
@@ -32,9 +34,12 @@ from steinberg.rootdata import (
     _invert,
     _symmetrizer,
     _weyl_order,
+    apply_simple_reflection,
     in_lattice,
+    require_p,
     require_steinberg_configuration,
 )
+from steinberg.cli import _parse_prime
 
 
 def test_a1_forced_data():
@@ -219,6 +224,64 @@ def test_pairing_index_bounds():
             pairing(a2, (1, 0), index)
 
 
+def _calls_taking_p(p):
+    # One call of every public function that takes p, on small inputs.
+    a1, a2 = build_root_system("A", 1), build_root_system("A", 2)
+    chi = steinberg.weyl_character(a2, (1, 1))
+    el = steinberg.KElement({(1, 1): 1})
+    return {
+        "frobenius_twist": lambda: steinberg.frobenius_twist(chi, 1, p),
+        "contract_weights": lambda: steinberg.contract_weights(chi, p),
+        "steinberg_character": lambda: steinberg.steinberg_character(a2, p),
+        "steinberg_weight": lambda: steinberg_weight(a2, p),
+        "steinberg_forward r=0": lambda: steinberg.steinberg_forward(a2, el, p, r=0),
+        "steinberg_forward r=1": lambda: steinberg.steinberg_forward(a2, el, p, r=1),
+        "steinberg_inverse": lambda: steinberg.steinberg_inverse(a2, el, p),
+        "steinberg_delta_multiplicity":
+            lambda: steinberg.steinberg_delta_multiplicity(a2, chi, (0, 0), p),
+        "frobenius_contract_class": lambda: steinberg.frobenius_contract_class(a2, chi, p),
+        "pr_block": lambda: steinberg.pr_block(a2, el, (0, 0), p),
+        "block_decompose": lambda: steinberg.block_decompose(a2, el, p),
+        "linked": lambda: steinberg.linked(a2, (1, 1), (0, 0), p),
+        "fundamental_alcove_rep": lambda: steinberg.fundamental_alcove_rep(a2, (1, 1), p),
+        "alcove_position": lambda: steinberg.alcove_position(a2, (1, 1), p),
+        "is_special_point": lambda: steinberg.is_special_point(a2, (1, 1), p),
+        "st_level": lambda: steinberg.st_level(a2, (1, 1), p),
+        "is_restricted": lambda: is_restricted((1, 1), p),
+        "steinberg_split": lambda: steinberg_split((1, 1), p),
+        "steinberg_digits": lambda: steinberg_digits((1, 1), p),
+        "simple_character_a1": lambda: steinberg.simple_character_a1(a1, (1,), p),
+        "decompose_in_simple_basis_a1": lambda: steinberg.decompose_in_simple_basis_a1(
+            a1, steinberg.weyl_character(a1, (3,)), p),
+    }
+
+
+def test_every_function_that_takes_p_needs_a_prime_below_2_32():
+    # The twist identity holds for any integer p >= 1, but the block and
+    # linkage statements are for a prime, so the library takes the CLI's
+    # rule.  4294967311 is the least prime above 2^32.
+    for p in (2, 3, 5):
+        for call in _calls_taking_p(p).values():
+            call()
+    for p in (4, 6, 9, 4294967311):
+        for name, call in _calls_taking_p(p).items():
+            with pytest.raises(DomainError, match=f"needs a prime p below 2\\^32, got {p}$"):
+                call()
+                pytest.fail(f"{name} accepted p = {p}")
+
+
+def test_library_and_cli_accept_the_same_p():
+    largest = 4294967291  # the largest prime below 2^32
+    for p in [*range(-3, 120), largest, largest + 2, 1 << 32]:
+        try:
+            _parse_prime(str(p))
+        except argparse.ArgumentTypeError:
+            with pytest.raises(DomainError):
+                require_p(p, "test")
+        else:
+            assert require_p(p, "test") == p
+
+
 def test_dominant_restricted():
     assert is_restricted((2,), 3)
     assert not is_restricted((3,), 3)
@@ -253,6 +316,14 @@ def test_root_lattice_matches_explicit_combinations():
         for a in range(-4, 5):
             for b in range(-4, 5):
                 assert in_root_lattice(rs, (a, b)) == ((a, b) in combos)
+
+
+def test_simple_reflection_fixes_a_weight_with_a_zero_coordinate():
+    a2 = build_root_system("A", 2)
+    for weight in ((0, 3), [0, 3]):
+        image = apply_simple_reflection(a2, 0, weight)
+        assert image == (0, 3) and type(image) is tuple
+    assert apply_simple_reflection(a2, 1, [0, 3]) == (3, -3)
 
 
 def test_dot_multiply_examples():
