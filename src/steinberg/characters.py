@@ -42,7 +42,8 @@ import math
 from _thread import allocate_lock
 from collections import OrderedDict
 from functools import _CacheInfo  # the record lru_cache's cache_info returns
-from operator import add, ge, mul, sub
+from itertools import repeat
+from operator import add, floordiv, ge, mod, mul, sub
 
 from .errors import DomainError
 from .kronecker import (
@@ -584,9 +585,16 @@ def tensor(a: Character, b: Character) -> Character:
     6 with 2-byte slots the two kernels tie at 10 to 29 slot bytes per term
     of b for |a| = 1 (the rule allows 15.5), 71 to 174 for |a| = 4 (57),
     140 to 790 for |a| = 16 (170), and above 430 for |a| = 64 (341).
+    The kernel forms m * b once per distinct multiplicity m of a, and adds
+    its shifted copies.  When both factors carry the tag of one root system
+    with -1 in W (``RootSystem.negation_in_w``), both are invariant under
+    negation, and so is the product: the kernel sums only the upper half of
+    the slots and one guard slot below it, sized for the bound plus |a|
+    since each term shifted below the guard floors by less than one unit,
+    and reflects the upper half to read the lower one.
     Otherwise the pair loop adds each of the |a|*|b| products into a dict,
-    one int add and one update each, and drops sums that cancel to zero
-    when it decodes the keys to weights.
+    one int add and one update each, drops sums that cancel to zero, and
+    decodes the keys to weights a coordinate column at a time.
     """
     return Character._raw(_convolve(a, b), _shared_tag(a, b))
 
@@ -633,22 +641,21 @@ def _convolve(a: Character, b: Character, floor=None) -> dict:
         width = _slot_width(bound)
         if width is not None and width[0] * cost <= budget:
             ranges = [range(l, l + n) for l, n in zip(lo, widths)]
-            return _kronecker(aitems, bitems, ranges, bound, floor)
+            tag = None if floor is not None else _shared_tag(a, b)
+            mirror = tag is not None and tag.negation_in_w
+            return _kronecker(aitems, bitems, ranges, bound, floor, mirror)
     out = {}
     get = out.get
     for k1, m1 in aitems:
         for k2, m2 in bitems:
             k = k1 + k2
             out[k] = get(k, 0) + m1 * m2
-    digits = list(zip(reversed(widths), reversed(lo)))
-    terms = {}
-    for k, m in out.items():
-        if m:
-            w = []
-            for n, l in digits:
-                k, d = divmod(k, n)
-                w.append(d + l)
-            terms[tuple(w[::-1])] = m
+    keys = [k for k, m in out.items() if m]
+    # Coordinate j of key k is (k // stride_j) % width_j + lo_j, decoded a
+    # column at a time.
+    cols = [map(add, map(mod, map(floordiv, keys, repeat(s)), repeat(n)), repeat(l))
+            for s, n, l in zip(strides, widths, lo)]
+    terms = dict(zip(zip(*cols), filter(None, out.values())))
     if floor is not None:
         terms = {w: m for w, m in terms.items() if all(map(ge, w, floor))}
     return terms

@@ -311,7 +311,7 @@ def _cmd_simple_a1(parser, ctx, args):
         raise DomainError(f"simple a1 only supports type A rank 1, got {ctx.rs!r}")
     _require_one_input(parser, args)
     if args.weight is not None:
-        return _render_char(simple_character_a1(ctx.rs, args.weight, ctx.p))
+        return _render_char(simple_character_a1(ctx.rs, _check_weight(ctx, args.weight), ctx.p))
     chi = _load(ctx, Character, args.char)
     coeffs = decompose_in_simple_basis_a1(ctx.rs, chi, ctx.p)
     payload = {

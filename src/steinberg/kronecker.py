@@ -5,8 +5,14 @@ one int: the box's weights are numbered by their packed key (``_strides``,
 the last coordinate fastest; ``_packed`` packs a factor's keys a column of
 coordinates at a time), and slot k, a field of 2, 4 or 8 bytes, holds the
 value at key k.  Adding shifted copies of such ints then convolves
-(``_kronecker``), and ``characters._weyl_formula`` divides by the Weyl
-denominator on one of them.  On every machine slot k is the field at bit
+(``_kronecker``: one scaled copy of the second factor per distinct
+multiplicity of the first, shifted once per term), and
+``characters._weyl_formula`` divides by the Weyl denominator on one of
+them.  A product of two factors invariant under negation fills a box
+symmetric about its middle slot, which holds weight 0; the kernel then
+sums only the upper half and one guard slot below it, whose width rule is
+bound + (terms of the first factor), and reads the lower half by
+reflection.  On every machine slot k is the field at bit
 b*k of the int, so shifting an int up by s slots adds s to every key.  The
 ints cross to byte buffers in little-endian order and are read and written
 slot by slot through native arrays; a big-endian machine swaps the bytes of
@@ -110,30 +116,34 @@ def _read_slots(value: int, nbytes: int, fmt: str, ranges, floor=None) -> dict:
     ``ranges``, the last coordinate fastest.  With
     ``floor``, only the sub-box of weights >= floor in every coordinate is
     read: one contiguous row of slots per value of the leading coordinates.
+    """
+    n = math.prod(map(len, ranges))
+    slots = _to_slots(value, n, nbytes, fmt)
+    if floor is None:
+        return _weights_at(slots.tolist(), ranges)
+    keep = [r[max(f - r.start, 0):] for r, f in zip(ranges, floor)]
+    strides = _strides([len(r) for r in ranges])
+    first = sum((r.start - full.start) * s for r, full, s in zip(keep, ranges, strides))
+    row = len(keep[-1])
+    vals = []
+    for head in product(*(range(len(r)) for r in keep[:-1])):
+        k = first + sum(map(mul, head, strides))
+        vals += slots[k:k + row].tolist()
+    return _weights_at(vals, keep)
+
+
+def _weights_at(vals, ranges) -> dict:
+    """{weight: value} for the nonzero entries of a box's slot values.
 
     Only occupied slots cost a weight: the box's weights stream out of
     ``product`` in slot order, ``compress`` keeps those at nonzero slots,
     and ``product`` reuses its tuple for every weight that is skipped, so
     an empty slot costs one C-level step and no allocation.
     """
-    n = math.prod(map(len, ranges))
-    slots = _to_slots(value, n, nbytes, fmt)
-    if floor is None:
-        vals = slots.tolist()
-    else:
-        keep = [r[max(f - r.start, 0):] for r, f in zip(ranges, floor)]
-        strides = _strides([len(r) for r in ranges])
-        first = sum((r.start - full.start) * s for r, full, s in zip(keep, ranges, strides))
-        row = len(keep[-1])
-        vals = []
-        for head in product(*(range(len(r)) for r in keep[:-1])):
-            k = first + sum(map(mul, head, strides))
-            vals += slots[k:k + row].tolist()
-        ranges = keep
     return dict(zip(compress(product(*ranges), vals), filter(None, vals)))
 
 
-def _kronecker(aitems, bitems, ranges, bound: int, floor=None) -> dict:
+def _kronecker(aitems, bitems, ranges, bound: int, floor=None, mirror=False) -> dict:
     """Convolve two packed factors by shifting and adding one big integer.
 
     ``aitems`` and ``bitems`` are (key, multiplicity) pairs, keyed in the box
@@ -144,28 +154,57 @@ def _kronecker(aitems, bitems, ranges, bound: int, floor=None) -> dict:
     or 8 bytes) holding its multiplicity at key k.  For each term (k, m) of
     the first factor, m * y shifted up by k slots is added in, so the sum
     holds the convolution in its slots: one pass over y per term, where a
-    product of two full ints would cost a Karatsuba multiplication.  A bias
-    of 2^(b-1) added to every slot of b bits makes each slot hold
-    c + 2^(b-1), in [0, 2^b) because |c| <= bound < 2^(b-1): no slot carries
-    into the next, so the slots read back as the product's coefficients.
+    product of two full ints would cost a Karatsuba multiplication.  The
+    first factor's keys are grouped by multiplicity, and m * y is formed
+    once per group, so a term costs one shift and one add.  A bias of
+    2^(b-1) added to every slot of b bits makes each slot hold c + 2^(b-1),
+    in [0, 2^b) because |c| <= bound < 2^(b-1): no slot carries into the
+    next, so the slots read back as the product's coefficients.
 
     Slot k has place value 2^(b*k), so the shift for key k is k slots.
     With top the first factor's largest key and nb the second's slot count,
     the sum fills n = top + nb slots, at most the box's; the slots above
     them read back as zero.  With ``floor``, only the product's terms at
     weights >= floor are read back (``_read_slots``).
+
+    ``mirror`` says that both factors are invariant under negation (a
+    W-invariant pair for a type with -1 in W).  Then so is the product, and
+    its box is symmetric: with N slots, slot c = (N - 1) / 2 holds weight 0
+    and slot c + i holds the negative of the weight at c - i.  Only slots
+    c - 1 and up are summed, so the sum is about half as long: a term whose
+    shift would start below slot c - 1 is shifted down onto it with ``>>``,
+    which floors.  Each floor loses less than one unit of slot c - 1, and
+    the slots below it, which are never formed, are worth less than half of
+    one, so slot c - 1 reads its coefficient minus some d in
+    [0, len(aitems)].  It is a guard, never read: with the width chosen for
+    bound + len(aitems), it neither carries into nor borrows from slot c,
+    so slots c and up are exact, and the lower half is their reflection.
+    If no slot holds bound + len(aitems), the whole sum is taken.
     """
-    width = _slot_width(bound)
+    width = _slot_width(bound + len(aitems)) if mirror else None
+    if width is None:
+        mirror, width = False, _slot_width(bound)
     if width is None:
         raise ArithmeticError(f"convolution bound {bound} does not fit a 64-bit slot")
     nbytes, fmt = width
     nb, y = _slot_int(bitems, nbytes, fmt)
-    top = max(aitems)[0]
-    n = top + nb
+    n = max(aitems)[0] + nb
     bits = 8 * nbytes
-    acc = 0
+    groups = {}
     for k, m in aitems:
-        acc += m * y << bits * k
+        groups.setdefault(m, []).append(k)
+    # The lowest slot summed: slot c - 1 when mirrored, else slot 0.
+    guard = math.prod(map(len, ranges)) // 2 - 1 if mirror else 0
+    acc = 0
+    for m, keys in groups.items():
+        my = m * y
+        for k in keys:
+            acc += my << bits * (k - guard) if k >= guard else my >> bits * (guard - k)
+    n -= guard
     bias = int.from_bytes((1 << (bits - 1)).to_bytes(nbytes, "little") * n, "little")
     # Flipping each slot's top bit turns c + 2^(b-1) into c in two's complement.
-    return _read_slots((acc + bias) ^ bias, nbytes, fmt, ranges, floor)
+    acc = (acc + bias) ^ bias
+    if not mirror:
+        return _read_slots(acc, nbytes, fmt, ranges, floor)
+    upper = _to_slots(acc >> bits, guard + 2, nbytes, fmt).tolist()  # slots c .. N-1
+    return _weights_at(upper[:0:-1] + upper, ranges)

@@ -52,12 +52,16 @@ class RootSystem:
     The inverse Cartan matrix is ``inv_num`` / ``inv_den``: an integer
     matrix over one positive denominator, in lowest terms.
 
-    Three tables that operations read on every call are built once, with
+    Four tables that operations read on every call are built once, with
     the type: ``neighbours`` holds, per node i, the pairs (j, cartan[j][i])
     with j != i and cartan[j][i] != 0, the steps of the dominance walk
     (``_to_dominant``); ``weyl_order`` is |W|; ``highest_coroot`` is the
     coroot of largest height paired with its root in fundamental
-    coordinates, the level-p alcove wall.
+    coordinates, the level-p alcove wall; ``negation_in_w`` says whether -1
+    lies in W, so that W-invariant products are symmetric under negation.
+    The dominant point of -v is -w0 v, and -w0 permutes the fundamental
+    coordinates (a diagram automorphism), so for v = (1, 2, ..., rank),
+    whose coordinates are distinct, it is v exactly when w0 = -1.
 
     Built from keyword arguments, one per slot.  Equality and hashing are
     those of ``object`` (identity), so instances are cheap ``lru_cache``
@@ -66,7 +70,7 @@ class RootSystem:
 
     __slots__ = ("series", "rank", "cartan", "positive_roots", "positive_fund", "coroots",
                  "symmetrizer", "inv_num", "inv_den", "rho", "neighbours", "weyl_order",
-                 "highest_coroot")
+                 "highest_coroot", "negation_in_w")
 
     def __init__(self, **fields):
         if fields.keys() != set(self.__slots__):
@@ -250,6 +254,11 @@ def _build_root_system(series: str, rank: int) -> RootSystem:
         coroots.append(tuple(d))
     inv_num, inv_den = _invert(cartan, rank)
     r = range(rank)
+    neighbours = tuple(tuple((j, cartan[j][i]) for j in r if j != i and cartan[j][i])
+                       for i in r)
+    regular = list(range(1, rank + 1))
+    negated = [-x for x in regular]
+    _to_dominant(neighbours, negated)
     return RootSystem(
         series=series,
         rank=rank,
@@ -261,12 +270,12 @@ def _build_root_system(series: str, rank: int) -> RootSystem:
         inv_num=inv_num,
         inv_den=inv_den,
         rho=(1,) * rank,
-        neighbours=tuple(tuple((j, cartan[j][i]) for j in r if j != i and cartan[j][i])
-                         for i in r),
+        neighbours=neighbours,
         weyl_order=_weyl_order(per_height),
         # That of the highest short root, not highest_root_index (the long
         # root on B, C, F and G).
         highest_coroot=max(zip(coroots, fund), key=lambda pair: sum(pair[0])),
+        negation_in_w=negated == regular,
     )
 
 

@@ -364,6 +364,18 @@ def test_non_invariant_char_input_exits_1_on_every_checking_route():
         "but 0 at its simple reflection [-1]\n")
 
 
+def test_simple_a1_checks_weight_against_the_lattice():
+    # --weight is checked against --lattice as in char weyl: with the
+    # adjoint lattice, 1 is refused and 2, in the root lattice, is answered.
+    message = "steinberg: error: weight [1] is not in the root lattice\n"
+    adj = ["--lattice", "adj", "--p", "3", "--weight"]
+    assert invoke(["char", "weyl", "--type", "A", "--rank", "1", *adj, "1"]) == (1, "", message)
+    assert invoke(["simple", "a1", *adj, "1"]) == (1, "", message)
+    code, out, err = invoke(["simple", "a1", *adj, "2"])
+    assert (code, err) == (0, "")
+    assert out == invoke(["simple", "a1", "--p", "3", "--weight", "2"])[1]
+
+
 def test_registry_bijection_and_coverage():
     keys = [(s.group, s.verb) for s in REGISTRY]
     assert len(keys) == len(set(keys)) == 17

@@ -237,9 +237,9 @@ def kernel_calls(monkeypatch):
     calls = []
     real = characters._kronecker
 
-    def spy(aitems, bitems, ranges, bound, floor=None):
+    def spy(aitems, bitems, ranges, bound, floor=None, mirror=False):
         calls.append(bound)
-        return real(aitems, bitems, ranges, bound, floor)
+        return real(aitems, bitems, ranges, bound, floor, mirror)
 
     monkeypatch.setattr(characters, "_kronecker", spy)
     return calls
@@ -279,6 +279,104 @@ def test_kronecker_kernel_on_dense_products(rs, kernel_calls):
             prod, kernel = _both_paths_agree(st, twisted, kernel_calls)
             assert prod == weyl_character(rs, dot_multiply(p, lam))
             assert kernel and prod._invariant_for is rs
+
+
+@pytest.fixture
+def kernel_paths(kernel_calls, monkeypatch):
+    """Per ``_kronecker`` call of ``tensor``: (mirror asked, path taken, slot bytes).
+
+    The path is read off what the kernel reads back: the mirrored path
+    reads the upper (N + 1) / 2 slots of a box of N, the full path all N.
+    """
+    paths, reads = [], []
+    spy, to_slots = characters._kronecker, kronecker._to_slots
+
+    def counted(value, n, nbytes, fmt):
+        reads.append((n, nbytes))
+        return to_slots(value, n, nbytes, fmt)
+
+    def kernel(aitems, bitems, ranges, bound, floor=None, mirror=False):
+        del reads[:]
+        out = spy(aitems, bitems, ranges, bound, floor, mirror)
+        box = math.prod(map(len, ranges))
+        (n, nbytes), = reads
+        paths.append((mirror, "mirrored" if n == box // 2 + 1 < box else "full", nbytes))
+        return out
+
+    monkeypatch.setattr(kronecker, "_to_slots", counted)
+    monkeypatch.setattr(characters, "_kronecker", kernel)
+    return paths
+
+
+NEGATION_TYPES = [("A", 1), ("B", 2), ("G", 2), ("B", 3), ("C", 3), ("B", 4), ("C", 4),
+                  ("D", 4), ("F", 4)]
+
+
+@pytest.mark.parametrize("series,rank", NEGATION_TYPES)
+def test_mirrored_kernel_on_types_with_negation_in_w(series, rank, kernel_paths):
+    # -1 is in W, so a W-invariant product is symmetric and the kernel sums
+    # only its upper half.  Products whose box is too sparse for the kernel
+    # take the pair loop, so each type is checked to have mirrored some.
+    rs = build_root_system(series, rank)
+    assert rs.negation_in_w
+    a, b = weyl_character(rs, _fundamental(rs, 0)), weyl_character(rs, _fundamental(rs, rank - 1))
+    twisted = frobenius_twist(a, 1, 2)
+    cases = [(a, b), (a - 2 * b, b), (tensor(a, b), a), (3 * a - b, twisted)]
+    if rank <= 4 and series != "F":
+        # The twist identity: St (x) Delta(lam)^(1) = Delta(p . lam).
+        for p in (2, 3) if rank <= 3 else (2,):
+            st = steinberg_character(rs, p)
+            cases.append((st, frobenius_twist(a, 1, p)))
+            if rank <= 3:
+                expected = weyl_character(rs, dot_multiply(p, _fundamental(rs, 0)))
+                assert tensor(st, frobenius_twist(a, 1, p)) == expected
+    del kernel_paths[:]
+    for x, y in cases:
+        prod = _convolution_agrees(x, y)
+        assert prod._invariant_for is rs
+    assert kernel_paths and all(path == "mirrored" for _, path, _ in kernel_paths)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("D", 5), ("E", 6)])
+def test_mirrored_kernel_needs_negation_in_w(series, rank, kernel_paths, monkeypatch):
+    # On these types -w0 is a nontrivial diagram automorphism, so products
+    # need not be symmetric.  The pair loop answers most of their products,
+    # so the kernel is forced by making a pair cost more than any box.
+    rs = build_root_system(series, rank)
+    assert not rs.negation_in_w
+    monkeypatch.setattr(characters, "_PAIR_COST", 10**9)
+    a, b = weyl_character(rs, _fundamental(rs, 0)), weyl_character(rs, _fundamental(rs, 1))
+    for x, y in ((a, a), (a, b), (a - 2 * b, b)):
+        assert _convolution_agrees(x, y)._invariant_for is rs
+    assert len(kernel_paths) == 6
+    assert all(call[:2] == (False, "full") for call in kernel_paths)
+    # The same forcing on a type with -1 in W mirrors.
+    b5 = build_root_system("B", 5)
+    del kernel_paths[:]
+    _convolution_agrees(weyl_character(b5, (1, 0, 0, 0, 0)), weyl_character(b5, (0, 0, 0, 0, 1)))
+    assert [path for _, path, _ in kernel_paths] == ["mirrored"] * 2
+
+
+def test_mirrored_kernel_needs_both_tags_and_no_floor(kernel_paths):
+    b2, c2 = build_root_system("B", 2), build_root_system("C", 2)
+    a, b = weyl_character(b2, (3, 3)), weyl_character(b2, (4, 2))
+    del kernel_paths[:]
+    _convolution_agrees(a, b)
+    assert kernel_paths == [(True, "mirrored", 2)] * 2
+    # An untagged factor, or factors tagged for two root systems (B2 and C2
+    # share coordinates), take the full path.
+    for x, y in ((Character(a.items()), b), (a, Character(b.items())),
+                 (a, weyl_character(c2, (4, 2)))):
+        del kernel_paths[:]
+        _convolution_agrees(x, y)
+        assert kernel_paths == [(False, "full", 2)] * 2
+    # A floor reads a sub-box of the full sum.
+    floor = (1, -2)
+    del kernel_paths[:]
+    kept = {w: m for w, m in oracles.convolve_naive(a, b).items()
+            if all(x >= f for x, f in zip(w, floor))}
+    assert characters._convolve(a, b, floor) == kept
+    assert kernel_paths == [(False, "full", 2)]
 
 
 @pytest.mark.parametrize("nbytes,fmt", [(2, "h"), (4, "i"), (8, "q")])
@@ -404,10 +502,44 @@ def test_kronecker_kernel_cancels_telescoping_products(kernel_calls):
     assert kernel and prod == Character({(0, 0): 1, (n + 1, 0): -1, (0, n + 1): -1, (n + 1, n + 1): 1})
 
 
+def _mirrored_slot_width_at_its_bounds(total, nbytes, kernel_calls, kernel_paths):
+    # The mirrored path's guard slot is off by up to |a| terms, so its slots
+    # are sized for bound + |a| = total.  On A1, a = x + Delta(2), with
+    # terms 1, x + 1, 1 at -2, 0, 2, has |a| = 3 and sum|a| = x + 3; against
+    # Delta(16), all ones, the bound is x + 3 and the product reaches it at 0.
+    a1 = build_root_system("A", 1)
+    a = (total - 6) * weyl_character(a1, (0,)) + weyl_character(a1, (2,))
+    b = weyl_character(a1, (16,))
+    for sign in (1, -1):
+        del kernel_paths[:]
+        prod = _convolution_agrees(sign * a, b)
+        assert prod.mult((0,)) == sign * (total - 3)
+        assert kernel_calls[-1] == total - 3
+        if nbytes is None:
+            # bound + |a| fits no slot, but the bound does: the full path.
+            assert kernel_paths == [(True, "full", 8)] * 2
+        else:
+            assert kernel_paths == [(True, "mirrored", nbytes)] * 2
+
+
+def test_mirrored_guard_slot_absorbs_the_floors(kernel_paths):
+    # a = -5461 (Delta(1) + Delta(3)) on A1 against Delta(6): the bound is
+    # 32766 < 2^15, and the product is -32766 at -1, the guard slot, which
+    # the floored shifts lower by up to |a| = 4 more.  2-byte slots would
+    # borrow from slot 0; the mirrored path takes 4.
+    a1 = build_root_system("A", 1)
+    a = -5461 * (weyl_character(a1, (1,)) + weyl_character(a1, (3,)))
+    b = weyl_character(a1, (6,))
+    del kernel_paths[:]
+    prod = _convolution_agrees(a, b)
+    assert prod.mult((-1,)) == prod.mult((1,)) == -32766
+    assert kernel_paths == [(True, "mirrored", 4)] * 2
+
+
 @pytest.mark.parametrize("total,nbytes", [
     (2**15 - 1, 2), (2**15, 4), (2**31 - 1, 4), (2**31, 8), (2**63 - 1, 8), (2**63, None),
 ])
-def test_kronecker_slot_width_at_its_bounds(total, nbytes, kernel_calls):
+def test_kronecker_slot_width_at_its_bounds(total, nbytes, kernel_calls, kernel_paths):
     # sum|a| * max|b| = total, and the product reaches +-total, so a slot one
     # width too narrow would carry into its neighbour.
     n = 16
@@ -427,6 +559,7 @@ def test_kronecker_slot_width_at_its_bounds(total, nbytes, kernel_calls):
         else:
             assert kernel_calls[-1] == total
             assert _kernel_direct(sign * a, b) == dict(prod.items())
+    _mirrored_slot_width_at_its_bounds(total, nbytes, kernel_calls, kernel_paths)
 
 
 def test_kernel_cost_counts_slot_bytes(kernel_calls):
@@ -873,6 +1006,15 @@ def test_root_tables_are_built_once_with_the_type():
         assert sum(coroot) == COXETER_NUMBERS[series](rank) - 1
         assert rs.positive_fund[rs.coroots.index(coroot)] == root
         assert sum(map(math.prod, zip(coroot, root))) == 2  # <alpha, alpha^v>
+        # -1 is in W exactly when W carries the regular weight (1, ..., r)
+        # to its negative.
+        v = tuple(range(1, rank + 1))
+        negated = tuple(-x for x in v)
+        assert rs.negation_in_w == any(
+            oracles.act(m, v) == negated for m, _ in oracles.weyl_group(rs))
+    assert [key for key in TYPES if build_root_system(*key).negation_in_w] == [
+        ("A", 1), *(("B", r) for r in range(2, 7)), *(("C", r) for r in range(2, 7)),
+        ("D", 4), ("D", 6), ("F", 4), ("G", 2)]
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
