@@ -3,37 +3,13 @@
 A :class:`Character` is a finitely supported map weight -> multiplicity, the
 computational form of an element of the group ring Z[X]; it shares the
 sparse base ``_Sparse`` with the Weyl-basis classes of the Grothendieck
-group.  Weyl-module characters of rank <= 2 come from Weyl's character
-formula: the alternating orbit sum of lam + rho divided by the Weyl
-denominator, exactly, modulo a power of two.  From rank 3 on they come from
-Freudenthal's multiplicity recursion on the dominant weights, each
-multiplicity spread over its Weyl orbit as soon as it is known.  Products
-are exact sparse convolutions.  Signed characters (Euler characteristics,
-virtual differences) are first-class values, and they scale by integers
-only.
-
-The slot-integer code, the convolution in ``tensor`` and Weyl's character
-formula, keys weights by one packed integer instead of a tuple: in a box
-lo <= w <= hi, coordinate j is shifted to w_j - lo_j, a digit in
-[0, hi_j - lo_j], and weighted by the mixed-radix place value stride_j (the
-last coordinate varies fastest).  The key is injective on the box and affine
-in w, so adding a root or a weight is one int add.  It is used only where
-every key that is formed comes from a weight inside the box (the no-alias
-condition each function states); public values keep tuple keys.  When the
-product's box is dense, ``tensor`` goes one step further and uses the key as
-a slot index in one big integer (Kronecker substitution, module
-``kronecker``): the larger factor becomes one int, and the convolution is
-one shifted C-speed add of it per term of the smaller factor.  Weyl's
-character formula uses the same slot integers: it divides by each factor
-1 - e^-alpha of the denominator with a few shifted adds, exactly modulo
-2^(b*n) for n slots of b bits.
-
-The slot-integer layer pays for what the answer holds, not for its box:
-keys are packed a column of coordinates at a time; a product asked only for
-the weights >= a floor packs only the terms that can reach it; reading an
-int back builds a weight only for an occupied slot; and Weyl's formula
-starts from 2-byte slots, widening only when its multiplicities fail to sum
-to dim, which is how an overflowing slot shows.
+group.  Weyl-module characters come, by rank, from Weyl's character formula
+or from Freudenthal's multiplicity recursion (``weyl_character``).
+Products are exact sparse convolutions.  Signed characters (Euler
+characteristics, virtual differences) are first-class values, and they
+scale by integers only.  ``tensor`` and Weyl's formula key weights by packed
+integers and slot integers (module ``kronecker``); public values keep tuple
+keys.
 """
 
 from __future__ import annotations
@@ -290,22 +266,14 @@ def _dominant_weights_below(rs: RootSystem, highest):
     return gaps
 
 
-# The largest rank on which the slot-integer routes that pay for a box, not
-# for the terms in it, are taken: Weyl's character formula in
-# ``weyl_character`` and the product with the Weyl denominator in
-# ``grothendieck._brauer``.  On rank <= 2 a W-invariant character leaves
-# much of its box empty only when it is small, and then either route is
-# quick; from rank 3 on the box is mostly empty.
+# The largest rank on which the routes that pay for a box, not for the terms
+# in it, are taken: Weyl's formula in ``weyl_character`` and the product with
+# the Weyl denominator in ``grothendieck._brauer``.  Derived by sections 2
+# and 4 of tools/calibrate.py.
 _DENSE_RANK = 2
 
-# Weyl characters kept for reuse hold at most this many terms in total (about
-# 3 MB), a ghost counting as one, the least recently used dropped first.  A
-# character of Weyl's formula is kept from its second request: a round of
-# the rank2-steinberg benchmark workload asks for 147 of them, 108 (104,551
-# terms, the Delta(p . lam) targets among them) only once, so keeping every
-# miss would fill the budget with characters never asked for again.  All 10
-# characters of the highrank-classes workload, of Freudenthal's recursion,
-# are asked for again, and are kept at once.
+# The term budget of the ``weyl_character`` cache, about 3 MB; section 5 of
+# tools/calibrate.py replays it.
 _WEYL_CACHE_TERMS = 1 << 15
 
 # (rs, highest) -> Character, or None for a ghost; least recently used first.
@@ -318,39 +286,27 @@ _ABSENT = object()
 def weyl_character(rs: RootSystem, highest) -> Character:
     """Character of the Weyl module with the given dominant highest weight.
 
-    The rank picks one of two routes to the same map.  On rank <= 2 the
-    character is one exact division by the Weyl denominator on a slot
-    integer (``_weyl_formula``): modulo 2^(b*n) for n slots of b bits,
-    where each factor 1 - x^u of the denominator is odd, hence invertible,
-    and the character's multiplicities are the residue's slots when they
-    fit b bits, which the multiplicities summing to dim certifies.  The
-    slots cover the box of W(lam + rho) - rho.  On rank <= 2 that box is
-    sparse only for modules of small dimension, which the division still
-    computes in about 0.1 ms or less; from rank 3 on it is mostly empty, so
-    there the character comes from Freudenthal's recursion
-    (``_freudenthal``).
+    Up to rank ``_DENSE_RANK`` it comes from Weyl's character formula
+    (``_weyl_formula``), above it from Freudenthal's recursion
+    (``_freudenthal``); each is exact.
 
     Characters are kept in a least-recently-used cache bounded by the
-    terms it holds, 2^15 in all.  One of rank <= 2 is kept only from its
-    second request (an admission doorkeeper, as in Einziger, Friedman and
-    Manes's TinyLFU): its first miss stores a ghost, the key with no
-    character, charged one term, and a miss on a ghost stores the
-    character in its place.  One of rank 3 or more is kept from its first
-    miss, as Freudenthal's recursion costs 4 to 15 times more per term to
-    compute again than Weyl's formula (best of 5 runs of 5 calls, 2-vCPU
-    Xeon, Python 3.11: the recursion on the fundamental weights of D5, F4
-    and E6, the formula on the A2, B2 and G2 weights p . lam of 855 to 5941
-    terms).  Either is kept only if it has at
-    most 2^15 terms, and each store drops the least recently used entries,
-    ghosts or characters, until the total fits.  Finding a ghost is a miss,
-    finding a character a hit.  ``cache_info`` (``currsize``
-    counts characters, not ghosts; ``maxsize`` is the term budget) and
-    ``cache_clear`` are the cache's, and ``__wrapped__`` is the uncached
-    computation, as for ``functools.lru_cache``; lookups and updates hold
-    one lock, the computation does not.  The weight is checked on every
-    call, before the cache is looked up: coordinates must be ints (not
-    bools), so a float or bool weight that equals a cached int weight is
-    rejected, not answered from the cache.
+    terms it holds, ``_WEYL_CACHE_TERMS`` in all.  One of Weyl's formula is
+    kept only from its second request (an admission doorkeeper, as in
+    Einziger, Friedman and Manes's TinyLFU): its first miss stores a ghost,
+    the key with no character, charged one term, and a miss on a ghost
+    stores the character in its place.  One of the recursion, which costs
+    more per term to compute again, is kept from its first miss.  Either is
+    kept only if it fits the budget, and each store drops the least
+    recently used entries, ghosts or characters, until the total fits.
+    Finding a ghost is a miss, finding a character a hit.  ``cache_info``
+    (``currsize`` counts characters, not ghosts; ``maxsize`` is the term
+    budget) and ``cache_clear`` are the cache's, and ``__wrapped__`` is the
+    uncached computation, as for ``functools.lru_cache``; lookups and
+    updates hold one lock, the computation does not.  The weight is checked
+    on every call, before the cache is looked up: coordinates must be ints
+    (not bools), so a float or bool weight that equals a cached int weight
+    is rejected, not answered from the cache.
     """
     global _weyl_hits, _weyl_misses, _weyl_terms, _weyl_ghosts
     key = (rs, require_dominant(rs, highest))
@@ -445,8 +401,8 @@ def _weyl_formula(rs: RootSystem, highest) -> dict:
     ranges of W(lam + rho) - rho.  Over an orbit W mu, coordinate j ranges
     over [-M, M] with M = max over W of <w mu, alpha_j^v>, additive in
     dominant mu; so the box holds W lam, and with it every weight of the
-    module.  With the packed key of ``tensor`` as exponent, a weight becomes
-    a power x^k with k in [0, n) for the box's n slots.
+    module.  With its packed key (``kronecker``) as exponent, a weight
+    becomes a power x^k with k in [0, n) for the box's n slots.
 
     Division by D is exact modulo 2^(b*n), where x = 2^b and slot k of an
     int (``kronecker``) holds the coefficient of x^k.  With t the key step
@@ -467,10 +423,10 @@ def _weyl_formula(rs: RootSystem, highest) -> dict:
     2^b - 1, a carry out of the top slot is cut off by the modulus, and a
     slot of 2^(b-1) or more reads as negative, 2^b lower: the sum is dim
     exactly when every multiplicity is below 2^(b-1), and then the slots are
-    the multiplicities.  The largest multiplicity is far below dim (17913,
-    at G2's (6, 27) of dim about 3.2 * 10^7), so 16 bits nearly always do.
-    A wrong sum at a width that holds dim itself, where no slot can
-    overflow, or at the widest slots, raises ArithmeticError.
+    the multiplicities.  The largest multiplicity is far below dim, so 16
+    bits nearly always do.  A wrong sum at a width that holds dim itself,
+    where no slot can overflow, or at the widest slots, raises
+    ArithmeticError.
     """
     dim = _weyl_dimension(rs, highest)
     walk = descend_orbit(rs, tuple(x + 1 for x in highest))
@@ -555,9 +511,9 @@ def _freudenthal(rs: RootSystem, highest) -> dict:
     return out
 
 
-# Measured costs of the convolution kernels (see ``tensor``), in units of
-# adding one byte of two ints: one dict update of the pair loop, and reading
-# back one byte of the Kronecker kernel's slots.
+# The kernel rule's costs in ``_convolve``, in units of adding one byte of two
+# ints: one dict update of the pair loop, and reading back one slot byte.
+# Derived by section 1 of tools/calibrate.py.
 _PAIR_COST = 512
 _DECODE_COST = 32
 
@@ -570,31 +526,8 @@ def tensor(a: Character, b: Character) -> Character:
     box of the sum (last coordinate fastest): coordinate j of a sum spans
     width_j = (range of a) + (range of b) + 1 values.  Both keys' digits stay
     inside their own ranges, so k1 + k2 is the key of w1 + w2 with no carries
-    (no-alias condition).
-
-    Two kernels share those keys, with a the factor of fewer terms.  When
-    the box is dense, ``_kronecker`` writes b into fixed-width slots of one
-    int and adds a shifted multiple of it per term of a (Kronecker
-    substitution); the slot width is the narrowest of 2, 4 or 8 bytes that
-    holds the bound sum|a| * max|b| on |coefficient|.  The kernel costs one
-    add per slot byte per term of a plus a decode of every slot byte, the
-    pair loop one dict update per pair.  So it runs when the bound is below
-    2^63 and slots * width * (|a| + 32) <= 512 * |a| * |b|: at most
-    c * |b| slot bytes with c = 512 * |a| / (|a| + 32), so its memory is
-    O(|b|).  Both constants are measured.  On random products of rank 1 to
-    6 with 2-byte slots the two kernels tie at 10 to 29 slot bytes per term
-    of b for |a| = 1 (the rule allows 15.5), 71 to 174 for |a| = 4 (57),
-    140 to 790 for |a| = 16 (170), and above 430 for |a| = 64 (341).
-    The kernel forms m * b once per distinct multiplicity m of a, and adds
-    its shifted copies.  When both factors carry the tag of one root system
-    with -1 in W (``RootSystem.negation_in_w``), both are invariant under
-    negation, and so is the product: the kernel sums only the upper half of
-    the slots and one guard slot below it, sized for the bound plus |a|
-    since each term shifted below the guard floors by less than one unit,
-    and reflects the upper half to read the lower one.
-    Otherwise the pair loop adds each of the |a|*|b| products into a dict,
-    one int add and one update each, drops sums that cancel to zero, and
-    decodes the keys to weights a coordinate column at a time.
+    (no-alias condition).  ``_convolve`` adds the products by Kronecker
+    substitution or pair by pair.
     """
     return Character._raw(_convolve(a, b), _shared_tag(a, b))
 
@@ -609,6 +542,16 @@ def _convolve(a: Character, b: Character, floor=None) -> dict:
     per coordinate over a's support, and likewise u >= floor - max(b); the
     other terms of each factor are dropped first (``_reaching``), and the
     factor of fewer terms is picked after that.
+
+    With a the factor of fewer terms, the Kronecker kernel (``_kronecker``)
+    runs when the bound sum|a| * max|b| on a coefficient fits a slot of
+    width 2, 4 or 8 bytes and the kernel, one add per slot byte per term of
+    a plus a decode, costs no more than the pair loop, one dict update per
+    pair: width * slots * (|a| + _DECODE_COST) <= _PAIR_COST * |a| * |b|.
+    So the kernel's memory is O(|b|).  It sums half the box when both
+    factors carry the tag of one root system with -1 in W and no floor is
+    asked.  Otherwise the pair loop adds each of the |a|*|b| products into a
+    dict, drops sums that cancel, and decodes the keys a column at a time.
     """
     if not a or not b:
         return {}
@@ -632,18 +575,14 @@ def _convolve(a: Character, b: Character, floor=None) -> dict:
     bitems = _packed(cols_b, vals_b, lo_b, strides)
     lo = [x + y for x, y in zip(lo_a, lo_b)]
     na = len(aitems)
-    budget = _PAIR_COST * na * len(bitems)
+    bound = sum(map(abs, vals_a)) * max(map(abs, vals_b))
+    width = _slot_width(bound)
     cost = math.prod(widths) * (na + _DECODE_COST)
-    # The narrowest slot has 2 bytes: a box too wide even for that skips the
-    # pass that sums the multiplicities for the bound.
-    if 2 * cost <= budget:
-        bound = sum(map(abs, vals_a)) * max(map(abs, vals_b))
-        width = _slot_width(bound)
-        if width is not None and width[0] * cost <= budget:
-            ranges = [range(l, l + n) for l, n in zip(lo, widths)]
-            tag = None if floor is not None else _shared_tag(a, b)
-            mirror = tag is not None and tag.negation_in_w
-            return _kronecker(aitems, bitems, ranges, bound, floor, mirror)
+    if width is not None and width[0] * cost <= _PAIR_COST * na * len(bitems):
+        ranges = [range(l, l + n) for l, n in zip(lo, widths)]
+        tag = None if floor is not None else _shared_tag(a, b)
+        mirror = tag is not None and tag.negation_in_w
+        return _kronecker(aitems, bitems, ranges, bound, floor, mirror)
     out = {}
     get = out.get
     for k1, m1 in aitems:

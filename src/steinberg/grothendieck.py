@@ -4,15 +4,12 @@ A :class:`KElement` is a finitely supported integer combination of classes
 of Weyl modules, indexed by their dominant highest weights; it shares its
 representation and arithmetic with :class:`Character`.  Characters
 convert to classes by Brauer's formula (with an independent highest-weight
-peeling route), and back by summing Weyl characters.  Brauer's formula is
-read off one product with the Weyl denominator on rank <= 2 when W is small
-against the character, and is otherwise a straightening, one dot
-normalization per support weight.  On top of the change of basis sit the
-Steinberg-block operations: the dot-scaling equivalence and its inverse,
-Steinberg multiplicities of a tensor product and Frobenius contraction (both
-Brauer's formula on the contracted weights), and projection onto a linkage
-block by closed-alcove normal forms.  No operation enumerates the Weyl
-group.
+peeling route), and back by summing Weyl characters.  On top of the change
+of basis sit the Steinberg-block operations: the dot-scaling equivalence
+and its inverse, Steinberg multiplicities of a tensor product and Frobenius
+contraction (both Brauer's formula on the contracted weights), and
+projection onto a linkage block by closed-alcove normal forms.  No
+operation enumerates the Weyl group.
 """
 
 from __future__ import annotations
@@ -105,10 +102,9 @@ def _straighten(rs: RootSystem, items) -> KElement:
     return KElement._raw(out)
 
 
-# Brauer's formula goes through the Weyl denominator D when the input has at
-# least _TERMS_PER_ELEMENT terms per element of W: as one product with D in
-# _brauer (on rank <= 2 only), and as |W| lookups in
-# steinberg_delta_multiplicity.
+# Brauer's formula goes through the Weyl denominator when the input has at
+# least this many terms per element of W (``_few_elements``).  Derived by
+# sections 2 and 3 of tools/calibrate.py.
 _TERMS_PER_ELEMENT = 4
 
 
@@ -135,20 +131,11 @@ def _brauer(rs: RootSystem, chi: Character) -> KElement:
 
     Brauer's coefficient at a dominant lam is sum_w sgn(w) * chi(w . lam),
     and by W-invariance chi(w . lam) = chi(lam + rho - w^-1 rho): the
-    coefficient at lam of chi * D, with D the Weyl denominator.  On rank
-    <= 2, when |W| is small against |chi|, the class is the dominant part
-    of that one product: ``tensor``'s convolution (``_convolve``) with
-    floor 0 packs only the terms that can reach a dominant weight, takes
-    its Kronecker kernel and reads back only the slots of dominant weights.
-    A term e^u of chi reaches one only if u >= -max(D) in every
-    coordinate, and the coordinates of D's weights w rho - rho are at most
-    1 on A2 and 4 on G2, so chi's dominant chamber and a thin shell around
-    it are packed, against nearly all of D.  Otherwise each term of chi is
-    straightened by itself (``_straighten``).  The product pays for its
-    box, not for the terms in it.  On rank <= 2 that costs at most some
-    tens of microseconds more than straightening, on the smallest inputs
-    it takes; from rank 3 on a W-invariant character fills the box too
-    thinly, and straightening wins.
+    coefficient at lam of chi * D, with D the Weyl denominator.  Up to rank
+    ``_DENSE_RANK``, when |W| is small against |chi| (``_few_elements``),
+    the class is the dominant part of that one product, ``_convolve`` with
+    floor 0.  Otherwise each term of chi is straightened by itself
+    (``_straighten``).
     """
     if rs.rank <= _DENSE_RANK and _few_elements(rs, len(chi)):
         return KElement._raw(_convolve(chi, _weyl_denominator(rs), (0,) * rs.rank))
@@ -162,9 +149,7 @@ def char_to_class(rs: RootSystem, chi: Character) -> KElement:
     weights nu of chi(nu) * [Delta(nu)], where a non-dominant [Delta(nu)] is
     straightened to sgn(w) * [Delta(w . nu)] with w . nu dominant, or to 0 when
     nu + rho is singular.  The coefficient at lam is therefore the
-    alternating orbit sum sum_w (-1)^len(w) * chi(w . lam).  When chi has
-    many terms per element of W, that sum is read off one product of chi
-    with the Weyl denominator instead (``_brauer``).
+    alternating orbit sum sum_w (-1)^len(w) * chi(w . lam) (``_brauer``).
     """
     require_w_invariant(rs, chi)
     return _brauer(rs, chi)
@@ -274,16 +259,15 @@ def steinberg_delta_multiplicity(rs: RootSystem, chi: Character, lam, p: int) ->
 
     Equals sum_w (-1)^len(w) * chi(p * (w . lam)), the coefficient at lam of
     :func:`frobenius_contract_class`; the product character is never formed.
-    When |W| is small against |chi|, that coefficient is read as |W| values
-    of chi through the Weyl denominator; otherwise the contracted weights
-    are straightened.
+    When |W| is small against |chi| (``_few_elements``), that is the
+    coefficient at lam of (contracted chi) * D: sum over the |W| terms delta
+    of D of D(delta) * chi(p * (lam - delta)).  Otherwise the contracted
+    weights are straightened.
     """
     lam = require_dominant(rs, lam)
     require_p(p, "multiplicity")
     require_w_invariant(rs, chi)
     if _few_elements(rs, len(chi)):
-        # The coefficient at lam of (contracted chi) * D: sum over the |W|
-        # terms delta of D of D(delta) * chi(p * (lam - delta)).
         get = chi._terms.get
         return sum(m * get(tuple([p * (x - d) for x, d in zip(lam, delta)]), 0)
                    for delta, m in _weyl_denominator(rs).items())

@@ -1,18 +1,15 @@
 """Kronecker substitution: a character as one big integer of fixed-width slots.
 
-A finitely supported map from a box of weights to integers is written into
-one int: the box's weights are numbered by their packed key (``_strides``,
-the last coordinate fastest; ``_packed`` packs a factor's keys a column of
-coordinates at a time), and slot k, a field of 2, 4 or 8 bytes, holds the
+A weight w in a box lo <= w <= hi has a packed key: coordinate j is the
+digit w_j - lo_j, weighted by the mixed-radix place value stride_j, the last
+coordinate fastest (``_strides``; ``_packed`` packs a factor's keys a column
+of coordinates at a time).  The key is injective on the box and affine in w,
+so adding a weight is one int add wherever every key formed comes from a
+weight in the box (the no-alias condition).  A map from the box to integers
+is written into one int whose slot k, a field of 2, 4 or 8 bytes, holds the
 value at key k.  Adding shifted copies of such ints then convolves
-(``_kronecker``: one scaled copy of the second factor per distinct
-multiplicity of the first, shifted once per term), and
-``characters._weyl_formula`` divides by the Weyl denominator on one of
-them.  A product of two factors invariant under negation fills a box
-symmetric about its middle slot, which holds weight 0; the kernel then
-sums only the upper half and one guard slot below it, whose width rule is
-bound + (terms of the first factor), and reads the lower half by
-reflection.  On every machine slot k is the field at bit
+(``_kronecker``), and ``characters._weyl_formula`` divides by the Weyl
+denominator on one of them.  On every machine slot k is the field at bit
 b*k of the int, so shifting an int up by s slots adds s to every key.  The
 ints cross to byte buffers in little-endian order and are read and written
 slot by slot through native arrays; a big-endian machine swaps the bytes of
