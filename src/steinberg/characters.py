@@ -200,20 +200,28 @@ class Character(_Sparse):
     scalings, products, twists and contractions over one root system keep
     it; the public constructor and ``from_dict`` never set it.  Equality,
     repr and JSON ignore it; ``require_w_invariant`` trusts it.
+
+    The private slot ``_factors`` is set only on values that the
+    ``weyl_character`` cache hands out: the sorted highest weights whose
+    Weyl characters, over the tagged root system, multiply to the value.
+    ``weyl_character`` sets (lam,) and ``tensor`` of two such values the
+    union of theirs; every other value has None, so ``tensor`` convolves it
+    every time.
     """
 
-    __slots__ = ("_invariant_for",)
+    __slots__ = ("_invariant_for", "_factors")
     _FIELDS = ("weights", "mult")
     _NOUN = "character"
 
     def __init__(self, items=()):
         super().__init__(items)
-        self._invariant_for = None
+        self._invariant_for = self._factors = None
 
     @classmethod
     def _raw(cls, terms: dict, rs=None):
         self = super()._raw(terms)
         self._invariant_for = rs
+        self._factors = None
         return self
 
     def _result(self, terms: dict, other=None):
@@ -276,7 +284,8 @@ _DENSE_RANK = 2
 # tools/calibrate.py replays it.
 _WEYL_CACHE_TERMS = 1 << 15
 
-# (rs, highest) -> Character, or None for a ghost; least recently used first.
+# (rs, highest) -> Weyl character, (rs, highests) -> product of two or more
+# (``tensor``), or None for a ghost; least recently used first.
 _weyl_cache = OrderedDict()
 _weyl_cache_lock = allocate_lock()
 _weyl_hits = _weyl_misses = _weyl_terms = _weyl_ghosts = 0
@@ -290,26 +299,40 @@ def weyl_character(rs: RootSystem, highest) -> Character:
     (``_weyl_formula``), above it from Freudenthal's recursion
     (``_freudenthal``); each is exact.
 
-    Characters are kept in a least-recently-used cache bounded by the
-    terms it holds, ``_WEYL_CACHE_TERMS`` in all.  One of Weyl's formula is
-    kept only from its second request (an admission doorkeeper, as in
-    Einziger, Friedman and Manes's TinyLFU): its first miss stores a ghost,
-    the key with no character, charged one term, and a miss on a ghost
-    stores the character in its place.  One of the recursion, which costs
-    more per term to compute again, is kept from its first miss.  Either is
-    kept only if it fits the budget, and each store drops the least
-    recently used entries, ghosts or characters, until the total fits.
-    Finding a ghost is a miss, finding a character a hit.  ``cache_info``
-    (``currsize`` counts characters, not ghosts; ``maxsize`` is the term
-    budget) and ``cache_clear`` are the cache's, and ``__wrapped__`` is the
-    uncached computation, as for ``functools.lru_cache``; lookups and
-    updates hold one lock, the computation does not.  The weight is checked
-    on every call, before the cache is looked up: coordinates must be ints
-    (not bools), so a float or bool weight that equals a cached int weight
-    is rejected, not answered from the cache.
+    Weyl characters, and the products of them that ``tensor`` forms, are
+    kept in one least-recently-used cache bounded by the terms it holds,
+    ``_WEYL_CACHE_TERMS`` in all.  A character of rank up to
+    ``_DENSE_RANK`` is kept only from its second request (an admission
+    doorkeeper, as in Einziger, Friedman and Manes's TinyLFU): its first
+    miss stores a ghost, the key with no character, charged one term, and a
+    miss on a ghost stores the character in its place.  One of higher rank,
+    which costs more per term to compute again, is kept from its first
+    miss.  Either is kept only if it fits the budget, and each store drops
+    the least recently used entries, ghosts or characters, until the total
+    fits.  Finding a ghost is a miss, finding a character a hit.
+    ``cache_info`` (its hits and misses count product lookups too;
+    ``currsize`` counts characters and products, not ghosts; ``maxsize`` is
+    the term budget) and ``cache_clear`` are the cache's, and
+    ``__wrapped__`` is the uncached computation, as for
+    ``functools.lru_cache``; its values carry no ``_factors``, so ``tensor``
+    never looks their products up.  Lookups and updates hold one lock, the
+    computation does not.  The weight is checked on every call, before the
+    cache is looked up: coordinates must be ints (not bools), so a float or
+    bool weight that equals a cached int weight is rejected, not answered
+    from the cache.
+    """
+    highest = require_dominant(rs, highest)
+    return _cached(rs, (highest,), _weyl_character, rs, highest)
+
+
+def _cached(rs: RootSystem, factors: tuple, compute, *args) -> Character:
+    """The product of the Weyl characters at ``factors``: held, or compute(*args) stamped.
+
+    Its key is (rs, highest) for one factor and (rs, factors) for more, so
+    the two shapes never collide; the value it returns carries ``factors``.
     """
     global _weyl_hits, _weyl_misses, _weyl_terms, _weyl_ghosts
-    key = (rs, require_dominant(rs, highest))
+    key = (rs, factors[0] if len(factors) == 1 else factors)
     with _weyl_cache_lock:
         found = _weyl_cache.get(key, _ABSENT)
         if found is _ABSENT:
@@ -323,7 +346,8 @@ def weyl_character(rs: RootSystem, highest) -> Character:
                 _weyl_hits += 1
                 return found
         _weyl_misses += 1
-    chi = _weyl_character(*key)
+    chi = compute(*args)
+    chi._factors = factors
     if (found is None or rs.rank > _DENSE_RANK) and len(chi) <= _WEYL_CACHE_TERMS:
         with _weyl_cache_lock:
             # Another thread may have stored the character or dropped the
@@ -528,8 +552,23 @@ def tensor(a: Character, b: Character) -> Character:
     inside their own ranges, so k1 + k2 is the key of w1 + w2 with no carries
     (no-alias condition).  ``_convolve`` adds the products by Kronecker
     substitution or pair by pair.
+
+    When both factors carry ``_factors`` (they came from the
+    ``weyl_character`` cache) and one root-system tag, the product is that
+    cache's entry under the sorted union of their highest weights: looked
+    up, computed on a miss and kept by the cache's rules, and it carries the
+    union in turn.  So a product of the same Weyl characters, in any order
+    or grouping, is formed once while the cache holds it.  Every other
+    product is formed on each call.
     """
+    if a._factors and b._factors and a._invariant_for is b._invariant_for:
+        return _cached(a._invariant_for, tuple(sorted(a._factors + b._factors)), _product, a, b)
     return Character._raw(_convolve(a, b), _shared_tag(a, b))
+
+
+def _product(a: Character, b: Character) -> Character:
+    # tensor's product of two values tagged for one root system.
+    return Character._raw(_convolve(a, b), a._invariant_for)
 
 
 def _convolve(a: Character, b: Character, floor=None) -> dict:

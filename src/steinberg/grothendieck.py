@@ -102,9 +102,14 @@ def _straighten(rs: RootSystem, items) -> KElement:
     return KElement._raw(out)
 
 
-# Brauer's formula goes through the Weyl denominator when the input has at
-# least this many terms per element of W (``_few_elements``).  Derived by
-# sections 2 and 3 of tools/calibrate.py.
+# Up to rank ``_DENSE_RANK``, Brauer's formula goes through the Weyl
+# denominator when the input has at least this many terms per element of W.
+# Derived by section 2 of tools/calibrate.py.
+_BRAUER_TERMS_PER_ELEMENT = 7
+
+# Steinberg multiplicities are read by |W| lookups when the input has at
+# least this many terms per element of W.  Derived by section 3 of
+# tools/calibrate.py.
 _TERMS_PER_ELEMENT = 4
 
 
@@ -121,23 +126,18 @@ def _weyl_denominator(rs: RootSystem) -> Character:
     return Character._raw({tuple(x - 1 for x in w): sign for w, sign in walk})
 
 
-def _few_elements(rs: RootSystem, terms: int) -> bool:
-    # Whether |W| is small against an input of this many terms.
-    return _TERMS_PER_ELEMENT * rs.weyl_order <= terms
-
-
 def _brauer(rs: RootSystem, chi: Character) -> KElement:
     """The class of a W-invariant character, by the cheaper of two routes.
 
     Brauer's coefficient at a dominant lam is sum_w sgn(w) * chi(w . lam),
     and by W-invariance chi(w . lam) = chi(lam + rho - w^-1 rho): the
     coefficient at lam of chi * D, with D the Weyl denominator.  Up to rank
-    ``_DENSE_RANK``, when |W| is small against |chi| (``_few_elements``),
-    the class is the dominant part of that one product, ``_convolve`` with
-    floor 0.  Otherwise each term of chi is straightened by itself
-    (``_straighten``).
+    ``_DENSE_RANK``, when chi has at least ``_BRAUER_TERMS_PER_ELEMENT``
+    terms per element of W, the class is the dominant part of that one
+    product, ``_convolve`` with floor 0.  Otherwise each term of chi is
+    straightened by itself (``_straighten``).
     """
-    if rs.rank <= _DENSE_RANK and _few_elements(rs, len(chi)):
+    if rs.rank <= _DENSE_RANK and _BRAUER_TERMS_PER_ELEMENT * rs.weyl_order <= len(chi):
         return KElement._raw(_convolve(chi, _weyl_denominator(rs), (0,) * rs.rank))
     return _straighten(rs, chi.items())
 
@@ -259,15 +259,15 @@ def steinberg_delta_multiplicity(rs: RootSystem, chi: Character, lam, p: int) ->
 
     Equals sum_w (-1)^len(w) * chi(p * (w . lam)), the coefficient at lam of
     :func:`frobenius_contract_class`; the product character is never formed.
-    When |W| is small against |chi| (``_few_elements``), that is the
-    coefficient at lam of (contracted chi) * D: sum over the |W| terms delta
-    of D of D(delta) * chi(p * (lam - delta)).  Otherwise the contracted
-    weights are straightened.
+    When chi has at least ``_TERMS_PER_ELEMENT`` terms per element of W,
+    that is the coefficient at lam of (contracted chi) * D: sum over the |W|
+    terms delta of D of D(delta) * chi(p * (lam - delta)).  Otherwise the
+    contracted weights are straightened.
     """
     lam = require_dominant(rs, lam)
     require_p(p, "multiplicity")
     require_w_invariant(rs, chi)
-    if _few_elements(rs, len(chi)):
+    if _TERMS_PER_ELEMENT * rs.weyl_order <= len(chi):
         get = chi._terms.get
         return sum(m * get(tuple([p * (x - d) for x, d in zip(lam, delta)]), 0)
                    for delta, m in _weyl_denominator(rs).items())

@@ -19,6 +19,7 @@ RULE_CONSTANTS = {
     "_DECODE_COST": characters,
     "_DENSE_RANK": characters,
     "_WEYL_CACHE_TERMS": characters,
+    "_BRAUER_TERMS_PER_ELEMENT": grothendieck,
     "_TERMS_PER_ELEMENT": grothendieck,
 }
 
@@ -69,11 +70,12 @@ def test_brauer_tables(calibrate):
     ties = calibrate.brauer_ties(table)
     assert ties.columns == ["type", "swept t/e", "tie t/e", "rule's first product t/e"]
     assert [row[0] for row in ties.rows] == ["A2"] and ties.rows[0][-1] == 10.2
-    chi = weyl_character(a2, (3, 3))
-    calls = calibrate.brauer_traffic({"tiny": [(a2, chi), (a2, chi)]})
+    # 6.2 and 7.7 terms per element of W: one on each side of the rule.
+    chis = [weyl_character(a2, (3, 3)), weyl_character(a2, (2, 5))]
+    calls = calibrate.brauer_traffic({"tiny": [(a2, chi) for chi in chis]})
     assert calls.columns[:6] == ["workload", "type", "t/e", "calls", "rule: product",
                                  "product faster"]
-    assert [row[:5] for row in calls.rows] == [["tiny", "A2", "4-8", 2, 2]]
+    assert [row[:5] for row in calls.rows] == [["tiny", "A2", "4-8", 2, 1]]
 
 
 def test_stmult_table(calibrate):
@@ -113,7 +115,7 @@ def test_cache_replay_on_a_synthetic_trace(calibrate):
     assert calibrate.replay([c, c], 4, True) == (2, 8.0, 1)
     assert calibrate.replay([c, c], 4, False) == (2, 8.0, 0)
     table = calibrate.cache_replay({"tiny": trace}, {"tiny": 5}, budgets=(8,))
-    assert table.columns == ["workload", "policy", "budget terms", "requests", "misses",
+    assert table.columns == ["workload", "policy", "budget terms", "lookups", "misses",
                              "recompute ms", "peak terms"]
     assert [row[1:3] for row in table.rows] == [
         ["doorkeeper", characters._WEYL_CACHE_TERMS], ["lru", 8],
@@ -121,13 +123,18 @@ def test_cache_replay_on_a_synthetic_trace(calibrate):
 
 
 def test_traffic_replays_a_workload_round(calibrate):
-    # The census of one seed-1 highrank-classes round: 59 products, 21 of them
-    # by the mirrored kernel; the replayed doorkeeper counts the cache's misses.
+    # The census of one seed-1 highrank-classes round: 200 cache lookups, 59
+    # of them products, which form 20 products, 7 of them by the mirrored
+    # kernel; the replayed doorkeeper counts the cache's misses.
     log = calibrate.traffic("highrank-classes", 1)
-    assert len(log.convolve) == 59
+    assert len(log.cache) == 200
+    assert sum(len(lookup.factors) > 1 for lookup in log.cache) == 59
+    assert len(log.convolve) == 20
     mirrored = [call for call in log.convolve
                 if calibrate.kernel_call(*call)["route"] == "mirrored"]
-    assert len(mirrored) == 21
-    trace = calibrate.weyl_trace(log.weyl)
-    assert calibrate.replay(trace, characters._WEYL_CACHE_TERMS, True)[0] == log.misses
+    assert len(mirrored) == 7
+    trace = calibrate.weyl_trace(log.cache)
+    assert calibrate.replay(trace, characters._WEYL_CACHE_TERMS, True)[0] == log.misses == 34
     assert log.brauer and not log.stmult
+    requests = calibrate.weyl_requests(log.cache)
+    assert len(requests) == len(set(requests)) and all(len(w) == rs.rank for rs, w in requests)

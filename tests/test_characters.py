@@ -2,6 +2,8 @@
 
 import gc
 import random
+import sys
+import threading
 import tracemalloc
 from collections import OrderedDict
 from fractions import Fraction
@@ -332,7 +334,10 @@ def test_weyl_cache_follows_its_admission_rule_on_random_requests(monkeypatch):
     # Characters of 1 to 37 terms against a budget of 20: some fit together,
     # some evict all others, and (3, 3) on A2 or B2 never fits.  Weyl's
     # formula computes the 32 of A2 and B2; Freudenthal's recursion the 10
-    # of A3 and B3, of 1 to 19 terms.
+    # of A3 and B3, of 1 to 19 terms.  A request of two keys of one root
+    # system asks for both characters, then for their product by tensor,
+    # which the cache keeps under the sorted pair of highest weights by the
+    # same rule.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     budget = 20
@@ -341,29 +346,147 @@ def test_weyl_cache_follows_its_admission_rule_on_random_requests(monkeypatch):
     keys += [(A3, w) for w in ((0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 0, 1),
                                (0, 1, 1), (1, 1, 0))]
     keys += [(B3, w) for w in ((0, 0, 1), (1, 0, 0), (0, 1, 0))]
-    recursion = {key: _by_recursion(key[0]) for key in keys}
-    assert sum(recursion.values()) == 10
+    recursion = {rs: _by_recursion(rs) for rs, _ in keys}
+    assert sum(recursion[rs] for rs, _ in keys) == 10
+    pairs = [(k, m) for k in keys for m in keys if k[0] is m[0]]
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(st.lists(st.sampled_from(keys), max_size=40))
+    @hypothesis.given(st.lists(st.one_of(st.sampled_from(keys), st.sampled_from(pairs)),
+                               max_size=40))
     def check(requests):
         weyl_character.cache_clear()
-        model, hits = OrderedDict(), 0
-        for calls, key in enumerate(requests, 1):
+        model, hits, lookups = OrderedDict(), 0, 0
+
+        def looked_up(key, chi, expected):
+            nonlocal hits, lookups
+            assert chi == expected
+            lookups += 1
             hits += model.get(key) is not None
-            chi = weyl_character(*key)
-            assert chi == weyl_character.__wrapped__(*key)
-            _admit(model, key, len(chi), recursion[key], budget)
+            _admit(model, key, len(chi), recursion[key[0]], budget)
+
+        for request in requests:
+            product = not isinstance(request[0], RootSystem)
+            factors = []
+            for key in request if product else (request,):
+                factors.append(weyl_character(*key))
+                looked_up(key, factors[-1], weyl_character.__wrapped__(*key))
+            if product:
+                (rs, lam), (_, mu) = request
+                expected = tensor(*(weyl_character.__wrapped__(*key) for key in request))
+                looked_up((rs, tuple(sorted((lam, mu)))), tensor(*factors), expected)
             assert _cached_terms() <= budget
             assert list(characters._weyl_cache) == list(model)
             kept = {k for k, v in model.items() if v is not None}
             assert {k for k, v in characters._weyl_cache.items() if v is not None} == kept
-            assert weyl_character.cache_info() == (hits, calls - hits, budget, len(kept))
+            assert weyl_character.cache_info() == (hits, lookups - hits, budget, len(kept))
 
     try:
         check()
     finally:
         weyl_character.cache_clear()
+
+
+F4 = build_root_system("F", 4)
+# Small dominant weights per root system: Weyl's formula on A2, B2 and G2,
+# Freudenthal's recursion on A3 and F4.
+PRODUCT_WEIGHTS = {
+    A2: [(a, b) for a in range(3) for b in range(3)],
+    B2: [(a, b) for a in range(3) for b in range(3)],
+    G2: [(a, b) for a in range(3) for b in range(3)],
+    A3: [(a, b, c) for a in range(2) for b in range(2) for c in range(2)],
+    F4: [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)],
+}
+
+
+@pytest.mark.parametrize("rs", list(PRODUCT_WEIGHTS), ids=repr)
+def test_cached_products_are_the_convolutions_of_their_factors(rs):
+    # Random multisets of 2 or 3 highest weights, multiplied in random
+    # orders from a cold cache, then from a warm one: a rank-2 product is
+    # kept from its second request, a higher-rank one from its first.
+    rng = random.Random(f"products/{rs!r}")
+    uncached = weyl_character.__wrapped__
+    for _ in range(6):
+        lams = [rng.choice(PRODUCT_WEIGHTS[rs]) for _ in range(rng.randint(2, 3))]
+        expected = uncached(rs, lams[0])
+        for lam in lams[1:]:
+            expected = Character._raw(characters._convolve(expected, uncached(rs, lam)), rs)
+        factors = tuple(sorted(lams))
+        weyl_character.cache_clear()
+        for _ in range(3):
+            order = rng.sample(lams, len(lams))
+            chi = weyl_character(rs, order[0])
+            assert chi._factors == (order[0],)
+            for lam in order[1:]:
+                chi = tensor(chi, weyl_character(rs, lam))
+            assert chi == expected and chi._invariant_for is rs and chi._factors == factors
+        stored = characters._weyl_cache[rs, factors]
+        a, b = weyl_character(rs, order[0]), weyl_character(rs, order[1])
+        if len(lams) == 3:
+            b = tensor(b, weyl_character(rs, order[2]))
+        assert tensor(a, b) is tensor(b, a) is stored
+    weyl_character.cache_clear()
+
+
+def test_values_built_outside_the_cache_never_reach_it():
+    # Only what the cache hands out carries _factors; tensor on anything
+    # else, or on cached values of two root systems, neither looks up nor
+    # stores, and the product carries no _factors either.
+    weyl_character.cache_clear()
+    C2 = build_root_system("C", 2)
+    a, b = weyl_character(B2, (1, 0)), weyl_character(B2, (1, 1))
+    other = weyl_character(C2, (1, 0))
+    plain = [weyl_character.__wrapped__(B2, (1, 0)), Character(a.items()),
+             Character.from_dict(a.to_dict()), frobenius_twist(a, 1, 2), a + b, a - b, -a,
+             2 * a, contract_weights(b, 2), class_to_char(B2, char_to_class(B2, b)),
+             euler_characteristic(B2, (-3, 0))]
+    assert all(chi._factors is None for chi in plain)
+    before = list(characters._weyl_cache), weyl_character.cache_info()
+    for x in plain:
+        for y in (x, a, b):
+            assert tensor(x, y)._factors is None and tensor(y, x)._factors is None
+    assert tensor(a, other)._factors is None
+    assert (list(characters._weyl_cache), weyl_character.cache_info()) == before
+    weyl_character.cache_clear()
+
+
+def test_products_asked_for_by_several_threads_keep_the_cache_consistent():
+    # Four threads on two cores ask for the same characters and products at
+    # once, switching every microsecond, so lookups interleave with
+    # computations.  Every result is right, and a lost update would break
+    # the cache's running term count or its lookup counts.
+    keys = [(A3, (1, 0, 0)), (A3, (0, 1, 0)), (A3, (0, 0, 1)), (A2, (1, 1)), (A2, (2, 0))]
+    pairs = [(k, m) for k in keys for m in keys if k[0] is m[0]]
+    expected = {pair: tensor(*(weyl_character.__wrapped__(*key) for key in pair))
+                for pair in pairs}
+    rounds, errors = 200, []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(rounds):
+                pair = rng.choice(pairs)
+                if tensor(*(weyl_character(*key) for key in pair)) != expected[pair]:
+                    errors.append(pair)
+        except Exception as exc:  # reported below, from the test's thread
+            errors.append(exc)
+
+    weyl_character.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    info = weyl_character.cache_info()
+    assert info.hits + info.misses == 4 * rounds * 3
+    assert _cached_terms() <= 2**15
+    weyl_character.cache_clear()
 
 
 def test_mixed_ranks_are_rejected():

@@ -169,6 +169,11 @@ def _random_character(rng, rank) -> Character:
     return Character(terms)
 
 
+# Weyl characters that carry no ``_factors``: tensor forms their products on
+# every call, so a test that counts the kernel paths of tensor sees each.
+_uncached = weyl_character.__wrapped__
+
+
 def _convolution_agrees(a, b) -> Character:
     prod = tensor(a, b)
     assert dict(prod.items()) == oracles.convolve_naive(a, b)
@@ -261,7 +266,7 @@ def _both_paths_agree(a, b, kernel_calls):
                          ids=repr)
 def test_kronecker_kernel_on_dense_products(rs, kernel_calls):
     for lam, mu in (((3, 3), (3, 3)), ((4, 2), (2, 4)), ((3, 3), (4, 4))):
-        a, b = weyl_character(rs, lam), weyl_character(rs, mu)
+        a, b = _uncached(rs, lam), _uncached(rs, mu)
         prod, kernel = _both_paths_agree(a, b, kernel_calls)
         assert kernel and prod._invariant_for is rs
         # Signed, with cancellation: a - 2b against b.
@@ -319,7 +324,7 @@ def test_mirrored_kernel_on_types_with_negation_in_w(series, rank, kernel_paths)
     # take the pair loop, so each type is checked to have mirrored some.
     rs = build_root_system(series, rank)
     assert rs.negation_in_w
-    a, b = weyl_character(rs, _fundamental(rs, 0)), weyl_character(rs, _fundamental(rs, rank - 1))
+    a, b = _uncached(rs, _fundamental(rs, 0)), _uncached(rs, _fundamental(rs, rank - 1))
     twisted = frobenius_twist(a, 1, 2)
     cases = [(a, b), (a - 2 * b, b), (tensor(a, b), a), (3 * a - b, twisted)]
     if rank <= 4 and series != "F":
@@ -345,7 +350,7 @@ def test_mirrored_kernel_needs_negation_in_w(series, rank, kernel_paths, monkeyp
     rs = build_root_system(series, rank)
     assert not rs.negation_in_w
     monkeypatch.setattr(characters, "_PAIR_COST", 10**9)
-    a, b = weyl_character(rs, _fundamental(rs, 0)), weyl_character(rs, _fundamental(rs, 1))
+    a, b = _uncached(rs, _fundamental(rs, 0)), _uncached(rs, _fundamental(rs, 1))
     for x, y in ((a, a), (a, b), (a - 2 * b, b)):
         assert _convolution_agrees(x, y)._invariant_for is rs
     assert len(kernel_paths) == 6
@@ -353,20 +358,20 @@ def test_mirrored_kernel_needs_negation_in_w(series, rank, kernel_paths, monkeyp
     # The same forcing on a type with -1 in W mirrors.
     b5 = build_root_system("B", 5)
     del kernel_paths[:]
-    _convolution_agrees(weyl_character(b5, (1, 0, 0, 0, 0)), weyl_character(b5, (0, 0, 0, 0, 1)))
+    _convolution_agrees(_uncached(b5, (1, 0, 0, 0, 0)), _uncached(b5, (0, 0, 0, 0, 1)))
     assert [path for _, path, _ in kernel_paths] == ["mirrored"] * 2
 
 
 def test_mirrored_kernel_needs_both_tags_and_no_floor(kernel_paths):
     b2, c2 = build_root_system("B", 2), build_root_system("C", 2)
-    a, b = weyl_character(b2, (3, 3)), weyl_character(b2, (4, 2))
+    a, b = _uncached(b2, (3, 3)), _uncached(b2, (4, 2))
     del kernel_paths[:]
     _convolution_agrees(a, b)
     assert kernel_paths == [(True, "mirrored", 2)] * 2
     # An untagged factor, or factors tagged for two root systems (B2 and C2
     # share coordinates), take the full path.
     for x, y in ((Character(a.items()), b), (a, Character(b.items())),
-                 (a, weyl_character(c2, (4, 2)))):
+                 (a, _uncached(c2, (4, 2)))):
         del kernel_paths[:]
         _convolution_agrees(x, y)
         assert kernel_paths == [(False, "full", 2)] * 2
@@ -682,6 +687,7 @@ def test_denominator_route_matches_straightening_and_peeling(
     assert expected["signed"].coeff(zero) < 0
     # On rank <= 2 every input now takes the product with the Weyl
     # denominator; on rank 3 none does, and the product itself is checked.
+    monkeypatch.setattr(grothendieck, "_BRAUER_TERMS_PER_ELEMENT", 0)
     monkeypatch.setattr(grothendieck, "_TERMS_PER_ELEMENT", 0)
     d = grothendieck._weyl_denominator(rs)
     product = rank <= 2
@@ -721,6 +727,33 @@ def test_rank_two_steinberg_products_take_the_denominator_route(
         assert expansion == char_to_class_by_peeling(rs, chi)
         for lam in set(expected.support()) | {(0, 0), (2, 2)}:
             assert steinberg_delta_multiplicity(rs, chi, lam, p) == expected.coeff(lam)
+
+
+def test_brauer_and_steinberg_multiplicities_switch_at_their_own_densities(
+        denominator_products, monkeypatch):
+    # On A2 (|W| = 6), Delta(3, 3) has 37 terms (6.2 per element of W) and
+    # Delta(1, 6) 42 (7.0).  Class expansion takes the product with the
+    # Weyl denominator from 7 per element, Steinberg multiplicities read
+    # |W| lookups from 4, so only Delta(3, 3) splits the two.
+    rs = build_root_system("A", 2)
+    assert (grothendieck._BRAUER_TERMS_PER_ELEMENT, grothendieck._TERMS_PER_ELEMENT) == (7, 4)
+    straightened = []
+    real = grothendieck._straighten
+
+    def spy(rs, items):
+        straightened.append(rs)
+        return real(rs, items)
+
+    monkeypatch.setattr(grothendieck, "_straighten", spy)
+    for lam, product in (((3, 3), False), ((1, 6), True)):
+        chi = weyl_character(rs, lam)
+        del denominator_products[:], straightened[:]
+        assert char_to_class(rs, chi) == char_to_class_by_peeling(rs, chi)
+        assert bool(denominator_products) is product and bool(straightened) is not product
+        del straightened[:]
+        assert steinberg_delta_multiplicity(rs, chi, (0, 0), 2) == (
+            real(rs, contract_weights(chi, 2).items()).coeff((0, 0)))
+        assert not straightened
 
 
 @pytest.mark.parametrize("series,rank,pairs", [

@@ -11,13 +11,14 @@ derives:
    round of each library workload, forced both ways, and a random sweep;
 2. Brauer's formula by one product with the Weyl denominator against
    straightening, in ``grothendieck._brauer`` (``_DENSE_RANK``,
-   ``_TERMS_PER_ELEMENT``), by rank and terms per element of W (t/e);
+   ``_BRAUER_TERMS_PER_ELEMENT``), by rank and terms per element of W (t/e);
 3. Steinberg multiplicities by |W| lookups against contraction and
    straightening (``_TERMS_PER_ELEMENT``);
 4. Weyl's character formula against Freudenthal's recursion
    (``_DENSE_RANK``), and what each costs per term to compute again;
 5. the ``weyl_character`` cache (``_WEYL_CACHE_TERMS`` and its doorkeeper)
-   against plain LRU caches, replayed on each workload's requests.
+   against plain LRU caches, replayed on each workload's lookups: Weyl
+   characters and the products of them that ``tensor`` looks up.
 
 The workloads' traffic is replayed from ``bench/workloads.py`` (imported,
 never changed), as ``bench/worker.py`` runs a round: set-up and warm-up,
@@ -57,6 +58,7 @@ CONSTANTS = (
     (characters, "_DECODE_COST"),
     (characters, "_DENSE_RANK"),
     (characters, "_WEYL_CACHE_TERMS"),
+    (grothendieck, "_BRAUER_TERMS_PER_ELEMENT"),
     (grothendieck, "_TERMS_PER_ELEMENT"),
 )
 
@@ -163,22 +165,27 @@ def _type(rs) -> str:
 
 # Traffic: one round of a library workload, as the benchmark's worker runs it.
 
-Traffic = namedtuple("Traffic", "convolve brauer weyl stmult misses")
+Traffic = namedtuple("Traffic", "convolve brauer cache stmult misses")
+
+# A lookup in the ``weyl_character`` cache: its key is (rs, factors), and
+# compute(*args) is what a miss computes.
+Lookup = namedtuple("Lookup", "rs factors compute args")
 
 
 def traffic(workload: str, seed: int) -> Traffic:
     """The library calls of one round of a workload, from a cold ``weyl_character`` cache.
 
     Records every ``_convolve`` call (a, b, floor), every ``_brauer`` call
-    (rs, chi), every ``weyl_character`` request (rs, highest) and every
-    ``steinberg_delta_multiplicity`` call (rs, chi, lam, p) of set-up and
-    of the operations, not of their checks; ``misses`` is the cache's own
-    count at the end.
+    (rs, chi), every lookup in the ``weyl_character`` cache (a ``Lookup``:
+    a ``weyl_character`` request, or a product that ``tensor`` looks up)
+    and every ``steinberg_delta_multiplicity`` call (rs, chi, lam, p) of
+    set-up and of the operations, not of their checks; ``misses`` is the
+    cache's own count at the end.
     """
     log = Traffic([], [], [], [], None)
     weyl = S.weyl_character
     convolve, brauer = characters._convolve, grothendieck._brauer
-    stmult = grothendieck.steinberg_delta_multiplicity
+    cached, stmult = characters._cached, grothendieck.steinberg_delta_multiplicity
 
     def convolve_spy(a, b, floor=None):
         log.convolve.append((a, b, floor))
@@ -188,15 +195,15 @@ def traffic(workload: str, seed: int) -> Traffic:
         log.brauer.append((rs, chi))
         return brauer(rs, chi)
 
-    def weyl_spy(rs, highest):
-        log.weyl.append((rs, tuple(highest)))
-        return weyl(rs, highest)
+    def cached_spy(rs, factors, compute, *args):
+        log.cache.append(Lookup(rs, factors, compute, args))
+        return cached(rs, factors, compute, *args)
 
     def stmult_spy(rs, chi, lam, p):
         log.stmult.append((rs, chi, lam, p))
         return stmult(rs, chi, lam, p)
 
-    spies = ((convolve, convolve_spy), (brauer, brauer_spy), (weyl, weyl_spy),
+    spies = ((convolve, convolve_spy), (brauer, brauer_spy), (cached, cached_spy),
              (stmult, stmult_spy))
 
     def recording():
@@ -384,7 +391,7 @@ def brauer_route(inputs) -> Table:
          "rule takes"],
         rows,
         ["t/e: terms of chi per element of W; the rule takes the product when "
-         "rank <= _DENSE_RANK and t/e >= _TERMS_PER_ELEMENT"])
+         "rank <= _DENSE_RANK and t/e >= _BRAUER_TERMS_PER_ELEMENT"])
 
 
 def _brauer_times(rs, chi):
@@ -483,7 +490,7 @@ def stmult_routes(calls_by_seed: dict) -> Table:
         ["seed", "calls", "rule: straighten", "lookups ms", "straighten ms", "rule ms",
          "straighten faster", "at t/e"],
         rows,
-        ["the rule takes lookups when t/e >= _TERMS_PER_ELEMENT, the constant of section 2"])
+        ["the rule takes lookups when t/e >= _TERMS_PER_ELEMENT"])
 
 
 # 4. Weyl's formula against Freudenthal's recursion.
@@ -542,7 +549,7 @@ def recompute_cost(formula_inputs, recursion_inputs) -> Table:
 def replay(trace, budget: int, doorkeeper: bool):
     """(misses, recompute seconds, peak terms held) of a cache policy on a request trace.
 
-    ``trace`` lists (key, terms, rank, seconds), one per request.  The cache
+    ``trace`` lists (key, terms, rank, seconds), one per lookup.  The cache
     holds at most ``budget`` terms, drops least recently used entries first,
     and never keeps a character of more than ``budget`` terms.  Under the
     doorkeeper a first miss of rank <= ``_DENSE_RANK`` stores a ghost,
@@ -573,14 +580,22 @@ def replay(trace, budget: int, doorkeeper: bool):
     return misses, spent, peak
 
 
-def weyl_trace(requests) -> list:
-    """(key, terms, rank, seconds) per ``weyl_character`` request, each key computed and timed once."""
+def weyl_trace(lookups) -> list:
+    """(key, terms, rank, seconds) per ``Lookup``, each key computed and timed once.
+
+    A Weyl character is timed as its route computes it, a product as the
+    convolution of the two values ``tensor`` first looked it up with.
+    """
     cost = {}
-    for key in requests:
-        if key not in cost:
-            terms = len(characters._weyl_character(*key))
-            cost[key] = terms, best(lambda: characters._weyl_character(*key))
-    return [(key, cost[key][0], key[0].rank, cost[key][1]) for key in requests]
+    for rs, factors, compute, args in lookups:
+        if (rs, factors) not in cost:
+            cost[rs, factors] = len(compute(*args)), best(lambda: compute(*args))
+    return [((rs, f), cost[rs, f][0], rs.rank, cost[rs, f][1]) for rs, f, _, _ in lookups]
+
+
+def weyl_requests(lookups) -> list:
+    """The distinct (rs, highest) of the lookups of single Weyl characters, first seen first."""
+    return list(dict.fromkeys((rs, f[0]) for rs, f, _, _ in lookups if len(f) == 1))
 
 
 def cache_replay(traces: dict, library_misses: dict, budgets=(1 << 12, 1 << 13, 1 << 14)) -> Table:
@@ -594,8 +609,8 @@ def cache_replay(traces: dict, library_misses: dict, budgets=(1 << 12, 1 << 13, 
             rows.append([workload, name, budget, len(trace), misses, _ms(spent), peak])
         notes.append(f"{workload}: the library's own cache counted {library_misses[workload]} "
                      "misses")
-    return Table("5. weyl_character cache replayed on each workload's requests",
-                 ["workload", "policy", "budget terms", "requests", "misses", "recompute ms",
+    return Table("5. weyl_character cache replayed on each workload's lookups",
+                 ["workload", "policy", "budget terms", "lookups", "misses", "recompute ms",
                   "peak terms"], rows, notes)
 
 
@@ -648,10 +663,10 @@ def main(argv) -> int:
     # The formula on the 12 largest characters of the rank-2 round (targets
     # Delta(p . lam) of the twist identity), the recursion on every nonzero
     # weight of the high-rank round.
-    largest = sorted(dict.fromkeys(rank2[1].weyl), key=lambda k: -len(S.weyl_character(*k)))
-    recursion = [(rs, highest) for rs, highest in dict.fromkeys(highrank.weyl) if any(highest)]
+    largest = sorted(weyl_requests(rank2[1].cache), key=lambda k: -len(S.weyl_character(*k)))
+    recursion = [(rs, highest) for rs, highest in weyl_requests(highrank.cache) if any(highest)]
     print(render(recompute_cost(largest[:12], recursion)))
-    print(render(cache_replay({w: weyl_trace(t.weyl) for w, t in seed1.items()},
+    print(render(cache_replay({w: weyl_trace(t.cache) for w, t in seed1.items()},
                               {w: t.misses for w, t in seed1.items()})))
     print(f"total {perf_counter() - start:.0f} s")
     return 0
