@@ -205,8 +205,11 @@ class Character(_Sparse):
     ``weyl_character`` cache hands out: the sorted highest weights whose
     Weyl characters, over the tagged root system, multiply to the value.
     ``weyl_character`` sets (lam,) and ``tensor`` of two such values the
-    union of theirs; every other value has None, so ``tensor`` convolves it
-    every time.
+    union of theirs; every other value has None.  Two readers trust it:
+    ``tensor`` looks the product of two such values up in the cache, and
+    ``grothendieck.char_to_class`` expands a value of two or more factors
+    over them by Brauer-Klimyk, without reading its terms.  A value with
+    None is convolved and straightened in full every time.
     """
 
     __slots__ = ("_invariant_for", "_factors")

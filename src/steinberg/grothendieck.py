@@ -4,7 +4,8 @@ A :class:`KElement` is a finitely supported integer combination of classes
 of Weyl modules, indexed by their dominant highest weights; it shares its
 representation and arithmetic with :class:`Character`.  Characters
 convert to classes by Brauer's formula (with an independent highest-weight
-peeling route), and back by summing Weyl characters.  On top of the change
+peeling route), products of cached Weyl characters by Brauer-Klimyk over
+their factors, and back by summing Weyl characters.  On top of the change
 of basis sit the Steinberg-block operations: the dot-scaling equivalence
 and its inverse, Steinberg multiplicities of a tensor product and Frobenius
 contraction (both Brauer's formula on the contracted weights), and
@@ -15,7 +16,7 @@ operation enumerates the Weyl group.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from .characters import (
     _DENSE_RANK,
@@ -23,8 +24,10 @@ from .characters import (
     _add_into,
     _convolve,
     _Sparse,
+    _weyl_dimension,
     contract_weights,
     require_w_invariant,
+    tensor,
     weyl_character,
 )
 from .errors import DomainError
@@ -150,8 +153,25 @@ def char_to_class(rs: RootSystem, chi: Character) -> KElement:
     straightened to sgn(w) * [Delta(w . nu)] with w . nu dominant, or to 0 when
     nu + rho is singular.  The coefficient at lam is therefore the
     alternating orbit sum sum_w (-1)^len(w) * chi(w . lam) (``_brauer``).
+
+    A product of two or more Weyl characters from the ``weyl_character``
+    cache (its ``_factors``, over rs) is expanded over its factors instead,
+    by Brauer-Klimyk: with top the factor of largest Weyl dimension and N
+    the product of the others, [Delta(top) tensor N] straightens top + nu
+    with coefficient N(nu) (``_klimyk``), so the product's own terms are
+    never read.  Every other value, a single Weyl character included, goes
+    through ``_brauer``.
     """
     require_w_invariant(rs, chi)
+    factors = getattr(chi, "_factors", None)
+    if factors and len(factors) > 1 and chi._invariant_for is rs:
+        rest = list(factors)
+        top = max(rest, key=lambda lam: _weyl_dimension(rs, lam))
+        rest.remove(top)
+        n = weyl_character(rs, rest[0])
+        for lam in rest[1:]:
+            n = tensor(n, weyl_character(rs, lam))
+        return _klimyk(rs, top, n)
     return _brauer(rs, chi)
 
 
@@ -199,18 +219,24 @@ def class_to_char(rs: RootSystem, element: KElement) -> Character:
     return Character._raw(out, rs)
 
 
+def _klimyk(rs: RootSystem, mu, chi: Character) -> KElement:
+    """Brauer-Klimyk: [Delta(mu) tensor M] for dominant mu and W-invariant chi = ch M.
+
+    Straightens the weights mu + nu with coefficients chi(nu).  The
+    coefficient at lam is sum_w (-1)^len(w) * chi(w . lam - mu).
+    """
+    return _straighten(rs, ((tuple(map(add, w, mu)), m) for w, m in chi.items()))
+
+
 def tensor_delta_expansion(rs: RootSystem, mu, chi: Character) -> KElement:
     """Weyl-basis expansion of (Weyl module at mu) tensor (module with character chi).
 
-    Brauer-Klimyk: straighten the weights mu + nu with coefficients chi(nu).
-    The coefficient at lam is sum_w (-1)^len(w) * chi(w . lam - mu), which
-    agrees with expanding the convolution product directly.
+    Brauer-Klimyk (``_klimyk``), which agrees with expanding the convolution
+    product directly.
     """
     mu = require_dominant(rs, mu)
     require_w_invariant(rs, chi)
-    return _straighten(
-        rs, ((tuple(x + y for x, y in zip(w, mu)), m) for w, m in chi.items())
-    )
+    return _klimyk(rs, mu, chi)
 
 
 def _require_support_in_lattice(rs, element: KElement, lattice: Lattice) -> None:

@@ -52,21 +52,46 @@ def dominant_box(rank, bound):
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    """200 random products of up to three Weyl characters per type."""
+def corpus_factors():
+    """The highest weights of 200 random products of up to three Weyl characters per type."""
     out = {}
     for key, rs in SYSTEMS.items():
         rng = random.Random(f"corpus-{key}")
         max_coord = 2 if key == ("G", 2) else 3
+        out[key] = [[tuple(rng.randint(0, max_coord) for _ in range(rs.rank))
+                     for _ in range(rng.randint(1, 3))] for _ in range(200)]
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus(corpus_factors):
+    """The corpus products, each convolved onto the user-built unit character.
+
+    They carry no invariance tag and no cached factors, so every class
+    route reads their terms.
+    """
+    out = {}
+    for key, rs in SYSTEMS.items():
         chars = []
-        for _ in range(200):
+        for lams in corpus_factors[key]:
             chi = Character({(0,) * rs.rank: 1})
-            for _ in range(rng.randint(1, 3)):
-                lam = tuple(rng.randint(0, max_coord) for _ in range(rs.rank))
+            for lam in lams:
                 chi = tensor(chi, weyl_character(rs, lam))
             chars.append(chi)
         out[key] = chars
     return out
+
+
+def cached_product(rs, lams):
+    """The product of the Weyl characters at lams, as the weyl_character cache hands it out.
+
+    With two or more factors, char_to_class expands it over them by
+    Brauer-Klimyk instead of reading its terms.
+    """
+    chi = weyl_character(rs, lams[0])
+    for lam in lams[1:]:
+        chi = tensor(chi, weyl_character(rs, lam))
+    return chi
 
 
 def test_criterion_1_steinberg_twist_identity_sweep():
@@ -107,23 +132,28 @@ def test_criterion_2_euler_level_extension():
     print(f"\nACCEPTANCE 2 PASS: Euler-level twist identity on {checked} non-dominant weights")
 
 
-def test_criterion_3_dual_expansion_agreement(corpus):
+def test_criterion_3_dual_expansion_agreement(corpus, corpus_factors):
     checked = 0
     for key, rs in SYSTEMS.items():
-        for chi in corpus[key]:
-            assert char_to_class(rs, chi) == char_to_class_by_peeling(rs, chi), key
+        for chi, lams in zip(corpus[key], corpus_factors[key]):
+            expected = char_to_class_by_peeling(rs, chi)
+            assert char_to_class(rs, chi) == expected, key
+            cached = cached_product(rs, lams)
+            assert cached == chi and char_to_class(rs, cached) == expected, (key, lams)
             checked += 1
     print(f"\nACCEPTANCE 3 PASS: alternating-sum and peeling expansions agree on {checked} products")
 
 
-def test_criterion_4_steinberg_multiplicity_cross_check(corpus):
+def test_criterion_4_steinberg_multiplicity_cross_check(corpus, corpus_factors):
     checked = 0
     for key, rs in SYSTEMS.items():
         zero = (0,) * rs.rank
         for p in PRIMES:
             st = steinberg_character(rs, p)
-            for chi in corpus[key]:
+            for chi, lams in zip(corpus[key], corpus_factors[key]):
                 expansion = char_to_class(rs, tensor(st, chi))
+                assert char_to_class(rs, tensor(st, cached_product(rs, lams))) == expansion, (
+                    key, p, lams)
                 candidates = {zero, (1,) * rs.rank}
                 for nu in expansion.support():
                     if all((x - p + 1) % p == 0 for x in nu):

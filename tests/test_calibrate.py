@@ -11,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from steinberg import Character, build_root_system, characters, grothendieck, weyl_character
+from steinberg import (
+    Character,
+    build_root_system,
+    characters,
+    grothendieck,
+    tensor,
+    weyl_character,
+)
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "calibrate.py"
 RULE_CONSTANTS = {
@@ -78,6 +85,20 @@ def test_brauer_tables(calibrate):
     assert [row[:5] for row in calls.rows] == [["tiny", "A2", "4-8", 2, 1]]
 
 
+def test_klimyk_table(calibrate):
+    a2, g2 = build_root_system("A", 2), build_root_system("G", 2)
+    pair = tensor(weyl_character(a2, (1, 0)), weyl_character(a2, (0, 1)))
+    triple = tensor(pair, weyl_character(a2, (1, 1)))
+    g2_pair = tensor(weyl_character(g2, (1, 0)), weyl_character(g2, (0, 1)))
+    table = calibrate.klimyk_traffic({"tiny": [(a2, pair), (a2, triple), (g2, g2_pair)]})
+    assert table.columns == ["workload", "type", "factors", "calls", "klimyk faster",
+                             "klimyk ms", "brauer ms", "rule - best ms"]
+    assert [row[:4] for row in table.rows] == [["tiny", "A2", 2, 1], ["tiny", "A2", 3, 1],
+                                               ["tiny", "G2", 2, 1]]
+    copy = calibrate.unfactored(triple)
+    assert copy == triple and copy._invariant_for is a2 and copy._factors is None
+
+
 def test_stmult_table(calibrate):
     a2 = build_root_system("A", 2)
     small, large = weyl_character(a2, (1, 0)), weyl_character(a2, (4, 4))
@@ -123,11 +144,13 @@ def test_cache_replay_on_a_synthetic_trace(calibrate):
 
 
 def test_traffic_replays_a_workload_round(calibrate):
-    # The census of one seed-1 highrank-classes round: 200 cache lookups, 59
+    # The census of one seed-1 highrank-classes round: 220 cache lookups, 59
     # of them products, which form 20 products, 7 of them by the mirrored
-    # kernel; the replayed doorkeeper counts the cache's misses.
+    # kernel; each of the 20 products is expanded by char_to_class, whose
+    # Brauer-Klimyk route looks up one more Weyl character for it; the
+    # replayed doorkeeper counts the cache's misses.
     log = calibrate.traffic("highrank-classes", 1)
-    assert len(log.cache) == 200
+    assert len(log.cache) == 220
     assert sum(len(lookup.factors) > 1 for lookup in log.cache) == 59
     assert len(log.convolve) == 20
     mirrored = [call for call in log.convolve
@@ -135,6 +158,7 @@ def test_traffic_replays_a_workload_round(calibrate):
     assert len(mirrored) == 7
     trace = calibrate.weyl_trace(log.cache)
     assert calibrate.replay(trace, characters._WEYL_CACHE_TERMS, True)[0] == log.misses == 34
+    assert len(log.klimyk) == 20 and all(len(chi._factors) == 2 for _, chi in log.klimyk)
     assert log.brauer and not log.stmult
     requests = calibrate.weyl_requests(log.cache)
     assert len(requests) == len(set(requests)) and all(len(w) == rs.rank for rs, w in requests)

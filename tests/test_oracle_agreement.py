@@ -6,7 +6,9 @@ convolves on packed integer keys.  The oracles sum over, or search, the
 whole Weyl group, which only ``oracles.weyl_group`` lists, count whole
 orbits, or convolve on tuple keys, instead.  Class expansions read off one product with the Weyl denominator
 are checked against straightening and peeling, and the denominator against
-the product of 1 - e^-alpha over the positive roots.  Weyl characters from
+the product of 1 - e^-alpha over the positive roots.  Cached products of
+Weyl characters, which ``char_to_class`` expands over their factors, are
+checked against the same routes on copies without factors.  Weyl characters from
 Weyl's character formula are checked against the partition-function formula
 and Freudenthal's recursion, with the route each input takes.  The last
 tests check that the package defines no enumeration API, and that every
@@ -15,8 +17,10 @@ name the benchmark looks up in it resolves.
 
 import array
 import ast
+import collections
 import importlib
 import io
+import itertools
 import json
 import math
 import pkgutil
@@ -70,6 +74,14 @@ def _fundamental_of(rank, i):
     return tuple(1 if j == i else 0 for j in range(rank))
 
 
+def _unfactored(chi):
+    """A copy of chi that keeps its root-system tag and has no ``_factors``.
+
+    ``char_to_class`` sends such a copy to ``_brauer``.
+    """
+    return Character._raw(dict(chi.items()), chi._invariant_for)
+
+
 def _linked_image(rng, rs, group, lam, p):
     """w . lam + p * beta for a random w in W and beta in the root lattice."""
     w, _ = rng.choice(group)
@@ -88,7 +100,8 @@ def test_class_routes_match_alternating_sums(series, rank):
     small = weyl_character(rs, first)
     chi = small if len(group) > LARGE_ORDER else tensor(small, weyl_character(rs, last))
 
-    assert char_to_class(rs, chi) == KElement(oracles.alternating_expansion(rs, group, chi))
+    expected = KElement(oracles.alternating_expansion(rs, group, chi))
+    assert char_to_class(rs, chi) == char_to_class(rs, _unfactored(chi)) == expected
     assert tensor_delta_expansion(rs, last, small) == KElement(
         oracles.alternating_expansion(rs, group, small, mu=last)
     )
@@ -646,7 +659,9 @@ def _brauer_inputs(rs):
     zero, rho = (0,) * rank, (1,) * rank
     first, last = _fundamental(rs, 0), _fundamental(rs, rank - 1)
     st = steinberg_character(rs, 3)
-    product = tensor(weyl_character(rs, first), weyl_character(rs, last))
+    # Without its factors, so that char_to_class sends it (and every
+    # product with it) to _brauer.
+    product = _unfactored(tensor(weyl_character(rs, first), weyl_character(rs, last)))
     # The highest root theta has the zero weight in its module with
     # multiplicity m > 0, so Delta(theta) - m * Delta(0) has a class
     # coefficient -m at 0, a dominant weight outside its support.
@@ -715,7 +730,8 @@ def test_rank_two_steinberg_products_take_the_denominator_route(
         series, monkeypatch, denominator_products):
     rs = build_root_system(series, 2)
     d = grothendieck._weyl_denominator(rs)
-    chis = [tensor(steinberg_character(rs, p), weyl_character(rs, (1, 1))) for p in (5, 7)]
+    chis = [_unfactored(tensor(steinberg_character(rs, p), weyl_character(rs, (1, 1))))
+            for p in (5, 7)]
     contracted = [grothendieck._straighten(rs, contract_weights(chi, p).items())
                   for chi, p in zip(chis, (5, 7))]
     # From here on no route may straighten term by term.
@@ -727,6 +743,82 @@ def test_rank_two_steinberg_products_take_the_denominator_route(
         assert expansion == char_to_class_by_peeling(rs, chi)
         for lam in set(expected.support()) | {(0, 0), (2, 2)}:
             assert steinberg_delta_multiplicity(rs, chi, lam, p) == expected.coeff(lam)
+
+
+def test_cached_products_expand_over_their_factors_and_nothing_else_does(monkeypatch):
+    # Products of 2 to 4 cached Weyl characters at dominant weights of size
+    # <= 2, on random types among the 22, whose dimensions multiply to at
+    # most 20000: char_to_class expands each by Brauer-Klimyk over its
+    # factors, and must agree with _brauer on a copy without _factors and
+    # with peeling.  A single Weyl character and every value built another
+    # way (uncached, user input, twists, negations, sums) reach _brauer.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    budget = 20000
+    weights = {}
+    for key in TYPES:
+        rs = build_root_system(*key)
+        small = [w for w in itertools.product(range(3), repeat=rs.rank) if sum(w) <= 2]
+        weights[rs] = sorted(small, key=lambda w: (characters._weyl_dimension(rs, w), w))
+    routes = []
+
+    def spy(name, real):
+        def route(*args):
+            routes.append(name)
+            return real(*args)
+        return route
+
+    monkeypatch.setattr(grothendieck, "_klimyk", spy("klimyk", grothendieck._klimyk))
+    monkeypatch.setattr(grothendieck, "_brauer", spy("brauer", grothendieck._brauer))
+    reached = collections.Counter()
+
+    def expand(rs, chi, branch):
+        # char_to_class of chi, which must take exactly the route of branch.
+        del routes[:]
+        out = char_to_class(rs, chi)
+        assert routes == [branch[0]], branch
+        reached[branch] += 1
+        return out
+
+    @st.composite
+    def products(draw):
+        rs = draw(st.sampled_from(list(weights)))
+        lams, left = [], budget
+        for _ in range(draw(st.integers(2, 4))):
+            lam = draw(st.sampled_from([w for w in weights[rs]
+                                        if characters._weyl_dimension(rs, w) <= left]))
+            lams.append(lam)
+            left //= characters._weyl_dimension(rs, lam)
+        return rs, lams
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(products(), st.sampled_from((2, 3)))
+    def check(case, p):
+        rs, lams = case
+        chi = weyl_character(rs, lams[0])
+        for lam in lams[1:]:
+            chi = tensor(chi, weyl_character(rs, lam))
+        assert chi._factors == tuple(sorted(lams))
+        copy = _unfactored(chi)
+        expected = expand(rs, copy, ("brauer", "product without factors"))
+        assert expand(rs, chi, ("klimyk", f"{len(lams)} factors")) == expected
+        assert char_to_class_by_peeling(rs, copy) == expected
+        single = weyl_character(rs, lams[-1])
+        assert expand(rs, single, ("brauer", "Weyl character")) == expand(
+            rs, weyl_character.__wrapped__(rs, lams[-1]), ("brauer", "__wrapped__"))
+        assert expand(rs, Character(chi.items()), ("brauer", "Character(...)")) == expected
+        assert expand(rs, -chi, ("brauer", "negation")) == -expected
+        assert expand(rs, chi + single, ("brauer", "sum")) == expected + expand(
+            rs, single, ("brauer", "Weyl character"))
+        expand(rs, frobenius_twist(chi, 1, p), ("brauer", "twist"))
+
+    check()
+    print("\nchar_to_class routes reached: " + ", ".join(
+        f"{route} ({kind}) {n}" for (route, kind), n in sorted(reached.items())))
+    branches = [("klimyk", f"{n} factors") for n in (2, 3, 4)] + [
+        ("brauer", kind) for kind in ("product without factors", "Weyl character", "__wrapped__",
+                                      "Character(...)", "negation", "sum", "twist")]
+    assert [branch for branch in branches if not reached[branch]] == []
 
 
 def test_brauer_and_steinberg_multiplicities_switch_at_their_own_densities(
@@ -772,7 +864,8 @@ def test_large_groups_keep_straightening(series, rank, pairs, monkeypatch):
     rs = build_root_system(series, rank)
     for i, j in pairs:
         chi = tensor(weyl_character(rs, _fundamental(rs, i)), weyl_character(rs, _fundamental(rs, j)))
-        assert char_to_class(rs, chi) == grothendieck._straighten(rs, chi.items())
+        expected = grothendieck._straighten(rs, chi.items())
+        assert char_to_class(rs, chi) == char_to_class(rs, _unfactored(chi)) == expected
         for p in (2, 3):
             frobenius_contract_class(rs, chi, p)
             steinberg_delta_multiplicity(rs, chi, (0,) * rank, p)

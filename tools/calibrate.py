@@ -11,7 +11,9 @@ derives:
    round of each library workload, forced both ways, and a random sweep;
 2. Brauer's formula by one product with the Weyl denominator against
    straightening, in ``grothendieck._brauer`` (``_DENSE_RANK``,
-   ``_BRAUER_TERMS_PER_ELEMENT``), by rank and terms per element of W (t/e);
+   ``_BRAUER_TERMS_PER_ELEMENT``), by rank and terms per element of W (t/e),
+   and ``char_to_class`` on cached products of Weyl characters, by
+   Brauer-Klimyk over their factors against ``_brauer`` (no constant);
 3. Steinberg multiplicities by |W| lookups against contraction and
    straightening (``_TERMS_PER_ELEMENT``);
 4. Weyl's character formula against Freudenthal's recursion
@@ -165,7 +167,7 @@ def _type(rs) -> str:
 
 # Traffic: one round of a library workload, as the benchmark's worker runs it.
 
-Traffic = namedtuple("Traffic", "convolve brauer cache stmult misses")
+Traffic = namedtuple("Traffic", "convolve brauer klimyk cache stmult misses")
 
 # A lookup in the ``weyl_character`` cache: its key is (rs, factors), and
 # compute(*args) is what a miss computes.
@@ -176,16 +178,19 @@ def traffic(workload: str, seed: int) -> Traffic:
     """The library calls of one round of a workload, from a cold ``weyl_character`` cache.
 
     Records every ``_convolve`` call (a, b, floor), every ``_brauer`` call
-    (rs, chi), every lookup in the ``weyl_character`` cache (a ``Lookup``:
-    a ``weyl_character`` request, or a product that ``tensor`` looks up)
-    and every ``steinberg_delta_multiplicity`` call (rs, chi, lam, p) of
-    set-up and of the operations, not of their checks; ``misses`` is the
-    cache's own count at the end.
+    (rs, chi), every ``char_to_class`` call (rs, chi) on a product of two
+    or more cached Weyl characters (``klimyk``), every lookup in the
+    ``weyl_character`` cache (a ``Lookup``: a ``weyl_character`` request,
+    or a product that ``tensor`` looks up) and every
+    ``steinberg_delta_multiplicity`` call (rs, chi, lam, p) of set-up and of
+    the operations, not of their checks; ``misses`` is the cache's own
+    count at the end.
     """
-    log = Traffic([], [], [], [], None)
+    log = Traffic([], [], [], [], [], None)
     weyl = S.weyl_character
     convolve, brauer = characters._convolve, grothendieck._brauer
     cached, stmult = characters._cached, grothendieck.steinberg_delta_multiplicity
+    to_class = grothendieck.char_to_class
 
     def convolve_spy(a, b, floor=None):
         log.convolve.append((a, b, floor))
@@ -195,6 +200,11 @@ def traffic(workload: str, seed: int) -> Traffic:
         log.brauer.append((rs, chi))
         return brauer(rs, chi)
 
+    def to_class_spy(rs, chi):
+        if _factor_count(chi) > 1:
+            log.klimyk.append((rs, chi))
+        return to_class(rs, chi)
+
     def cached_spy(rs, factors, compute, *args):
         log.cache.append(Lookup(rs, factors, compute, args))
         return cached(rs, factors, compute, *args)
@@ -203,8 +213,8 @@ def traffic(workload: str, seed: int) -> Traffic:
         log.stmult.append((rs, chi, lam, p))
         return stmult(rs, chi, lam, p)
 
-    spies = ((convolve, convolve_spy), (brauer, brauer_spy), (cached, cached_spy),
-             (stmult, stmult_spy))
+    spies = ((convolve, convolve_spy), (brauer, brauer_spy), (to_class, to_class_spy),
+             (cached, cached_spy), (stmult, stmult_spy))
 
     def recording():
         stack = ExitStack()
@@ -451,6 +461,52 @@ def brauer_traffic(calls_by_workload: dict) -> Table:
         rows, [])
 
 
+def _factor_count(chi) -> int:
+    # How many cached Weyl characters multiply to chi; 0 for any other value.
+    return len(getattr(chi, "_factors", None) or ())
+
+
+def unfactored(chi):
+    """A copy of chi that keeps its root-system tag and has no ``_factors``.
+
+    ``char_to_class`` sends such a copy to ``_brauer``.
+    """
+    return S.Character._raw(dict(chi.items()), chi._invariant_for)
+
+
+def _klimyk_times(rs, chi):
+    copy = unfactored(chi)
+    if S.char_to_class(rs, chi) != grothendieck._brauer(rs, copy):
+        raise RuntimeError(f"{_type(rs)}: Brauer-Klimyk and Brauer's formula disagree")
+    return (best(lambda: S.char_to_class(rs, chi)),
+            best(lambda: grothendieck._brauer(rs, copy)))
+
+
+def klimyk_traffic(calls_by_workload: dict) -> Table:
+    """Section 2d: the workloads' ``char_to_class`` calls on cached products, by type and factors.
+
+    The rule expands each by Brauer-Klimyk over its factors; it is timed
+    through ``char_to_class`` itself, so the lookups of the other factors'
+    product count, against ``_brauer`` on a copy without ``_factors``.
+    """
+    rows = []
+    for workload, calls in calls_by_workload.items():
+        records = sorted(((_type(rs), _factor_count(chi)), *_klimyk_times(rs, chi))
+                         for rs, chi in calls)
+        for (name, count), group in groupby(records, key=lambda r: r[0]):
+            group = list(group)
+            rule = sum(r[1] for r in group)
+            fastest = sum(min(r[1], r[2]) for r in group)
+            rows.append([workload, name, count, len(group), sum(r[1] < r[2] for r in group),
+                         _ms(rule), _ms(sum(r[2] for r in group)), _ms(rule - fastest)])
+    return Table(
+        "2d. Cached products in char_to_class: Brauer-Klimyk over their factors against _brauer",
+        ["workload", "type", "factors", "calls", "klimyk faster", "klimyk ms", "brauer ms",
+         "rule - best ms"],
+        rows,
+        ["the rule takes Brauer-Klimyk on every product of two or more cached Weyl characters"])
+
+
 # 3. Steinberg multiplicities: |W| lookups against contraction and straightening.
 
 def stmult_routes(calls_by_seed: dict) -> Table:
@@ -658,6 +714,7 @@ def main(argv) -> int:
     print(render(sweep))
     print(render(brauer_ties(sweep)))
     print(render(brauer_traffic({w: t.brauer for w, t in seed1.items()})))
+    print(render(klimyk_traffic({w: t.klimyk for w, t in seed1.items()})))
     print(render(stmult_routes({seed: t.stmult for seed, t in rank2.items()})))
     print(render(weyl_routes(_inputs(WEYL_INPUTS))))
     # The formula on the 12 largest characters of the rank-2 round (targets
