@@ -210,9 +210,16 @@ class Character(_Sparse):
     ``grothendieck.char_to_class`` expands a value of two or more factors
     over them by Brauer-Klimyk, without reading its terms.  A value with
     None is convolved and straightened in full every time.
+
+    A product that the cache will not keep (``tensor``) is handed out
+    unformed: its ``_terms`` slot is empty and the private slot
+    ``_pending`` holds the two values ``tensor`` was given.  The first read
+    of ``_terms`` forms it (``__getattr__``), and such a value is never
+    cached.  Every other value leaves ``_pending`` empty.  Equality, repr,
+    JSON, pickling and copying read the terms, so they see a formed value.
     """
 
-    __slots__ = ("_invariant_for", "_factors")
+    __slots__ = ("_invariant_for", "_factors", "_pending")
     _FIELDS = ("weights", "mult")
     _NOUN = "character"
 
@@ -226,6 +233,33 @@ class Character(_Sparse):
         self._invariant_for = rs
         self._factors = None
         return self
+
+    @classmethod
+    def _unformed(cls, rs, factors: tuple, a, b):
+        # The product of a and b, with its tag and factors, formed on first read.
+        self = cls.__new__(cls)
+        self._pending = a, b
+        self._invariant_for = rs
+        self._factors = factors
+        return self
+
+    def __getattr__(self, name):
+        # Reached only when a slot is empty.  The pair is cleared after the
+        # terms are stored, so a thread that finds it cleared reads the
+        # terms another thread formed meanwhile; two threads that both find
+        # it form equal terms, so no lock is needed.
+        if name != "_terms":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        pending = self._pending
+        if pending is not None:
+            self._terms = _convolve(*pending)
+            self._pending = None
+        return object.__getattribute__(self, "_terms")
+
+    def __getstate__(self):
+        # Pickling and copying form an unformed product and drop its pair.
+        return None, {"_terms": self._terms, "_invariant_for": self._invariant_for,
+                      "_factors": self._factors}
 
     def _result(self, terms: dict, other=None):
         tag = self._invariant_for if other is None else _shared_tag(self, other)
@@ -312,10 +346,13 @@ def weyl_character(rs: RootSystem, highest) -> Character:
     which costs more per term to compute again, is kept from its first
     miss.  Either is kept only if it fits the budget, and each store drops
     the least recently used entries, ghosts or characters, until the total
-    fits.  Finding a ghost is a miss, finding a character a hit.
-    ``cache_info`` (its hits and misses count product lookups too;
-    ``currsize`` counts characters and products, not ghosts; ``maxsize`` is
-    the term budget) and ``cache_clear`` are the cache's, and
+    fits.  Finding a ghost is a miss, finding a character a hit.  A
+    product that would not be kept, the first request of one of rank up to
+    ``_DENSE_RANK``, is handed out unformed (see ``Character``), so a
+    product that nothing reads is never convolved.  ``cache_info`` (its
+    hits and misses count product lookups too; ``currsize`` counts
+    characters and products, not ghosts; ``maxsize`` is the term budget)
+    and ``cache_clear`` are the cache's, and
     ``__wrapped__`` is the uncached computation, as for
     ``functools.lru_cache``; its values carry no ``_factors``, so ``tensor``
     never looks their products up.  Lookups and updates hold one lock, the
@@ -333,6 +370,9 @@ def _cached(rs: RootSystem, factors: tuple, compute, *args) -> Character:
 
     Its key is (rs, highest) for one factor and (rs, factors) for more, so
     the two shapes never collide; the value it returns carries ``factors``.
+    A first request for a product of rank up to ``_DENSE_RANK``, which
+    leaves a ghost, returns it unformed over args, the two values ``tensor``
+    was given.
     """
     global _weyl_hits, _weyl_misses, _weyl_terms, _weyl_ghosts
     key = (rs, factors[0] if len(factors) == 1 else factors)
@@ -349,6 +389,10 @@ def _cached(rs: RootSystem, factors: tuple, compute, *args) -> Character:
                 _weyl_hits += 1
                 return found
         _weyl_misses += 1
+    if found is _ABSENT and len(factors) > 1 and rs.rank <= _DENSE_RANK:
+        # The doorkeeper keeps a ghost only, so the product is not formed
+        # until it is read.
+        return Character._unformed(rs, factors, *args)
     chi = compute(*args)
     chi._factors = factors
     if (found is None or rs.rank > _DENSE_RANK) and len(chi) <= _WEYL_CACHE_TERMS:
@@ -561,8 +605,12 @@ def tensor(a: Character, b: Character) -> Character:
     cache's entry under the sorted union of their highest weights: looked
     up, computed on a miss and kept by the cache's rules, and it carries the
     union in turn.  So a product of the same Weyl characters, in any order
-    or grouping, is formed once while the cache holds it.  Every other
-    product is formed on each call.
+    or grouping, is formed once while the cache holds it.  A miss the cache
+    will not keep, the first request of a product of rank up to
+    ``_DENSE_RANK``, returns the product unformed: its terms are convolved on
+    their first read, so ``grothendieck.char_to_class``, which expands it
+    over its factors, never forms it.  Every other product is formed on
+    each call.
     """
     if a._factors and b._factors and a._invariant_for is b._invariant_for:
         return _cached(a._invariant_for, tuple(sorted(a._factors + b._factors)), _product, a, b)

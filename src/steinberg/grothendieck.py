@@ -159,8 +159,9 @@ def char_to_class(rs: RootSystem, chi: Character) -> KElement:
     by Brauer-Klimyk: with top the factor of largest Weyl dimension and N
     the product of the others, [Delta(top) tensor N] straightens top + nu
     with coefficient N(nu) (``_klimyk``), so the product's own terms are
-    never read.  Every other value, a single Weyl character included, goes
-    through ``_brauer``.
+    never read: a product that ``tensor`` handed out unformed stays so.
+    Every other value, a single Weyl character included, goes through
+    ``_brauer``.
     """
     require_w_invariant(rs, chi)
     factors = getattr(chi, "_factors", None)

@@ -90,11 +90,14 @@ def test_klimyk_table(calibrate):
     pair = tensor(weyl_character(a2, (1, 0)), weyl_character(a2, (0, 1)))
     triple = tensor(pair, weyl_character(a2, (1, 1)))
     g2_pair = tensor(weyl_character(g2, (1, 0)), weyl_character(g2, (0, 1)))
-    table = calibrate.klimyk_traffic({"tiny": [(a2, pair), (a2, triple), (g2, g2_pair)]})
-    assert table.columns == ["workload", "type", "factors", "calls", "klimyk faster",
-                             "klimyk ms", "brauer ms", "rule - best ms"]
-    assert [row[:4] for row in table.rows] == [["tiny", "A2", 2, 1], ["tiny", "A2", 3, 1],
-                                               ["tiny", "G2", 2, 1]]
+    # The G2 pair is timed as char_to_class got it: unformed, so _brauer
+    # forms it first.
+    unformed = (g2, g2_pair, (weyl_character(g2, (1, 0)), weyl_character(g2, (0, 1))))
+    table = calibrate.klimyk_traffic({"tiny": [(a2, pair, None), (a2, triple, None), unformed]})
+    assert table.columns == ["workload", "type", "factors", "calls", "unformed",
+                             "klimyk faster", "klimyk ms", "brauer ms", "rule - best ms"]
+    assert [row[:5] for row in table.rows] == [["tiny", "A2", 2, 1, 0], ["tiny", "A2", 3, 1, 0],
+                                               ["tiny", "G2", 2, 1, 1]]
     copy = calibrate.unfactored(triple)
     assert copy == triple and copy._invariant_for is a2 and copy._factors is None
 
@@ -124,7 +127,7 @@ def test_weyl_tables(calibrate):
 
 def test_cache_replay_on_a_synthetic_trace(calibrate):
     # Keys a, b of rank 2 (3 and 4 terms), c of rank 3 (5 terms); budget 8.
-    a, b, c = ("a", 3, 2, 1.0), ("b", 4, 2, 2.0), ("c", 5, 3, 4.0)
+    a, b, c = ("a", 3, 2, 1.0, True), ("b", 4, 2, 2.0, True), ("c", 5, 3, 4.0, True)
     trace = [a, b, a, c, a, b]
     # Doorkeeper: ghosts a, b (2 terms); a stored (4); c stored at once, the
     # ghost of b dropped (8); a hit; b a ghost again, c dropped (4).
@@ -135,6 +138,11 @@ def test_cache_replay_on_a_synthetic_trace(calibrate):
     # A character over the budget is never stored; the doorkeeper keeps its ghost.
     assert calibrate.replay([c, c], 4, True) == (2, 8.0, 1)
     assert calibrate.replay([c, c], 4, False) == (2, 8.0, 0)
+    # A value its operation never formed costs nothing while the policy
+    # leaves it a ghost, and its time once a policy stores it.
+    lazy = ("d", 3, 2, 1.0, False)
+    assert calibrate.replay([lazy, lazy], 8, True) == (2, 1.0, 3)
+    assert calibrate.replay([lazy], 8, False) == (1, 1.0, 3)
     table = calibrate.cache_replay({"tiny": trace}, {"tiny": 5}, budgets=(8,))
     assert table.columns == ["workload", "policy", "budget terms", "lookups", "misses",
                              "recompute ms", "peak terms"]
@@ -148,7 +156,8 @@ def test_traffic_replays_a_workload_round(calibrate):
     # of them products, which form 20 products, 7 of them by the mirrored
     # kernel; each of the 20 products is expanded by char_to_class, whose
     # Brauer-Klimyk route looks up one more Weyl character for it; the
-    # replayed doorkeeper counts the cache's misses.
+    # replayed doorkeeper counts the cache's misses.  Every value is formed:
+    # rank >= 3 products are kept from their first request.
     log = calibrate.traffic("highrank-classes", 1)
     assert len(log.cache) == 220
     assert sum(len(lookup.factors) > 1 for lookup in log.cache) == 59
@@ -158,7 +167,30 @@ def test_traffic_replays_a_workload_round(calibrate):
     assert len(mirrored) == 7
     trace = calibrate.weyl_trace(log.cache)
     assert calibrate.replay(trace, characters._WEYL_CACHE_TERMS, True)[0] == log.misses == 34
-    assert len(log.klimyk) == 20 and all(len(chi._factors) == 2 for _, chi in log.klimyk)
+    assert len(log.klimyk) == 20
+    assert all(len(chi._factors) == 2 and pending is None for _, chi, pending in log.klimyk)
+    assert all(lookup.formed for lookup in log.cache)
     assert log.brauer and not log.stmult
     requests = calibrate.weyl_requests(log.cache)
     assert len(requests) == len(set(requests)) and all(len(w) == rs.rank for rs, w in requests)
+
+
+def test_traffic_marks_the_products_its_operations_never_formed(calibrate):
+    # The census of one seed-1 rank2-steinberg round: 1592 cache lookups,
+    # 384 of them products, 102 of those first requests that no operation
+    # read, so the round runs 301 convolutions, not 403.  Of the 120
+    # products char_to_class expands over their factors, 90 come unformed.
+    # Each unformed lookup is the first request of its key, which leaves a
+    # ghost.
+    log = calibrate.traffic("rank2-steinberg", 1)
+    assert len(log.cache) == 1592 and log.misses == 469
+    assert sum(len(lookup.factors) > 1 for lookup in log.cache) == 384
+    unformed = [lookup for lookup in log.cache if not lookup.formed]
+    assert len(unformed) == 102 and all(len(lookup.factors) > 1 for lookup in unformed)
+    assert len(log.convolve) == 301
+    assert len(log.klimyk) == 120 and sum(pending is not None for *_, pending in log.klimyk) == 90
+    seen = set()
+    for lookup in log.cache:
+        key = lookup.rs, lookup.factors
+        assert lookup.formed or key not in seen
+        seen.add(key)

@@ -1,6 +1,8 @@
 """Character arithmetic: Weyl characters, products, twists, contractions."""
 
+import copy
 import gc
+import pickle
 import random
 import sys
 import threading
@@ -486,6 +488,92 @@ def test_products_asked_for_by_several_threads_keep_the_cache_consistent():
     info = weyl_character.cache_info()
     assert info.hits + info.misses == 4 * rounds * 3
     assert _cached_terms() <= 2**15
+    weyl_character.cache_clear()
+
+
+def _unformed_product(rs, lam, mu):
+    # A first request of the product of two Weyl characters of rank <= 2,
+    # from a cold cache: handed out with empty terms.
+    weyl_character.cache_clear()
+    chi = tensor(weyl_character(rs, lam), weyl_character(rs, mu))
+    assert chi._pending is not None and chi._factors == tuple(sorted((lam, mu)))
+    return chi
+
+
+def _formed(chi) -> bool:
+    return getattr(chi, "_pending", None) is None
+
+
+def test_unformed_products_pickle_and_copy_as_formed_values():
+    # Pickle and copy read the terms, so they give formed values, equal to
+    # the product, with its tag and factors and no pending pair.
+    for rs in RANK2:
+        expected = tensor(weyl_character.__wrapped__(rs, (1, 0)),
+                          weyl_character.__wrapped__(rs, (0, 1)))
+        for clone in (lambda chi: pickle.loads(pickle.dumps(chi)), copy.deepcopy, copy.copy):
+            chi = _unformed_product(rs, (1, 0), (0, 1))
+            twin = clone(chi)
+            assert _formed(twin) and _formed(chi)
+            assert twin == expected == chi
+            assert twin._invariant_for is rs and twin._factors == chi._factors
+    weyl_character.cache_clear()
+
+
+def test_unformed_products_read_like_formed_ones():
+    # Each reader gives on a fresh unformed product what it gives on a
+    # formed copy with the same tag and factors.
+    readers = {
+        "==": lambda chi, other: chi == other and other == chi,
+        "repr": lambda chi, other: repr(chi),
+        "len": lambda chi, other: len(chi),
+        "bool": lambda chi, other: bool(chi),
+        "to_dict": lambda chi, other: chi.to_dict(),
+        "dim": lambda chi, other: chi.dim(),
+        "require_w_invariant": lambda chi, other: require_w_invariant(chi._invariant_for, chi),
+    }
+    for rs in RANK2:
+        formed = _unformed_product(rs, (1, 1), (2, 0))
+        len(formed)
+        for name, read in readers.items():
+            chi = _unformed_product(rs, (1, 1), (2, 0))
+            assert read(chi, formed) == read(formed, formed), (rs, name)
+            assert _formed(chi) == (name != "require_w_invariant"), (rs, name)
+    weyl_character.cache_clear()
+
+
+def test_unformed_products_read_by_several_threads_at_once():
+    # Four threads read one unformed product at once, switching every
+    # microsecond, so one may find the terms empty after another has formed
+    # them and cleared the pending pair.  Every reader sees the whole product.
+    rs = G2
+    expected = tensor(weyl_character.__wrapped__(rs, (2, 1)),
+                      weyl_character.__wrapped__(rs, (1, 2)))
+    errors = []
+
+    def read(chi, barrier):
+        try:
+            barrier.wait()
+            if len(chi) != len(expected) or chi != expected:
+                errors.append(dict(chi.items()))
+        except Exception as exc:  # reported below, from the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            chi = _unformed_product(rs, (2, 1), (1, 2))
+            barrier = threading.Barrier(4, timeout=60)
+            threads = [threading.Thread(target=read, args=(chi, barrier)) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert _formed(chi)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
     weyl_character.cache_clear()
 
 

@@ -821,6 +821,99 @@ def test_cached_products_expand_over_their_factors_and_nothing_else_does(monkeyp
     assert [branch for branch in branches if not reached[branch]] == []
 
 
+def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
+    # Products of 2 to 4 cached Weyl characters, drawn as in the test above,
+    # from a cold cache.  Up to rank 2 the first request leaves a ghost, so
+    # the product comes unformed: char_to_class expands it without forming
+    # it, its first read forms it once by one convolution of the pair tensor
+    # was given and touches no cache state, and a second request is formed
+    # and kept.  A product of rank >= 3 is formed and kept on its first
+    # request.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    budget = 20000
+    weights = {}
+    for key in TYPES:
+        rs = build_root_system(*key)
+        small = [w for w in itertools.product(range(3), repeat=rs.rank) if sum(w) <= 2]
+        weights[rs] = sorted(small, key=lambda w: (characters._weyl_dimension(rs, w), w))
+    convolved = []
+    real = characters._convolve
+
+    def spy(a, b, floor=None):
+        convolved.append((a, b))
+        return real(a, b, floor)
+
+    monkeypatch.setattr(characters, "_convolve", spy)
+    monkeypatch.setattr(grothendieck, "_convolve", spy)
+    reached = collections.Counter()
+    uncached = weyl_character.__wrapped__
+
+    def formed(chi):
+        return getattr(chi, "_pending", None) is None
+
+    def request(rs, lams):
+        chi = weyl_character(rs, lams[0])
+        for lam in lams[1:]:
+            chi = tensor(chi, weyl_character(rs, lam))
+        return chi
+
+    @st.composite
+    def products(draw):
+        rs = draw(st.sampled_from(list(weights)))
+        lams, left = [], budget
+        for _ in range(draw(st.integers(2, 4))):
+            lam = draw(st.sampled_from([w for w in weights[rs]
+                                        if characters._weyl_dimension(rs, w) <= left]))
+            lams.append(lam)
+            left //= characters._weyl_dimension(rs, lam)
+        return rs, lams
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(products())
+    def check(case):
+        rs, lams = case
+        key = (rs, tuple(sorted(lams)))
+        expected = uncached(rs, lams[0])
+        for lam in lams[1:]:
+            expected = Character._raw(real(expected, uncached(rs, lam)), rs)
+        weyl_character.cache_clear()
+        chi = request(rs, lams)
+        if rs.rank > characters._DENSE_RANK:
+            assert formed(chi) and characters._weyl_cache[key] is chi and chi == expected
+            reached["rank >= 3: formed and kept at once"] += 1
+            return
+        pair = chi._pending
+        assert pair is not None and characters._weyl_cache[key] is None
+        del convolved[:]
+        expansion = char_to_class(rs, chi)
+        assert not formed(chi)
+        assert not any(a is pair[0] and b is pair[1] for a, b in convolved)
+        state = list(characters._weyl_cache), weyl_character.cache_info()
+        del convolved[:]
+        assert chi == expected and formed(chi)
+        assert sum(a is pair[0] and b is pair[1] for a, b in convolved) == 1
+        del convolved[:]
+        assert len(chi) == len(expected) and not convolved
+        assert (list(characters._weyl_cache), weyl_character.cache_info()) == state
+        copy = _unfactored(chi)
+        assert expansion == grothendieck._brauer(rs, copy) == char_to_class_by_peeling(rs, copy)
+        reached[f"rank <= 2: {len(lams)} factors unformed"] += 1
+        again = request(rs, lams)
+        assert formed(again) and characters._weyl_cache[key] is again and again == expected
+        reached["rank <= 2: second request formed and kept"] += 1
+
+    try:
+        check()
+    finally:
+        weyl_character.cache_clear()
+    print("\nproduct branches reached: " + ", ".join(
+        f"{branch} {n}" for branch, n in sorted(reached.items())))
+    branches = [f"rank <= 2: {n} factors unformed" for n in (2, 3, 4)] + [
+        "rank <= 2: second request formed and kept", "rank >= 3: formed and kept at once"]
+    assert [branch for branch in branches if not reached[branch]] == []
+
+
 def test_brauer_and_steinberg_multiplicities_switch_at_their_own_densities(
         denominator_products, monkeypatch):
     # On A2 (|W| = 6), Delta(3, 3) has 37 terms (6.2 per element of W) and

@@ -20,7 +20,8 @@ derives:
    (``_DENSE_RANK``), and what each costs per term to compute again;
 5. the ``weyl_character`` cache (``_WEYL_CACHE_TERMS`` and its doorkeeper)
    against plain LRU caches, replayed on each workload's lookups: Weyl
-   characters and the products of them that ``tensor`` looks up.
+   characters and the products of them that ``tensor`` looks up, a miss
+   charged only when its value is formed.
 
 The workloads' traffic is replayed from ``bench/workloads.py`` (imported,
 never changed), as ``bench/worker.py`` runs a round: set-up and warm-up,
@@ -169,17 +170,26 @@ def _type(rs) -> str:
 
 Traffic = namedtuple("Traffic", "convolve brauer klimyk cache stmult misses")
 
-# A lookup in the ``weyl_character`` cache: its key is (rs, factors), and
-# compute(*args) is what a miss computes.
-Lookup = namedtuple("Lookup", "rs factors compute args")
+# A lookup in the ``weyl_character`` cache: its key is (rs, factors),
+# compute(*args) is what a miss computes, and formed is whether the value it
+# returned was formed by the end of its operation (a product handed out
+# unformed and never read is not).
+Lookup = namedtuple("Lookup", "rs factors compute args formed")
+
+
+def _pending(chi):
+    # The pair an unformed product is formed from, or None once chi has its
+    # terms; reading the slot never forms them.
+    return getattr(chi, "_pending", None)
 
 
 def traffic(workload: str, seed: int) -> Traffic:
     """The library calls of one round of a workload, from a cold ``weyl_character`` cache.
 
     Records every ``_convolve`` call (a, b, floor), every ``_brauer`` call
-    (rs, chi), every ``char_to_class`` call (rs, chi) on a product of two
-    or more cached Weyl characters (``klimyk``), every lookup in the
+    (rs, chi), every ``char_to_class`` call (rs, chi, pending) on a product
+    of two or more cached Weyl characters (``klimyk``; pending is the pair
+    an unformed product would be formed from, or None), every lookup in the
     ``weyl_character`` cache (a ``Lookup``: a ``weyl_character`` request,
     or a product that ``tensor`` looks up) and every
     ``steinberg_delta_multiplicity`` call (rs, chi, lam, p) of set-up and of
@@ -187,6 +197,7 @@ def traffic(workload: str, seed: int) -> Traffic:
     count at the end.
     """
     log = Traffic([], [], [], [], [], None)
+    returned = []  # ((rs, factors, compute, args), value) per lookup of the operation
     weyl = S.weyl_character
     convolve, brauer = characters._convolve, grothendieck._brauer
     cached, stmult = characters._cached, grothendieck.steinberg_delta_multiplicity
@@ -202,12 +213,13 @@ def traffic(workload: str, seed: int) -> Traffic:
 
     def to_class_spy(rs, chi):
         if _factor_count(chi) > 1:
-            log.klimyk.append((rs, chi))
+            log.klimyk.append((rs, chi, _pending(chi)))
         return to_class(rs, chi)
 
     def cached_spy(rs, factors, compute, *args):
-        log.cache.append(Lookup(rs, factors, compute, args))
-        return cached(rs, factors, compute, *args)
+        value = cached(rs, factors, compute, *args)
+        returned.append(((rs, factors, compute, args), value))
+        return value
 
     def stmult_spy(rs, chi, lam, p):
         log.stmult.append((rs, chi, lam, p))
@@ -216,11 +228,14 @@ def traffic(workload: str, seed: int) -> Traffic:
     spies = ((convolve, convolve_spy), (brauer, brauer_spy), (to_class, to_class_spy),
              (cached, cached_spy), (stmult, stmult_spy))
 
+    @contextmanager
     def recording():
-        stack = ExitStack()
-        for target, spy in spies:
-            stack.enter_context(rebound(target, spy))
-        return stack
+        with ExitStack() as stack:
+            for target, spy in spies:
+                stack.enter_context(rebound(target, spy))
+            yield
+        log.cache.extend(Lookup(*fields, _pending(value) is None) for fields, value in returned)
+        returned.clear()
 
     weyl.cache_clear()
     built = workloads.systems(S, workload)
@@ -474,37 +489,47 @@ def unfactored(chi):
     return S.Character._raw(dict(chi.items()), chi._invariant_for)
 
 
-def _klimyk_times(rs, chi):
+def _klimyk_times(rs, chi, pending):
     copy = unfactored(chi)
     if S.char_to_class(rs, chi) != grothendieck._brauer(rs, copy):
         raise RuntimeError(f"{_type(rs)}: Brauer-Klimyk and Brauer's formula disagree")
-    return (best(lambda: S.char_to_class(rs, chi)),
-            best(lambda: grothendieck._brauer(rs, copy)))
+
+    def brauer():
+        # _brauer, after forming the product if char_to_class got it unformed.
+        if pending is None:
+            return grothendieck._brauer(rs, copy)
+        return grothendieck._brauer(rs, S.Character._raw(characters._convolve(*pending), rs))
+
+    return best(lambda: S.char_to_class(rs, chi)), best(brauer)
 
 
 def klimyk_traffic(calls_by_workload: dict) -> Table:
     """Section 2d: the workloads' ``char_to_class`` calls on cached products, by type and factors.
 
-    The rule expands each by Brauer-Klimyk over its factors; it is timed
-    through ``char_to_class`` itself, so the lookups of the other factors'
-    product count, against ``_brauer`` on a copy without ``_factors``.
+    ``calls`` are (rs, chi, pending), as ``traffic`` records them.  The rule
+    expands each by Brauer-Klimyk over its factors; it is timed through
+    ``char_to_class`` itself, so the lookups of the other factors' product
+    count, against ``_brauer`` on a copy without ``_factors``, plus forming
+    the product when ``char_to_class`` got it unformed (pending is not None).
     """
     rows = []
     for workload, calls in calls_by_workload.items():
-        records = sorted(((_type(rs), _factor_count(chi)), *_klimyk_times(rs, chi))
-                         for rs, chi in calls)
+        records = sorted(((_type(rs), _factor_count(chi)), *_klimyk_times(rs, chi, pending),
+                          pending is not None) for rs, chi, pending in calls)
         for (name, count), group in groupby(records, key=lambda r: r[0]):
             group = list(group)
             rule = sum(r[1] for r in group)
             fastest = sum(min(r[1], r[2]) for r in group)
-            rows.append([workload, name, count, len(group), sum(r[1] < r[2] for r in group),
-                         _ms(rule), _ms(sum(r[2] for r in group)), _ms(rule - fastest)])
+            rows.append([workload, name, count, len(group), sum(r[3] for r in group),
+                         sum(r[1] < r[2] for r in group), _ms(rule),
+                         _ms(sum(r[2] for r in group)), _ms(rule - fastest)])
     return Table(
         "2d. Cached products in char_to_class: Brauer-Klimyk over their factors against _brauer",
-        ["workload", "type", "factors", "calls", "klimyk faster", "klimyk ms", "brauer ms",
-         "rule - best ms"],
+        ["workload", "type", "factors", "calls", "unformed", "klimyk faster", "klimyk ms",
+         "brauer ms", "rule - best ms"],
         rows,
-        ["the rule takes Brauer-Klimyk on every product of two or more cached Weyl characters"])
+        ["the rule takes Brauer-Klimyk on every product of two or more cached Weyl characters",
+         "unformed: calls that got the product unformed; their brauer ms includes forming it"])
 
 
 # 3. Steinberg multiplicities: |W| lookups against contraction and straightening.
@@ -605,24 +630,28 @@ def recompute_cost(formula_inputs, recursion_inputs) -> Table:
 def replay(trace, budget: int, doorkeeper: bool):
     """(misses, recompute seconds, peak terms held) of a cache policy on a request trace.
 
-    ``trace`` lists (key, terms, rank, seconds), one per lookup.  The cache
-    holds at most ``budget`` terms, drops least recently used entries first,
-    and never keeps a character of more than ``budget`` terms.  Under the
-    doorkeeper a first miss of rank <= ``_DENSE_RANK`` stores a ghost,
-    counted as one term, and a miss on a ghost stores the character; a
-    plain LRU stores every miss.
+    ``trace`` lists (key, terms, rank, seconds, formed), one per lookup.
+    The cache holds at most ``budget`` terms, drops least recently used
+    entries first, and never keeps a character of more than ``budget``
+    terms.  Under the doorkeeper a first miss of rank <= ``_DENSE_RANK``
+    stores a ghost, counted as one term, and a miss on a ghost stores the
+    character; a plain LRU stores every miss.  A miss costs its seconds
+    when its operation formed the value or the policy stores it, so a
+    product handed out unformed and left as a ghost costs nothing.
     """
     cache, held, peak, misses, spent = OrderedDict(), 0, 0, 0, 0.0
-    for key, terms, rank, seconds in trace:
+    for key, terms, rank, seconds, formed in trace:
         found = cache.get(key, KeyError)
         if found is not KeyError:
             cache.move_to_end(key)
             if found is not None:
                 continue
         misses += 1
-        spent += seconds
         admit = not doorkeeper or found is None or rank > characters._DENSE_RANK
-        if terms <= budget and admit:
+        stored = terms <= budget and admit
+        if formed or stored:
+            spent += seconds
+        if stored:
             if found is None:
                 held -= 1
             cache[key] = terms
@@ -637,21 +666,22 @@ def replay(trace, budget: int, doorkeeper: bool):
 
 
 def weyl_trace(lookups) -> list:
-    """(key, terms, rank, seconds) per ``Lookup``, each key computed and timed once.
+    """(key, terms, rank, seconds, formed) per ``Lookup``, each key computed and timed once.
 
     A Weyl character is timed as its route computes it, a product as the
     convolution of the two values ``tensor`` first looked it up with.
     """
     cost = {}
-    for rs, factors, compute, args in lookups:
+    for rs, factors, compute, args, _ in lookups:
         if (rs, factors) not in cost:
             cost[rs, factors] = len(compute(*args)), best(lambda: compute(*args))
-    return [((rs, f), cost[rs, f][0], rs.rank, cost[rs, f][1]) for rs, f, _, _ in lookups]
+    return [((rs, f), cost[rs, f][0], rs.rank, cost[rs, f][1], formed)
+            for rs, f, _, _, formed in lookups]
 
 
 def weyl_requests(lookups) -> list:
     """The distinct (rs, highest) of the lookups of single Weyl characters, first seen first."""
-    return list(dict.fromkeys((rs, f[0]) for rs, f, _, _ in lookups if len(f) == 1))
+    return list(dict.fromkeys((rs, f[0]) for rs, f, *_ in lookups if len(f) == 1))
 
 
 def cache_replay(traces: dict, library_misses: dict, budgets=(1 << 12, 1 << 13, 1 << 14)) -> Table:
