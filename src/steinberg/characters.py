@@ -19,14 +19,13 @@ from _thread import allocate_lock
 from collections import OrderedDict
 from functools import _CacheInfo  # the record lru_cache's cache_info returns
 from itertools import repeat
-from operator import add, floordiv, ge, mod, mul, sub
+from operator import add, floordiv, mod, mul
 
 from .errors import DomainError
 from .kronecker import (
     _SLOT_WIDTHS,
     _kronecker,
     _packed,
-    _reaching,
     _read_slots,
     _slot_int,
     _slot_width,
@@ -311,10 +310,10 @@ def _dominant_weights_below(rs: RootSystem, highest):
     return gaps
 
 
-# The largest rank on which the routes that pay for a box, not for the terms
-# in it, are taken: Weyl's formula in ``weyl_character`` and the product with
-# the Weyl denominator in ``grothendieck._brauer``.  Derived by sections 2
-# and 4 of tools/calibrate.py.
+# The largest rank on which ``weyl_character`` takes Weyl's formula, which
+# pays for a box, not for the terms in it, and on which the cache's
+# doorkeeper holds back a first request.  Derived by section 4 of
+# tools/calibrate.py; section 5 replays the doorkeeper.
 _DENSE_RANK = 2
 
 # The term budget of the ``weyl_character`` cache, about 3 MB; section 5 of
@@ -622,16 +621,11 @@ def _product(a: Character, b: Character) -> Character:
     return Character._raw(_convolve(a, b), a._invariant_for)
 
 
-def _convolve(a: Character, b: Character, floor=None) -> dict:
-    """The terms of ``tensor(a, b)``; with ``floor``, only those at weights >= floor.
+def _convolve(a: Character, b: Character) -> dict:
+    """The terms of ``tensor(a, b)``.
 
     A factor is held as its support's coordinate columns and its values, and
-    its keys are packed a column at a time (``_packed``).  With ``floor``,
-    only terms that can reach it are packed: a product term u + v >= floor
-    needs v >= floor - max(a) in every coordinate, where max(a) is taken
-    per coordinate over a's support, and likewise u >= floor - max(b); the
-    other terms of each factor are dropped first (``_reaching``), and the
-    factor of fewer terms is picked after that.
+    its keys are packed a column at a time (``_packed``).
 
     With a the factor of fewer terms, the Kronecker kernel (``_kronecker``)
     runs when the bound sum|a| * max|b| on a coefficient fits a slot of
@@ -639,9 +633,9 @@ def _convolve(a: Character, b: Character, floor=None) -> dict:
     a plus a decode, costs no more than the pair loop, one dict update per
     pair: width * slots * (|a| + _DECODE_COST) <= _PAIR_COST * |a| * |b|.
     So the kernel's memory is O(|b|).  It sums half the box when both
-    factors carry the tag of one root system with -1 in W and no floor is
-    asked.  Otherwise the pair loop adds each of the |a|*|b| products into a
-    dict, drops sums that cancel, and decodes the keys a column at a time.
+    factors carry the tag of one root system with -1 in W.  Otherwise the
+    pair loop adds each of the |a|*|b| products into a dict, drops sums
+    that cancel, and decodes the keys a column at a time.
     """
     if not a or not b:
         return {}
@@ -649,12 +643,6 @@ def _convolve(a: Character, b: Character, floor=None) -> dict:
     if len(cols_a) != len(cols_b):
         raise DomainError(f"cannot convolve characters of ranks {len(cols_a)} and {len(cols_b)}")
     vals_a, vals_b = list(a._terms.values()), list(b._terms.values())
-    if floor is not None:
-        top_a, top_b = [max(col) for col in cols_a], [max(col) for col in cols_b]
-        cols_a, vals_a = _reaching(cols_a, vals_a, map(sub, floor, top_b))
-        cols_b, vals_b = _reaching(cols_b, vals_b, map(sub, floor, top_a))
-        if not vals_a or not vals_b:
-            return {}
     if len(vals_a) > len(vals_b):
         cols_a, vals_a, cols_b, vals_b = cols_b, vals_b, cols_a, vals_a
     lo_a = [min(col) for col in cols_a]
@@ -670,9 +658,9 @@ def _convolve(a: Character, b: Character, floor=None) -> dict:
     cost = math.prod(widths) * (na + _DECODE_COST)
     if width is not None and width[0] * cost <= _PAIR_COST * na * len(bitems):
         ranges = [range(l, l + n) for l, n in zip(lo, widths)]
-        tag = None if floor is not None else _shared_tag(a, b)
+        tag = _shared_tag(a, b)
         mirror = tag is not None and tag.negation_in_w
-        return _kronecker(aitems, bitems, ranges, bound, floor, mirror)
+        return _kronecker(aitems, bitems, ranges, bound, mirror)
     out = {}
     get = out.get
     for k1, m1 in aitems:
@@ -684,10 +672,7 @@ def _convolve(a: Character, b: Character, floor=None) -> dict:
     # column at a time.
     cols = [map(add, map(mod, map(floordiv, keys, repeat(s)), repeat(n)), repeat(l))
             for s, n, l in zip(strides, widths, lo)]
-    terms = dict(zip(zip(*cols), filter(None, out.values())))
-    if floor is not None:
-        terms = {w: m for w, m in terms.items() if all(map(ge, w, floor))}
-    return terms
+    return dict(zip(zip(*cols), filter(None, out.values())))
 
 
 def frobenius_twist(chi: Character, r: int, p: int) -> Character:

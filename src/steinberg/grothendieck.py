@@ -3,14 +3,14 @@
 A :class:`KElement` is a finitely supported integer combination of classes
 of Weyl modules, indexed by their dominant highest weights; it shares its
 representation and arithmetic with :class:`Character`.  Characters
-convert to classes by Brauer's formula (with an independent highest-weight
-peeling route), products of cached Weyl characters by Brauer-Klimyk over
-their factors, and back by summing Weyl characters.  On top of the change
-of basis sit the Steinberg-block operations: the dot-scaling equivalence
-and its inverse, Steinberg multiplicities of a tensor product and Frobenius
-contraction (both Brauer's formula on the contracted weights), and
-projection onto a linkage block by closed-alcove normal forms.  No
-operation enumerates the Weyl group.
+convert to classes by Brauer's formula, straightening one weight at a time
+(with an independent highest-weight peeling route), products of cached Weyl
+characters by Brauer-Klimyk over their factors, and back by summing Weyl
+characters.  On top of the change of basis sit the Steinberg-block
+operations: the dot-scaling equivalence and its inverse, Steinberg
+multiplicities of a tensor product and Frobenius contraction (both Brauer's
+formula on the contracted weights), and projection onto a linkage block by
+closed-alcove normal forms.  No operation enumerates the Weyl group.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from functools import lru_cache
 from operator import add, mul
 
 from .characters import (
-    _DENSE_RANK,
     Character,
     _add_into,
-    _convolve,
     _Sparse,
     _weyl_dimension,
     contract_weights,
@@ -105,11 +103,6 @@ def _straighten(rs: RootSystem, items) -> KElement:
     return KElement._raw(out)
 
 
-# Up to rank ``_DENSE_RANK``, Brauer's formula goes through the Weyl
-# denominator when the input has at least this many terms per element of W.
-# Derived by section 2 of tools/calibrate.py.
-_BRAUER_TERMS_PER_ELEMENT = 7
-
 # Steinberg multiplicities are read by |W| lookups when the input has at
 # least this many terms per element of W.  Derived by section 3 of
 # tools/calibrate.py.
@@ -129,30 +122,14 @@ def _weyl_denominator(rs: RootSystem) -> Character:
     return Character._raw({tuple(x - 1 for x in w): sign for w, sign in walk})
 
 
-def _brauer(rs: RootSystem, chi: Character) -> KElement:
-    """The class of a W-invariant character, by the cheaper of two routes.
-
-    Brauer's coefficient at a dominant lam is sum_w sgn(w) * chi(w . lam),
-    and by W-invariance chi(w . lam) = chi(lam + rho - w^-1 rho): the
-    coefficient at lam of chi * D, with D the Weyl denominator.  Up to rank
-    ``_DENSE_RANK``, when chi has at least ``_BRAUER_TERMS_PER_ELEMENT``
-    terms per element of W, the class is the dominant part of that one
-    product, ``_convolve`` with floor 0.  Otherwise each term of chi is
-    straightened by itself (``_straighten``).
-    """
-    if rs.rank <= _DENSE_RANK and _BRAUER_TERMS_PER_ELEMENT * rs.weyl_order <= len(chi):
-        return KElement._raw(_convolve(chi, _weyl_denominator(rs), (0,) * rs.rank))
-    return _straighten(rs, chi.items())
-
-
 def char_to_class(rs: RootSystem, chi: Character) -> KElement:
     """Expand a Weyl-invariant character in the Weyl-module basis.
 
     Brauer's formula with the trivial module: chi equals the sum over its
     weights nu of chi(nu) * [Delta(nu)], where a non-dominant [Delta(nu)] is
     straightened to sgn(w) * [Delta(w . nu)] with w . nu dominant, or to 0 when
-    nu + rho is singular.  The coefficient at lam is therefore the
-    alternating orbit sum sum_w (-1)^len(w) * chi(w . lam) (``_brauer``).
+    nu + rho is singular (``_straighten``).  The coefficient at lam is
+    therefore the alternating orbit sum sum_w (-1)^len(w) * chi(w . lam).
 
     A product of two or more Weyl characters from the ``weyl_character``
     cache (its ``_factors``, over rs) is expanded over its factors instead,
@@ -160,8 +137,8 @@ def char_to_class(rs: RootSystem, chi: Character) -> KElement:
     the product of the others, [Delta(top) tensor N] straightens top + nu
     with coefficient N(nu) (``_klimyk``), so the product's own terms are
     never read: a product that ``tensor`` handed out unformed stays so.
-    Every other value, a single Weyl character included, goes through
-    ``_brauer``.
+    Every other value, a single Weyl character included, is straightened
+    term by term.
     """
     require_w_invariant(rs, chi)
     factors = getattr(chi, "_factors", None)
@@ -173,7 +150,7 @@ def char_to_class(rs: RootSystem, chi: Character) -> KElement:
         for lam in rest[1:]:
             n = tensor(n, weyl_character(rs, lam))
         return _klimyk(rs, top, n)
-    return _brauer(rs, chi)
+    return _straighten(rs, chi.items())
 
 
 def _height_key(rs: RootSystem, weight):
@@ -306,12 +283,12 @@ def frobenius_contract_class(rs: RootSystem, chi: Character, p: int) -> KElement
 
     The coefficient at lam is the Steinberg multiplicity of the Weyl class
     at p . lam in St tensor the module, sum_w (-1)^len(w) * chi(p * (w . lam)):
-    Brauer's formula (``_brauer``) on the weights of chi contracted by p.
+    Brauer's formula (``_straighten``) on the weights of chi contracted by p.
     At the character level the result contracts the weights of chi by p.
     """
     require_p(p, "contraction")
     require_w_invariant(rs, chi)
-    return _brauer(rs, contract_weights(chi, p))
+    return _straighten(rs, contract_weights(chi, p).items())
 
 
 def pr_block(rs: RootSystem, element: KElement, nu, p: int,

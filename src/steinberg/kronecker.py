@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from itertools import compress, product, repeat
-from operator import add, ge, mul, sub
+from operator import add, mul, sub
 
 
 def _strides(widths) -> list:
@@ -32,15 +32,6 @@ def _strides(widths) -> list:
         strides.append(s)
         s *= n
     return strides[::-1]
-
-
-def _reaching(cols, vals, need):
-    # The columns and values of the terms at weights >= need in every coordinate.
-    tests = [map(ge, col, repeat(n)) for col, n in zip(cols, need)]
-    keep = list(map(all, zip(*tests)))
-    if all(keep):
-        return cols, vals
-    return [tuple(compress(col, keep)) for col in cols], list(compress(vals, keep))
 
 
 def _packed(cols, vals, lo, strides) -> list:
@@ -105,28 +96,15 @@ def _slot_int(items, nbytes: int, fmt: str):
     return n, _from_slots(pos, fmt) - _from_slots(neg, fmt)
 
 
-def _read_slots(value: int, nbytes: int, fmt: str, ranges, floor=None) -> dict:
+def _read_slots(value: int, nbytes: int, fmt: str, ranges) -> dict:
     """The nonzero slots of value, as {weight: signed coefficient}.
 
     Slot k, the field of nbytes at bit 8*nbytes*k of value, holds the
     coefficient at the k-th weight of the box with coordinate ranges
-    ``ranges``, the last coordinate fastest.  With
-    ``floor``, only the sub-box of weights >= floor in every coordinate is
-    read: one contiguous row of slots per value of the leading coordinates.
+    ``ranges``, the last coordinate fastest.
     """
-    n = math.prod(map(len, ranges))
-    slots = _to_slots(value, n, nbytes, fmt)
-    if floor is None:
-        return _weights_at(slots.tolist(), ranges)
-    keep = [r[max(f - r.start, 0):] for r, f in zip(ranges, floor)]
-    strides = _strides([len(r) for r in ranges])
-    first = sum((r.start - full.start) * s for r, full, s in zip(keep, ranges, strides))
-    row = len(keep[-1])
-    vals = []
-    for head in product(*(range(len(r)) for r in keep[:-1])):
-        k = first + sum(map(mul, head, strides))
-        vals += slots[k:k + row].tolist()
-    return _weights_at(vals, keep)
+    slots = _to_slots(value, math.prod(map(len, ranges)), nbytes, fmt)
+    return _weights_at(slots.tolist(), ranges)
 
 
 def _weights_at(vals, ranges) -> dict:
@@ -140,7 +118,7 @@ def _weights_at(vals, ranges) -> dict:
     return dict(zip(compress(product(*ranges), vals), filter(None, vals)))
 
 
-def _kronecker(aitems, bitems, ranges, bound: int, floor=None, mirror=False) -> dict:
+def _kronecker(aitems, bitems, ranges, bound: int, mirror=False) -> dict:
     """Convolve two packed factors by shifting and adding one big integer.
 
     ``aitems`` and ``bitems`` are (key, multiplicity) pairs, keyed in the box
@@ -161,8 +139,7 @@ def _kronecker(aitems, bitems, ranges, bound: int, floor=None, mirror=False) -> 
     Slot k has place value 2^(b*k), so the shift for key k is k slots.
     With top the first factor's largest key and nb the second's slot count,
     the sum fills n = top + nb slots, at most the box's; the slots above
-    them read back as zero.  With ``floor``, only the product's terms at
-    weights >= floor are read back (``_read_slots``).
+    them read back as zero (``_read_slots``).
 
     ``mirror`` says that both factors are invariant under negation (a
     W-invariant pair for a type with -1 in W).  Then so is the product, and
@@ -202,6 +179,6 @@ def _kronecker(aitems, bitems, ranges, bound: int, floor=None, mirror=False) -> 
     # Flipping each slot's top bit turns c + 2^(b-1) into c in two's complement.
     acc = (acc + bias) ^ bias
     if not mirror:
-        return _read_slots(acc, nbytes, fmt, ranges, floor)
+        return _read_slots(acc, nbytes, fmt, ranges)
     upper = _to_slots(acc >> bits, guard + 2, nbytes, fmt).tolist()  # slots c .. N-1
     return _weights_at(upper[:0:-1] + upper, ranges)

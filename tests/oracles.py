@@ -234,14 +234,13 @@ def convolve_naive(a, b) -> dict:
     return out
 
 
-def read_slots(value: int, nbytes: int, ranges, floor=None) -> dict:
+def read_slots(value: int, nbytes: int, ranges) -> dict:
     """The nonzero slots of a slot integer, one shifted field at a time.
 
     Slot k is the field of 8 * nbytes bits at bit 8 * nbytes * k, read as a
     two's-complement number, and belongs to the k-th weight of the box with
     coordinate ranges ``ranges``, the last coordinate fastest: k's digits in
-    the mixed radix of the range lengths.  With ``floor``, only weights
-    >= floor in every coordinate are kept.
+    the mixed radix of the range lengths.
     """
     bits = 8 * nbytes
     n = 1
@@ -256,9 +255,8 @@ def read_slots(value: int, nbytes: int, ranges, floor=None) -> dict:
         for r in reversed(ranges):
             rest, d = divmod(rest, len(r))
             digits.append(r[d])
-        w = tuple(reversed(digits))
-        if field and (floor is None or all(x >= f for x, f in zip(w, floor))):
-            out[w] = field
+        if field:
+            out[tuple(reversed(digits))] = field
     return out
 
 

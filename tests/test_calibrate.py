@@ -26,7 +26,6 @@ RULE_CONSTANTS = {
     "_DECODE_COST": characters,
     "_DENSE_RANK": characters,
     "_WEYL_CACHE_TERMS": characters,
-    "_BRAUER_TERMS_PER_ELEMENT": grothendieck,
     "_TERMS_PER_ELEMENT": grothendieck,
 }
 
@@ -50,13 +49,15 @@ def test_every_rule_constant_is_read_from_the_library(calibrate):
 
 
 def test_kernel_tables(calibrate):
-    g2 = build_root_system("G", 2)
+    # The G2 pair is mirrored (-1 is in W); the A2 pair takes the full kernel.
+    g2, a2 = build_root_system("G", 2), build_root_system("A", 2)
     a, b = weyl_character(g2, (1, 0)), weyl_character(g2, (0, 1))
-    table = calibrate.kernel_traffic({"tiny": [(a, b, None), (a, b, (0, 0))]})
+    c = weyl_character(a2, (3, 3))
+    table = calibrate.kernel_traffic({"tiny": [(a, b), (c, c)]})
     assert table.columns == ["workload", "route", "cost/budget", "calls", "kernel faster",
                              "kernel/pair time", "kernel ms", "pair ms", "rule ms",
                              "rule - best ms"]
-    assert sorted(row[1] for row in table.rows) == ["floored", "mirrored"]
+    assert sorted(row[1] for row in table.rows) == ["full", "mirrored"]
     assert sum(row[3] for row in table.rows) == 2
     # Two weights far apart: a box of about 10^6 slots for 2 pairs.
     call = calibrate.kernel_call(Character({(0, 0): 1}), Character({(999, 0): 1, (0, 999): 2}))
@@ -67,35 +68,17 @@ def test_kernel_tables(calibrate):
     assert [row[:2] for row in sweep.rows] == [[1, 1]]
 
 
-def test_brauer_tables(calibrate):
-    a2 = build_root_system("A", 2)
-    table = calibrate.brauer_route([(a2, (1, 1)), (a2, (4, 4))])
-    assert table.columns == ["type", "weight", "terms", "t/e", "product ms", "straighten ms",
-                             "product/straighten", "rule takes"]
-    assert [row[:3] + row[-1:] for row in table.rows] == [
-        ["A2", [1, 1], 7, "straighten"], ["A2", [4, 4], 61, "product"]]
-    ties = calibrate.brauer_ties(table)
-    assert ties.columns == ["type", "swept t/e", "tie t/e", "rule's first product t/e"]
-    assert [row[0] for row in ties.rows] == ["A2"] and ties.rows[0][-1] == 10.2
-    # 6.2 and 7.7 terms per element of W: one on each side of the rule.
-    chis = [weyl_character(a2, (3, 3)), weyl_character(a2, (2, 5))]
-    calls = calibrate.brauer_traffic({"tiny": [(a2, chi) for chi in chis]})
-    assert calls.columns[:6] == ["workload", "type", "t/e", "calls", "rule: product",
-                                 "product faster"]
-    assert [row[:5] for row in calls.rows] == [["tiny", "A2", "4-8", 2, 1]]
-
-
 def test_klimyk_table(calibrate):
     a2, g2 = build_root_system("A", 2), build_root_system("G", 2)
     pair = tensor(weyl_character(a2, (1, 0)), weyl_character(a2, (0, 1)))
     triple = tensor(pair, weyl_character(a2, (1, 1)))
     g2_pair = tensor(weyl_character(g2, (1, 0)), weyl_character(g2, (0, 1)))
-    # The G2 pair is timed as char_to_class got it: unformed, so _brauer
-    # forms it first.
+    # The G2 pair is timed as char_to_class got it: unformed, so the
+    # straightening side forms it first.
     unformed = (g2, g2_pair, (weyl_character(g2, (1, 0)), weyl_character(g2, (0, 1))))
     table = calibrate.klimyk_traffic({"tiny": [(a2, pair, None), (a2, triple, None), unformed]})
     assert table.columns == ["workload", "type", "factors", "calls", "unformed",
-                             "klimyk faster", "klimyk ms", "brauer ms", "rule - best ms"]
+                             "klimyk faster", "klimyk ms", "straighten ms", "rule - best ms"]
     assert [row[:5] for row in table.rows] == [["tiny", "A2", 2, 1, 0], ["tiny", "A2", 3, 1, 0],
                                                ["tiny", "G2", 2, 1, 1]]
     copy = calibrate.unfactored(triple)
@@ -170,7 +153,7 @@ def test_traffic_replays_a_workload_round(calibrate):
     assert len(log.klimyk) == 20
     assert all(len(chi._factors) == 2 and pending is None for _, chi, pending in log.klimyk)
     assert all(lookup.formed for lookup in log.cache)
-    assert log.brauer and not log.stmult
+    assert not log.stmult
     requests = calibrate.weyl_requests(log.cache)
     assert len(requests) == len(set(requests)) and all(len(w) == rs.rank for rs, w in requests)
 

@@ -4,11 +4,13 @@ The library expands characters by Brauer straightening, decides linkage by
 closed-alcove normal forms, checks W-invariance by simple reflections and
 convolves on packed integer keys.  The oracles sum over, or search, the
 whole Weyl group, which only ``oracles.weyl_group`` lists, count whole
-orbits, or convolve on tuple keys, instead.  Class expansions read off one product with the Weyl denominator
-are checked against straightening and peeling, and the denominator against
-the product of 1 - e^-alpha over the positive roots.  Cached products of
-Weyl characters, which ``char_to_class`` expands over their factors, are
-checked against the same routes on copies without factors.  Weyl characters from
+orbits, or convolve on tuple keys, instead.  Class expansions by
+straightening are checked against peeling, Steinberg multiplicities read by
+|W| lookups in the Weyl denominator against straightening and peeling, and
+the denominator against the product of 1 - e^-alpha over the positive
+roots.  Cached products of Weyl characters, which ``char_to_class`` expands
+over their factors, are checked against the same routes on copies without
+factors.  Weyl characters from
 Weyl's character formula are checked against the partition-function formula
 and Freudenthal's recursion, with the route each input takes.  The last
 tests check that the package defines no enumeration API, and that every
@@ -77,7 +79,7 @@ def _fundamental_of(rank, i):
 def _unfactored(chi):
     """A copy of chi that keeps its root-system tag and has no ``_factors``.
 
-    ``char_to_class`` sends such a copy to ``_brauer``.
+    ``char_to_class`` straightens such a copy term by term.
     """
     return Character._raw(dict(chi.items()), chi._invariant_for)
 
@@ -228,12 +230,12 @@ def test_tensor_matches_tuple_convolution(rank):
             tensor(a, _random_character(rng, rank + 1))
 
 
-def _kernel_direct(a, b, bound=None, floor=None) -> dict:
+def _kernel_direct(a, b, bound=None) -> dict:
     """``_kronecker`` on a and b, packed in the layout ``tensor`` uses.
 
     Keys count the product's box with the last coordinate fastest, each
     factor's key relative to its own minimum.  The bound defaults to
-    sum|a| * max|b|; a floor keeps the weights >= floor only.
+    sum|a| * max|b|.
     """
     cols_a, cols_b = list(zip(*a.support())), list(zip(*b.support()))
     lo_a, lo_b = [min(c) for c in cols_a], [min(c) for c in cols_b]
@@ -246,7 +248,7 @@ def _kernel_direct(a, b, bound=None, floor=None) -> dict:
     if bound is None:
         bound = sum(abs(m) for _, m in a.items()) * max(abs(m) for _, m in b.items())
     ranges = [range(l + k, l + k + n) for l, k, n in zip(lo_a, lo_b, widths)]
-    return _kronecker(packed(a, lo_a), packed(b, lo_b), ranges, bound, floor)
+    return _kronecker(packed(a, lo_a), packed(b, lo_b), ranges, bound)
 
 
 @pytest.fixture
@@ -255,9 +257,9 @@ def kernel_calls(monkeypatch):
     calls = []
     real = characters._kronecker
 
-    def spy(aitems, bitems, ranges, bound, floor=None, mirror=False):
+    def spy(aitems, bitems, ranges, bound, mirror=False):
         calls.append(bound)
-        return real(aitems, bitems, ranges, bound, floor, mirror)
+        return real(aitems, bitems, ranges, bound, mirror)
 
     monkeypatch.setattr(characters, "_kronecker", spy)
     return calls
@@ -313,9 +315,9 @@ def kernel_paths(kernel_calls, monkeypatch):
         reads.append((n, nbytes))
         return to_slots(value, n, nbytes, fmt)
 
-    def kernel(aitems, bitems, ranges, bound, floor=None, mirror=False):
+    def kernel(aitems, bitems, ranges, bound, mirror=False):
         del reads[:]
-        out = spy(aitems, bitems, ranges, bound, floor, mirror)
+        out = spy(aitems, bitems, ranges, bound, mirror)
         box = math.prod(map(len, ranges))
         (n, nbytes), = reads
         paths.append((mirror, "mirrored" if n == box // 2 + 1 < box else "full", nbytes))
@@ -375,7 +377,7 @@ def test_mirrored_kernel_needs_negation_in_w(series, rank, kernel_paths, monkeyp
     assert [path for _, path, _ in kernel_paths] == ["mirrored"] * 2
 
 
-def test_mirrored_kernel_needs_both_tags_and_no_floor(kernel_paths):
+def test_mirrored_kernel_needs_both_tags(kernel_paths):
     b2, c2 = build_root_system("B", 2), build_root_system("C", 2)
     a, b = _uncached(b2, (3, 3)), _uncached(b2, (4, 2))
     del kernel_paths[:]
@@ -388,13 +390,6 @@ def test_mirrored_kernel_needs_both_tags_and_no_floor(kernel_paths):
         del kernel_paths[:]
         _convolution_agrees(x, y)
         assert kernel_paths == [(False, "full", 2)] * 2
-    # A floor reads a sub-box of the full sum.
-    floor = (1, -2)
-    del kernel_paths[:]
-    kept = {w: m for w, m in oracles.convolve_naive(a, b).items()
-            if all(x >= f for x, f in zip(w, floor))}
-    assert characters._convolve(a, b, floor) == kept
-    assert kernel_paths == [(False, "full", 2)]
 
 
 @pytest.mark.parametrize("nbytes,fmt", [(2, "h"), (4, "i"), (8, "q")])
@@ -435,7 +430,7 @@ def test_slot_codec_swaps_bytes_on_a_big_endian_machine(nbytes, fmt, monkeypatch
 @pytest.mark.parametrize("nbytes,fmt", [(2, "h"), (4, "i"), (8, "q")])
 def test_read_slots_matches_the_per_slot_oracle(nbytes, fmt):
     # Random slot integers with signed slots, dense and sparse, the all-zero
-    # one and one-slot boxes, read whole and above random floors.
+    # one and one-slot boxes.
     rng = random.Random(f"read/{nbytes}")
     bits, top = 8 * nbytes, 1 << (8 * nbytes - 1)
     for rank in (1, 2, 3):
@@ -450,61 +445,12 @@ def test_read_slots_matches_the_per_slot_oracle(nbytes, fmt):
             one = [range(r.start, r.start + 1) for r in ranges]
             cases = [(value, ranges), (0, ranges), (fields[0] % (1 << bits), one)]
             for v, box in cases:
-                floors = [None, tuple(r.start for r in box), tuple(r.stop for r in box),
-                          tuple(rng.randint(r.start - 1, r.stop) for r in box)]
-                for floor in floors:
-                    assert _read_slots(v, nbytes, fmt, box, floor) == (
-                        oracles.read_slots(v, nbytes, box, floor)), (v, box, floor)
+                assert _read_slots(v, nbytes, fmt, box) == oracles.read_slots(v, nbytes, box), (
+                    v, box)
     # A slot at the bottom of the range and one at the top, next to zeros.
     box = [range(-1, 2), range(0, 2)]
     value = (top << bits * 5) | (top - 1) << bits * 1
     assert _read_slots(value, nbytes, fmt, box) == {(-1, 1): top - 1, (1, 1): -top}
-
-
-def test_reach_filter_keeps_every_term_that_reaches_the_floor(monkeypatch):
-    # _convolve(a, b, floor) drops the terms of a factor that cannot reach
-    # floor with any term of the other; what it returns must still be the
-    # whole product restricted to weights >= floor.
-    sizes = []
-    real = characters._packed
-
-    def spy(cols, vals, *rest):
-        sizes.append(len(vals))
-        return real(cols, vals, *rest)
-
-    monkeypatch.setattr(characters, "_packed", spy)
-
-    def agrees(a, b, floor):
-        kept = {w: m for w, m in oracles.convolve_naive(a, b).items()
-                if all(x >= f for x, f in zip(w, floor))}
-        assert characters._convolve(a, b, floor) == kept, (a, b, floor)
-        return kept
-
-    # The filter empties a factor: b's terms all lie below floor - max(a).
-    a = Character({(0, 0): 1, (1, 2): -3})
-    b = Character({(-5, -5): 2, (-4, 6): 1, (3, -9): 1})
-    del sizes[:]
-    assert agrees(a, b, (2, 0)) == {} and not sizes
-    # The filter changes which factor is smaller: b has 5 terms to a's 2,
-    # but only one of b's reaches floor (6, 0), so b is packed first.
-    a = Character({(1, 0): 2, (1, 1): -1})
-    b = Character({(5, 0): 3, (-3, 0): 1, (-2, 1): 4, (0, -2): -1, (1, 5): 2})
-    del sizes[:]
-    assert agrees(a, b, (6, 0)) == {(6, 0): 6, (6, 1): -3}
-    assert sizes == [1, 2]
-    # Signed factors against the Weyl denominator, whose positive
-    # coordinates widen the shell of the other factor that is kept; random
-    # pairs are covered by test_dominant_part_of_a_product_reads_only_its_sub_box.
-    rng = random.Random("reach")
-    for series, rank in (("A", 1), ("A", 2), ("G", 2), ("B", 3)):
-        d = grothendieck._weyl_denominator(build_root_system(series, rank))
-        for _ in range(8):
-            a, b = _random_character(rng, rank), _random_character(rng, rank)
-            signed = a - 2 * frobenius_twist(b, 1, 2) + tensor(a, b)
-            for floor in ((0,) * rank, (-3,) * rank, (7,) * rank,
-                          tuple(rng.randint(-5, 5) for _ in range(rank))):
-                agrees(signed, d, floor)
-                agrees(d, signed, floor)
 
 
 def test_kronecker_kernel_cancels_telescoping_products(kernel_calls):
@@ -620,25 +566,6 @@ def test_sparse_boxes_take_the_pair_loop_and_keep_tags(monkeypatch):
 SMALL_TYPES = [key for key in TYPES if key[1] <= 3]
 
 
-@pytest.fixture
-def denominator_products(monkeypatch):
-    """Every product that ``grothendieck`` forms, as (left factor, right factor).
-
-    The class routes form only the dominant part of a product, with
-    ``characters._convolve``; each such call must ask for weights >= 0.
-    """
-    calls = []
-    real = grothendieck._convolve
-
-    def spy(a, b, floor=None):
-        assert floor and not any(floor)
-        calls.append((a, b))
-        return real(a, b, floor)
-
-    monkeypatch.setattr(grothendieck, "_convolve", spy)
-    return calls
-
-
 @pytest.mark.parametrize("series,rank", SMALL_TYPES)
 def test_weyl_denominator_is_the_product_over_positive_roots(series, rank):
     rs = build_root_system(series, rank)
@@ -653,14 +580,14 @@ def test_weyl_denominator_is_the_product_over_positive_roots(series, rank):
     assert d._invariant_for is None
 
 
-def _brauer_inputs(rs):
+def _class_inputs(rs):
     """W-invariant characters of every kind the class routes meet, by name."""
     rank = rs.rank
     zero, rho = (0,) * rank, (1,) * rank
     first, last = _fundamental(rs, 0), _fundamental(rs, rank - 1)
     st = steinberg_character(rs, 3)
-    # Without its factors, so that char_to_class sends it (and every
-    # product with it) to _brauer.
+    # Without its factors, so that char_to_class straightens it (and every
+    # product with it) term by term.
     product = _unfactored(tensor(weyl_character(rs, first), weyl_character(rs, last)))
     # The highest root theta has the zero weight in its module with
     # multiplicity m > 0, so Delta(theta) - m * Delta(0) has a class
@@ -689,77 +616,72 @@ def _brauer_inputs(rs):
 
 
 @pytest.mark.parametrize("series,rank", SMALL_TYPES)
-def test_denominator_route_matches_straightening_and_peeling(
-        series, rank, monkeypatch, denominator_products):
+def test_denominator_route_matches_straightening_and_peeling(series, rank, monkeypatch):
+    # Class expansions of every kind of input agree with peeling; Steinberg
+    # multiplicities read by |W| lookups in the Weyl denominator agree with
+    # straightening and peeling of the contracted weights.
     rs = build_root_system(series, rank)
     zero = (0,) * rank
-    inputs = _brauer_inputs(rs)
+    inputs = _class_inputs(rs)
     expected = {}
     for name, chi in inputs.items():
         expected[name] = grothendieck._straighten(rs, chi.items())
         assert char_to_class_by_peeling(rs, chi) == expected[name], name
         assert char_to_class(rs, chi) == expected[name], name
     assert expected["signed"].coeff(zero) < 0
-    # On rank <= 2 every input now takes the product with the Weyl
-    # denominator; on rank 3 none does, and the product itself is checked.
-    monkeypatch.setattr(grothendieck, "_BRAUER_TERMS_PER_ELEMENT", 0)
     monkeypatch.setattr(grothendieck, "_TERMS_PER_ELEMENT", 0)
-    d = grothendieck._weyl_denominator(rs)
-    product = rank <= 2
-    for name, chi in inputs.items():
-        del denominator_products[:]
-        assert char_to_class(rs, chi) == expected[name], name
-        assert denominator_products == ([(chi, d)] if product else []), name
-        dominant_part = characters._convolve(chi, d, zero)
-        assert dominant_part == dict(expected[name].items()), name
     chi = inputs["steinberg product"]
     for p in (2, 3):
         weights = contract_weights(chi, p)
         contracted = grothendieck._straighten(rs, weights.items())
-        del denominator_products[:]
         assert frobenius_contract_class(rs, chi, p) == contracted
-        assert denominator_products == ([(weights, d)] if product else [])
-        assert characters._convolve(weights, d, zero) == dict(contracted.items())
+        assert char_to_class_by_peeling(rs, weights) == contracted
         lams = set(contracted.support()) | {zero, (1,) * rank, (5,) * rank}
         for lam in lams:
             assert steinberg_delta_multiplicity(rs, chi, lam, p) == contracted.coeff(lam), lam
 
 
 @pytest.mark.parametrize("series", ["A", "B", "G"])
-def test_rank_two_steinberg_products_take_the_denominator_route(
-        series, monkeypatch, denominator_products):
+def test_rank_two_steinberg_products_take_the_denominator_route(series, monkeypatch):
+    # St (x) Delta(1, 1) at p = 5, 7 has far more than 4 terms per element
+    # of W, so its Steinberg multiplicities are |W| lookups in the Weyl
+    # denominator, which never straighten.
     rs = build_root_system(series, 2)
-    d = grothendieck._weyl_denominator(rs)
     chis = [_unfactored(tensor(steinberg_character(rs, p), weyl_character(rs, (1, 1))))
             for p in (5, 7)]
+    for chi in chis:
+        assert char_to_class(rs, chi) == char_to_class_by_peeling(rs, chi)
     contracted = [grothendieck._straighten(rs, contract_weights(chi, p).items())
                   for chi, p in zip(chis, (5, 7))]
     # From here on no route may straighten term by term.
     monkeypatch.setattr(grothendieck, "_straighten", None)
     for chi, p, expected in zip(chis, (5, 7), contracted):
-        del denominator_products[:]
-        expansion = char_to_class(rs, chi)
-        assert denominator_products == [(chi, d)]
-        assert expansion == char_to_class_by_peeling(rs, chi)
         for lam in set(expected.support()) | {(0, 0), (2, 2)}:
             assert steinberg_delta_multiplicity(rs, chi, lam, p) == expected.coeff(lam)
+
+
+def _small_weights() -> dict:
+    """Per type of the 22, its dominant weights of coordinate sum <= 2, by Weyl dimension."""
+    weights = {}
+    for key in TYPES:
+        rs = build_root_system(*key)
+        small = [w for w in itertools.product(range(3), repeat=rs.rank) if sum(w) <= 2]
+        weights[rs] = sorted(small, key=lambda w: (characters._weyl_dimension(rs, w), w))
+    return weights
 
 
 def test_cached_products_expand_over_their_factors_and_nothing_else_does(monkeypatch):
     # Products of 2 to 4 cached Weyl characters at dominant weights of size
     # <= 2, on random types among the 22, whose dimensions multiply to at
     # most 20000: char_to_class expands each by Brauer-Klimyk over its
-    # factors, and must agree with _brauer on a copy without _factors and
-    # with peeling.  A single Weyl character and every value built another
-    # way (uncached, user input, twists, negations, sums) reach _brauer.
+    # factors, and must agree with straightening a copy without _factors
+    # and with peeling.  A single Weyl character and every value built
+    # another way (uncached, user input, twists, negations, sums) is
+    # straightened term by term.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     budget = 20000
-    weights = {}
-    for key in TYPES:
-        rs = build_root_system(*key)
-        small = [w for w in itertools.product(range(3), repeat=rs.rank) if sum(w) <= 2]
-        weights[rs] = sorted(small, key=lambda w: (characters._weyl_dimension(rs, w), w))
+    weights = _small_weights()
     routes = []
 
     def spy(name, real):
@@ -769,14 +691,16 @@ def test_cached_products_expand_over_their_factors_and_nothing_else_does(monkeyp
         return route
 
     monkeypatch.setattr(grothendieck, "_klimyk", spy("klimyk", grothendieck._klimyk))
-    monkeypatch.setattr(grothendieck, "_brauer", spy("brauer", grothendieck._brauer))
+    monkeypatch.setattr(grothendieck, "_straighten", spy("straighten", grothendieck._straighten))
     reached = collections.Counter()
 
     def expand(rs, chi, branch):
-        # char_to_class of chi, which must take exactly the route of branch.
+        # char_to_class of chi, which must take exactly the route of branch:
+        # Brauer-Klimyk straightens once, over the product's factors.
         del routes[:]
         out = char_to_class(rs, chi)
-        assert routes == [branch[0]], branch
+        assert routes == {"klimyk": ["klimyk", "straighten"], "straighten": ["straighten"]}[
+            branch[0]], branch
         reached[branch] += 1
         return out
 
@@ -800,24 +724,25 @@ def test_cached_products_expand_over_their_factors_and_nothing_else_does(monkeyp
             chi = tensor(chi, weyl_character(rs, lam))
         assert chi._factors == tuple(sorted(lams))
         copy = _unfactored(chi)
-        expected = expand(rs, copy, ("brauer", "product without factors"))
+        expected = expand(rs, copy, ("straighten", "product without factors"))
         assert expand(rs, chi, ("klimyk", f"{len(lams)} factors")) == expected
         assert char_to_class_by_peeling(rs, copy) == expected
         single = weyl_character(rs, lams[-1])
-        assert expand(rs, single, ("brauer", "Weyl character")) == expand(
-            rs, weyl_character.__wrapped__(rs, lams[-1]), ("brauer", "__wrapped__"))
-        assert expand(rs, Character(chi.items()), ("brauer", "Character(...)")) == expected
-        assert expand(rs, -chi, ("brauer", "negation")) == -expected
-        assert expand(rs, chi + single, ("brauer", "sum")) == expected + expand(
-            rs, single, ("brauer", "Weyl character"))
-        expand(rs, frobenius_twist(chi, 1, p), ("brauer", "twist"))
+        assert expand(rs, single, ("straighten", "Weyl character")) == expand(
+            rs, weyl_character.__wrapped__(rs, lams[-1]), ("straighten", "__wrapped__"))
+        assert expand(rs, Character(chi.items()), ("straighten", "Character(...)")) == expected
+        assert expand(rs, -chi, ("straighten", "negation")) == -expected
+        assert expand(rs, chi + single, ("straighten", "sum")) == expected + expand(
+            rs, single, ("straighten", "Weyl character"))
+        expand(rs, frobenius_twist(chi, 1, p), ("straighten", "twist"))
 
     check()
     print("\nchar_to_class routes reached: " + ", ".join(
         f"{route} ({kind}) {n}" for (route, kind), n in sorted(reached.items())))
+    kinds = ("product without factors", "Weyl character", "__wrapped__", "Character(...)",
+             "negation", "sum", "twist")
     branches = [("klimyk", f"{n} factors") for n in (2, 3, 4)] + [
-        ("brauer", kind) for kind in ("product without factors", "Weyl character", "__wrapped__",
-                                      "Character(...)", "negation", "sum", "twist")]
+        ("straighten", kind) for kind in kinds]
     assert [branch for branch in branches if not reached[branch]] == []
 
 
@@ -832,20 +757,15 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     budget = 20000
-    weights = {}
-    for key in TYPES:
-        rs = build_root_system(*key)
-        small = [w for w in itertools.product(range(3), repeat=rs.rank) if sum(w) <= 2]
-        weights[rs] = sorted(small, key=lambda w: (characters._weyl_dimension(rs, w), w))
+    weights = _small_weights()
     convolved = []
     real = characters._convolve
 
-    def spy(a, b, floor=None):
+    def spy(a, b):
         convolved.append((a, b))
-        return real(a, b, floor)
+        return real(a, b)
 
     monkeypatch.setattr(characters, "_convolve", spy)
-    monkeypatch.setattr(grothendieck, "_convolve", spy)
     reached = collections.Counter()
     uncached = weyl_character.__wrapped__
 
@@ -897,7 +817,7 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
         assert len(chi) == len(expected) and not convolved
         assert (list(characters._weyl_cache), weyl_character.cache_info()) == state
         copy = _unfactored(chi)
-        assert expansion == grothendieck._brauer(rs, copy) == char_to_class_by_peeling(rs, copy)
+        assert expansion == char_to_class(rs, copy) == char_to_class_by_peeling(rs, copy)
         reached[f"rank <= 2: {len(lams)} factors unformed"] += 1
         again = request(rs, lams)
         assert formed(again) and characters._weyl_cache[key] is again and again == expected
@@ -914,14 +834,12 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
     assert [branch for branch in branches if not reached[branch]] == []
 
 
-def test_brauer_and_steinberg_multiplicities_switch_at_their_own_densities(
-        denominator_products, monkeypatch):
+def test_steinberg_multiplicities_switch_at_their_density(monkeypatch):
     # On A2 (|W| = 6), Delta(3, 3) has 37 terms (6.2 per element of W) and
-    # Delta(1, 6) 42 (7.0).  Class expansion takes the product with the
-    # Weyl denominator from 7 per element, Steinberg multiplicities read
-    # |W| lookups from 4, so only Delta(3, 3) splits the two.
+    # Delta(1, 1) 7 (1.2).  Steinberg multiplicities read |W| lookups from
+    # 4 terms per element, so only Delta(1, 1) is straightened.
     rs = build_root_system("A", 2)
-    assert (grothendieck._BRAUER_TERMS_PER_ELEMENT, grothendieck._TERMS_PER_ELEMENT) == (7, 4)
+    assert grothendieck._TERMS_PER_ELEMENT == 4
     straightened = []
     real = grothendieck._straighten
 
@@ -930,15 +848,78 @@ def test_brauer_and_steinberg_multiplicities_switch_at_their_own_densities(
         return real(rs, items)
 
     monkeypatch.setattr(grothendieck, "_straighten", spy)
-    for lam, product in (((3, 3), False), ((1, 6), True)):
+    for lam, lookups in (((3, 3), True), ((1, 1), False)):
         chi = weyl_character(rs, lam)
-        del denominator_products[:], straightened[:]
-        assert char_to_class(rs, chi) == char_to_class_by_peeling(rs, chi)
-        assert bool(denominator_products) is product and bool(straightened) is not product
         del straightened[:]
         assert steinberg_delta_multiplicity(rs, chi, (0, 0), 2) == (
             real(rs, contract_weights(chi, 2).items()).coeff((0, 0)))
-        assert not straightened
+        assert bool(straightened) is not lookups
+
+
+def test_steinberg_multiplicity_routes_agree_on_random_invariant_inputs(monkeypatch):
+    # Random W-invariant characters on the 22 types: Weyl characters,
+    # products of cached ones, Frobenius twists and signed sums, whose
+    # dimensions stay within 3000.  steinberg_delta_multiplicity, forced onto
+    # |W| lookups (_TERMS_PER_ELEMENT = 0) and onto straightening (10**9),
+    # must give the coefficient of frobenius_contract_class, which must
+    # equal peeling of the contracted weights, at two weights of its support
+    # and at one drawn weight.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    budget = 3000
+    weights = {rs: [w for w in small if characters._weyl_dimension(rs, w) <= budget]
+               for rs, small in _small_weights().items()}
+    straightened = []
+    real = grothendieck._straighten
+
+    def spy(rs, items):
+        straightened.append(rs)
+        return real(rs, items)
+
+    monkeypatch.setattr(grothendieck, "_straighten", spy)
+    reached = collections.Counter()
+
+    @st.composite
+    def inputs(draw):
+        rs = draw(st.sampled_from(list(weights)))
+        lam = draw(st.sampled_from(weights[rs]))
+        chi = weyl_character(rs, lam)
+        kind = draw(st.sampled_from(("Weyl character", "product", "twist", "signed sum")))
+        left = budget // characters._weyl_dimension(rs, lam)
+        mu = draw(st.sampled_from([w for w in weights[rs]
+                                   if characters._weyl_dimension(rs, w) <= max(left, 1)]))
+        if kind == "product":
+            chi = tensor(chi, weyl_character(rs, mu))
+        elif kind == "twist":
+            chi = frobenius_twist(chi, 1, draw(st.sampled_from((2, 3))))
+        elif kind == "signed sum":
+            chi = draw(st.integers(-3, 3)) * chi - 2 * weyl_character(rs, mu)
+        top = (draw(st.integers(0, 3)),) * rs.rank
+        return rs, kind, chi, top
+
+    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(inputs(), st.sampled_from((2, 3, 5)))
+    def check(case, p):
+        rs, kind, chi, drawn = case
+        contracted = frobenius_contract_class(rs, chi, p)
+        assert char_to_class_by_peeling(rs, contract_weights(chi, p)) == contracted
+        reached[kind] += 1
+        for lam in sorted(contracted.support())[:2] + [drawn]:
+            reached["nonzero" if contracted.coeff(lam) else "zero"] += 1
+            for forced, route in ((0, "lookups"), (10**9, "straightening")):
+                monkeypatch.setattr(grothendieck, "_TERMS_PER_ELEMENT", forced)
+                del straightened[:]
+                assert steinberg_delta_multiplicity(rs, chi, lam, p) == contracted.coeff(lam), (
+                    route, lam)
+                assert bool(straightened) is (route == "straightening")
+                reached[route] += 1
+
+    check()
+    print("\nSteinberg multiplicity branches reached: " + ", ".join(
+        f"{branch} {n}" for branch, n in sorted(reached.items())))
+    branches = ["Weyl character", "product", "twist", "signed sum", "nonzero", "zero", "lookups",
+                "straightening"]
+    assert [branch for branch in branches if not reached[branch]] == []
 
 
 @pytest.mark.parametrize("series,rank,pairs", [
@@ -962,37 +943,6 @@ def test_large_groups_keep_straightening(series, rank, pairs, monkeypatch):
         for p in (2, 3):
             frobenius_contract_class(rs, chi, p)
             steinberg_delta_multiplicity(rs, chi, (0,) * rank, p)
-
-
-def test_thin_boxes_keep_straightening(denominator_products):
-    # Delta(2,2,2,2) on A4 has 3081 weights, over 4 per element of W, but
-    # they fill under 1% of the 390625 slots of its product with the Weyl
-    # denominator.  Its rank is above 2, so char_to_class straightens it
-    # term by term.
-    rs = build_root_system("A", 4)
-    chi = weyl_character(rs, (2, 2, 2, 2))
-    assert len(chi) >= 4 * 120
-    assert char_to_class(rs, chi) == grothendieck._straighten(rs, chi.items())
-    assert not denominator_products
-
-
-def test_dominant_part_of_a_product_reads_only_its_sub_box(monkeypatch):
-    # The class routes ask _convolve for the weights >= floor only; on both
-    # kernels that must be the product restricted to them.
-    rng = random.Random("floor")
-    for rank in (1, 2, 3):
-        for i in range(8):
-            a, b = _random_character(rng, rank), _random_character(rng, rank)
-            if i % 2:
-                # Spread over a box 7 times wider: the pair loop's case.
-                a = frobenius_twist(a, 1, 7)
-            full = dict(tensor(a, b).items())
-            for floor in ((0,) * rank, (-2,) * rank, (-20,) * rank, (9,) * rank,
-                          tuple(rng.randint(-4, 4) for _ in range(rank))):
-                kept = {w: m for w, m in full.items() if all(x >= f for x, f in zip(w, floor))}
-                assert characters._convolve(a, b, floor) == kept, (a, b, floor)
-                if a and b:
-                    assert _kernel_direct(a, b, floor=floor) == kept, (a, b, floor)
 
 
 RANK_AT_MOST_TWO = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2)]

@@ -9,11 +9,9 @@ derives:
 1. the Kronecker kernel against the pair loop in ``characters._convolve``
    (``_PAIR_COST``, ``_DECODE_COST``): every ``_convolve`` call of one
    round of each library workload, forced both ways, and a random sweep;
-2. Brauer's formula by one product with the Weyl denominator against
-   straightening, in ``grothendieck._brauer`` (``_DENSE_RANK``,
-   ``_BRAUER_TERMS_PER_ELEMENT``), by rank and terms per element of W (t/e),
-   and ``char_to_class`` on cached products of Weyl characters, by
-   Brauer-Klimyk over their factors against ``_brauer`` (no constant);
+2. ``char_to_class`` on cached products of Weyl characters, by
+   Brauer-Klimyk over their factors against straightening the product
+   (no constant);
 3. Steinberg multiplicities by |W| lookups against contraction and
    straightening (``_TERMS_PER_ELEMENT``);
 4. Weyl's character formula against Freudenthal's recursion
@@ -61,7 +59,6 @@ CONSTANTS = (
     (characters, "_DECODE_COST"),
     (characters, "_DENSE_RANK"),
     (characters, "_WEYL_CACHE_TERMS"),
-    (grothendieck, "_BRAUER_TERMS_PER_ELEMENT"),
     (grothendieck, "_TERMS_PER_ELEMENT"),
 )
 
@@ -168,7 +165,7 @@ def _type(rs) -> str:
 
 # Traffic: one round of a library workload, as the benchmark's worker runs it.
 
-Traffic = namedtuple("Traffic", "convolve brauer klimyk cache stmult misses")
+Traffic = namedtuple("Traffic", "convolve klimyk cache stmult misses")
 
 # A lookup in the ``weyl_character`` cache: its key is (rs, factors),
 # compute(*args) is what a miss computes, and formed is whether the value it
@@ -186,30 +183,25 @@ def _pending(chi):
 def traffic(workload: str, seed: int) -> Traffic:
     """The library calls of one round of a workload, from a cold ``weyl_character`` cache.
 
-    Records every ``_convolve`` call (a, b, floor), every ``_brauer`` call
-    (rs, chi), every ``char_to_class`` call (rs, chi, pending) on a product
-    of two or more cached Weyl characters (``klimyk``; pending is the pair
-    an unformed product would be formed from, or None), every lookup in the
-    ``weyl_character`` cache (a ``Lookup``: a ``weyl_character`` request,
-    or a product that ``tensor`` looks up) and every
-    ``steinberg_delta_multiplicity`` call (rs, chi, lam, p) of set-up and of
-    the operations, not of their checks; ``misses`` is the cache's own
-    count at the end.
+    Records every ``_convolve`` call (a, b), every ``char_to_class`` call
+    (rs, chi, pending) on a product of two or more cached Weyl characters
+    (``klimyk``; pending is the pair an unformed product would be formed
+    from, or None), every lookup in the ``weyl_character`` cache (a
+    ``Lookup``: a ``weyl_character`` request, or a product that ``tensor``
+    looks up) and every ``steinberg_delta_multiplicity`` call
+    (rs, chi, lam, p) of set-up and of the operations, not of their checks;
+    ``misses`` is the cache's own count at the end.
     """
-    log = Traffic([], [], [], [], [], None)
+    log = Traffic([], [], [], [], None)
     returned = []  # ((rs, factors, compute, args), value) per lookup of the operation
     weyl = S.weyl_character
-    convolve, brauer = characters._convolve, grothendieck._brauer
+    convolve = characters._convolve
     cached, stmult = characters._cached, grothendieck.steinberg_delta_multiplicity
     to_class = grothendieck.char_to_class
 
-    def convolve_spy(a, b, floor=None):
-        log.convolve.append((a, b, floor))
-        return convolve(a, b, floor)
-
-    def brauer_spy(rs, chi):
-        log.brauer.append((rs, chi))
-        return brauer(rs, chi)
+    def convolve_spy(a, b):
+        log.convolve.append((a, b))
+        return convolve(a, b)
 
     def to_class_spy(rs, chi):
         if _factor_count(chi) > 1:
@@ -225,8 +217,8 @@ def traffic(workload: str, seed: int) -> Traffic:
         log.stmult.append((rs, chi, lam, p))
         return stmult(rs, chi, lam, p)
 
-    spies = ((convolve, convolve_spy), (brauer, brauer_spy), (to_class, to_class_spy),
-             (cached, cached_spy), (stmult, stmult_spy))
+    spies = ((convolve, convolve_spy), (to_class, to_class_spy), (cached, cached_spy),
+             (stmult, stmult_spy))
 
     @contextmanager
     def recording():
@@ -262,10 +254,10 @@ def _ratio_bin(ratio) -> int:
     return len(_RATIO_EDGES) + 1 if ratio == math.inf else sum(ratio > e for e in _RATIO_EDGES)
 
 
-def kernel_call(a, b, floor=None) -> dict:
+def kernel_call(a, b) -> dict:
     """One ``_convolve`` call: the route its rule takes, its cost over budget, and both times.
 
-    ``route`` is the kernel the rule takes (floored, full or mirrored) or
+    ``route`` is the kernel the rule takes (full or mirrored) or
     ``pair -> k``, the pair loop, with k the kernel that forcing takes;
     ``ratio`` is the rule's kernel cost over its pair budget, at most 1
     exactly when the rule takes the kernel; ``bytes`` is the kernel's
@@ -275,27 +267,27 @@ def kernel_call(a, b, floor=None) -> dict:
     seen = []
     kronecker = characters._kronecker
 
-    def spy(aitems, bitems, ranges, bound, floor=None, mirror=False):
+    def spy(aitems, bitems, ranges, bound, mirror=False):
         seen.append((len(aitems), len(bitems), math.prod(map(len, ranges)), bound, mirror))
-        return kronecker(aitems, bitems, ranges, bound, floor, mirror)
+        return kronecker(aitems, bitems, ranges, bound, mirror)
 
     pair_cost, decode_cost = characters._PAIR_COST, characters._DECODE_COST
     with patched(characters, _kronecker=spy):
-        characters._convolve(a, b, floor)
+        characters._convolve(a, b)
         taken = bool(seen)
         with patched(characters, _PAIR_COST=10**9):
             seen.clear()
-            characters._convolve(a, b, floor)
+            characters._convolve(a, b)
     with patched(characters, _PAIR_COST=0):
-        pair = best(lambda: characters._convolve(a, b, floor), repeat=7)
+        pair = best(lambda: characters._convolve(a, b), repeat=7)
     if not seen:  # no slot holds the bound: only the pair loop runs
         return {"route": "pair", "ratio": math.inf, "bytes": math.inf, "kernel": math.inf,
                 "pair": pair}
     na, nb, slots, bound, mirror = seen[0]
-    kind = "floored" if floor is not None else "mirrored" if mirror else "full"
+    kind = "mirrored" if mirror else "full"
     nbytes = characters._slot_width(bound)[0] * slots
     with patched(characters, _PAIR_COST=10**9):
-        kernel = best(lambda: characters._convolve(a, b, floor), repeat=7)
+        kernel = best(lambda: characters._convolve(a, b), repeat=7)
     return {"route": kind if taken else f"pair -> {kind}",
             "ratio": nbytes * (na + decode_cost) / (pair_cost * na * nb),
             "bytes": nbytes, "kernel": kernel, "pair": pair}
@@ -380,101 +372,7 @@ def kernel_sweep(ranks=range(1, 7), sizes=(1, 4, 16, 64), nb=256, steps=32) -> T
         ["B/term: slot bytes of the product's box per term of b; '-': no crossing in the sweep"])
 
 
-# 2. Brauer's formula: one product with the Weyl denominator against straightening.
-
-# Weyl characters of each type, from a few to about 50 terms per element of W.
-BRAUER_INPUTS = (
-    ("A", 2, ((1, 1), (2, 2), (0, 6), (3, 3), (3, 4), (4, 4), (6, 6), (9, 9))),
-    ("B", 2, ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 4), (6, 6))),
-    ("G", 2, ((1, 1), (2, 1), (1, 3), (2, 2), (3, 3), (5, 5))),
-    ("A", 3, ((1, 1, 1), (2, 1, 2), (2, 2, 2), (3, 2, 3), (3, 3, 3), (4, 4, 4))),
-    ("B", 3, ((1, 1, 1), (2, 1, 1), (2, 1, 2), (2, 2, 2), (3, 3, 3))),
-    ("C", 3, ((1, 1, 1), (2, 1, 2), (2, 2, 2), (3, 3, 3))),
-    ("A", 4, ((1, 1, 1, 1), (2, 1, 1, 2), (2, 2, 2, 2), (3, 3, 3, 3))),
-    ("B", 4, ((1, 0, 0, 1), (1, 1, 1, 1), (2, 1, 1, 1))),
-    ("D", 4, ((1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 2, 2))),
-    ("F", 4, ((0, 0, 1, 1), (1, 1, 0, 0), (0, 0, 2, 2))),
-)
-
-
-def brauer_route(inputs) -> Table:
-    """Section 2a: product with the Weyl denominator over straightening, per input.
-
-    ``inputs`` are (rs, highest); each Weyl character is expanded both ways
-    and the two classes must agree.
-    """
-    rows = []
-    for rs, highest in inputs:
-        chi = S.weyl_character(rs, highest)
-        product, straightened = _brauer_times(rs, chi)
-        rows.append([_type(rs), list(highest), len(chi), round(len(chi) / rs.weyl_order, 1),
-                     _ms(product), _ms(straightened), round(product / straightened, 2),
-                     "product" if _takes_product(rs, chi) else "straighten"])
-    return Table(
-        "2a. Brauer route on Weyl characters: _convolve(chi, D, 0) against _straighten",
-        ["type", "weight", "terms", "t/e", "product ms", "straighten ms", "product/straighten",
-         "rule takes"],
-        rows,
-        ["t/e: terms of chi per element of W; the rule takes the product when "
-         "rank <= _DENSE_RANK and t/e >= _BRAUER_TERMS_PER_ELEMENT"])
-
-
-def _brauer_times(rs, chi):
-    zero = (0,) * rs.rank
-    d = grothendieck._weyl_denominator(rs)
-    expected = grothendieck._straighten(rs, chi.items())
-    if characters._convolve(chi, d, zero) != dict(expected.items()):
-        raise RuntimeError(f"{_type(rs)}: the two Brauer routes disagree")
-    return (best(lambda: characters._convolve(chi, d, zero)),
-            best(lambda: grothendieck._straighten(rs, chi.items())))
-
-
-def _takes_product(rs, chi) -> bool:
-    return _calls(grothendieck, "_convolve", grothendieck._brauer, rs, chi)
-
-
-def brauer_ties(table: Table) -> Table:
-    """Section 2b: per type, the t/e where the product starts to win, from section 2a's rows."""
-    rows = []
-    for name, group in groupby(table.rows, key=lambda row: row[0]):
-        points = sorted((row[3], row[6]) for row in group)
-        tie = crossing(points)
-        taken = [row[3] for row in table.rows if row[0] == name and row[7] == "product"]
-        rows.append([name, _span([p[0] for p in points], "{:.1f}"),
-                     "-" if tie is None else f"{tie:.1f}", min(taken, default="never")])
-    return Table("2b. Brauer route: tie per type",
-                 ["type", "swept t/e", "tie t/e", "rule's first product t/e"], rows,
-                 ["'-': the product never crossed straightening in the sweep"])
-
-
-_TE_EDGES = (1, 4, 8, 16)
-_TE_BANDS = ("<1", "1-4", "4-8", "8-16", ">=16")
-
-
-def _te_band(rs, chi) -> int:
-    # The index in _TE_BANDS of chi's terms per element of W.
-    return sum(len(chi) >= edge * rs.weyl_order for edge in _TE_EDGES)
-
-
-def brauer_traffic(calls_by_workload: dict) -> Table:
-    """Section 2c: the workloads' ``_brauer`` calls, both routes timed, by type and t/e."""
-    rows = []
-    for workload, calls in calls_by_workload.items():
-        records = sorted(((_type(rs), _te_band(rs, chi)), *_brauer_times(rs, chi),
-                          _takes_product(rs, chi)) for rs, chi in calls if chi)
-        for (name, band), group in groupby(records, key=lambda r: r[0]):
-            group = list(group)
-            rule = sum(r[1] if r[3] else r[2] for r in group)
-            fastest = sum(min(r[1], r[2]) for r in group)
-            rows.append([workload, name, _TE_BANDS[band], len(group), sum(r[3] for r in group),
-                         sum(r[1] < r[2] for r in group), _ms(sum(r[1] for r in group)),
-                         _ms(sum(r[2] for r in group)), _ms(rule), _ms(rule - fastest)])
-    return Table(
-        "2c. Brauer route on the workloads' _brauer calls",
-        ["workload", "type", "t/e", "calls", "rule: product", "product faster", "product ms",
-         "straighten ms", "rule ms", "rule - best ms"],
-        rows, [])
-
+# 2. Cached products of Weyl characters: Brauer-Klimyk against straightening.
 
 def _factor_count(chi) -> int:
     # How many cached Weyl characters multiply to chi; 0 for any other value.
@@ -484,32 +382,32 @@ def _factor_count(chi) -> int:
 def unfactored(chi):
     """A copy of chi that keeps its root-system tag and has no ``_factors``.
 
-    ``char_to_class`` sends such a copy to ``_brauer``.
+    ``char_to_class`` straightens such a copy term by term.
     """
     return S.Character._raw(dict(chi.items()), chi._invariant_for)
 
 
 def _klimyk_times(rs, chi, pending):
     copy = unfactored(chi)
-    if S.char_to_class(rs, chi) != grothendieck._brauer(rs, copy):
-        raise RuntimeError(f"{_type(rs)}: Brauer-Klimyk and Brauer's formula disagree")
+    if S.char_to_class(rs, chi) != grothendieck._straighten(rs, copy.items()):
+        raise RuntimeError(f"{_type(rs)}: Brauer-Klimyk and straightening disagree")
 
-    def brauer():
-        # _brauer, after forming the product if char_to_class got it unformed.
+    def straighten():
+        # Straightening, after forming the product if char_to_class got it unformed.
         if pending is None:
-            return grothendieck._brauer(rs, copy)
-        return grothendieck._brauer(rs, S.Character._raw(characters._convolve(*pending), rs))
+            return grothendieck._straighten(rs, copy.items())
+        return grothendieck._straighten(rs, characters._convolve(*pending).items())
 
-    return best(lambda: S.char_to_class(rs, chi)), best(brauer)
+    return best(lambda: S.char_to_class(rs, chi)), best(straighten)
 
 
 def klimyk_traffic(calls_by_workload: dict) -> Table:
-    """Section 2d: the workloads' ``char_to_class`` calls on cached products, by type and factors.
+    """Section 2: the workloads' ``char_to_class`` calls on cached products, by type and factors.
 
     ``calls`` are (rs, chi, pending), as ``traffic`` records them.  The rule
     expands each by Brauer-Klimyk over its factors; it is timed through
     ``char_to_class`` itself, so the lookups of the other factors' product
-    count, against ``_brauer`` on a copy without ``_factors``, plus forming
+    count, against straightening a copy without ``_factors``, plus forming
     the product when ``char_to_class`` got it unformed (pending is not None).
     """
     rows = []
@@ -524,12 +422,14 @@ def klimyk_traffic(calls_by_workload: dict) -> Table:
                          sum(r[1] < r[2] for r in group), _ms(rule),
                          _ms(sum(r[2] for r in group)), _ms(rule - fastest)])
     return Table(
-        "2d. Cached products in char_to_class: Brauer-Klimyk over their factors against _brauer",
+        "2. Cached products in char_to_class: Brauer-Klimyk over their factors against "
+        "straightening",
         ["workload", "type", "factors", "calls", "unformed", "klimyk faster", "klimyk ms",
-         "brauer ms", "rule - best ms"],
+         "straighten ms", "rule - best ms"],
         rows,
         ["the rule takes Brauer-Klimyk on every product of two or more cached Weyl characters",
-         "unformed: calls that got the product unformed; their brauer ms includes forming it"])
+         "unformed: calls that got the product unformed; their straighten ms includes "
+         "forming it"])
 
 
 # 3. Steinberg multiplicities: |W| lookups against contraction and straightening.
@@ -740,10 +640,6 @@ def main(argv) -> int:
     seed1 = {"rank2-steinberg": rank2[1], "highrank-classes": highrank}
     print(render(kernel_traffic({w: t.convolve for w, t in seed1.items()})))
     print(render(kernel_sweep()))
-    sweep = brauer_route(_inputs(BRAUER_INPUTS))
-    print(render(sweep))
-    print(render(brauer_ties(sweep)))
-    print(render(brauer_traffic({w: t.brauer for w, t in seed1.items()})))
     print(render(klimyk_traffic({w: t.klimyk for w, t in seed1.items()})))
     print(render(stmult_routes({seed: t.stmult for seed, t in rank2.items()})))
     print(render(weyl_routes(_inputs(WEYL_INPUTS))))
