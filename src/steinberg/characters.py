@@ -9,7 +9,8 @@ Products are exact sparse convolutions.  Signed characters (Euler
 characteristics, virtual differences) are first-class values, and they
 scale by integers only.  ``tensor`` and Weyl's formula key weights by packed
 integers and slot integers (module ``kronecker``); public values keep tuple
-keys.
+keys, which a value from the Kronecker kernel or Weyl's formula forms only
+when its weights are first read.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .kronecker import (
     _slot_int,
     _slot_width,
     _strides,
+    _sub_box,
+    _weights_at,
 )
 from .rootdata import (
     Lattice,
@@ -210,12 +213,23 @@ class Character(_Sparse):
     over them by Brauer-Klimyk, without reading its terms.  A value with
     None is convolved and straightened in full every time.
 
-    A product that the cache will not keep (``tensor``) is handed out
-    unformed: its ``_terms`` slot is empty and the private slot
-    ``_pending`` holds the two values ``tensor`` was given.  The first read
-    of ``_terms`` forms it (``__getattr__``), and such a value is never
-    cached.  Every other value leaves ``_pending`` empty.  Equality, repr,
-    JSON, pickling and copying read the terms, so they see a formed value.
+    A value whose terms are not yet formed has an empty ``_terms`` slot,
+    and the private slot ``_pending`` says how to form them; every other
+    value has None there.  It holds one of two things:
+
+    - the two values ``tensor`` was given, for a product that the cache will
+      not keep (such a value is never cached);
+    - a slot pair (``kronecker``), the list of a box's slot values and the
+      box's coordinate ranges, for a result of the Kronecker kernel or of
+      Weyl's formula, whose weights are not decoded until they are read.
+
+    The first read of ``_terms`` forms them (``__getattr__``), a pair by
+    ``_convolve`` and slots by ``kronecker._weights_at``, and then clears
+    ``_pending``.  ``len``, ``bool``, ``dim`` and ``==`` count, sum or
+    compare slots without decoding them, and two values with slots over the
+    same box compare slot lists; on a pending pair they form the terms.
+    Every other reader (repr, JSON, pickling, copying, arithmetic,
+    ``items``) reads the terms, so it sees a formed value.
     """
 
     __slots__ = ("_invariant_for", "_factors", "_pending")
@@ -224,41 +238,74 @@ class Character(_Sparse):
 
     def __init__(self, items=()):
         super().__init__(items)
-        self._invariant_for = self._factors = None
+        self._invariant_for = self._factors = self._pending = None
 
     @classmethod
     def _raw(cls, terms: dict, rs=None):
         self = super()._raw(terms)
         self._invariant_for = rs
-        self._factors = None
+        self._factors = self._pending = None
         return self
 
     @classmethod
-    def _unformed(cls, rs, factors: tuple, a, b):
-        # The product of a and b, with its tag and factors, formed on first read.
+    def _unformed(cls, rs, pending: tuple, factors=None):
+        # A value with its tag and factors, formed from pending on first read.
         self = cls.__new__(cls)
-        self._pending = a, b
+        self._pending = pending
         self._invariant_for = rs
         self._factors = factors
         return self
 
+    @classmethod
+    def _of(cls, result, rs):
+        # The value of a route's result: its terms (a dict) or its slot pair.
+        if type(result) is dict:
+            return cls._raw(result, rs)
+        return cls._unformed(rs, result)
+
+    def _slots(self):
+        # The slot pair this value holds undecoded, or None.  ``_pending`` is
+        # read once: another thread may clear it right after storing terms.
+        pending = self._pending
+        return pending if pending is not None and type(pending[0]) is list else None
+
     def __getattr__(self, name):
-        # Reached only when a slot is empty.  The pair is cleared after the
-        # terms are stored, so a thread that finds it cleared reads the
-        # terms another thread formed meanwhile; two threads that both find
-        # it form equal terms, so no lock is needed.
+        # Reached only when a slot is empty.  What was pending is cleared
+        # after the terms are stored, so a thread that finds it cleared reads
+        # the terms another thread formed meanwhile; two threads that both
+        # find it form equal terms, so no lock is needed.
         if name != "_terms":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         pending = self._pending
         if pending is not None:
-            self._terms = _convolve(*pending)
+            if type(pending[0]) is not list:
+                pending = _convolve(*pending)
+            self._terms = pending if type(pending) is dict else _weights_at(*pending)
             self._pending = None
         return object.__getattribute__(self, "_terms")
 
     def __getstate__(self):
-        # Pickling and copying form an unformed product and drop its pair.
+        # Pickling and copying form the terms and drop what was pending.
         return None, {"_terms": self._terms, "_invariant_for": self._invariant_for,
-                      "_factors": self._factors}
+                      "_factors": self._factors, "_pending": None}
+
+    def __len__(self):
+        slots = self._slots()
+        if slots is None:
+            return len(self._terms)
+        return len(slots[0]) - slots[0].count(0)
+
+    def __bool__(self):
+        slots = self._slots()
+        return bool(self._terms) if slots is None else any(slots[0])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return False
+        mine, theirs = self._slots(), other._slots()
+        if mine is not None and theirs is not None and mine[1] == theirs[1]:
+            return mine[0] == theirs[0]
+        return self._terms == other._terms
 
     def _result(self, terms: dict, other=None):
         tag = self._invariant_for if other is None else _shared_tag(self, other)
@@ -269,7 +316,8 @@ class Character(_Sparse):
 
     def dim(self) -> int:
         """Sum of multiplicities (the virtual dimension for signed inputs)."""
-        return sum(self._terms.values())
+        slots = self._slots()
+        return sum(self._terms.values()) if slots is None else sum(slots[0])
 
     def __mul__(self, other):
         if isinstance(other, Character):
@@ -391,10 +439,11 @@ def _cached(rs: RootSystem, factors: tuple, compute, *args) -> Character:
     if found is _ABSENT and len(factors) > 1 and rs.rank <= _DENSE_RANK:
         # The doorkeeper keeps a ghost only, so the product is not formed
         # until it is read.
-        return Character._unformed(rs, factors, *args)
+        return Character._unformed(rs, args, factors)
     chi = compute(*args)
     chi._factors = factors
-    if (found is None or rs.rank > _DENSE_RANK) and len(chi) <= _WEYL_CACHE_TERMS:
+    # len counts a value's slots when it holds them: once, outside the lock.
+    if (found is None or rs.rank > _DENSE_RANK) and (terms := len(chi)) <= _WEYL_CACHE_TERMS:
         with _weyl_cache_lock:
             # Another thread may have stored the character or dropped the
             # ghost meanwhile.
@@ -406,7 +455,7 @@ def _cached(rs: RootSystem, factors: tuple, compute, *args) -> Character:
                 return held
             _weyl_cache[key] = chi
             _weyl_cache.move_to_end(key)
-            _weyl_terms += len(chi)
+            _weyl_terms += terms
             _weyl_evict()
     return chi
 
@@ -442,7 +491,7 @@ def _weyl_character(rs: RootSystem, highest) -> Character:
     # weyl_character without its cache.
     highest = require_dominant(rs, highest)
     route = _weyl_formula if rs.rank <= _DENSE_RANK else _freudenthal
-    return Character._raw(route(rs, highest), rs)
+    return Character._of(route(rs, highest), rs)
 
 
 weyl_character.cache_info = _weyl_cache_info
@@ -460,8 +509,8 @@ def _weyl_dimension(rs: RootSystem, highest) -> int:
     return num // den
 
 
-def _weyl_formula(rs: RootSystem, highest) -> dict:
-    """The character's terms by Weyl's character formula.
+def _weyl_formula(rs: RootSystem, highest) -> tuple:
+    """The character's slot pair (``kronecker``) by Weyl's character formula.
 
     chi * D = sum over w in W of sgn(w) * e^(w(lam + rho) - rho), with D
     the Weyl denominator prod over alpha > 0 of (1 - e^-alpha) (Jantzen,
@@ -497,6 +546,11 @@ def _weyl_formula(rs: RootSystem, highest) -> dict:
     bits nearly always do.  A wrong sum at a width that holds dim itself,
     where no slot can overflow, or at the widest slots, raises
     ArithmeticError.
+
+    The slots that pass are cut to the box of W lam, the tightest box that
+    holds the character (lam has multiplicity 1).  That is the box
+    ``_convolve`` gives a product of W-invariant characters, as M above is
+    additive, so the twist identity's two sides compare slot lists.
     """
     dim = _weyl_dimension(rs, highest)
     walk = descend_orbit(rs, tuple(x + 1 for x in highest))
@@ -519,10 +573,12 @@ def _weyl_formula(rs: RootSystem, highest) -> dict:
             while t < n:
                 value = (value + (value << bits * t)) & mask
                 t *= 2
-        terms = _read_slots(value, nbytes, fmt, ranges)
-        total = sum(terms.values())
+        vals = _read_slots(value, nbytes, fmt, n)
+        total = sum(vals)
         if total == dim:
-            return terms
+            cols = zip(*(w for w, _ in descend_orbit(rs, highest)))
+            tight = [range(min(col), max(col) + 1) for col in cols]
+            return _sub_box(vals, ranges, tight), tight
         if dim < 1 << (bits - 1):
             break  # no slot can overflow, so wider ones would not help
     raise ArithmeticError(
@@ -613,16 +669,16 @@ def tensor(a: Character, b: Character) -> Character:
     """
     if a._factors and b._factors and a._invariant_for is b._invariant_for:
         return _cached(a._invariant_for, tuple(sorted(a._factors + b._factors)), _product, a, b)
-    return Character._raw(_convolve(a, b), _shared_tag(a, b))
+    return Character._of(_convolve(a, b), _shared_tag(a, b))
 
 
 def _product(a: Character, b: Character) -> Character:
     # tensor's product of two values tagged for one root system.
-    return Character._raw(_convolve(a, b), a._invariant_for)
+    return Character._of(_convolve(a, b), a._invariant_for)
 
 
-def _convolve(a: Character, b: Character) -> dict:
-    """The terms of ``tensor(a, b)``.
+def _convolve(a: Character, b: Character):
+    """The terms of ``tensor(a, b)``: a dict, or the kernel's slot pair.
 
     A factor is held as its support's coordinate columns and its values, and
     its keys are packed a column at a time (``_packed``).
@@ -630,12 +686,14 @@ def _convolve(a: Character, b: Character) -> dict:
     With a the factor of fewer terms, the Kronecker kernel (``_kronecker``)
     runs when the bound sum|a| * max|b| on a coefficient fits a slot of
     width 2, 4 or 8 bytes and the kernel, one add per slot byte per term of
-    a plus a decode, costs no more than the pair loop, one dict update per
-    pair: width * slots * (|a| + _DECODE_COST) <= _PAIR_COST * |a| * |b|.
+    a plus a read-back of the slots, costs no more than the pair loop, one
+    dict update per pair:
+    width * slots * (|a| + _DECODE_COST) <= _PAIR_COST * |a| * |b|.
     So the kernel's memory is O(|b|).  It sums half the box when both
-    factors carry the tag of one root system with -1 in W.  Otherwise the
-    pair loop adds each of the |a|*|b| products into a dict, drops sums
-    that cancel, and decodes the keys a column at a time.
+    factors carry the tag of one root system with -1 in W, and returns its
+    slots undecoded.  Otherwise the pair loop adds each of the |a|*|b|
+    products into a dict, drops sums that cancel, and decodes the keys a
+    column at a time.
     """
     if not a or not b:
         return {}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -155,6 +156,27 @@ def _fmt(weight) -> str:
     return "[" + ",".join(str(x) for x in weight) + "]"
 
 
+def _require_printable(p: int, r: int, weights, shift: int = 0) -> None:
+    """Refuse an r for which p^r makes coordinates too long to print.
+
+    Each coordinate x of the input ``weights`` prints as
+    p^r * (x + shift) - shift: ``char twist`` dilates (shift 0) and
+    ``class st-forward`` dot-multiplies (shift 1).  Python prints an int of
+    at most ``sys.get_int_max_str_digits()`` digits (0: no limit).  p^r is
+    formed only when r * log10(p) shows that it has at most two digits more.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    scales = {x + shift for w in weights for x in w} - {0}
+    if not limit or r < 1 or not scales:
+        return
+    if r * math.log10(p) <= limit + 1:
+        scale = p**r
+        if max(abs(scale * c - shift) for c in scales) < 10**limit:
+            return
+    raise DomainError(f"p^r = {p}^{r} makes coordinates of more than {limit} digits, "
+                      "too long to print")
+
+
 def _cmd_rs_info(parser, ctx, args):
     rs = ctx.rs
     payload = {
@@ -194,6 +216,7 @@ def _cmd_char_tensor(parser, ctx, args):
 
 def _cmd_char_twist(parser, ctx, args):
     chi = _one_char_input(parser, ctx, args)
+    _require_printable(ctx.p, args.r, chi.support())
     return _render_char(frobenius_twist(chi, args.r, ctx.p))
 
 
@@ -224,6 +247,7 @@ def _cmd_class_tensor_delta(parser, ctx, args):
 
 def _cmd_class_st_forward(parser, ctx, args):
     el = _load(ctx, gk.KElement, args.kclass)
+    _require_printable(ctx.p, args.r, el.support(), shift=1)
     return _render_class(gk.steinberg_forward(ctx.rs, el, ctx.p, args.r, ctx.lattice))
 
 

@@ -14,6 +14,14 @@ b*k of the int, so shifting an int up by s slots adds s to every key.  The
 ints cross to byte buffers in little-endian order and are read and written
 slot by slot through native arrays; a big-endian machine swaps the bytes of
 each slot on the way (``_from_slots``, ``_to_slots``).
+
+The kernel and Weyl's formula read their result back only as far as its
+slot values: a list of the box's slots, the last coordinate fastest, with
+the box's coordinate ranges (a slot pair, ``(vals, ranges)``).  Turning
+slots into ``{weight: value}`` (``_weights_at``) is put off until a weight
+is read: ``characters.Character`` holds the slot pair, counts, sums and
+compares its slots directly, and decodes them on the first read of its
+terms.
 """
 
 from __future__ import annotations
@@ -96,15 +104,30 @@ def _slot_int(items, nbytes: int, fmt: str):
     return n, _from_slots(pos, fmt) - _from_slots(neg, fmt)
 
 
-def _read_slots(value: int, nbytes: int, fmt: str, ranges) -> dict:
-    """The nonzero slots of value, as {weight: signed coefficient}.
+def _read_slots(value: int, nbytes: int, fmt: str, n: int) -> list:
+    """Slots 0 to n - 1 of value, as signed ints.
 
-    Slot k, the field of nbytes at bit 8*nbytes*k of value, holds the
-    coefficient at the k-th weight of the box with coordinate ranges
-    ``ranges``, the last coordinate fastest.
+    Slot k is the field of nbytes at bit 8*nbytes*k of value, read in two's
+    complement.
     """
-    slots = _to_slots(value, math.prod(map(len, ranges)), nbytes, fmt)
-    return _weights_at(slots.tolist(), ranges)
+    return _to_slots(value, n, nbytes, fmt).tolist()
+
+
+def _sub_box(vals, ranges, inner) -> list:
+    """The slot values of the box ``inner`` inside the box ``ranges``.
+
+    Both are coordinate ranges, the last coordinate fastest, and each range
+    of ``inner`` lies inside that of ``ranges``: the sub-box is one run of
+    slots per point of its other coordinates.
+    """
+    strides = _strides([len(r) for r in ranges])
+    lo = [i.start - r.start for i, r in zip(inner, ranges)]
+    n = len(inner[-1])
+    out = []
+    for point in product(*(range(k, k + len(i)) for k, i in zip(lo, inner[:-1]))):
+        start = sum(map(mul, point, strides)) + lo[-1]
+        out += vals[start:start + n]
+    return out
 
 
 def _weights_at(vals, ranges) -> dict:
@@ -118,7 +141,7 @@ def _weights_at(vals, ranges) -> dict:
     return dict(zip(compress(product(*ranges), vals), filter(None, vals)))
 
 
-def _kronecker(aitems, bitems, ranges, bound: int, mirror=False) -> dict:
+def _kronecker(aitems, bitems, ranges, bound: int, mirror=False) -> tuple:
     """Convolve two packed factors by shifting and adding one big integer.
 
     ``aitems`` and ``bitems`` are (key, multiplicity) pairs, keyed in the box
@@ -139,7 +162,9 @@ def _kronecker(aitems, bitems, ranges, bound: int, mirror=False) -> dict:
     Slot k has place value 2^(b*k), so the shift for key k is k slots.
     With top the first factor's largest key and nb the second's slot count,
     the sum fills n = top + nb slots, at most the box's; the slots above
-    them read back as zero (``_read_slots``).
+    them read back as zero (``_read_slots``).  The product is returned as
+    its slot pair, (the list of the box's slot values, ``ranges``), and no
+    weight is formed.
 
     ``mirror`` says that both factors are invariant under negation (a
     W-invariant pair for a type with -1 in W).  Then so is the product, and
@@ -179,6 +204,6 @@ def _kronecker(aitems, bitems, ranges, bound: int, mirror=False) -> dict:
     # Flipping each slot's top bit turns c + 2^(b-1) into c in two's complement.
     acc = (acc + bias) ^ bias
     if not mirror:
-        return _read_slots(acc, nbytes, fmt, ranges)
-    upper = _to_slots(acc >> bits, guard + 2, nbytes, fmt).tolist()  # slots c .. N-1
-    return _weights_at(upper[:0:-1] + upper, ranges)
+        return _read_slots(acc, nbytes, fmt, math.prod(map(len, ranges))), ranges
+    upper = _read_slots(acc >> bits, nbytes, fmt, guard + 2)  # slots c .. N-1
+    return upper[:0:-1] + upper, ranges

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import itertools
 import pickle
 import random
 import sys
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from steinberg import characters
+from steinberg import characters, kronecker
 from steinberg import (
     Character,
     ConfigurationError,
@@ -411,7 +412,7 @@ def test_cached_products_are_the_convolutions_of_their_factors(rs):
         lams = [rng.choice(PRODUCT_WEIGHTS[rs]) for _ in range(rng.randint(2, 3))]
         expected = uncached(rs, lams[0])
         for lam in lams[1:]:
-            expected = Character._raw(characters._convolve(expected, uncached(rs, lam)), rs)
+            expected = Character._of(characters._convolve(expected, uncached(rs, lam)), rs)
         factors = tuple(sorted(lams))
         weyl_character.cache_clear()
         for _ in range(3):
@@ -496,32 +497,57 @@ def _unformed_product(rs, lam, mu):
     # from a cold cache: handed out with empty terms.
     weyl_character.cache_clear()
     chi = tensor(weyl_character(rs, lam), weyl_character(rs, mu))
-    assert chi._pending is not None and chi._factors == tuple(sorted((lam, mu)))
+    assert chi._pending is not None and chi._slots() is None
+    assert chi._factors == tuple(sorted((lam, mu)))
     return chi
 
 
-def _formed(chi) -> bool:
-    return getattr(chi, "_pending", None) is None
+def _slotted(chi):
+    # chi, asserted to hold the undecoded slots of a kernel or Weyl's formula.
+    assert chi._slots() is not None
+    return chi
+
+
+def _deferred_values(rs, lam, mu) -> dict:
+    """Makers of fresh values whose terms are not formed, by kind, with their terms.
+
+    An unformed product, a product of two uncached Weyl characters that the
+    kernel forms, and the Weyl character at lam by Weyl's formula; the terms
+    come from the tuple convolution and Freudenthal's recursion.
+    """
+    uncached = weyl_character.__wrapped__
+    product = Character(oracles.convolve_naive(uncached(rs, lam), uncached(rs, mu)))
+    return {
+        "unformed product": (lambda: _unformed_product(rs, lam, mu), product),
+        "kernel product": (lambda: _slotted(tensor(uncached(rs, lam), uncached(rs, mu))),
+                           product),
+        "Weyl's formula": (lambda: _slotted(uncached(rs, lam)),
+                           Character(characters._freudenthal(rs, lam))),
+    }
 
 
 def test_unformed_products_pickle_and_copy_as_formed_values():
     # Pickle and copy read the terms, so they give formed values, equal to
-    # the product, with its tag and factors and no pending pair.
+    # the product, with its tag and factors and nothing pending.  So do
+    # values that hold slots.
     for rs in RANK2:
-        expected = tensor(weyl_character.__wrapped__(rs, (1, 0)),
-                          weyl_character.__wrapped__(rs, (0, 1)))
-        for clone in (lambda chi: pickle.loads(pickle.dumps(chi)), copy.deepcopy, copy.copy):
-            chi = _unformed_product(rs, (1, 0), (0, 1))
-            twin = clone(chi)
-            assert _formed(twin) and _formed(chi)
-            assert twin == expected == chi
-            assert twin._invariant_for is rs and twin._factors == chi._factors
+        for kind, (make, expected) in _deferred_values(rs, (1, 0), (0, 1)).items():
+            for clone in (lambda chi: pickle.loads(pickle.dumps(chi)), copy.deepcopy, copy.copy):
+                chi = make()
+                twin = clone(chi)
+                assert twin._pending is None and chi._pending is None, (rs, kind)
+                assert twin == expected == chi, (rs, kind)
+                assert twin._invariant_for is rs and twin._factors == chi._factors
     weyl_character.cache_clear()
 
 
-def test_unformed_products_read_like_formed_ones():
-    # Each reader gives on a fresh unformed product what it gives on a
-    # formed copy with the same tag and factors.
+def test_unformed_products_read_like_formed_ones(monkeypatch):
+    # Each reader gives on a fresh value whose terms are not formed what it
+    # gives on a formed copy with the same tag and factors; == compares the
+    # value with a fresh twin of its kind.  Every reader but the tag check
+    # forms an unformed product, whether the kernel or the pair loop
+    # convolves it; len, bool, dim and == decode no slots, so a value the
+    # kernel or Weyl's formula gave keeps them.
     readers = {
         "==": lambda chi, other: chi == other and other == chi,
         "repr": lambda chi, other: repr(chi),
@@ -532,28 +558,46 @@ def test_unformed_products_read_like_formed_ones():
         "require_w_invariant": lambda chi, other: require_w_invariant(chi._invariant_for, chi),
     }
     for rs in RANK2:
-        formed = _unformed_product(rs, (1, 1), (2, 0))
-        len(formed)
-        for name, read in readers.items():
-            chi = _unformed_product(rs, (1, 1), (2, 0))
-            assert read(chi, formed) == read(formed, formed), (rs, name)
-            assert _formed(chi) == (name != "require_w_invariant"), (rs, name)
+        for pair_cost in (characters._PAIR_COST, 0):
+            # The pair loop convolves every pair once a pair costs nothing.
+            monkeypatch.setattr(characters, "_PAIR_COST", pair_cost)
+            for kind, (make, expected) in _deferred_values(rs, (1, 1), (2, 0)).items():
+                if pair_cost == 0 and kind != "unformed product":
+                    continue
+                formed = make()
+                len(formed.items())
+                assert formed._pending is None and formed == expected
+                for name, read in readers.items():
+                    chi, twin = make(), make()
+                    assert read(chi, twin) == read(formed, formed), (rs, kind, name)
+                    if kind == "unformed product":
+                        formed_now = name != "require_w_invariant"
+                    else:
+                        formed_now = name in ("repr", "to_dict")
+                    assert (chi._pending is None) == formed_now, (rs, kind, name)
     weyl_character.cache_clear()
 
 
 def test_unformed_products_read_by_several_threads_at_once():
-    # Four threads read one unformed product at once, switching every
-    # microsecond, so one may find the terms empty after another has formed
-    # them and cleared the pending pair.  Every reader sees the whole product.
+    # Four threads read one value at once, switching every microsecond, so
+    # one may find the terms empty after another has formed them and
+    # cleared what was pending, or find slots that another thread is
+    # decoding.  Every reader sees the whole value, through its slots (len,
+    # dim, == against a value with slots over the same box) and through its
+    # terms (== against a formed value).
     rs = G2
-    expected = tensor(weyl_character.__wrapped__(rs, (2, 1)),
-                      weyl_character.__wrapped__(rs, (1, 2)))
     errors = []
 
-    def read(chi, barrier):
+    def read(chi, twin, expected, barrier, decoder):
+        # A decoder reads the terms first; the other threads read the slots
+        # twenty times meanwhile, then the terms.
         try:
             barrier.wait()
-            if len(chi) != len(expected) or chi != expected:
+            right = not decoder or chi == expected
+            for _ in range(1 if decoder else 20):
+                right = (right and len(chi) == len(expected) and chi.dim() == expected.dim()
+                         and chi == twin)
+            if not (right and chi == expected):
                 errors.append(dict(chi.items()))
         except Exception as exc:  # reported below, from the test's thread
             errors.append(exc)
@@ -561,20 +605,72 @@ def test_unformed_products_read_by_several_threads_at_once():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(100):
-            chi = _unformed_product(rs, (2, 1), (1, 2))
-            barrier = threading.Barrier(4, timeout=60)
-            threads = [threading.Thread(target=read, args=(chi, barrier)) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert _formed(chi)
+        for kind, (make, expected) in _deferred_values(rs, (2, 1), (1, 2)).items():
+            for _ in range(100):
+                chi, twin = make(), make()
+                barrier = threading.Barrier(4, timeout=60)
+                threads = [threading.Thread(target=read,
+                                            args=(chi, twin, expected, barrier, i % 2))
+                           for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert chi._pending is None, kind
     finally:
         sys.setswitchinterval(interval)
     assert not errors
     weyl_character.cache_clear()
+
+
+def test_twist_identity_reads_slots_and_decodes_no_weight(monkeypatch):
+    # Criterion 1's sweep on A2, B2 and G2 (every lam in [0, 4]^2), at
+    # p <= 7: St (x) Delta(lam)^(1) from the kernel and Delta(p . lam) from
+    # Weyl's formula hold slots over one box, so == and dim compare and sum
+    # slot lists and decode no weight.  A copy with one slot changed
+    # compares unequal, also without a decode; a value with slots equals a
+    # Character built from its items, once decoded.
+    decodes = []
+    real = kronecker._weights_at
+
+    def spy(vals, ranges):
+        decodes.append(len(vals))
+        return real(vals, ranges)
+
+    for module in (kronecker, characters):
+        monkeypatch.setattr(module, "_weights_at", spy)
+    weyl_character.cache_clear()
+    slotted = cases = 0
+    for rs in RANK2:
+        for p in (2, 3, 5, 7):
+            st = steinberg_character(rs, p)
+            for lam in itertools.product(range(5), repeat=2):
+                cases += 1
+                target = dot_multiply(p, lam)
+                lhs = tensor(st, frobenius_twist(weyl_character(rs, lam), 1, p))
+                rhs = weyl_character(rs, target)
+                if lhs._pending is None or rhs._pending is None:
+                    assert lhs == rhs, (rs, p, lam)
+                    continue
+                slotted += 1
+                del decodes[:]
+                assert lhs._slots()[1] == rhs._slots()[1], (rs, p, lam)
+                assert lhs == rhs and rhs == lhs, (rs, p, lam)
+                assert lhs.dim() == rhs.dim() == characters._weyl_dimension(rs, target)
+                vals, box = lhs._slots()
+                changed = list(vals)
+                changed[len(changed) // 2] += 1
+                other = Character._unformed(rs, (changed, box))
+                assert lhs != other and other != lhs
+                assert not decodes, (rs, p, lam)
+                built = Character(Character._unformed(rs, (vals, box)).items())
+                assert decodes and lhs._pending is not None
+                assert lhs == built and built == lhs
+                assert lhs._pending is None
+    weyl_character.cache_clear()
+    print(f"\ntwist identity: {slotted} of {cases} pairs compared slot lists")
+    assert slotted
 
 
 def test_mixed_ranks_are_rejected():

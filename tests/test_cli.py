@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -342,6 +343,42 @@ def test_domain_errors_exit_1():
         code, out, err = invoke(argv)
         assert code == 1, argv
         assert err.strip() and "Traceback" not in err, argv
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints ints of any length")
+def test_r_past_the_printable_digits_exits_1_before_p_to_the_r_is_formed():
+    # p^r beyond the digits Python prints used to end in a traceback from
+    # printing; r = 10^12 would not finish forming p^r.  Each verb with --r
+    # and a printed result refuses such an r, with nothing on stdout.
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int printing has no digit limit here")
+    twist = ["char", "twist", "--type", "A", "--rank", "2", "--weight", "1,1", "--p", "3"]
+    forward = ["class", "st-forward", "--type", "A", "--rank", "2", "--p", "3",
+               "--class", '{"terms":[{"w":[0,0],"coeff":1}]}']
+    # The largest r with 3^r below 10^limit: class st-forward prints
+    # (3^r - 1) * rho, whose coordinates have exactly limit digits.
+    top = int(limit / math.log10(3)) + 1
+    while 3**top >= 10**limit:
+        top -= 1
+    for argv in (twist + ["--r", "99999"], twist + ["--r", str(10**12)],
+                 forward + ["--r", str(top + 1)], forward + ["--r", "99999"]):
+        code, out, err = invoke(argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("steinberg: error: p^r = 3^") and "Traceback" not in err, argv
+    payload = invoke_json(forward + ["--r", str(top)])
+    assert [len(str(x)) for x in payload["terms"][0]["w"]] == [limit, limit]
+    assert invoke_json(twist + ["--r", "9"])["weights"]
+    # char twist prints p^r * x, so A1's weight 1 prints +-3^r up to the same
+    # top, and the trivial character prints [0,0] at any r.
+    a1 = ["char", "twist", "--type", "A", "--rank", "1", "--weight", "1", "--p", "3"]
+    payload = invoke_json(a1 + ["--r", str(top)])
+    assert sorted(len(str(abs(x))) for t in payload["weights"] for x in t["w"]) == [limit, limit]
+    code, out, err = invoke(a1 + ["--r", str(top + 1)])
+    assert code == 1 and out == "" and err.startswith("steinberg: error: p^r = 3^"), err
+    trivial = invoke_json(twist[:6] + ["--weight", "0,0", "--p", "3", "--r", "99999"])
+    assert trivial["weights"] == [{"w": [0, 0], "mult": 1}]
 
 
 def test_non_invariant_char_input_exits_1_on_every_checking_route():

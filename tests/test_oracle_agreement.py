@@ -58,7 +58,7 @@ from steinberg import (
 import steinberg
 from steinberg import characters, grothendieck, kronecker
 from steinberg.characters import _kronecker, _slot_width
-from steinberg.kronecker import _read_slots, _slot_int
+from steinberg.kronecker import _read_slots, _slot_int, _weights_at
 from steinberg.rootdata import apply_simple_reflection
 from steinberg.cli import run
 
@@ -231,11 +231,12 @@ def test_tensor_matches_tuple_convolution(rank):
 
 
 def _kernel_direct(a, b, bound=None) -> dict:
-    """``_kronecker`` on a and b, packed in the layout ``tensor`` uses.
+    """``_kronecker`` on a and b, packed in the layout ``tensor`` uses, decoded.
 
     Keys count the product's box with the last coordinate fastest, each
     factor's key relative to its own minimum.  The bound defaults to
-    sum|a| * max|b|.
+    sum|a| * max|b|.  The kernel returns the slots of that box, which must
+    be the box it was given.
     """
     cols_a, cols_b = list(zip(*a.support())), list(zip(*b.support()))
     lo_a, lo_b = [min(c) for c in cols_a], [min(c) for c in cols_b]
@@ -248,7 +249,9 @@ def _kernel_direct(a, b, bound=None) -> dict:
     if bound is None:
         bound = sum(abs(m) for _, m in a.items()) * max(abs(m) for _, m in b.items())
     ranges = [range(l + k, l + k + n) for l, k, n in zip(lo_a, lo_b, widths)]
-    return _kronecker(packed(a, lo_a), packed(b, lo_b), ranges, bound)
+    vals, box = _kronecker(packed(a, lo_a), packed(b, lo_b), ranges, bound)
+    assert box == ranges and len(vals) == math.prod(widths)
+    return _weights_at(vals, box)
 
 
 @pytest.fixture
@@ -392,6 +395,11 @@ def test_mirrored_kernel_needs_both_tags(kernel_paths):
         assert kernel_paths == [(False, "full", 2)] * 2
 
 
+def _read_box(value, nbytes, fmt, box) -> dict:
+    # The slots of value over the box, decoded as a character's terms are.
+    return _weights_at(_read_slots(value, nbytes, fmt, math.prod(map(len, box))), box)
+
+
 @pytest.mark.parametrize("nbytes,fmt", [(2, "h"), (4, "i"), (8, "q")])
 def test_slot_k_is_the_field_at_bit_b_times_k(nbytes, fmt):
     # The layout both the kernel and Weyl's formula shift by, whatever the
@@ -406,7 +414,7 @@ def test_slot_k_is_the_field_at_bit_b_times_k(nbytes, fmt):
         # Nonnegative slots read back unchanged, in a box of 5 x 7 slots.
         kept = {k: abs(m) for k, m in items.items() if m}
         packed = sum(m << bits * k for k, m in kept.items())
-        assert _read_slots(packed, nbytes, fmt, [range(2, 7), range(-3, 4)]) == {
+        assert _read_box(packed, nbytes, fmt, [range(2, 7), range(-3, 4)]) == {
             (2 + k // 7, -3 + k % 7): m for k, m in kept.items()}
 
 
@@ -445,12 +453,31 @@ def test_read_slots_matches_the_per_slot_oracle(nbytes, fmt):
             one = [range(r.start, r.start + 1) for r in ranges]
             cases = [(value, ranges), (0, ranges), (fields[0] % (1 << bits), one)]
             for v, box in cases:
-                assert _read_slots(v, nbytes, fmt, box) == oracles.read_slots(v, nbytes, box), (
+                assert _read_box(v, nbytes, fmt, box) == oracles.read_slots(v, nbytes, box), (
                     v, box)
     # A slot at the bottom of the range and one at the top, next to zeros.
     box = [range(-1, 2), range(0, 2)]
     value = (top << bits * 5) | (top - 1) << bits * 1
-    assert _read_slots(value, nbytes, fmt, box) == {(-1, 1): top - 1, (1, 1): -top}
+    assert _read_box(value, nbytes, fmt, box) == {(-1, 1): top - 1, (1, 1): -top}
+
+
+def test_sub_box_matches_a_lookup_per_weight():
+    # Weyl's formula cuts its slots to the box of W lam this way: random
+    # sub-boxes of random boxes of rank 1 to 3, down to one slot.
+    rng = random.Random("sub-box")
+    for rank in (1, 2, 3):
+        for _ in range(30):
+            ranges = [range(s, s + rng.randint(1, 6)) for s in
+                      (rng.randint(-5, 5) for _ in range(rank))]
+            inner = []
+            for r in ranges:
+                start = rng.randrange(r.start, r.stop)
+                inner.append(range(start, rng.randint(start + 1, r.stop)))
+            weights = list(itertools.product(*ranges))
+            vals = [rng.randint(-3, 3) for _ in weights]
+            at = dict(zip(weights, vals))
+            assert kronecker._sub_box(vals, ranges, inner) == [
+                at[w] for w in itertools.product(*inner)], (ranges, inner)
 
 
 def test_kronecker_kernel_cancels_telescoping_products(kernel_calls):
@@ -746,6 +773,118 @@ def test_cached_products_expand_over_their_factors_and_nothing_else_does(monkeyp
     assert [branch for branch in branches if not reached[branch]] == []
 
 
+def _box_slots(a, b) -> int:
+    # The slots of the box that tensor convolves a and b in; 0 if one is empty.
+    if not a or not b:
+        return 0
+    cols = zip(zip(*a.support()), zip(*b.support()))
+    return math.prod(max(x) - min(x) + max(y) - min(y) + 1 for x, y in cols)
+
+
+def _reads_like_its_decoded_copy(result, tag, probes) -> None:
+    """A value of a ``_convolve`` result reads as a copy with its terms decoded.
+
+    Each reader gets a fresh value, so none sees terms another decoded.
+    """
+    def fresh():
+        return Character._of(result, tag)
+
+    decoded = Character._raw(dict(fresh().items()), tag)
+    assert type(result) is dict or fresh()._slots() is not None
+    readers = {
+        "==": lambda chi: (chi == decoded, decoded == chi),
+        "len": len,
+        "bool": bool,
+        "dim": lambda chi: chi.dim(),
+        "mult": lambda chi: [chi.mult(w) for w in probes],
+        "items": lambda chi: sorted(chi.items()),
+        "repr": repr,
+        "to_dict": lambda chi: chi.to_dict(),
+    }
+    for name, read in readers.items():
+        assert read(fresh()) == read(decoded), name
+    assert fresh() == fresh()
+
+
+def test_convolve_routes_agree_on_random_invariant_inputs(monkeypatch, kernel_paths):
+    # Random W-invariant pairs on the 22 types: Weyl characters, products
+    # of cached ones, Frobenius twists and signed sums, of dimension at most
+    # 300.  Each pair is convolved by the pair loop (_PAIR_COST = 0) and by
+    # the kernel (10**9), which sums half the box when both factors are
+    # tagged for a type with -1 in W and the full box otherwise; there an
+    # untagged copy of a factor forces the full box too.  A kernel whose
+    # box exceeds 40000 slots is not forced.  Every result must be the
+    # tuple convolution and read as its decoded copy does.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    budget, box_limit = 300, 40000
+    weights = {rs: [w for w in small if characters._weyl_dimension(rs, w) <= budget]
+               for rs, small in _small_weights().items()}
+    pair_cost = characters._PAIR_COST
+    reached = collections.Counter()
+
+    @st.composite
+    def invariant(draw, rs):
+        lam = draw(st.sampled_from(weights[rs]))
+        chi = weyl_character(rs, lam)
+        kind = draw(st.sampled_from(("Weyl character", "product", "twist", "signed sum")))
+        left = budget // characters._weyl_dimension(rs, lam)
+        mu = draw(st.sampled_from([w for w in weights[rs]
+                                   if characters._weyl_dimension(rs, w) <= max(left, 1)]))
+        if kind == "product":
+            chi = tensor(chi, weyl_character(rs, mu))
+        elif kind == "twist":
+            chi = frobenius_twist(chi, 1, draw(st.sampled_from((2, 3))))
+        elif kind == "signed sum":
+            chi = draw(st.integers(-3, 3)) * chi - 2 * weyl_character(rs, mu)
+        return kind, chi
+
+    @st.composite
+    def pairs(draw):
+        rs = draw(st.sampled_from(list(weights)))
+        return rs, draw(invariant(rs)), draw(invariant(rs))
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(pairs())
+    def check(case):
+        rs, (kind_a, a), (kind_b, b) = case
+        reached[kind_a] += 1
+        reached[kind_b] += 1
+        expected = oracles.convolve_naive(a, b)
+        probes = sorted(expected)[:3] + [(99,) * rs.rank]
+        forced = [(0, a), (10**9, a)]
+        if rs.negation_in_w:
+            forced.append((10**9, Character(a.items())))
+        for cost, x in forced:
+            if cost and _box_slots(x, b) > box_limit:
+                reached["kernel not forced: box too large"] += 1
+                continue
+            monkeypatch.setattr(characters, "_PAIR_COST", cost)
+            del kernel_paths[:]
+            try:
+                result = characters._convolve(x, b)
+            finally:
+                monkeypatch.setattr(characters, "_PAIR_COST", pair_cost)
+            if not x or not b:
+                route = "empty factor"
+            elif kernel_paths:
+                (_, route, _), = kernel_paths
+            else:
+                route = "pair loop"
+            assert (route in ("full", "mirrored")) == (type(result) is not dict), route
+            reached[route] += 1
+            tag = characters._shared_tag(x, b)
+            assert dict(Character._of(result, tag).items()) == expected, route
+            _reads_like_its_decoded_copy(result, tag, probes)
+
+    check()
+    print("\n_convolve branches reached: " + ", ".join(
+        f"{branch} {n}" for branch, n in sorted(reached.items())))
+    branches = ["Weyl character", "product", "twist", "signed sum", "pair loop", "full",
+                "mirrored"]
+    assert [branch for branch in branches if not reached[branch]] == []
+
+
 def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
     # Products of 2 to 4 cached Weyl characters, drawn as in the test above,
     # from a cold cache.  Up to rank 2 the first request leaves a ghost, so
@@ -770,7 +909,8 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
     uncached = weyl_character.__wrapped__
 
     def formed(chi):
-        return getattr(chi, "_pending", None) is None
+        # Convolved: no pending pair, only terms or the kernel's slots.
+        return chi._pending is None or chi._slots() is not None
 
     def request(rs, lams):
         chi = weyl_character(rs, lams[0])
@@ -796,7 +936,7 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
         key = (rs, tuple(sorted(lams)))
         expected = uncached(rs, lams[0])
         for lam in lams[1:]:
-            expected = Character._raw(real(expected, uncached(rs, lam)), rs)
+            expected = Character._of(real(expected, uncached(rs, lam)), rs)
         weyl_character.cache_clear()
         chi = request(rs, lams)
         if rs.rank > characters._DENSE_RANK:
@@ -963,7 +1103,11 @@ def test_weyl_formula_matches_partition_oracle_and_freudenthal(series, rank):
     rs = build_root_system(series, rank)
     group = oracles.weyl_group(rs)
     for lam in _route_weights(rs):
-        route = characters._weyl_formula(rs, lam)
+        vals, box = characters._weyl_formula(rs, lam)
+        route = _weights_at(vals, box)
+        # The slots are cut to the tightest box of the support.
+        assert box == [range(min(col), max(col) + 1) for col in zip(*route)], lam
+        assert len(vals) == math.prod(map(len, box)), lam
         assert route == characters._freudenthal(rs, lam), lam
         assert dict(weyl_character(rs, lam).items()) == route, lam
         assert sum(route.values()) == oracles.weyl_dimension(series, rank, lam)
@@ -976,7 +1120,8 @@ def test_weyl_formula_on_a1_matches_rank_one_theory(monkeypatch):
     rs = build_root_system("A", 1)
     # Every weight of rank <= 2 takes the route.
     for m in range(40):
-        assert characters._weyl_formula(rs, (m,)) == oracles.a1_weyl_character_weights(m)
+        assert _weights_at(*characters._weyl_formula(rs, (m,))) == (
+            oracles.a1_weyl_character_weights(m))
     monkeypatch.setattr(characters, "_freudenthal", None)
     for m in range(40):
         assert dict(weyl_character.__wrapped__(rs, (m,)).items()) == (
@@ -1044,20 +1189,21 @@ def test_weyl_formula_raises_when_its_widest_slots_overflow(monkeypatch, slot_wi
         characters._weyl_formula(rs, (23, 15))
     assert slot_widths == [2]
     # A weight whose multiplicities fit still decodes.
-    assert characters._weyl_formula(rs, (3, 2)) == characters._freudenthal(rs, (3, 2))
+    assert _weights_at(*characters._weyl_formula(rs, (3, 2))) == characters._freudenthal(rs, (3, 2))
 
 
 def test_weyl_formula_raises_at_the_first_width_that_holds_dim(monkeypatch):
     # A2's (1, 1) has dim 8, far below 2^15, so no 2-byte slot can overflow:
     # a decode whose multiplicities miss dim there is an error, and wider
-    # slots are not tried.  A fake decoder that drops one weight forces it.
+    # slots are not tried.  A fake decoder that drops one weight, the last
+    # occupied slot, forces it.
     real, widths = characters._read_slots, []
 
     def lossy(value, nbytes, *rest):
         widths.append(nbytes)
-        terms = real(value, nbytes, *rest)
-        del terms[max(terms)]
-        return terms
+        vals = real(value, nbytes, *rest)
+        vals[max(k for k, m in enumerate(vals) if m)] = 0
+        return vals
 
     monkeypatch.setattr(characters, "_read_slots", lossy)
     rs = build_root_system("A", 2)

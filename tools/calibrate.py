@@ -51,7 +51,7 @@ sys.path.append(str(ROOT / "bench"))
 
 import steinberg as S  # noqa: E402
 import workloads  # noqa: E402
-from steinberg import characters, grothendieck  # noqa: E402
+from steinberg import characters, grothendieck, kronecker  # noqa: E402
 
 # Each rule's constants, by module: the tables read them at call time.
 CONSTANTS = (
@@ -175,9 +175,10 @@ Lookup = namedtuple("Lookup", "rs factors compute args formed")
 
 
 def _pending(chi):
-    # The pair an unformed product is formed from, or None once chi has its
-    # terms; reading the slot never forms them.
-    return getattr(chi, "_pending", None)
+    # The pair an unformed product is formed from, or None when chi was
+    # computed: it holds terms, or the slots of the kernel or Weyl's
+    # formula.  Reading the slot never forms it.
+    return None if chi._slots() is not None else chi._pending
 
 
 def traffic(workload: str, seed: int) -> Traffic:
@@ -254,6 +255,11 @@ def _ratio_bin(ratio) -> int:
     return len(_RATIO_EDGES) + 1 if ratio == math.inf else sum(ratio > e for e in _RATIO_EDGES)
 
 
+def _convolved(a, b) -> dict:
+    # _convolve's terms, the kernel's slots decoded, as a reader of its weights pays for them.
+    return S.Character._of(characters._convolve(a, b), None)._terms
+
+
 def kernel_call(a, b) -> dict:
     """One ``_convolve`` call: the route its rule takes, its cost over budget, and both times.
 
@@ -262,7 +268,8 @@ def kernel_call(a, b) -> dict:
     ``ratio`` is the rule's kernel cost over its pair budget, at most 1
     exactly when the rule takes the kernel; ``bytes`` is the kernel's
     slot width times the slots of its box.  Forcing sets ``_PAIR_COST``
-    to 10**9 (kernel) or 0 (pair loop).
+    to 10**9 (kernel) or 0 (pair loop).  Both routes are timed to terms:
+    the kernel's slots are decoded inside the timed call.
     """
     seen = []
     kronecker = characters._kronecker
@@ -279,7 +286,7 @@ def kernel_call(a, b) -> dict:
             seen.clear()
             characters._convolve(a, b)
     with patched(characters, _PAIR_COST=0):
-        pair = best(lambda: characters._convolve(a, b), repeat=7)
+        pair = best(lambda: _convolved(a, b), repeat=7)
     if not seen:  # no slot holds the bound: only the pair loop runs
         return {"route": "pair", "ratio": math.inf, "bytes": math.inf, "kernel": math.inf,
                 "pair": pair}
@@ -287,7 +294,7 @@ def kernel_call(a, b) -> dict:
     kind = "mirrored" if mirror else "full"
     nbytes = characters._slot_width(bound)[0] * slots
     with patched(characters, _PAIR_COST=10**9):
-        kernel = best(lambda: characters._convolve(a, b), repeat=7)
+        kernel = best(lambda: _convolved(a, b), repeat=7)
     return {"route": kind if taken else f"pair -> {kind}",
             "ratio": nbytes * (na + decode_cost) / (pair_cost * na * nb),
             "bytes": nbytes, "kernel": kernel, "pair": pair}
@@ -396,7 +403,8 @@ def _klimyk_times(rs, chi, pending):
         # Straightening, after forming the product if char_to_class got it unformed.
         if pending is None:
             return grothendieck._straighten(rs, copy.items())
-        return grothendieck._straighten(rs, characters._convolve(*pending).items())
+        product = S.Character._of(characters._convolve(*pending), rs)
+        return grothendieck._straighten(rs, product.items())
 
     return best(lambda: S.char_to_class(rs, chi)), best(straighten)
 
@@ -489,14 +497,22 @@ WEYL_INPUTS = (
 )
 
 
+def _formula_terms(rs, highest) -> dict:
+    # Weyl's formula with its slots decoded, as a reader of its weights pays for it.
+    return kronecker._weights_at(*characters._weyl_formula(rs, highest))
+
+
 def weyl_routes(inputs) -> Table:
-    """Section 4a: ``_weyl_formula`` against ``_freudenthal`` per (rs, highest); both must agree."""
+    """Section 4a: ``_weyl_formula`` against ``_freudenthal`` per (rs, highest); both must agree.
+
+    The formula is timed with its slots decoded, so both routes give terms.
+    """
     rows = []
     for rs, highest in inputs:
         terms = characters._freudenthal(rs, highest)
-        if characters._weyl_formula(rs, highest) != terms:
+        if _formula_terms(rs, highest) != terms:
             raise RuntimeError(f"{_type(rs)} {list(highest)}: the two Weyl routes disagree")
-        formula = best(lambda: characters._weyl_formula(rs, highest))
+        formula = best(lambda: _formula_terms(rs, highest))
         recursion = best(lambda: characters._freudenthal(rs, highest))
         rows.append([_type(rs), list(highest), len(terms), _ms(formula), _ms(recursion),
                      f"{formula / recursion:.2f}",
@@ -510,10 +526,13 @@ def weyl_routes(inputs) -> Table:
 
 
 def recompute_cost(formula_inputs, recursion_inputs) -> Table:
-    """Section 4b: microseconds per term of each route, on the characters the rule sends it."""
+    """Section 4b: microseconds per term of each route, on the characters the rule sends it.
+
+    The formula is timed with its slots decoded, as in section 4a.
+    """
     rows, per_term = [], {"formula": [], "recursion": []}
     for route, inputs in (("formula", formula_inputs), ("recursion", recursion_inputs)):
-        fn = characters._weyl_formula if route == "formula" else characters._freudenthal
+        fn = _formula_terms if route == "formula" else characters._freudenthal
         for rs, highest in inputs:
             n = len(fn(rs, highest))
             us = best(lambda: fn(rs, highest)) / n * 1e6
