@@ -16,6 +16,7 @@ when its weights are first read.
 from __future__ import annotations
 
 import math
+import sys
 from _thread import allocate_lock
 from collections import OrderedDict
 from functools import _CacheInfo  # the record lru_cache's cache_info returns
@@ -217,12 +218,13 @@ class Character(_Sparse):
     and the private slot ``_pending`` says how to form them; every other
     value has None there.  It holds one of two things:
 
-    - the two values ``tensor`` was given, for a product that the cache will
-      not keep (such a value is never cached);
+    - the two values ``tensor`` was given, for a product handed out
+      unformed (see ``weyl_character`` for which);
     - a slot pair (``kronecker``), the list of a box's slot values and the
       box's coordinate ranges, for a result of the Kronecker kernel or of
       Weyl's formula, whose weights are not decoded until they are read.
 
+    ``_raw`` builds either kind, from a terms dict or from what is pending.
     The first read of ``_terms`` forms them (``__getattr__``), a pair by
     ``_convolve`` and slots by ``kronecker._weights_at``, and then clears
     ``_pending``.  ``len``, ``bool``, ``dim`` and ``==`` count, sum or
@@ -241,27 +243,18 @@ class Character(_Sparse):
         self._invariant_for = self._factors = self._pending = None
 
     @classmethod
-    def _raw(cls, terms: dict, rs=None):
-        self = super()._raw(terms)
-        self._invariant_for = rs
-        self._factors = self._pending = None
-        return self
-
-    @classmethod
-    def _unformed(cls, rs, pending: tuple, factors=None):
-        # A value with its tag and factors, formed from pending on first read.
+    def _raw(cls, terms, rs=None):
+        # terms: a dict free of zeros, or what is pending (a pair of values
+        # or a slot pair), formed on first read.
         self = cls.__new__(cls)
-        self._pending = pending
+        if type(terms) is dict:
+            self._terms = terms
+            self._pending = None
+        else:
+            self._pending = terms
         self._invariant_for = rs
-        self._factors = factors
+        self._factors = None
         return self
-
-    @classmethod
-    def _of(cls, result, rs):
-        # The value of a route's result: its terms (a dict) or its slot pair.
-        if type(result) is dict:
-            return cls._raw(result, rs)
-        return cls._unformed(rs, result)
 
     def _slots(self):
         # The slot pair this value holds undecoded, or None.  ``_pending`` is
@@ -368,11 +361,11 @@ _DENSE_RANK = 2
 # tools/calibrate.py replays it.
 _WEYL_CACHE_TERMS = 1 << 15
 
-# (rs, highest) -> Weyl character, (rs, highests) -> product of two or more
-# (``tensor``), or None for a ghost; least recently used first.
+# (rs, factors) -> the product of the Weyl characters at factors (one
+# for a Weyl character), or None for a ghost; least recently used first.
 _weyl_cache = OrderedDict()
 _weyl_cache_lock = allocate_lock()
-_weyl_hits = _weyl_misses = _weyl_terms = _weyl_ghosts = 0
+_weyl_hits = _weyl_misses = _weyl_terms = _weyl_held = 0
 _ABSENT = object()
 
 
@@ -383,30 +376,34 @@ def weyl_character(rs: RootSystem, highest) -> Character:
     (``_weyl_formula``), above it from Freudenthal's recursion
     (``_freudenthal``); each is exact.
 
-    Weyl characters, and the products of them that ``tensor`` forms, are
+    Weyl characters, and the products of them that ``tensor`` looks up, are
     kept in one least-recently-used cache bounded by the terms it holds,
-    ``_WEYL_CACHE_TERMS`` in all.  A character of rank up to
-    ``_DENSE_RANK`` is kept only from its second request (an admission
-    doorkeeper, as in Einziger, Friedman and Manes's TinyLFU): its first
-    miss stores a ghost, the key with no character, charged one term, and a
-    miss on a ghost stores the character in its place.  One of higher rank,
-    which costs more per term to compute again, is kept from its first
-    miss.  Either is kept only if it fits the budget, and each store drops
-    the least recently used entries, ghosts or characters, until the total
-    fits.  Finding a ghost is a miss, finding a character a hit.  A
-    product that would not be kept, the first request of one of rank up to
-    ``_DENSE_RANK``, is handed out unformed (see ``Character``), so a
-    product that nothing reads is never convolved.  ``cache_info`` (its
-    hits and misses count product lookups too; ``currsize`` counts
-    characters and products, not ghosts; ``maxsize`` is the term budget)
-    and ``cache_clear`` are the cache's, and
-    ``__wrapped__`` is the uncached computation, as for
-    ``functools.lru_cache``; its values carry no ``_factors``, so ``tensor``
-    never looks their products up.  Lookups and updates hold one lock, the
-    computation does not.  The weight is checked on every call, before the
-    cache is looked up: coordinates must be ints (not bools), so a float or
-    bool weight that equals a cached int weight is rejected, not answered
-    from the cache.
+    ``_WEYL_CACHE_TERMS`` in all, each under (rs, its sorted factors).  This
+    is the cache's rule, which the rest of the library refers to:
+
+    - A request finds a value (a hit), a ghost or nothing (a miss).  A
+      ghost is a key without its value, charged one term.
+    - A miss is admitted when it finds a ghost or its rank is above
+      ``_DENSE_RANK``, where a value costs more per term to compute again.
+      Any other miss, the first request of a value of rank up to
+      ``_DENSE_RANK``, is held back by the doorkeeper (as in Einziger,
+      Friedman and Manes's TinyLFU): it stores a ghost and nothing else.
+    - An admitted value is stored only if it fits the budget, in place of
+      its ghost, if any.  Each store drops the least recently used entries,
+      ghosts or values, until the total fits.
+    - A product held back is handed out unformed (see ``Character``): its
+      terms are convolved on their first read, so a product that nothing
+      reads is never convolved.
+
+    ``cache_info`` (its hits and misses count product lookups too;
+    ``currsize`` counts held values, not ghosts; ``maxsize`` is the term
+    budget) and ``cache_clear`` are the cache's, and ``__wrapped__`` is the
+    uncached computation, as for ``functools.lru_cache``; its values carry
+    no ``_factors``, so ``tensor`` never looks their products up.  Lookups
+    and updates hold one lock, the computation does not.  The weight is
+    checked on every call, before the cache is looked up: coordinates must
+    be ints (not bools), so a float or bool weight that equals a cached int
+    weight is rejected, not answered from the cache.
     """
     highest = require_dominant(rs, highest)
     return _cached(rs, (highest,), _weyl_character, rs, highest)
@@ -415,47 +412,42 @@ def weyl_character(rs: RootSystem, highest) -> Character:
 def _cached(rs: RootSystem, factors: tuple, compute, *args) -> Character:
     """The product of the Weyl characters at ``factors``: held, or compute(*args) stamped.
 
-    Its key is (rs, highest) for one factor and (rs, factors) for more, so
-    the two shapes never collide; the value it returns carries ``factors``.
-    A first request for a product of rank up to ``_DENSE_RANK``, which
-    leaves a ghost, returns it unformed over args, the two values ``tensor``
-    was given.
+    Keeps it by the rule in ``weyl_character``, under (rs, factors); the
+    value it returns carries ``factors``.  A product the doorkeeper holds
+    back is returned unformed over args, the two values ``tensor`` was
+    given.
     """
-    global _weyl_hits, _weyl_misses, _weyl_terms, _weyl_ghosts
-    key = (rs, factors[0] if len(factors) == 1 else factors)
+    global _weyl_hits, _weyl_misses, _weyl_terms, _weyl_held
+    key = (rs, factors)
     with _weyl_cache_lock:
         found = _weyl_cache.get(key, _ABSENT)
-        if found is _ABSENT:
-            _weyl_cache[key] = None
-            _weyl_ghosts += 1
-            _weyl_terms += 1
-            _weyl_evict()
-        else:
+        if found is not _ABSENT:
             _weyl_cache.move_to_end(key)
             if found is not None:
                 _weyl_hits += 1
                 return found
         _weyl_misses += 1
-    if found is _ABSENT and len(factors) > 1 and rs.rank <= _DENSE_RANK:
-        # The doorkeeper keeps a ghost only, so the product is not formed
-        # until it is read.
-        return Character._unformed(rs, args, factors)
-    chi = compute(*args)
+        admitted = found is None or rs.rank > _DENSE_RANK
+        if not admitted:
+            _weyl_cache[key] = None
+            _weyl_terms += 1
+            _weyl_evict()
+    chi = compute(*args) if admitted or len(factors) == 1 else Character._raw(args, rs)
     chi._factors = factors
     # len counts a value's slots when it holds them: once, outside the lock.
-    if (found is None or rs.rank > _DENSE_RANK) and (terms := len(chi)) <= _WEYL_CACHE_TERMS:
+    if admitted and (terms := len(chi)) <= _WEYL_CACHE_TERMS:
         with _weyl_cache_lock:
-            # Another thread may have stored the character or dropped the
-            # ghost meanwhile.
-            held = _weyl_cache.get(key, _ABSENT)
-            if held is None:
-                _weyl_ghosts -= 1
-                _weyl_terms -= 1
-            elif held is not _ABSENT:
+            # Another thread may have stored the value or dropped the ghost
+            # meanwhile.
+            held = _weyl_cache.get(key)
+            if held is not None:
                 return held
+            if key in _weyl_cache:
+                _weyl_terms -= 1
             _weyl_cache[key] = chi
             _weyl_cache.move_to_end(key)
             _weyl_terms += terms
+            _weyl_held += 1
             _weyl_evict()
     return chi
 
@@ -463,35 +455,33 @@ def _cached(rs: RootSystem, factors: tuple, compute, *args) -> Character:
 def _weyl_evict():
     # Drops least recently used entries until the cache fits its budget;
     # the caller holds the lock.
-    global _weyl_terms, _weyl_ghosts
+    global _weyl_terms, _weyl_held
     while _weyl_terms > _WEYL_CACHE_TERMS:
         chi = _weyl_cache.popitem(last=False)[1]
         if chi is None:
-            _weyl_ghosts -= 1
             _weyl_terms -= 1
         else:
             _weyl_terms -= len(chi)
+            _weyl_held -= 1
 
 
 def _weyl_cache_info():
     with _weyl_cache_lock:
-        return _CacheInfo(
-            _weyl_hits, _weyl_misses, _WEYL_CACHE_TERMS, len(_weyl_cache) - _weyl_ghosts
-        )
+        return _CacheInfo(_weyl_hits, _weyl_misses, _WEYL_CACHE_TERMS, _weyl_held)
 
 
 def _weyl_cache_clear():
-    global _weyl_hits, _weyl_misses, _weyl_terms, _weyl_ghosts
+    global _weyl_hits, _weyl_misses, _weyl_terms, _weyl_held
     with _weyl_cache_lock:
         _weyl_cache.clear()
-        _weyl_hits = _weyl_misses = _weyl_terms = _weyl_ghosts = 0
+        _weyl_hits = _weyl_misses = _weyl_terms = _weyl_held = 0
 
 
 def _weyl_character(rs: RootSystem, highest) -> Character:
     # weyl_character without its cache.
     highest = require_dominant(rs, highest)
     route = _weyl_formula if rs.rank <= _DENSE_RANK else _freudenthal
-    return Character._of(route(rs, highest), rs)
+    return Character._raw(route(rs, highest), rs)
 
 
 weyl_character.cache_info = _weyl_cache_info
@@ -545,7 +535,8 @@ def _weyl_formula(rs: RootSystem, highest) -> tuple:
     the multiplicities.  The largest multiplicity is far below dim, so 16
     bits nearly always do.  A wrong sum at a width that holds dim itself,
     where no slot can overflow, or at the widest slots, raises
-    ArithmeticError.
+    ArithmeticError.  A box whose slots would need a buffer of more than
+    ``sys.maxsize`` bytes raises DomainError.
 
     The slots that pass are cut to the box of W lam, the tightest box that
     holds the character (lam has multiplicity 1).  That is the box
@@ -562,6 +553,9 @@ def _weyl_formula(rs: RootSystem, highest) -> tuple:
     numerator = _packed(cols, [sign for _, sign in walk], [r.start + 1 for r in ranges], strides)
     steps = [-sum(map(mul, f, strides)) for f in rs.positive_fund]
     for nbytes, fmt in _SLOT_WIDTHS:
+        if n * nbytes > sys.maxsize:
+            raise DomainError(f"Weyl's formula at {list(highest)} needs {n} slots of "
+                              f"{nbytes} bytes, more than one buffer can hold")
         bits = 8 * nbytes
         value = _slot_int(numerator, nbytes, fmt)[1]
         mask = (1 << bits * n) - 1
@@ -657,24 +651,22 @@ def tensor(a: Character, b: Character) -> Character:
 
     When both factors carry ``_factors`` (they came from the
     ``weyl_character`` cache) and one root-system tag, the product is that
-    cache's entry under the sorted union of their highest weights: looked
-    up, computed on a miss and kept by the cache's rules, and it carries the
-    union in turn.  So a product of the same Weyl characters, in any order
-    or grouping, is formed once while the cache holds it.  A miss the cache
-    will not keep, the first request of a product of rank up to
-    ``_DENSE_RANK``, returns the product unformed: its terms are convolved on
-    their first read, so ``grothendieck.char_to_class``, which expands it
-    over its factors, never forms it.  Every other product is formed on
-    each call.
+    cache's entry under the sorted union of their highest weights, looked
+    up and kept by the rule in ``weyl_character``, and it carries the union
+    in turn.  So a product of the same Weyl characters, in any order or
+    grouping, is formed once while the cache holds it, and one the cache
+    holds back is handed out unformed, so ``grothendieck.char_to_class``,
+    which expands it over its factors, never forms it.  Every other product
+    is formed on each call.
     """
     if a._factors and b._factors and a._invariant_for is b._invariant_for:
         return _cached(a._invariant_for, tuple(sorted(a._factors + b._factors)), _product, a, b)
-    return Character._of(_convolve(a, b), _shared_tag(a, b))
+    return Character._raw(_convolve(a, b), _shared_tag(a, b))
 
 
 def _product(a: Character, b: Character) -> Character:
     # tensor's product of two values tagged for one root system.
-    return Character._of(_convolve(a, b), a._invariant_for)
+    return Character._raw(_convolve(a, b), a._invariant_for)
 
 
 def _convolve(a: Character, b: Character):

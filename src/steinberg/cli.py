@@ -477,7 +477,8 @@ def run(argv, out=None, err=None) -> int:
     Results go to ``out`` and error lines to ``err`` (by default the
     process's streams).  argparse writes help to ``sys.stdout`` and usage
     errors to ``sys.stderr``, so those two are bound to ``out`` and ``err``
-    for the duration of the call.
+    for the duration of the call.  A request that runs out of memory exits 1
+    with one error line, as a domain error does.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -494,6 +495,9 @@ def run(argv, out=None, err=None) -> int:
             return exc.code if isinstance(exc.code, int) else 2
         except (DomainError, ConfigurationError) as exc:
             print(f"{PROG}: error: {exc}", file=err)
+            return 1
+        except MemoryError:
+            print(f"{PROG}: error: out of memory", file=err)
             return 1
         if getattr(args, "output", "json") == "text":
             for line in text:

@@ -92,6 +92,21 @@ def test_stmult_table(calibrate):
     assert table.columns == ["seed", "calls", "rule: straighten", "lookups ms", "straighten ms",
                              "rule ms", "straighten faster", "at t/e"]
     assert table.rows[0][:3] == [1, 2, 1]
+    # The fixed products of rank 3 to 5: each factor a weight of its type.
+    assert {(series, rank) for series, rank, _ in calibrate.STMULT_INPUTS} == {
+        ("A", 3), ("C", 3), ("A", 4), ("D", 4), ("B", 4), ("F", 4), ("B", 5)}
+    assert all(len(w) == rank for _, rank, products in calibrate.STMULT_INPUTS
+               for factors in products for w in factors)
+    # A3's 4 (x) 4* = 15 + 1 has 13 weights, 0.54 per element of W: the rule straightens.
+    a3 = build_root_system("A", 3)
+    products = calibrate.stmult_products((("A", 3, (((1, 0, 0), (0, 0, 1)),)),))
+    assert [(rs, count, len(chi), chi._factors) for rs, count, chi in products] == [
+        (a3, 2, 13, None)]
+    sweep = calibrate.stmult_sweep(products, primes=(2, 3))
+    assert sweep.columns == ["type", "p", "factors", "terms", "t/e", "lookups ms",
+                             "straighten ms", "straighten/lookups", "rule takes"]
+    assert [row[:5] + row[-1:] for row in sweep.rows] == [
+        ["A3", p, 2, 13, "0.54", "straighten"] for p in (2, 3)]
 
 
 def test_weyl_tables(calibrate):
@@ -118,8 +133,12 @@ def test_cache_replay_on_a_synthetic_trace(calibrate):
     # Plain LRU: a, b stored (7); a hit; c stored, b dropped (8); a hit; b
     # stored again, c dropped (7).
     assert calibrate.replay(trace, 8, False) == (4, 9.0, 8)
-    # A character over the budget is never stored; the doorkeeper keeps its ghost.
-    assert calibrate.replay([c, c], 4, True) == (2, 8.0, 1)
+    # A character over the budget is never stored.  The doorkeeper keeps
+    # the ghost of one of rank 2, which it held back, but leaves none for
+    # one of rank 3, which it admits at once.
+    big = ("e", 5, 2, 1.0, True)
+    assert calibrate.replay([big, big], 4, True) == (2, 2.0, 1)
+    assert calibrate.replay([c, c], 4, True) == (2, 8.0, 0)
     assert calibrate.replay([c, c], 4, False) == (2, 8.0, 0)
     # A value its operation never formed costs nothing while the policy
     # leaves it a ghost, and its time once a policy stores it.

@@ -111,9 +111,14 @@ def _cached_terms() -> int:
     return terms
 
 
+def _key(rs, weight) -> tuple:
+    # The cache's key for the Weyl character at weight: (rs, its factors).
+    return rs, (weight,)
+
+
 def _cached(rs, weight) -> bool:
     # Whether the cache holds the character itself, not a ghost.
-    return characters._weyl_cache.get((rs, weight)) is not None
+    return characters._weyl_cache.get(_key(rs, weight)) is not None
 
 
 def test_weyl_cache_holds_at_most_its_term_budget():
@@ -135,7 +140,7 @@ def test_weyl_cache_holds_at_most_its_term_budget():
     assert _cached(G2, dot_multiply(7, (3, 0)))
 
 
-def test_oversized_weyl_character_is_returned_but_not_kept():
+def test_oversized_weyl_character_is_returned_but_not_kept(monkeypatch):
     # Not even on its second request, which would keep a smaller one.
     weyl_character.cache_clear()
     weyl_character(A2, (1, 1))
@@ -153,6 +158,14 @@ def test_oversized_weyl_character_is_returned_but_not_kept():
     assert weyl_character.cache_info().misses == info.misses + 1
     assert weyl_character(A2, (1, 1)) is small
     assert weyl_character.cache_info().hits == info.hits + 1
+    # One of rank 3 is admitted at its first request, so it leaves no ghost:
+    # A3's (1, 1, 1) has 38 terms, over a budget of 37.
+    monkeypatch.setattr(characters, "_WEYL_CACHE_TERMS", 37)
+    weyl_character.cache_clear()
+    for misses in (1, 2):
+        assert len(weyl_character(A3, (1, 1, 1))) == 38
+        assert not characters._weyl_cache and _cached_terms() == 0
+        assert weyl_character.cache_info() == (0, misses, 37, 0)
 
 
 def test_weyl_cache_hit_protects_an_entry_from_the_next_eviction(monkeypatch):
@@ -176,11 +189,11 @@ def test_weyl_cache_hit_protects_an_entry_from_the_next_eviction(monkeypatch):
     weyl_character.cache_clear()
     for key in (first, last, (A2, (1, 1)), (A2, (1, 1))):
         weyl_character(*key)
-    assert list(characters._weyl_cache) == [last, (A2, (1, 1))]
+    assert list(characters._weyl_cache) == [_key(*last), _key(A2, (1, 1))]
     # A ghost evicts like a one-term character: at 11 terms, the ghost of
     # (2, 1) drops the least recently used character.
     weyl_character(A2, (2, 1))
-    assert list(characters._weyl_cache) == [(A2, (1, 1)), (A2, (2, 1))]
+    assert list(characters._weyl_cache) == [_key(A2, (1, 1)), _key(A2, (2, 1))]
     assert _cached_terms() == 8 and weyl_character.cache_info().currsize == 1
 
 
@@ -298,7 +311,7 @@ def test_weyl_characters_asked_for_once_are_not_kept():
         assert not _by_recursion(rs)
         weyl_character(rs, weight)
     assert weyl_character.cache_info() == (0, len(keys), 2**15, 0)
-    assert list(characters._weyl_cache) == keys
+    assert list(characters._weyl_cache) == [_key(*key) for key in keys]
     assert _cached_terms() == len(keys)
 
 
@@ -317,18 +330,22 @@ def test_characters_of_the_recursion_are_kept_from_their_first_request():
     for rs, weight in keys:
         weyl_character(rs, weight)
     assert weyl_character.cache_info() == (len(keys), len(keys), 2**15, len(keys))
-    assert _cached_terms() == sum(len(characters._weyl_cache[key]) for key in keys)
+    assert _cached_terms() == sum(len(characters._weyl_cache[_key(*key)]) for key in keys)
     weyl_character.cache_clear()
 
 
 def _admit(model, key, size, recursion, budget):
     # The cache's rule in brief, on a model mapping each key to the size of
     # the character it keeps, or None for a ghost; least recently used first.
-    second = key in model
-    model.setdefault(key, None)
-    model.move_to_end(key)
-    if model[key] is None and (second or recursion) and size <= budget:
-        model[key] = size
+    # A miss on a ghost or of the recursion is admitted and kept if it fits;
+    # any other miss leaves a ghost.
+    if model.get(key) is None:
+        if key not in model and not recursion:
+            model[key] = None
+        elif size <= budget:
+            model[key] = size
+    if key in model:
+        model.move_to_end(key)
     while sum(1 if kept is None else kept for kept in model.values()) > budget:
         model.popitem(last=False)
 
@@ -372,7 +389,7 @@ def test_weyl_cache_follows_its_admission_rule_on_random_requests(monkeypatch):
             factors = []
             for key in request if product else (request,):
                 factors.append(weyl_character(*key))
-                looked_up(key, factors[-1], weyl_character.__wrapped__(*key))
+                looked_up(_key(*key), factors[-1], weyl_character.__wrapped__(*key))
             if product:
                 (rs, lam), (_, mu) = request
                 expected = tensor(*(weyl_character.__wrapped__(*key) for key in request))
@@ -412,7 +429,7 @@ def test_cached_products_are_the_convolutions_of_their_factors(rs):
         lams = [rng.choice(PRODUCT_WEIGHTS[rs]) for _ in range(rng.randint(2, 3))]
         expected = uncached(rs, lams[0])
         for lam in lams[1:]:
-            expected = Character._of(characters._convolve(expected, uncached(rs, lam)), rs)
+            expected = Character._raw(characters._convolve(expected, uncached(rs, lam)), rs)
         factors = tuple(sorted(lams))
         weyl_character.cache_clear()
         for _ in range(3):
@@ -661,10 +678,10 @@ def test_twist_identity_reads_slots_and_decodes_no_weight(monkeypatch):
                 vals, box = lhs._slots()
                 changed = list(vals)
                 changed[len(changed) // 2] += 1
-                other = Character._unformed(rs, (changed, box))
+                other = Character._raw((changed, box), rs)
                 assert lhs != other and other != lhs
                 assert not decodes, (rs, p, lam)
-                built = Character(Character._unformed(rs, (vals, box)).items())
+                built = Character(Character._raw((vals, box), rs).items())
                 assert decodes and lhs._pending is not None
                 assert lhs == built and built == lhs
                 assert lhs._pending is None
@@ -695,12 +712,15 @@ def test_repeated_weights_that_cancel_leave_no_term():
 
 
 def test_characters_and_classes_do_not_combine():
-    chi, el = Character({(1,): 1}), KElement({(1,): 1})
-    for a, b in ((chi, el), (el, chi)):
-        with pytest.raises(TypeError):
-            a + b
-        with pytest.raises(TypeError):
-            a - b
+    # Nor do they compare equal, a character that holds slots included.
+    el = KElement({(1,): 1})
+    for chi in (Character({(1,): 1}), _slotted(weyl_character.__wrapped__(A1, (1,)))):
+        for a, b in ((chi, el), (el, chi)):
+            with pytest.raises(TypeError):
+                a + b
+            with pytest.raises(TypeError):
+                a - b
+            assert a != b and not a == b
 
 
 def test_a2_adjoint_character():

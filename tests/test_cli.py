@@ -381,6 +381,30 @@ def test_r_past_the_printable_digits_exits_1_before_p_to_the_r_is_formed():
     assert trivial["weights"] == [{"w": [0, 0], "mult": 1}]
 
 
+def test_a_character_too_large_for_one_buffer_exits_1():
+    # (2^30 - 1) * rho on A2 needs about 1.8 * 10^19 slots in Weyl's
+    # formula, more bytes than one buffer can hold: it used to end in an
+    # OverflowError traceback from packing the numerator.
+    code, out, err = invoke(["char", "weyl", "--type", "A", "--rank", "2", "--p", "2",
+                             "--r", "30"])
+    assert code == 1 and out == ""
+    assert err.startswith("steinberg: error: Weyl's formula at [1073741823, 1073741823] "
+                          "needs ") and err.count("\n") == 1, err
+
+
+def test_running_out_of_memory_exits_1(monkeypatch):
+    # r = 12 or 20 under a 2 GB address-space limit used to end in a
+    # MemoryError traceback; here Weyl's formula raises it at once.
+    def exhausted(rs, highest):
+        raise MemoryError
+
+    monkeypatch.setattr(steinberg.characters, "_weyl_formula", exhausted)
+    steinberg.weyl_character.cache_clear()
+    code, out, err = invoke(["char", "weyl", "--type", "A", "--rank", "2", "--p", "2",
+                             "--r", "12"])
+    assert (code, out, err) == (1, "", "steinberg: error: out of memory\n")
+
+
 def test_non_invariant_char_input_exits_1_on_every_checking_route():
     # --char input is always scanned, however it is combined.
     bad = '{"weights":[{"w":[1,0],"mult":1}]}'

@@ -787,7 +787,7 @@ def _reads_like_its_decoded_copy(result, tag, probes) -> None:
     Each reader gets a fresh value, so none sees terms another decoded.
     """
     def fresh():
-        return Character._of(result, tag)
+        return Character._raw(result, tag)
 
     decoded = Character._raw(dict(fresh().items()), tag)
     assert type(result) is dict or fresh()._slots() is not None
@@ -874,7 +874,7 @@ def test_convolve_routes_agree_on_random_invariant_inputs(monkeypatch, kernel_pa
             assert (route in ("full", "mirrored")) == (type(result) is not dict), route
             reached[route] += 1
             tag = characters._shared_tag(x, b)
-            assert dict(Character._of(result, tag).items()) == expected, route
+            assert dict(Character._raw(result, tag).items()) == expected, route
             _reads_like_its_decoded_copy(result, tag, probes)
 
     check()
@@ -936,7 +936,7 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
         key = (rs, tuple(sorted(lams)))
         expected = uncached(rs, lams[0])
         for lam in lams[1:]:
-            expected = Character._of(real(expected, uncached(rs, lam)), rs)
+            expected = Character._raw(real(expected, uncached(rs, lam)), rs)
         weyl_character.cache_clear()
         chi = request(rs, lams)
         if rs.rank > characters._DENSE_RANK:
@@ -1126,6 +1126,66 @@ def test_weyl_formula_on_a1_matches_rank_one_theory(monkeypatch):
     for m in range(40):
         assert dict(weyl_character.__wrapped__(rs, (m,)).items()) == (
             oracles.a1_weyl_character_weights(m))
+
+
+def test_weyl_character_routes_agree_on_random_dominant_weights(monkeypatch):
+    # Random dominant weights of coordinate sum <= 2 and dimension <= 3000
+    # over the 22 types; on the types whose W has more than LARGE_ORDER
+    # elements, the fundamental weights of dimension <= 100 only, as the
+    # alternating sum over W is the oracle's cost there.  Freudenthal's
+    # recursion is forced on every type (_DENSE_RANK = 0) and Weyl's
+    # formula on ranks <= 4 (_DENSE_RANK = 4), where its box stays small;
+    # the formula's value holds slots, the recursion's terms.  Each agrees
+    # with the partition-function formula on ranks <= 2, and above that is
+    # W-invariant and expands by alternating sums to the one Weyl class at
+    # lam, which fixes every multiplicity.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    weights = {}
+    for rs, small in _small_weights().items():
+        cap = 3000
+        if rs.weyl_order > LARGE_ORDER:
+            small, cap = [w for w in small if sum(w) == 1], 100
+        weights[rs] = [w for w in small if characters._weyl_dimension(rs, w) <= cap]
+    uncached = weyl_character.__wrapped__
+    reached = collections.Counter()
+
+    def routed(rs, lam, dense_rank):
+        monkeypatch.setattr(characters, "_DENSE_RANK", dense_rank)
+        chi = uncached(rs, lam)
+        assert (chi._slots() is not None) == (rs.rank <= dense_rank), (rs, lam)
+        return chi
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.sampled_from(list(weights)).flatmap(
+        lambda rs: st.tuples(st.just(rs), st.sampled_from(weights[rs]))))
+    def check(case):
+        rs, lam = case
+        name = f"{rs.series}{rs.rank}"
+        chi = routed(rs, lam, 0)
+        terms = dict(chi.items())
+        if rs.rank <= 2:
+            group = oracles.weyl_group(rs)
+            assert terms == oracles.character_by_weyl_sum(rs, group, lam), (name, lam)
+            oracle = "partition function"
+        else:
+            assert oracles.w_invariant_by_orbits(rs, chi), (name, lam)
+            expansion = oracles.alternating_expansion(rs, oracles.weyl_group(rs), chi)
+            assert expansion == {lam: 1}, (name, lam)
+            oracle = "alternating sum"
+        reached["recursion", oracle] += 1
+        if rs.rank <= 4:
+            formula = routed(rs, lam, 4)
+            assert formula == chi and chi == formula and formula.dim() == chi.dim(), (name, lam)
+            assert dict(formula.items()) == terms, (name, lam)
+            reached["formula", oracle] += 1
+
+    check()
+    print("\nweyl_character branches reached: " + ", ".join(
+        f"{route} against the {oracle} {n}" for (route, oracle), n in sorted(reached.items())))
+    branches = [(route, oracle) for route in ("formula", "recursion")
+                for oracle in ("alternating sum", "partition function")]
+    assert [branch for branch in branches if not reached[branch]] == []
 
 
 @pytest.fixture

@@ -13,7 +13,8 @@ derives:
    Brauer-Klimyk over their factors against straightening the product
    (no constant);
 3. Steinberg multiplicities by |W| lookups against contraction and
-   straightening (``_TERMS_PER_ELEMENT``);
+   straightening (``_TERMS_PER_ELEMENT``), on the workload's calls and on
+   fixed products of rank 3 to 5;
 4. Weyl's character formula against Freudenthal's recursion
    (``_DENSE_RANK``), and what each costs per term to compute again;
 5. the ``weyl_character`` cache (``_WEYL_CACHE_TERMS`` and its doorkeeper)
@@ -257,7 +258,7 @@ def _ratio_bin(ratio) -> int:
 
 def _convolved(a, b) -> dict:
     # _convolve's terms, the kernel's slots decoded, as a reader of its weights pays for them.
-    return S.Character._of(characters._convolve(a, b), None)._terms
+    return S.Character._raw(characters._convolve(a, b), None)._terms
 
 
 def kernel_call(a, b) -> dict:
@@ -403,7 +404,7 @@ def _klimyk_times(rs, chi, pending):
         # Straightening, after forming the product if char_to_class got it unformed.
         if pending is None:
             return grothendieck._straighten(rs, copy.items())
-        product = S.Character._of(characters._convolve(*pending), rs)
+        product = S.Character._raw(characters._convolve(*pending), rs)
         return grothendieck._straighten(rs, product.items())
 
     return best(lambda: S.char_to_class(rs, chi)), best(straighten)
@@ -443,7 +444,7 @@ def klimyk_traffic(calls_by_workload: dict) -> Table:
 # 3. Steinberg multiplicities: |W| lookups against contraction and straightening.
 
 def stmult_routes(calls_by_seed: dict) -> Table:
-    """Section 3: ``steinberg_delta_multiplicity`` calls of each seed, under each route.
+    """Section 3a: ``steinberg_delta_multiplicity`` calls of each seed, under each route.
 
     Forcing sets ``_TERMS_PER_ELEMENT`` to 0 (lookups) or 10**9
     (straightening).  The three totals are the best of 31 loops over the
@@ -475,11 +476,78 @@ def stmult_routes(calls_by_seed: dict) -> Table:
         sent = sum(_calls(grothendieck, "_straighten", fn, *call) for call in calls)
         rows.append([seed, len(calls), sent, *map(_ms, totals), len(faster), _span(faster)])
     return Table(
-        "3. Steinberg multiplicities on rank2-steinberg: |W| lookups against straightening",
+        "3a. Steinberg multiplicities on rank2-steinberg: |W| lookups against straightening",
         ["seed", "calls", "rule: straighten", "lookups ms", "straighten ms", "rule ms",
          "straighten faster", "at t/e"],
         rows,
         ["the rule takes lookups when t/e >= _TERMS_PER_ELEMENT"])
+
+
+# Products of cached Weyl characters of rank 3 to 5, (series, rank, factor
+# lists), spread from about 1 to 15 terms per element of W.  No workload
+# asks for a Steinberg multiplicity above rank 2, so these show where the
+# threshold would matter.
+STMULT_INPUTS = (
+    ("A", 3, (((0, 0, 1), (0, 2, 0)), ((0, 2, 0), (0, 2, 0)),
+              ((0, 2, 0), (0, 2, 0), (1, 0, 1)))),
+    ("C", 3, (((1, 0, 0), (1, 1, 0)), ((0, 0, 1), (0, 0, 2)), ((0, 0, 2), (0, 0, 2)),
+              ((0, 0, 2), (0, 0, 2), (1, 0, 0)))),
+    ("A", 4, (((0, 0, 0, 2), (1, 1, 0, 0)), ((0, 0, 1, 1), (0, 2, 0, 0)),
+              ((0, 1, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)))),
+    ("D", 4, (((0, 0, 0, 1), (0, 2, 0, 0)), ((0, 0, 0, 2), (0, 2, 0, 0)),
+              ((0, 2, 0, 0), (0, 2, 0, 0)), ((0, 2, 0, 0), (0, 2, 0, 0), (1, 0, 0, 0)))),
+    ("B", 4, (((1, 0, 0, 0), (0, 2, 0, 0)), ((1, 0, 0, 0), (0, 0, 2, 0)),
+              ((0, 0, 1, 0), (0, 0, 2, 0)), ((0, 2, 0, 0), (0, 0, 2, 0)))),
+    ("F", 4, (((0, 0, 0, 1), (1, 0, 1, 0)), ((0, 0, 0, 1), (0, 1, 1, 0)),
+              ((0, 0, 0, 1), (0, 0, 0, 1), (0, 1, 1, 0)))),
+    ("B", 5, (((1, 0, 0, 0, 0), (0, 0, 0, 2, 0)), ((2, 0, 0, 0, 0), (0, 0, 0, 2, 0)),
+              ((1, 0, 0, 0, 0), (2, 0, 0, 0, 0), (0, 0, 0, 2, 0)))),
+)
+
+
+def stmult_products(spec) -> list:
+    """(rs, factor count, the product formed, without ``_factors``) per product of ``spec``."""
+    out = []
+    for series, rank, products in spec:
+        rs = S.build_root_system(series, rank)
+        for factors in products:
+            chi = S.weyl_character(rs, factors[0])
+            for lam in factors[1:]:
+                chi = S.tensor(chi, S.weyl_character(rs, lam))
+            out.append((rs, len(factors), unfactored(chi)))
+    return out
+
+
+def stmult_sweep(products, primes=(2, 3)) -> Table:
+    """Section 3b: ``steinberg_delta_multiplicity`` at 0 on each product, under each route.
+
+    ``products`` are (rs, factor count, chi).  Lookups cost |W| reads at
+    any p; straightening costs the contracted weights, about len(chi) / p^rank.
+    """
+    fn = grothendieck.steinberg_delta_multiplicity
+    rows, faster = [], {(p, route): [] for p in primes for route in ("lookups", "straighten")}
+    for rs, count, chi in products:
+        per_element = len(chi) / rs.weyl_order
+        lam = (0,) * rs.rank
+        for p in primes:
+            times = {}
+            for route, forced in (("lookups", 0), ("straighten", 10**9)):
+                with patched(grothendieck, _TERMS_PER_ELEMENT=forced):
+                    times[route] = best(lambda: fn(rs, chi, lam, p))
+            winner = min(times, key=times.get)
+            faster[p, winner].append(per_element)
+            straightens = _calls(grothendieck, "_straighten", fn, rs, chi, lam, p)
+            rule = "straighten" if straightens else "lookups"
+            rows.append([_type(rs), p, count, len(chi), f"{per_element:.2f}",
+                         _ms(times["lookups"]), _ms(times["straighten"]),
+                         f"{times['straighten'] / times['lookups']:.2f}", rule])
+    notes = [f"p = {p}: straightening faster at t/e {_span(faster[p, 'straighten'])}, "
+             f"lookups at {_span(faster[p, 'lookups'])}" for p in primes]
+    return Table("3b. Steinberg multiplicities on products of rank 3 to 5: lookups against "
+                 "straightening",
+                 ["type", "p", "factors", "terms", "t/e", "lookups ms", "straighten ms",
+                  "straighten/lookups", "rule takes"], rows,
+                 notes + ["the rule takes lookups when t/e >= _TERMS_PER_ELEMENT"])
 
 
 # 4. Weyl's formula against Freudenthal's recursion.
@@ -552,11 +620,11 @@ def replay(trace, budget: int, doorkeeper: bool):
     ``trace`` lists (key, terms, rank, seconds, formed), one per lookup.
     The cache holds at most ``budget`` terms, drops least recently used
     entries first, and never keeps a character of more than ``budget``
-    terms.  Under the doorkeeper a first miss of rank <= ``_DENSE_RANK``
-    stores a ghost, counted as one term, and a miss on a ghost stores the
-    character; a plain LRU stores every miss.  A miss costs its seconds
-    when its operation formed the value or the policy stores it, so a
-    product handed out unformed and left as a ghost costs nothing.
+    terms.  Under the doorkeeper (``characters.weyl_character``) a first
+    miss of rank <= ``_DENSE_RANK`` stores a ghost, counted as one term, and
+    any other miss is admitted; a plain LRU admits every miss.  A miss costs
+    its seconds when its operation formed the value or the policy stores
+    it, so a product handed out unformed and left as a ghost costs nothing.
     """
     cache, held, peak, misses, spent = OrderedDict(), 0, 0, 0, 0.0
     for key, terms, rank, seconds, formed in trace:
@@ -575,7 +643,7 @@ def replay(trace, budget: int, doorkeeper: bool):
                 held -= 1
             cache[key] = terms
             held += terms
-        elif doorkeeper and found is KeyError:
+        elif not admit:
             cache[key] = None
             held += 1
         while held > budget:
@@ -661,6 +729,7 @@ def main(argv) -> int:
     print(render(kernel_sweep()))
     print(render(klimyk_traffic({w: t.klimyk for w, t in seed1.items()})))
     print(render(stmult_routes({seed: t.stmult for seed, t in rank2.items()})))
+    print(render(stmult_sweep(stmult_products(STMULT_INPUTS))))
     print(render(weyl_routes(_inputs(WEYL_INPUTS))))
     # The formula on the 12 largest characters of the rank-2 round (targets
     # Delta(p . lam) of the twist identity), the recursion on every nonzero
