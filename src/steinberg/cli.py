@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -162,14 +161,15 @@ def _require_printable(p: int, r: int, weights, shift: int = 0) -> None:
     Each coordinate x of the input ``weights`` prints as
     p^r * (x + shift) - shift: ``char twist`` dilates (shift 0) and
     ``class st-forward`` dot-multiplies (shift 1).  Python prints an int of
-    at most ``sys.get_int_max_str_digits()`` digits (0: no limit).  p^r is
-    formed only when r * log10(p) shows that it has at most two digits more.
+    at most ``sys.get_int_max_str_digits()`` digits (0: no limit).  As
+    p^r >= 2^(r * (p.bit_length() - 1)) and log2(10) < 10/3, p^r is refused
+    unformed when 3 * r * (p.bit_length() - 1) > 10 * (limit + 2).
     """
     limit = getattr(sys, "get_int_max_str_digits", int)()
     scales = {x + shift for w in weights for x in w} - {0}
     if not limit or r < 1 or not scales:
         return
-    if r * math.log10(p) <= limit + 1:
+    if 3 * r * (p.bit_length() - 1) <= 10 * (limit + 2):
         scale = p**r
         if max(abs(scale * c - shift) for c in scales) < 10**limit:
             return

@@ -104,8 +104,8 @@ def _straighten(rs: RootSystem, items) -> KElement:
 
 
 # Steinberg multiplicities are read by |W| lookups when the input has at
-# least this many terms per element of W.  Derived by section 3 of
-# tools/calibrate.py.
+# least this many terms per element of W.  On the rank-2 workload's calls,
+# section 3 of tools/calibrate.py times every threshold from 0 to 4 alike.
 _TERMS_PER_ELEMENT = 4
 
 

@@ -13,8 +13,9 @@ orbits by breadth-first search, positive roots by closing the simple
 roots under reflections, root-datum construction over the rationals,
 brute-force affine orbit enumeration in a box, an alcove walk that checks
 every wall, one that checks only the highest coroot's wall and never
-translates, and closed-form rank-one facts.  None of them calls the
-library's dominance kernel.
+translates, closed-form rank-one facts, and the principal specialization
+against Weyl's q-dimension.  None of them calls the library's dominance
+kernel.
 """
 
 from __future__ import annotations
@@ -551,3 +552,58 @@ def coroots_by_fractions(rs) -> tuple:
             raise ArithmeticError(f"coroot of {c} is not integral")
         out.append(tuple(int(x) for x in d))
     return tuple(out)
+
+
+# The principal specialization: integer Laurent polynomials in t as
+# {exponent: nonzero coefficient}.
+
+
+def principal_specialization(rs, chi) -> dict:
+    """chi with each e^mu sent to t^<mu, 2 rho^v>; W is never listed.
+
+    <omega_i, 2 rho^v> is the sum of the i-th coordinates of the positive
+    coroots, since 2 rho^v is their sum.
+    """
+    heights = [sum(column) for column in zip(*rs.coroots)]
+    out = {}
+    for weight, m in chi.items():
+        e = sum(map(mul, heights, weight))
+        out[e] = out.get(e, 0) + m
+    return {e: c for e, c in out.items() if c}
+
+
+def _times_bracket(poly, n) -> dict:
+    # poly * [n], where [n] = t^n - t^-n.
+    out = {}
+    for e, c in poly.items():
+        out[e + n] = out.get(e + n, 0) + c
+        out[e - n] = out.get(e - n, 0) - c
+    return {e: c for e, c in out.items() if c}
+
+
+def _over_bracket(poly, n) -> dict:
+    # poly / [n], from the top exponent down: poly(e) = q(e - n) - q(e + n).
+    lo, hi = min(poly), max(poly)
+    q = {}
+    for e in range(hi, lo + 2 * n - 1, -1):
+        c = poly.get(e, 0) + q.get(e + n, 0)
+        if c:
+            q[e - n] = c
+    if any(poly.get(e, 0) + q.get(e + n, 0) for e in range(lo, lo + 2 * n)):
+        raise ArithmeticError(f"[{n}] does not divide the polynomial")
+    return q
+
+
+def q_dimension(rs, lam) -> dict:
+    """Weyl's q-dimension prod over alpha > 0 of [<lam + rho, alpha^v>] / [<rho, alpha^v>].
+
+    [n] = t^n - t^-n.  The principal specialization of ch Delta(lam) (Weyl's
+    denominator formula for the dual root system; Kac, *Infinite-dimensional
+    Lie algebras*, ch. 10), by exact division of Laurent polynomials.
+    """
+    num = {0: 1}
+    for coroot in rs.coroots:
+        num = _times_bracket(num, sum(d * (x + 1) for d, x in zip(coroot, lam)))
+    for coroot in rs.coroots:
+        num = _over_bracket(num, sum(coroot))
+    return num

@@ -38,6 +38,12 @@ def calibrate():
     return module
 
 
+def names(table, *constants) -> bool:
+    """Whether the table's title or notes name every one of the constants."""
+    text = " ".join([table.title, *table.notes])
+    return all(name in text for name in constants)
+
+
 def test_every_rule_constant_is_read_from_the_library(calibrate):
     # A renamed constant makes constants() raise, and the header with it.
     assert calibrate.constants() == {
@@ -66,47 +72,22 @@ def test_kernel_tables(calibrate):
     assert sweep.columns == ["|a|", "rank", "points", "swept B/term", "tie B/term",
                              "rule allows", "tie/rule"]
     assert [row[:2] for row in sweep.rows] == [[1, 1]]
-
-
-def test_klimyk_table(calibrate):
-    a2, g2 = build_root_system("A", 2), build_root_system("G", 2)
-    pair = tensor(weyl_character(a2, (1, 0)), weyl_character(a2, (0, 1)))
-    triple = tensor(pair, weyl_character(a2, (1, 1)))
-    g2_pair = tensor(weyl_character(g2, (1, 0)), weyl_character(g2, (0, 1)))
-    # The G2 pair is timed as char_to_class got it: unformed, so the
-    # straightening side forms it first.
-    unformed = (g2, g2_pair, (weyl_character(g2, (1, 0)), weyl_character(g2, (0, 1))))
-    table = calibrate.klimyk_traffic({"tiny": [(a2, pair, None), (a2, triple, None), unformed]})
-    assert table.columns == ["workload", "type", "factors", "calls", "unformed",
-                             "klimyk faster", "klimyk ms", "straighten ms", "rule - best ms"]
-    assert [row[:5] for row in table.rows] == [["tiny", "A2", 2, 1, 0], ["tiny", "A2", 3, 1, 0],
-                                               ["tiny", "G2", 2, 1, 1]]
-    copy = calibrate.unfactored(triple)
-    assert copy == triple and copy._invariant_for is a2 and copy._factors is None
+    assert names(table, "_PAIR_COST", "_DECODE_COST")
+    assert names(sweep, "_PAIR_COST", "_DECODE_COST")
 
 
 def test_stmult_table(calibrate):
-    a2 = build_root_system("A", 2)
+    a2, a3 = build_root_system("A", 2), build_root_system("A", 3)
     small, large = weyl_character(a2, (1, 0)), weyl_character(a2, (4, 4))
-    table = calibrate.stmult_routes({1: [(a2, small, (0, 0), 2), (a2, large, (1, 1), 3)]})
+    # A3's 4 (x) 4* = 15 + 1 has 13 weights, 0.54 per element of W: the rule straightens.
+    product = tensor(weyl_character(a3, (1, 0, 0)), weyl_character(a3, (0, 0, 1)))
+    assert (len(product), a3.weyl_order) == (13, 24)
+    table = calibrate.stmult_routes({1: [(a2, small, (0, 0), 2), (a2, large, (1, 1), 3),
+                                         (a3, product, (0, 0, 0), 2)]})
     assert table.columns == ["seed", "calls", "rule: straighten", "lookups ms", "straighten ms",
                              "rule ms", "straighten faster", "at t/e"]
-    assert table.rows[0][:3] == [1, 2, 1]
-    # The fixed products of rank 3 to 5: each factor a weight of its type.
-    assert {(series, rank) for series, rank, _ in calibrate.STMULT_INPUTS} == {
-        ("A", 3), ("C", 3), ("A", 4), ("D", 4), ("B", 4), ("F", 4), ("B", 5)}
-    assert all(len(w) == rank for _, rank, products in calibrate.STMULT_INPUTS
-               for factors in products for w in factors)
-    # A3's 4 (x) 4* = 15 + 1 has 13 weights, 0.54 per element of W: the rule straightens.
-    a3 = build_root_system("A", 3)
-    products = calibrate.stmult_products((("A", 3, (((1, 0, 0), (0, 0, 1)),)),))
-    assert [(rs, count, len(chi), chi._factors) for rs, count, chi in products] == [
-        (a3, 2, 13, None)]
-    sweep = calibrate.stmult_sweep(products, primes=(2, 3))
-    assert sweep.columns == ["type", "p", "factors", "terms", "t/e", "lookups ms",
-                             "straighten ms", "straighten/lookups", "rule takes"]
-    assert [row[:5] + row[-1:] for row in sweep.rows] == [
-        ["A3", p, 2, 13, "0.54", "straighten"] for p in (2, 3)]
+    assert table.rows[0][:3] == [1, 3, 2]
+    assert names(table, "_TERMS_PER_ELEMENT")
 
 
 def test_weyl_tables(calibrate):
@@ -116,11 +97,13 @@ def test_weyl_tables(calibrate):
                              "formula/recursion", "rule takes"]
     assert [row[:3] + row[-1:] for row in table.rows] == [
         ["A2", [1, 0], 3, "formula"], ["A3", [1, 0, 0], 4, "recursion"]]
+    assert names(table, "_DENSE_RANK")
     # A3 (1, 1, 0): the 12 weights of its orbit and the 4 of (0, 0, 1).
     cost = calibrate.recompute_cost([(a2, (2, 2))], [(a3, (1, 1, 0))])
     assert cost.columns == ["route", "type", "weight", "terms", "us/term"]
     assert [row[:4] for row in cost.rows] == [["formula", "A2", [2, 2], 19],
                                               ["recursion", "A3", [1, 1, 0], 16]]
+    assert names(cost, "_DENSE_RANK")
 
 
 def test_cache_replay_on_a_synthetic_trace(calibrate):
@@ -151,6 +134,7 @@ def test_cache_replay_on_a_synthetic_trace(calibrate):
     assert [row[1:3] for row in table.rows] == [
         ["doorkeeper", characters._WEYL_CACHE_TERMS], ["lru", 8],
         ["lru", characters._WEYL_CACHE_TERMS]]
+    assert names(table, "_WEYL_CACHE_TERMS")
 
 
 def test_traffic_replays_a_workload_round(calibrate):

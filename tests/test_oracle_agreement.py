@@ -10,9 +10,9 @@ straightening are checked against peeling, Steinberg multiplicities read by
 the denominator against the product of 1 - e^-alpha over the positive
 roots.  Cached products of Weyl characters, which ``char_to_class`` expands
 over their factors, are checked against the same routes on copies without
-factors.  Weyl characters from
-Weyl's character formula are checked against the partition-function formula
-and Freudenthal's recursion, with the route each input takes.  The last
+factors.  Weyl characters from Weyl's character formula are checked
+against the partition-function formula, Freudenthal's recursion and the
+principal specialization, with the route each input takes.  The last
 tests check that the package defines no enumeration API, and that every
 name the benchmark looks up in it resolves.
 """
@@ -1138,7 +1138,9 @@ def test_weyl_character_routes_agree_on_random_dominant_weights(monkeypatch):
     # the formula's value holds slots, the recursion's terms.  Each agrees
     # with the partition-function formula on ranks <= 2, and above that is
     # W-invariant and expands by alternating sums to the one Weyl class at
-    # lam, which fixes every multiplicity.
+    # lam, which fixes every multiplicity.  On every type its principal
+    # specialization is Weyl's q-dimension, a third oracle that never lists
+    # W, and which catches one multiplicity raised by 1.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     weights = {}
@@ -1164,6 +1166,11 @@ def test_weyl_character_routes_agree_on_random_dominant_weights(monkeypatch):
         name = f"{rs.series}{rs.rank}"
         chi = routed(rs, lam, 0)
         terms = dict(chi.items())
+        q_dim = oracles.q_dimension(rs, lam)
+        assert oracles.principal_specialization(rs, chi) == q_dim, (name, lam)
+        wrong = dict(terms)
+        wrong[random.Random(f"{name}{lam}").choice(sorted(terms))] += 1
+        assert oracles.principal_specialization(rs, wrong) != q_dim, (name, lam)
         if rs.rank <= 2:
             group = oracles.weyl_group(rs)
             assert terms == oracles.character_by_weyl_sum(rs, group, lam), (name, lam)

@@ -206,6 +206,40 @@ def test_library_has_no_assert_statements():
         assert not lines, f"{path.name} asserts on lines {lines}"
 
 
+FLOAT_FUNCTIONS = {"float", "log", "log2", "log10", "log1p", "sqrt", "exp", "floor", "ceil"}
+
+
+def _float_use(node) -> str | None:
+    # What makes node floating point, or None: a float or complex constant,
+    # true division, or a name or attribute (math.log10, from math import
+    # sqrt) of a function that returns a float.
+    if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+        return f"constant {node.value!r}"
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        return "true division"
+    name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias) else None)
+    return name if name in FLOAT_FUNCTIONS else None
+
+
+def test_library_uses_no_floating_point():
+    # The package docstring promises exact integer arithmetic throughout.
+    package = Path(__file__).resolve().parent.parent / "src" / "steinberg"
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 9
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [(node.lineno, use) for node in ast.walk(tree)
+                 if (use := _float_use(node)) is not None]
+        assert not found, f"{path.name} uses floating point: {found}"
+    # The scan sees each form it looks for.
+    for source in ("x = 1.5", "x = a / b", "x /= 2", "y = float(x)", "y = math.log10(x)",
+                   "from math import sqrt", "y = math.ceil(x)"):
+        assert any(_float_use(node) for node in ast.walk(ast.parse(source))), source
+    clean = ast.parse("import logging\ny = isqrt(a // b)")
+    assert not any(map(_float_use, ast.walk(clean)))
+
+
 def test_pairing_examples():
     a2 = build_root_system("A", 2)
     assert pairing(a2, (1, 0), 1) == 0  # fundamental-weight duality

@@ -9,12 +9,8 @@ derives:
 1. the Kronecker kernel against the pair loop in ``characters._convolve``
    (``_PAIR_COST``, ``_DECODE_COST``): every ``_convolve`` call of one
    round of each library workload, forced both ways, and a random sweep;
-2. ``char_to_class`` on cached products of Weyl characters, by
-   Brauer-Klimyk over their factors against straightening the product
-   (no constant);
 3. Steinberg multiplicities by |W| lookups against contraction and
-   straightening (``_TERMS_PER_ELEMENT``), on the workload's calls and on
-   fixed products of rank 3 to 5;
+   straightening (``_TERMS_PER_ELEMENT``), on the workload's calls;
 4. Weyl's character formula against Freudenthal's recursion
    (``_DENSE_RANK``), and what each costs per term to compute again;
 5. the ``weyl_character`` cache (``_WEYL_CACHE_TERMS`` and its doorkeeper)
@@ -22,13 +18,16 @@ derives:
    characters and the products of them that ``tensor`` looks up, a miss
    charged only when its value is formed.
 
+There is no section 2: its table set no constant.  The other sections
+keep their numbers, by which the project's notes cite them.
+
 The workloads' traffic is replayed from ``bench/workloads.py`` (imported,
 never changed), as ``bench/worker.py`` runs a round: set-up and warm-up,
 then each operation, its check with the uncached ``weyl_character``.  A
 route is forced by setting a constant on its module, as the tests do.
 Times are the least of a few runs of ``time.perf_counter`` with the
-garbage collector off.  The whole run takes about a minute on two cores.
-Standard library only; the package is imported from ``src/``.
+garbage collector off.  The whole run takes about half a minute on two
+cores.  Standard library only; the package is imported from ``src/``.
 """
 
 from __future__ import annotations
@@ -173,6 +172,11 @@ Traffic = namedtuple("Traffic", "convolve klimyk cache stmult misses")
 # returned was formed by the end of its operation (a product handed out
 # unformed and never read is not).
 Lookup = namedtuple("Lookup", "rs factors compute args formed")
+
+
+def _factor_count(chi) -> int:
+    # How many cached Weyl characters multiply to chi; 0 for any other value.
+    return len(getattr(chi, "_factors", None) or ())
 
 
 def _pending(chi):
@@ -377,74 +381,14 @@ def kernel_sweep(ranks=range(1, 7), sizes=(1, 4, 16, 64), nb=256, steps=32) -> T
         f"{nb} terms)",
         ["|a|", "rank", "points", "swept B/term", "tie B/term", "rule allows", "tie/rule"],
         rows,
-        ["B/term: slot bytes of the product's box per term of b; '-': no crossing in the sweep"])
-
-
-# 2. Cached products of Weyl characters: Brauer-Klimyk against straightening.
-
-def _factor_count(chi) -> int:
-    # How many cached Weyl characters multiply to chi; 0 for any other value.
-    return len(getattr(chi, "_factors", None) or ())
-
-
-def unfactored(chi):
-    """A copy of chi that keeps its root-system tag and has no ``_factors``.
-
-    ``char_to_class`` straightens such a copy term by term.
-    """
-    return S.Character._raw(dict(chi.items()), chi._invariant_for)
-
-
-def _klimyk_times(rs, chi, pending):
-    copy = unfactored(chi)
-    if S.char_to_class(rs, chi) != grothendieck._straighten(rs, copy.items()):
-        raise RuntimeError(f"{_type(rs)}: Brauer-Klimyk and straightening disagree")
-
-    def straighten():
-        # Straightening, after forming the product if char_to_class got it unformed.
-        if pending is None:
-            return grothendieck._straighten(rs, copy.items())
-        product = S.Character._raw(characters._convolve(*pending), rs)
-        return grothendieck._straighten(rs, product.items())
-
-    return best(lambda: S.char_to_class(rs, chi)), best(straighten)
-
-
-def klimyk_traffic(calls_by_workload: dict) -> Table:
-    """Section 2: the workloads' ``char_to_class`` calls on cached products, by type and factors.
-
-    ``calls`` are (rs, chi, pending), as ``traffic`` records them.  The rule
-    expands each by Brauer-Klimyk over its factors; it is timed through
-    ``char_to_class`` itself, so the lookups of the other factors' product
-    count, against straightening a copy without ``_factors``, plus forming
-    the product when ``char_to_class`` got it unformed (pending is not None).
-    """
-    rows = []
-    for workload, calls in calls_by_workload.items():
-        records = sorted(((_type(rs), _factor_count(chi)), *_klimyk_times(rs, chi, pending),
-                          pending is not None) for rs, chi, pending in calls)
-        for (name, count), group in groupby(records, key=lambda r: r[0]):
-            group = list(group)
-            rule = sum(r[1] for r in group)
-            fastest = sum(min(r[1], r[2]) for r in group)
-            rows.append([workload, name, count, len(group), sum(r[3] for r in group),
-                         sum(r[1] < r[2] for r in group), _ms(rule),
-                         _ms(sum(r[2] for r in group)), _ms(rule - fastest)])
-    return Table(
-        "2. Cached products in char_to_class: Brauer-Klimyk over their factors against "
-        "straightening",
-        ["workload", "type", "factors", "calls", "unformed", "klimyk faster", "klimyk ms",
-         "straighten ms", "rule - best ms"],
-        rows,
-        ["the rule takes Brauer-Klimyk on every product of two or more cached Weyl characters",
-         "unformed: calls that got the product unformed; their straighten ms includes "
-         "forming it"])
+        ["B/term: slot bytes of the product's box per term of b; '-': no crossing in the sweep",
+         "rule allows: _PAIR_COST * |a| / (|a| + _DECODE_COST) B/term"])
 
 
 # 3. Steinberg multiplicities: |W| lookups against contraction and straightening.
 
 def stmult_routes(calls_by_seed: dict) -> Table:
-    """Section 3a: ``steinberg_delta_multiplicity`` calls of each seed, under each route.
+    """Section 3: ``steinberg_delta_multiplicity`` calls of each seed, under each route.
 
     Forcing sets ``_TERMS_PER_ELEMENT`` to 0 (lookups) or 10**9
     (straightening).  The three totals are the best of 31 loops over the
@@ -476,78 +420,11 @@ def stmult_routes(calls_by_seed: dict) -> Table:
         sent = sum(_calls(grothendieck, "_straighten", fn, *call) for call in calls)
         rows.append([seed, len(calls), sent, *map(_ms, totals), len(faster), _span(faster)])
     return Table(
-        "3a. Steinberg multiplicities on rank2-steinberg: |W| lookups against straightening",
+        "3. Steinberg multiplicities on rank2-steinberg: |W| lookups against straightening",
         ["seed", "calls", "rule: straighten", "lookups ms", "straighten ms", "rule ms",
          "straighten faster", "at t/e"],
         rows,
         ["the rule takes lookups when t/e >= _TERMS_PER_ELEMENT"])
-
-
-# Products of cached Weyl characters of rank 3 to 5, (series, rank, factor
-# lists), spread from about 1 to 15 terms per element of W.  No workload
-# asks for a Steinberg multiplicity above rank 2, so these show where the
-# threshold would matter.
-STMULT_INPUTS = (
-    ("A", 3, (((0, 0, 1), (0, 2, 0)), ((0, 2, 0), (0, 2, 0)),
-              ((0, 2, 0), (0, 2, 0), (1, 0, 1)))),
-    ("C", 3, (((1, 0, 0), (1, 1, 0)), ((0, 0, 1), (0, 0, 2)), ((0, 0, 2), (0, 0, 2)),
-              ((0, 0, 2), (0, 0, 2), (1, 0, 0)))),
-    ("A", 4, (((0, 0, 0, 2), (1, 1, 0, 0)), ((0, 0, 1, 1), (0, 2, 0, 0)),
-              ((0, 1, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)))),
-    ("D", 4, (((0, 0, 0, 1), (0, 2, 0, 0)), ((0, 0, 0, 2), (0, 2, 0, 0)),
-              ((0, 2, 0, 0), (0, 2, 0, 0)), ((0, 2, 0, 0), (0, 2, 0, 0), (1, 0, 0, 0)))),
-    ("B", 4, (((1, 0, 0, 0), (0, 2, 0, 0)), ((1, 0, 0, 0), (0, 0, 2, 0)),
-              ((0, 0, 1, 0), (0, 0, 2, 0)), ((0, 2, 0, 0), (0, 0, 2, 0)))),
-    ("F", 4, (((0, 0, 0, 1), (1, 0, 1, 0)), ((0, 0, 0, 1), (0, 1, 1, 0)),
-              ((0, 0, 0, 1), (0, 0, 0, 1), (0, 1, 1, 0)))),
-    ("B", 5, (((1, 0, 0, 0, 0), (0, 0, 0, 2, 0)), ((2, 0, 0, 0, 0), (0, 0, 0, 2, 0)),
-              ((1, 0, 0, 0, 0), (2, 0, 0, 0, 0), (0, 0, 0, 2, 0)))),
-)
-
-
-def stmult_products(spec) -> list:
-    """(rs, factor count, the product formed, without ``_factors``) per product of ``spec``."""
-    out = []
-    for series, rank, products in spec:
-        rs = S.build_root_system(series, rank)
-        for factors in products:
-            chi = S.weyl_character(rs, factors[0])
-            for lam in factors[1:]:
-                chi = S.tensor(chi, S.weyl_character(rs, lam))
-            out.append((rs, len(factors), unfactored(chi)))
-    return out
-
-
-def stmult_sweep(products, primes=(2, 3)) -> Table:
-    """Section 3b: ``steinberg_delta_multiplicity`` at 0 on each product, under each route.
-
-    ``products`` are (rs, factor count, chi).  Lookups cost |W| reads at
-    any p; straightening costs the contracted weights, about len(chi) / p^rank.
-    """
-    fn = grothendieck.steinberg_delta_multiplicity
-    rows, faster = [], {(p, route): [] for p in primes for route in ("lookups", "straighten")}
-    for rs, count, chi in products:
-        per_element = len(chi) / rs.weyl_order
-        lam = (0,) * rs.rank
-        for p in primes:
-            times = {}
-            for route, forced in (("lookups", 0), ("straighten", 10**9)):
-                with patched(grothendieck, _TERMS_PER_ELEMENT=forced):
-                    times[route] = best(lambda: fn(rs, chi, lam, p))
-            winner = min(times, key=times.get)
-            faster[p, winner].append(per_element)
-            straightens = _calls(grothendieck, "_straighten", fn, rs, chi, lam, p)
-            rule = "straighten" if straightens else "lookups"
-            rows.append([_type(rs), p, count, len(chi), f"{per_element:.2f}",
-                         _ms(times["lookups"]), _ms(times["straighten"]),
-                         f"{times['straighten'] / times['lookups']:.2f}", rule])
-    notes = [f"p = {p}: straightening faster at t/e {_span(faster[p, 'straighten'])}, "
-             f"lookups at {_span(faster[p, 'lookups'])}" for p in primes]
-    return Table("3b. Steinberg multiplicities on products of rank 3 to 5: lookups against "
-                 "straightening",
-                 ["type", "p", "factors", "terms", "t/e", "lookups ms", "straighten ms",
-                  "straighten/lookups", "rule takes"], rows,
-                 notes + ["the rule takes lookups when t/e >= _TERMS_PER_ELEMENT"])
 
 
 # 4. Weyl's formula against Freudenthal's recursion.
@@ -609,7 +486,9 @@ def recompute_cost(formula_inputs, recursion_inputs) -> Table:
     f, r = per_term["formula"], per_term["recursion"]
     return Table("4b. Cost per term of computing a Weyl character again",
                  ["route", "type", "weight", "terms", "us/term"], rows,
-                 [f"recursion over formula, per term: {min(r) / max(f):.1f}-{max(r) / min(f):.1f}x"])
+                 [f"recursion over formula, per term: {min(r) / max(f):.1f}-{max(r) / min(f):.1f}x",
+                  "the cache admits a first miss at once only above rank _DENSE_RANK, where the "
+                  "recursion computes it"])
 
 
 # 5. The Weyl-character cache, replayed.
@@ -682,7 +561,8 @@ def cache_replay(traces: dict, library_misses: dict, budgets=(1 << 12, 1 << 13, 
             rows.append([workload, name, budget, len(trace), misses, _ms(spent), peak])
         notes.append(f"{workload}: the library's own cache counted {library_misses[workload]} "
                      "misses")
-    return Table("5. weyl_character cache replayed on each workload's lookups",
+    return Table("5. weyl_character cache (_WEYL_CACHE_TERMS and its doorkeeper) replayed on "
+                 "each workload's lookups",
                  ["workload", "policy", "budget terms", "lookups", "misses", "recompute ms",
                   "peak terms"], rows, notes)
 
@@ -727,9 +607,7 @@ def main(argv) -> int:
     seed1 = {"rank2-steinberg": rank2[1], "highrank-classes": highrank}
     print(render(kernel_traffic({w: t.convolve for w, t in seed1.items()})))
     print(render(kernel_sweep()))
-    print(render(klimyk_traffic({w: t.klimyk for w, t in seed1.items()})))
     print(render(stmult_routes({seed: t.stmult for seed, t in rank2.items()})))
-    print(render(stmult_sweep(stmult_products(STMULT_INPUTS))))
     print(render(weyl_routes(_inputs(WEYL_INPUTS))))
     # The formula on the 12 largest characters of the rank-2 round (targets
     # Delta(p . lam) of the twist identity), the recursion on every nonzero
