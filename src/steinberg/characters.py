@@ -21,7 +21,7 @@ from _thread import allocate_lock
 from collections import OrderedDict
 from functools import _CacheInfo  # the record lru_cache's cache_info returns
 from itertools import repeat
-from operator import add, floordiv, mod, mul
+from operator import add, floordiv, mod, mul, neg
 
 from .errors import DomainError
 from .kronecker import (
@@ -209,10 +209,11 @@ class Character(_Sparse):
     Weyl characters, over the tagged root system, multiply to the value.
     ``weyl_character`` sets (lam,) and ``tensor`` of two such values the
     union of theirs; every other value has None.  Two readers trust it:
-    ``tensor`` looks the product of two such values up in the cache, and
-    ``grothendieck.char_to_class`` expands a value of two or more factors
-    over them by Brauer-Klimyk, without reading its terms.  A value with
-    None is convolved and straightened in full every time.
+    ``tensor`` keeps or hands out the product of two such values by the
+    rule in ``weyl_character``, and ``grothendieck.char_to_class`` expands
+    a value of two or more factors over them by Brauer-Klimyk, without
+    reading its terms.  A value with None is convolved and straightened in
+    full every time.
 
     A value whose terms are not yet formed has an empty ``_terms`` slot,
     and the private slot ``_pending`` says how to form them; every other
@@ -230,17 +231,28 @@ class Character(_Sparse):
     ``_pending``.  ``len``, ``bool``, ``dim`` and ``==`` count, sum or
     compare slots without decoding them, and two values with slots over the
     same box compare slot lists; on a pending pair they form the terms.
-    Every other reader (repr, JSON, pickling, copying, arithmetic,
-    ``items``) reads the terms, so it sees a formed value.
+    ``contract_weights`` contracts a pending pair of rank above
+    ``_DENSE_RANK`` by residue classes, without forming it.  Every other
+    reader (repr, JSON, pickling, copying, arithmetic, ``items``) reads the
+    terms, so it sees a formed value.
+
+    The private slot ``_residues`` is None until the value is a factor of
+    such a contraction, and then maps each p it was a factor at to its
+    terms grouped by residue class mod p (``_residue_classes``).  Its bound:
+    two (quotient, multiplicity) pairs per term of the value for each such
+    p, and it lives and dies with the value.  As with ``_pending``, no lock
+    is needed: two threads that fill it at once store equal classes, and
+    one that loses the other's entry computes it again.  Pickling and
+    copying drop it.
     """
 
-    __slots__ = ("_invariant_for", "_factors", "_pending")
+    __slots__ = ("_invariant_for", "_factors", "_pending", "_residues")
     _FIELDS = ("weights", "mult")
     _NOUN = "character"
 
     def __init__(self, items=()):
         super().__init__(items)
-        self._invariant_for = self._factors = self._pending = None
+        self._invariant_for = self._factors = self._pending = self._residues = None
 
     @classmethod
     def _raw(cls, terms, rs=None):
@@ -253,7 +265,7 @@ class Character(_Sparse):
         else:
             self._pending = terms
         self._invariant_for = rs
-        self._factors = None
+        self._factors = self._residues = None
         return self
 
     def _slots(self):
@@ -280,7 +292,7 @@ class Character(_Sparse):
     def __getstate__(self):
         # Pickling and copying form the terms and drop what was pending.
         return None, {"_terms": self._terms, "_invariant_for": self._invariant_for,
-                      "_factors": self._factors, "_pending": None}
+                      "_factors": self._factors, "_pending": None, "_residues": None}
 
     def __len__(self):
         slots = self._slots()
@@ -376,10 +388,11 @@ def weyl_character(rs: RootSystem, highest) -> Character:
     (``_weyl_formula``), above it from Freudenthal's recursion
     (``_freudenthal``); each is exact.
 
-    Weyl characters, and the products of them that ``tensor`` looks up, are
-    kept in one least-recently-used cache bounded by the terms it holds,
-    ``_WEYL_CACHE_TERMS`` in all, each under (rs, its sorted factors).  This
-    is the cache's rule, which the rest of the library refers to:
+    Weyl characters, and the products of them of rank up to ``_DENSE_RANK``
+    that ``tensor`` looks up, are kept in one least-recently-used cache
+    bounded by the terms it holds, ``_WEYL_CACHE_TERMS`` in all, each under
+    (rs, its sorted factors).  This is the cache's rule, which the rest of
+    the library refers to:
 
     - A request finds a value (a hit), a ghost or nothing (a miss).  A
       ghost is a key without its value, charged one term.
@@ -394,6 +407,12 @@ def weyl_character(rs: RootSystem, highest) -> Character:
     - A product held back is handed out unformed (see ``Character``): its
       terms are convolved on their first read, so a product that nothing
       reads is never convolved.
+    - A product of rank above ``_DENSE_RANK`` is never looked up or stored:
+      ``tensor`` hands it out unformed on every request, so at those ranks
+      the cache holds Weyl characters only.  Its readers there expand
+      (``grothendieck.char_to_class``) or contract (``contract_weights``)
+      it over its factors, and a contraction adds only the pairs of weights
+      whose sum lies in pX.
 
     ``cache_info`` (its hits and misses count product lookups too;
     ``currsize`` counts held values, not ghosts; ``maxsize`` is the term
@@ -413,9 +432,9 @@ def _cached(rs: RootSystem, factors: tuple, compute, *args) -> Character:
     """The product of the Weyl characters at ``factors``: held, or compute(*args) stamped.
 
     Keeps it by the rule in ``weyl_character``, under (rs, factors); the
-    value it returns carries ``factors``.  A product the doorkeeper holds
-    back is returned unformed over args, the two values ``tensor`` was
-    given.
+    value it returns carries ``factors``.  A product, of rank up to
+    ``_DENSE_RANK``, that the doorkeeper holds back is returned unformed
+    over args, the two values ``tensor`` was given.
     """
     global _weyl_hits, _weyl_misses, _weyl_terms, _weyl_held
     key = (rs, factors)
@@ -650,17 +669,24 @@ def tensor(a: Character, b: Character) -> Character:
     substitution or pair by pair.
 
     When both factors carry ``_factors`` (they came from the
-    ``weyl_character`` cache) and one root-system tag, the product is that
-    cache's entry under the sorted union of their highest weights, looked
-    up and kept by the rule in ``weyl_character``, and it carries the union
-    in turn.  So a product of the same Weyl characters, in any order or
-    grouping, is formed once while the cache holds it, and one the cache
-    holds back is handed out unformed, so ``grothendieck.char_to_class``,
-    which expands it over its factors, never forms it.  Every other product
-    is formed on each call.
+    ``weyl_character`` cache) and one root-system tag, the product carries
+    the sorted union of their highest weights, and it is kept or handed out
+    unformed by the rule in ``weyl_character``.  Up to ``_DENSE_RANK`` it
+    is that cache's entry under the union, so a product of the same Weyl
+    characters, in any order or grouping, is formed once while the cache
+    holds it; above ``_DENSE_RANK`` it is handed out unformed on every
+    request.  ``grothendieck.char_to_class``, which expands an unformed
+    product over its factors, never forms it, and neither does
+    ``contract_weights`` above ``_DENSE_RANK``.  Every other product is
+    formed on each call.
     """
     if a._factors and b._factors and a._invariant_for is b._invariant_for:
-        return _cached(a._invariant_for, tuple(sorted(a._factors + b._factors)), _product, a, b)
+        rs, factors = a._invariant_for, tuple(sorted(a._factors + b._factors))
+        if rs.rank <= _DENSE_RANK:
+            return _cached(rs, factors, _product, a, b)
+        chi = Character._raw((a, b), rs)
+        chi._factors = factors
+        return chi
     return Character._raw(_convolve(a, b), _shared_tag(a, b))
 
 
@@ -765,13 +791,96 @@ def contract_weights(chi: Character, p: int) -> Character:
 
     The support is filtered one coordinate at a time; each pass keeps about
     1/p of the weights, so most weights are dropped after one remainder.
+
+    A product of rank above ``_DENSE_RANK`` that ``tensor`` handed out
+    unformed (see ``weyl_character``) is contracted without being formed:
+    a weight alpha + beta of a (x) b lies in pX only when alpha lies in
+    some residue class r mod p and beta in -r, so class r of a is paired
+    with class -r of b alone (``_contract_pair``): sum over r of
+    |a_r| * |b_-r| pairs, about |a| * |b| / p^rank when the weights spread
+    evenly over the classes.
     """
     require_p(p, "contraction")
+    pair = _unformed_pair(chi)
+    if pair is not None:
+        return Character._raw(_contract_pair(*pair, p), chi._invariant_for)
     terms = kept = chi._terms
     for j in range(len(next(iter(terms), ()))):
         kept = [w for w in kept if not w[j] % p]
     out = {tuple([x // p for x in w]): terms[w] for w in kept}
     return Character._raw(out, chi._invariant_for)
+
+
+def _unformed_pair(chi):
+    # The pair (a, b) an unformed product of rank above _DENSE_RANK is
+    # convolved from, or None.  _pending is read once: another thread may
+    # form the product meanwhile, and the pair stays valid.
+    pending = getattr(chi, "_pending", None)
+    if pending is None or type(pending[0]) is list or chi._invariant_for.rank <= _DENSE_RANK:
+        return None
+    return pending
+
+
+def _residue_classes(chi: Character, p: int) -> tuple:
+    """chi's terms grouped by residue class mod p, as (floors, ceilings).
+
+    ``floors`` maps each class r (w mod p, coordinatewise, in [0, p)) to the
+    pairs (floor(w / p), m) of its weights w, and ``ceilings`` maps -r mod p
+    to the pairs (ceil(w / p), m) of the same weights.  Memoized in chi's
+    ``_residues`` slot (see ``Character``), one entry per p.
+    """
+    memo = chi._residues
+    if memo is None:
+        memo = chi._residues = {}
+    classes = memo.get(p)
+    if classes is None:
+        terms = chi._terms
+        cols = list(zip(*terms))
+        floors = _grouped(zip(*[map(mod, col, repeat(p)) for col in cols]),
+                          zip(*[map(floordiv, col, repeat(p)) for col in cols]), terms.values())
+        ceilings = _grouped(
+            zip(*[map(mod, map(neg, col), repeat(p)) for col in cols]),
+            zip(*[map(floordiv, map(add, col, repeat(p - 1)), repeat(p)) for col in cols]),
+            terms.values())
+        classes = memo[p] = floors, ceilings
+    return classes
+
+
+def _grouped(keys, quotients, values) -> dict:
+    # key -> [(quotient, value), ...], in the order given.
+    out = {}
+    get = out.get
+    for k, q, m in zip(keys, quotients, values):
+        found = get(k)
+        if found is None:
+            out[k] = [(q, m)]
+        else:
+            found.append((q, m))
+    return out
+
+
+def _contract_pair(a: Character, b: Character, p: int) -> dict:
+    """The terms of ``contract_weights(tensor(a, b), p)``, without forming the product.
+
+    With alpha = p * q + r coordinatewise, r in [0, p), alpha + beta lies
+    in pX exactly when beta = -r mod p, and then (alpha + beta) / p =
+    q + ceil(beta / p): beta's remainder adds p to r where r != 0 (Jantzen,
+    *Representations of Algebraic Groups*, II.3 and II.9).  So each class
+    of a meets one class of b, under the same key of ``_residue_classes``,
+    and only those pairs are added.
+    """
+    right_of = _residue_classes(b, p)[1]
+    out = {}
+    get = out.get
+    for r, left in _residue_classes(a, p)[0].items():
+        right = right_of.get(r)
+        if right is None:
+            continue
+        for q, m in left:
+            for q2, m2 in right:
+                w = tuple(map(add, q, q2))
+                out[w] = get(w, 0) + m * m2
+    return {w: m for w, m in out.items() if m}
 
 
 def require_w_invariant(rs: RootSystem, chi: Character) -> None:

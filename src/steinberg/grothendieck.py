@@ -22,6 +22,7 @@ from .characters import (
     Character,
     _add_into,
     _Sparse,
+    _unformed_pair,
     _weyl_dimension,
     contract_weights,
     require_w_invariant,
@@ -266,12 +267,15 @@ def steinberg_delta_multiplicity(rs: RootSystem, chi: Character, lam, p: int) ->
     When chi has at least ``_TERMS_PER_ELEMENT`` terms per element of W,
     that is the coefficient at lam of (contracted chi) * D: sum over the |W|
     terms delta of D of D(delta) * chi(p * (lam - delta)).  Otherwise the
-    contracted weights are straightened.
+    contracted weights are straightened.  A product of rank above
+    ``_DENSE_RANK`` that ``tensor`` handed out unformed is always
+    straightened, as ``contract_weights`` contracts it without forming it;
+    so its terms are never counted to choose the route.
     """
     lam = require_dominant(rs, lam)
     require_p(p, "multiplicity")
     require_w_invariant(rs, chi)
-    if _TERMS_PER_ELEMENT * rs.weyl_order <= len(chi):
+    if _unformed_pair(chi) is None and _TERMS_PER_ELEMENT * rs.weyl_order <= len(chi):
         get = chi._terms.get
         return sum(m * get(tuple([p * (x - d) for x, d in zip(lam, delta)]), 0)
                    for delta, m in _weyl_denominator(rs).items())
@@ -284,7 +288,10 @@ def frobenius_contract_class(rs: RootSystem, chi: Character, p: int) -> KElement
     The coefficient at lam is the Steinberg multiplicity of the Weyl class
     at p . lam in St tensor the module, sum_w (-1)^len(w) * chi(p * (w . lam)):
     Brauer's formula (``_straighten``) on the weights of chi contracted by p.
-    At the character level the result contracts the weights of chi by p.
+    At the character level the result contracts the weights of chi by p
+    (``contract_weights``, which contracts a product of rank above
+    ``_DENSE_RANK`` that ``tensor`` handed out unformed by residue classes
+    mod p, without forming it).
     """
     require_p(p, "contraction")
     require_w_invariant(rs, chi)

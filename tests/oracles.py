@@ -3,7 +3,8 @@
 Everything here is deliberately separate from the library's algorithms:
 hard-coded root tables for the rank-one and rank-two types, the Weyl group
 order formulas, the dimension formula evaluated over the tables, a partition
-function based character formula, a tuple-keyed convolution, a slot integer
+function based character formula, a tuple-keyed convolution, a contraction
+that tests every weight for divisibility by p, a slot integer
 read one shifted field at a time, the whole Weyl group listed by
 breadth-first closure (the only place anything lists it), alternating sums
 and a linkage test over that list, a plain dominance walk (first negative
@@ -233,6 +234,11 @@ def convolve_naive(a, b) -> dict:
             else:
                 del out[key]
     return out
+
+
+def contract_naive(terms: dict, p: int) -> dict:
+    """The weights w of terms with every coordinate divisible by p, as w / p, one weight at a time."""
+    return {tuple(x // p for x in w): m for w, m in terms.items() if all(x % p == 0 for x in w)}
 
 
 def read_slots(value: int, nbytes: int, ranges) -> dict:

@@ -15,6 +15,7 @@ from steinberg import (
     Character,
     build_root_system,
     characters,
+    contract_weights,
     grothendieck,
     tensor,
     weyl_character,
@@ -65,6 +66,9 @@ def test_kernel_tables(calibrate):
                              "rule - best ms"]
     assert sorted(row[1] for row in table.rows) == ["full", "mirrored"]
     assert sum(row[3] for row in table.rows) == 2
+    # A workload without calls gets a note, not a row.
+    quiet = calibrate.kernel_traffic({"tiny": [(a, b)], "none": []})
+    assert [row[0] for row in quiet.rows] == ["tiny"] and quiet.notes[-1] == "none: no _convolve calls"
     # Two weights far apart: a box of about 10^6 slots for 2 pairs.
     call = calibrate.kernel_call(Character({(0, 0): 1}), Character({(999, 0): 1, (0, 999): 2}))
     assert call["route"] == "pair -> full" and call["ratio"] > 1000
@@ -138,23 +142,27 @@ def test_cache_replay_on_a_synthetic_trace(calibrate):
 
 
 def test_traffic_replays_a_workload_round(calibrate):
-    # The census of one seed-1 highrank-classes round: 220 cache lookups, 59
-    # of them products, which form 20 products, 7 of them by the mirrored
-    # kernel; each of the 20 products is expanded by char_to_class, whose
-    # Brauer-Klimyk route looks up one more Weyl character for it; the
-    # replayed doorkeeper counts the cache's misses.  Every value is formed:
-    # rank >= 3 products are kept from their first request.
+    # The census of one seed-1 highrank-classes round: 161 cache lookups,
+    # all of Weyl characters, as a product above rank 2 is never looked up,
+    # and no convolution.  Each of the 20 products that char_to_class
+    # expands over its factors comes unformed, and is still unformed once
+    # the round's checks have read it, and its contractions by residue
+    # classes are those of its convolution; the Brauer-Klimyk route looks
+    # up one more Weyl character for each.  The replayed doorkeeper counts
+    # the cache's misses.
     log = calibrate.traffic("highrank-classes", 1)
-    assert len(log.cache) == 220
-    assert sum(len(lookup.factors) > 1 for lookup in log.cache) == 59
-    assert len(log.convolve) == 20
-    mirrored = [call for call in log.convolve
-                if calibrate.kernel_call(*call)["route"] == "mirrored"]
-    assert len(mirrored) == 7
+    assert len(log.cache) == 161
+    assert not any(len(lookup.factors) > 1 for lookup in log.cache)
+    assert log.convolve == []
     trace = calibrate.weyl_trace(log.cache)
-    assert calibrate.replay(trace, characters._WEYL_CACHE_TERMS, True)[0] == log.misses == 34
+    assert calibrate.replay(trace, characters._WEYL_CACHE_TERMS, True)[0] == log.misses == 14
     assert len(log.klimyk) == 20
-    assert all(len(chi._factors) == 2 and pending is None for _, chi, pending in log.klimyk)
+    for rs, chi, pending in log.klimyk:
+        assert len(chi._factors) == 2 and pending is not None and chi._pending is pending
+        formed = Character._raw(characters._convolve(*pending), rs)
+        for p in (2, 3):
+            assert contract_weights(chi, p) == contract_weights(formed, p)
+        assert chi._pending is pending
     assert all(lookup.formed for lookup in log.cache)
     assert not log.stmult
     requests = calibrate.weyl_requests(log.cache)

@@ -28,10 +28,13 @@ from steinberg import (
     contract_weights,
     dot_multiply,
     euler_characteristic,
+    frobenius_contract_class,
     frobenius_twist,
     make_dominant,
     steinberg_character,
+    steinberg_delta_multiplicity,
     tensor,
+    tensor_delta_expansion,
     weyl_character,
 )
 from steinberg.characters import require_w_invariant
@@ -355,9 +358,10 @@ def test_weyl_cache_follows_its_admission_rule_on_random_requests(monkeypatch):
     # some evict all others, and (3, 3) on A2 or B2 never fits.  Weyl's
     # formula computes the 32 of A2 and B2; Freudenthal's recursion the 10
     # of A3 and B3, of 1 to 19 terms.  A request of two keys of one root
-    # system asks for both characters, then for their product by tensor,
-    # which the cache keeps under the sorted pair of highest weights by the
-    # same rule.
+    # system asks for both characters, then for their product by tensor.
+    # On A2 and B2 the cache keeps it under the sorted pair of highest
+    # weights by the same rule; on A3 and B3 tensor hands it out unformed
+    # over the two characters, and the cache never sees it.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     budget = 20
@@ -393,7 +397,13 @@ def test_weyl_cache_follows_its_admission_rule_on_random_requests(monkeypatch):
             if product:
                 (rs, lam), (_, mu) = request
                 expected = tensor(*(weyl_character.__wrapped__(*key) for key in request))
-                looked_up((rs, tuple(sorted((lam, mu)))), tensor(*factors), expected)
+                key, chi = (rs, tuple(sorted((lam, mu)))), tensor(*factors)
+                if recursion[rs]:
+                    a, b = chi._pending
+                    assert a is factors[0] and b is factors[1] and chi._factors == key[1]
+                    assert chi == expected and key not in characters._weyl_cache
+                else:
+                    looked_up(key, chi, expected)
             assert _cached_terms() <= budget
             assert list(characters._weyl_cache) == list(model)
             kept = {k for k, v in model.items() if v is not None}
@@ -422,7 +432,8 @@ PRODUCT_WEIGHTS = {
 def test_cached_products_are_the_convolutions_of_their_factors(rs):
     # Random multisets of 2 or 3 highest weights, multiplied in random
     # orders from a cold cache, then from a warm one: a rank-2 product is
-    # kept from its second request, a higher-rank one from its first.
+    # kept from its second request.  A higher-rank one is never kept: each
+    # request hands out a fresh unformed value over the two factors given.
     rng = random.Random(f"products/{rs!r}")
     uncached = weyl_character.__wrapped__
     for _ in range(6):
@@ -439,11 +450,66 @@ def test_cached_products_are_the_convolutions_of_their_factors(rs):
             for lam in order[1:]:
                 chi = tensor(chi, weyl_character(rs, lam))
             assert chi == expected and chi._invariant_for is rs and chi._factors == factors
-        stored = characters._weyl_cache[rs, factors]
         a, b = weyl_character(rs, order[0]), weyl_character(rs, order[1])
         if len(lams) == 3:
             b = tensor(b, weyl_character(rs, order[2]))
-        assert tensor(a, b) is tensor(b, a) is stored
+        if rs.rank <= characters._DENSE_RANK:
+            assert tensor(a, b) is tensor(b, a) is characters._weyl_cache[rs, factors]
+            continue
+        assert (rs, factors) not in characters._weyl_cache
+        ab, ba = tensor(a, b), tensor(b, a)
+        assert ab is not ba and ab._factors == ba._factors == factors
+        assert [list(map(id, x._pending)) for x in (ab, ba)] == [[id(a), id(b)], [id(b), id(a)]]
+        assert ab == ba == expected
+    weyl_character.cache_clear()
+
+
+# Small fundamental weights (0-based) per type, as the benchmark's
+# highrank-classes workload pairs them.
+HIGHRANK_FUNDAMENTALS = {("D", 5): (0, 1, 3, 4), ("F", 4): (0, 2, 3), ("B", 5): (0, 4),
+                         ("E", 6): (0, 5)}
+
+
+def test_products_above_rank_two_are_expanded_and_contracted_without_convolving(monkeypatch):
+    # The Weyl-basis work of a highrank-classes round, on every pair of its
+    # fundamental weights, from a cold cache: char_to_class of the product,
+    # tensor_delta_expansion, and the product's contraction class and a
+    # Steinberg multiplicity at p = 2 and 3.  _convolve never runs, where
+    # forming each product would run it once per pair.  The tracer of
+    # bench/tracer.py counts len() of what tensor returns, which forms an
+    # unformed product, so its traced characters.tensor counts do not show
+    # this.  Each result is then checked against the formed product.
+    convolved = []
+    real = characters._convolve
+
+    def spy(a, b):
+        convolved.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(characters, "_convolve", spy)
+    weyl_character.cache_clear()
+    results = []
+    for key, indices in HIGHRANK_FUNDAMENTALS.items():
+        rs = build_root_system(*key)
+        fundamental = [tuple(int(j == i) for j in range(rs.rank)) for i in indices]
+        for lam, mu in itertools.combinations_with_replacement(fundamental, 2):
+            chi = tensor(weyl_character(rs, lam), weyl_character(rs, mu))
+            out = [char_to_class(rs, chi),
+                   tensor_delta_expansion(rs, lam, weyl_character(rs, mu))]
+            for p in (2, 3):
+                out += [contract_weights(chi, p), frobenius_contract_class(rs, chi, p),
+                        steinberg_delta_multiplicity(rs, chi, (0,) * rs.rank, p)]
+            assert chi._pending is not None
+            results.append((rs, lam, mu, out))
+    assert len(results) == 22 and convolved == []
+    for rs, lam, mu, out in results:
+        uncached = weyl_character.__wrapped__
+        formed = Character._raw(real(uncached(rs, lam), uncached(rs, mu)), rs)
+        expected = [char_to_class(rs, formed)] * 2
+        for p in (2, 3):
+            contracted = frobenius_contract_class(rs, formed, p)
+            expected += [contract_weights(formed, p), contracted, contracted.coeff((0,) * rs.rank)]
+        assert out == expected, (rs, lam, mu)
     weyl_character.cache_clear()
 
 
@@ -473,19 +539,31 @@ def test_products_asked_for_by_several_threads_keep_the_cache_consistent():
     # Four threads on two cores ask for the same characters and products at
     # once, switching every microsecond, so lookups interleave with
     # computations.  Every result is right, and a lost update would break
-    # the cache's running term count or its lookup counts.
+    # the cache's running term count or its lookup counts.  An A2 product
+    # is looked up; an A3 product never is, and comes unformed: its
+    # contractions at p = 2 and 3 read the residue classes that the threads
+    # memoize on the shared A3 characters at once.
     keys = [(A3, (1, 0, 0)), (A3, (0, 1, 0)), (A3, (0, 0, 1)), (A2, (1, 1)), (A2, (2, 0))]
     pairs = [(k, m) for k in keys for m in keys if k[0] is m[0]]
     expected = {pair: tensor(*(weyl_character.__wrapped__(*key) for key in pair))
                 for pair in pairs}
-    rounds, errors = 200, []
+    contracted = {(pair, p): contract_weights(chi, p) for pair, chi in expected.items()
+                  for p in (2, 3)}
+    rounds, errors, lookups = 200, [], []
 
     def work(seed):
         rng = random.Random(seed)
         try:
             for _ in range(rounds):
                 pair = rng.choice(pairs)
-                if tensor(*(weyl_character(*key) for key in pair)) != expected[pair]:
+                chi = tensor(*(weyl_character(*key) for key in pair))
+                dense = pair[0][0].rank <= characters._DENSE_RANK
+                lookups.append(3 if dense else 2)
+                if not dense:
+                    p = rng.choice((2, 3))
+                    if chi._pending is None or contract_weights(chi, p) != contracted[pair, p]:
+                        errors.append((pair, p))
+                if chi != expected[pair]:
                     errors.append(pair)
         except Exception as exc:  # reported below, from the test's thread
             errors.append(exc)
@@ -503,9 +581,11 @@ def test_products_asked_for_by_several_threads_keep_the_cache_consistent():
     finally:
         sys.setswitchinterval(interval)
     assert not errors
+    assert len(lookups) == 4 * rounds and 2 * len(lookups) < sum(lookups) < 3 * len(lookups)
     info = weyl_character.cache_info()
-    assert info.hits + info.misses == 4 * rounds * 3
+    assert info.hits + info.misses == sum(lookups)
     assert _cached_terms() <= 2**15
+    assert all(rs is A2 or len(factors) == 1 for rs, factors in characters._weyl_cache)
     weyl_character.cache_clear()
 
 

@@ -10,9 +10,11 @@ straightening are checked against peeling, Steinberg multiplicities read by
 the denominator against the product of 1 - e^-alpha over the positive
 roots.  Cached products of Weyl characters, which ``char_to_class`` expands
 over their factors, are checked against the same routes on copies without
-factors.  Weyl characters from Weyl's character formula are checked
-against the partition-function formula, Freudenthal's recursion and the
-principal specialization, with the route each input takes.  The last
+factors, and their contractions by residue classes against testing every
+weight for divisibility.  Weyl characters from Weyl's character formula
+are checked against the partition-function formula, Freudenthal's
+recursion and the principal specialization, with the route each input
+takes.  The last
 tests check that the package defines no enumeration API, and that every
 name the benchmark looks up in it resolves.
 """
@@ -891,8 +893,10 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
     # the product comes unformed: char_to_class expands it without forming
     # it, its first read forms it once by one convolution of the pair tensor
     # was given and touches no cache state, and a second request is formed
-    # and kept.  A product of rank >= 3 is formed and kept on its first
-    # request.
+    # and kept.  A product of rank >= 3 is never looked up and comes
+    # unformed on every request: char_to_class and contract_weights at
+    # p = 2 and 3 read it without convolving its pair, and its first read
+    # forms it as above.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     budget = 20000
@@ -939,14 +943,15 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
             expected = Character._raw(real(expected, uncached(rs, lam)), rs)
         weyl_character.cache_clear()
         chi = request(rs, lams)
-        if rs.rank > characters._DENSE_RANK:
-            assert formed(chi) and characters._weyl_cache[key] is chi and chi == expected
-            reached["rank >= 3: formed and kept at once"] += 1
-            return
+        dense = rs.rank <= characters._DENSE_RANK
         pair = chi._pending
-        assert pair is not None and characters._weyl_cache[key] is None
+        assert pair is not None
+        # Up to rank 2 a ghost; above it, no entry at all.
+        assert characters._weyl_cache.get(key, "no entry") is (None if dense else "no entry")
         del convolved[:]
         expansion = char_to_class(rs, chi)
+        if not dense:
+            contracted = {p: contract_weights(chi, p) for p in (2, 3)}
         assert not formed(chi)
         assert not any(a is pair[0] and b is pair[1] for a, b in convolved)
         state = list(characters._weyl_cache), weyl_character.cache_info()
@@ -958,8 +963,14 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
         assert (list(characters._weyl_cache), weyl_character.cache_info()) == state
         copy = _unfactored(chi)
         assert expansion == char_to_class(rs, copy) == char_to_class_by_peeling(rs, copy)
-        reached[f"rank <= 2: {len(lams)} factors unformed"] += 1
         again = request(rs, lams)
+        if not dense:
+            assert contracted == {p: contract_weights(copy, p) for p in (2, 3)}
+            assert again is not chi and not formed(again) and again == expected
+            assert key not in characters._weyl_cache
+            reached["rank >= 3: unformed on every request"] += 1
+            return
+        reached[f"rank <= 2: {len(lams)} factors unformed"] += 1
         assert formed(again) and characters._weyl_cache[key] is again and again == expected
         reached["rank <= 2: second request formed and kept"] += 1
 
@@ -970,7 +981,92 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
     print("\nproduct branches reached: " + ", ".join(
         f"{branch} {n}" for branch, n in sorted(reached.items())))
     branches = [f"rank <= 2: {n} factors unformed" for n in (2, 3, 4)] + [
-        "rank <= 2: second request formed and kept", "rank >= 3: formed and kept at once"]
+        "rank <= 2: second request formed and kept", "rank >= 3: unformed on every request"]
+    assert [branch for branch in branches if not reached[branch]] == []
+
+
+def test_residue_class_contraction_matches_the_formed_product():
+    # Products of 2 to 4 cached Weyl characters on the 22 types, whose
+    # dimensions multiply to at most 3000, asked for from a cold cache, at
+    # p in {2, 3, 5, 7}.  Each comes unformed over the pair tensor was given
+    # (on rank <= 2 as the doorkeeper's first request); from three factors
+    # on, the pair's first value is an unformed product too.  The
+    # residue-class contraction of the pair (characters._contract_pair, and
+    # contract_weights itself above rank 2, which leaves the product
+    # unformed) equals contract_weights of the formed product and the
+    # oracle's weight-by-weight contraction.  frobenius_contract_class and
+    # steinberg_delta_multiplicity give the same on the unformed product and
+    # on a formed copy.  A copy of the pair's first value with one
+    # multiplicity raised by 1, at minus a weight of the second, is caught:
+    # its residue-class contraction follows the oracle away from the
+    # unraised one.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    budget = 3000
+    weights = _small_weights()
+    uncached = weyl_character.__wrapped__
+    reached = collections.Counter()
+
+    @st.composite
+    def products(draw):
+        rs = draw(st.sampled_from(list(weights)))
+        lams, left = [], budget
+        for _ in range(draw(st.integers(2, 4))):
+            lam = draw(st.sampled_from([w for w in weights[rs]
+                                        if characters._weyl_dimension(rs, w) <= left]))
+            lams.append(lam)
+            left //= characters._weyl_dimension(rs, lam)
+        return rs, lams
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(products(), st.sampled_from((2, 3, 5, 7)))
+    def check(case, p):
+        rs, lams = case
+        expected = uncached(rs, lams[0])
+        for lam in lams[1:]:
+            expected = Character(oracles.convolve_naive(expected, uncached(rs, lam)))
+        want = oracles.contract_naive(dict(expected.items()), p)
+        weyl_character.cache_clear()
+        chi = weyl_character(rs, lams[0])
+        for lam in lams[1:]:
+            chi = tensor(chi, weyl_character(rs, lam))
+        a, b = chi._pending
+        assert (a._pending is not None and a._slots() is None) is (len(lams) > 2)
+        dense = rs.rank <= characters._DENSE_RANK
+        reached[f"{'rank <= 2' if dense else 'rank >= 3'}: {len(lams)} factors"] += 1
+        if not dense:
+            contracted = contract_weights(chi, p)
+            assert chi._pending is not None and dict(contracted.items()) == want
+            reached["rank >= 3: contract_weights unformed"] += 1
+        classes = frobenius_contract_class(rs, chi, p)
+        lams_read = sorted(classes.support())[:2] + [(0,) * rs.rank]
+        mults = [steinberg_delta_multiplicity(rs, chi, lam, p) for lam in lams_read]
+        assert dense or chi._pending is not None
+        assert characters._contract_pair(a, b, p) == want
+        assert dict(contract_weights(expected, p).items()) == want
+        formed = Character._raw(dict(expected.items()), rs)
+        assert frobenius_contract_class(rs, formed, p) == classes
+        assert [steinberg_delta_multiplicity(rs, formed, lam, p) for lam in lams_read] == mults
+        assert mults == [classes.coeff(lam) for lam in lams_read]
+        reached["nonzero" if any(mults) else "zero"] += 1
+        # Raise a's multiplicity at minus b's first weight: weight 0 of the
+        # contraction gains b's multiplicity there.
+        beta, m = next(iter(b.items()))
+        raised = Character(a.items()) + Character({tuple(-x for x in beta): 1})
+        after = characters._contract_pair(raised, b, p)
+        assert after == oracles.contract_naive(oracles.convolve_naive(raised, b), p) != want
+        assert after.get((0,) * rs.rank, 0) == want.get((0,) * rs.rank, 0) + m
+        reached[f"p = {p}"] += 1
+
+    try:
+        check()
+    finally:
+        weyl_character.cache_clear()
+    print("\nresidue-class contraction branches reached: " + ", ".join(
+        f"{branch} {n}" for branch, n in sorted(reached.items())))
+    branches = [f"{ranks}: {n} factors" for ranks in ("rank <= 2", "rank >= 3") for n in (2, 3, 4)]
+    branches += ["rank >= 3: contract_weights unformed", "nonzero", "zero"]
+    branches += [f"p = {p}" for p in (2, 3, 5, 7)]
     assert [branch for branch in branches if not reached[branch]] == []
 
 
@@ -1044,6 +1140,9 @@ def test_steinberg_multiplicity_routes_agree_on_random_invariant_inputs(monkeypa
         contracted = frobenius_contract_class(rs, chi, p)
         assert char_to_class_by_peeling(rs, contract_weights(chi, p)) == contracted
         reached[kind] += 1
+        # A product above rank 2 comes unformed and is always straightened,
+        # whatever the threshold, and stays unformed.
+        unformed = chi._pending is not None and rs.rank > characters._DENSE_RANK
         for lam in sorted(contracted.support())[:2] + [drawn]:
             reached["nonzero" if contracted.coeff(lam) else "zero"] += 1
             for forced, route in ((0, "lookups"), (10**9, "straightening")):
@@ -1051,14 +1150,17 @@ def test_steinberg_multiplicity_routes_agree_on_random_invariant_inputs(monkeypa
                 del straightened[:]
                 assert steinberg_delta_multiplicity(rs, chi, lam, p) == contracted.coeff(lam), (
                     route, lam)
-                assert bool(straightened) is (route == "straightening")
+                if unformed:
+                    route = "unformed product: straightening"
+                    assert chi._pending is not None
+                assert bool(straightened) is (route != "lookups")
                 reached[route] += 1
 
     check()
     print("\nSteinberg multiplicity branches reached: " + ", ".join(
         f"{branch} {n}" for branch, n in sorted(reached.items())))
     branches = ["Weyl character", "product", "twist", "signed sum", "nonzero", "zero", "lookups",
-                "straightening"]
+                "straightening", "unformed product: straightening"]
     assert [branch for branch in branches if not reached[branch]] == []
 
 

@@ -15,8 +15,9 @@ derives:
    (``_DENSE_RANK``), and what each costs per term to compute again;
 5. the ``weyl_character`` cache (``_WEYL_CACHE_TERMS`` and its doorkeeper)
    against plain LRU caches, replayed on each workload's lookups: Weyl
-   characters and the products of them that ``tensor`` looks up, a miss
-   charged only when its value is formed.
+   characters and the products of them that ``tensor`` looks up (of rank
+   up to ``_DENSE_RANK``; it never looks up one above), a miss charged only
+   when its value is formed.
 
 There is no section 2: its table set no constant.  The other sections
 keep their numbers, by which the project's notes cite them.
@@ -193,8 +194,8 @@ def traffic(workload: str, seed: int) -> Traffic:
     (rs, chi, pending) on a product of two or more cached Weyl characters
     (``klimyk``; pending is the pair an unformed product would be formed
     from, or None), every lookup in the ``weyl_character`` cache (a
-    ``Lookup``: a ``weyl_character`` request, or a product that ``tensor``
-    looks up) and every ``steinberg_delta_multiplicity`` call
+    ``Lookup``: a ``weyl_character`` request, or a product of rank up to
+    ``_DENSE_RANK`` that ``tensor`` looks up) and every ``steinberg_delta_multiplicity`` call
     (rs, chi, lam, p) of set-up and of the operations, not of their checks;
     ``misses`` is the cache's own count at the end.
     """
@@ -330,7 +331,9 @@ def kernel_traffic(calls_by_workload: dict) -> Table:
          "kernel ms", "pair ms", "rule ms", "rule - best ms"],
         rows,
         ["route: the kernel the rule takes, or 'pair -> k' for the pair loop, k what forcing takes",
-         "cost/budget: the rule's kernel cost over its pair budget (<= 1: kernel)"])
+         "cost/budget: the rule's kernel cost over its pair budget (<= 1: kernel)"]
+        + [f"{workload}: no _convolve calls" for workload, calls in calls_by_workload.items()
+           if not calls])
 
 
 def _random_character(rng, sides, terms):
