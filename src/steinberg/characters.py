@@ -32,7 +32,6 @@ from .kronecker import (
     _slot_int,
     _slot_width,
     _strides,
-    _sub_box,
     _weights_at,
 )
 from .rootdata import (
@@ -525,24 +524,35 @@ def _weyl_formula(rs: RootSystem, highest) -> tuple:
     the Weyl denominator prod over alpha > 0 of (1 - e^-alpha) (Jantzen,
     *Representations of Algebraic Groups*, II.5).  The numerator's terms
     come from one walk of the orbit of the regular weight lam + rho
-    (``descend_orbit``, whose sign is sgn(w)).  Its box is the coordinate
-    ranges of W(lam + rho) - rho.  Over an orbit W mu, coordinate j ranges
-    over [-M, M] with M = max over W of <w mu, alpha_j^v>, additive in
-    dominant mu; so the box holds W lam, and with it every weight of the
-    module.  With its packed key (``kronecker``) as exponent, a weight
-    becomes a power x^k with k in [0, n) for the box's n slots.
+    (``descend_orbit``, whose sign is sgn(w)).  The division runs in the
+    box of W lam: the tightest box that holds the character (lam has
+    multiplicity 1), and the box ``_convolve`` gives a product of
+    W-invariant characters, so the twist identity's two sides compare slot
+    lists.  Over an orbit W mu, coordinate j ranges over [-M, M] with
+    M = max over W of <w mu, alpha_j^v>, linear in dominant mu, so the box
+    of W lam is the walk's ranges less those of W rho (``rho_ranges``).
 
-    Division by D is exact modulo 2^(b*n), where x = 2^b and slot k of an
-    int (``kronecker``) holds the coefficient of x^k.  With t the key step
-    of -alpha, a factor 1 - x^t with t < 0 is -x^t * (1 - x^-t): a shift by
-    -t slots and a sign.  Every 1 - x^u (u > 0) is odd, hence a unit modulo
-    2^(b*n), and its inverse there is sum over k < K of x^(k*u) for any
-    K*u >= n, which is (1 + x^u)(1 + x^2u)(1 + x^4u)... by doubling, masked
-    to n slots after each step.  The residue is therefore exactly chi
-    evaluated at x = 2^b, modulo 2^(b*n), for every b: carries between
-    slots in the intermediate values cancel out.  The key steps of the
-    roots are nonzero, as each root coordinate is smaller in size than the
-    box's width there.
+    With its packed key (``kronecker``) as exponent, a weight becomes a
+    power of x.  The key is affine, so this is a ring homomorphism up to
+    one shift, and the character's weights become distinct powers x^k with
+    k in [0, n) for the box's n slots.  With t the key step of -alpha,
+    1 - x^t with t < 0 is -x^t * (1 - x^-t), a shift and a sign that the
+    numerator's keys take up front.  Then chi * prod(1 - x^|t|), which has
+    no negative powers, equals the shifted numerator: its terms below x^0
+    cancel among themselves and those at x^n or above vanish modulo x^n,
+    so both are dropped, and terms that share a key (distinct weights
+    outside the box can) are summed.  A key step of 0 would send D to 0 and
+    raises ArithmeticError; lam = 0, whose box is one point, returns the
+    trivial character at once.
+
+    Division by prod(1 - x^|t|) is exact modulo 2^(b*n), where x = 2^b and
+    slot k of an int (``kronecker``) holds the coefficient of x^k.  Every
+    1 - x^u (u > 0) is odd, hence a unit modulo 2^(b*n), and its inverse
+    there is sum over k < K of x^(k*u) for any K*u >= n, which is
+    (1 + x^u)(1 + x^2u)(1 + x^4u)... by doubling, masked to n slots after
+    each step.  The residue is therefore exactly chi evaluated at x = 2^b,
+    modulo 2^(b*n), for every b: carries between slots in the intermediate
+    values cancel out.
 
     Width rule and sum certificate: b starts at 16 bits and doubles to 32
     and 64 only while the decoded multiplicities do not sum to dim (Weyl's
@@ -555,43 +565,43 @@ def _weyl_formula(rs: RootSystem, highest) -> tuple:
     bits nearly always do.  A wrong sum at a width that holds dim itself,
     where no slot can overflow, or at the widest slots, raises
     ArithmeticError.  A box whose slots would need a buffer of more than
-    ``sys.maxsize`` bytes raises DomainError.
-
-    The slots that pass are cut to the box of W lam, the tightest box that
-    holds the character (lam has multiplicity 1).  That is the box
-    ``_convolve`` gives a product of W-invariant characters, as M above is
-    additive, so the twist identity's two sides compare slot lists.
+    ``sys.maxsize`` bytes raises DomainError.  A summed numerator
+    coefficient is at most |W| in size, which 16 bits hold up to rank 4.
     """
+    if not any(highest):
+        return [1], [range(0, 1)] * rs.rank
     dim = _weyl_dimension(rs, highest)
     walk = descend_orbit(rs, tuple(x + 1 for x in highest))
     cols = list(zip(*(w for w, _ in walk)))
-    ranges = [range(min(col) - 1, max(col)) for col in cols]
-    widths = [len(r) for r in ranges]
+    box = [range(min(col) - r[0], max(col) - r[-1] + 1) for col, r in zip(cols, rs.rho_ranges)]
+    widths = [len(r) for r in box]
     n = math.prod(widths)
     strides = _strides(widths)
-    numerator = _packed(cols, [sign for _, sign in walk], [r.start + 1 for r in ranges], strides)
     steps = [-sum(map(mul, f, strides)) for f in rs.positive_fund]
+    if 0 in steps:
+        raise ArithmeticError(f"Weyl's formula at {list(highest)} has a root of key step 0")
+    shift = -sum(t for t in steps if t < 0)
+    flip = (-1) ** sum(t < 0 for t in steps)
+    numerator = {}
+    for k, sign in _packed(cols, [sign for _, sign in walk], [r.start + 1 for r in box], strides):
+        k += shift
+        if 0 <= k < n:
+            numerator[k] = numerator.get(k, 0) + flip * sign
     for nbytes, fmt in _SLOT_WIDTHS:
         if n * nbytes > sys.maxsize:
             raise DomainError(f"Weyl's formula at {list(highest)} needs {n} slots of "
                               f"{nbytes} bytes, more than one buffer can hold")
         bits = 8 * nbytes
-        value = _slot_int(numerator, nbytes, fmt)[1]
         mask = (1 << bits * n) - 1
-        for t in steps:
-            if t < 0:
-                t = -t
-                value = -value << bits * t
-            value &= mask
+        value = _slot_int(numerator.items(), nbytes, fmt)[1] & mask
+        for t in map(abs, steps):
             while t < n:
                 value = (value + (value << bits * t)) & mask
                 t *= 2
         vals = _read_slots(value, nbytes, fmt, n)
         total = sum(vals)
         if total == dim:
-            cols = zip(*(w for w, _ in descend_orbit(rs, highest)))
-            tight = [range(min(col), max(col) + 1) for col in cols]
-            return _sub_box(vals, ranges, tight), tight
+            return vals, box
         if dim < 1 << (bits - 1):
             break  # no slot can overflow, so wider ones would not help
     raise ArithmeticError(

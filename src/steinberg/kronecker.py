@@ -9,7 +9,10 @@ weight in the box (the no-alias condition).  A map from the box to integers
 is written into one int whose slot k, a field of 2, 4 or 8 bytes, holds the
 value at key k.  Adding shifted copies of such ints then convolves
 (``_kronecker``), and ``characters._weyl_formula`` divides by the Weyl
-denominator on one of them.  On every machine slot k is the field at bit
+denominator on one of them.  The formula keys its numerator in the box of
+its result, where weights outside the box alias or fall outside the slots;
+it is exact there as a ring identity modulo the slot count, not by the
+no-alias condition.  On every machine slot k is the field at bit
 b*k of the int, so shifting an int up by s slots adds s to every key.  The
 ints cross to byte buffers in little-endian order and are read and written
 slot by slot through native arrays; a big-endian machine swaps the bytes of
@@ -111,23 +114,6 @@ def _read_slots(value: int, nbytes: int, fmt: str, n: int) -> list:
     complement.
     """
     return _to_slots(value, n, nbytes, fmt).tolist()
-
-
-def _sub_box(vals, ranges, inner) -> list:
-    """The slot values of the box ``inner`` inside the box ``ranges``.
-
-    Both are coordinate ranges, the last coordinate fastest, and each range
-    of ``inner`` lies inside that of ``ranges``: the sub-box is one run of
-    slots per point of its other coordinates.
-    """
-    strides = _strides([len(r) for r in ranges])
-    lo = [i.start - r.start for i, r in zip(inner, ranges)]
-    n = len(inner[-1])
-    out = []
-    for point in product(*(range(k, k + len(i)) for k, i in zip(lo, inner[:-1]))):
-        start = sum(map(mul, point, strides)) + lo[-1]
-        out += vals[start:start + n]
-    return out
 
 
 def _weights_at(vals, ranges) -> dict:

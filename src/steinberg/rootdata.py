@@ -52,16 +52,21 @@ class RootSystem:
     The inverse Cartan matrix is ``inv_num`` / ``inv_den``: an integer
     matrix over one positive denominator, in lowest terms.
 
-    Four tables that operations read on every call are built once, with
+    Five tables that operations read on every call are built once, with
     the type: ``neighbours`` holds, per node i, the pairs (j, cartan[j][i])
     with j != i and cartan[j][i] != 0, the steps of the dominance walk
     (``_to_dominant``); ``weyl_order`` is |W|; ``highest_coroot`` is the
     coroot of largest height paired with its root in fundamental
     coordinates, the level-p alcove wall; ``negation_in_w`` says whether -1
-    lies in W, so that W-invariant products are symmetric under negation.
+    lies in W, so that W-invariant products are symmetric under negation;
+    ``rho_ranges`` are the coordinate ranges of the orbit W rho.
     The dominant point of -v is -w0 v, and -w0 permutes the fundamental
     coordinates (a diagram automorphism), so for v = (1, 2, ..., rank),
-    whose coordinates are distinct, it is v exactly when w0 = -1.
+    whose coordinates are distinct, it is v exactly when w0 = -1.  Over an
+    orbit W mu, coordinate j is <w mu, alpha_j^v> = <mu, w^-1 alpha_j^v>,
+    and w^-1 alpha_j^v runs over the coroots of the roots as long as
+    alpha_j, negatives included.  A coroot pairs with rho to its height, so
+    coordinate j of W rho ranges over [-h, h], h the largest such height.
 
     Built from keyword arguments, one per slot.  Equality and hashing are
     those of ``object`` (identity), so instances are cheap ``lru_cache``
@@ -70,7 +75,7 @@ class RootSystem:
 
     __slots__ = ("series", "rank", "cartan", "positive_roots", "positive_fund", "coroots",
                  "symmetrizer", "inv_num", "inv_den", "rho", "neighbours", "weyl_order",
-                 "highest_coroot", "negation_in_w")
+                 "highest_coroot", "negation_in_w", "rho_ranges")
 
     def __init__(self, **fields):
         if fields.keys() != set(self.__slots__):
@@ -241,10 +246,11 @@ def _build_root_system(series: str, rank: int) -> RootSystem:
     cartan = _cartan_matrix(series, rank)
     roots, fund, per_height = _enumerate_roots(cartan, rank)
     t = _symmetrizer(cartan, rank)
-    coroots = []
+    coroots, norms = [], []
     for c, m in zip(roots, fund):
         ct = list(map(mul, c, t))
         norm = sum(map(mul, ct, m))  # (beta, beta), scaled
+        norms.append(norm)
         d = []
         for x in ct:
             dj, rem = divmod(2 * x, norm)
@@ -276,6 +282,8 @@ def _build_root_system(series: str, rank: int) -> RootSystem:
         # root on B, C, F and G).
         highest_coroot=max(zip(coroots, fund), key=lambda pair: sum(pair[0])),
         negation_in_w=negated == regular,
+        rho_ranges=tuple(range(-h, h + 1) for h in (
+            max(sum(d) for d, n in zip(coroots, norms) if n == norms[j]) for j in r)),
     )
 
 

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+import oracles
 from steinberg import (
     Character,
     KElement,
@@ -96,7 +97,7 @@ def cached_product(rs, lams):
 
 def test_criterion_1_steinberg_twist_identity_sweep():
     start = time.perf_counter()
-    checked = 0
+    sides = []
     for key, rs in SYSTEMS.items():
         for p in PRIMES:
             st = steinberg_character(rs, p)
@@ -104,12 +105,21 @@ def test_criterion_1_steinberg_twist_identity_sweep():
                 lhs = tensor(st, frobenius_twist(weyl_character(rs, lam), 1, p))
                 rhs = weyl_character(rs, dot_multiply(p, lam))
                 assert lhs == rhs, (key, p, lam)
-                checked += 1
+                sides.append((rs, dot_multiply(p, lam), lhs, rhs))
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
+    # A check that never lists W, outside the timed sweep: both sides
+    # specialize to Weyl's q-dimension at p . lam.  Unlike equal slot lists
+    # and the sum certificate of Weyl's formula, it catches a multiplicity
+    # in the wrong slot.
+    for rs, top, lhs, rhs in sides:
+        q_dim = oracles.q_dimension(rs, top)
+        assert oracles.principal_specialization(rs, lhs) == q_dim, (rs, top)
+        assert oracles.principal_specialization(rs, rhs) == q_dim, (rs, top)
     print(
         f"\nACCEPTANCE 1 PASS: ch St * twist(ch Delta) = ch Delta(p . lam) for "
-        f"{checked} cases in {elapsed:.1f}s"
+        f"{len(sides)} cases in {elapsed:.1f}s, both sides' principal specializations "
+        f"equal to the q-dimension"
     )
 
 

@@ -27,6 +27,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import pkgutil
 import random
 import struct
@@ -61,7 +62,7 @@ import steinberg
 from steinberg import characters, grothendieck, kronecker
 from steinberg.characters import _kronecker, _slot_width
 from steinberg.kronecker import _read_slots, _slot_int, _weights_at
-from steinberg.rootdata import apply_simple_reflection
+from steinberg.rootdata import RootSystem, apply_simple_reflection
 from steinberg.cli import run
 
 TYPES = sorted(oracles.POSITIVE_ROOT_COUNTS)
@@ -461,25 +462,6 @@ def test_read_slots_matches_the_per_slot_oracle(nbytes, fmt):
     box = [range(-1, 2), range(0, 2)]
     value = (top << bits * 5) | (top - 1) << bits * 1
     assert _read_box(value, nbytes, fmt, box) == {(-1, 1): top - 1, (1, 1): -top}
-
-
-def test_sub_box_matches_a_lookup_per_weight():
-    # Weyl's formula cuts its slots to the box of W lam this way: random
-    # sub-boxes of random boxes of rank 1 to 3, down to one slot.
-    rng = random.Random("sub-box")
-    for rank in (1, 2, 3):
-        for _ in range(30):
-            ranges = [range(s, s + rng.randint(1, 6)) for s in
-                      (rng.randint(-5, 5) for _ in range(rank))]
-            inner = []
-            for r in ranges:
-                start = rng.randrange(r.start, r.stop)
-                inner.append(range(start, rng.randint(start + 1, r.stop)))
-            weights = list(itertools.product(*ranges))
-            vals = [rng.randint(-3, 3) for _ in weights]
-            at = dict(zip(weights, vals))
-            assert kronecker._sub_box(vals, ranges, inner) == [
-                at[w] for w in itertools.product(*inner)], (ranges, inner)
 
 
 def test_kronecker_kernel_cancels_telescoping_products(kernel_calls):
@@ -1230,6 +1212,94 @@ def test_weyl_formula_on_a1_matches_rank_one_theory(monkeypatch):
             oracles.a1_weyl_character_weights(m))
 
 
+def _numerator_keys(rs, group, lam):
+    """(keys, n): the keys of the numerator's weights w . lam in the box of W lam.
+
+    The box is the tightest around the orbit, found by search, and each key
+    is shifted up by the key steps of the roots alpha whose -alpha steps
+    down, as Weyl's formula shifts its numerator.
+    """
+    box = [range(min(col), max(col) + 1) for col in zip(*oracles.orbit_by_search(rs, lam))]
+    widths = [len(r) for r in box]
+    strides = kronecker._strides(widths)
+    shift = sum(max(0, sum(map(operator.mul, f, strides))) for f in rs.positive_fund)
+    keys = [sum((x - r.start) * s for x, r, s in zip(oracles.dot(m, lam), box, strides)) + shift
+            for m, _ in group]
+    return keys, math.prod(widths)
+
+
+def test_weyl_formula_is_exact_where_its_numerator_leaves_or_aliases_in_the_box():
+    # The formula keys its numerator in the box of W lam: some keys fall
+    # outside its n slots, and on A2 and B2 two numerator weights can share
+    # a slot, whose signs must be summed.  At every such nonzero weight of
+    # size <= 4 (<= 20 on A1) it must agree with the recursion and the
+    # partition function.
+    outside, aliased = collections.Counter(), collections.Counter()
+    for series, rank in RANK_AT_MOST_TWO:
+        rs = build_root_system(series, rank)
+        group = oracles.weyl_group(rs)
+        name = f"{series}{rank}"
+        for lam in itertools.product(range(21 if rank == 1 else 5), repeat=rank):
+            if not any(lam):
+                continue  # the trivial character, returned before any key is formed
+            keys, n = _numerator_keys(rs, group, lam)
+            inside = [k for k in keys if 0 <= k < n]
+            leaves, aliases = len(inside) < len(keys), len(set(inside)) < len(inside)
+            if not (leaves or aliases):
+                continue
+            outside[name] += leaves
+            aliased[name] += aliases
+            route = _weights_at(*characters._weyl_formula(rs, lam))
+            assert route == characters._freudenthal(rs, lam), (name, lam)
+            assert route == oracles.character_by_weyl_sum(rs, group, lam), (name, lam)
+    print(f"\nnumerator keys outside the box: {dict(outside)}; aliased: {dict(aliased)}")
+    assert all(outside[f"{series}{rank}"] for series, rank in RANK_AT_MOST_TWO)
+    assert aliased["A2"] and aliased["B2"]
+
+
+@pytest.mark.parametrize("series,rank", TYPES)
+def test_weyl_formula_at_zero_is_the_trivial_character(series, rank):
+    rs = build_root_system(series, rank)
+    assert characters._weyl_formula(rs, (0,) * rank) == ([1], [range(0, 1)] * rank)
+
+
+def test_weyl_formula_raises_on_a_root_of_key_step_zero():
+    # B2 rebuilt with W rho's ranges replaced by those of W(lam + rho) cuts
+    # the box of W lam to one point, where alpha_2 = (-2, 2) has key step
+    # 0: the denominator would map to 0 and its inverse never converge.
+    b2 = build_root_system("B", 2)
+    ranges = tuple(range(min(col), max(col) + 1)
+                   for col in zip(*oracles.orbit_by_search(b2, (2, 1))))
+    fields = {name: getattr(b2, name) for name in RootSystem.__slots__}
+    fake = RootSystem(**{**fields, "rho_ranges": ranges})
+    with pytest.raises(ArithmeticError, match=r"at \[1, 0\] has a root of key step 0"):
+        characters._weyl_formula(fake, (1, 0))
+
+
+def test_weyl_formula_matches_freudenthal_on_random_weights_up_to_rank_four():
+    # Nonzero weights of size <= 6 at rank <= 2 and <= 2 above it, of
+    # dimension <= 20000, called directly as tools/calibrate.py section 4a
+    # does: no root may have a key step of 0 in the box of W lam.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    systems = [build_root_system(*key) for key in TYPES if key[1] <= 4]
+    reached = collections.Counter()
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.sampled_from(systems).flatmap(lambda rs: st.tuples(st.just(rs), st.tuples(
+        *[st.integers(0, 6 if rs.rank <= 2 else 2)] * rs.rank))))
+    def check(case):
+        rs, lam = case
+        hypothesis.assume(any(lam) and characters._weyl_dimension(rs, lam) <= 20000)
+        route = _weights_at(*characters._weyl_formula(rs, lam))
+        assert route == characters._freudenthal(rs, lam), (rs, lam)
+        reached[rs.rank] += 1
+
+    check()
+    print(f"\nWeyl's formula against the recursion, weights per rank: {dict(sorted(reached.items()))}")
+    assert sorted(reached) == [1, 2, 3, 4]
+
+
 def test_weyl_character_routes_agree_on_random_dominant_weights(monkeypatch):
     # Random dominant weights of coordinate sum <= 2 and dimension <= 3000
     # over the 22 types; on the types whose W has more than LARGE_ORDER
@@ -1494,8 +1564,11 @@ def test_root_tables_are_built_once_with_the_type():
         # to its negative.
         v = tuple(range(1, rank + 1))
         negated = tuple(-x for x in v)
-        assert rs.negation_in_w == any(
-            oracles.act(m, v) == negated for m, _ in oracles.weyl_group(rs))
+        group = oracles.weyl_group(rs)
+        assert rs.negation_in_w == any(oracles.act(m, v) == negated for m, _ in group)
+        # The coordinate ranges of W rho, the box Weyl's formula subtracts.
+        cols = zip(*(oracles.act(m, rs.rho) for m, _ in group))
+        assert rs.rho_ranges == tuple(range(min(col), max(col) + 1) for col in cols)
     assert [key for key in TYPES if build_root_system(*key).negation_in_w] == [
         ("A", 1), *(("B", r) for r in range(2, 7)), *(("C", r) for r in range(2, 7)),
         ("D", 4), ("D", 6), ("F", 4), ("G", 2)]
