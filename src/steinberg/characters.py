@@ -203,37 +203,35 @@ class Character(_Sparse):
     it; the public constructor and ``from_dict`` never set it.  Equality,
     repr and JSON ignore it; ``require_w_invariant`` trusts it.
 
-    The private slot ``_factors`` is set only on values that the
-    ``weyl_character`` cache hands out: the sorted highest weights whose
-    Weyl characters, over the tagged root system, multiply to the value.
-    ``weyl_character`` sets (lam,) and ``tensor`` of two such values the
-    union of theirs; every other value has None.  Two readers trust it:
-    ``tensor`` keeps or hands out the product of two such values by the
-    rule in ``weyl_character``, and ``grothendieck.char_to_class`` expands
-    a value of two or more factors over them by Brauer-Klimyk, without
-    reading its terms.  A value with None is convolved and straightened in
-    full every time.
+    The private slot ``_factors`` is set only on Weyl characters that the
+    ``weyl_character`` cache hands out and on their products: the sorted
+    highest weights whose Weyl characters, over the tagged root system,
+    multiply to the value.  ``weyl_character`` sets (lam,) and ``tensor``
+    of two such values the union of theirs; every other value has None.
+    ``tensor`` hands out the product of two such values over the pair it
+    was given, unformed (``_pending``).
 
-    A value whose terms are not yet formed has an empty ``_terms`` slot,
-    and the private slot ``_pending`` says how to form them; every other
-    value has None there.  It holds one of two things:
+    The private slot ``_pending`` holds one of two things, or None:
 
-    - the two values ``tensor`` was given, for a product handed out
-      unformed (see ``weyl_character`` for which);
+    - the pair (a, b) of a product of two values that carry ``_factors``,
+      which it keeps for its whole life;
     - a slot pair (``kronecker``), the list of a box's slot values and the
       box's coordinate ranges, for a result of the Kronecker kernel or of
       Weyl's formula, whose weights are not decoded until they are read.
 
-    ``_raw`` builds either kind, from a terms dict or from what is pending.
-    The first read of ``_terms`` forms them (``__getattr__``), a pair by
-    ``_convolve`` and slots by ``kronecker._weights_at``, and then clears
-    ``_pending``.  ``len``, ``bool``, ``dim`` and ``==`` count, sum or
-    compare slots without decoding them, and two values with slots over the
-    same box compare slot lists; on a pending pair they form the terms.
-    ``contract_weights`` contracts a pending pair of rank above
-    ``_DENSE_RANK`` by residue classes, without forming it.  Every other
-    reader (repr, JSON, pickling, copying, arithmetic, ``items``) reads the
-    terms, so it sees a formed value.
+    ``_raw`` builds a value from a terms dict or from either kind; the
+    value's ``_terms`` slot stays empty until they are first read.  That
+    read forms them (``__getattr__``), a pair by ``_convolve`` and slots by
+    ``kronecker._weights_at``, which then clears ``_pending``.  ``len``,
+    ``bool``, ``dim`` and ``==`` count, sum or compare slots without
+    decoding them, and two values with slots over the same box compare slot
+    lists; on a pair they form the terms.  Two readers use a pair instead
+    of the terms: ``grothendieck.char_to_class`` expands the product by
+    Brauer-Klimyk over it, formed or not, and ``contract_weights``
+    contracts an unformed product of rank above ``_DENSE_RANK`` by residue
+    classes.  Every other reader (repr, JSON, pickling, copying,
+    arithmetic, ``items``) reads the terms, so it sees a formed value;
+    pickling and copying drop ``_pending``.
 
     The private slot ``_residues`` is None until the value is a factor of
     such a contraction, and then maps each p it was a factor at to its
@@ -254,7 +252,7 @@ class Character(_Sparse):
         self._invariant_for = self._factors = self._pending = self._residues = None
 
     @classmethod
-    def _raw(cls, terms, rs=None):
+    def _raw(cls, terms, rs=None, factors=None):
         # terms: a dict free of zeros, or what is pending (a pair of values
         # or a slot pair), formed on first read.
         self = cls.__new__(cls)
@@ -263,8 +261,7 @@ class Character(_Sparse):
             self._pending = None
         else:
             self._pending = terms
-        self._invariant_for = rs
-        self._factors = self._residues = None
+        self._invariant_for, self._factors, self._residues = rs, factors, None
         return self
 
     def _slots(self):
@@ -273,19 +270,33 @@ class Character(_Sparse):
         pending = self._pending
         return pending if pending is not None and type(pending[0]) is list else None
 
+    def _pair(self):
+        # The pair (a, b) this product was handed out over, or None.
+        pending = self._pending
+        return pending if pending is not None and type(pending[0]) is not list else None
+
+    def _formed(self) -> bool:
+        # Whether the terms are formed, read without forming them.
+        try:
+            _Sparse._terms.__get__(self)
+        except AttributeError:
+            return False
+        return True
+
     def __getattr__(self, name):
-        # Reached only when a slot is empty.  What was pending is cleared
-        # after the terms are stored, so a thread that finds it cleared reads
-        # the terms another thread formed meanwhile; two threads that both
-        # find it form equal terms, so no lock is needed.
+        # Reached only when a slot is empty.  Slots are cleared after the
+        # terms are stored, so a thread that finds them cleared reads the
+        # terms another thread decoded meanwhile; two threads that both form
+        # the terms form equal ones, so no lock is needed.
         if name != "_terms":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         pending = self._pending
         if pending is not None:
-            if type(pending[0]) is not list:
-                pending = _convolve(*pending)
-            self._terms = pending if type(pending) is dict else _weights_at(*pending)
-            self._pending = None
+            pair = type(pending[0]) is not list
+            terms = _convolve(*pending) if pair else pending
+            self._terms = terms if type(terms) is dict else _weights_at(*terms)
+            if not pair:
+                self._pending = None
         return object.__getattribute__(self, "_terms")
 
     def __getstate__(self):
@@ -372,8 +383,8 @@ _DENSE_RANK = 2
 # tools/calibrate.py replays it.
 _WEYL_CACHE_TERMS = 1 << 15
 
-# (rs, factors) -> the product of the Weyl characters at factors (one
-# for a Weyl character), or None for a ghost; least recently used first.
+# (rs, highest) -> the Weyl character, or None for a ghost; least recently
+# used first.
 _weyl_cache = OrderedDict()
 _weyl_cache_lock = allocate_lock()
 _weyl_hits = _weyl_misses = _weyl_terms = _weyl_held = 0
@@ -387,11 +398,9 @@ def weyl_character(rs: RootSystem, highest) -> Character:
     (``_weyl_formula``), above it from Freudenthal's recursion
     (``_freudenthal``); each is exact.
 
-    Weyl characters, and the products of them of rank up to ``_DENSE_RANK``
-    that ``tensor`` looks up, are kept in one least-recently-used cache
-    bounded by the terms it holds, ``_WEYL_CACHE_TERMS`` in all, each under
-    (rs, its sorted factors).  This is the cache's rule, which the rest of
-    the library refers to:
+    Weyl characters are kept in a least-recently-used cache bounded by the
+    terms it holds, ``_WEYL_CACHE_TERMS`` in all, each under (rs, highest).
+    This is the cache's rule, which the rest of the library refers to:
 
     - A request finds a value (a hit), a ghost or nothing (a miss).  A
       ghost is a key without its value, charged one term.
@@ -403,40 +412,34 @@ def weyl_character(rs: RootSystem, highest) -> Character:
     - An admitted value is stored only if it fits the budget, in place of
       its ghost, if any.  Each store drops the least recently used entries,
       ghosts or values, until the total fits.
-    - A product held back is handed out unformed (see ``Character``): its
-      terms are convolved on their first read, so a product that nothing
-      reads is never convolved.
-    - A product of rank above ``_DENSE_RANK`` is never looked up or stored:
-      ``tensor`` hands it out unformed on every request, so at those ranks
-      the cache holds Weyl characters only.  Its readers there expand
-      (``grothendieck.char_to_class``) or contract (``contract_weights``)
-      it over its factors, and a contraction adds only the pairs of weights
-      whose sum lies in pX.
+    - Products are never looked up or stored: ``tensor`` hands out a
+      product of the values this cache gives, and of their products, over
+      the pair it was given, unformed (see ``Character``), so a product
+      that nothing reads is never convolved.  Its readers expand
+      (``grothendieck.char_to_class``) or, above ``_DENSE_RANK``, contract
+      (``contract_weights``) it over that pair, and a contraction adds only
+      the pairs of weights whose sum lies in pX.
 
-    ``cache_info`` (its hits and misses count product lookups too;
-    ``currsize`` counts held values, not ghosts; ``maxsize`` is the term
-    budget) and ``cache_clear`` are the cache's, and ``__wrapped__`` is the
-    uncached computation, as for ``functools.lru_cache``; its values carry
-    no ``_factors``, so ``tensor`` never looks their products up.  Lookups
-    and updates hold one lock, the computation does not.  The weight is
-    checked on every call, before the cache is looked up: coordinates must
-    be ints (not bools), so a float or bool weight that equals a cached int
-    weight is rejected, not answered from the cache.
+    ``cache_info`` (``currsize`` counts held values, not ghosts; ``maxsize``
+    is the term budget) and ``cache_clear`` are the cache's, and
+    ``__wrapped__`` is the uncached computation, as for
+    ``functools.lru_cache``; its values carry no ``_factors``, so ``tensor``
+    forms their products at once.  Lookups and updates hold one lock, the
+    computation does not.  The weight is checked on every call, before the
+    cache is looked up: coordinates must be ints (not bools), so a float or
+    bool weight that equals a cached int weight is rejected, not answered
+    from the cache.
     """
-    highest = require_dominant(rs, highest)
-    return _cached(rs, (highest,), _weyl_character, rs, highest)
+    return _cached(rs, require_dominant(rs, highest))
 
 
-def _cached(rs: RootSystem, factors: tuple, compute, *args) -> Character:
-    """The product of the Weyl characters at ``factors``: held, or compute(*args) stamped.
+def _cached(rs: RootSystem, highest: tuple) -> Character:
+    """The Weyl character at highest, held or computed, kept by the rule in ``weyl_character``.
 
-    Keeps it by the rule in ``weyl_character``, under (rs, factors); the
-    value it returns carries ``factors``.  A product, of rank up to
-    ``_DENSE_RANK``, that the doorkeeper holds back is returned unformed
-    over args, the two values ``tensor`` was given.
+    The value it returns carries ``_factors`` (highest,).
     """
     global _weyl_hits, _weyl_misses, _weyl_terms, _weyl_held
-    key = (rs, factors)
+    key = (rs, highest)
     with _weyl_cache_lock:
         found = _weyl_cache.get(key, _ABSENT)
         if found is not _ABSENT:
@@ -450,8 +453,8 @@ def _cached(rs: RootSystem, factors: tuple, compute, *args) -> Character:
             _weyl_cache[key] = None
             _weyl_terms += 1
             _weyl_evict()
-    chi = compute(*args) if admitted or len(factors) == 1 else Character._raw(args, rs)
-    chi._factors = factors
+    chi = _weyl_character(rs, highest)
+    chi._factors = (highest,)
     # len counts a value's slots when it holds them: once, outside the lock.
     if admitted and (terms := len(chi)) <= _WEYL_CACHE_TERMS:
         with _weyl_cache_lock:
@@ -679,30 +682,16 @@ def tensor(a: Character, b: Character) -> Character:
     substitution or pair by pair.
 
     When both factors carry ``_factors`` (they came from the
-    ``weyl_character`` cache) and one root-system tag, the product carries
-    the sorted union of their highest weights, and it is kept or handed out
-    unformed by the rule in ``weyl_character``.  Up to ``_DENSE_RANK`` it
-    is that cache's entry under the union, so a product of the same Weyl
-    characters, in any order or grouping, is formed once while the cache
-    holds it; above ``_DENSE_RANK`` it is handed out unformed on every
-    request.  ``grothendieck.char_to_class``, which expands an unformed
-    product over its factors, never forms it, and neither does
-    ``contract_weights`` above ``_DENSE_RANK``.  Every other product is
-    formed on each call.
+    ``weyl_character`` cache, or are products of such values) and one
+    root-system tag, the product is a fresh value over the pair (a, b),
+    unformed, and carries the sorted union of their highest weights.  Its
+    first read convolves it; ``grothendieck.char_to_class``, which expands
+    it over the pair, never forms it, and neither does ``contract_weights``
+    above ``_DENSE_RANK``.  Every other product is formed on each call.
     """
     if a._factors and b._factors and a._invariant_for is b._invariant_for:
-        rs, factors = a._invariant_for, tuple(sorted(a._factors + b._factors))
-        if rs.rank <= _DENSE_RANK:
-            return _cached(rs, factors, _product, a, b)
-        chi = Character._raw((a, b), rs)
-        chi._factors = factors
-        return chi
+        return Character._raw((a, b), a._invariant_for, tuple(sorted(a._factors + b._factors)))
     return Character._raw(_convolve(a, b), _shared_tag(a, b))
-
-
-def _product(a: Character, b: Character) -> Character:
-    # tensor's product of two values tagged for one root system.
-    return Character._raw(_convolve(a, b), a._invariant_for)
 
 
 def _convolve(a: Character, b: Character):
@@ -803,12 +792,12 @@ def contract_weights(chi: Character, p: int) -> Character:
     1/p of the weights, so most weights are dropped after one remainder.
 
     A product of rank above ``_DENSE_RANK`` that ``tensor`` handed out
-    unformed (see ``weyl_character``) is contracted without being formed:
-    a weight alpha + beta of a (x) b lies in pX only when alpha lies in
-    some residue class r mod p and beta in -r, so class r of a is paired
-    with class -r of b alone (``_contract_pair``): sum over r of
-    |a_r| * |b_-r| pairs, about |a| * |b| / p^rank when the weights spread
-    evenly over the classes.
+    over a pair (a, b) (see ``Character``) and that no reader has formed
+    yet is contracted without being formed: a weight alpha + beta of
+    a (x) b lies in pX only when alpha lies in some residue class r mod p
+    and beta in -r, so class r of a is paired with class -r of b alone
+    (``_contract_pair``): sum over r of |a_r| * |b_-r| pairs, about
+    |a| * |b| / p^rank when the weights spread evenly over the classes.
     """
     require_p(p, "contraction")
     pair = _unformed_pair(chi)
@@ -822,13 +811,13 @@ def contract_weights(chi: Character, p: int) -> Character:
 
 
 def _unformed_pair(chi):
-    # The pair (a, b) an unformed product of rank above _DENSE_RANK is
-    # convolved from, or None.  _pending is read once: another thread may
-    # form the product meanwhile, and the pair stays valid.
-    pending = getattr(chi, "_pending", None)
-    if pending is None or type(pending[0]) is list or chi._invariant_for.rank <= _DENSE_RANK:
+    # The pair (a, b) of a product of rank above _DENSE_RANK whose terms are
+    # not formed, or None.  Another thread may form the product meanwhile,
+    # and the pair stays valid.
+    pair = chi._pair() if isinstance(chi, Character) else None
+    if pair is None or chi._invariant_for.rank <= _DENSE_RANK or chi._formed():
         return None
-    return pending
+    return pair
 
 
 def _residue_classes(chi: Character, p: int) -> tuple:

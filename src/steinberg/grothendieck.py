@@ -5,7 +5,7 @@ of Weyl modules, indexed by their dominant highest weights; it shares its
 representation and arithmetic with :class:`Character`.  Characters
 convert to classes by Brauer's formula, straightening one weight at a time
 (with an independent highest-weight peeling route), products of cached Weyl
-characters by Brauer-Klimyk over their factors, and back by summing Weyl
+characters by Brauer-Klimyk over the pair they hold, and back by summing Weyl
 characters.  On top of the change of basis sit the Steinberg-block
 operations: the dot-scaling equivalence and its inverse, Steinberg
 multiplicities of a tensor product and Frobenius contraction (both Brauer's
@@ -26,7 +26,6 @@ from .characters import (
     _weyl_dimension,
     contract_weights,
     require_w_invariant,
-    tensor,
     weyl_character,
 )
 from .errors import DomainError
@@ -132,25 +131,24 @@ def char_to_class(rs: RootSystem, chi: Character) -> KElement:
     nu + rho is singular (``_straighten``).  The coefficient at lam is
     therefore the alternating orbit sum sum_w (-1)^len(w) * chi(w . lam).
 
-    A product of two or more Weyl characters from the ``weyl_character``
-    cache (its ``_factors``, over rs) is expanded over its factors instead,
-    by Brauer-Klimyk: with top the factor of largest Weyl dimension and N
-    the product of the others, [Delta(top) tensor N] straightens top + nu
-    with coefficient N(nu) (``_klimyk``), so the product's own terms are
-    never read: a product that ``tensor`` handed out unformed stays so.
-    Every other value, a single Weyl character included, is straightened
+    A product that ``tensor`` handed out over a pair (a, b) (see
+    ``Character``), over rs, is expanded over that pair instead, by
+    Brauer-Klimyk, when a side is a single Weyl character from the
+    ``weyl_character`` cache: with top that side (the one of larger Weyl
+    dimension when both are) and N the other, [Delta(top) tensor N]
+    straightens top + nu with coefficient N(nu) (``_klimyk``).  So the
+    product's own terms are never read, formed or not, and N, the caller's
+    own value, forms its terms at most once.  Every other value, a single
+    Weyl character or a product of two products included, is straightened
     term by term.
     """
     require_w_invariant(rs, chi)
-    factors = getattr(chi, "_factors", None)
-    if factors and len(factors) > 1 and chi._invariant_for is rs:
-        rest = list(factors)
-        top = max(rest, key=lambda lam: _weyl_dimension(rs, lam))
-        rest.remove(top)
-        n = weyl_character(rs, rest[0])
-        for lam in rest[1:]:
-            n = tensor(n, weyl_character(rs, lam))
-        return _klimyk(rs, top, n)
+    pair = chi._pair() if getattr(chi, "_invariant_for", None) is rs else None
+    if pair is not None:
+        sides = [(top, n) for top, n in (pair, pair[::-1]) if len(top._factors) == 1]
+        if sides:
+            top, n = max(sides, key=lambda side: _weyl_dimension(rs, side[0]._factors[0]))
+            return _klimyk(rs, top._factors[0], n)
     return _straighten(rs, chi.items())
 
 
@@ -268,9 +266,10 @@ def steinberg_delta_multiplicity(rs: RootSystem, chi: Character, lam, p: int) ->
     that is the coefficient at lam of (contracted chi) * D: sum over the |W|
     terms delta of D of D(delta) * chi(p * (lam - delta)).  Otherwise the
     contracted weights are straightened.  A product of rank above
-    ``_DENSE_RANK`` that ``tensor`` handed out unformed is always
-    straightened, as ``contract_weights`` contracts it without forming it;
-    so its terms are never counted to choose the route.
+    ``_DENSE_RANK`` that ``tensor`` handed out over a pair and that no
+    reader has formed yet is always straightened, as ``contract_weights``
+    contracts it without forming it; so its terms are never counted to
+    choose the route.
     """
     lam = require_dominant(rs, lam)
     require_p(p, "multiplicity")
@@ -290,8 +289,8 @@ def frobenius_contract_class(rs: RootSystem, chi: Character, p: int) -> KElement
     Brauer's formula (``_straighten``) on the weights of chi contracted by p.
     At the character level the result contracts the weights of chi by p
     (``contract_weights``, which contracts a product of rank above
-    ``_DENSE_RANK`` that ``tensor`` handed out unformed by residue classes
-    mod p, without forming it).
+    ``_DENSE_RANK`` that no reader has formed yet by residue classes mod p
+    over the pair it holds, without forming it).
     """
     require_p(p, "contraction")
     require_w_invariant(rs, chi)

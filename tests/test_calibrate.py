@@ -112,7 +112,7 @@ def test_weyl_tables(calibrate):
 
 def test_cache_replay_on_a_synthetic_trace(calibrate):
     # Keys a, b of rank 2 (3 and 4 terms), c of rank 3 (5 terms); budget 8.
-    a, b, c = ("a", 3, 2, 1.0, True), ("b", 4, 2, 2.0, True), ("c", 5, 3, 4.0, True)
+    a, b, c = ("a", 3, 2, 1.0), ("b", 4, 2, 2.0), ("c", 5, 3, 4.0)
     trace = [a, b, a, c, a, b]
     # Doorkeeper: ghosts a, b (2 terms); a stored (4); c stored at once, the
     # ghost of b dropped (8); a hit; b a ghost again, c dropped (4).
@@ -123,15 +123,10 @@ def test_cache_replay_on_a_synthetic_trace(calibrate):
     # A character over the budget is never stored.  The doorkeeper keeps
     # the ghost of one of rank 2, which it held back, but leaves none for
     # one of rank 3, which it admits at once.
-    big = ("e", 5, 2, 1.0, True)
+    big = ("e", 5, 2, 1.0)
     assert calibrate.replay([big, big], 4, True) == (2, 2.0, 1)
     assert calibrate.replay([c, c], 4, True) == (2, 8.0, 0)
     assert calibrate.replay([c, c], 4, False) == (2, 8.0, 0)
-    # A value its operation never formed costs nothing while the policy
-    # leaves it a ghost, and its time once a policy stores it.
-    lazy = ("d", 3, 2, 1.0, False)
-    assert calibrate.replay([lazy, lazy], 8, True) == (2, 1.0, 3)
-    assert calibrate.replay([lazy], 8, False) == (1, 1.0, 3)
     table = calibrate.cache_replay({"tiny": trace}, {"tiny": 5}, budgets=(8,))
     assert table.columns == ["workload", "policy", "budget terms", "lookups", "misses",
                              "recompute ms", "peak terms"]
@@ -141,50 +136,47 @@ def test_cache_replay_on_a_synthetic_trace(calibrate):
     assert names(table, "_WEYL_CACHE_TERMS")
 
 
+def _weyl_characters_only(log) -> bool:
+    # Every lookup is of one highest weight of its root system.
+    return all(len(lookup.highest) == lookup.rs.rank
+               and all(type(x) is int for x in lookup.highest) for lookup in log.cache)
+
+
 def test_traffic_replays_a_workload_round(calibrate):
-    # The census of one seed-1 highrank-classes round: 161 cache lookups,
-    # all of Weyl characters, as a product above rank 2 is never looked up,
-    # and no convolution.  Each of the 20 products that char_to_class
-    # expands over its factors comes unformed, and is still unformed once
-    # the round's checks have read it, and its contractions by residue
-    # classes are those of its convolution; the Brauer-Klimyk route looks
-    # up one more Weyl character for each.  The replayed doorkeeper counts
-    # the cache's misses.
+    # The census of one seed-1 highrank-classes round: 141 cache lookups,
+    # all of Weyl characters, and no convolution.  Each of the 20 products
+    # that char_to_class expands over the pair it holds comes unformed, and
+    # is still unformed once the round's checks have read it, and its
+    # contractions by residue classes are those of its convolution.  The
+    # replayed doorkeeper counts the cache's misses.
     log = calibrate.traffic("highrank-classes", 1)
-    assert len(log.cache) == 161
-    assert not any(len(lookup.factors) > 1 for lookup in log.cache)
+    assert len(log.cache) == 141 and _weyl_characters_only(log)
     assert log.convolve == []
     trace = calibrate.weyl_trace(log.cache)
     assert calibrate.replay(trace, characters._WEYL_CACHE_TERMS, True)[0] == log.misses == 14
     assert len(log.klimyk) == 20
-    for rs, chi, pending in log.klimyk:
-        assert len(chi._factors) == 2 and pending is not None and chi._pending is pending
-        formed = Character._raw(characters._convolve(*pending), rs)
+    for rs, chi, formed in log.klimyk:
+        pair = chi._pair()
+        assert len(chi._factors) == 2 and not formed and not chi._formed()
+        expected = Character._raw(characters._convolve(*pair), rs)
         for p in (2, 3):
-            assert contract_weights(chi, p) == contract_weights(formed, p)
-        assert chi._pending is pending
-    assert all(lookup.formed for lookup in log.cache)
+            assert contract_weights(chi, p) == contract_weights(expected, p)
+        assert not chi._formed()
     assert not log.stmult
     requests = calibrate.weyl_requests(log.cache)
-    assert len(requests) == len(set(requests)) and all(len(w) == rs.rank for rs, w in requests)
+    assert len(requests) == len(set(requests)) == 14
 
 
 def test_traffic_marks_the_products_its_operations_never_formed(calibrate):
-    # The census of one seed-1 rank2-steinberg round: 1592 cache lookups,
-    # 384 of them products, 102 of those first requests that no operation
-    # read, so the round runs 301 convolutions, not 403.  Of the 120
-    # products char_to_class expands over their factors, 90 come unformed.
-    # Each unformed lookup is the first request of its key, which leaves a
-    # ghost.
+    # The census of one seed-1 rank2-steinberg round: 992 cache lookups,
+    # all of Weyl characters, 186 of them misses, and 288 convolutions.
+    # Each of the 120 products char_to_class expands over the pair it holds
+    # comes unformed; 48 of them are formed by the end of the round, by its
+    # operations or their checks.
     log = calibrate.traffic("rank2-steinberg", 1)
-    assert len(log.cache) == 1592 and log.misses == 469
-    assert sum(len(lookup.factors) > 1 for lookup in log.cache) == 384
-    unformed = [lookup for lookup in log.cache if not lookup.formed]
-    assert len(unformed) == 102 and all(len(lookup.factors) > 1 for lookup in unformed)
-    assert len(log.convolve) == 301
-    assert len(log.klimyk) == 120 and sum(pending is not None for *_, pending in log.klimyk) == 90
-    seen = set()
-    for lookup in log.cache:
-        key = lookup.rs, lookup.factors
-        assert lookup.formed or key not in seen
-        seen.add(key)
+    assert len(log.cache) == 992 and log.misses == 186 and _weyl_characters_only(log)
+    assert len(log.convolve) == 288
+    assert len(log.klimyk) == 120 and not any(formed for *_, formed in log.klimyk)
+    assert sum(chi._formed() for _, chi, _ in log.klimyk) == 48
+    trace = calibrate.weyl_trace(log.cache)
+    assert calibrate.replay(trace, characters._WEYL_CACHE_TERMS, True)[0] == log.misses

@@ -115,8 +115,15 @@ def _cached_terms() -> int:
 
 
 def _key(rs, weight) -> tuple:
-    # The cache's key for the Weyl character at weight: (rs, its factors).
-    return rs, (weight,)
+    # The cache's key for the Weyl character at weight.
+    return rs, weight
+
+
+def _holds_weyl_characters_only() -> bool:
+    # Every key of the cache is one highest weight, and every value held
+    # is the Weyl character there, never a product.
+    return all(all(type(x) is int for x in weight) and (chi is None or chi._factors == (weight,))
+               for (_, weight), chi in characters._weyl_cache.items())
 
 
 def _cached(rs, weight) -> bool:
@@ -358,10 +365,9 @@ def test_weyl_cache_follows_its_admission_rule_on_random_requests(monkeypatch):
     # some evict all others, and (3, 3) on A2 or B2 never fits.  Weyl's
     # formula computes the 32 of A2 and B2; Freudenthal's recursion the 10
     # of A3 and B3, of 1 to 19 terms.  A request of two keys of one root
-    # system asks for both characters, then for their product by tensor.
-    # On A2 and B2 the cache keeps it under the sorted pair of highest
-    # weights by the same rule; on A3 and B3 tensor hands it out unformed
-    # over the two characters, and the cache never sees it.
+    # system asks for both characters, then for their product by tensor,
+    # which hands it out unformed over the two characters at every rank:
+    # the cache never sees it.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     budget = 20
@@ -395,15 +401,12 @@ def test_weyl_cache_follows_its_admission_rule_on_random_requests(monkeypatch):
                 factors.append(weyl_character(*key))
                 looked_up(_key(*key), factors[-1], weyl_character.__wrapped__(*key))
             if product:
-                (rs, lam), (_, mu) = request
                 expected = tensor(*(weyl_character.__wrapped__(*key) for key in request))
-                key, chi = (rs, tuple(sorted((lam, mu)))), tensor(*factors)
-                if recursion[rs]:
-                    a, b = chi._pending
-                    assert a is factors[0] and b is factors[1] and chi._factors == key[1]
-                    assert chi == expected and key not in characters._weyl_cache
-                else:
-                    looked_up(key, chi, expected)
+                chi = tensor(*factors)
+                a, b = chi._pair()
+                assert a is factors[0] and b is factors[1] and not chi._formed()
+                assert chi._factors == tuple(sorted(lam for _, lam in request))
+                assert chi == expected
             assert _cached_terms() <= budget
             assert list(characters._weyl_cache) == list(model)
             kept = {k for k, v in model.items() if v is not None}
@@ -431,9 +434,9 @@ PRODUCT_WEIGHTS = {
 @pytest.mark.parametrize("rs", list(PRODUCT_WEIGHTS), ids=repr)
 def test_cached_products_are_the_convolutions_of_their_factors(rs):
     # Random multisets of 2 or 3 highest weights, multiplied in random
-    # orders from a cold cache, then from a warm one: a rank-2 product is
-    # kept from its second request.  A higher-rank one is never kept: each
-    # request hands out a fresh unformed value over the two factors given.
+    # orders from a cold cache, then from a warm one.  No product is kept,
+    # at any rank: each request hands out a fresh unformed value over the
+    # two factors given, whose first read convolves them.
     rng = random.Random(f"products/{rs!r}")
     uncached = weyl_character.__wrapped__
     for _ in range(6):
@@ -453,14 +456,11 @@ def test_cached_products_are_the_convolutions_of_their_factors(rs):
         a, b = weyl_character(rs, order[0]), weyl_character(rs, order[1])
         if len(lams) == 3:
             b = tensor(b, weyl_character(rs, order[2]))
-        if rs.rank <= characters._DENSE_RANK:
-            assert tensor(a, b) is tensor(b, a) is characters._weyl_cache[rs, factors]
-            continue
-        assert (rs, factors) not in characters._weyl_cache
         ab, ba = tensor(a, b), tensor(b, a)
         assert ab is not ba and ab._factors == ba._factors == factors
-        assert [list(map(id, x._pending)) for x in (ab, ba)] == [[id(a), id(b)], [id(b), id(a)]]
-        assert ab == ba == expected
+        assert [list(map(id, x._pair())) for x in (ab, ba)] == [[id(a), id(b)], [id(b), id(a)]]
+        assert not ab._formed() and ab == ba == expected and ab._formed()
+        assert _holds_weyl_characters_only()
     weyl_character.cache_clear()
 
 
@@ -499,7 +499,7 @@ def test_products_above_rank_two_are_expanded_and_contracted_without_convolving(
             for p in (2, 3):
                 out += [contract_weights(chi, p), frobenius_contract_class(rs, chi, p),
                         steinberg_delta_multiplicity(rs, chi, (0,) * rs.rank, p)]
-            assert chi._pending is not None
+            assert not chi._formed()
             results.append((rs, lam, mu, out))
     assert len(results) == 22 and convolved == []
     for rs, lam, mu, out in results:
@@ -510,6 +510,40 @@ def test_products_above_rank_two_are_expanded_and_contracted_without_convolving(
             contracted = frobenius_contract_class(rs, formed, p)
             expected += [contract_weights(formed, p), contracted, contracted.coeff((0,) * rs.rank)]
         assert out == expected, (rs, lam, mu)
+    weyl_character.cache_clear()
+
+
+def test_char_to_class_forms_the_rest_of_a_product_once(monkeypatch):
+    # D5's (omega_1 (x) omega_2) (x) omega_5, expanded 201 times: Brauer-
+    # Klimyk takes the single Weyl character omega_5 as top and the inner
+    # product, the caller's own value, as N, whose terms the first call
+    # forms by one convolution.  No call looks a Weyl character up, and
+    # the outer product is never formed.  An N built anew from the
+    # product's factors on each call would be convolved 201 times.
+    D5 = build_root_system("D", 5)
+    omega = [tuple(int(j == i) for j in range(5)) for i in range(5)]
+    uncached = weyl_character.__wrapped__
+    formed = tensor(tensor(uncached(D5, omega[0]), uncached(D5, omega[1])), uncached(D5, omega[4]))
+    expected = char_to_class(D5, formed)
+    weyl_character.cache_clear()
+    inner = tensor(weyl_character(D5, omega[0]), weyl_character(D5, omega[1]))
+    chi = tensor(inner, weyl_character(D5, omega[4]))
+    convolved = []
+    real = characters._convolve
+
+    def spy(a, b):
+        convolved.append((a, b))
+        return real(a, b)
+
+    def refuse(*args):
+        raise AssertionError("char_to_class looked up a Weyl character")
+
+    monkeypatch.setattr(characters, "_convolve", spy)
+    monkeypatch.setattr(characters, "_cached", refuse)
+    for _ in range(201):
+        assert char_to_class(D5, chi) == expected
+    assert len(convolved) == 1 and all(x is y for x, y in zip(convolved[0], inner._pair()))
+    assert inner._formed() and not chi._formed()
     weyl_character.cache_clear()
 
 
@@ -539,17 +573,17 @@ def test_products_asked_for_by_several_threads_keep_the_cache_consistent():
     # Four threads on two cores ask for the same characters and products at
     # once, switching every microsecond, so lookups interleave with
     # computations.  Every result is right, and a lost update would break
-    # the cache's running term count or its lookup counts.  An A2 product
-    # is looked up; an A3 product never is, and comes unformed: its
-    # contractions at p = 2 and 3 read the residue classes that the threads
-    # memoize on the shared A3 characters at once.
+    # the cache's running term count or its lookup counts.  A product is
+    # never looked up, so each request makes two lookups.  An A3 product
+    # comes unformed, and its contractions at p = 2 and 3 read the residue
+    # classes that the threads memoize on the shared A3 characters at once.
     keys = [(A3, (1, 0, 0)), (A3, (0, 1, 0)), (A3, (0, 0, 1)), (A2, (1, 1)), (A2, (2, 0))]
     pairs = [(k, m) for k in keys for m in keys if k[0] is m[0]]
     expected = {pair: tensor(*(weyl_character.__wrapped__(*key) for key in pair))
                 for pair in pairs}
     contracted = {(pair, p): contract_weights(chi, p) for pair, chi in expected.items()
                   for p in (2, 3)}
-    rounds, errors, lookups = 200, [], []
+    rounds, errors = 200, []
 
     def work(seed):
         rng = random.Random(seed)
@@ -557,11 +591,9 @@ def test_products_asked_for_by_several_threads_keep_the_cache_consistent():
             for _ in range(rounds):
                 pair = rng.choice(pairs)
                 chi = tensor(*(weyl_character(*key) for key in pair))
-                dense = pair[0][0].rank <= characters._DENSE_RANK
-                lookups.append(3 if dense else 2)
-                if not dense:
+                if pair[0][0].rank > characters._DENSE_RANK:
                     p = rng.choice((2, 3))
-                    if chi._pending is None or contract_weights(chi, p) != contracted[pair, p]:
+                    if chi._formed() or contract_weights(chi, p) != contracted[pair, p]:
                         errors.append((pair, p))
                 if chi != expected[pair]:
                     errors.append(pair)
@@ -581,20 +613,18 @@ def test_products_asked_for_by_several_threads_keep_the_cache_consistent():
     finally:
         sys.setswitchinterval(interval)
     assert not errors
-    assert len(lookups) == 4 * rounds and 2 * len(lookups) < sum(lookups) < 3 * len(lookups)
     info = weyl_character.cache_info()
-    assert info.hits + info.misses == sum(lookups)
+    assert info.hits + info.misses == 2 * 4 * rounds
     assert _cached_terms() <= 2**15
-    assert all(rs is A2 or len(factors) == 1 for rs, factors in characters._weyl_cache)
+    assert _holds_weyl_characters_only()
     weyl_character.cache_clear()
 
 
 def _unformed_product(rs, lam, mu):
-    # A first request of the product of two Weyl characters of rank <= 2,
-    # from a cold cache: handed out with empty terms.
-    weyl_character.cache_clear()
+    # The product of two cached Weyl characters: handed out with empty
+    # terms over the pair.
     chi = tensor(weyl_character(rs, lam), weyl_character(rs, mu))
-    assert chi._pending is not None and chi._slots() is None
+    assert chi._pair() is not None and not chi._formed()
     assert chi._factors == tuple(sorted((lam, mu)))
     return chi
 
@@ -626,13 +656,15 @@ def _deferred_values(rs, lam, mu) -> dict:
 def test_unformed_products_pickle_and_copy_as_formed_values():
     # Pickle and copy read the terms, so they give formed values, equal to
     # the product, with its tag and factors and nothing pending.  So do
-    # values that hold slots.
+    # values that hold slots.  The product itself keeps its pair; a value
+    # with slots drops them once decoded.
     for rs in RANK2:
         for kind, (make, expected) in _deferred_values(rs, (1, 0), (0, 1)).items():
             for clone in (lambda chi: pickle.loads(pickle.dumps(chi)), copy.deepcopy, copy.copy):
                 chi = make()
                 twin = clone(chi)
-                assert twin._pending is None and chi._pending is None, (rs, kind)
+                assert twin._pending is None and chi._formed() and chi._slots() is None, (rs, kind)
+                assert (chi._pair() is not None) is (kind == "unformed product"), (rs, kind)
                 assert twin == expected == chi, (rs, kind)
                 assert twin._invariant_for is rs and twin._factors == chi._factors
     weyl_character.cache_clear()
@@ -663,7 +695,7 @@ def test_unformed_products_read_like_formed_ones(monkeypatch):
                     continue
                 formed = make()
                 len(formed.items())
-                assert formed._pending is None and formed == expected
+                assert formed._formed() and formed._slots() is None and formed == expected
                 for name, read in readers.items():
                     chi, twin = make(), make()
                     assert read(chi, twin) == read(formed, formed), (rs, kind, name)
@@ -671,17 +703,18 @@ def test_unformed_products_read_like_formed_ones(monkeypatch):
                         formed_now = name != "require_w_invariant"
                     else:
                         formed_now = name in ("repr", "to_dict")
-                    assert (chi._pending is None) == formed_now, (rs, kind, name)
+                    assert chi._formed() == formed_now, (rs, kind, name)
+                    assert (chi._pair() is not None) is (kind == "unformed product")
     weyl_character.cache_clear()
 
 
 def test_unformed_products_read_by_several_threads_at_once():
     # Four threads read one value at once, switching every microsecond, so
-    # one may find the terms empty after another has formed them and
-    # cleared what was pending, or find slots that another thread is
-    # decoding.  Every reader sees the whole value, through its slots (len,
-    # dim, == against a value with slots over the same box) and through its
-    # terms (== against a formed value).
+    # one may find the terms empty after another has formed them, or find
+    # slots that another thread is decoding and then clears.  Every reader
+    # sees the whole value, through its slots (len, dim, == against a value
+    # with slots over the same box) and through its terms (== against a
+    # formed value).  A product keeps its pair once formed.
     rs = G2
     errors = []
 
@@ -714,7 +747,8 @@ def test_unformed_products_read_by_several_threads_at_once():
                 for thread in threads:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
-                assert chi._pending is None, kind
+                assert chi._formed() and chi._slots() is None, kind
+                assert (chi._pair() is not None) is (kind == "unformed product")
     finally:
         sys.setswitchinterval(interval)
     assert not errors

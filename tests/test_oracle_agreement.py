@@ -684,11 +684,12 @@ def _small_weights() -> dict:
 def test_cached_products_expand_over_their_factors_and_nothing_else_does(monkeypatch):
     # Products of 2 to 4 cached Weyl characters at dominant weights of size
     # <= 2, on random types among the 22, whose dimensions multiply to at
-    # most 20000: char_to_class expands each by Brauer-Klimyk over its
-    # factors, and must agree with straightening a copy without _factors
-    # and with peeling.  A single Weyl character and every value built
-    # another way (uncached, user input, twists, negations, sums) is
-    # straightened term by term.
+    # most 20000: char_to_class expands each by Brauer-Klimyk over the pair
+    # it holds, before and after its terms are read, and must agree with
+    # straightening a copy without _factors and with peeling.  A single
+    # Weyl character, a product of two products (no side is a single Weyl
+    # character) and every value built another way (uncached, user input,
+    # twists, negations, sums) is straightened term by term.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     budget = 20000
@@ -726,18 +727,30 @@ def test_cached_products_expand_over_their_factors_and_nothing_else_does(monkeyp
             left //= characters._weyl_dimension(rs, lam)
         return rs, lams
 
+    def request(rs, lams):
+        chi = weyl_character(rs, lams[0])
+        for lam in lams[1:]:
+            chi = tensor(chi, weyl_character(rs, lam))
+        return chi
+
     @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @hypothesis.given(products(), st.sampled_from((2, 3)))
     def check(case, p):
         rs, lams = case
-        chi = weyl_character(rs, lams[0])
-        for lam in lams[1:]:
-            chi = tensor(chi, weyl_character(rs, lam))
+        chi = request(rs, lams)
         assert chi._factors == tuple(sorted(lams))
+        unformed = expand(rs, chi, ("klimyk", f"{len(lams)} factors"))
+        assert not chi._formed()
         copy = _unfactored(chi)
         expected = expand(rs, copy, ("straighten", "product without factors"))
-        assert expand(rs, chi, ("klimyk", f"{len(lams)} factors")) == expected
+        assert unformed == expected and chi._formed()
+        assert expand(rs, chi, ("klimyk", "terms already read")) == expected
         assert char_to_class_by_peeling(rs, copy) == expected
+        if len(lams) == 4:
+            halves = tensor(request(rs, lams[:2]), request(rs, lams[2:]))
+            assert halves._factors == chi._factors
+            assert expand(rs, halves, ("straighten", "product of two products")) == expected
+            assert char_to_class_by_peeling(rs, halves) == expected
         single = weyl_character(rs, lams[-1])
         assert expand(rs, single, ("straighten", "Weyl character")) == expand(
             rs, weyl_character.__wrapped__(rs, lams[-1]), ("straighten", "__wrapped__"))
@@ -750,10 +763,10 @@ def test_cached_products_expand_over_their_factors_and_nothing_else_does(monkeyp
     check()
     print("\nchar_to_class routes reached: " + ", ".join(
         f"{route} ({kind}) {n}" for (route, kind), n in sorted(reached.items())))
-    kinds = ("product without factors", "Weyl character", "__wrapped__", "Character(...)",
-             "negation", "sum", "twist")
+    kinds = ("product without factors", "product of two products", "Weyl character",
+             "__wrapped__", "Character(...)", "negation", "sum", "twist")
     branches = [("klimyk", f"{n} factors") for n in (2, 3, 4)] + [
-        ("straighten", kind) for kind in kinds]
+        ("klimyk", "terms already read")] + [("straighten", kind) for kind in kinds]
     assert [branch for branch in branches if not reached[branch]] == []
 
 
@@ -871,14 +884,13 @@ def test_convolve_routes_agree_on_random_invariant_inputs(monkeypatch, kernel_pa
 
 def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
     # Products of 2 to 4 cached Weyl characters, drawn as in the test above,
-    # from a cold cache.  Up to rank 2 the first request leaves a ghost, so
-    # the product comes unformed: char_to_class expands it without forming
-    # it, its first read forms it once by one convolution of the pair tensor
-    # was given and touches no cache state, and a second request is formed
-    # and kept.  A product of rank >= 3 is never looked up and comes
-    # unformed on every request: char_to_class and contract_weights at
-    # p = 2 and 3 read it without convolving its pair, and its first read
-    # forms it as above.
+    # from a cold cache.  At every rank the cache holds only their Weyl
+    # characters, and each request hands out a fresh product unformed over
+    # the pair tensor was given: char_to_class expands it without forming
+    # it, and so does contract_weights at p = 2 and 3 above rank 2.  Its
+    # first read forms it once, by one convolution of that pair, and
+    # touches no cache state; the product keeps its pair.  A second request
+    # is a new unformed value.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     budget = 20000
@@ -893,10 +905,6 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
     monkeypatch.setattr(characters, "_convolve", spy)
     reached = collections.Counter()
     uncached = weyl_character.__wrapped__
-
-    def formed(chi):
-        # Convolved: no pending pair, only terms or the kernel's slots.
-        return chi._pending is None or chi._slots() is not None
 
     def request(rs, lams):
         chi = weyl_character(rs, lams[0])
@@ -919,42 +927,38 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
     @hypothesis.given(products())
     def check(case):
         rs, lams = case
-        key = (rs, tuple(sorted(lams)))
+        keys = {(rs, lam) for lam in lams}
         expected = uncached(rs, lams[0])
         for lam in lams[1:]:
             expected = Character._raw(real(expected, uncached(rs, lam)), rs)
         weyl_character.cache_clear()
         chi = request(rs, lams)
         dense = rs.rank <= characters._DENSE_RANK
-        pair = chi._pending
-        assert pair is not None
-        # Up to rank 2 a ghost; above it, no entry at all.
-        assert characters._weyl_cache.get(key, "no entry") is (None if dense else "no entry")
+        pair = chi._pair()
+        assert pair is not None and set(characters._weyl_cache) == keys
         del convolved[:]
         expansion = char_to_class(rs, chi)
         if not dense:
             contracted = {p: contract_weights(chi, p) for p in (2, 3)}
-        assert not formed(chi)
+        assert not chi._formed()
         assert not any(a is pair[0] and b is pair[1] for a, b in convolved)
         state = list(characters._weyl_cache), weyl_character.cache_info()
         del convolved[:]
-        assert chi == expected and formed(chi)
+        assert chi == expected and chi._formed() and chi._pair() is pair
         assert sum(a is pair[0] and b is pair[1] for a, b in convolved) == 1
         del convolved[:]
         assert len(chi) == len(expected) and not convolved
         assert (list(characters._weyl_cache), weyl_character.cache_info()) == state
         copy = _unfactored(chi)
         assert expansion == char_to_class(rs, copy) == char_to_class_by_peeling(rs, copy)
-        again = request(rs, lams)
         if not dense:
             assert contracted == {p: contract_weights(copy, p) for p in (2, 3)}
-            assert again is not chi and not formed(again) and again == expected
-            assert key not in characters._weyl_cache
-            reached["rank >= 3: unformed on every request"] += 1
-            return
-        reached[f"rank <= 2: {len(lams)} factors unformed"] += 1
-        assert formed(again) and characters._weyl_cache[key] is again and again == expected
-        reached["rank <= 2: second request formed and kept"] += 1
+        again = request(rs, lams)
+        assert again is not chi and not again._formed() and again == expected
+        # Peeling looked up other Weyl characters; still no key is a product's.
+        assert all(type(x) is int for _, w in characters._weyl_cache for x in w)
+        reached["rank <= 2" if dense else "rank >= 3"] += 1
+        reached[f"{len(lams)} factors"] += 1
 
     try:
         check()
@@ -962,17 +966,16 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
         weyl_character.cache_clear()
     print("\nproduct branches reached: " + ", ".join(
         f"{branch} {n}" for branch, n in sorted(reached.items())))
-    branches = [f"rank <= 2: {n} factors unformed" for n in (2, 3, 4)] + [
-        "rank <= 2: second request formed and kept", "rank >= 3: unformed on every request"]
+    branches = ["rank <= 2", "rank >= 3"] + [f"{n} factors" for n in (2, 3, 4)]
     assert [branch for branch in branches if not reached[branch]] == []
 
 
 def test_residue_class_contraction_matches_the_formed_product():
     # Products of 2 to 4 cached Weyl characters on the 22 types, whose
     # dimensions multiply to at most 3000, asked for from a cold cache, at
-    # p in {2, 3, 5, 7}.  Each comes unformed over the pair tensor was given
-    # (on rank <= 2 as the doorkeeper's first request); from three factors
-    # on, the pair's first value is an unformed product too.  The
+    # p in {2, 3, 5, 7}.  Each comes unformed over the pair tensor was
+    # given; from three factors on, the pair's first value is an unformed
+    # product too.  The
     # residue-class contraction of the pair (characters._contract_pair, and
     # contract_weights itself above rank 2, which leaves the product
     # unformed) equals contract_weights of the formed product and the
@@ -1012,18 +1015,18 @@ def test_residue_class_contraction_matches_the_formed_product():
         chi = weyl_character(rs, lams[0])
         for lam in lams[1:]:
             chi = tensor(chi, weyl_character(rs, lam))
-        a, b = chi._pending
-        assert (a._pending is not None and a._slots() is None) is (len(lams) > 2)
+        a, b = chi._pair()
+        assert (a._pair() is not None and not a._formed()) is (len(lams) > 2)
         dense = rs.rank <= characters._DENSE_RANK
         reached[f"{'rank <= 2' if dense else 'rank >= 3'}: {len(lams)} factors"] += 1
         if not dense:
             contracted = contract_weights(chi, p)
-            assert chi._pending is not None and dict(contracted.items()) == want
+            assert not chi._formed() and dict(contracted.items()) == want
             reached["rank >= 3: contract_weights unformed"] += 1
         classes = frobenius_contract_class(rs, chi, p)
         lams_read = sorted(classes.support())[:2] + [(0,) * rs.rank]
         mults = [steinberg_delta_multiplicity(rs, chi, lam, p) for lam in lams_read]
-        assert dense or chi._pending is not None
+        assert dense or not chi._formed()
         assert characters._contract_pair(a, b, p) == want
         assert dict(contract_weights(expected, p).items()) == want
         formed = Character._raw(dict(expected.items()), rs)
@@ -1124,7 +1127,7 @@ def test_steinberg_multiplicity_routes_agree_on_random_invariant_inputs(monkeypa
         reached[kind] += 1
         # A product above rank 2 comes unformed and is always straightened,
         # whatever the threshold, and stays unformed.
-        unformed = chi._pending is not None and rs.rank > characters._DENSE_RANK
+        unformed = not chi._formed() and rs.rank > characters._DENSE_RANK
         for lam in sorted(contracted.support())[:2] + [drawn]:
             reached["nonzero" if contracted.coeff(lam) else "zero"] += 1
             for forced, route in ((0, "lookups"), (10**9, "straightening")):
@@ -1134,7 +1137,7 @@ def test_steinberg_multiplicity_routes_agree_on_random_invariant_inputs(monkeypa
                     route, lam)
                 if unformed:
                     route = "unformed product: straightening"
-                    assert chi._pending is not None
+                    assert not chi._formed()
                 assert bool(straightened) is (route != "lookups")
                 reached[route] += 1
 

@@ -14,10 +14,8 @@ derives:
 4. Weyl's character formula against Freudenthal's recursion
    (``_DENSE_RANK``), and what each costs per term to compute again;
 5. the ``weyl_character`` cache (``_WEYL_CACHE_TERMS`` and its doorkeeper)
-   against plain LRU caches, replayed on each workload's lookups: Weyl
-   characters and the products of them that ``tensor`` looks up (of rank
-   up to ``_DENSE_RANK``; it never looks up one above), a miss charged only
-   when its value is formed.
+   against plain LRU caches, replayed on each workload's lookups of Weyl
+   characters, the only values the cache holds.
 
 There is no section 2: its table set no constant.  The other sections
 keep their numbers, by which the project's notes cite them.
@@ -41,6 +39,7 @@ import random
 import sys
 from collections import OrderedDict, namedtuple
 from contextlib import ExitStack, contextmanager
+from functools import partial
 from itertools import groupby
 from pathlib import Path
 from time import perf_counter
@@ -168,39 +167,23 @@ def _type(rs) -> str:
 
 Traffic = namedtuple("Traffic", "convolve klimyk cache stmult misses")
 
-# A lookup in the ``weyl_character`` cache: its key is (rs, factors),
-# compute(*args) is what a miss computes, and formed is whether the value it
-# returned was formed by the end of its operation (a product handed out
-# unformed and never read is not).
-Lookup = namedtuple("Lookup", "rs factors compute args formed")
-
-
-def _factor_count(chi) -> int:
-    # How many cached Weyl characters multiply to chi; 0 for any other value.
-    return len(getattr(chi, "_factors", None) or ())
-
-
-def _pending(chi):
-    # The pair an unformed product is formed from, or None when chi was
-    # computed: it holds terms, or the slots of the kernel or Weyl's
-    # formula.  Reading the slot never forms it.
-    return None if chi._slots() is not None else chi._pending
+# A lookup in the ``weyl_character`` cache: its key, the Weyl character at
+# highest over rs.
+Lookup = namedtuple("Lookup", "rs highest")
 
 
 def traffic(workload: str, seed: int) -> Traffic:
     """The library calls of one round of a workload, from a cold ``weyl_character`` cache.
 
     Records every ``_convolve`` call (a, b), every ``char_to_class`` call
-    (rs, chi, pending) on a product of two or more cached Weyl characters
-    (``klimyk``; pending is the pair an unformed product would be formed
-    from, or None), every lookup in the ``weyl_character`` cache (a
-    ``Lookup``: a ``weyl_character`` request, or a product of rank up to
-    ``_DENSE_RANK`` that ``tensor`` looks up) and every ``steinberg_delta_multiplicity`` call
-    (rs, chi, lam, p) of set-up and of the operations, not of their checks;
-    ``misses`` is the cache's own count at the end.
+    (rs, chi, formed) on a product that holds the pair ``tensor`` was given
+    (``klimyk``; formed is whether its terms were formed at the call),
+    every lookup in the ``weyl_character`` cache (a ``Lookup``) and every
+    ``steinberg_delta_multiplicity`` call (rs, chi, lam, p) of set-up and
+    of the operations, not of their checks; ``misses`` is the cache's own
+    count at the end.
     """
     log = Traffic([], [], [], [], None)
-    returned = []  # ((rs, factors, compute, args), value) per lookup of the operation
     weyl = S.weyl_character
     convolve = characters._convolve
     cached, stmult = characters._cached, grothendieck.steinberg_delta_multiplicity
@@ -211,14 +194,13 @@ def traffic(workload: str, seed: int) -> Traffic:
         return convolve(a, b)
 
     def to_class_spy(rs, chi):
-        if _factor_count(chi) > 1:
-            log.klimyk.append((rs, chi, _pending(chi)))
+        if chi._pair() is not None:
+            log.klimyk.append((rs, chi, chi._formed()))
         return to_class(rs, chi)
 
-    def cached_spy(rs, factors, compute, *args):
-        value = cached(rs, factors, compute, *args)
-        returned.append(((rs, factors, compute, args), value))
-        return value
+    def cached_spy(rs, highest):
+        log.cache.append(Lookup(rs, highest))
+        return cached(rs, highest)
 
     def stmult_spy(rs, chi, lam, p):
         log.stmult.append((rs, chi, lam, p))
@@ -233,8 +215,6 @@ def traffic(workload: str, seed: int) -> Traffic:
             for target, spy in spies:
                 stack.enter_context(rebound(target, spy))
             yield
-        log.cache.extend(Lookup(*fields, _pending(value) is None) for fields, value in returned)
-        returned.clear()
 
     weyl.cache_clear()
     built = workloads.systems(S, workload)
@@ -499,27 +479,25 @@ def recompute_cost(formula_inputs, recursion_inputs) -> Table:
 def replay(trace, budget: int, doorkeeper: bool):
     """(misses, recompute seconds, peak terms held) of a cache policy on a request trace.
 
-    ``trace`` lists (key, terms, rank, seconds, formed), one per lookup.
-    The cache holds at most ``budget`` terms, drops least recently used
-    entries first, and never keeps a character of more than ``budget``
-    terms.  Under the doorkeeper (``characters.weyl_character``) a first
-    miss of rank <= ``_DENSE_RANK`` stores a ghost, counted as one term, and
-    any other miss is admitted; a plain LRU admits every miss.  A miss costs
-    its seconds when its operation formed the value or the policy stores
-    it, so a product handed out unformed and left as a ghost costs nothing.
+    ``trace`` lists (key, terms, rank, seconds), one per lookup.  The
+    cache holds at most ``budget`` terms, drops least recently used entries
+    first, and never keeps a character of more than ``budget`` terms.
+    Under the doorkeeper (``characters.weyl_character``) a first miss of
+    rank <= ``_DENSE_RANK`` stores a ghost, counted as one term, and any
+    other miss is admitted; a plain LRU admits every miss.  Every miss
+    computes its character again and costs its seconds.
     """
     cache, held, peak, misses, spent = OrderedDict(), 0, 0, 0, 0.0
-    for key, terms, rank, seconds, formed in trace:
+    for key, terms, rank, seconds in trace:
         found = cache.get(key, KeyError)
         if found is not KeyError:
             cache.move_to_end(key)
             if found is not None:
                 continue
         misses += 1
+        spent += seconds
         admit = not doorkeeper or found is None or rank > characters._DENSE_RANK
         stored = terms <= budget and admit
-        if formed or stored:
-            spent += seconds
         if stored:
             if found is None:
                 held -= 1
@@ -535,22 +513,20 @@ def replay(trace, budget: int, doorkeeper: bool):
 
 
 def weyl_trace(lookups) -> list:
-    """(key, terms, rank, seconds, formed) per ``Lookup``, each key computed and timed once.
+    """(key, terms, rank, seconds) per ``Lookup``, each character computed and timed once.
 
-    A Weyl character is timed as its route computes it, a product as the
-    convolution of the two values ``tensor`` first looked it up with.
+    A character is timed as its route computes it, uncached.
     """
     cost = {}
-    for rs, factors, compute, args, _ in lookups:
-        if (rs, factors) not in cost:
-            cost[rs, factors] = len(compute(*args)), best(lambda: compute(*args))
-    return [((rs, f), cost[rs, f][0], rs.rank, cost[rs, f][1], formed)
-            for rs, f, _, _, formed in lookups]
+    for key in weyl_requests(lookups):
+        compute = partial(characters._weyl_character, *key)
+        cost[key] = len(compute()), best(compute)
+    return [(key, cost[key][0], key.rs.rank, cost[key][1]) for key in lookups]
 
 
 def weyl_requests(lookups) -> list:
-    """The distinct (rs, highest) of the lookups of single Weyl characters, first seen first."""
-    return list(dict.fromkeys((rs, f[0]) for rs, f, *_ in lookups if len(f) == 1))
+    """The distinct (rs, highest) of the lookups, first seen first."""
+    return list(dict.fromkeys(lookups))
 
 
 def cache_replay(traces: dict, library_misses: dict, budgets=(1 << 12, 1 << 13, 1 << 14)) -> Table:
