@@ -20,7 +20,7 @@ import sys
 from _thread import allocate_lock
 from collections import OrderedDict
 from functools import _CacheInfo  # the record lru_cache's cache_info returns
-from itertools import repeat
+from itertools import product, repeat
 from operator import add, floordiv, mod, mul, neg
 
 from .errors import DomainError
@@ -32,6 +32,7 @@ from .kronecker import (
     _slot_int,
     _slot_width,
     _strides,
+    _unfold,
     _weights_at,
 )
 from .rootdata import (
@@ -225,11 +226,14 @@ class Character(_Sparse):
     ``kronecker._weights_at``, which then clears ``_pending``.  ``len``,
     ``bool``, ``dim`` and ``==`` count, sum or compare slots without
     decoding them, and two values with slots over the same box compare slot
-    lists; on a pair they form the terms.  Two readers use a pair instead
-    of the terms: ``grothendieck.char_to_class`` expands the product by
-    Brauer-Klimyk over it, formed or not, and ``contract_weights``
-    contracts an unformed product of rank above ``_DENSE_RANK`` by residue
-    classes.  Every other reader (repr, JSON, pickling, copying,
+    lists; on a pair they form the terms.  Two readers use what is pending
+    instead of the terms: ``grothendieck.char_to_class`` expands the
+    product by Brauer-Klimyk over a pair, formed or not, and
+    ``contract_weights`` contracts an unformed product of rank above
+    ``_DENSE_RANK`` by residue classes, and decodes only the slots of
+    weights in pX, from a value's own slots or from those ``_convolve``
+    gives an unformed product of rank up to ``_DENSE_RANK``, which stays
+    unformed.  Every other reader (repr, JSON, pickling, copying,
     arithmetic, ``items``) reads the terms, so it sees a formed value;
     pickling and copying drop ``_pending``.
 
@@ -416,9 +420,11 @@ def weyl_character(rs: RootSystem, highest) -> Character:
       product of the values this cache gives, and of their products, over
       the pair it was given, unformed (see ``Character``), so a product
       that nothing reads is never convolved.  Its readers expand
-      (``grothendieck.char_to_class``) or, above ``_DENSE_RANK``, contract
-      (``contract_weights``) it over that pair, and a contraction adds only
-      the pairs of weights whose sum lies in pX.
+      (``grothendieck.char_to_class``) or contract (``contract_weights``)
+      it over that pair: above ``_DENSE_RANK`` a contraction adds only the
+      pairs of weights whose sum lies in pX, and up to it a contraction
+      decodes only those slots of the product's convolution, which it does
+      not keep.
 
     ``cache_info`` (``currsize`` counts held values, not ghosts; ``maxsize``
     is the term budget) and ``cache_clear`` are the cache's, and
@@ -548,28 +554,43 @@ def _weyl_formula(rs: RootSystem, highest) -> tuple:
     raises ArithmeticError; lam = 0, whose box is one point, returns the
     trivial character at once.
 
-    Division by prod(1 - x^|t|) is exact modulo 2^(b*n), where x = 2^b and
+    Half box: when -1 is in W (``negation_in_w``) the division runs modulo
+    x^m with m = n // 2 + 1, and only numerator keys below m are kept.
+    Reducing modulo x^m is a ring map from Z[x]/x^n, so the low m slots
+    are the numerator times D^-1 modulo x^m: slots 0 to c = n // 2 of chi.
+    The box of W lam is then symmetric about 0 and chi is invariant under
+    negation, so key(-w) = n - 1 - key(w), and the full slot list is the
+    low half mirrored about slot c (``kronecker._unfold``).  Otherwise
+    (A2) m = n.
+
+    Division by prod(1 - x^|t|) is exact modulo 2^(b*m), where x = 2^b and
     slot k of an int (``kronecker``) holds the coefficient of x^k.  Every
-    1 - x^u (u > 0) is odd, hence a unit modulo 2^(b*n), and its inverse
-    there is sum over k < K of x^(k*u) for any K*u >= n, which is
-    (1 + x^u)(1 + x^2u)(1 + x^4u)... by doubling, masked to n slots after
+    1 - x^u (u > 0) is odd, hence a unit modulo 2^(b*m), and its inverse
+    there is sum over k < K of x^(k*u) for any K*u >= m, which is
+    (1 + x^u)(1 + x^2u)(1 + x^4u)... by doubling, masked to m slots after
     each step.  The residue is therefore exactly chi evaluated at x = 2^b,
-    modulo 2^(b*n), for every b: carries between slots in the intermediate
+    modulo 2^(b*m), for every b: carries between slots in the intermediate
     values cancel out.
+
+    A key step of u = 1 takes one exact integer division instead of about
+    log2(m) doublings (``_divide_by_one_minus_x``).
 
     Width rule and sum certificate: b starts at 16 bits and doubles to 32
     and 64 only while the decoded multiplicities do not sum to dim (Weyl's
-    dimension formula).  Multiplicities are >= 0, so writing chi(2^b) in
-    base 2^b, each carry from a slot into the next lowers the digit sum by
-    2^b - 1, a carry out of the top slot is cut off by the modulus, and a
-    slot of 2^(b-1) or more reads as negative, 2^b lower: the sum is dim
-    exactly when every multiplicity is below 2^(b-1), and then the slots are
-    the multiplicities.  The largest multiplicity is far below dim, so 16
-    bits nearly always do.  A wrong sum at a width that holds dim itself,
-    where no slot can overflow, or at the widest slots, raises
-    ArithmeticError.  A box whose slots would need a buffer of more than
-    ``sys.maxsize`` bytes raises DomainError.  A summed numerator
-    coefficient is at most |W| in size, which 16 bits hold up to rank 4.
+    dimension formula); on a half box that sum is 2 * (sum of slots 0 to
+    c) - slot c.  Multiplicities are >= 0, so writing chi(2^b) in base 2^b,
+    each carry from a slot into the next lowers the digit sum by 2^b - 1
+    (and the half box's sum, which counts slots below c twice and slot c
+    once, by at least 2^b - 1 as well), a carry out of the top slot is cut
+    off by the modulus, and a slot of 2^(b-1) or more reads as negative,
+    2^b lower: the sum is dim exactly when every multiplicity read is below
+    2^(b-1), and then the slots are the multiplicities.  The largest
+    multiplicity is far below dim, so 16 bits nearly always do.  A wrong
+    sum at a width that holds dim itself, where no slot can overflow, or at
+    the widest slots, raises ArithmeticError.  A box whose n slots would
+    need a buffer of more than ``sys.maxsize`` bytes raises DomainError.  A
+    summed numerator coefficient is at most |W| in size, which 16 bits hold
+    up to rank 4.
     """
     if not any(highest):
         return [1], [range(0, 1)] * rs.rank
@@ -579,6 +600,8 @@ def _weyl_formula(rs: RootSystem, highest) -> tuple:
     box = [range(min(col) - r[0], max(col) - r[-1] + 1) for col, r in zip(cols, rs.rho_ranges)]
     widths = [len(r) for r in box]
     n = math.prod(widths)
+    half = rs.negation_in_w
+    m = n // 2 + 1 if half else n
     strides = _strides(widths)
     steps = [-sum(map(mul, f, strides)) for f in rs.positive_fund]
     if 0 in steps:
@@ -588,29 +611,49 @@ def _weyl_formula(rs: RootSystem, highest) -> tuple:
     numerator = {}
     for k, sign in _packed(cols, [sign for _, sign in walk], [r.start + 1 for r in box], strides):
         k += shift
-        if 0 <= k < n:
+        if 0 <= k < m:
             numerator[k] = numerator.get(k, 0) + flip * sign
     for nbytes, fmt in _SLOT_WIDTHS:
         if n * nbytes > sys.maxsize:
             raise DomainError(f"Weyl's formula at {list(highest)} needs {n} slots of "
                               f"{nbytes} bytes, more than one buffer can hold")
         bits = 8 * nbytes
-        mask = (1 << bits * n) - 1
+        mask = (1 << bits * m) - 1
         value = _slot_int(numerator.items(), nbytes, fmt)[1] & mask
         for t in map(abs, steps):
-            while t < n:
+            if t == 1:
+                value = _divide_by_one_minus_x(value, bits, m)
+                continue
+            while t < m:
                 value = (value + (value << bits * t)) & mask
                 t *= 2
-        vals = _read_slots(value, nbytes, fmt, n)
-        total = sum(vals)
+        vals = _read_slots(value, nbytes, fmt, m)
+        total = 2 * sum(vals) - vals[-1] if half else sum(vals)
         if total == dim:
-            return vals, box
+            return (_unfold(vals) if half else vals), box
         if dim < 1 << (bits - 1):
             break  # no slot can overflow, so wider ones would not help
     raise ArithmeticError(
         f"Weyl's formula at {list(highest)} gave multiplicities summing to "
         f"{total}, not dim {dim}, in {nbytes}-byte slots"
     )
+
+
+def _divide_by_one_minus_x(value: int, bits: int, m: int) -> int:
+    """value / (1 - x) modulo 2^(b*m) at x = 2^b, b = bits, for value in [0, 2^(b*m)).
+
+    The result is the U in [0, 2^(b*m)) with U * (1 - 2^b) = value modulo
+    2^(b*m), that is, q * 2^(b*m) - value = U * D for D = 2^b - 1 and some
+    integer q: one exact division.  As 2^(b*m) = 1 modulo D, D divides
+    q * 2^(b*m) - value exactly when q = value modulo D, and
+    0 <= U < 2^(b*m) leaves one such q in [0, D]: 0 when value = 0, else
+    value modulo D, or D when that is 0.
+    """
+    if not value:
+        return 0
+    d = (1 << bits) - 1
+    q = value % d or d
+    return ((q << bits * m) - value) // d
 
 
 def _freudenthal(rs: RootSystem, highest) -> dict:
@@ -687,7 +730,9 @@ def tensor(a: Character, b: Character) -> Character:
     unformed, and carries the sorted union of their highest weights.  Its
     first read convolves it; ``grothendieck.char_to_class``, which expands
     it over the pair, never forms it, and neither does ``contract_weights``
-    above ``_DENSE_RANK``.  Every other product is formed on each call.
+    (which convolves it without keeping the result up to ``_DENSE_RANK``,
+    when the kernel gives slots).  Every other product is formed on each
+    call.
     """
     if a._factors and b._factors and a._invariant_for is b._invariant_for:
         return Character._raw((a, b), a._invariant_for, tuple(sorted(a._factors + b._factors)))
@@ -791,18 +836,29 @@ def contract_weights(chi: Character, p: int) -> Character:
     The support is filtered one coordinate at a time; each pass keeps about
     1/p of the weights, so most weights are dropped after one remainder.
 
-    A product of rank above ``_DENSE_RANK`` that ``tensor`` handed out
-    over a pair (a, b) (see ``Character``) and that no reader has formed
-    yet is contracted without being formed: a weight alpha + beta of
-    a (x) b lies in pX only when alpha lies in some residue class r mod p
-    and beta in -r, so class r of a is paired with class -r of b alone
-    (``_contract_pair``): sum over r of |a_r| * |b_-r| pairs, about
-    |a| * |b| / p^rank when the weights spread evenly over the classes.
+    Two kinds of value are contracted without forming the weights that the
+    contraction drops (see ``Character``):
+
+    - A product of rank above ``_DENSE_RANK`` that ``tensor`` handed out
+      over a pair (a, b) and that no reader has formed yet is contracted
+      without being formed: a weight alpha + beta of a (x) b lies in pX
+      only when alpha lies in some residue class r mod p and beta in -r, so
+      class r of a is paired with class -r of b alone (``_contract_pair``):
+      sum over r of |a_r| * |b_-r| pairs, about |a| * |b| / p^rank when the
+      weights spread evenly over the classes.
+    - A value that holds undecoded slots, and an unformed product of rank
+      up to ``_DENSE_RANK`` whose ``_convolve`` returns slots, decode only
+      the slots of weights in pX (``_contract_slots``).  Such a product
+      stays unformed, so a later read of its terms convolves it again.  A
+      product that the pair loop forms keeps its terms and is filtered.
     """
     require_p(p, "contraction")
     pair = _unformed_pair(chi)
     if pair is not None:
         return Character._raw(_contract_pair(*pair, p), chi._invariant_for)
+    slots = _kernel_slots(chi)
+    if slots is not None:
+        return Character._raw(_contract_slots(*slots, p), chi._invariant_for)
     terms = kept = chi._terms
     for j in range(len(next(iter(terms), ()))):
         kept = [w for w in kept if not w[j] % p]
@@ -818,6 +874,45 @@ def _unformed_pair(chi):
     if pair is None or chi._invariant_for.rank <= _DENSE_RANK or chi._formed():
         return None
     return pair
+
+
+def _kernel_slots(chi):
+    # The slot pair chi holds, or the one _convolve gives for chi's pair
+    # when chi is an unformed product, or None.  A product that _convolve
+    # forms as a dict keeps those terms, as a read of them would.
+    if not isinstance(chi, Character):
+        return None
+    slots = chi._slots()
+    pair = chi._pair()
+    if slots is not None or pair is None or chi._formed():
+        return slots
+    terms = _convolve(*pair)
+    if type(terms) is dict:
+        chi._terms = terms
+        return None
+    return terms
+
+
+def _contract_slots(vals, ranges, p: int) -> dict:
+    """The terms of ``contract_weights`` from a slot pair, decoding only the weights in pX.
+
+    Their slots form a sub-grid of the box: along coordinate j, every p-th
+    index from that of the first multiple of p in ranges[j].  Each line of
+    it along the last coordinate is one strided slice of ``vals``, and the
+    sub-grid's weights, divided by p, come from ``_weights_at`` over the
+    divided ranges, so no other weight is formed.
+    """
+    widths = [len(r) for r in ranges]
+    lines = [range(-r.start % p, n, p) for r, n in zip(ranges, widths)]
+    divided = [range((r.start + line.start) // p, (r.start + line.start) // p + len(line))
+               for r, line in zip(ranges, lines)]
+    strides = _strides(widths)
+    first, n = lines[-1].start, widths[-1]
+    sub = []
+    for index in product(*lines[:-1]):
+        base = sum(map(mul, index, strides))
+        sub += vals[base + first:base + n:p]
+    return _weights_at(sub, divided)
 
 
 def _residue_classes(chi: Character, p: int) -> tuple:

@@ -79,27 +79,30 @@ class KElement(_Sparse):
 def _straighten(rs: RootSystem, items) -> KElement:
     """Brauer straightening: sum m * sgn * [Delta(dot-dominant nu)] over (nu, m).
 
-    Each nu + rho is walked in place to its dominant point (``_to_dominant``),
+    Each weight is a tuple.  A nu with a coordinate -1 is skipped first:
+    nu + rho pairs to 0 with that simple coroot, so it lies on a wall.  A
+    nu with no negative coordinate is its own dominant point, with sign +1,
+    since nu + rho is then regular dominant; it is not walked.  Every other
+    nu + rho is walked in place to its dominant point (``_to_dominant``),
     picking up the sign of the Weyl element that does it; a result with a 0
-    coordinate lies on a reflection wall and contributes nothing.  A nu with
-    a coordinate -1 is skipped before the walk: nu + rho pairs to 0 with
-    that simple coroot, so it already lies on a wall.
+    coordinate lies on a reflection wall and contributes nothing.
     """
     nbrs = rs.neighbours
     out = {}
     for nu, m in items:
         if -1 in nu:
             continue
-        x = [c + 1 for c in nu]
-        sign = _to_dominant(nbrs, x)
-        if 0 in x:
-            continue
-        dom = tuple([c - 1 for c in x])
-        new = out.get(dom, 0) + sign * m
+        if min(nu) < 0:
+            x = [c + 1 for c in nu]
+            m *= _to_dominant(nbrs, x)
+            if 0 in x:
+                continue
+            nu = tuple([c - 1 for c in x])
+        new = out.get(nu, 0) + m
         if new:
-            out[dom] = new
+            out[nu] = new
         else:
-            del out[dom]
+            del out[nu]
     return KElement._raw(out)
 
 

@@ -24,7 +24,10 @@ the box's coordinate ranges (a slot pair, ``(vals, ranges)``).  Turning
 slots into ``{weight: value}`` (``_weights_at``) is put off until a weight
 is read: ``characters.Character`` holds the slot pair, counts, sums and
 compares its slots directly, and decodes them on the first read of its
-terms.
+terms.  Both read only half of a box that is symmetric about 0 when the
+value is invariant under negation (-1 in W): the kernel the slots from the
+centre up, Weyl's formula those from 0 to the centre.  One helper,
+``_unfold``, builds the full slot list from the lower half.
 """
 
 from __future__ import annotations
@@ -116,6 +119,17 @@ def _read_slots(value: int, nbytes: int, fmt: str, n: int) -> list:
     return _to_slots(value, n, nbytes, fmt).tolist()
 
 
+def _unfold(low: list) -> list:
+    """A symmetric box's slot values from its lower half, slots 0 to c.
+
+    A box whose ranges are symmetric about 0 has an odd slot count N =
+    2c + 1, slot c holds weight 0, and slot N - 1 - k holds the negative of
+    the weight at slot k.  On values invariant under negation, slot c + i
+    therefore equals slot c - i.
+    """
+    return low + low[-2::-1]
+
+
 def _weights_at(vals, ranges) -> dict:
     """{weight: value} for the nonzero entries of a box's slot values.
 
@@ -163,8 +177,9 @@ def _kronecker(aitems, bitems, ranges, bound: int, mirror=False) -> tuple:
     one, so slot c - 1 reads its coefficient minus some d in
     [0, len(aitems)].  It is a guard, never read: with the width chosen for
     bound + len(aitems), it neither carries into nor borrows from slot c,
-    so slots c and up are exact, and the lower half is their reflection.
-    If no slot holds bound + len(aitems), the whole sum is taken.
+    so slots c and up are exact, and the lower half is their reflection
+    (``_unfold``).  If no slot holds bound + len(aitems), the whole sum is
+    taken.
     """
     width = _slot_width(bound + len(aitems)) if mirror else None
     if width is None:
@@ -192,4 +207,4 @@ def _kronecker(aitems, bitems, ranges, bound: int, mirror=False) -> tuple:
     if not mirror:
         return _read_slots(acc, nbytes, fmt, math.prod(map(len, ranges))), ranges
     upper = _read_slots(acc >> bits, nbytes, fmt, guard + 2)  # slots c .. N-1
-    return upper[:0:-1] + upper, ranges
+    return _unfold(upper[::-1]), ranges

@@ -1,5 +1,6 @@
 """Character arithmetic: Weyl characters, products, twists, contractions."""
 
+import collections
 import copy
 import gc
 import itertools
@@ -574,9 +575,10 @@ def test_products_asked_for_by_several_threads_keep_the_cache_consistent():
     # once, switching every microsecond, so lookups interleave with
     # computations.  Every result is right, and a lost update would break
     # the cache's running term count or its lookup counts.  A product is
-    # never looked up, so each request makes two lookups.  An A3 product
-    # comes unformed, and its contractions at p = 2 and 3 read the residue
-    # classes that the threads memoize on the shared A3 characters at once.
+    # never looked up, so each request makes two lookups.  Every product
+    # comes unformed.  An A3 product's contractions at p = 2 and 3 read the
+    # residue classes that the threads memoize on the shared A3 characters
+    # at once, and an A2 product's read the slots of its convolution.
     keys = [(A3, (1, 0, 0)), (A3, (0, 1, 0)), (A3, (0, 0, 1)), (A2, (1, 1)), (A2, (2, 0))]
     pairs = [(k, m) for k in keys for m in keys if k[0] is m[0]]
     expected = {pair: tensor(*(weyl_character.__wrapped__(*key) for key in pair))
@@ -591,10 +593,9 @@ def test_products_asked_for_by_several_threads_keep_the_cache_consistent():
             for _ in range(rounds):
                 pair = rng.choice(pairs)
                 chi = tensor(*(weyl_character(*key) for key in pair))
-                if pair[0][0].rank > characters._DENSE_RANK:
-                    p = rng.choice((2, 3))
-                    if chi._formed() or contract_weights(chi, p) != contracted[pair, p]:
-                        errors.append((pair, p))
+                p = rng.choice((2, 3))
+                if chi._formed() or contract_weights(chi, p) != contracted[pair, p]:
+                    errors.append((pair, p))
                 if chi != expected[pair]:
                     errors.append(pair)
         except Exception as exc:  # reported below, from the test's thread
@@ -985,7 +986,7 @@ def test_contract_weights():
                 assert contract_weights(frobenius_twist(chi, 1, p), p) == chi
 
 
-def test_contract_weights_matches_per_weight_oracle():
+def test_contract_weights_matches_per_weight_oracle(monkeypatch):
     # Signed weights, most of whose coordinates are multiples of p, so that
     # some weights fail on one coordinate only, the last included.
     rng = random.Random(19)
@@ -1012,6 +1013,55 @@ def test_contract_weights_matches_per_weight_oracle():
         assert not empty and empty._invariant_for is None
         cancelled = weyl_character(A1, (0,)) - weyl_character(A1, (0,))
         assert contract_weights(cancelled, p)._invariant_for is A1
+    # A value that holds slots decodes only those of weights in pX, and
+    # stays undecoded: random slots over boxes that start anywhere mod p,
+    # one box with no multiple of p in a coordinate (an empty sub-grid), a
+    # rank-3 Weyl character from the formula, and cached Weyl characters
+    # and their unformed products, which stay unformed where the kernel
+    # gives slots and keep the terms the pair loop forms.
+    C2 = build_root_system("C", 2)
+    reached = collections.Counter()
+    pair_cost = characters._PAIR_COST
+    for rs in (A1, A2, B2, C2, G2, B3):
+        for p in (2, 3, 5, 7):
+            values = []
+            for _ in range(4):
+                ranges = [range(start, start + rng.randint(1, 12))
+                          for start in (rng.randint(-9, 9) for _ in range(rs.rank))]
+                vals = [rng.choice((0, 0, -1, 1, 3)) for _ in itertools.product(*ranges)]
+                values.append((vals, ranges))
+                reached["box off pX"] += any(r.start % p for r in ranges)
+            ranges = [range(-3 * p, 3 * p + 1)] * (rs.rank - 1) + [range(1, p)]
+            values.append(([1] * (6 * p + 1) ** (rs.rank - 1) * (p - 1), ranges))
+            lam = tuple(rng.randint(0, 3) for _ in range(rs.rank))
+            values.append(characters._weyl_formula(rs, lam))
+            for vals, ranges in values:
+                chi = Character._raw((vals, ranges), rs)
+                want = oracles.contract_naive(kronecker._weights_at(vals, ranges), p)
+                assert dict(contract_weights(chi, p).items()) == want, (rs, p, ranges)
+                assert not chi._formed()
+                reached["empty" if not want else "nonempty"] += 1
+            if rs.rank > 2:
+                continue
+            mu = tuple(reversed(lam))
+            # The pair loop costs nothing when _PAIR_COST is 0, so it forms
+            # every product.
+            cases = [(lambda: weyl_character.__wrapped__(rs, lam), pair_cost)]
+            cases += [(lambda: tensor(weyl_character(rs, lam), weyl_character(rs, mu)), cost)
+                      for cost in (pair_cost, 0)]
+            for build, cost in cases:
+                monkeypatch.setattr(characters, "_PAIR_COST", cost)
+                want = oracles.contract_naive(dict(build().items()), p)
+                chi = build()
+                pair = chi._pair()
+                kernel = (type(characters._convolve(*pair)) is not dict if pair
+                          else chi._slots() is not None)
+                assert dict(contract_weights(chi, p).items()) == want, (rs, p, lam)
+                assert chi._formed() is not kernel, (rs, p, lam)
+                reached["Weyl character" if not pair else "product, kernel" if kernel
+                        else "product, pair loop"] += 1
+    print(f"\nslot contraction cases: {dict(reached)}")
+    assert len(reached) == 6
 
 
 @pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=lambda r: repr(r))

@@ -243,17 +243,41 @@ def _straighten_by_dot_dominant(rs, items) -> dict:
 
 
 @pytest.mark.parametrize("series,rank", sorted(oracles.POSITIVE_ROOT_COUNTS))
-def test_straightening_matches_dot_dominant(series, rank):
+def test_straightening_matches_dot_dominant(series, rank, monkeypatch):
     # Coordinates in [-3, 3], so that many weights have a coordinate -1 and
     # lie on a wall; some weights come twice with opposite coefficients.
+    # Then weights with a coordinate -1 only, dominant weights only, which
+    # are never walked, and a mixture in which each dominant weight cancels
+    # a walked one that straightens onto it.
     rs = build_root_system(series, rank)
     rng = random.Random(f"straighten/{series}{rank}")
     items = [(tuple(rng.randint(-3, 3) for _ in range(rank)), rng.choice((-2, -1, 1, 3)))
              for _ in range(200)]
     items += [(nu, -m) for nu, m in items[:20]]
-    assert dict(grothendieck._straighten(rs, items).items()) == _straighten_by_dot_dominant(
-        rs, items
-    )
+    walls = [(nu[:i] + (-1,) + nu[i + 1:], m) for (nu, m), i in
+             zip(items, (rng.randrange(rank) for _ in items))]
+    dominant = [(tuple(map(abs, nu)), m) for nu, m in items]
+    mixture = list(dominant)
+    for nu, m in items:
+        dom, sign = dot_dominant(rs, nu)
+        if dom is not None and dom != nu:
+            mixture += [(nu, m), (dom, -sign * m)]
+    walks = []
+    real = grothendieck._to_dominant
+
+    def spy(nbrs, x):
+        walks.append(tuple(x))
+        return real(nbrs, x)
+
+    monkeypatch.setattr(grothendieck, "_to_dominant", spy)
+    for case in (items, walls, dominant, mixture):
+        del walks[:]
+        assert dict(grothendieck._straighten(rs, case).items()) == (
+            _straighten_by_dot_dominant(rs, case))
+        assert len(walks) == sum(min(nu) < 0 and -1 not in nu for nu, _ in case)
+    assert not grothendieck._straighten(rs, walls)
+    assert dict(grothendieck._straighten(rs, mixture).items()) == (
+        _straighten_by_dot_dominant(rs, dominant))
     # Brauer-Klimyk straightens mu + nu over the weights nu of chi.
     omega1 = tuple(int(i == 0) for i in range(rank))
     for chi in (weyl_character(rs, omega1), weyl_character(rs, omega1[::-1])):

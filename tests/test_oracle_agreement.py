@@ -887,10 +887,11 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
     # from a cold cache.  At every rank the cache holds only their Weyl
     # characters, and each request hands out a fresh product unformed over
     # the pair tensor was given: char_to_class expands it without forming
-    # it, and so does contract_weights at p = 2 and 3 above rank 2.  Its
-    # first read forms it once, by one convolution of that pair, and
-    # touches no cache state; the product keeps its pair.  A second request
-    # is a new unformed value.
+    # it, and so does contract_weights at p = 2 and 3, above rank 2 by
+    # residue classes and up to rank 2 from the slots of a convolution that
+    # it does not keep.  Its first read forms it once, by one convolution
+    # of that pair, and touches no cache state; the product keeps its pair.
+    # A second request is a new unformed value.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     budget = 20000
@@ -938,10 +939,11 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
         assert pair is not None and set(characters._weyl_cache) == keys
         del convolved[:]
         expansion = char_to_class(rs, chi)
-        if not dense:
-            contracted = {p: contract_weights(chi, p) for p in (2, 3)}
-        assert not chi._formed()
         assert not any(a is pair[0] and b is pair[1] for a, b in convolved)
+        contracted = {p: contract_weights(chi, p) for p in (2, 3)}
+        assert not chi._formed()
+        # Up to rank 2 each contraction reads the slots of one convolution.
+        assert sum(a is pair[0] and b is pair[1] for a, b in convolved) == (2 if dense else 0)
         state = list(characters._weyl_cache), weyl_character.cache_info()
         del convolved[:]
         assert chi == expected and chi._formed() and chi._pair() is pair
@@ -951,8 +953,7 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
         assert (list(characters._weyl_cache), weyl_character.cache_info()) == state
         copy = _unfactored(chi)
         assert expansion == char_to_class(rs, copy) == char_to_class_by_peeling(rs, copy)
-        if not dense:
-            assert contracted == {p: contract_weights(copy, p) for p in (2, 3)}
+        assert contracted == {p: contract_weights(copy, p) for p in (2, 3)}
         again = request(rs, lams)
         assert again is not chi and not again._formed() and again == expected
         # Peeling looked up other Weyl characters; still no key is a product's.
@@ -975,11 +976,11 @@ def test_residue_class_contraction_matches_the_formed_product():
     # dimensions multiply to at most 3000, asked for from a cold cache, at
     # p in {2, 3, 5, 7}.  Each comes unformed over the pair tensor was
     # given; from three factors on, the pair's first value is an unformed
-    # product too.  The
-    # residue-class contraction of the pair (characters._contract_pair, and
-    # contract_weights itself above rank 2, which leaves the product
-    # unformed) equals contract_weights of the formed product and the
-    # oracle's weight-by-weight contraction.  frobenius_contract_class and
+    # product too.  The residue-class contraction of the pair
+    # (characters._contract_pair), and contract_weights itself, which
+    # leaves the product unformed (above rank 2 by residue classes, up to
+    # rank 2 from the kernel's slots), equal contract_weights of the formed
+    # product and the oracle's weight-by-weight contraction.  frobenius_contract_class and
     # steinberg_delta_multiplicity give the same on the unformed product and
     # on a formed copy.  A copy of the pair's first value with one
     # multiplicity raised by 1, at minus a weight of the second, is caught:
@@ -1019,10 +1020,9 @@ def test_residue_class_contraction_matches_the_formed_product():
         assert (a._pair() is not None and not a._formed()) is (len(lams) > 2)
         dense = rs.rank <= characters._DENSE_RANK
         reached[f"{'rank <= 2' if dense else 'rank >= 3'}: {len(lams)} factors"] += 1
-        if not dense:
-            contracted = contract_weights(chi, p)
-            assert not chi._formed() and dict(contracted.items()) == want
-            reached["rank >= 3: contract_weights unformed"] += 1
+        contracted = contract_weights(chi, p)
+        assert not chi._formed() and dict(contracted.items()) == want
+        reached[f"{'rank <= 2' if dense else 'rank >= 3'}: contract_weights unformed"] += 1
         classes = frobenius_contract_class(rs, chi, p)
         lams_read = sorted(classes.support())[:2] + [(0,) * rs.rank]
         mults = [steinberg_delta_multiplicity(rs, chi, lam, p) for lam in lams_read]
@@ -1050,7 +1050,8 @@ def test_residue_class_contraction_matches_the_formed_product():
     print("\nresidue-class contraction branches reached: " + ", ".join(
         f"{branch} {n}" for branch, n in sorted(reached.items())))
     branches = [f"{ranks}: {n} factors" for ranks in ("rank <= 2", "rank >= 3") for n in (2, 3, 4)]
-    branches += ["rank >= 3: contract_weights unformed", "nonzero", "zero"]
+    branches += [f"{ranks}: contract_weights unformed" for ranks in ("rank <= 2", "rank >= 3")]
+    branches += ["nonzero", "zero"]
     branches += [f"p = {p}" for p in (2, 3, 5, 7)]
     assert [branch for branch in branches if not reached[branch]] == []
 
@@ -1371,38 +1372,52 @@ def test_weyl_character_routes_agree_on_random_dominant_weights(monkeypatch):
 
 
 @pytest.fixture
-def slot_widths(monkeypatch):
-    """The slot width in bytes of every ``_read_slots`` call."""
-    widths = []
+def slot_reads(monkeypatch):
+    """(slot width in bytes, slots read) of every ``_read_slots`` call."""
+    reads = []
     real = characters._read_slots
 
-    def spy(value, nbytes, *rest):
-        widths.append(nbytes)
-        return real(value, nbytes, *rest)
+    def spy(value, nbytes, fmt, n):
+        reads.append((nbytes, n))
+        return real(value, nbytes, fmt, n)
 
     monkeypatch.setattr(characters, "_read_slots", spy)
-    return widths
+    return reads
 
 
-def test_weyl_formula_widens_its_slots_with_the_multiplicities(slot_widths):
+def _slots_read(rs, vals) -> int:
+    # Weyl's formula reads half its box, up to the centre slot, when -1 is
+    # in W, and the whole box otherwise.
+    return len(vals) // 2 + 1 if rs.negation_in_w else len(vals)
+
+
+def test_weyl_formula_widens_its_slots_with_the_multiplicities(slot_reads):
     # The route tries 2-byte slots first and widens only when the decoded
     # multiplicities do not sum to dim.  A2's weights have multiplicities of
     # at most min(a, b) + 1, so (30, 30), (31, 31) with dim 2^15 and
-    # (40, 40) with dim 68921 > 2^16 all decode at 2 bytes.
-    rs = build_root_system("A", 2)
-    for lam, dim in (((30, 30), 29791), ((31, 31), 2**15), ((40, 40), 68921)):
-        assert oracles.weyl_dimension("A", 2, lam) == dim
-        del slot_widths[:]
+    # (40, 40) with dim 68921 > 2^16 all decode at 2 bytes, over the whole
+    # box, as -1 is not in W; A1, B2, C2 and G2 read half the box.
+    cases = [("A", 2, (30, 30), 29791), ("A", 2, (31, 31), 2**15), ("A", 2, (40, 40), 68921),
+             ("A", 1, (40,), 41), ("B", 2, (9, 7), 6720), ("C", 2, (7, 9), 6720),
+             ("G", 2, (4, 5), 30107)]
+    for series, rank, lam, dim in cases:
+        rs = build_root_system(series, rank)
+        assert oracles.weyl_dimension(series, rank, lam) == dim
+        del slot_reads[:]
         route = weyl_character.__wrapped__(rs, lam)
-        assert slot_widths == [2], lam
+        vals = route._slots()[0]
+        assert slot_reads == [(2, _slots_read(rs, vals))], lam
+        assert (slot_reads[0][1] < len(vals)) is rs.negation_in_w, lam
         assert dict(route.items()) == characters._freudenthal(rs, lam)
         assert route.dim() == dim
     # G2's (23, 15) has a multiplicity of 32832 >= 2^15: at 2 bytes that slot
-    # reads negative, the sum falls short of dim, and 4 bytes are exact.
+    # reads negative, the sum of the half box falls short of dim, and 4
+    # bytes are exact.
     rs = build_root_system("G", 2)
-    del slot_widths[:]
+    del slot_reads[:]
     route = weyl_character.__wrapped__(rs, (23, 15))
-    assert slot_widths == [2, 4]
+    half = _slots_read(rs, route._slots()[0])
+    assert slot_reads == [(2, half), (4, half)]
     assert dict(route.items()) == characters._freudenthal(rs, (23, 15))
     assert max(m for _, m in route.items()) == 32832
     assert route.dim() == oracles.weyl_dimension("G", 2, (23, 15))
@@ -1421,15 +1436,18 @@ def test_every_rank_two_weight_takes_weyls_formula(series, monkeypatch):
         assert chi._invariant_for is rs
 
 
-def test_weyl_formula_raises_when_its_widest_slots_overflow(monkeypatch, slot_widths):
+def test_weyl_formula_raises_when_its_widest_slots_overflow(monkeypatch, slot_reads):
     # G2's (23, 15) has a multiplicity of 32832 >= 2^15, so with 2-byte
-    # slots as the widest the multiplicities cannot sum to dim.
+    # slots as the widest the multiplicities of its half box cannot sum to
+    # dim.
     rs = build_root_system("G", 2)
+    half = _slots_read(rs, characters._weyl_formula(rs, (23, 15))[0])
+    del slot_reads[:]
     monkeypatch.setattr(characters, "_SLOT_WIDTHS", characters._SLOT_WIDTHS[:1])
     assert characters._SLOT_WIDTHS[0][0] == 2
     with pytest.raises(ArithmeticError, match=r"at \[23, 15\]"):
         characters._weyl_formula(rs, (23, 15))
-    assert slot_widths == [2]
+    assert slot_reads == [(2, half)]
     # A weight whose multiplicities fit still decodes.
     assert _weights_at(*characters._weyl_formula(rs, (3, 2))) == characters._freudenthal(rs, (3, 2))
 
@@ -1438,7 +1456,9 @@ def test_weyl_formula_raises_at_the_first_width_that_holds_dim(monkeypatch):
     # A2's (1, 1) has dim 8, far below 2^15, so no 2-byte slot can overflow:
     # a decode whose multiplicities miss dim there is an error, and wider
     # slots are not tried.  A fake decoder that drops one weight, the last
-    # occupied slot, forces it.
+    # occupied slot, forces it.  So it does on B2's (1, 1), of dim 16, whose
+    # half box reads slots up to the centre, and whose sum counts those below
+    # the centre twice.
     real, widths = characters._read_slots, []
 
     def lossy(value, nbytes, *rest):
@@ -1452,6 +1472,60 @@ def test_weyl_formula_raises_at_the_first_width_that_holds_dim(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"at \[1, 1\] gave .* not dim 8, in 2-byte slots"):
         characters._weyl_formula(rs, (1, 1))
     assert widths == [2]
+    del widths[:]
+    with pytest.raises(ArithmeticError, match=r"at \[1, 1\] gave .* not dim 16, in 2-byte slots"):
+        characters._weyl_formula(build_root_system("B", 2), (1, 1))
+    assert widths == [2]
+
+
+def _divided_by_doubling(value, bits, m):
+    # value * (1 + x)(1 + x^2)(1 + x^4)... modulo x^m at x = 2^bits, masked
+    # to m slots after each step, as Weyl's formula divides by 1 - x^u.
+    mask, t = (1 << bits * m) - 1, 1
+    while t < m:
+        value = (value + (value << bits * t)) & mask
+        t *= 2
+    return value
+
+
+def test_exact_division_by_one_minus_x_matches_doubling(monkeypatch):
+    # A key step of 1 takes one exact division (_divide_by_one_minus_x)
+    # where every other step doubles.  On residues modulo 2^(b*m) at
+    # b = 16, 32 and 64 and m from 1 to 1000 slots, both agree: random
+    # ones, 0, 2^(b*m) - 1, and nonzero multiples of D = 2^b - 1, where q
+    # is D.  G2 and C2 have a root of key step 1 in every box; their Weyl
+    # characters, each with at least one such step, decode to Freudenthal's
+    # recursion and to Weyl's q-dimension.
+    rng = random.Random(29)
+    reached = collections.Counter()
+    for bits in (16, 32, 64):
+        d = (1 << bits) - 1
+        for m in (1, 2, 3, 7, 64, 1000):
+            top = 1 << bits * m
+            values = [0, top - 1, d, d * rng.randrange(1, (top - 1) // d + 1)]
+            values += [rng.randrange(top) for _ in range(20)]
+            for value in values:
+                assert characters._divide_by_one_minus_x(value, bits, m) == (
+                    _divided_by_doubling(value, bits, m)), (bits, m, value)
+                reached["q = D" if value and not value % d else "zero" if not value else
+                        "q = V mod D"] += 1
+    assert sorted(reached) == ["q = D", "q = V mod D", "zero"]
+    steps = []
+    real = characters._divide_by_one_minus_x
+
+    def spy(value, bits, m):
+        steps.append(m)
+        return real(value, bits, m)
+
+    monkeypatch.setattr(characters, "_divide_by_one_minus_x", spy)
+    for series in ("C", "G"):
+        rs = build_root_system(series, 2)
+        for lam in _route_weights(rs)[1:]:
+            del steps[:]
+            route = _weights_at(*characters._weyl_formula(rs, lam))
+            assert steps, (series, lam)
+            assert route == characters._freudenthal(rs, lam), (series, lam)
+            assert oracles.principal_specialization(rs, route) == oracles.q_dimension(rs, lam)
 
 
 @pytest.mark.parametrize("series", ["A", "B", "G"])
