@@ -20,7 +20,7 @@ import sys
 from _thread import allocate_lock
 from collections import OrderedDict
 from functools import _CacheInfo  # the record lru_cache's cache_info returns
-from itertools import product, repeat
+from itertools import repeat
 from operator import add, floordiv, mod, mul, neg
 
 from .errors import DomainError
@@ -226,14 +226,11 @@ class Character(_Sparse):
     ``kronecker._weights_at``, which then clears ``_pending``.  ``len``,
     ``bool``, ``dim`` and ``==`` count, sum or compare slots without
     decoding them, and two values with slots over the same box compare slot
-    lists; on a pair they form the terms.  Two readers use what is pending
-    instead of the terms: ``grothendieck.char_to_class`` expands the
-    product by Brauer-Klimyk over a pair, formed or not, and
-    ``contract_weights`` contracts an unformed product of rank above
-    ``_DENSE_RANK`` by residue classes, and decodes only the slots of
-    weights in pX, from a value's own slots or from those ``_convolve``
-    gives an unformed product of rank up to ``_DENSE_RANK``, which stays
-    unformed.  Every other reader (repr, JSON, pickling, copying,
+    lists; on a pair they form the terms.  Two readers use a pair instead
+    of the terms: ``grothendieck.char_to_class`` expands the product by
+    Brauer-Klimyk over it, formed or not, and ``contract_weights``
+    contracts an unformed product of rank above ``_DENSE_RANK`` by residue
+    classes.  Every other reader (repr, JSON, pickling, copying,
     arithmetic, ``items``) reads the terms, so it sees a formed value;
     pickling and copying drop ``_pending``.
 
@@ -420,11 +417,9 @@ def weyl_character(rs: RootSystem, highest) -> Character:
       product of the values this cache gives, and of their products, over
       the pair it was given, unformed (see ``Character``), so a product
       that nothing reads is never convolved.  Its readers expand
-      (``grothendieck.char_to_class``) or contract (``contract_weights``)
-      it over that pair: above ``_DENSE_RANK`` a contraction adds only the
-      pairs of weights whose sum lies in pX, and up to it a contraction
-      decodes only those slots of the product's convolution, which it does
-      not keep.
+      (``grothendieck.char_to_class``) or, above ``_DENSE_RANK``, contract
+      (``contract_weights``) it over that pair, and a contraction adds only
+      the pairs of weights whose sum lies in pX.
 
     ``cache_info`` (``currsize`` counts held values, not ghosts; ``maxsize``
     is the term budget) and ``cache_clear`` are the cache's, and
@@ -572,9 +567,6 @@ def _weyl_formula(rs: RootSystem, highest) -> tuple:
     modulo 2^(b*m), for every b: carries between slots in the intermediate
     values cancel out.
 
-    A key step of u = 1 takes one exact integer division instead of about
-    log2(m) doublings (``_divide_by_one_minus_x``).
-
     Width rule and sum certificate: b starts at 16 bits and doubles to 32
     and 64 only while the decoded multiplicities do not sum to dim (Weyl's
     dimension formula); on a half box that sum is 2 * (sum of slots 0 to
@@ -621,9 +613,6 @@ def _weyl_formula(rs: RootSystem, highest) -> tuple:
         mask = (1 << bits * m) - 1
         value = _slot_int(numerator.items(), nbytes, fmt)[1] & mask
         for t in map(abs, steps):
-            if t == 1:
-                value = _divide_by_one_minus_x(value, bits, m)
-                continue
             while t < m:
                 value = (value + (value << bits * t)) & mask
                 t *= 2
@@ -637,23 +626,6 @@ def _weyl_formula(rs: RootSystem, highest) -> tuple:
         f"Weyl's formula at {list(highest)} gave multiplicities summing to "
         f"{total}, not dim {dim}, in {nbytes}-byte slots"
     )
-
-
-def _divide_by_one_minus_x(value: int, bits: int, m: int) -> int:
-    """value / (1 - x) modulo 2^(b*m) at x = 2^b, b = bits, for value in [0, 2^(b*m)).
-
-    The result is the U in [0, 2^(b*m)) with U * (1 - 2^b) = value modulo
-    2^(b*m), that is, q * 2^(b*m) - value = U * D for D = 2^b - 1 and some
-    integer q: one exact division.  As 2^(b*m) = 1 modulo D, D divides
-    q * 2^(b*m) - value exactly when q = value modulo D, and
-    0 <= U < 2^(b*m) leaves one such q in [0, D]: 0 when value = 0, else
-    value modulo D, or D when that is 0.
-    """
-    if not value:
-        return 0
-    d = (1 << bits) - 1
-    q = value % d or d
-    return ((q << bits * m) - value) // d
 
 
 def _freudenthal(rs: RootSystem, highest) -> dict:
@@ -730,9 +702,7 @@ def tensor(a: Character, b: Character) -> Character:
     unformed, and carries the sorted union of their highest weights.  Its
     first read convolves it; ``grothendieck.char_to_class``, which expands
     it over the pair, never forms it, and neither does ``contract_weights``
-    (which convolves it without keeping the result up to ``_DENSE_RANK``,
-    when the kernel gives slots).  Every other product is formed on each
-    call.
+    above ``_DENSE_RANK``.  Every other product is formed on each call.
     """
     if a._factors and b._factors and a._invariant_for is b._invariant_for:
         return Character._raw((a, b), a._invariant_for, tuple(sorted(a._factors + b._factors)))
@@ -836,29 +806,21 @@ def contract_weights(chi: Character, p: int) -> Character:
     The support is filtered one coordinate at a time; each pass keeps about
     1/p of the weights, so most weights are dropped after one remainder.
 
-    Two kinds of value are contracted without forming the weights that the
-    contraction drops (see ``Character``):
-
-    - A product of rank above ``_DENSE_RANK`` that ``tensor`` handed out
-      over a pair (a, b) and that no reader has formed yet is contracted
-      without being formed: a weight alpha + beta of a (x) b lies in pX
-      only when alpha lies in some residue class r mod p and beta in -r, so
-      class r of a is paired with class -r of b alone (``_contract_pair``):
-      sum over r of |a_r| * |b_-r| pairs, about |a| * |b| / p^rank when the
-      weights spread evenly over the classes.
-    - A value that holds undecoded slots, and an unformed product of rank
-      up to ``_DENSE_RANK`` whose ``_convolve`` returns slots, decode only
-      the slots of weights in pX (``_contract_slots``).  Such a product
-      stays unformed, so a later read of its terms convolves it again.  A
-      product that the pair loop forms keeps its terms and is filtered.
+    A product of rank above ``_DENSE_RANK`` that ``tensor`` handed out
+    over a pair (a, b) (see ``Character``) and that no reader has formed
+    yet is contracted without being formed: a weight alpha + beta of
+    a (x) b lies in pX only when alpha lies in some residue class r mod p
+    and beta in -r, so class r of a is paired with class -r of b alone
+    (``_contract_pair``): sum over r of |a_r| * |b_-r| pairs, about
+    |a| * |b| / p^rank when the weights spread evenly over the classes.
+    Every other value is filtered on its terms: one that holds slots
+    decodes them, and an unformed product up to ``_DENSE_RANK`` is
+    convolved once and keeps its terms, as any read of them would.
     """
     require_p(p, "contraction")
     pair = _unformed_pair(chi)
     if pair is not None:
         return Character._raw(_contract_pair(*pair, p), chi._invariant_for)
-    slots = _kernel_slots(chi)
-    if slots is not None:
-        return Character._raw(_contract_slots(*slots, p), chi._invariant_for)
     terms = kept = chi._terms
     for j in range(len(next(iter(terms), ()))):
         kept = [w for w in kept if not w[j] % p]
@@ -874,45 +836,6 @@ def _unformed_pair(chi):
     if pair is None or chi._invariant_for.rank <= _DENSE_RANK or chi._formed():
         return None
     return pair
-
-
-def _kernel_slots(chi):
-    # The slot pair chi holds, or the one _convolve gives for chi's pair
-    # when chi is an unformed product, or None.  A product that _convolve
-    # forms as a dict keeps those terms, as a read of them would.
-    if not isinstance(chi, Character):
-        return None
-    slots = chi._slots()
-    pair = chi._pair()
-    if slots is not None or pair is None or chi._formed():
-        return slots
-    terms = _convolve(*pair)
-    if type(terms) is dict:
-        chi._terms = terms
-        return None
-    return terms
-
-
-def _contract_slots(vals, ranges, p: int) -> dict:
-    """The terms of ``contract_weights`` from a slot pair, decoding only the weights in pX.
-
-    Their slots form a sub-grid of the box: along coordinate j, every p-th
-    index from that of the first multiple of p in ranges[j].  Each line of
-    it along the last coordinate is one strided slice of ``vals``, and the
-    sub-grid's weights, divided by p, come from ``_weights_at`` over the
-    divided ranges, so no other weight is formed.
-    """
-    widths = [len(r) for r in ranges]
-    lines = [range(-r.start % p, n, p) for r, n in zip(ranges, widths)]
-    divided = [range((r.start + line.start) // p, (r.start + line.start) // p + len(line))
-               for r, line in zip(ranges, lines)]
-    strides = _strides(widths)
-    first, n = lines[-1].start, widths[-1]
-    sub = []
-    for index in product(*lines[:-1]):
-        base = sum(map(mul, index, strides))
-        sub += vals[base + first:base + n:p]
-    return _weights_at(sub, divided)
 
 
 def _residue_classes(chi: Character, p: int) -> tuple:

@@ -165,13 +165,21 @@ def _peel(rs: RootSystem, chi: Character, basis) -> dict:
     """Coefficients of chi in a basis whose element basis(rs, lam) is e^lam + lower terms.
 
     Subtracts the element at the highest remaining weight, by height, until
-    nothing is left.
+    nothing is left.  Each subtraction removes that weight and adds only
+    lower ones, so the highest weight left falls at every step; a basis
+    element that breaks this raises ArithmeticError, so that a wrong basis
+    stops the walk instead of letting it climb without end.
     """
     rest, out, heights = dict(chi.items()), {}, {}
+    last = None
     while rest:
         for w in rest.keys() - heights.keys():
             heights[w] = _height_key(rs, w)
         top = max(rest, key=heights.__getitem__)
+        if last is not None and heights[top] >= heights[last]:
+            raise ArithmeticError(f"the basis element at {list(last)} is not e^{list(last)} "
+                                  f"plus lower terms: {list(top)} is left after it")
+        last = top
         if not is_dominant(top):
             raise DomainError(
                 f"character is not a Weyl-invariant integer combination: stuck at {list(top)}"

@@ -578,7 +578,7 @@ def test_products_asked_for_by_several_threads_keep_the_cache_consistent():
     # never looked up, so each request makes two lookups.  Every product
     # comes unformed.  An A3 product's contractions at p = 2 and 3 read the
     # residue classes that the threads memoize on the shared A3 characters
-    # at once, and an A2 product's read the slots of its convolution.
+    # at once, and an A2 product's form it.
     keys = [(A3, (1, 0, 0)), (A3, (0, 1, 0)), (A3, (0, 0, 1)), (A2, (1, 1)), (A2, (2, 0))]
     pairs = [(k, m) for k in keys for m in keys if k[0] is m[0]]
     expected = {pair: tensor(*(weyl_character.__wrapped__(*key) for key in pair))
@@ -1013,12 +1013,12 @@ def test_contract_weights_matches_per_weight_oracle(monkeypatch):
         assert not empty and empty._invariant_for is None
         cancelled = weyl_character(A1, (0,)) - weyl_character(A1, (0,))
         assert contract_weights(cancelled, p)._invariant_for is A1
-    # A value that holds slots decodes only those of weights in pX, and
-    # stays undecoded: random slots over boxes that start anywhere mod p,
-    # one box with no multiple of p in a coordinate (an empty sub-grid), a
-    # rank-3 Weyl character from the formula, and cached Weyl characters
-    # and their unformed products, which stay unformed where the kernel
-    # gives slots and keep the terms the pair loop forms.
+    # Values that hold slots: random slots over boxes that start anywhere
+    # mod p, one box with no multiple of p in a coordinate (an empty
+    # sub-grid), a rank-3 Weyl character from the formula, and cached Weyl
+    # characters and their unformed products, whose convolution the kernel
+    # or the pair loop forms.  Each is contracted on its terms, which the
+    # contraction forms and keeps.
     C2 = build_root_system("C", 2)
     reached = collections.Counter()
     pair_cost = characters._PAIR_COST
@@ -1039,7 +1039,6 @@ def test_contract_weights_matches_per_weight_oracle(monkeypatch):
                 chi = Character._raw((vals, ranges), rs)
                 want = oracles.contract_naive(kronecker._weights_at(vals, ranges), p)
                 assert dict(contract_weights(chi, p).items()) == want, (rs, p, ranges)
-                assert not chi._formed()
                 reached["empty" if not want else "nonempty"] += 1
             if rs.rank > 2:
                 continue
@@ -1057,10 +1056,10 @@ def test_contract_weights_matches_per_weight_oracle(monkeypatch):
                 kernel = (type(characters._convolve(*pair)) is not dict if pair
                           else chi._slots() is not None)
                 assert dict(contract_weights(chi, p).items()) == want, (rs, p, lam)
-                assert chi._formed() is not kernel, (rs, p, lam)
+                assert chi._formed(), (rs, p, lam)
                 reached["Weyl character" if not pair else "product, kernel" if kernel
                         else "product, pair loop"] += 1
-    print(f"\nslot contraction cases: {dict(reached)}")
+    print(f"\ncontraction cases of values with slots: {dict(reached)}")
     assert len(reached) == 6
 
 

@@ -142,6 +142,26 @@ def test_peeling_stops_at_a_highest_weight_that_is_not_dominant():
         decompose_in_simple_basis_a1(A1, Character._raw({(-1,): 1}, A1), 3)
 
 
+def test_peeling_stops_at_a_basis_element_that_is_not_its_highest_weight_plus_lower():
+    # A basis element with a weight above its own, or with its own weight at
+    # a coefficient other than 1, would let the walk climb without end.
+    # Each is caught at the first step it leaves a weight at or above the
+    # one just peeled; a true basis still peels.
+    chi = weyl_character(A2, (1, 1))
+
+    def climbing(rs, lam):
+        return weyl_character(rs, lam) + Character({(lam[0], lam[1] + 1): 1})
+
+    def doubled(rs, lam):
+        return 2 * weyl_character(rs, lam)
+
+    with pytest.raises(ArithmeticError, match=r"at \[1, 1\] is not .* \[1, 2\] is left"):
+        grothendieck._peel(A2, chi, climbing)
+    with pytest.raises(ArithmeticError, match=r"at \[1, 1\] is not .* \[1, 1\] is left"):
+        grothendieck._peel(A2, chi, doubled)
+    assert grothendieck._peel(A2, chi, weyl_character) == {(1, 1): 1}
+
+
 def test_dual_implementations_agree_on_random_products():
     rng = random.Random(101)
     for rs in [A1, A2, B2, G2]:

@@ -71,6 +71,17 @@ TYPES = sorted(oracles.POSITIVE_ROOT_COUNTS)
 LARGE_ORDER = 6000
 
 
+def _settings(hypothesis, max_examples):
+    """The property tests' settings: the same examples on every run, none shrunk.
+
+    A failing example is reported as generated, not minimized first, so a
+    failure is seen in seconds; every example is still generated and checked.
+    """
+    return hypothesis.settings(
+        max_examples=max_examples, deadline=None, derandomize=True, database=None,
+        phases=[phase for phase in hypothesis.Phase if phase is not hypothesis.Phase.shrink])
+
+
 def _fundamental(rs, i):
     return _fundamental_of(rs.rank, i)
 
@@ -733,7 +744,7 @@ def test_cached_products_expand_over_their_factors_and_nothing_else_does(monkeyp
             chi = tensor(chi, weyl_character(rs, lam))
         return chi
 
-    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @_settings(hypothesis, 80)
     @hypothesis.given(products(), st.sampled_from((2, 3)))
     def check(case, p):
         rs, lams = case
@@ -841,7 +852,7 @@ def test_convolve_routes_agree_on_random_invariant_inputs(monkeypatch, kernel_pa
         rs = draw(st.sampled_from(list(weights)))
         return rs, draw(invariant(rs)), draw(invariant(rs))
 
-    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @_settings(hypothesis, 80)
     @hypothesis.given(pairs())
     def check(case):
         rs, (kind_a, a), (kind_b, b) = case
@@ -887,11 +898,11 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
     # from a cold cache.  At every rank the cache holds only their Weyl
     # characters, and each request hands out a fresh product unformed over
     # the pair tensor was given: char_to_class expands it without forming
-    # it, and so does contract_weights at p = 2 and 3, above rank 2 by
-    # residue classes and up to rank 2 from the slots of a convolution that
-    # it does not keep.  Its first read forms it once, by one convolution
-    # of that pair, and touches no cache state; the product keeps its pair.
-    # A second request is a new unformed value.
+    # it, and so does contract_weights at p = 2 and 3 above rank 2, by
+    # residue classes.  Its first read forms it once, by one convolution of
+    # that pair, and touches no cache state; the product keeps its pair.  Up
+    # to rank 2 that read is the first contraction, so a later read
+    # convolves nothing.  A second request is a new unformed value.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     budget = 20000
@@ -924,7 +935,7 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
             left //= characters._weyl_dimension(rs, lam)
         return rs, lams
 
-    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @_settings(hypothesis, 120)
     @hypothesis.given(products())
     def check(case):
         rs, lams = case
@@ -939,15 +950,15 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
         assert pair is not None and set(characters._weyl_cache) == keys
         del convolved[:]
         expansion = char_to_class(rs, chi)
+        assert not chi._formed()
         assert not any(a is pair[0] and b is pair[1] for a, b in convolved)
         contracted = {p: contract_weights(chi, p) for p in (2, 3)}
-        assert not chi._formed()
-        # Up to rank 2 each contraction reads the slots of one convolution.
-        assert sum(a is pair[0] and b is pair[1] for a, b in convolved) == (2 if dense else 0)
+        assert chi._formed() is dense
+        assert sum(a is pair[0] and b is pair[1] for a, b in convolved) == (1 if dense else 0)
         state = list(characters._weyl_cache), weyl_character.cache_info()
         del convolved[:]
         assert chi == expected and chi._formed() and chi._pair() is pair
-        assert sum(a is pair[0] and b is pair[1] for a, b in convolved) == 1
+        assert sum(a is pair[0] and b is pair[1] for a, b in convolved) == (0 if dense else 1)
         del convolved[:]
         assert len(chi) == len(expected) and not convolved
         assert (list(characters._weyl_cache), weyl_character.cache_info()) == state
@@ -978,9 +989,9 @@ def test_residue_class_contraction_matches_the_formed_product():
     # given; from three factors on, the pair's first value is an unformed
     # product too.  The residue-class contraction of the pair
     # (characters._contract_pair), and contract_weights itself, which
-    # leaves the product unformed (above rank 2 by residue classes, up to
-    # rank 2 from the kernel's slots), equal contract_weights of the formed
-    # product and the oracle's weight-by-weight contraction.  frobenius_contract_class and
+    # leaves the product unformed above rank 2 and forms it, once, up to
+    # rank 2, equal contract_weights of the formed product and the oracle's
+    # weight-by-weight contraction.  frobenius_contract_class and
     # steinberg_delta_multiplicity give the same on the unformed product and
     # on a formed copy.  A copy of the pair's first value with one
     # multiplicity raised by 1, at minus a weight of the second, is caught:
@@ -1004,7 +1015,7 @@ def test_residue_class_contraction_matches_the_formed_product():
             left //= characters._weyl_dimension(rs, lam)
         return rs, lams
 
-    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @_settings(hypothesis, 100)
     @hypothesis.given(products(), st.sampled_from((2, 3, 5, 7)))
     def check(case, p):
         rs, lams = case
@@ -1019,10 +1030,11 @@ def test_residue_class_contraction_matches_the_formed_product():
         a, b = chi._pair()
         assert (a._pair() is not None and not a._formed()) is (len(lams) > 2)
         dense = rs.rank <= characters._DENSE_RANK
-        reached[f"{'rank <= 2' if dense else 'rank >= 3'}: {len(lams)} factors"] += 1
+        ranks = "rank <= 2" if dense else "rank >= 3"
+        reached[f"{ranks}: {len(lams)} factors"] += 1
         contracted = contract_weights(chi, p)
-        assert not chi._formed() and dict(contracted.items()) == want
-        reached[f"{'rank <= 2' if dense else 'rank >= 3'}: contract_weights unformed"] += 1
+        assert chi._formed() is dense and dict(contracted.items()) == want
+        reached[f"{ranks}: contract_weights {'formed' if dense else 'unformed'}"] += 1
         classes = frobenius_contract_class(rs, chi, p)
         lams_read = sorted(classes.support())[:2] + [(0,) * rs.rank]
         mults = [steinberg_delta_multiplicity(rs, chi, lam, p) for lam in lams_read]
@@ -1050,7 +1062,7 @@ def test_residue_class_contraction_matches_the_formed_product():
     print("\nresidue-class contraction branches reached: " + ", ".join(
         f"{branch} {n}" for branch, n in sorted(reached.items())))
     branches = [f"{ranks}: {n} factors" for ranks in ("rank <= 2", "rank >= 3") for n in (2, 3, 4)]
-    branches += [f"{ranks}: contract_weights unformed" for ranks in ("rank <= 2", "rank >= 3")]
+    branches += ["rank <= 2: contract_weights formed", "rank >= 3: contract_weights unformed"]
     branches += ["nonzero", "zero"]
     branches += [f"p = {p}" for p in (2, 3, 5, 7)]
     assert [branch for branch in branches if not reached[branch]] == []
@@ -1119,7 +1131,7 @@ def test_steinberg_multiplicity_routes_agree_on_random_invariant_inputs(monkeypa
         top = (draw(st.integers(0, 3)),) * rs.rank
         return rs, kind, chi, top
 
-    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @_settings(hypothesis, 50)
     @hypothesis.given(inputs(), st.sampled_from((2, 3, 5)))
     def check(case, p):
         rs, kind, chi, drawn = case
@@ -1199,6 +1211,7 @@ def test_weyl_formula_matches_partition_oracle_and_freudenthal(series, rank):
         assert route == characters._freudenthal(rs, lam), lam
         assert dict(weyl_character(rs, lam).items()) == route, lam
         assert sum(route.values()) == oracles.weyl_dimension(series, rank, lam)
+        assert oracles.principal_specialization(rs, route) == oracles.q_dimension(rs, lam), lam
         # The partition-function oracle takes 5 to 10 s on G2's largest two.
         if series != "G" or max(lam) < 20:
             assert route == oracles.character_by_weyl_sum(rs, group, lam), lam
@@ -1289,7 +1302,7 @@ def test_weyl_formula_matches_freudenthal_on_random_weights_up_to_rank_four():
     systems = [build_root_system(*key) for key in TYPES if key[1] <= 4]
     reached = collections.Counter()
 
-    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @_settings(hypothesis, 60)
     @hypothesis.given(st.sampled_from(systems).flatmap(lambda rs: st.tuples(st.just(rs), st.tuples(
         *[st.integers(0, 6 if rs.rank <= 2 else 2)] * rs.rank))))
     def check(case):
@@ -1334,7 +1347,7 @@ def test_weyl_character_routes_agree_on_random_dominant_weights(monkeypatch):
         assert (chi._slots() is not None) == (rs.rank <= dense_rank), (rs, lam)
         return chi
 
-    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @_settings(hypothesis, 40)
     @hypothesis.given(st.sampled_from(list(weights)).flatmap(
         lambda rs: st.tuples(st.just(rs), st.sampled_from(weights[rs]))))
     def check(case):
@@ -1476,56 +1489,6 @@ def test_weyl_formula_raises_at_the_first_width_that_holds_dim(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"at \[1, 1\] gave .* not dim 16, in 2-byte slots"):
         characters._weyl_formula(build_root_system("B", 2), (1, 1))
     assert widths == [2]
-
-
-def _divided_by_doubling(value, bits, m):
-    # value * (1 + x)(1 + x^2)(1 + x^4)... modulo x^m at x = 2^bits, masked
-    # to m slots after each step, as Weyl's formula divides by 1 - x^u.
-    mask, t = (1 << bits * m) - 1, 1
-    while t < m:
-        value = (value + (value << bits * t)) & mask
-        t *= 2
-    return value
-
-
-def test_exact_division_by_one_minus_x_matches_doubling(monkeypatch):
-    # A key step of 1 takes one exact division (_divide_by_one_minus_x)
-    # where every other step doubles.  On residues modulo 2^(b*m) at
-    # b = 16, 32 and 64 and m from 1 to 1000 slots, both agree: random
-    # ones, 0, 2^(b*m) - 1, and nonzero multiples of D = 2^b - 1, where q
-    # is D.  G2 and C2 have a root of key step 1 in every box; their Weyl
-    # characters, each with at least one such step, decode to Freudenthal's
-    # recursion and to Weyl's q-dimension.
-    rng = random.Random(29)
-    reached = collections.Counter()
-    for bits in (16, 32, 64):
-        d = (1 << bits) - 1
-        for m in (1, 2, 3, 7, 64, 1000):
-            top = 1 << bits * m
-            values = [0, top - 1, d, d * rng.randrange(1, (top - 1) // d + 1)]
-            values += [rng.randrange(top) for _ in range(20)]
-            for value in values:
-                assert characters._divide_by_one_minus_x(value, bits, m) == (
-                    _divided_by_doubling(value, bits, m)), (bits, m, value)
-                reached["q = D" if value and not value % d else "zero" if not value else
-                        "q = V mod D"] += 1
-    assert sorted(reached) == ["q = D", "q = V mod D", "zero"]
-    steps = []
-    real = characters._divide_by_one_minus_x
-
-    def spy(value, bits, m):
-        steps.append(m)
-        return real(value, bits, m)
-
-    monkeypatch.setattr(characters, "_divide_by_one_minus_x", spy)
-    for series in ("C", "G"):
-        rs = build_root_system(series, 2)
-        for lam in _route_weights(rs)[1:]:
-            del steps[:]
-            route = _weights_at(*characters._weyl_formula(rs, lam))
-            assert steps, (series, lam)
-            assert route == characters._freudenthal(rs, lam), (series, lam)
-            assert oracles.principal_specialization(rs, route) == oracles.q_dimension(rs, lam)
 
 
 @pytest.mark.parametrize("series", ["A", "B", "G"])
