@@ -234,23 +234,24 @@ class Character(_Sparse):
     arithmetic, ``items``) reads the terms, so it sees a formed value;
     pickling and copying drop ``_pending``.
 
-    The private slot ``_residues`` is None until the value is a factor of
-    such a contraction, and then maps each p it was a factor at to its
-    terms grouped by residue class mod p (``_residue_classes``).  Its bound:
-    two (quotient, multiplicity) pairs per term of the value for each such
-    p, and it lives and dies with the value.  As with ``_pending``, no lock
-    is needed: two threads that fill it at once store equal classes, and
-    one that loses the other's entry computes it again.  Pickling and
-    copying drop it.
+    The private slot ``_memo`` is None until a contraction keeps something
+    derived from the value, and then holds it: under each p the value
+    was a factor of such a contraction at, its terms grouped by residue
+    class mod p (``_residue_classes``), two (quotient, multiplicity) pairs
+    per term; and under each (rs, p) it was contracted at, the class of
+    its contraction (``grothendieck._contract_class``).  It lives and dies
+    with the value.  As with ``_pending``, no lock is needed: two threads
+    that fill it at once store equal entries, and one that loses the
+    other's entry computes it again.  Pickling and copying drop it.
     """
 
-    __slots__ = ("_invariant_for", "_factors", "_pending", "_residues")
+    __slots__ = ("_invariant_for", "_factors", "_pending", "_memo")
     _FIELDS = ("weights", "mult")
     _NOUN = "character"
 
     def __init__(self, items=()):
         super().__init__(items)
-        self._invariant_for = self._factors = self._pending = self._residues = None
+        self._invariant_for = self._factors = self._pending = self._memo = None
 
     @classmethod
     def _raw(cls, terms, rs=None, factors=None):
@@ -262,7 +263,7 @@ class Character(_Sparse):
             self._pending = None
         else:
             self._pending = terms
-        self._invariant_for, self._factors, self._residues = rs, factors, None
+        self._invariant_for, self._factors, self._memo = rs, factors, None
         return self
 
     def _slots(self):
@@ -303,7 +304,7 @@ class Character(_Sparse):
     def __getstate__(self):
         # Pickling and copying form the terms and drop what was pending.
         return None, {"_terms": self._terms, "_invariant_for": self._invariant_for,
-                      "_factors": self._factors, "_pending": None, "_residues": None}
+                      "_factors": self._factors, "_pending": None, "_memo": None}
 
     def __len__(self):
         slots = self._slots()
@@ -844,11 +845,11 @@ def _residue_classes(chi: Character, p: int) -> tuple:
     ``floors`` maps each class r (w mod p, coordinatewise, in [0, p)) to the
     pairs (floor(w / p), m) of its weights w, and ``ceilings`` maps -r mod p
     to the pairs (ceil(w / p), m) of the same weights.  Memoized in chi's
-    ``_residues`` slot (see ``Character``), one entry per p.
+    ``_memo`` slot (see ``Character``), one entry per p.
     """
-    memo = chi._residues
+    memo = chi._memo
     if memo is None:
-        memo = chi._residues = {}
+        memo = chi._memo = {}
     classes = memo.get(p)
     if classes is None:
         terms = chi._terms

@@ -16,7 +16,7 @@ import os
 import re
 import sys
 from collections import namedtuple
-from functools import partial
+from functools import partial, reduce
 
 from . import grothendieck as gk
 from . import linkage as lk
@@ -66,7 +66,7 @@ def _parse_weight(text: str):
         if text.lstrip().startswith("["):
             return tuple(_strict_int(x) for x in json.loads(text))
         return tuple(_parse_int(part) for part in text.split(","))
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, RecursionError) as exc:
         raise argparse.ArgumentTypeError(f"malformed weight {text!r}: {exc}") from exc
 
 
@@ -85,7 +85,7 @@ def _parse_prime(text: str) -> int:
 def _parse_json(text: str) -> dict:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise argparse.ArgumentTypeError(f"malformed JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise argparse.ArgumentTypeError("expected a JSON object")
@@ -208,10 +208,7 @@ def _cmd_char_tensor(parser, ctx, args):
     factors += [gk.class_to_char(ctx.rs, _load(ctx, gk.KElement, d)) for d in args.kclass]
     if not factors:
         parser.error("char tensor needs at least one --weight, --char, or --class")
-    out = Character({(0,) * ctx.rs.rank: 1})
-    for f in factors:
-        out = tensor(out, f)
-    return _render_char(out)
+    return _render_char(reduce(tensor, factors))
 
 
 def _cmd_char_twist(parser, ctx, args):

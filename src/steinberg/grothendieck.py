@@ -15,14 +15,12 @@ closed-alcove normal forms.  No operation enumerates the Weyl group.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import add, mul
 
 from .characters import (
     Character,
     _add_into,
     _Sparse,
-    _unformed_pair,
     _weyl_dimension,
     contract_weights,
     require_w_invariant,
@@ -36,7 +34,6 @@ from .rootdata import (
     _dot_quotient,
     _strict_int,
     _to_dominant,
-    descend_orbit,
     dot_multiply,
     is_dominant,
     require_dominant,
@@ -104,25 +101,6 @@ def _straighten(rs: RootSystem, items) -> KElement:
         else:
             del out[nu]
     return KElement._raw(out)
-
-
-# Steinberg multiplicities are read by |W| lookups when the input has at
-# least this many terms per element of W.  On the rank-2 workload's calls,
-# section 3 of tools/calibrate.py times every threshold from 0 to 4 alike.
-_TERMS_PER_ELEMENT = 4
-
-
-@lru_cache(maxsize=64)
-def _weyl_denominator(rs: RootSystem) -> Character:
-    """Weyl's denominator prod over alpha > 0 of (1 - e^-alpha), as a character.
-
-    By the denominator formula it equals sum_w sgn(w) * e^(w rho - rho): one
-    term per element of W, since rho is regular, with the sign of the
-    orbit walk (``descend_orbit``).  The value is not W-invariant, so it
-    carries no tag.
-    """
-    walk = descend_orbit(rs, rs.rho)
-    return Character._raw({tuple(x - 1 for x in w): sign for w, sign in walk})
 
 
 def char_to_class(rs: RootSystem, chi: Character) -> KElement:
@@ -268,28 +246,33 @@ def steinberg_inverse(rs: RootSystem, element: KElement, p: int,
     return KElement._raw(out)
 
 
+def _contract_class(rs: RootSystem, chi: Character, p: int) -> KElement:
+    """Brauer's formula (``_straighten``) on the weights of chi contracted by p.
+
+    Straightened once per (rs, p) and kept in chi's ``_memo`` slot (see
+    ``Character``), so later calls on the same value read it back.
+    """
+    memo = chi._memo
+    if memo is None:
+        memo = chi._memo = {}
+    element = memo.get((rs, p))
+    if element is None:
+        element = memo[rs, p] = _straighten(rs, contract_weights(chi, p).items())
+    return element
+
+
 def steinberg_delta_multiplicity(rs: RootSystem, chi: Character, lam, p: int) -> int:
     """Multiplicity of the Weyl class at p . lam inside St tensor (chi-module).
 
     Equals sum_w (-1)^len(w) * chi(p * (w . lam)), the coefficient at lam of
-    :func:`frobenius_contract_class`; the product character is never formed.
-    When chi has at least ``_TERMS_PER_ELEMENT`` terms per element of W,
-    that is the coefficient at lam of (contracted chi) * D: sum over the |W|
-    terms delta of D of D(delta) * chi(p * (lam - delta)).  Otherwise the
-    contracted weights are straightened.  A product of rank above
-    ``_DENSE_RANK`` that ``tensor`` handed out over a pair and that no
-    reader has formed yet is always straightened, as ``contract_weights``
-    contracts it without forming it; so its terms are never counted to
-    choose the route.
+    :func:`frobenius_contract_class`, read from the contraction class that
+    the value keeps per (rs, p) (``_contract_class``); the product
+    character is never formed.
     """
     lam = require_dominant(rs, lam)
     require_p(p, "multiplicity")
     require_w_invariant(rs, chi)
-    if _unformed_pair(chi) is None and _TERMS_PER_ELEMENT * rs.weyl_order <= len(chi):
-        get = chi._terms.get
-        return sum(m * get(tuple([p * (x - d) for x, d in zip(lam, delta)]), 0)
-                   for delta, m in _weyl_denominator(rs).items())
-    return _straighten(rs, contract_weights(chi, p).items()).coeff(lam)
+    return _contract_class(rs, chi, p).coeff(lam)
 
 
 def frobenius_contract_class(rs: RootSystem, chi: Character, p: int) -> KElement:
@@ -297,15 +280,16 @@ def frobenius_contract_class(rs: RootSystem, chi: Character, p: int) -> KElement
 
     The coefficient at lam is the Steinberg multiplicity of the Weyl class
     at p . lam in St tensor the module, sum_w (-1)^len(w) * chi(p * (w . lam)):
-    Brauer's formula (``_straighten``) on the weights of chi contracted by p.
-    At the character level the result contracts the weights of chi by p
-    (``contract_weights``, which contracts a product of rank above
-    ``_DENSE_RANK`` that no reader has formed yet by residue classes mod p
-    over the pair it holds, without forming it).
+    Brauer's formula (``_straighten``) on the weights of chi contracted by p,
+    kept on the value per (rs, p) (``_contract_class``).  At the character
+    level the result contracts the weights of chi by p (``contract_weights``,
+    which contracts a product of rank above ``_DENSE_RANK`` that no reader
+    has formed yet by residue classes mod p over the pair it holds, without
+    forming it).
     """
     require_p(p, "contraction")
     require_w_invariant(rs, chi)
-    return _straighten(rs, contract_weights(chi, p).items())
+    return _contract_class(rs, chi, p)
 
 
 def pr_block(rs: RootSystem, element: KElement, nu, p: int,

@@ -7,16 +7,17 @@ function based character formula, a tuple-keyed convolution, a contraction
 that tests every weight for divisibility by p, a slot integer
 read one shifted field at a time, the whole Weyl group listed by
 breadth-first closure (the only place anything lists it), alternating sums
-and a linkage test over that list, a plain dominance walk (first negative
-coordinate, whole-weight reflections) behind the dominant and dot-dominant
-representatives, a W-invariance test that counts whole orbits, linear
-orbits by breadth-first search, positive roots by closing the simple
-roots under reflections, root-datum construction over the rationals,
-brute-force affine orbit enumeration in a box, an alcove walk that checks
-every wall, one that checks only the highest coroot's wall and never
-translates, closed-form rank-one facts, and the principal specialization
-against Weyl's q-dimension.  None of them calls the library's dominance
-kernel.
+and a linkage test over that list, Steinberg multiplicities by |W| lookups
+in Weyl's denominator taken as a product over the positive roots, a plain
+dominance walk (first negative coordinate, whole-weight reflections)
+behind the dominant and dot-dominant representatives, a W-invariance
+test that counts whole orbits, linear orbits by breadth-first search,
+positive roots by closing the simple roots under reflections, root-datum
+construction over the rationals, brute-force affine orbit enumeration in
+a box, an alcove walk that checks every wall, one that checks only the
+highest coroot's wall and never translates, closed-form rank-one facts,
+and the principal specialization against Weyl's q-dimension.  None of
+them calls the library's dominance kernel.
 """
 
 from __future__ import annotations
@@ -391,6 +392,22 @@ def alternating_coefficient(group, chi, lam, mu=None, p=1) -> int:
         if m:
             total += sign * m
     return total
+
+
+def denominator_coefficient(rs, chi, lam, p) -> int:
+    """The Steinberg multiplicity of Delta(p . lam) in St tensor chi, by Weyl's denominator.
+
+    D = prod over alpha > 0 of (1 - e^-alpha), by tuple convolution, equals
+    sum_w sgn(w) * e^(w rho - rho); so sum over the |W| terms delta of D of
+    D(delta) * chi(p * (lam - delta)) is the alternating sum
+    sum_w sgn(w) * chi(p * (w . lam)) for W-invariant chi.
+    """
+    zero = (0,) * rs.rank
+    d = {zero: 1}
+    for root in rs.positive_fund:
+        d = convolve_naive(d, {zero: 1, tuple(-x for x in root): -1})
+    return sum(m * chi.mult(tuple(p * (x - y) for x, y in zip(lam, delta)))
+               for delta, m in d.items())
 
 
 def alternating_expansion(rs, group, chi, mu=None, p=1) -> dict:

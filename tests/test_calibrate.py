@@ -1,7 +1,7 @@
 """The calibration script in tools/calibrate.py, on tiny fixed inputs.
 
 The script reaches private names of the library (its dispatch constants,
-``_convolve``, ``_kronecker``, ``_straighten`` and the cache's uncached
+``_convolve``, ``_kronecker``, ``_weyl_formula`` and the cache's uncached
 computation), so these tests are what keeps it running as the library
 changes.
 """
@@ -16,8 +16,6 @@ from steinberg import (
     build_root_system,
     characters,
     contract_weights,
-    grothendieck,
-    tensor,
     weyl_character,
 )
 
@@ -27,7 +25,6 @@ RULE_CONSTANTS = {
     "_DECODE_COST": characters,
     "_DENSE_RANK": characters,
     "_WEYL_CACHE_TERMS": characters,
-    "_TERMS_PER_ELEMENT": grothendieck,
 }
 
 
@@ -78,20 +75,6 @@ def test_kernel_tables(calibrate):
     assert [row[:2] for row in sweep.rows] == [[1, 1]]
     assert names(table, "_PAIR_COST", "_DECODE_COST")
     assert names(sweep, "_PAIR_COST", "_DECODE_COST")
-
-
-def test_stmult_table(calibrate):
-    a2, a3 = build_root_system("A", 2), build_root_system("A", 3)
-    small, large = weyl_character(a2, (1, 0)), weyl_character(a2, (4, 4))
-    # A3's 4 (x) 4* = 15 + 1 has 13 weights, 0.54 per element of W: the rule straightens.
-    product = tensor(weyl_character(a3, (1, 0, 0)), weyl_character(a3, (0, 0, 1)))
-    assert (len(product), a3.weyl_order) == (13, 24)
-    table = calibrate.stmult_routes({1: [(a2, small, (0, 0), 2), (a2, large, (1, 1), 3),
-                                         (a3, product, (0, 0, 0), 2)]})
-    assert table.columns == ["seed", "calls", "rule: straighten", "lookups ms", "straighten ms",
-                             "rule ms", "straighten faster", "at t/e"]
-    assert table.rows[0][:3] == [1, 3, 2]
-    assert names(table, "_TERMS_PER_ELEMENT")
 
 
 def test_weyl_tables(calibrate):
@@ -162,7 +145,6 @@ def test_traffic_replays_a_workload_round(calibrate):
         for p in (2, 3):
             assert contract_weights(chi, p) == contract_weights(expected, p)
         assert not chi._formed()
-    assert not log.stmult
     requests = calibrate.weyl_requests(log.cache)
     assert len(requests) == len(set(requests)) == 14
 

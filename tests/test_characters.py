@@ -578,13 +578,16 @@ def test_products_asked_for_by_several_threads_keep_the_cache_consistent():
     # never looked up, so each request makes two lookups.  Every product
     # comes unformed.  An A3 product's contractions at p = 2 and 3 read the
     # residue classes that the threads memoize on the shared A3 characters
-    # at once, and an A2 product's form it.
+    # at once, and an A2 product's form it.  The contraction classes of the
+    # shared characters are memoized on them at once too.
     keys = [(A3, (1, 0, 0)), (A3, (0, 1, 0)), (A3, (0, 0, 1)), (A2, (1, 1)), (A2, (2, 0))]
     pairs = [(k, m) for k in keys for m in keys if k[0] is m[0]]
     expected = {pair: tensor(*(weyl_character.__wrapped__(*key) for key in pair))
                 for pair in pairs}
     contracted = {(pair, p): contract_weights(chi, p) for pair, chi in expected.items()
                   for p in (2, 3)}
+    classes = {(key, p): frobenius_contract_class(key[0], weyl_character.__wrapped__(*key), p)
+               for key in keys for p in (2, 3)}
     rounds, errors = 200, []
 
     def work(seed):
@@ -592,10 +595,14 @@ def test_products_asked_for_by_several_threads_keep_the_cache_consistent():
         try:
             for _ in range(rounds):
                 pair = rng.choice(pairs)
-                chi = tensor(*(weyl_character(*key) for key in pair))
+                factors = [weyl_character(*key) for key in pair]
+                chi = tensor(*factors)
                 p = rng.choice((2, 3))
                 if chi._formed() or contract_weights(chi, p) != contracted[pair, p]:
                     errors.append((pair, p))
+                key = pair[0]
+                if frobenius_contract_class(key[0], factors[0], p) != classes[key, p]:
+                    errors.append((key, p))
                 if chi != expected[pair]:
                     errors.append(pair)
         except Exception as exc:  # reported below, from the test's thread

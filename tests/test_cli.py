@@ -284,6 +284,18 @@ def test_json_payloads_must_be_objects():
             f"steinberg {argv[0]} {argv[1]}: error: argument --{option}: expected a JSON object"
 
 
+def test_deeply_nested_json_exits_2():
+    # json.loads raises RecursionError on nesting past the interpreter's
+    # depth; each option that reads JSON reports it as malformed input.
+    deep = "[" * 100000
+    for option, noun in (("--char", "JSON"), ("--class", "JSON"), ("--weight", "weight")):
+        code, out, err = invoke(["char", "tensor", "--type", "A", "--rank", "2", option, deep])
+        assert (code, out) == (2, ""), option
+        assert "Traceback" not in err, option
+        assert err.splitlines()[-1].startswith(
+            f"steinberg char tensor: error: argument {option}: malformed {noun}"), option
+
+
 def test_json_weight_entries_must_be_integers(capsys):
     # Usage errors reach the caller's err stream, and nothing leaks to the process's.
     for rank, text in ((2, "[1.5,0]"), (1, "[1e0]"), (1, "[true]"), (2, "1_0,0"), (2, " 1,0")):

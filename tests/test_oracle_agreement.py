@@ -5,29 +5,31 @@ closed-alcove normal forms, checks W-invariance by simple reflections and
 convolves on packed integer keys.  The oracles sum over, or search, the
 whole Weyl group, which only ``oracles.weyl_group`` lists, count whole
 orbits, or convolve on tuple keys, instead.  Class expansions by
-straightening are checked against peeling, Steinberg multiplicities read by
-|W| lookups in the Weyl denominator against straightening and peeling, and
-the denominator against the product of 1 - e^-alpha over the positive
-roots.  Cached products of Weyl characters, which ``char_to_class`` expands
-over their factors, are checked against the same routes on copies without
-factors, and their contractions by residue classes against testing every
-weight for divisibility.  Weyl characters from Weyl's character formula
-are checked against the partition-function formula, Freudenthal's
-recursion and the principal specialization, with the route each input
-takes.  The last
-tests check that the package defines no enumeration API, and that every
-name the benchmark looks up in it resolves.
+straightening are checked against peeling, and Steinberg multiplicities,
+read from the contraction class that each value keeps per root system and
+prime, against straightening, peeling and |W| lookups in Weyl's
+denominator.  Cached products of Weyl characters, which ``char_to_class``
+expands over their factors, are checked against the same routes on
+copies without factors, and their contractions by residue classes against
+testing every weight for divisibility.  Weyl characters from Weyl's
+character formula are checked against the partition-function formula,
+Freudenthal's recursion and the principal specialization, with the route
+each input takes.  The last tests check that the package defines no
+enumeration API, and that every name the benchmark looks up in it
+resolves.
 """
 
 import array
 import ast
 import collections
+import copy
 import importlib
 import io
 import itertools
 import json
 import math
 import operator
+import pickle
 import pkgutil
 import random
 import struct
@@ -96,6 +98,20 @@ def _unfactored(chi):
     ``char_to_class`` straightens such a copy term by term.
     """
     return Character._raw(dict(chi.items()), chi._invariant_for)
+
+
+@pytest.fixture
+def straightened(monkeypatch):
+    """The root system of each ``grothendieck._straighten`` call the test makes, in order."""
+    calls = []
+    real = grothendieck._straighten
+
+    def spy(rs, items):
+        calls.append(rs)
+        return real(rs, items)
+
+    monkeypatch.setattr(grothendieck, "_straighten", spy)
+    return calls
 
 
 def _linked_image(rng, rs, group, lam, p):
@@ -588,20 +604,6 @@ def test_sparse_boxes_take_the_pair_loop_and_keep_tags(monkeypatch):
 SMALL_TYPES = [key for key in TYPES if key[1] <= 3]
 
 
-@pytest.mark.parametrize("series,rank", SMALL_TYPES)
-def test_weyl_denominator_is_the_product_over_positive_roots(series, rank):
-    rs = build_root_system(series, rank)
-    zero = (0,) * rank
-    expected = Character({zero: 1})
-    for f in rs.positive_fund:
-        factor = Character({zero: 1, tuple(-x for x in f): -1})
-        expected = Character(oracles.convolve_naive(expected, factor))
-    d = grothendieck._weyl_denominator(rs)
-    assert d == expected
-    assert len(d) == oracles.weyl_order_formula(series, rank)
-    assert d._invariant_for is None
-
-
 def _class_inputs(rs):
     """W-invariant characters of every kind the class routes meet, by name."""
     rank = rs.rank
@@ -638,10 +640,12 @@ def _class_inputs(rs):
 
 
 @pytest.mark.parametrize("series,rank", SMALL_TYPES)
-def test_denominator_route_matches_straightening_and_peeling(series, rank, monkeypatch):
+def test_denominator_route_matches_straightening_and_peeling(series, rank, straightened):
     # Class expansions of every kind of input agree with peeling; Steinberg
-    # multiplicities read by |W| lookups in the Weyl denominator agree with
-    # straightening and peeling of the contracted weights.
+    # multiplicities agree with |W| lookups in the Weyl denominator
+    # (oracles.denominator_coefficient) and with straightening and peeling
+    # of the contracted weights, and read the class that
+    # frobenius_contract_class kept without straightening again.
     rs = build_root_system(series, rank)
     zero = (0,) * rank
     inputs = _class_inputs(rs)
@@ -651,23 +655,26 @@ def test_denominator_route_matches_straightening_and_peeling(series, rank, monke
         assert char_to_class_by_peeling(rs, chi) == expected[name], name
         assert char_to_class(rs, chi) == expected[name], name
     assert expected["signed"].coeff(zero) < 0
-    monkeypatch.setattr(grothendieck, "_TERMS_PER_ELEMENT", 0)
     chi = inputs["steinberg product"]
     for p in (2, 3):
         weights = contract_weights(chi, p)
         contracted = grothendieck._straighten(rs, weights.items())
         assert frobenius_contract_class(rs, chi, p) == contracted
         assert char_to_class_by_peeling(rs, weights) == contracted
+        del straightened[:]
         lams = set(contracted.support()) | {zero, (1,) * rank, (5,) * rank}
         for lam in lams:
-            assert steinberg_delta_multiplicity(rs, chi, lam, p) == contracted.coeff(lam), lam
+            assert steinberg_delta_multiplicity(rs, chi, lam, p) == contracted.coeff(lam) == (
+                oracles.denominator_coefficient(rs, chi, lam, p)), lam
+        assert straightened == []
 
 
 @pytest.mark.parametrize("series", ["A", "B", "G"])
-def test_rank_two_steinberg_products_take_the_denominator_route(series, monkeypatch):
-    # St (x) Delta(1, 1) at p = 5, 7 has far more than 4 terms per element
-    # of W, so its Steinberg multiplicities are |W| lookups in the Weyl
-    # denominator, which never straighten.
+def test_rank_two_steinberg_products_take_the_denominator_route(series, straightened):
+    # St (x) Delta(1, 1) at p = 5, 7: its Steinberg multiplicities equal |W|
+    # lookups in the Weyl denominator (oracles.denominator_coefficient) and
+    # the coefficients of its straightened contraction, which is straightened
+    # once per p, on the first multiplicity read.
     rs = build_root_system(series, 2)
     chis = [_unfactored(tensor(steinberg_character(rs, p), weyl_character(rs, (1, 1))))
             for p in (5, 7)]
@@ -675,11 +682,12 @@ def test_rank_two_steinberg_products_take_the_denominator_route(series, monkeypa
         assert char_to_class(rs, chi) == char_to_class_by_peeling(rs, chi)
     contracted = [grothendieck._straighten(rs, contract_weights(chi, p).items())
                   for chi, p in zip(chis, (5, 7))]
-    # From here on no route may straighten term by term.
-    monkeypatch.setattr(grothendieck, "_straighten", None)
+    del straightened[:]
     for chi, p, expected in zip(chis, (5, 7), contracted):
         for lam in set(expected.support()) | {(0, 0), (2, 2)}:
-            assert steinberg_delta_multiplicity(rs, chi, lam, p) == expected.coeff(lam)
+            assert steinberg_delta_multiplicity(rs, chi, lam, p) == expected.coeff(lam) == (
+                oracles.denominator_coefficient(rs, chi, lam, p))
+    assert straightened == [rs, rs]
 
 
 def _small_weights() -> dict:
@@ -1068,49 +1076,61 @@ def test_residue_class_contraction_matches_the_formed_product():
     assert [branch for branch in branches if not reached[branch]] == []
 
 
-def test_steinberg_multiplicities_switch_at_their_density(monkeypatch):
-    # On A2 (|W| = 6), Delta(3, 3) has 37 terms (6.2 per element of W) and
-    # Delta(1, 1) 7 (1.2).  Steinberg multiplicities read |W| lookups from
-    # 4 terms per element, so only Delta(1, 1) is straightened.
-    rs = build_root_system("A", 2)
-    assert grothendieck._TERMS_PER_ELEMENT == 4
-    straightened = []
-    real = grothendieck._straighten
-
-    def spy(rs, items):
-        straightened.append(rs)
-        return real(rs, items)
-
-    monkeypatch.setattr(grothendieck, "_straighten", spy)
-    for lam, lookups in (((3, 3), True), ((1, 1), False)):
-        chi = weyl_character(rs, lam)
+def test_contraction_classes_are_kept_per_value_root_system_and_prime(straightened):
+    # A value keeps its contraction class per (rs, p): the first read
+    # straightens it, and every later one, through either public function,
+    # straightens nothing.  The trivial character is W-invariant on A2 and
+    # on G2 alike, so one value holds a class per type and prime.  Pickling
+    # and copying drop the classes, and an unformed product above rank 2
+    # stays unformed through both functions.
+    a2, g2 = build_root_system("A", 2), build_root_system("G", 2)
+    for lam in ((3, 3), (1, 1)):
+        chi = _unfactored(weyl_character(a2, lam))
+        expected = grothendieck._straighten(a2, contract_weights(chi, 2).items())
         del straightened[:]
-        assert steinberg_delta_multiplicity(rs, chi, (0, 0), 2) == (
-            real(rs, contract_weights(chi, 2).items()).coeff((0, 0)))
-        assert bool(straightened) is not lookups
+        for _ in range(2):
+            assert steinberg_delta_multiplicity(a2, chi, (0, 0), 2) == expected.coeff((0, 0))
+            assert frobenius_contract_class(a2, chi, 2) == expected
+        assert straightened == [a2]
+
+    trivial = Character({(0, 0): 1})
+    del straightened[:]
+    for rs in (a2, g2):
+        for p in (2, 3):
+            for _ in range(2):
+                assert steinberg_delta_multiplicity(rs, trivial, (0, 0), p) == 1
+                assert frobenius_contract_class(rs, trivial, p) == KElement({(0, 0): 1})
+    assert straightened == [a2, a2, g2, g2]
+    for clone in (pickle.loads(pickle.dumps(trivial)), copy.copy(trivial)):
+        assert clone == trivial
+        del straightened[:]
+        assert frobenius_contract_class(g2, clone, 3) == KElement({(0, 0): 1})
+        assert straightened == [g2]
+
+    a3 = build_root_system("A", 3)
+    factors = weyl_character(a3, (1, 0, 0)), weyl_character(a3, (0, 0, 1))
+    chi = tensor(*factors)
+    formed = Character(oracles.convolve_naive(*factors))
+    for p in (2, 3):
+        expected = frobenius_contract_class(a3, formed, p)
+        assert frobenius_contract_class(a3, chi, p) == expected
+        assert steinberg_delta_multiplicity(a3, chi, (0, 0, 0), p) == expected.coeff((0, 0, 0))
+    assert not chi._formed()
 
 
-def test_steinberg_multiplicity_routes_agree_on_random_invariant_inputs(monkeypatch):
+def test_steinberg_multiplicity_routes_agree_on_random_invariant_inputs(straightened):
     # Random W-invariant characters on the 22 types: Weyl characters,
     # products of cached ones, Frobenius twists and signed sums, whose
-    # dimensions stay within 3000.  steinberg_delta_multiplicity, forced onto
-    # |W| lookups (_TERMS_PER_ELEMENT = 0) and onto straightening (10**9),
-    # must give the coefficient of frobenius_contract_class, which must
-    # equal peeling of the contracted weights, at two weights of its support
-    # and at one drawn weight.
+    # dimensions stay within 3000.  steinberg_delta_multiplicity must give
+    # the coefficient of frobenius_contract_class, which must equal peeling
+    # of the contracted weights, at two weights of its support and at one
+    # drawn weight, and read it from the class that call kept, without
+    # straightening again.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     budget = 3000
     weights = {rs: [w for w in small if characters._weyl_dimension(rs, w) <= budget]
                for rs, small in _small_weights().items()}
-    straightened = []
-    real = grothendieck._straighten
-
-    def spy(rs, items):
-        straightened.append(rs)
-        return real(rs, items)
-
-    monkeypatch.setattr(grothendieck, "_straighten", spy)
     reached = collections.Counter()
 
     @st.composite
@@ -1138,27 +1158,22 @@ def test_steinberg_multiplicity_routes_agree_on_random_invariant_inputs(monkeypa
         contracted = frobenius_contract_class(rs, chi, p)
         assert char_to_class_by_peeling(rs, contract_weights(chi, p)) == contracted
         reached[kind] += 1
-        # A product above rank 2 comes unformed and is always straightened,
-        # whatever the threshold, and stays unformed.
+        # A product above rank 2 comes unformed and stays unformed.
         unformed = not chi._formed() and rs.rank > characters._DENSE_RANK
+        del straightened[:]
         for lam in sorted(contracted.support())[:2] + [drawn]:
             reached["nonzero" if contracted.coeff(lam) else "zero"] += 1
-            for forced, route in ((0, "lookups"), (10**9, "straightening")):
-                monkeypatch.setattr(grothendieck, "_TERMS_PER_ELEMENT", forced)
-                del straightened[:]
-                assert steinberg_delta_multiplicity(rs, chi, lam, p) == contracted.coeff(lam), (
-                    route, lam)
-                if unformed:
-                    route = "unformed product: straightening"
-                    assert not chi._formed()
-                assert bool(straightened) is (route != "lookups")
-                reached[route] += 1
+            assert steinberg_delta_multiplicity(rs, chi, lam, p) == contracted.coeff(lam), lam
+        assert straightened == []
+        if unformed:
+            assert not chi._formed()
+            reached["unformed product"] += 1
 
     check()
     print("\nSteinberg multiplicity branches reached: " + ", ".join(
         f"{branch} {n}" for branch, n in sorted(reached.items())))
-    branches = ["Weyl character", "product", "twist", "signed sum", "nonzero", "zero", "lookups",
-                "straightening", "unformed product: straightening"]
+    branches = ["Weyl character", "product", "twist", "signed sum", "nonzero", "zero",
+                "unformed product"]
     assert [branch for branch in branches if not reached[branch]] == []
 
 
@@ -1168,21 +1183,23 @@ def test_steinberg_multiplicity_routes_agree_on_random_invariant_inputs(monkeypa
     ("B", 5, [(0, 4), (4, 4)]),
     ("E", 6, [(0, 5)]),
 ])
-def test_large_groups_keep_straightening(series, rank, pairs, monkeypatch):
-    # Products of two small fundamental characters have far fewer than
-    # 4 * |W| weights, so no class route builds the Weyl denominator.
-    def refuse(rs):
-        raise AssertionError(f"the Weyl denominator of {rs!r} was used")
-
-    monkeypatch.setattr(grothendieck, "_weyl_denominator", refuse)
+def test_large_groups_keep_straightening(series, rank, pairs, straightened):
+    # Products of two small fundamental characters: each contraction class
+    # is straightened once per p, agrees with peeling of the contracted
+    # weights, and gives the Steinberg multiplicity at 0 without
+    # straightening again.
     rs = build_root_system(series, rank)
+    zero = (0,) * rank
     for i, j in pairs:
         chi = tensor(weyl_character(rs, _fundamental(rs, i)), weyl_character(rs, _fundamental(rs, j)))
         expected = grothendieck._straighten(rs, chi.items())
         assert char_to_class(rs, chi) == char_to_class(rs, _unfactored(chi)) == expected
         for p in (2, 3):
-            frobenius_contract_class(rs, chi, p)
-            steinberg_delta_multiplicity(rs, chi, (0,) * rank, p)
+            del straightened[:]
+            contracted = frobenius_contract_class(rs, chi, p)
+            assert steinberg_delta_multiplicity(rs, chi, zero, p) == contracted.coeff(zero)
+            assert straightened == [rs]
+            assert char_to_class_by_peeling(rs, contract_weights(chi, p)) == contracted
 
 
 RANK_AT_MOST_TWO = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2)]
@@ -1579,14 +1596,14 @@ COXETER_NUMBERS = {"A": lambda n: n + 1, "B": lambda n: 2 * n, "C": lambda n: 2 
 
 def test_root_tables_are_built_once_with_the_type():
     # The root datum's derived tables are fields of RootSystem, so the only
-    # caches in the package are the root-system builder, the Weyl
-    # denominator and the Weyl characters.
+    # caches in the package are the root-system builder and the Weyl
+    # characters.
     cached = {id(v): v for module in (steinberg, *(
         importlib.import_module(f"steinberg.{info.name}")
         for info in pkgutil.iter_modules(steinberg.__path__)))
         for v in vars(module).values() if callable(v) and hasattr(v, "cache_info")}
     assert sorted(v.__name__ for v in cached.values()) == [
-        "_build_root_system", "_weyl_denominator", "weyl_character"]
+        "_build_root_system", "weyl_character"]
 
     for series, rank in TYPES:
         rs = build_root_system(series, rank)

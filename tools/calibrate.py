@@ -9,16 +9,15 @@ derives:
 1. the Kronecker kernel against the pair loop in ``characters._convolve``
    (``_PAIR_COST``, ``_DECODE_COST``): every ``_convolve`` call of one
    round of each library workload, forced both ways, and a random sweep;
-3. Steinberg multiplicities by |W| lookups against contraction and
-   straightening (``_TERMS_PER_ELEMENT``), on the workload's calls;
 4. Weyl's character formula against Freudenthal's recursion
    (``_DENSE_RANK``), and what each costs per term to compute again;
 5. the ``weyl_character`` cache (``_WEYL_CACHE_TERMS`` and its doorkeeper)
    against plain LRU caches, replayed on each workload's lookups of Weyl
    characters, the only values the cache holds.
 
-There is no section 2: its table set no constant.  The other sections
-keep their numbers, by which the project's notes cite them.
+There are no sections 2 or 3: no dispatch rule is left for them to time.
+The other sections keep their numbers, by which the project's notes cite
+them.
 
 The workloads' traffic is replayed from ``bench/workloads.py`` (imported,
 never changed), as ``bench/worker.py`` runs a round: set-up and warm-up,
@@ -59,7 +58,6 @@ CONSTANTS = (
     (characters, "_DECODE_COST"),
     (characters, "_DENSE_RANK"),
     (characters, "_WEYL_CACHE_TERMS"),
-    (grothendieck, "_TERMS_PER_ELEMENT"),
 )
 
 Table = namedtuple("Table", "title columns rows notes")
@@ -165,7 +163,7 @@ def _type(rs) -> str:
 
 # Traffic: one round of a library workload, as the benchmark's worker runs it.
 
-Traffic = namedtuple("Traffic", "convolve klimyk cache stmult misses")
+Traffic = namedtuple("Traffic", "convolve klimyk cache misses")
 
 # A lookup in the ``weyl_character`` cache: its key, the Weyl character at
 # highest over rs.
@@ -177,16 +175,15 @@ def traffic(workload: str, seed: int) -> Traffic:
 
     Records every ``_convolve`` call (a, b), every ``char_to_class`` call
     (rs, chi, formed) on a product that holds the pair ``tensor`` was given
-    (``klimyk``; formed is whether its terms were formed at the call),
-    every lookup in the ``weyl_character`` cache (a ``Lookup``) and every
-    ``steinberg_delta_multiplicity`` call (rs, chi, lam, p) of set-up and
-    of the operations, not of their checks; ``misses`` is the cache's own
-    count at the end.
+    (``klimyk``; formed is whether its terms were formed at the call) and
+    every lookup in the ``weyl_character`` cache (a ``Lookup``) of set-up
+    and of the operations, not of their checks; ``misses`` is the cache's
+    own count at the end.
     """
-    log = Traffic([], [], [], [], None)
+    log = Traffic([], [], [], None)
     weyl = S.weyl_character
     convolve = characters._convolve
-    cached, stmult = characters._cached, grothendieck.steinberg_delta_multiplicity
+    cached = characters._cached
     to_class = grothendieck.char_to_class
 
     def convolve_spy(a, b):
@@ -202,12 +199,7 @@ def traffic(workload: str, seed: int) -> Traffic:
         log.cache.append(Lookup(rs, highest))
         return cached(rs, highest)
 
-    def stmult_spy(rs, chi, lam, p):
-        log.stmult.append((rs, chi, lam, p))
-        return stmult(rs, chi, lam, p)
-
-    spies = ((convolve, convolve_spy), (to_class, to_class_spy), (cached, cached_spy),
-             (stmult, stmult_spy))
+    spies = ((convolve, convolve_spy), (to_class, to_class_spy), (cached, cached_spy))
 
     @contextmanager
     def recording():
@@ -366,48 +358,6 @@ def kernel_sweep(ranks=range(1, 7), sizes=(1, 4, 16, 64), nb=256, steps=32) -> T
         rows,
         ["B/term: slot bytes of the product's box per term of b; '-': no crossing in the sweep",
          "rule allows: _PAIR_COST * |a| / (|a| + _DECODE_COST) B/term"])
-
-
-# 3. Steinberg multiplicities: |W| lookups against contraction and straightening.
-
-def stmult_routes(calls_by_seed: dict) -> Table:
-    """Section 3: ``steinberg_delta_multiplicity`` calls of each seed, under each route.
-
-    Forcing sets ``_TERMS_PER_ELEMENT`` to 0 (lookups) or 10**9
-    (straightening).  The three totals are the best of 31 loops over the
-    seed's calls each; the last two columns compare the routes call by call.
-    """
-    fn = grothendieck.steinberg_delta_multiplicity
-    rows = []
-    for seed, calls in calls_by_seed.items():
-
-        def loop():
-            for rs, chi, lam, p in calls:
-                fn(rs, chi, lam, p)
-
-        # The three settings take turns, so a slow spell of the machine
-        # falls on all of them.
-        settings = (0, 10**9, grothendieck._TERMS_PER_ELEMENT)
-        totals = [math.inf] * len(settings)
-        for _ in range(31):
-            for i, forced in enumerate(settings):
-                with patched(grothendieck, _TERMS_PER_ELEMENT=forced):
-                    totals[i] = min(totals[i], best(loop, repeat=1))
-        faster = []
-        for rs, chi, lam, p in calls:
-            with patched(grothendieck, _TERMS_PER_ELEMENT=0):
-                lookup = best(lambda: fn(rs, chi, lam, p))
-            with patched(grothendieck, _TERMS_PER_ELEMENT=10**9):
-                if best(lambda: fn(rs, chi, lam, p)) < lookup:
-                    faster.append(len(chi) / rs.weyl_order)
-        sent = sum(_calls(grothendieck, "_straighten", fn, *call) for call in calls)
-        rows.append([seed, len(calls), sent, *map(_ms, totals), len(faster), _span(faster)])
-    return Table(
-        "3. Steinberg multiplicities on rank2-steinberg: |W| lookups against straightening",
-        ["seed", "calls", "rule: straighten", "lookups ms", "straighten ms", "rule ms",
-         "straighten faster", "at t/e"],
-        rows,
-        ["the rule takes lookups when t/e >= _TERMS_PER_ELEMENT"])
 
 
 # 4. Weyl's formula against Freudenthal's recursion.
@@ -581,17 +531,16 @@ def main(argv) -> int:
         return 2
     start = perf_counter()
     print(header())
-    rank2 = {seed: traffic("rank2-steinberg", seed) for seed in (1, 2, 3)}
+    rank2 = traffic("rank2-steinberg", 1)
     highrank = traffic("highrank-classes", 1)
-    seed1 = {"rank2-steinberg": rank2[1], "highrank-classes": highrank}
+    seed1 = {"rank2-steinberg": rank2, "highrank-classes": highrank}
     print(render(kernel_traffic({w: t.convolve for w, t in seed1.items()})))
     print(render(kernel_sweep()))
-    print(render(stmult_routes({seed: t.stmult for seed, t in rank2.items()})))
     print(render(weyl_routes(_inputs(WEYL_INPUTS))))
     # The formula on the 12 largest characters of the rank-2 round (targets
     # Delta(p . lam) of the twist identity), the recursion on every nonzero
     # weight of the high-rank round.
-    largest = sorted(weyl_requests(rank2[1].cache), key=lambda k: -len(S.weyl_character(*k)))
+    largest = sorted(weyl_requests(rank2.cache), key=lambda k: -len(S.weyl_character(*k)))
     recursion = [(rs, highest) for rs, highest in weyl_requests(highrank.cache) if any(highest)]
     print(render(recompute_cost(largest[:12], recursion)))
     print(render(cache_replay({w: weyl_trace(t.cache) for w, t in seed1.items()},
