@@ -201,38 +201,35 @@ class Character(_Sparse):
     The private slot ``_invariant_for`` is a root system the value is known
     to be W-invariant for, or None.  Weyl characters set it, and sums,
     scalings, products, twists and contractions over one root system keep
-    it; the public constructor and ``from_dict`` never set it.  Equality,
-    repr and JSON ignore it; ``require_w_invariant`` trusts it.
+    it; the public constructor and ``from_dict`` leave it None, and
+    ``require_w_invariant`` sets it on such a value once its scan passes.
+    Equality, repr and JSON ignore it; ``require_w_invariant`` trusts it.
 
-    The private slot ``_factors`` is set only on Weyl characters that the
-    ``weyl_character`` cache hands out and on their products: the sorted
-    highest weights whose Weyl characters, over the tagged root system,
-    multiply to the value.  ``weyl_character`` sets (lam,) and ``tensor``
-    of two such values the union of theirs; every other value has None.
-    ``tensor`` hands out the product of two such values over the pair it
-    was given, unformed (``_pending``).
+    The private slot ``_highest`` is set only on the Weyl characters that
+    the ``weyl_character`` cache hands out, to their highest weight; every
+    other value has None.
 
-    The private slot ``_pending`` holds one of two things, or None:
+    The private slot ``_pending`` holds what the terms are formed from
+    while they are not, or None once they are:
 
-    - the pair (a, b) of a product of two values that carry ``_factors``,
-      which it keeps for its whole life;
+    - the pair (a, b) of a product that ``tensor`` handed out unformed;
     - a slot pair (``kronecker``), the list of a box's slot values and the
       box's coordinate ranges, for a result of the Kronecker kernel or of
-      Weyl's formula, whose weights are not decoded until they are read.
+      Weyl's formula.
 
     ``_raw`` builds a value from a terms dict or from either kind; the
     value's ``_terms`` slot stays empty until they are first read.  That
     read forms them (``__getattr__``), a pair by ``_convolve`` and slots by
-    ``kronecker._weights_at``, which then clears ``_pending``.  ``len``,
-    ``bool``, ``dim`` and ``==`` count, sum or compare slots without
-    decoding them, and two values with slots over the same box compare slot
-    lists; on a pair they form the terms.  Two readers use a pair instead
-    of the terms: ``grothendieck.char_to_class`` expands the product by
-    Brauer-Klimyk over it, formed or not, and ``contract_weights``
-    contracts an unformed product of rank above ``_DENSE_RANK`` by residue
-    classes.  Every other reader (repr, JSON, pickling, copying,
+    ``kronecker._weights_at``, and then clears ``_pending``, so a value is
+    formed exactly when ``_pending`` is None.  ``len``, ``bool``, ``dim``
+    and ``==`` count, sum or compare slots without decoding them, and two
+    values with slots over the same box compare slot lists; on a pair they
+    form the terms.  Two readers use an unformed product's pair instead of
+    its terms: ``grothendieck.char_to_class`` expands it by Brauer-Klimyk,
+    and ``contract_weights`` contracts it by residue classes above
+    ``_DENSE_RANK``.  Every other reader (repr, JSON, pickling, copying,
     arithmetic, ``items``) reads the terms, so it sees a formed value;
-    pickling and copying drop ``_pending``.
+    pickling and copying keep ``_highest`` and drop ``_pending``.
 
     The private slot ``_memo`` is None until a contraction keeps something
     derived from the value, and then holds it: under each p the value
@@ -245,16 +242,16 @@ class Character(_Sparse):
     other's entry computes it again.  Pickling and copying drop it.
     """
 
-    __slots__ = ("_invariant_for", "_factors", "_pending", "_memo")
+    __slots__ = ("_invariant_for", "_highest", "_pending", "_memo")
     _FIELDS = ("weights", "mult")
     _NOUN = "character"
 
     def __init__(self, items=()):
         super().__init__(items)
-        self._invariant_for = self._factors = self._pending = self._memo = None
+        self._invariant_for = self._highest = self._pending = self._memo = None
 
     @classmethod
-    def _raw(cls, terms, rs=None, factors=None):
+    def _raw(cls, terms, rs=None):
         # terms: a dict free of zeros, or what is pending (a pair of values
         # or a slot pair), formed on first read.
         self = cls.__new__(cls)
@@ -263,7 +260,7 @@ class Character(_Sparse):
             self._pending = None
         else:
             self._pending = terms
-        self._invariant_for, self._factors, self._memo = rs, factors, None
+        self._invariant_for, self._highest, self._memo = rs, None, None
         return self
 
     def _slots(self):
@@ -279,11 +276,7 @@ class Character(_Sparse):
 
     def _formed(self) -> bool:
         # Whether the terms are formed, read without forming them.
-        try:
-            _Sparse._terms.__get__(self)
-        except AttributeError:
-            return False
-        return True
+        return self._pending is None
 
     def __getattr__(self, name):
         # Reached only when a slot is empty.  Slots are cleared after the
@@ -294,17 +287,15 @@ class Character(_Sparse):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         pending = self._pending
         if pending is not None:
-            pair = type(pending[0]) is not list
-            terms = _convolve(*pending) if pair else pending
+            terms = pending if type(pending[0]) is list else _convolve(*pending)
             self._terms = terms if type(terms) is dict else _weights_at(*terms)
-            if not pair:
-                self._pending = None
+            self._pending = None
         return object.__getattribute__(self, "_terms")
 
     def __getstate__(self):
         # Pickling and copying form the terms and drop what was pending.
         return None, {"_terms": self._terms, "_invariant_for": self._invariant_for,
-                      "_factors": self._factors, "_pending": None, "_memo": None}
+                      "_highest": self._highest, "_pending": None, "_memo": None}
 
     def __len__(self):
         slots = self._slots()
@@ -415,17 +406,18 @@ def weyl_character(rs: RootSystem, highest) -> Character:
       its ghost, if any.  Each store drops the least recently used entries,
       ghosts or values, until the total fits.
     - Products are never looked up or stored: ``tensor`` hands out a
-      product of the values this cache gives, and of their products, over
-      the pair it was given, unformed (see ``Character``), so a product
-      that nothing reads is never convolved.  Its readers expand
-      (``grothendieck.char_to_class``) or, above ``_DENSE_RANK``, contract
-      (``contract_weights``) it over that pair, and a contraction adds only
-      the pairs of weights whose sum lies in pX.
+      product of the values this cache gives, and of their unformed
+      products, over the pair it was given, unformed (see ``Character``),
+      so a product that nothing reads is never convolved.  Until it is
+      formed, its readers expand (``grothendieck.char_to_class``) or,
+      above ``_DENSE_RANK``, contract (``contract_weights``) it over that
+      pair, and a contraction adds only the pairs of weights whose sum
+      lies in pX.
 
     ``cache_info`` (``currsize`` counts held values, not ghosts; ``maxsize``
     is the term budget) and ``cache_clear`` are the cache's, and
     ``__wrapped__`` is the uncached computation, as for
-    ``functools.lru_cache``; its values carry no ``_factors``, so ``tensor``
+    ``functools.lru_cache``; its values carry no ``_highest``, so ``tensor``
     forms their products at once.  Lookups and updates hold one lock, the
     computation does not.  The weight is checked on every call, before the
     cache is looked up: coordinates must be ints (not bools), so a float or
@@ -438,7 +430,7 @@ def weyl_character(rs: RootSystem, highest) -> Character:
 def _cached(rs: RootSystem, highest: tuple) -> Character:
     """The Weyl character at highest, held or computed, kept by the rule in ``weyl_character``.
 
-    The value it returns carries ``_factors`` (highest,).
+    The value it returns carries ``_highest`` = highest.
     """
     global _weyl_hits, _weyl_misses, _weyl_terms, _weyl_held
     key = (rs, highest)
@@ -456,7 +448,7 @@ def _cached(rs: RootSystem, highest: tuple) -> Character:
             _weyl_terms += 1
             _weyl_evict()
     chi = _weyl_character(rs, highest)
-    chi._factors = (highest,)
+    chi._highest = highest
     # len counts a value's slots when it holds them: once, outside the lock.
     if admitted and (terms := len(chi)) <= _WEYL_CACHE_TERMS:
         with _weyl_cache_lock:
@@ -697,17 +689,23 @@ def tensor(a: Character, b: Character) -> Character:
     (no-alias condition).  ``_convolve`` adds the products by Kronecker
     substitution or pair by pair.
 
-    When both factors carry ``_factors`` (they came from the
-    ``weyl_character`` cache, or are products of such values) and one
-    root-system tag, the product is a fresh value over the pair (a, b),
-    unformed, and carries the sorted union of their highest weights.  Its
-    first read convolves it; ``grothendieck.char_to_class``, which expands
-    it over the pair, never forms it, and neither does ``contract_weights``
-    above ``_DENSE_RANK``.  Every other product is formed on each call.
+    When both factors carry one root-system tag and each is a Weyl
+    character from the ``weyl_character`` cache (it carries ``_highest``)
+    or an unformed product, the product is a fresh value over the pair
+    (a, b), unformed.  Its first read convolves it; until then
+    ``grothendieck.char_to_class`` expands it over the pair without forming
+    it, and so does ``contract_weights`` above ``_DENSE_RANK``.  Every
+    other product is formed on each call.
     """
-    if a._factors and b._factors and a._invariant_for is b._invariant_for:
-        return Character._raw((a, b), a._invariant_for, tuple(sorted(a._factors + b._factors)))
+    if a._invariant_for is b._invariant_for and _defers(a) and _defers(b):
+        return Character._raw((a, b), a._invariant_for)
     return Character._raw(_convolve(a, b), _shared_tag(a, b))
+
+
+def _defers(chi: Character) -> bool:
+    # Whether tensor hands out chi's products unformed: chi is a Weyl
+    # character from the cache or an unformed product.
+    return chi._highest is not None or chi._pair() is not None
 
 
 def _convolve(a: Character, b: Character):
@@ -807,36 +805,28 @@ def contract_weights(chi: Character, p: int) -> Character:
     The support is filtered one coordinate at a time; each pass keeps about
     1/p of the weights, so most weights are dropped after one remainder.
 
-    A product of rank above ``_DENSE_RANK`` that ``tensor`` handed out
-    over a pair (a, b) (see ``Character``) and that no reader has formed
-    yet is contracted without being formed: a weight alpha + beta of
+    An unformed product of rank above ``_DENSE_RANK``, which holds the
+    pair (a, b) that ``tensor`` was given (see ``Character``), is
+    contracted without being formed: a weight alpha + beta of
     a (x) b lies in pX only when alpha lies in some residue class r mod p
     and beta in -r, so class r of a is paired with class -r of b alone
     (``_contract_pair``): sum over r of |a_r| * |b_-r| pairs, about
     |a| * |b| / p^rank when the weights spread evenly over the classes.
     Every other value is filtered on its terms: one that holds slots
     decodes them, and an unformed product up to ``_DENSE_RANK`` is
-    convolved once and keeps its terms, as any read of them would.
+    convolved once and keeps its terms, as any read of them would.  The
+    pair is read once, so it stays valid if another thread forms the
+    product meanwhile.
     """
     require_p(p, "contraction")
-    pair = _unformed_pair(chi)
-    if pair is not None:
+    pair = chi._pair()
+    if pair is not None and chi._invariant_for.rank > _DENSE_RANK:
         return Character._raw(_contract_pair(*pair, p), chi._invariant_for)
     terms = kept = chi._terms
     for j in range(len(next(iter(terms), ()))):
         kept = [w for w in kept if not w[j] % p]
     out = {tuple([x // p for x in w]): terms[w] for w in kept}
     return Character._raw(out, chi._invariant_for)
-
-
-def _unformed_pair(chi):
-    # The pair (a, b) of a product of rank above _DENSE_RANK whose terms are
-    # not formed, or None.  Another thread may form the product meanwhile,
-    # and the pair stays valid.
-    pair = chi._pair() if isinstance(chi, Character) else None
-    if pair is None or chi._invariant_for.rank <= _DENSE_RANK or chi._formed():
-        return None
-    return pair
 
 
 def _residue_classes(chi: Character, p: int) -> tuple:
@@ -912,9 +902,11 @@ def require_w_invariant(rs: RootSystem, chi: Character) -> None:
     A value the library built as W-invariant for rs carries rs in its
     private tag and is accepted without the scan; every other value,
     including all user input, is scanned, and a weight of the wrong rank
-    raises ``DomainError``.
+    raises ``DomainError``.  An untagged ``Character`` that passes the scan
+    is tagged with rs, so it is scanned once; one that fails stays untagged.
     """
-    if getattr(chi, "_invariant_for", None) is rs:
+    tag = getattr(chi, "_invariant_for", _ABSENT)
+    if tag is rs:
         return
     get = chi._terms.get
     for w, m in chi.items():
@@ -928,3 +920,5 @@ def require_w_invariant(rs: RootSystem, chi: Character) -> None:
                         f"character is not Weyl-invariant: multiplicity {m} at {list(w)} "
                         f"but {other} at its simple reflection {list(img)}"
                     )
+    if tag is None:
+        chi._invariant_for = rs

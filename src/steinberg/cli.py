@@ -420,7 +420,11 @@ REGISTRY = (
 
 
 class _LazyParser(argparse.ArgumentParser):
-    """Runs ``declare(parser)`` once, before it first parses or formats usage or help."""
+    """Runs ``declare(parser)`` once, before it first parses or formats usage or help.
+
+    A usage error's message is cut to 256 characters, so an oversized
+    argument that it quotes is not written back in full.
+    """
 
     def __init__(self, *args, declare=None, **kwargs):
         super().__init__(*args, **kwargs)
@@ -443,6 +447,11 @@ class _LazyParser(argparse.ArgumentParser):
         self._declared()
         return super().format_help()
 
+    def error(self, message):
+        if len(message) > 256:
+            message = message[:253] + "..."
+        super().error(message)
+
 
 def _declare_group(group, parser):
     verbs = parser.add_subparsers(dest="verb", required=True, parser_class=_LazyParser)
@@ -458,7 +467,7 @@ def _declare_verb(sub, parser):
 
 def build_parser() -> argparse.ArgumentParser:
     """The top parser and one lazy parser per group of ``REGISTRY``."""
-    parser = argparse.ArgumentParser(prog=PROG, description=DESCRIPTION)
+    parser = _LazyParser(prog=PROG, description=DESCRIPTION)
     groups = parser.add_subparsers(dest="group", required=True, parser_class=_LazyParser)
     for group in dict.fromkeys(sub.group for sub in REGISTRY):
         groups.add_parser(group, declare=partial(_declare_group, group))

@@ -4,9 +4,9 @@ A :class:`KElement` is a finitely supported integer combination of classes
 of Weyl modules, indexed by their dominant highest weights; it shares its
 representation and arithmetic with :class:`Character`.  Characters
 convert to classes by Brauer's formula, straightening one weight at a time
-(with an independent highest-weight peeling route), products of cached Weyl
-characters by Brauer-Klimyk over the pair they hold, and back by summing Weyl
-characters.  On top of the change of basis sit the Steinberg-block
+(with an independent highest-weight peeling route), unformed products of
+cached Weyl characters by Brauer-Klimyk over the pair they hold, and back by
+summing Weyl characters.  On top of the change of basis sit the Steinberg-block
 operations: the dot-scaling equivalence and its inverse, Steinberg
 multiplicities of a tensor product and Frobenius contraction (both Brauer's
 formula on the contracted weights), and projection onto a linkage block by
@@ -112,24 +112,24 @@ def char_to_class(rs: RootSystem, chi: Character) -> KElement:
     nu + rho is singular (``_straighten``).  The coefficient at lam is
     therefore the alternating orbit sum sum_w (-1)^len(w) * chi(w . lam).
 
-    A product that ``tensor`` handed out over a pair (a, b) (see
-    ``Character``), over rs, is expanded over that pair instead, by
-    Brauer-Klimyk, when a side is a single Weyl character from the
+    A product over rs that ``tensor`` handed out unformed, over a pair
+    (a, b) (see ``Character``), is expanded over that pair instead, by
+    Brauer-Klimyk, when a side is a Weyl character from the
     ``weyl_character`` cache: with top that side (the one of larger Weyl
     dimension when both are) and N the other, [Delta(top) tensor N]
-    straightens top + nu with coefficient N(nu) (``_klimyk``).  So the
-    product's own terms are never read, formed or not, and N, the caller's
-    own value, forms its terms at most once.  Every other value, a single
-    Weyl character or a product of two products included, is straightened
-    term by term.
+    straightens top + nu with coefficient N(nu) (``_klimyk``), top being
+    the side's ``_highest``.  So the product's own terms are never formed,
+    and N, the caller's own value, forms its terms at most once.  Every
+    other value, a formed product, a single Weyl character or a product of
+    two products included, is straightened term by term.
     """
     require_w_invariant(rs, chi)
     pair = chi._pair() if getattr(chi, "_invariant_for", None) is rs else None
     if pair is not None:
-        sides = [(top, n) for top, n in (pair, pair[::-1]) if len(top._factors) == 1]
+        sides = [(top, n) for top, n in (pair, pair[::-1]) if top._highest is not None]
         if sides:
-            top, n = max(sides, key=lambda side: _weyl_dimension(rs, side[0]._factors[0]))
-            return _klimyk(rs, top._factors[0], n)
+            top, n = max(sides, key=lambda side: _weyl_dimension(rs, side[0]._highest))
+            return _klimyk(rs, top._highest, n)
     return _straighten(rs, chi.items())
 
 
@@ -283,9 +283,8 @@ def frobenius_contract_class(rs: RootSystem, chi: Character, p: int) -> KElement
     Brauer's formula (``_straighten``) on the weights of chi contracted by p,
     kept on the value per (rs, p) (``_contract_class``).  At the character
     level the result contracts the weights of chi by p (``contract_weights``,
-    which contracts a product of rank above ``_DENSE_RANK`` that no reader
-    has formed yet by residue classes mod p over the pair it holds, without
-    forming it).
+    which contracts an unformed product of rank above ``_DENSE_RANK`` by
+    residue classes mod p over the pair it holds, without forming it).
     """
     require_p(p, "contraction")
     require_w_invariant(rs, chi)

@@ -75,26 +75,27 @@ def _slot_width(bound: int):
 
 # Native arrays of slots need their bytes swapped to be read as little-endian.
 _SWAP = sys.byteorder == "big"
-if _SWAP:
+
+
+def _swapped(buf, fmt: str):
+    # The slots of buf with each slot's bytes reversed.  ``array`` is
+    # imported here, so a little-endian machine never pays for its import.
     from array import array
+
+    slots = array(fmt, buf)
+    slots.byteswap()
+    return slots
 
 
 def _from_slots(buf, fmt: str) -> int:
     # The int whose slot k is slot k of a native buffer.
-    if _SWAP:
-        buf = array(fmt, buf)
-        buf.byteswap()
-    return int.from_bytes(buf, "little")
+    return int.from_bytes(_swapped(buf, fmt) if _SWAP else buf, "little")
 
 
 def _to_slots(value: int, n: int, nbytes: int, fmt: str):
     # The n slots of value, as a native sequence.
     buf = value.to_bytes(n * nbytes, "little")
-    if _SWAP:
-        slots = array(fmt, buf)
-        slots.byteswap()
-        return slots
-    return memoryview(buf).cast(fmt)
+    return _swapped(buf, fmt) if _SWAP else memoryview(buf).cast(fmt)
 
 
 def _slot_int(items, nbytes: int, fmt: str):

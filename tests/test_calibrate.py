@@ -138,9 +138,10 @@ def test_traffic_replays_a_workload_round(calibrate):
     trace = calibrate.weyl_trace(log.cache)
     assert calibrate.replay(trace, characters._WEYL_CACHE_TERMS, True)[0] == log.misses == 14
     assert len(log.klimyk) == 20
-    for rs, chi, formed in log.klimyk:
+    for rs, chi in log.klimyk:
         pair = chi._pair()
-        assert len(chi._factors) == 2 and not formed and not chi._formed()
+        assert [side._highest is not None for side in pair] == [True, True]
+        assert not chi._formed()
         expected = Character._raw(characters._convolve(*pair), rs)
         for p in (2, 3):
             assert contract_weights(chi, p) == contract_weights(expected, p)
@@ -154,11 +155,12 @@ def test_traffic_marks_the_products_its_operations_never_formed(calibrate):
     # all of Weyl characters, 186 of them misses, and 288 convolutions.
     # Each of the 120 products char_to_class expands over the pair it holds
     # comes unformed; 48 of them are formed by the end of the round, by its
-    # operations or their checks.
+    # operations or their checks, and hold no pair from then on.
     log = calibrate.traffic("rank2-steinberg", 1)
     assert len(log.cache) == 992 and log.misses == 186 and _weyl_characters_only(log)
     assert len(log.convolve) == 288
-    assert len(log.klimyk) == 120 and not any(formed for *_, formed in log.klimyk)
-    assert sum(chi._formed() for _, chi, _ in log.klimyk) == 48
+    assert len(log.klimyk) == 120
+    assert sum(chi._formed() for _, chi in log.klimyk) == 48
+    assert all(chi._formed() is (chi._pair() is None) for _, chi in log.klimyk)
     trace = calibrate.weyl_trace(log.cache)
     assert calibrate.replay(trace, characters._WEYL_CACHE_TERMS, True)[0] == log.misses

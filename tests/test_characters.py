@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from steinberg import characters, kronecker
+from steinberg import characters, grothendieck, kronecker
 from steinberg import (
     Character,
     ConfigurationError,
@@ -123,7 +123,7 @@ def _key(rs, weight) -> tuple:
 def _holds_weyl_characters_only() -> bool:
     # Every key of the cache is one highest weight, and every value held
     # is the Weyl character there, never a product.
-    return all(all(type(x) is int for x in weight) and (chi is None or chi._factors == (weight,))
+    return all(all(type(x) is int for x in weight) and (chi is None or chi._highest == weight)
                for (_, weight), chi in characters._weyl_cache.items())
 
 
@@ -406,8 +406,8 @@ def test_weyl_cache_follows_its_admission_rule_on_random_requests(monkeypatch):
                 chi = tensor(*factors)
                 a, b = chi._pair()
                 assert a is factors[0] and b is factors[1] and not chi._formed()
-                assert chi._factors == tuple(sorted(lam for _, lam in request))
-                assert chi == expected
+                assert (a._highest, b._highest) == tuple(lam for _, lam in request)
+                assert chi == expected and chi._formed() and chi._pair() is None
             assert _cached_terms() <= budget
             assert list(characters._weyl_cache) == list(model)
             kept = {k for k, v in model.items() if v is not None}
@@ -437,7 +437,8 @@ def test_cached_products_are_the_convolutions_of_their_factors(rs):
     # Random multisets of 2 or 3 highest weights, multiplied in random
     # orders from a cold cache, then from a warm one.  No product is kept,
     # at any rank: each request hands out a fresh unformed value over the
-    # two factors given, whose first read convolves them.
+    # two factors given, whose first read convolves them and drops the
+    # pair.  A product with a formed product is formed at once.
     rng = random.Random(f"products/{rs!r}")
     uncached = weyl_character.__wrapped__
     for _ in range(6):
@@ -445,22 +446,25 @@ def test_cached_products_are_the_convolutions_of_their_factors(rs):
         expected = uncached(rs, lams[0])
         for lam in lams[1:]:
             expected = Character._raw(characters._convolve(expected, uncached(rs, lam)), rs)
-        factors = tuple(sorted(lams))
         weyl_character.cache_clear()
         for _ in range(3):
             order = rng.sample(lams, len(lams))
             chi = weyl_character(rs, order[0])
-            assert chi._factors == (order[0],)
+            assert chi._highest == order[0]
             for lam in order[1:]:
                 chi = tensor(chi, weyl_character(rs, lam))
-            assert chi == expected and chi._invariant_for is rs and chi._factors == factors
+                assert not chi._formed() and chi._highest is None
+            assert chi == expected and chi._invariant_for is rs
+            assert chi._formed() and chi._pair() is None
         a, b = weyl_character(rs, order[0]), weyl_character(rs, order[1])
         if len(lams) == 3:
             b = tensor(b, weyl_character(rs, order[2]))
         ab, ba = tensor(a, b), tensor(b, a)
-        assert ab is not ba and ab._factors == ba._factors == factors
+        assert ab is not ba and ab._highest is ba._highest is None
         assert [list(map(id, x._pair())) for x in (ab, ba)] == [[id(a), id(b)], [id(b), id(a)]]
         assert not ab._formed() and ab == ba == expected and ab._formed()
+        assert ab._pair() is ba._pair() is None
+        assert tensor(ab, a)._pair() is None and tensor(a, ab)._pair() is None
         assert _holds_weyl_characters_only()
     weyl_character.cache_clear()
 
@@ -541,17 +545,18 @@ def test_char_to_class_forms_the_rest_of_a_product_once(monkeypatch):
 
     monkeypatch.setattr(characters, "_convolve", spy)
     monkeypatch.setattr(characters, "_cached", refuse)
+    pair = inner._pair()
     for _ in range(201):
         assert char_to_class(D5, chi) == expected
-    assert len(convolved) == 1 and all(x is y for x, y in zip(convolved[0], inner._pair()))
-    assert inner._formed() and not chi._formed()
+    assert len(convolved) == 1 and all(x is y for x, y in zip(convolved[0], pair))
+    assert inner._formed() and inner._pair() is None and not chi._formed()
     weyl_character.cache_clear()
 
 
 def test_values_built_outside_the_cache_never_reach_it():
-    # Only what the cache hands out carries _factors; tensor on anything
+    # Only what the cache hands out carries _highest; tensor on anything
     # else, or on cached values of two root systems, neither looks up nor
-    # stores, and the product carries no _factors either.
+    # stores, and forms the product at once, holding no pair.
     weyl_character.cache_clear()
     C2 = build_root_system("C", 2)
     a, b = weyl_character(B2, (1, 0)), weyl_character(B2, (1, 1))
@@ -560,12 +565,13 @@ def test_values_built_outside_the_cache_never_reach_it():
              Character.from_dict(a.to_dict()), frobenius_twist(a, 1, 2), a + b, a - b, -a,
              2 * a, contract_weights(b, 2), class_to_char(B2, char_to_class(B2, b)),
              euler_characteristic(B2, (-3, 0))]
-    assert all(chi._factors is None for chi in plain)
+    assert all(chi._highest is None for chi in plain)
     before = list(characters._weyl_cache), weyl_character.cache_info()
     for x in plain:
         for y in (x, a, b):
-            assert tensor(x, y)._factors is None and tensor(y, x)._factors is None
-    assert tensor(a, other)._factors is None
+            for chi in (tensor(x, y), tensor(y, x)):
+                assert chi._highest is None and chi._pair() is None
+    assert tensor(a, other)._highest is None and tensor(a, other)._pair() is None
     assert (list(characters._weyl_cache), weyl_character.cache_info()) == before
     weyl_character.cache_clear()
 
@@ -632,8 +638,8 @@ def _unformed_product(rs, lam, mu):
     # The product of two cached Weyl characters: handed out with empty
     # terms over the pair.
     chi = tensor(weyl_character(rs, lam), weyl_character(rs, mu))
-    assert chi._pair() is not None and not chi._formed()
-    assert chi._factors == tuple(sorted((lam, mu)))
+    a, b = chi._pair()
+    assert (a._highest, b._highest) == (lam, mu) and not chi._formed()
     return chi
 
 
@@ -663,24 +669,27 @@ def _deferred_values(rs, lam, mu) -> dict:
 
 def test_unformed_products_pickle_and_copy_as_formed_values():
     # Pickle and copy read the terms, so they give formed values, equal to
-    # the product, with its tag and factors and nothing pending.  So do
-    # values that hold slots.  The product itself keeps its pair; a value
-    # with slots drops them once decoded.
+    # the product, with its tag and nothing pending.  So do values that
+    # hold slots.  The product itself drops its pair once formed, as a
+    # value with slots drops them once decoded.  A cached Weyl character's
+    # clone keeps its highest weight.
+    clones = (lambda chi: pickle.loads(pickle.dumps(chi)), copy.deepcopy, copy.copy)
     for rs in RANK2:
         for kind, (make, expected) in _deferred_values(rs, (1, 0), (0, 1)).items():
-            for clone in (lambda chi: pickle.loads(pickle.dumps(chi)), copy.deepcopy, copy.copy):
+            for clone in clones:
                 chi = make()
                 twin = clone(chi)
-                assert twin._pending is None and chi._formed() and chi._slots() is None, (rs, kind)
-                assert (chi._pair() is not None) is (kind == "unformed product"), (rs, kind)
-                assert twin == expected == chi, (rs, kind)
-                assert twin._invariant_for is rs and twin._factors == chi._factors
+                assert twin._pending is None and chi._formed() and chi._pair() is None, (rs, kind)
+                assert chi._slots() is None and twin == expected == chi, (rs, kind)
+                assert twin._invariant_for is rs and twin._highest is chi._highest is None
+        for clone in clones:
+            assert clone(weyl_character(rs, (1, 0)))._highest == (1, 0)
     weyl_character.cache_clear()
 
 
 def test_unformed_products_read_like_formed_ones(monkeypatch):
     # Each reader gives on a fresh value whose terms are not formed what it
-    # gives on a formed copy with the same tag and factors; == compares the
+    # gives on a formed copy with the same tag; == compares the
     # value with a fresh twin of its kind.  Every reader but the tag check
     # forms an unformed product, whether the kernel or the pair loop
     # convolves it; len, bool, dim and == decode no slots, so a value the
@@ -712,7 +721,7 @@ def test_unformed_products_read_like_formed_ones(monkeypatch):
                     else:
                         formed_now = name in ("repr", "to_dict")
                     assert chi._formed() == formed_now, (rs, kind, name)
-                    assert (chi._pair() is not None) is (kind == "unformed product")
+                    assert (chi._pair() is None) is (formed_now or kind != "unformed product")
     weyl_character.cache_clear()
 
 
@@ -722,7 +731,7 @@ def test_unformed_products_read_by_several_threads_at_once():
     # slots that another thread is decoding and then clears.  Every reader
     # sees the whole value, through its slots (len, dim, == against a value
     # with slots over the same box) and through its terms (== against a
-    # formed value).  A product keeps its pair once formed.
+    # formed value).  A product drops its pair once formed.
     rs = G2
     errors = []
 
@@ -755,8 +764,7 @@ def test_unformed_products_read_by_several_threads_at_once():
                 for thread in threads:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
-                assert chi._formed() and chi._slots() is None, kind
-                assert (chi._pair() is not None) is (kind == "unformed product")
+                assert chi._formed() and chi._slots() is None and chi._pair() is None, kind
     finally:
         sys.setswitchinterval(interval)
     assert not errors
@@ -1205,7 +1213,7 @@ def test_invariance_tag_is_invisible():
     assert Character._raw({}, A2) == Character()
 
 
-def test_untagged_values_are_scanned():
+def test_untagged_values_are_scanned(monkeypatch):
     bad = Character({(1, 0): 1})
     a2 = weyl_character(A2, (1, 0))
     b2 = weyl_character(B2, (1, 0))
@@ -1224,3 +1232,26 @@ def test_untagged_values_are_scanned():
     assert not oracles.w_invariant_by_orbits(B2, a2)
     with pytest.raises(DomainError, match="not Weyl-invariant"):
         require_w_invariant(B2, a2)
+    assert a2._invariant_for is A2
+    # A failed scan leaves no tag; a passed one tags the value, so a second
+    # call on it neither scans nor straightens.
+    for chi in (a2 + b2, a2 + bad, -bad, 2 * bad):
+        assert chi._invariant_for is None, chi
+    reflected, straightened = [], []
+    reflect, straighten = characters.apply_simple_reflection, grothendieck._straighten
+    monkeypatch.setattr(characters, "apply_simple_reflection",
+                        lambda *args: reflected.append(args) or reflect(*args))
+    monkeypatch.setattr(grothendieck, "_straighten",
+                        lambda *args: straightened.append(args) or straighten(*args))
+    for user in (Character(a2.items()), Character.from_dict(a2.to_dict())):
+        expected = frobenius_contract_class(A2, a2, 2)
+        del reflected[:], straightened[:]
+        assert frobenius_contract_class(A2, user, 2) == expected
+        assert user._invariant_for is A2 and reflected and len(straightened) == 1
+        del reflected[:], straightened[:]
+        assert frobenius_contract_class(A2, user, 2) == expected
+        assert steinberg_delta_multiplicity(A2, user, (0, 0), 2) == expected.coeff((0, 0))
+        assert reflected == straightened == []
+    with pytest.raises(DomainError, match="not Weyl-invariant"):
+        frobenius_contract_class(A2, bad, 2)
+    assert bad._invariant_for is None

@@ -287,13 +287,23 @@ def test_json_payloads_must_be_objects():
 def test_deeply_nested_json_exits_2():
     # json.loads raises RecursionError on nesting past the interpreter's
     # depth; each option that reads JSON reports it as malformed input.
-    deep = "[" * 100000
+    # Neither that nor any other oversized argument is written back in
+    # full: every usage error fits in 1 KiB of stderr.
+    deep, junk = "[" * 100000, "x" * 100000
     for option, noun in (("--char", "JSON"), ("--class", "JSON"), ("--weight", "weight")):
         code, out, err = invoke(["char", "tensor", "--type", "A", "--rank", "2", option, deep])
         assert (code, out) == (2, ""), option
-        assert "Traceback" not in err, option
+        assert "Traceback" not in err and len(err.encode()) < 1024, option
         assert err.splitlines()[-1].startswith(
             f"steinberg char tensor: error: argument {option}: malformed {noun}"), option
+    weyl = ["char", "weyl", "--type", "A", "--rank", "2"]
+    for argv in (weyl + ["--weight", junk], ["char", "weyl", "--type", "A", "--rank", junk],
+                 weyl + ["--p", junk], weyl + ["--p", "2", "--r", junk],
+                 ["char", "weyl", "--type", junk, "--rank", "2"],
+                 weyl + ["--weight", "1,0", "--output", junk], [junk], ["char", junk]):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "") and "Traceback" not in err, argv[:-1]
+        assert len(err.encode()) < 1024 and err.rstrip().endswith("..."), argv[:-1]
 
 
 def test_json_weight_entries_must_be_integers(capsys):

@@ -19,7 +19,6 @@ enumeration API, and that every name the benchmark looks up in it
 resolves.
 """
 
-import array
 import ast
 import collections
 import copy
@@ -93,7 +92,7 @@ def _fundamental_of(rank, i):
 
 
 def _unfactored(chi):
-    """A copy of chi that keeps its root-system tag and has no ``_factors``.
+    """A formed copy of chi that keeps its root-system tag and holds no pair or ``_highest``.
 
     ``char_to_class`` straightens such a copy term by term.
     """
@@ -214,7 +213,7 @@ def _random_character(rng, rank) -> Character:
     return Character(terms)
 
 
-# Weyl characters that carry no ``_factors``: tensor forms their products on
+# Weyl characters that carry no ``_highest``: tensor forms their products on
 # every call, so a test that counts the kernel paths of tensor sees each.
 _uncached = weyl_character.__wrapped__
 
@@ -451,18 +450,18 @@ def test_slot_k_is_the_field_at_bit_b_times_k(nbytes, fmt):
 @pytest.mark.parametrize("nbytes,fmt", [(2, "h"), (4, "i"), (8, "q")])
 def test_slot_codec_swaps_bytes_on_a_big_endian_machine(nbytes, fmt, monkeypatch):
     # A native slot buffer of a big-endian machine holds each slot's bytes
-    # most significant first, as struct's ">" formats pack them.  With the
-    # swap forced, such a buffer must read as the int whose slot k is slot
-    # k, and that int must write back to the same bytes.
+    # most significant first.  With the swap forced, such a buffer must read
+    # as the int whose slot k is slot k, and that int must write back to
+    # the same bytes; both hold on a machine of either byte order.
     rng = random.Random(f"big-endian/{nbytes}")
     bits, top = 8 * nbytes, 1 << (8 * nbytes - 1)
     vals = [rng.randrange(-top, top) for _ in range(9)] + [-1, 0, top - 1, -top]
     value = sum((m % (1 << bits)) << bits * k for k, m in enumerate(vals))
-    native = struct.pack(f">{len(vals)}{fmt}", *vals)
+    native = b"".join(v.to_bytes(nbytes, "big", signed=True) for v in vals)
+    assert native == struct.pack(f">{len(vals)}{fmt}", *vals)
     monkeypatch.setattr(kronecker, "_SWAP", True)
-    monkeypatch.setattr(kronecker, "array", array.array, raising=False)
     assert kronecker._from_slots(native, fmt) == value
-    assert bytes(kronecker._to_slots(value, len(vals), nbytes, fmt)) == native
+    assert kronecker._to_slots(value, len(vals), nbytes, fmt).tobytes() == native
 
 
 @pytest.mark.parametrize("nbytes,fmt", [(2, "h"), (4, "i"), (8, "q")])
@@ -704,11 +703,12 @@ def test_cached_products_expand_over_their_factors_and_nothing_else_does(monkeyp
     # Products of 2 to 4 cached Weyl characters at dominant weights of size
     # <= 2, on random types among the 22, whose dimensions multiply to at
     # most 20000: char_to_class expands each by Brauer-Klimyk over the pair
-    # it holds, before and after its terms are read, and must agree with
-    # straightening a copy without _factors and with peeling.  A single
-    # Weyl character, a product of two products (no side is a single Weyl
-    # character) and every value built another way (uncached, user input,
-    # twists, negations, sums) is straightened term by term.
+    # it holds while its terms are not formed, and must agree with
+    # straightening a formed copy and with peeling.  Once its terms are
+    # read, the product holds no pair and is straightened to the same
+    # class.  A single Weyl character, a product of two products (no side is
+    # a single Weyl character) and every value built another way (uncached,
+    # user input, twists, negations, sums) is straightened term by term.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     budget = 20000
@@ -757,17 +757,19 @@ def test_cached_products_expand_over_their_factors_and_nothing_else_does(monkeyp
     def check(case, p):
         rs, lams = case
         chi = request(rs, lams)
-        assert chi._factors == tuple(sorted(lams))
+        a, b = chi._pair()
+        assert b._highest == lams[-1]
+        assert a._highest == lams[0] if len(lams) == 2 else a._pair() is not None
         unformed = expand(rs, chi, ("klimyk", f"{len(lams)} factors"))
         assert not chi._formed()
         copy = _unfactored(chi)
         expected = expand(rs, copy, ("straighten", "product without factors"))
-        assert unformed == expected and chi._formed()
-        assert expand(rs, chi, ("klimyk", "terms already read")) == expected
+        assert unformed == expected and chi._formed() and chi._pair() is None
+        assert expand(rs, chi, ("straighten", "formed product")) == unformed
         assert char_to_class_by_peeling(rs, copy) == expected
         if len(lams) == 4:
             halves = tensor(request(rs, lams[:2]), request(rs, lams[2:]))
-            assert halves._factors == chi._factors
+            assert [side._highest for side in halves._pair()] == [None, None]
             assert expand(rs, halves, ("straighten", "product of two products")) == expected
             assert char_to_class_by_peeling(rs, halves) == expected
         single = weyl_character(rs, lams[-1])
@@ -782,10 +784,10 @@ def test_cached_products_expand_over_their_factors_and_nothing_else_does(monkeyp
     check()
     print("\nchar_to_class routes reached: " + ", ".join(
         f"{route} ({kind}) {n}" for (route, kind), n in sorted(reached.items())))
-    kinds = ("product without factors", "product of two products", "Weyl character",
-             "__wrapped__", "Character(...)", "negation", "sum", "twist")
+    kinds = ("product without factors", "formed product", "product of two products",
+             "Weyl character", "__wrapped__", "Character(...)", "negation", "sum", "twist")
     branches = [("klimyk", f"{n} factors") for n in (2, 3, 4)] + [
-        ("klimyk", "terms already read")] + [("straighten", kind) for kind in kinds]
+        ("straighten", kind) for kind in kinds]
     assert [branch for branch in branches if not reached[branch]] == []
 
 
@@ -908,7 +910,7 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
     # the pair tensor was given: char_to_class expands it without forming
     # it, and so does contract_weights at p = 2 and 3 above rank 2, by
     # residue classes.  Its first read forms it once, by one convolution of
-    # that pair, and touches no cache state; the product keeps its pair.  Up
+    # that pair, and touches no cache state; the product drops its pair.  Up
     # to rank 2 that read is the first contraction, so a later read
     # convolves nothing.  A second request is a new unformed value.
     hypothesis = pytest.importorskip("hypothesis")
@@ -965,7 +967,7 @@ def test_products_the_cache_drops_are_formed_only_when_read(monkeypatch):
         assert sum(a is pair[0] and b is pair[1] for a, b in convolved) == (1 if dense else 0)
         state = list(characters._weyl_cache), weyl_character.cache_info()
         del convolved[:]
-        assert chi == expected and chi._formed() and chi._pair() is pair
+        assert chi == expected and chi._formed() and chi._pair() is None
         assert sum(a is pair[0] and b is pair[1] for a, b in convolved) == (0 if dense else 1)
         del convolved[:]
         assert len(chi) == len(expected) and not convolved

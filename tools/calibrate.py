@@ -174,9 +174,8 @@ def traffic(workload: str, seed: int) -> Traffic:
     """The library calls of one round of a workload, from a cold ``weyl_character`` cache.
 
     Records every ``_convolve`` call (a, b), every ``char_to_class`` call
-    (rs, chi, formed) on a product that holds the pair ``tensor`` was given
-    (``klimyk``; formed is whether its terms were formed at the call) and
-    every lookup in the ``weyl_character`` cache (a ``Lookup``) of set-up
+    (rs, chi) on an unformed product, which holds the pair ``tensor`` was
+    given (``klimyk``), and every lookup in the ``weyl_character`` cache (a ``Lookup``) of set-up
     and of the operations, not of their checks; ``misses`` is the cache's
     own count at the end.
     """
@@ -192,7 +191,7 @@ def traffic(workload: str, seed: int) -> Traffic:
 
     def to_class_spy(rs, chi):
         if chi._pair() is not None:
-            log.klimyk.append((rs, chi, chi._formed()))
+            log.klimyk.append((rs, chi))
         return to_class(rs, chi)
 
     def cached_spy(rs, highest):
