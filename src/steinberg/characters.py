@@ -20,18 +20,22 @@ import sys
 from _thread import allocate_lock
 from collections import OrderedDict
 from functools import _CacheInfo  # the record lru_cache's cache_info returns
-from itertools import repeat
+from functools import partial
+from itertools import compress, count, repeat
 from operator import add, floordiv, mod, mul, neg
 
 from .errors import DomainError
 from .kronecker import (
     _SLOT_WIDTHS,
     _kronecker,
+    _laid_out,
     _packed,
     _read_slots,
     _slot_int,
+    _slot_parts,
     _slot_width,
     _strides,
+    _to_slots,
     _unfold,
     _weights_at,
 )
@@ -213,33 +217,42 @@ class Character(_Sparse):
     while they are not, or None once they are:
 
     - the pair (a, b) of a product that ``tensor`` handed out unformed;
-    - a slot pair (``kronecker``), the list of a box's slot values and the
-      box's coordinate ranges, for a result of the Kronecker kernel or of
-      Weyl's formula.
+    - a slot pair (``kronecker``), a typed ``memoryview`` of a box's slot
+      values and the box's coordinate ranges, for a result of the Kronecker
+      kernel or of Weyl's formula.
 
+    The two are told apart by ``type(pending[0]) is Character``.
     ``_raw`` builds a value from a terms dict or from either kind; the
     value's ``_terms`` slot stays empty until they are first read.  That
-    read forms them (``__getattr__``), a pair by ``_convolve`` and slots by
-    ``kronecker._weights_at``, and then clears ``_pending``, so a value is
-    formed exactly when ``_pending`` is None.  ``len``, ``bool``, ``dim``
-    and ``==`` count, sum or compare slots without decoding them, and two
-    values with slots over the same box compare slot lists; on a pair they
-    form the terms.  Two readers use an unformed product's pair instead of
-    its terms: ``grothendieck.char_to_class`` expands it by Brauer-Klimyk,
-    and ``contract_weights`` contracts it by residue classes above
-    ``_DENSE_RANK``.  Every other reader (repr, JSON, pickling, copying,
-    arithmetic, ``items``) reads the terms, so it sees a formed value;
-    pickling and copying keep ``_highest`` and drop ``_pending``.
+    read forms them (``__getattr__``), a pair by ``_convolve`` and slots
+    by ``kronecker._weights_at``, and then clears ``_pending``, so a
+    value is formed exactly when ``_pending`` is None.  ``len``,
+    ``bool``, ``dim`` and ``==`` count, sum or compare the slot view
+    without decoding it, and two values with slots over the same box
+    compare slot views; on a pair they form the terms.  ``_convolve``
+    reads a value that holds slots as the larger factor of a product
+    without forming it.  Two readers use an unformed product's pair
+    instead of its terms: ``grothendieck.char_to_class`` expands it by
+    Brauer-Klimyk, and ``contract_weights`` contracts it by residue
+    classes above ``_DENSE_RANK``.  Every other reader (repr, JSON,
+    pickling, copying, arithmetic, ``items``) reads the terms, so it
+    sees a formed value; pickling and copying keep ``_highest`` and drop
+    ``_pending``.
 
-    The private slot ``_memo`` is None until a contraction keeps something
-    derived from the value, and then holds it: under each p the value
-    was a factor of such a contraction at, its terms grouped by residue
-    class mod p (``_residue_classes``), two (quotient, multiplicity) pairs
-    per term; and under each (rs, p) it was contracted at, the class of
-    its contraction (``grothendieck._contract_class``).  It lives and dies
-    with the value.  As with ``_pending``, no lock is needed: two threads
-    that fill it at once store equal entries, and one that loses the
-    other's entry computes it again.  Pickling and copying drop it.
+    The private slot ``_memo`` is None until a contraction or a product
+    keeps something derived from the value, and then holds it: under each
+    int p the value was a factor of such a contraction at, its terms
+    grouped by residue class mod p (``_residue_classes``), two (quotient,
+    multiplicity) pairs per term; under each (rs, p) it was contracted at,
+    the class of its contraction (``grothendieck._contract_class``); and,
+    on a Weyl character from the cache that was a factor of a product, its
+    box summary under the string "box" (``_box``) and, once it was the
+    larger factor, its own slot bytes under each slot format, "h", "i" or
+    "q", it was asked at (``_operand``).  Keys of the three kinds never
+    compare equal.  It lives and dies with the value.  As with
+    ``_pending``, no lock is needed: two threads that fill it at once store
+    equal entries, and one that loses the other's entry computes it again.
+    Pickling and copying drop it.
     """
 
     __slots__ = ("_invariant_for", "_highest", "_pending", "_memo")
@@ -267,12 +280,12 @@ class Character(_Sparse):
         # The slot pair this value holds undecoded, or None.  ``_pending`` is
         # read once: another thread may clear it right after storing terms.
         pending = self._pending
-        return pending if pending is not None and type(pending[0]) is list else None
+        return pending if pending is not None and type(pending[0]) is not Character else None
 
     def _pair(self):
         # The pair (a, b) this product was handed out over, or None.
         pending = self._pending
-        return pending if pending is not None and type(pending[0]) is not list else None
+        return pending if pending is not None and type(pending[0]) is Character else None
 
     def _formed(self) -> bool:
         # Whether the terms are formed, read without forming them.
@@ -287,7 +300,7 @@ class Character(_Sparse):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         pending = self._pending
         if pending is not None:
-            terms = pending if type(pending[0]) is list else _convolve(*pending)
+            terms = _convolve(*pending) if type(pending[0]) is Character else pending
             self._terms = terms if type(terms) is dict else _weights_at(*terms)
             self._pending = None
         return object.__getattribute__(self, "_terms")
@@ -301,7 +314,8 @@ class Character(_Sparse):
         slots = self._slots()
         if slots is None:
             return len(self._terms)
-        return len(slots[0]) - slots[0].count(0)
+        vals = slots[0]
+        return len(vals) - vals.tolist().count(0)
 
     def __bool__(self):
         slots = self._slots()
@@ -525,7 +539,7 @@ def _weyl_formula(rs: RootSystem, highest) -> tuple:
     box of W lam: the tightest box that holds the character (lam has
     multiplicity 1), and the box ``_convolve`` gives a product of
     W-invariant characters, so the twist identity's two sides compare slot
-    lists.  Over an orbit W mu, coordinate j ranges over [-M, M] with
+    views.  Over an orbit W mu, coordinate j ranges over [-M, M] with
     M = max over W of <w mu, alpha_j^v>, linear in dominant mu, so the box
     of W lam is the walk's ranges less those of W rho (``rho_ranges``).
 
@@ -547,7 +561,7 @@ def _weyl_formula(rs: RootSystem, highest) -> tuple:
     Reducing modulo x^m is a ring map from Z[x]/x^n, so the low m slots
     are the numerator times D^-1 modulo x^m: slots 0 to c = n // 2 of chi.
     The box of W lam is then symmetric about 0 and chi is invariant under
-    negation, so key(-w) = n - 1 - key(w), and the full slot list is the
+    negation, so key(-w) = n - 1 - key(w), and the full slot view is the
     low half mirrored about slot c (``kronecker._unfold``).  Otherwise
     (A2) m = n.
 
@@ -578,7 +592,7 @@ def _weyl_formula(rs: RootSystem, highest) -> tuple:
     up to rank 4.
     """
     if not any(highest):
-        return [1], [range(0, 1)] * rs.rank
+        return _to_slots(1, 1, 2, "h"), [range(0, 1)] * rs.rank
     dim = _weyl_dimension(rs, highest)
     walk = descend_orbit(rs, tuple(x + 1 for x in highest))
     cols = list(zip(*(w for w, _ in walk)))
@@ -711,45 +725,57 @@ def _defers(chi: Character) -> bool:
 def _convolve(a: Character, b: Character):
     """The terms of ``tensor(a, b)``: a dict, or the kernel's slot pair.
 
-    A factor is held as its support's coordinate columns and its values, and
-    its keys are packed a column at a time (``_packed``).
+    a is the factor of fewer terms, held as its support's coordinate
+    columns and its values, its keys packed a column at a time
+    (``_packed``).  b, the larger, is read through its box summary
+    (``_box``): a box that holds its support and the range of its values.
 
-    With a the factor of fewer terms, the Kronecker kernel (``_kronecker``)
-    runs when the bound sum|a| * max|b| on a coefficient fits a slot of
-    width 2, 4 or 8 bytes and the kernel, one add per slot byte per term of
-    a plus a read-back of the slots, costs no more than the pair loop, one
-    dict update per pair:
+    The Kronecker kernel (``_kronecker``) runs when the bound
+    sum|a| * max|b| on a coefficient fits a slot of width 2, 4 or 8 bytes
+    and the kernel, one add per slot byte per term of a plus a read-back of
+    the slots, costs no more than the pair loop, one dict update per pair:
     width * slots * (|a| + _DECODE_COST) <= _PAIR_COST * |a| * |b|.
-    So the kernel's memory is O(|b|).  It sums half the box when both
-    factors carry the tag of one root system with -1 in W, and returns its
-    slots undecoded.  Otherwise the pair loop adds each of the |a|*|b|
-    products into a dict, drops sums that cancel, and decodes the keys a
-    column at a time.
+    So the kernel's memory is O(|b|).  Its operand y is b's own slots at
+    the width it chooses, laid into the product's strides (``_operand``),
+    when b holds slots or is a Weyl character from the cache, which keeps
+    them; a formed value, as a rule used once, is packed in the product's
+    box instead, which costs it no layout.  The kernel sums half the box
+    when both factors carry the tag of one root system with -1 in W, and
+    returns its slots undecoded.  Otherwise the pair loop packs b as well,
+    adds each of the |a|*|b| products into a dict, drops sums that cancel,
+    and decodes the keys a column at a time.
     """
     if not a or not b:
         return {}
-    cols_a, cols_b = list(zip(*a.support())), list(zip(*b.support()))
-    if len(cols_a) != len(cols_b):
-        raise DomainError(f"cannot convolve characters of ranks {len(cols_a)} and {len(cols_b)}")
-    vals_a, vals_b = list(a._terms.values()), list(b._terms.values())
-    if len(vals_a) > len(vals_b):
-        cols_a, vals_a, cols_b, vals_b = cols_b, vals_b, cols_a, vals_a
-    lo_a = [min(col) for col in cols_a]
-    lo_b = [min(col) for col in cols_b]
-    widths = [max(x) - l + max(y) - k + 1 for x, l, y, k in zip(cols_a, lo_a, cols_b, lo_b)]
+    (box_a, cols_a), (box_b, cols_b) = _box(a), _box(b)
+    if box_a[4] > box_b[4]:
+        a, b, box_a, box_b, cols_a, cols_b = b, a, box_b, box_a, cols_b, cols_a
+    lo_a, own_a, _, _, na = box_a
+    lo_b, own_b, least, most, nb = box_b
+    if len(lo_a) != len(lo_b):
+        raise DomainError(f"cannot convolve characters of ranks {len(lo_a)} and {len(lo_b)}")
+    if cols_a is None:
+        cols_a = list(zip(*a.support()))
+    vals_a = list(a._terms.values())
+    widths = [x + y - 1 for x, y in zip(own_a, own_b)]
     strides = _strides(widths)
     aitems = _packed(cols_a, vals_a, lo_a, strides)
-    bitems = _packed(cols_b, vals_b, lo_b, strides)
     lo = [x + y for x, y in zip(lo_a, lo_b)]
-    na = len(aitems)
-    bound = sum(map(abs, vals_a)) * max(map(abs, vals_b))
+    bound = sum(map(abs, vals_a)) * max(most, -least)
     width = _slot_width(bound)
     cost = math.prod(widths) * (na + _DECODE_COST)
-    if width is not None and width[0] * cost <= _PAIR_COST * na * len(bitems):
+    if width is not None and width[0] * cost <= _PAIR_COST * na * nb:
         ranges = [range(l, l + n) for l, n in zip(lo, widths)]
         tag = _shared_tag(a, b)
         mirror = tag is not None and tag.negation_in_w
-        return _kronecker(aitems, bitems, ranges, bound, mirror)
+        if cols_b is None or b._highest is not None:
+            operand = partial(_operand, b, box_b, cols_b, widths)
+        else:
+            operand = partial(_slot_int, _packed(cols_b, b._terms.values(), lo_b, strides))
+        return _kronecker(aitems, operand, ranges, bound, mirror)
+    if cols_b is None:
+        cols_b = list(zip(*b.support()))
+    bitems = _packed(cols_b, b._terms.values(), lo_b, strides)
     out = {}
     get = out.get
     for k1, m1 in aitems:
@@ -762,6 +788,79 @@ def _convolve(a: Character, b: Character):
     cols = [map(add, map(mod, map(floordiv, keys, repeat(s)), repeat(n)), repeat(l))
             for s, n, l in zip(strides, widths, lo)]
     return dict(zip(zip(*cols), filter(None, out.values())))
+
+
+def _memo_of(chi: Character) -> dict:
+    # chi's ``_memo`` dict, made on first store.
+    memo = chi._memo
+    if memo is None:
+        memo = chi._memo = {}
+    return memo
+
+
+def _box(chi: Character) -> tuple:
+    """chi's box summary, and its support's columns if this call read them, else None.
+
+    The summary is (lo, widths, least, most, size): per coordinate the
+    least value and the width of a box that holds chi's support, chi's
+    least and greatest multiplicity, and its number of terms.  A value that
+    holds slots gives its slots' box and reads no weight.  A Weyl character
+    from the cache (it carries ``_highest``) keeps its summary in ``_memo``
+    under "box"; any other value, as a rule used once, keeps nothing.
+    """
+    memo = chi._memo
+    box = None if memo is None else memo.get("box")
+    if box is not None:
+        return box, None
+    cols = None
+    slots = chi._slots()
+    if slots is not None:
+        vals, ranges = slots
+        lo, widths = [r.start for r in ranges], [len(r) for r in ranges]
+    else:
+        vals = chi._terms.values()
+        cols = list(zip(*chi.support()))
+        lo = [min(col) for col in cols]
+        widths = [max(col) - l + 1 for col, l in zip(cols, lo)]
+    box = lo, widths, min(vals), max(vals), len(chi)
+    if chi._highest is not None:
+        _memo_of(chi)["box"] = box
+    return box, cols
+
+
+def _operand(b: Character, box, cols, widths, nbytes: int, fmt: str) -> tuple:
+    """The kernel's operand for b (``_kronecker``): its own slots laid into the product's strides.
+
+    ``box`` is b's summary (``_box``), whose box b's own slots cover, and
+    ``widths`` the product's; the slots are native, nbytes each, split into
+    (pos, neg): the positive multiplicities and the negated negative ones,
+    neg None when b has none.  A value that holds slots of this width and
+    no negative one gives its own bytes; one of another width writes its
+    nonzero slots; a formed one packs its weights, from ``cols`` when
+    given.  A Weyl character from the cache keeps the pair in ``_memo``
+    under ``fmt``, one entry per width it is asked at (``_laid_out`` then
+    only spaces them).
+    """
+    memo = b._memo
+    parts = None if memo is None else memo.get(fmt)
+    if parts is None:
+        lo, own, signed = box[0], box[1], box[2] < 0
+        slots = b._slots()
+        if slots is not None and slots[0].format == fmt and not signed:
+            parts = slots[0].cast("B"), None
+        else:
+            if slots is not None:
+                vals = slots[0]
+                items = zip(compress(count(), vals), filter(None, vals))
+            else:
+                if cols is None:
+                    cols = list(zip(*b.support()))
+                items = _packed(cols, b._terms.values(), lo, _strides(own))
+            pos, neg = _slot_parts(items, math.prod(own), nbytes, fmt)
+            parts = pos, (neg if signed else None)
+            if b._highest is not None:
+                _memo_of(b)[fmt] = parts
+    return _laid_out(parts, box[1], widths, nbytes, fmt)
 
 
 def frobenius_twist(chi: Character, r: int, p: int) -> Character:
@@ -837,9 +936,7 @@ def _residue_classes(chi: Character, p: int) -> tuple:
     to the pairs (ceil(w / p), m) of the same weights.  Memoized in chi's
     ``_memo`` slot (see ``Character``), one entry per p.
     """
-    memo = chi._memo
-    if memo is None:
-        memo = chi._memo = {}
+    memo = _memo_of(chi)
     classes = memo.get(p)
     if classes is None:
         terms = chi._terms

@@ -20,6 +20,7 @@ from operator import add, mul
 from .characters import (
     Character,
     _add_into,
+    _memo_of,
     _Sparse,
     _weyl_dimension,
     contract_weights,
@@ -252,9 +253,7 @@ def _contract_class(rs: RootSystem, chi: Character, p: int) -> KElement:
     Straightened once per (rs, p) and kept in chi's ``_memo`` slot (see
     ``Character``), so later calls on the same value read it back.
     """
-    memo = chi._memo
-    if memo is None:
-        memo = chi._memo = {}
+    memo = _memo_of(chi)
     element = memo.get((rs, p))
     if element is None:
         element = memo[rs, p] = _straighten(rs, contract_weights(chi, p).items())

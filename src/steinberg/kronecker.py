@@ -15,19 +15,27 @@ it is exact there as a ring identity modulo the slot count, not by the
 no-alias condition.  On every machine slot k is the field at bit
 b*k of the int, so shifting an int up by s slots adds s to every key.  The
 ints cross to byte buffers in little-endian order and are read and written
-slot by slot through native arrays; a big-endian machine swaps the bytes of
-each slot on the way (``_from_slots``, ``_to_slots``).
+slot by slot through typed memoryviews; a big-endian machine swaps the
+bytes of each slot on the way (``_from_slots``, ``_to_slots``), the only
+use of the ``array`` module.
+
+The kernel's second factor y comes from that factor's own slots, over its
+own box, as native bytes: ``_laid_out`` spaces them into the product's
+strides, one join with zero padding per coordinate, and reads them as one
+int.  So a factor that already holds slots, or keeps its slot bytes
+(``characters._operand``), enters a product without packing a weight.
 
 The kernel and Weyl's formula read their result back only as far as its
-slot values: a list of the box's slots, the last coordinate fastest, with
-the box's coordinate ranges (a slot pair, ``(vals, ranges)``).  Turning
-slots into ``{weight: value}`` (``_weights_at``) is put off until a weight
-is read: ``characters.Character`` holds the slot pair, counts, sums and
-compares its slots directly, and decodes them on the first read of its
-terms.  Both read only half of a box that is symmetric about 0 when the
-value is invariant under negation (-1 in W): the kernel the slots from the
-centre up, Weyl's formula those from 0 to the centre.  One helper,
-``_unfold``, builds the full slot list from the lower half.
+slot values: a typed memoryview of the box's slots, the last coordinate
+fastest, with the box's coordinate ranges (a slot pair,
+``(vals, ranges)``).  Turning slots into ``{weight: value}``
+(``_weights_at``) is put off until a weight is read:
+``characters.Character`` holds the slot pair, counts, sums and compares
+its slots directly, and decodes them on the first read of its terms.
+Both read only half of a box that is symmetric about 0 when the value is
+invariant under negation (-1 in W): the kernel the slots from the centre
+up, Weyl's formula those from 0 to the centre.  One helper, ``_unfold``,
+builds the full slot view from the lower half.
 """
 
 from __future__ import annotations
@@ -82,7 +90,8 @@ def _swapped(buf, fmt: str):
     # imported here, so a little-endian machine never pays for its import.
     from array import array
 
-    slots = array(fmt, buf)
+    slots = array(fmt)
+    slots.frombytes(buf)
     slots.byteswap()
     return slots
 
@@ -92,15 +101,15 @@ def _from_slots(buf, fmt: str) -> int:
     return int.from_bytes(_swapped(buf, fmt) if _SWAP else buf, "little")
 
 
-def _to_slots(value: int, n: int, nbytes: int, fmt: str):
-    # The n slots of value, as a native sequence.
+def _to_slots(value: int, n: int, nbytes: int, fmt: str) -> memoryview:
+    # The n slots of value, as a typed native view.
     buf = value.to_bytes(n * nbytes, "little")
-    return _swapped(buf, fmt) if _SWAP else memoryview(buf).cast(fmt)
+    return memoryview(_swapped(buf, fmt)) if _SWAP else memoryview(buf).cast(fmt)
 
 
-def _slot_int(items, nbytes: int, fmt: str):
-    # (slot count, the int whose slot k holds m) for packed items (k, m).
-    n = max(items)[0] + 1
+def _slot_parts(items, n: int, nbytes: int, fmt: str) -> tuple:
+    # (pos, neg): n native slots holding m at k for each packed item (k, m)
+    # with m > 0, and n holding -m at k for each with m < 0.
     pos, neg = bytearray(n * nbytes), bytearray(n * nbytes)
     with memoryview(pos).cast(fmt) as up, memoryview(neg).cast(fmt) as down:
         for k, m in items:
@@ -108,27 +117,61 @@ def _slot_int(items, nbytes: int, fmt: str):
                 up[k] = m
             else:
                 down[k] = -m
+    return pos, neg
+
+
+def _slot_int(items, nbytes: int, fmt: str):
+    # (slot count, the int whose slot k holds m) for packed items (k, m).
+    n = max(items)[0] + 1
+    pos, neg = _slot_parts(items, n, nbytes, fmt)
     return n, _from_slots(pos, fmt) - _from_slots(neg, fmt)
 
 
-def _read_slots(value: int, nbytes: int, fmt: str, n: int) -> list:
-    """Slots 0 to n - 1 of value, as signed ints.
+def _laid_out(parts, own, widths, nbytes: int, fmt: str) -> tuple:
+    """(slot count, int) of a box's slots, laid into the strides of a box at least as wide.
+
+    ``parts`` is (pos, neg), each the native slots of a box of widths
+    ``own``, the last coordinate fastest; neg may be None.  The int holds
+    pos minus neg with each slot at the key of the same digits in a box of
+    ``widths``, up to the key of the last slot, zero between.  Coordinate
+    by coordinate from the last, the runs that the previous level left are
+    spaced one stride of the larger box apart by one join with zero
+    padding, so a part costs one copy per coordinate, not one per slot.
+    """
+    y = 0
+    for sign, part in zip((1, -1), parts):
+        if part is None:
+            continue
+        buf = memoryview(part)
+        run, stride = own[-1] * nbytes, nbytes
+        for j in range(len(own) - 1, 0, -1):
+            stride *= widths[j]
+            buf = memoryview(bytes(stride - run).join(
+                [buf[i:i + run] for i in range(0, len(buf), run)]))
+            run = own[j - 1] * stride
+        y += sign * _from_slots(buf, fmt)
+    return len(buf) // nbytes, y
+
+
+def _read_slots(value: int, nbytes: int, fmt: str, n: int) -> memoryview:
+    """Slots 0 to n - 1 of value, as a typed view of signed ints.
 
     Slot k is the field of nbytes at bit 8*nbytes*k of value, read in two's
     complement.
     """
-    return _to_slots(value, n, nbytes, fmt).tolist()
+    return _to_slots(value, n, nbytes, fmt)
 
 
-def _unfold(low: list) -> list:
+def _unfold(low: memoryview) -> memoryview:
     """A symmetric box's slot values from its lower half, slots 0 to c.
 
     A box whose ranges are symmetric about 0 has an odd slot count N =
     2c + 1, slot c holds weight 0, and slot N - 1 - k holds the negative of
     the weight at slot k.  On values invariant under negation, slot c + i
-    therefore equals slot c - i.
+    therefore equals slot c - i.  The mirror is copied at C level, one
+    ``tobytes`` per half.
     """
-    return low + low[-2::-1]
+    return memoryview(low.tobytes() + low[-2::-1].tobytes()).cast(low.format)
 
 
 def _weights_at(vals, ranges) -> dict:
@@ -142,15 +185,19 @@ def _weights_at(vals, ranges) -> dict:
     return dict(zip(compress(product(*ranges), vals), filter(None, vals)))
 
 
-def _kronecker(aitems, bitems, ranges, bound: int, mirror=False) -> tuple:
+def _kronecker(aitems, operand, ranges, bound: int, mirror=False) -> tuple:
     """Convolve two packed factors by shifting and adding one big integer.
 
-    ``aitems`` and ``bitems`` are (key, multiplicity) pairs, keyed in the box
-    of the product with the last coordinate varying fastest, each relative
-    to its own factor's minimum; ``ranges`` are the product's coordinate
-    ranges, and ``bound`` is at least every |coefficient| of the product.
-    The second factor becomes one int y, slot k (a fixed-width field of 2, 4
-    or 8 bytes) holding its multiplicity at key k.  For each term (k, m) of
+    ``aitems`` are the first factor's (key, multiplicity) pairs, keyed in
+    the box of the product with the last coordinate varying fastest,
+    relative to the factor's minimum; ``ranges`` are the product's
+    coordinate ranges, and ``bound`` is at least every |coefficient| of the
+    product.  The second factor is one int y, slot k (a fixed-width field of
+    2, 4 or 8 bytes) holding its multiplicity at key k, keyed in the same
+    box relative to its own minimum: ``operand(nbytes, fmt)`` gives its slot
+    count and y at the width chosen here (``characters._convolve`` lays out
+    the factor's own slots, ``_laid_out``, or packs the items of a factor
+    used once, ``_slot_int``).  For each term (k, m) of
     the first factor, m * y shifted up by k slots is added in, so the sum
     holds the convolution in its slots: one pass over y per term, where a
     product of two full ints would cost a Karatsuba multiplication.  The
@@ -164,7 +211,7 @@ def _kronecker(aitems, bitems, ranges, bound: int, mirror=False) -> tuple:
     With top the first factor's largest key and nb the second's slot count,
     the sum fills n = top + nb slots, at most the box's; the slots above
     them read back as zero (``_read_slots``).  The product is returned as
-    its slot pair, (the list of the box's slot values, ``ranges``), and no
+    its slot pair, (a typed view of the box's slot values, ``ranges``), and no
     weight is formed.
 
     ``mirror`` says that both factors are invariant under negation (a
@@ -188,7 +235,7 @@ def _kronecker(aitems, bitems, ranges, bound: int, mirror=False) -> tuple:
     if width is None:
         raise ArithmeticError(f"convolution bound {bound} does not fit a 64-bit slot")
     nbytes, fmt = width
-    nb, y = _slot_int(bitems, nbytes, fmt)
+    nb, y = operand(nbytes, fmt)
     n = max(aitems)[0] + nb
     bits = 8 * nbytes
     groups = {}

@@ -4,13 +4,16 @@ import collections
 import copy
 import gc
 import itertools
+import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
 from collections import OrderedDict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -806,7 +809,8 @@ def test_twist_identity_reads_slots_and_decodes_no_weight(monkeypatch):
                 assert lhs == rhs and rhs == lhs, (rs, p, lam)
                 assert lhs.dim() == rhs.dim() == characters._weyl_dimension(rs, target)
                 vals, box = lhs._slots()
-                changed = list(vals)
+                assert type(vals) is type(rhs._slots()[0]) is memoryview
+                changed = memoryview(bytearray(vals)).cast(vals.format)
                 changed[len(changed) // 2] += 1
                 other = Character._raw((changed, box), rs)
                 assert lhs != other and other != lhs
@@ -818,6 +822,31 @@ def test_twist_identity_reads_slots_and_decodes_no_weight(monkeypatch):
     weyl_character.cache_clear()
     print(f"\ntwist identity: {slotted} of {cases} pairs compared slot lists")
     assert slotted
+
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="a big-endian machine swaps slots with array")
+def test_slot_values_need_no_array_module():
+    # Slot values are typed memoryviews, so on a little-endian machine a
+    # fresh interpreter that forms a Weyl character, a kernel product and
+    # compares the two slot values never imports ``array``, a dynamically
+    # loaded module.
+    src = Path(characters.__file__).resolve().parent.parent
+    code = """if True:
+        import sys
+        import steinberg as S
+        rs = S.build_root_system("G", 2)
+        lhs = S.tensor(S.steinberg_character(rs, 3),
+                       S.frobenius_twist(S.weyl_character(rs, (1, 1)), 1, 3))
+        rhs = S.weyl_character(rs, S.dot_multiply(3, (1, 1)))
+        assert lhs._slots() is not None and rhs._slots() is not None
+        assert lhs == rhs
+        print("array" in sys.modules)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_mixed_ranks_are_rejected():

@@ -32,6 +32,7 @@ import pickle
 import pkgutil
 import random
 import struct
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,7 @@ from steinberg import (
     build_root_system,
     char_to_class,
     char_to_class_by_peeling,
+    class_to_char,
     contract_weights,
     dot_multiply,
     frobenius_contract_class,
@@ -265,7 +267,8 @@ def _kernel_direct(a, b, bound=None) -> dict:
     Keys count the product's box with the last coordinate fastest, each
     factor's key relative to its own minimum.  The bound defaults to
     sum|a| * max|b|.  The kernel returns the slots of that box, which must
-    be the box it was given.
+    be the box it was given.  b's operand is its packed items as one slot
+    int (``_slot_int``).
     """
     cols_a, cols_b = list(zip(*a.support())), list(zip(*b.support()))
     lo_a, lo_b = [min(c) for c in cols_a], [min(c) for c in cols_b]
@@ -278,7 +281,8 @@ def _kernel_direct(a, b, bound=None) -> dict:
     if bound is None:
         bound = sum(abs(m) for _, m in a.items()) * max(abs(m) for _, m in b.items())
     ranges = [range(l + k, l + k + n) for l, k, n in zip(lo_a, lo_b, widths)]
-    vals, box = _kronecker(packed(a, lo_a), packed(b, lo_b), ranges, bound)
+    operand = partial(_slot_int, packed(b, lo_b))
+    vals, box = _kronecker(packed(a, lo_a), operand, ranges, bound)
     assert box == ranges and len(vals) == math.prod(widths)
     return _weights_at(vals, box)
 
@@ -289,9 +293,9 @@ def kernel_calls(monkeypatch):
     calls = []
     real = characters._kronecker
 
-    def spy(aitems, bitems, ranges, bound, mirror=False):
+    def spy(aitems, operand, ranges, bound, mirror=False):
         calls.append(bound)
-        return real(aitems, bitems, ranges, bound, mirror)
+        return real(aitems, operand, ranges, bound, mirror)
 
     monkeypatch.setattr(characters, "_kronecker", spy)
     return calls
@@ -347,9 +351,9 @@ def kernel_paths(kernel_calls, monkeypatch):
         reads.append((n, nbytes))
         return to_slots(value, n, nbytes, fmt)
 
-    def kernel(aitems, bitems, ranges, bound, mirror=False):
+    def kernel(aitems, operand, ranges, bound, mirror=False):
         del reads[:]
-        out = spy(aitems, bitems, ranges, bound, mirror)
+        out = spy(aitems, operand, ranges, bound, mirror)
         box = math.prod(map(len, ranges))
         (n, nbytes), = reads
         paths.append((mirror, "mirrored" if n == box // 2 + 1 < box else "full", nbytes))
@@ -598,6 +602,145 @@ def test_sparse_boxes_take_the_pair_loop_and_keep_tags(monkeypatch):
     prod = _convolution_agrees(sparse, weyl_character(rs, (0, 1)))
     assert prod._invariant_for is rs
     assert tensor(Character(sparse.items()), sparse)._invariant_for is None
+
+
+OPERAND_TYPES = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3),
+                 ("A", 4), ("B", 4), ("D", 4)]
+
+
+def test_one_operand_serves_every_product_it_is_the_larger_factor_of(monkeypatch):
+    # One value b is the larger factor of several products against smaller
+    # factors whose boxes differ, so each product lays b's own slots into
+    # other strides.  b is a cached Weyl character (slots up to rank 2,
+    # terms above), or a signed product that holds the kernel's slots.  A
+    # smaller factor is a Weyl character, twisted by 1, 2 or 3, scaled by
+    # +-1, +-2^20 or 2^40 (2-, 4- and 8-byte slots) and tagged or not (the
+    # mirrored and the full kernel).  Half the cases force the kernel, which
+    # the rule gives few products above rank 3.  Every product equals the
+    # naive one; a b that holds slots keeps them unread unless the pair loop
+    # ran, and the cached b builds its bytes at most once per slot width
+    # however often it is used.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    systems = [build_root_system(*key) for key in OPERAND_TYPES]
+    weights = {rs: [w for w in itertools.product(range(3), repeat=rs.rank)
+                    if characters._weyl_dimension(rs, w) <= 400] for rs in systems}
+    asked = []
+    real_operand, real_parts = characters._operand, characters._slot_parts
+    built = []
+
+    def parts(*args):
+        built.append(args[-1])
+        return real_parts(*args)
+
+    def operand(chi, box, cols, widths, nbytes, fmt):
+        del built[:]
+        out = real_operand(chi, box, cols, widths, nbytes, fmt)
+        asked.append((chi, fmt, bool(built)))
+        return out
+
+    monkeypatch.setattr(characters, "_slot_parts", parts)
+    monkeypatch.setattr(characters, "_operand", operand)
+    reached = collections.Counter()
+    uncached = weyl_character.__wrapped__
+    pair_cost = characters._PAIR_COST
+
+    @st.composite
+    def cases(draw):
+        rs = draw(st.sampled_from(systems))
+        big = draw(st.sampled_from([w for w in weights[rs] if any(w)]))
+        signed = draw(st.booleans())
+        small = draw(st.lists(st.tuples(
+            st.sampled_from(weights[rs]), st.sampled_from(((0, 2), (1, 2), (1, 3))),
+            st.sampled_from((1, -1, 2**20, -(2**20), 2**40)), st.booleans()),
+            min_size=2, max_size=5))
+        return rs, big, signed, small, draw(st.booleans())
+
+    @_settings(hypothesis, 60)
+    @hypothesis.given(cases())
+    def check(case):
+        rs, big, signed, small, forced = case
+        monkeypatch.setattr(characters, "_PAIR_COST", 10**9 if forced else pair_cost)
+        weyl_character.cache_clear()
+        if signed:
+            x = weyl_character(rs, big) - 2 * weyl_character(rs, (0,) * rs.rank)
+            b = tensor(x, weyl_character(rs, _fundamental(rs, 0)))
+            y = uncached(rs, big) - 2 * uncached(rs, (0,) * rs.rank)
+            twin = Character(oracles.convolve_naive(y, uncached(rs, _fundamental(rs, 0))))
+        else:
+            b, twin = weyl_character(rs, big), uncached(rs, big)
+        slotted = b._slots() is not None
+        del asked[:]
+        used = 0
+        for lam, (r, p), scale, tagged in small:
+            a = scale * frobenius_twist(weyl_character(rs, lam), r, p)
+            if not tagged:
+                a = Character(a.items())
+            if len(a) >= len(twin):
+                continue
+            expected = oracles.convolve_naive(a, twin)
+            assert dict(tensor(a, b).items()) == expected == dict(tensor(b, a).items())
+            used += 2
+        mine = [(fmt, new) for chi, fmt, new in asked if chi is b]
+        if slotted and len(mine) == used:  # the kernel ran every time
+            assert b._slots() is not None
+            reached["slots kept"] += 1
+        if not signed:
+            for fmt in {fmt for fmt, _ in mine}:
+                assert sum(new for f, new in mine if f == fmt) <= 1, (fmt, mine)
+            reached["reused"] += len(mine) > len({fmt for fmt, _ in mine})
+        reached["signed slots" if signed and slotted else "signed" if signed else "cached"] += 1
+        reached.update(f"width {fmt}" for fmt, _ in mine)
+        reached[f"rank {rs.rank}"] += bool(mine)
+
+    try:
+        check()
+    finally:
+        weyl_character.cache_clear()
+    print("\noperand branches reached: " + ", ".join(
+        f"{branch} {n}" for branch, n in sorted(reached.items())))
+    branches = ["reused", "signed slots", "cached", "slots kept", "width h", "width i", "width q"]
+    assert [branch for branch in branches + [f"rank {r}" for r in range(1, 5)]
+            if not reached[branch]] == []
+
+
+@pytest.mark.parametrize("contract_first", [True, False], ids=["contract-first", "operand-first"])
+@pytest.mark.parametrize("key", [("A", 3), ("B", 3)], ids=["A3", "B3"])
+def test_contraction_and_operand_memo_entries_do_not_collide(key, contract_first, monkeypatch):
+    # A value's _memo keeps its residue classes under the int p, its
+    # contraction classes under (rs, p), and its kernel operand under "box"
+    # and the slot format.  A cached Weyl character contracted at p = 2 (a
+    # factor of an unformed product, and on its own), then the larger
+    # factor of a product in 2-byte slots, or the same in the reverse
+    # order, gives the naive product and the naive contractions.
+    monkeypatch.setattr(characters, "_PAIR_COST", 10**9)  # the kernel for every product
+    rs = build_root_system(*key)
+    uncached = weyl_character.__wrapped__
+    lam, mu = (1,) + (0,) * (rs.rank - 1), (1,) * rs.rank
+    small, big = uncached(rs, lam), uncached(rs, mu)
+    weyl_character.cache_clear()
+    try:
+        x, b = weyl_character(rs, lam), weyl_character(rs, mu)
+
+        def contract():
+            prod = tensor(x, b)
+            assert prod._pair() is not None
+            assert dict(contract_weights(prod, 2).items()) == oracles.contract_naive(
+                oracles.convolve_naive(small, big), 2)
+            assert dict(class_to_char(rs, frobenius_contract_class(rs, b, 2)).items()) == (
+                oracles.contract_naive(dict(big.items()), 2))
+
+        def operand():
+            prod = tensor(Character(x.items()), b)
+            assert dict(prod.items()) == oracles.convolve_naive(small, big)
+
+        for step in (contract, operand) if contract_first else (operand, contract):
+            step()
+        assert {2, (rs, 2), "box", "h"} <= set(b._memo)
+        for step in (contract, operand):  # each reads its own entries back
+            step()
+    finally:
+        weyl_character.cache_clear()
 
 
 SMALL_TYPES = [key for key in TYPES if key[1] <= 3]
@@ -1296,7 +1439,8 @@ def test_weyl_formula_is_exact_where_its_numerator_leaves_or_aliases_in_the_box(
 @pytest.mark.parametrize("series,rank", TYPES)
 def test_weyl_formula_at_zero_is_the_trivial_character(series, rank):
     rs = build_root_system(series, rank)
-    assert characters._weyl_formula(rs, (0,) * rank) == ([1], [range(0, 1)] * rank)
+    vals, box = characters._weyl_formula(rs, (0,) * rank)
+    assert type(vals) is memoryview and vals.tolist() == [1] and box == [range(0, 1)] * rank
 
 
 def test_weyl_formula_raises_on_a_root_of_key_step_zero():
@@ -1495,7 +1639,8 @@ def test_weyl_formula_raises_at_the_first_width_that_holds_dim(monkeypatch):
 
     def lossy(value, nbytes, *rest):
         widths.append(nbytes)
-        vals = real(value, nbytes, *rest)
+        read = real(value, nbytes, *rest)
+        vals = memoryview(bytearray(read)).cast(read.format)
         vals[max(k for k, m in enumerate(vals) if m)] = 0
         return vals
 

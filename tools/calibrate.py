@@ -246,14 +246,18 @@ def kernel_call(a, b) -> dict:
     exactly when the rule takes the kernel; ``bytes`` is the kernel's
     slot width times the slots of its box.  Forcing sets ``_PAIR_COST``
     to 10**9 (kernel) or 0 (pair loop).  Both routes are timed to terms:
-    the kernel's slots are decoded inside the timed call.
+    the kernel's slots are decoded inside the timed call.  A cached Weyl
+    character keeps its box and slot bytes after the first call
+    (``characters._operand``), so its later calls are timed with them, as
+    a round reuses them; ``nb``, the larger factor's term count, is read
+    from the factors, as the kernel takes no packed items for it.
     """
     seen = []
     kronecker = characters._kronecker
 
-    def spy(aitems, bitems, ranges, bound, mirror=False):
-        seen.append((len(aitems), len(bitems), math.prod(map(len, ranges)), bound, mirror))
-        return kronecker(aitems, bitems, ranges, bound, mirror)
+    def spy(aitems, operand, ranges, bound, mirror=False):
+        seen.append((len(aitems), math.prod(map(len, ranges)), bound, mirror))
+        return kronecker(aitems, operand, ranges, bound, mirror)
 
     pair_cost, decode_cost = characters._PAIR_COST, characters._DECODE_COST
     with patched(characters, _kronecker=spy):
@@ -267,7 +271,8 @@ def kernel_call(a, b) -> dict:
     if not seen:  # no slot holds the bound: only the pair loop runs
         return {"route": "pair", "ratio": math.inf, "bytes": math.inf, "kernel": math.inf,
                 "pair": pair}
-    na, nb, slots, bound, mirror = seen[0]
+    na, slots, bound, mirror = seen[0]
+    nb = len(a) * len(b) // na
     kind = "mirrored" if mirror else "full"
     nbytes = characters._slot_width(bound)[0] * slots
     with patched(characters, _PAIR_COST=10**9):
