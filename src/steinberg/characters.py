@@ -30,7 +30,6 @@ from .kronecker import (
     _kronecker,
     _laid_out,
     _packed,
-    _read_slots,
     _slot_int,
     _slot_parts,
     _slot_width,
@@ -248,7 +247,7 @@ class Character(_Sparse):
     on a Weyl character from the cache that was a factor of a product, its
     box summary under the string "box" (``_box``) and, once it was the
     larger factor, its own slot bytes under each slot format, "h", "i" or
-    "q", it was asked at (``_operand``).  Keys of the three kinds never
+    "q", it was asked at (``_operand``).  Keys of different kinds never
     compare equal.  It lives and dies with the value.  As with
     ``_pending``, no lock is needed: two threads that fill it at once store
     equal entries, and one that loses the other's entry computes it again.
@@ -623,7 +622,7 @@ def _weyl_formula(rs: RootSystem, highest) -> tuple:
             while t < m:
                 value = (value + (value << bits * t)) & mask
                 t *= 2
-        vals = _read_slots(value, nbytes, fmt, m)
+        vals = _to_slots(value, m, nbytes, fmt)
         total = 2 * sum(vals) - vals[-1] if half else sum(vals)
         if total == dim:
             return (_unfold(vals) if half else vals), box
@@ -736,10 +735,8 @@ def _convolve(a: Character, b: Character):
     the slots, costs no more than the pair loop, one dict update per pair:
     width * slots * (|a| + _DECODE_COST) <= _PAIR_COST * |a| * |b|.
     So the kernel's memory is O(|b|).  Its operand y is b's own slots at
-    the width it chooses, laid into the product's strides (``_operand``),
-    when b holds slots or is a Weyl character from the cache, which keeps
-    them; a formed value, as a rule used once, is packed in the product's
-    box instead, which costs it no layout.  The kernel sums half the box
+    the width it chooses, laid into the product's strides (``_operand``);
+    a Weyl character from the cache keeps them.  The kernel sums half the box
     when both factors carry the tag of one root system with -1 in W, and
     returns its slots undecoded.  Otherwise the pair loop packs b as well,
     adds each of the |a|*|b| products into a dict, drops sums that cancel,
@@ -768,10 +765,7 @@ def _convolve(a: Character, b: Character):
         ranges = [range(l, l + n) for l, n in zip(lo, widths)]
         tag = _shared_tag(a, b)
         mirror = tag is not None and tag.negation_in_w
-        if cols_b is None or b._highest is not None:
-            operand = partial(_operand, b, box_b, cols_b, widths)
-        else:
-            operand = partial(_slot_int, _packed(cols_b, b._terms.values(), lo_b, strides))
+        operand = partial(_operand, b, box_b, cols_b, widths)
         return _kronecker(aitems, operand, ranges, bound, mirror)
     if cols_b is None:
         cols_b = list(zip(*b.support()))
@@ -839,7 +833,7 @@ def _operand(b: Character, box, cols, widths, nbytes: int, fmt: str) -> tuple:
     nonzero slots; a formed one packs its weights, from ``cols`` when
     given.  A Weyl character from the cache keeps the pair in ``_memo``
     under ``fmt``, one entry per width it is asked at (``_laid_out`` then
-    only spaces them).
+    only spaces them); any other value, as a rule used once, keeps nothing.
     """
     memo = b._memo
     parts = None if memo is None else memo.get(fmt)

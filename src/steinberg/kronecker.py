@@ -102,7 +102,8 @@ def _from_slots(buf, fmt: str) -> int:
 
 
 def _to_slots(value: int, n: int, nbytes: int, fmt: str) -> memoryview:
-    # The n slots of value, as a typed native view.
+    # Slots 0 to n - 1 of value as a typed native view: slot k is the field
+    # of nbytes at bit 8*nbytes*k, read in two's complement.
     buf = value.to_bytes(n * nbytes, "little")
     return memoryview(_swapped(buf, fmt)) if _SWAP else memoryview(buf).cast(fmt)
 
@@ -153,15 +154,6 @@ def _laid_out(parts, own, widths, nbytes: int, fmt: str) -> tuple:
     return len(buf) // nbytes, y
 
 
-def _read_slots(value: int, nbytes: int, fmt: str, n: int) -> memoryview:
-    """Slots 0 to n - 1 of value, as a typed view of signed ints.
-
-    Slot k is the field of nbytes at bit 8*nbytes*k of value, read in two's
-    complement.
-    """
-    return _to_slots(value, n, nbytes, fmt)
-
-
 def _unfold(low: memoryview) -> memoryview:
     """A symmetric box's slot values from its lower half, slots 0 to c.
 
@@ -195,10 +187,9 @@ def _kronecker(aitems, operand, ranges, bound: int, mirror=False) -> tuple:
     product.  The second factor is one int y, slot k (a fixed-width field of
     2, 4 or 8 bytes) holding its multiplicity at key k, keyed in the same
     box relative to its own minimum: ``operand(nbytes, fmt)`` gives its slot
-    count and y at the width chosen here (``characters._convolve`` lays out
-    the factor's own slots, ``_laid_out``, or packs the items of a factor
-    used once, ``_slot_int``).  For each term (k, m) of
-    the first factor, m * y shifted up by k slots is added in, so the sum
+    count and y at the width chosen here (``characters._operand`` lays out
+    the factor's own slots, ``_laid_out``).  For each term (k, m) of the
+    first factor, m * y shifted up by k slots is added in, so the sum
     holds the convolution in its slots: one pass over y per term, where a
     product of two full ints would cost a Karatsuba multiplication.  The
     first factor's keys are grouped by multiplicity, and m * y is formed
@@ -210,7 +201,7 @@ def _kronecker(aitems, operand, ranges, bound: int, mirror=False) -> tuple:
     Slot k has place value 2^(b*k), so the shift for key k is k slots.
     With top the first factor's largest key and nb the second's slot count,
     the sum fills n = top + nb slots, at most the box's; the slots above
-    them read back as zero (``_read_slots``).  The product is returned as
+    them read back as zero (``_to_slots``).  The product is returned as
     its slot pair, (a typed view of the box's slot values, ``ranges``), and no
     weight is formed.
 
@@ -253,6 +244,6 @@ def _kronecker(aitems, operand, ranges, bound: int, mirror=False) -> tuple:
     # Flipping each slot's top bit turns c + 2^(b-1) into c in two's complement.
     acc = (acc + bias) ^ bias
     if not mirror:
-        return _read_slots(acc, nbytes, fmt, math.prod(map(len, ranges))), ranges
-    upper = _read_slots(acc >> bits, nbytes, fmt, guard + 2)  # slots c .. N-1
+        return _to_slots(acc, math.prod(map(len, ranges)), nbytes, fmt), ranges
+    upper = _to_slots(acc >> bits, guard + 2, nbytes, fmt)  # slots c .. N-1
     return _unfold(upper[::-1]), ranges

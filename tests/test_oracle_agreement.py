@@ -64,7 +64,7 @@ from steinberg import (
 import steinberg
 from steinberg import characters, grothendieck, kronecker
 from steinberg.characters import _kronecker, _slot_width
-from steinberg.kronecker import _read_slots, _slot_int, _weights_at
+from steinberg.kronecker import _slot_int, _to_slots, _weights_at
 from steinberg.rootdata import RootSystem, apply_simple_reflection
 from steinberg.cli import run
 
@@ -430,7 +430,7 @@ def test_mirrored_kernel_needs_both_tags(kernel_paths):
 
 def _read_box(value, nbytes, fmt, box) -> dict:
     # The slots of value over the box, decoded as a character's terms are.
-    return _weights_at(_read_slots(value, nbytes, fmt, math.prod(map(len, box))), box)
+    return _weights_at(_to_slots(value, math.prod(map(len, box)), nbytes, fmt), box)
 
 
 @pytest.mark.parametrize("nbytes,fmt", [(2, "h"), (4, "i"), (8, "q")])
@@ -1549,15 +1549,15 @@ def test_weyl_character_routes_agree_on_random_dominant_weights(monkeypatch):
 
 @pytest.fixture
 def slot_reads(monkeypatch):
-    """(slot width in bytes, slots read) of every ``_read_slots`` call."""
+    """(slot width in bytes, slots read) of every ``_to_slots`` call of ``characters``."""
     reads = []
-    real = characters._read_slots
+    real = characters._to_slots
 
-    def spy(value, nbytes, fmt, n):
+    def spy(value, n, nbytes, fmt):
         reads.append((nbytes, n))
-        return real(value, nbytes, fmt, n)
+        return real(value, n, nbytes, fmt)
 
-    monkeypatch.setattr(characters, "_read_slots", spy)
+    monkeypatch.setattr(characters, "_to_slots", spy)
     return reads
 
 
@@ -1635,16 +1635,16 @@ def test_weyl_formula_raises_at_the_first_width_that_holds_dim(monkeypatch):
     # occupied slot, forces it.  So it does on B2's (1, 1), of dim 16, whose
     # half box reads slots up to the centre, and whose sum counts those below
     # the centre twice.
-    real, widths = characters._read_slots, []
+    real, widths = characters._to_slots, []
 
-    def lossy(value, nbytes, *rest):
+    def lossy(value, n, nbytes, fmt):
         widths.append(nbytes)
-        read = real(value, nbytes, *rest)
+        read = real(value, n, nbytes, fmt)
         vals = memoryview(bytearray(read)).cast(read.format)
         vals[max(k for k, m in enumerate(vals) if m)] = 0
         return vals
 
-    monkeypatch.setattr(characters, "_read_slots", lossy)
+    monkeypatch.setattr(characters, "_to_slots", lossy)
     rs = build_root_system("A", 2)
     with pytest.raises(ArithmeticError, match=r"at \[1, 1\] gave .* not dim 8, in 2-byte slots"):
         characters._weyl_formula(rs, (1, 1))

@@ -272,7 +272,7 @@ def kernel_call(a, b) -> dict:
         return {"route": "pair", "ratio": math.inf, "bytes": math.inf, "kernel": math.inf,
                 "pair": pair}
     na, slots, bound, mirror = seen[0]
-    nb = len(a) * len(b) // na
+    nb = max(len(a), len(b))
     kind = "mirrored" if mirror else "full"
     nbytes = characters._slot_width(bound)[0] * slots
     with patched(characters, _PAIR_COST=10**9):
