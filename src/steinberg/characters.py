@@ -243,9 +243,9 @@ class Character(_Sparse):
     int p the value was a factor of such a contraction at, its terms
     grouped by residue class mod p (``_residue_classes``), two (quotient,
     multiplicity) pairs per term; under each (rs, p) it was contracted at,
-    the class of its contraction (``grothendieck._contract_class``); and,
-    on a Weyl character from the cache that was a factor of a product, its
-    box summary under the string "box" (``_box``) and, once it was the
+    the class of its contraction (``grothendieck.frobenius_contract_class``);
+    and, on a Weyl character from the cache that was a factor of a product,
+    its box summary under the string "box" (``_box``) and, once it was the
     larger factor, its own slot bytes under each slot format, "h", "i" or
     "q", it was asked at (``_operand``).  Keys of different kinds never
     compare equal.  It lives and dies with the value.  As with
@@ -381,12 +381,14 @@ def _dominant_weights_below(rs: RootSystem, highest):
 
 # The largest rank on which ``weyl_character`` takes Weyl's formula, which
 # pays for a box, not for the terms in it, and on which the cache's
-# doorkeeper holds back a first request.  Derived by section 4 of
-# tools/calibrate.py; section 5 replays the doorkeeper.
+# doorkeeper holds back a first request.  Section 4 of tools/calibrate.py
+# times both routes; section 5 replays the workloads' lookups through
+# ``_cached`` itself.
 _DENSE_RANK = 2
 
-# The term budget of the ``weyl_character`` cache, about 3 MB; section 5 of
-# tools/calibrate.py replays it.
+# The term budget of the ``weyl_character`` cache, about 3 MB.  Section 5 of
+# tools/calibrate.py prints the most terms each workload's lookups make the
+# cache hold against it.
 _WEYL_CACHE_TERMS = 1 << 15
 
 # (rs, highest) -> the Weyl character, or None for a ghost; least recently

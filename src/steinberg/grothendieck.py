@@ -247,31 +247,17 @@ def steinberg_inverse(rs: RootSystem, element: KElement, p: int,
     return KElement._raw(out)
 
 
-def _contract_class(rs: RootSystem, chi: Character, p: int) -> KElement:
-    """Brauer's formula (``_straighten``) on the weights of chi contracted by p.
-
-    Straightened once per (rs, p) and kept in chi's ``_memo`` slot (see
-    ``Character``), so later calls on the same value read it back.
-    """
-    memo = _memo_of(chi)
-    element = memo.get((rs, p))
-    if element is None:
-        element = memo[rs, p] = _straighten(rs, contract_weights(chi, p).items())
-    return element
-
-
 def steinberg_delta_multiplicity(rs: RootSystem, chi: Character, lam, p: int) -> int:
     """Multiplicity of the Weyl class at p . lam inside St tensor (chi-module).
 
     Equals sum_w (-1)^len(w) * chi(p * (w . lam)), the coefficient at lam of
-    :func:`frobenius_contract_class`, read from the contraction class that
-    the value keeps per (rs, p) (``_contract_class``); the product
-    character is never formed.
+    :func:`frobenius_contract_class`, read from the class that the value
+    keeps per (rs, p); the product character is never formed.
     """
     lam = require_dominant(rs, lam)
     require_p(p, "multiplicity")
     require_w_invariant(rs, chi)
-    return _contract_class(rs, chi, p).coeff(lam)
+    return frobenius_contract_class(rs, chi, p).coeff(lam)
 
 
 def frobenius_contract_class(rs: RootSystem, chi: Character, p: int) -> KElement:
@@ -279,15 +265,21 @@ def frobenius_contract_class(rs: RootSystem, chi: Character, p: int) -> KElement
 
     The coefficient at lam is the Steinberg multiplicity of the Weyl class
     at p . lam in St tensor the module, sum_w (-1)^len(w) * chi(p * (w . lam)):
-    Brauer's formula (``_straighten``) on the weights of chi contracted by p,
-    kept on the value per (rs, p) (``_contract_class``).  At the character
-    level the result contracts the weights of chi by p (``contract_weights``,
-    which contracts an unformed product of rank above ``_DENSE_RANK`` by
-    residue classes mod p over the pair it holds, without forming it).
+    Brauer's formula (``_straighten``) on the weights of chi contracted by p.
+    It is straightened once per (rs, p) and kept in chi's ``_memo`` slot (see
+    ``Character``), so later calls on the same value read it back.  At the
+    character level the result contracts the weights of chi by p
+    (``contract_weights``, which contracts an unformed product of rank above
+    ``_DENSE_RANK`` by residue classes mod p over the pair it holds, without
+    forming it).
     """
     require_p(p, "contraction")
     require_w_invariant(rs, chi)
-    return _contract_class(rs, chi, p)
+    memo = _memo_of(chi)
+    element = memo.get((rs, p))
+    if element is None:
+        element = memo[rs, p] = _straighten(rs, contract_weights(chi, p).items())
+    return element
 
 
 def pr_block(rs: RootSystem, element: KElement, nu, p: int,

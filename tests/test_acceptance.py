@@ -39,7 +39,9 @@ from steinberg import (
     steinberg_delta_multiplicity,
     steinberg_forward,
     steinberg_inverse,
+    steinberg_weight,
     tensor,
+    tensor_delta_expansion,
     weyl_character,
 )
 
@@ -177,14 +179,24 @@ def test_criterion_4_steinberg_multiplicity_cross_check(corpus, corpus_factors):
 
 
 def test_criterion_5_contraction_consistency(corpus):
-    checked = 0
+    # The second side is the paper's relation pr_ST[St (x) M] = F[phi M],
+    # read back through F^-1: Brauer-Klimyk on St (x) M, keeping the terms at
+    # p . lam.  It shares only _straighten with the contraction class, and
+    # _straighten has its own oracle test.
+    checked = independent = 0
     for key, rs in SYSTEMS.items():
         for p in PRIMES:
+            top = steinberg_weight(rs, p)
             for chi in corpus[key]:
                 contracted = frobenius_contract_class(rs, chi, p)
                 assert class_to_char(rs, contracted) == contract_weights(chi, p), (key, p)
                 checked += 1
-    print(f"\nACCEPTANCE 5 PASS: contraction classes match weight contraction ({checked} characters)")
+                projected = steinberg_inverse(rs, tensor_delta_expansion(rs, top, chi), p)
+                assert projected == contracted, (key, p)
+                independent += 1
+    print(f"\nACCEPTANCE 5 PASS: contraction classes match weight contraction ({checked} "
+          f"characters) and the Steinberg part of St (x) M read back by F^-1 "
+          f"({independent} characters)")
 
 
 def test_criterion_6_contraction_positivity(corpus):

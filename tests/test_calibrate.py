@@ -1,9 +1,9 @@
 """The calibration script in tools/calibrate.py, on tiny fixed inputs.
 
 The script reaches private names of the library (its dispatch constants,
-``_convolve``, ``_kronecker``, ``_weyl_formula`` and the cache's uncached
-computation), so these tests are what keeps it running as the library
-changes.
+``_convolve``, ``_kronecker``, ``_weyl_formula``, and the cache itself with
+its term count and its uncached computation), so these tests are what keeps
+it running as the library changes.
 """
 
 import importlib.util
@@ -85,38 +85,20 @@ def test_weyl_tables(calibrate):
     assert [row[:3] + row[-1:] for row in table.rows] == [
         ["A2", [1, 0], 3, "formula"], ["A3", [1, 0, 0], 4, "recursion"]]
     assert names(table, "_DENSE_RANK")
-    # A3 (1, 1, 0): the 12 weights of its orbit and the 4 of (0, 0, 1).
-    cost = calibrate.recompute_cost([(a2, (2, 2))], [(a3, (1, 1, 0))])
-    assert cost.columns == ["route", "type", "weight", "terms", "us/term"]
-    assert [row[:4] for row in cost.rows] == [["formula", "A2", [2, 2], 19],
-                                              ["recursion", "A3", [1, 1, 0], 16]]
-    assert names(cost, "_DENSE_RANK")
 
 
-def test_cache_replay_on_a_synthetic_trace(calibrate):
-    # Keys a, b of rank 2 (3 and 4 terms), c of rank 3 (5 terms); budget 8.
-    a, b, c = ("a", 3, 2, 1.0), ("b", 4, 2, 2.0), ("c", 5, 3, 4.0)
-    trace = [a, b, a, c, a, b]
-    # Doorkeeper: ghosts a, b (2 terms); a stored (4); c stored at once, the
-    # ghost of b dropped (8); a hit; b a ghost again, c dropped (4).
-    assert calibrate.replay(trace, 8, True) == (5, 10.0, 8)
-    # Plain LRU: a, b stored (7); a hit; c stored, b dropped (8); a hit; b
-    # stored again, c dropped (7).
-    assert calibrate.replay(trace, 8, False) == (4, 9.0, 8)
-    # A character over the budget is never stored.  The doorkeeper keeps
-    # the ghost of one of rank 2, which it held back, but leaves none for
-    # one of rank 3, which it admits at once.
-    big = ("e", 5, 2, 1.0)
-    assert calibrate.replay([big, big], 4, True) == (2, 2.0, 1)
-    assert calibrate.replay([c, c], 4, True) == (2, 8.0, 0)
-    assert calibrate.replay([c, c], 4, False) == (2, 8.0, 0)
-    table = calibrate.cache_replay({"tiny": trace}, {"tiny": 5}, budgets=(8,))
-    assert table.columns == ["workload", "policy", "budget terms", "lookups", "misses",
-                             "recompute ms", "peak terms"]
-    assert [row[1:3] for row in table.rows] == [
-        ["doorkeeper", characters._WEYL_CACHE_TERMS], ["lru", 8],
-        ["lru", characters._WEYL_CACHE_TERMS]]
+def test_cache_replay_runs_the_library_cache(calibrate):
+    # Under the doorkeeper: a ghost of (1, 0), then its 3 terms in the
+    # ghost's place, a hit, and a ghost of (0, 1): 3 misses, 4 terms held.
+    a2 = build_root_system("A", 2)
+    lookups = [calibrate.Lookup(a2, (1, 0))] * 3 + [calibrate.Lookup(a2, (0, 1))]
+    log = calibrate.Traffic([], [], lookups, 3)
+    table = calibrate.cache_replay({"tiny": log})
+    assert table.columns == ["workload", "lookups", "misses", "recompute ms", "peak terms"]
+    assert [row[:3] + row[4:] for row in table.rows] == [["tiny", 4, 3, 4]]
     assert names(table, "_WEYL_CACHE_TERMS")
+    with pytest.raises(RuntimeError, match="tiny: the replay took 3 misses, the round 2"):
+        calibrate.cache_replay({"tiny": log._replace(misses=2)})
 
 
 def _weyl_characters_only(log) -> bool:
@@ -131,12 +113,14 @@ def test_traffic_replays_a_workload_round(calibrate):
     # that char_to_class expands over the pair it holds comes unformed, and
     # is still unformed once the round's checks have read it, and its
     # contractions by residue classes are those of its convolution.  The
-    # replayed doorkeeper counts the cache's misses.
+    # library's cache, replayed on its 14 distinct lookups, takes the
+    # round's 14 misses and holds at most 376 terms.
     log = calibrate.traffic("highrank-classes", 1)
     assert len(log.cache) == 141 and _weyl_characters_only(log)
     assert log.convolve == []
-    trace = calibrate.weyl_trace(log.cache)
-    assert calibrate.replay(trace, characters._WEYL_CACHE_TERMS, True)[0] == log.misses == 14
+    [row] = calibrate.cache_replay({"highrank-classes": log}).rows
+    assert row[:3] + row[4:] == ["highrank-classes", 141, 14, 376]
+    assert len(set(log.cache)) == 14
     assert len(log.klimyk) == 20
     for rs, chi in log.klimyk:
         pair = chi._pair()
@@ -146,8 +130,6 @@ def test_traffic_replays_a_workload_round(calibrate):
         for p in (2, 3):
             assert contract_weights(chi, p) == contract_weights(expected, p)
         assert not chi._formed()
-    requests = calibrate.weyl_requests(log.cache)
-    assert len(requests) == len(set(requests)) == 14
 
 
 def test_traffic_marks_the_products_its_operations_never_formed(calibrate):
@@ -162,5 +144,3 @@ def test_traffic_marks_the_products_its_operations_never_formed(calibrate):
     assert len(log.klimyk) == 120
     assert sum(chi._formed() for _, chi in log.klimyk) == 48
     assert all(chi._formed() is (chi._pair() is None) for _, chi in log.klimyk)
-    trace = calibrate.weyl_trace(log.cache)
-    assert calibrate.replay(trace, characters._WEYL_CACHE_TERMS, True)[0] == log.misses

@@ -469,7 +469,7 @@ def test_slot_codec_swaps_bytes_on_a_big_endian_machine(nbytes, fmt, monkeypatch
 
 
 @pytest.mark.parametrize("nbytes,fmt", [(2, "h"), (4, "i"), (8, "q")])
-def test_read_slots_matches_the_per_slot_oracle(nbytes, fmt):
+def test_decoded_slots_match_the_per_slot_oracle(nbytes, fmt):
     # Random slot integers with signed slots, dense and sparse, the all-zero
     # one and one-slot boxes.
     rng = random.Random(f"read/{nbytes}")
@@ -782,7 +782,7 @@ def _class_inputs(rs):
 
 
 @pytest.mark.parametrize("series,rank", SMALL_TYPES)
-def test_denominator_route_matches_straightening_and_peeling(series, rank, straightened):
+def test_class_routes_match_peeling_and_the_denominator_oracle(series, rank, straightened):
     # Class expansions of every kind of input agree with peeling; Steinberg
     # multiplicities agree with |W| lookups in the Weyl denominator
     # (oracles.denominator_coefficient) and with straightening and peeling
@@ -812,7 +812,7 @@ def test_denominator_route_matches_straightening_and_peeling(series, rank, strai
 
 
 @pytest.mark.parametrize("series", ["A", "B", "G"])
-def test_rank_two_steinberg_products_take_the_denominator_route(series, straightened):
+def test_rank_two_steinberg_multiplicities_straighten_once_per_p(series, straightened):
     # St (x) Delta(1, 1) at p = 5, 7: its Steinberg multiplicities equal |W|
     # lookups in the Weyl denominator (oracles.denominator_coefficient) and
     # the coefficients of its straightened contraction, which is straightened
@@ -1458,7 +1458,7 @@ def test_weyl_formula_raises_on_a_root_of_key_step_zero():
 
 def test_weyl_formula_matches_freudenthal_on_random_weights_up_to_rank_four():
     # Nonzero weights of size <= 6 at rank <= 2 and <= 2 above it, of
-    # dimension <= 20000, called directly as tools/calibrate.py section 4a
+    # dimension <= 20000, called directly as tools/calibrate.py section 4
     # does: no root may have a key step of 0 in the box of W lam.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

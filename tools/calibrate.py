@@ -10,10 +10,11 @@ derives:
    (``_PAIR_COST``, ``_DECODE_COST``): every ``_convolve`` call of one
    round of each library workload, forced both ways, and a random sweep;
 4. Weyl's character formula against Freudenthal's recursion
-   (``_DENSE_RANK``), and what each costs per term to compute again;
-5. the ``weyl_character`` cache (``_WEYL_CACHE_TERMS`` and its doorkeeper)
-   against plain LRU caches, replayed on each workload's lookups of Weyl
-   characters, the only values the cache holds.
+   (``_DENSE_RANK``), timed on fixed characters of ranks 2 to 4;
+5. the ``weyl_character`` cache itself (``characters._cached``, under
+   ``_WEYL_CACHE_TERMS``), replayed on each workload's lookups of Weyl
+   characters, the only values it holds: its misses, their recompute time
+   and the most terms it held.  No code here decides what a cache keeps.
 
 There are no sections 2 or 3: no dispatch rule is left for them to time.
 The other sections keep their numbers, by which the project's notes cite
@@ -36,7 +37,7 @@ import os
 import platform
 import random
 import sys
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from contextlib import ExitStack, contextmanager
 from functools import partial
 from itertools import groupby
@@ -385,7 +386,7 @@ def _formula_terms(rs, highest) -> dict:
 
 
 def weyl_routes(inputs) -> Table:
-    """Section 4a: ``_weyl_formula`` against ``_freudenthal`` per (rs, highest); both must agree.
+    """Section 4: ``_weyl_formula`` against ``_freudenthal`` per (rs, highest); both must agree.
 
     The formula is timed with its slots decoded, so both routes give terms.
     """
@@ -401,103 +402,49 @@ def weyl_routes(inputs) -> Table:
                      "formula" if _calls(characters, "_weyl_formula",
                                          characters._weyl_character, rs, highest)
                      else "recursion"])
-    return Table("4a. Weyl character routes: _weyl_formula against _freudenthal",
+    return Table("4. Weyl character routes: _weyl_formula against _freudenthal",
                  ["type", "weight", "terms", "formula ms", "recursion ms", "formula/recursion",
                   "rule takes"], rows,
                  ["the rule takes the formula when rank <= _DENSE_RANK"])
 
 
-def recompute_cost(formula_inputs, recursion_inputs) -> Table:
-    """Section 4b: microseconds per term of each route, on the characters the rule sends it.
-
-    The formula is timed with its slots decoded, as in section 4a.
-    """
-    rows, per_term = [], {"formula": [], "recursion": []}
-    for route, inputs in (("formula", formula_inputs), ("recursion", recursion_inputs)):
-        fn = _formula_terms if route == "formula" else characters._freudenthal
-        for rs, highest in inputs:
-            n = len(fn(rs, highest))
-            us = best(lambda: fn(rs, highest)) / n * 1e6
-            per_term[route].append(us)
-            rows.append([route, _type(rs), list(highest), n, f"{us:.3f}"])
-    f, r = per_term["formula"], per_term["recursion"]
-    return Table("4b. Cost per term of computing a Weyl character again",
-                 ["route", "type", "weight", "terms", "us/term"], rows,
-                 [f"recursion over formula, per term: {min(r) / max(f):.1f}-{max(r) / min(f):.1f}x",
-                  "the cache admits a first miss at once only above rank _DENSE_RANK, where the "
-                  "recursion computes it"])
-
-
 # 5. The Weyl-character cache, replayed.
 
-def replay(trace, budget: int, doorkeeper: bool):
-    """(misses, recompute seconds, peak terms held) of a cache policy on a request trace.
+def cache_replay(rounds: dict) -> Table:
+    """Section 5: each workload's ``Traffic`` lookups, replayed through the library's own cache.
 
-    ``trace`` lists (key, terms, rank, seconds), one per lookup.  The
-    cache holds at most ``budget`` terms, drops least recently used entries
-    first, and never keeps a character of more than ``budget`` terms.
-    Under the doorkeeper (``characters.weyl_character``) a first miss of
-    rank <= ``_DENSE_RANK`` stores a ghost, counted as one term, and any
-    other miss is admitted; a plain LRU admits every miss.  Every miss
-    computes its character again and costs its seconds.
+    Each distinct key is computed and timed once, uncached, as its route
+    computes it.  ``characters._cached`` then runs from an empty cache, with
+    ``_weyl_character`` patched to hand back the key's character and charge
+    its time, so a miss costs what computing its character again costs.
+    Raises when the replay's misses differ from the round's own count.
     """
-    cache, held, peak, misses, spent = OrderedDict(), 0, 0, 0, 0.0
-    for key, terms, rank, seconds in trace:
-        found = cache.get(key, KeyError)
-        if found is not KeyError:
-            cache.move_to_end(key)
-            if found is not None:
-                continue
-        misses += 1
-        spent += seconds
-        admit = not doorkeeper or found is None or rank > characters._DENSE_RANK
-        stored = terms <= budget and admit
-        if stored:
-            if found is None:
-                held -= 1
-            cache[key] = terms
-            held += terms
-        elif not admit:
-            cache[key] = None
-            held += 1
-        while held > budget:
-            held -= cache.popitem(last=False)[1] or 1
-        peak = max(peak, held)
-    return misses, spent, peak
+    rows = []
+    for workload, log in rounds.items():
+        costs, spent, peak = {}, [], 0
+        for key in dict.fromkeys(log.cache):
+            compute = partial(characters._weyl_character, *key)
+            costs[key] = compute(), best(compute)
 
+        def recorded(rs, highest):
+            chi, seconds = costs[rs, highest]
+            spent.append(seconds)
+            return chi
 
-def weyl_trace(lookups) -> list:
-    """(key, terms, rank, seconds) per ``Lookup``, each character computed and timed once.
-
-    A character is timed as its route computes it, uncached.
-    """
-    cost = {}
-    for key in weyl_requests(lookups):
-        compute = partial(characters._weyl_character, *key)
-        cost[key] = len(compute()), best(compute)
-    return [(key, cost[key][0], key.rs.rank, cost[key][1]) for key in lookups]
-
-
-def weyl_requests(lookups) -> list:
-    """The distinct (rs, highest) of the lookups, first seen first."""
-    return list(dict.fromkeys(lookups))
-
-
-def cache_replay(traces: dict, library_misses: dict, budgets=(1 << 12, 1 << 13, 1 << 14)) -> Table:
-    """Section 5: the doorkeeper at ``_WEYL_CACHE_TERMS`` and plain LRUs at several budgets."""
-    rows, notes = [], []
-    for workload, trace in traces.items():
-        policies = [("doorkeeper", characters._WEYL_CACHE_TERMS, True)]
-        policies += [("lru", b, False) for b in (*budgets, characters._WEYL_CACHE_TERMS)]
-        for name, budget, doorkeeper in policies:
-            misses, spent, peak = replay(trace, budget, doorkeeper)
-            rows.append([workload, name, budget, len(trace), misses, _ms(spent), peak])
-        notes.append(f"{workload}: the library's own cache counted {library_misses[workload]} "
-                     "misses")
-    return Table("5. weyl_character cache (_WEYL_CACHE_TERMS and its doorkeeper) replayed on "
-                 "each workload's lookups",
-                 ["workload", "policy", "budget terms", "lookups", "misses", "recompute ms",
-                  "peak terms"], rows, notes)
+        S.weyl_character.cache_clear()
+        with patched(characters, _weyl_character=recorded):
+            for rs, highest in log.cache:
+                characters._cached(rs, highest)
+                peak = max(peak, characters._weyl_terms)
+        misses = S.weyl_character.cache_info().misses
+        if misses != log.misses:
+            raise RuntimeError(f"{workload}: the replay took {misses} misses, the round "
+                               f"{log.misses}")
+        rows.append([workload, len(log.cache), misses, _ms(sum(spent)), peak])
+    return Table("5. weyl_character cache replayed on each workload's lookups",
+                 ["workload", "lookups", "misses", "recompute ms", "peak terms"], rows,
+                 ["peak terms: the most the cache held, a ghost counting one, against "
+                  f"_WEYL_CACHE_TERMS = {characters._WEYL_CACHE_TERMS}"])
 
 
 def render(table: Table) -> str:
@@ -535,20 +482,11 @@ def main(argv) -> int:
         return 2
     start = perf_counter()
     print(header())
-    rank2 = traffic("rank2-steinberg", 1)
-    highrank = traffic("highrank-classes", 1)
-    seed1 = {"rank2-steinberg": rank2, "highrank-classes": highrank}
+    seed1 = {w: traffic(w, 1) for w in ("rank2-steinberg", "highrank-classes")}
     print(render(kernel_traffic({w: t.convolve for w, t in seed1.items()})))
     print(render(kernel_sweep()))
     print(render(weyl_routes(_inputs(WEYL_INPUTS))))
-    # The formula on the 12 largest characters of the rank-2 round (targets
-    # Delta(p . lam) of the twist identity), the recursion on every nonzero
-    # weight of the high-rank round.
-    largest = sorted(weyl_requests(rank2.cache), key=lambda k: -len(S.weyl_character(*k)))
-    recursion = [(rs, highest) for rs, highest in weyl_requests(highrank.cache) if any(highest)]
-    print(render(recompute_cost(largest[:12], recursion)))
-    print(render(cache_replay({w: weyl_trace(t.cache) for w, t in seed1.items()},
-                              {w: t.misses for w, t in seed1.items()})))
+    print(render(cache_replay(seed1)))
     print(f"total {perf_counter() - start:.0f} s")
     return 0
 
